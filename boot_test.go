@@ -1,0 +1,228 @@
+package thedb
+
+// DB.Boot is the one boot sequence — image, tail, epoch seed, adopted-
+// generation bound. These cases are the ones hand-written copies of
+// that sequence got wrong or never exercised.
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"thedb/internal/statecheck"
+	"thedb/internal/storage"
+	"thedb/internal/wal"
+)
+
+// bootLife opens dir as a one-worker WAL directory with the restart
+// benchmark's KV schema. Epochs are advanced by the test, not a ticker.
+func bootLife(t *testing.T, dir string) (*DB, *WALSet) {
+	t.Helper()
+	fs, err := OpenWALSet(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	db, err := Open(Config{
+		Protocol: Healing, Workers: 1,
+		WALSet: fs, LogMode: ValueLogging, EpochInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	benchRestartSchema(db)
+	return db, fs
+}
+
+// bootHistory commits txnsPerEpoch RPut transactions in each of epochs
+// epochs, then closes the database and its WAL files.
+func bootHistory(t *testing.T, dir string, epochs, txnsPerEpoch int) *DB {
+	t.Helper()
+	db, fs := bootLife(t, dir)
+	db.Start()
+	s := db.Session(0)
+	for e := 0; e < epochs; e++ {
+		if e > 0 {
+			db.eng.Epoch().Advance()
+		}
+		for i := 0; i < txnsPerEpoch; i++ {
+			if _, err := s.Run("RPut", Int(int64(i)), Int(int64(e*100+i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+func walFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	gens, err := filepath.Glob(filepath.Join(dir, "worker-*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gens
+}
+
+// An image with no WAL behind it — what a checkpoint whose watermark
+// covered every generation leaves — must still seed the epoch past the
+// image's rows: nothing in the (absent) tail says how high they go.
+func TestBootImageOnlySeedsPastImageRows(t *testing.T) {
+	dir := t.TempDir()
+	db := bootHistory(t, dir, 6, 4)
+	info, err := db.Checkpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range walFiles(t, dir) {
+		if err := os.Remove(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if info.MaxRowEpoch < 6 {
+		t.Fatalf("image max row epoch = %d, want at least 6", info.MaxRowEpoch)
+	}
+
+	db2, fs2 := bootLife(t, dir)
+	report, err := db2.Boot(fs2, RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.CheckpointPath != info.Path || report.CheckpointRows != info.Rows {
+		t.Fatalf("report names image %q (%d rows), want %q (%d rows)",
+			report.CheckpointPath, report.CheckpointRows, info.Path, info.Rows)
+	}
+	if report.Streams != 0 || report.GroupsApplied != 0 {
+		t.Fatalf("image-only boot replayed a tail: %+v", report)
+	}
+	if report.SeededEpoch <= info.MaxRowEpoch {
+		t.Fatalf("seeded epoch %d does not exceed the image's max row epoch %d", report.SeededEpoch, info.MaxRowEpoch)
+	}
+	if got, want := statecheck.VisibleRows(db2.catalog), statecheck.VisibleRows(db.catalog); got != want {
+		t.Fatalf("restored rows differ\n got: %s\nwant: %s", got, want)
+	}
+
+	var maxRestored uint64
+	tab, _ := db2.Table("KV")
+	tab.ForEach(func(_ Key, r *storage.Record) bool {
+		maxRestored = max(maxRestored, r.Timestamp())
+		return true
+	})
+	db2.Start()
+	defer db2.Close()
+	// A brand-new key: the commit inherits no timestamp from a restored
+	// row, so only the seeded epoch can lift it above them.
+	const fresh = 1 << 20
+	if _, err := db2.Session(0).Run("RPut", Int(fresh), Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := tab.Peek(fresh)
+	if !ok {
+		t.Fatal("first commit after boot left no row")
+	}
+	if rec.Timestamp() <= maxRestored {
+		t.Fatalf("first commit after boot has timestamp %d, not above the restored rows' %d", rec.Timestamp(), maxRestored)
+	}
+	if e, _ := storage.SplitTS(rec.Timestamp()); e < report.SeededEpoch {
+		t.Fatalf("first commit after boot is in epoch %d, below the seeded epoch %d", e, report.SeededEpoch)
+	}
+}
+
+func TestBootEmptyDirIsAFreshStart(t *testing.T) {
+	db, fs := bootLife(t, t.TempDir())
+	report, err := db.Boot(fs, RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.CheckpointPath != "" || report.GroupsApplied != 0 || report.CommandsReplayed != 0 || report.SeededEpoch != 0 {
+		t.Fatalf("empty directory booted as %+v, want a fresh start", report)
+	}
+	db.Start()
+	defer db.Close()
+	if _, err := db.Session(0).Run("RPut", Int(1), Int(1)); err != nil {
+		t.Fatalf("first transaction after a fresh boot: %v", err)
+	}
+}
+
+// A crash-torn log: strict boot refuses, names the way out and leaves
+// the catalog alone; salvage boot of the same directory reports exactly
+// what the stream-level recovery of the same bytes reports.
+func TestBootTornTailStrictAndSalvage(t *testing.T) {
+	dir := t.TempDir()
+	bootHistory(t, dir, 4, 5)
+	gens := walFiles(t, dir)
+	if len(gens) != 1 {
+		t.Fatalf("generations = %v, want one", gens)
+	}
+	full, err := os.ReadFile(gens[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, damage, err := wal.InspectStream(bytes.NewReader(full))
+	if err != nil || damage != nil {
+		t.Fatalf("inspect: err=%v damage=%v", err, damage)
+	}
+	// Tear the last commit frame's header: the stream now ends in a
+	// damaged frame preceded by a record group with no commit entry.
+	cut := int64(-1)
+	for _, f := range frames {
+		if f.Kind == wal.KindCommit {
+			cut = f.Offset + 3
+		}
+	}
+	if cut < 0 {
+		t.Fatal("log holds no commit frame")
+	}
+	torn := full[:cut]
+	if err := os.WriteFile(gens[0], torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	strictDB, strictFS := bootLife(t, dir)
+	_, serr := strictDB.Boot(strictFS, RecoverOptions{})
+	var ce *CorruptionError
+	if !errors.As(serr, &ce) {
+		t.Fatalf("strict boot error = %v, want *CorruptionError", serr)
+	}
+	if msg := serr.Error(); !strings.Contains(msg, "Salvage") || !strings.Contains(msg, "-wal.salvage") {
+		t.Fatalf("strict boot error does not name the salvage option: %v", serr)
+	}
+	if rows := statecheck.VisibleRows(strictDB.catalog); rows != "" {
+		t.Fatalf("strict boot mutated the catalog before failing:\n%s", rows)
+	}
+
+	ref, _ := bootLife(t, t.TempDir())
+	rep, err := ref.RecoverFromWith(nil, []io.Reader{bytes.NewReader(torn)}, RecoverOptions{Salvage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.AppliedGroups == 0 || rep.DroppedGroups == 0 || rep.TornGroups != 1 || len(rep.Damage) != 1 {
+		t.Fatalf("reference salvage = %+v, want applied and dropped groups, one torn group, one damage entry", rep)
+	}
+
+	salvageDB, salvageFS := bootLife(t, dir)
+	report, err := salvageDB.Boot(salvageFS, RecoverOptions{Salvage: true})
+	if err != nil {
+		t.Fatalf("salvage boot: %v", err)
+	}
+	if !report.Salvaged || report.CheckpointPath != "" || report.Streams != 1 ||
+		report.GroupsApplied != rep.AppliedGroups || report.GroupsSkipped != rep.SkippedGroups ||
+		report.GroupsDropped != rep.DroppedGroups || report.TornTails != rep.TornGroups ||
+		report.DurableEpoch != rep.DurableEpoch || report.SeededEpoch != rep.MaxEpoch+1 ||
+		len(report.Damage) != len(rep.Damage) {
+		t.Fatalf("boot report %+v does not match the recovery report %+v", report, rep)
+	}
+	if got, want := statecheck.VisibleRows(salvageDB.catalog), statecheck.VisibleRows(ref.catalog); got != want {
+		t.Fatalf("salvage boot state differs from stream recovery\n got: %s\nwant: %s", got, want)
+	}
+}

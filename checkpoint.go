@@ -2,12 +2,10 @@ package thedb
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"thedb/internal/checkpoint"
 	"thedb/internal/metrics"
-	"thedb/internal/wal"
 )
 
 // WALSet manages a directory of per-worker WAL generation files. Open
@@ -19,8 +17,8 @@ type WALSet = checkpoint.FileSet
 // CheckpointInfo describes a published or loaded checkpoint image.
 type CheckpointInfo = checkpoint.Info
 
-// BootReport is the structured recovery summary a server emits at
-// boot (see cmd/thedb-server and /debug/recovery).
+// BootReport is the structured recovery summary DB.Boot returns; the
+// server prints it at boot and serves it at /debug/recovery.
 type BootReport = checkpoint.BootReport
 
 // OpenWALSet opens (or creates) dir as a WAL generation directory:
@@ -34,13 +32,12 @@ func OpenWALSet(dir string, workers int) (*WALSet, error) {
 // served as thedb_checkpoint_* by the obs plane).
 func (db *DB) CheckpointStats() *metrics.Checkpoint { return &db.ckstats }
 
-// SeedEpoch fast-forwards the global epoch to at least epoch. Callers
-// restoring state from a checkpoint or raw streams (RecoverFromWith
-// does this itself) must seed past the highest recovered commit epoch
-// before serving: the epoch counter restarts at 1 in every process,
-// and a commit inheriting a recovered record's far-higher epoch would
-// otherwise sit above every seal the advancer writes and be dropped by
-// the next salvage.
+// SeedEpoch fast-forwards the global epoch to at least epoch. A
+// database serving restored state must be seeded past the highest
+// recovered commit epoch first (Boot does this itself): the epoch
+// counter restarts at 1 in every process, and a commit inheriting a
+// recovered record's far-higher epoch would otherwise sit above every
+// seal the advancer writes and be dropped by the next salvage.
 func (db *DB) SeedEpoch(epoch uint32) {
 	db.ensureEngines()
 	if db.eng != nil {
@@ -161,21 +158,9 @@ func (db *DB) StopCheckpoints() {
 // into this (schema-complete, data-empty) database. Images are tried
 // newest first; a damaged one is skipped in favor of its predecessor,
 // whose missing suffix the WAL tail replay supplies. Returns
-// (nil, nil) when dir holds no images — a fresh start.
+// (nil, nil) when dir holds no images — a fresh start. This is the
+// image-loading step of Boot, which is the entry point for a WAL
+// directory.
 func (db *DB) RestoreCheckpoint(dir string) (*CheckpointInfo, error) {
 	return checkpoint.LoadNewest(db.catalog, dir)
-}
-
-// WriteCheckpoint writes a transaction-consistent snapshot of all
-// visible records in the legacy single-stream format. The caller must
-// quiesce transactions first. Prefer Checkpoint, which owns placement,
-// atomic publication and retention.
-func (db *DB) WriteCheckpoint(w io.Writer) error {
-	return wal.Checkpoint(db.catalog, w)
-}
-
-// LoadCheckpoint restores a legacy-format snapshot (WriteCheckpoint)
-// into this (empty) database.
-func (db *DB) LoadCheckpoint(r io.Reader) error {
-	return wal.LoadCheckpoint(db.catalog, r)
 }

@@ -272,7 +272,7 @@ func (c *Client) Call(ctx context.Context, procName string, args ...storage.Valu
 
 // CallSnapshot invokes a stored procedure as a read-only snapshot
 // transaction: the server executes it against an epoch-consistent
-// snapshot with zero validation (DESIGN.md §16), so long analytical
+// snapshot with zero validation (DESIGN.md §15), so long analytical
 // reads neither abort nor slow concurrent writers. The call is
 // idempotent by construction — it opts out of the exactly-once dedup
 // window and is retried freely, never surfacing MaybeCommittedError. A
@@ -326,12 +326,12 @@ func (c *Client) callSeq(ctx context.Context, seq, sentInc uint64, procName stri
 		lastErr = err
 		var re *wire.RemoteError
 		if errors.As(err, &re) {
-			// The server answered, so the outcome of seq is settled: a
-			// retryable rejection provably did not execute (rejections
-			// are never cached in the dedup window), so any earlier
-			// ambiguity is resolved too.
+			// A retryable rejection proves only that this attempt did
+			// not execute: the server sheds and drains before it looks
+			// at the dedup window, so an earlier unanswered attempt may
+			// still have committed. sentInc therefore stays set — a
+			// retry is safe only under the incarnation that holds it.
 			if re.Retryable() {
-				sentInc = 0
 				continue
 			}
 			return nil, err

@@ -126,7 +126,7 @@ func main() {
 
 	var report *thedb.BootReport
 	if fs != nil {
-		report, err = recover_(db, fs, *walDir, *walSalvage)
+		report, err = db.Boot(fs, thedb.RecoverOptions{Salvage: *walSalvage})
 		if err != nil {
 			fatalf("recovery: %v", err)
 		}
@@ -217,79 +217,6 @@ func main() {
 		}
 	}
 	fmt.Fprintln(os.Stderr, "thedb-server: drained; WAL sealed and synced")
-}
-
-// recover_ restores the database from walDir: the newest valid
-// checkpoint image (if any) plus the WAL tail above its watermark.
-// It seeds the epoch past everything recovered, bounds the adopted
-// generations for later truncation, and fills the boot report and
-// restart metrics.
-func recover_(db *thedb.DB, fs *thedb.WALSet, walDir string, salvage bool) (*thedb.BootReport, error) {
-	start := time.Now()
-	report := &thedb.BootReport{Salvaged: salvage}
-
-	info, err := db.RestoreCheckpoint(walDir)
-	if err != nil {
-		return nil, err
-	}
-	var fromEpoch, seed uint32
-	if info != nil {
-		report.CheckpointPath = info.Path
-		report.CheckpointSeq = info.Seq
-		report.Watermark = info.Watermark
-		report.CheckpointRows = info.Rows
-		fromEpoch = info.Watermark
-		seed = max32(info.Watermark, info.MaxRowEpoch)
-	}
-
-	streams, closeAll, err := fs.BootStreams()
-	if err != nil {
-		return nil, err
-	}
-	report.Streams = len(streams)
-	rep, err := db.RecoverFromWith(nil, streams, thedb.RecoverOptions{
-		Salvage:   salvage,
-		FromEpoch: fromEpoch,
-	})
-	if cerr := closeAll(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		if rep == nil {
-			return nil, fmt.Errorf("%w (rerun with -wal.salvage to restore the committed prefix of a crashed log)", err)
-		}
-		return nil, err
-	}
-	report.GroupsApplied = rep.AppliedGroups
-	report.GroupsSkipped = rep.SkippedGroups
-	report.GroupsDropped = rep.DroppedGroups
-	report.TornTails = rep.TornGroups
-	report.CommandsReplayed = len(rep.Commands)
-	report.DurableEpoch = rep.DurableEpoch
-	for i := range rep.Damage {
-		report.Damage = append(report.Damage, rep.Damage[i].Error())
-	}
-
-	seed = max32(seed, rep.MaxEpoch)
-	if seed > 0 {
-		db.SeedEpoch(seed + 1)
-		report.SeededEpoch = seed + 1
-	}
-	// The adopted generations' groups all sit at or below seed: a
-	// watermark of seed or higher proves them redundant.
-	fs.SetRecoveredMax(seed)
-
-	report.WallMS = float64(time.Since(start).Microseconds()) / 1000
-	db.CheckpointStats().SetRestart(time.Since(start).Nanoseconds(),
-		int64(rep.AppliedGroups), int64(rep.SkippedGroups))
-	return report, nil
-}
-
-func max32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // setupSchema creates the tables and registers the procedure catalog

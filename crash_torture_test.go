@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"thedb/internal/statecheck"
 	"thedb/internal/wal"
 )
 
@@ -104,15 +105,6 @@ func bankDB(t testing.TB, cfg Config) *DB {
 	return db
 }
 
-func checkpointOf(t testing.TB, db *DB) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := db.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func balanceTotal(t testing.TB, db *DB) int64 {
 	t.Helper()
 	tab, _ := db.Table("ACCT")
@@ -128,9 +120,9 @@ func balanceTotal(t testing.TB, db *DB) int64 {
 }
 
 // tortureRun executes a single-worker logged workload under manual
-// epoch control and returns the log bytes plus shadow[e]: the
-// checkpoint image of the state once every epoch ≤ e had committed.
-func tortureRun(t *testing.T, epochs uint32, txnsPerEpoch int) ([]byte, map[uint32][]byte) {
+// epoch control and returns the log bytes plus shadow[e]: the visible
+// rows (statecheck.VisibleRows) once every epoch ≤ e had committed.
+func tortureRun(t *testing.T, epochs uint32, txnsPerEpoch int) ([]byte, map[uint32]string) {
 	t.Helper()
 	var log bytes.Buffer
 	db := bankDB(t, Config{
@@ -141,7 +133,7 @@ func tortureRun(t *testing.T, epochs uint32, txnsPerEpoch int) ([]byte, map[uint
 		// The test advances epochs itself; keep the ticker out of it.
 		EpochInterval: time.Hour,
 	})
-	shadow := map[uint32][]byte{0: checkpointOf(t, db)}
+	shadow := map[uint32]string{0: statecheck.VisibleRows(db.catalog)}
 	db.Start()
 	s := db.Session(0)
 	rng := rand.New(rand.NewSource(7))
@@ -156,7 +148,7 @@ func tortureRun(t *testing.T, epochs uint32, txnsPerEpoch int) ([]byte, map[uint
 				t.Fatal(err)
 			}
 		}
-		shadow[e] = checkpointOf(t, db)
+		shadow[e] = statecheck.VisibleRows(db.catalog)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -179,17 +171,17 @@ func sealPrefix(frames []wal.FrameInfo) []uint32 {
 
 // verifySalvage recovers stream into a fresh fixture in salvage mode
 // and checks the result is exactly shadow[wantEpoch].
-func verifySalvage(t *testing.T, stream []byte, wantEpoch uint32, shadow map[uint32][]byte, label string) *RecoveryReport {
+func verifySalvage(t *testing.T, stream []byte, wantEpoch uint32, shadow map[uint32]string, label string) *RecoveryReport {
 	t.Helper()
 	fresh := bankDB(t, Config{Protocol: Healing, Workers: 1})
-	rep, err := fresh.RecoverWith([]io.Reader{bytes.NewReader(stream)}, RecoverOptions{Salvage: true})
+	rep, err := fresh.RecoverFromWith(nil, []io.Reader{bytes.NewReader(stream)}, RecoverOptions{Salvage: true})
 	if err != nil {
 		t.Fatalf("%s: salvage failed: %v", label, err)
 	}
 	if rep.DurableEpoch != wantEpoch {
 		t.Fatalf("%s: durable epoch = %d, want %d", label, rep.DurableEpoch, wantEpoch)
 	}
-	if got := checkpointOf(t, fresh); !bytes.Equal(got, shadow[wantEpoch]) {
+	if got := statecheck.VisibleRows(fresh.catalog); got != shadow[wantEpoch] {
 		t.Fatalf("%s: salvaged state differs from the epoch-%d shadow snapshot", label, wantEpoch)
 	}
 	return rep
@@ -242,7 +234,7 @@ func TestCrashTortureRandomCorruption(t *testing.T) {
 
 		// Strict mode: precise damage report, catalog untouched.
 		fresh := bankDB(t, Config{Protocol: Healing, Workers: 1})
-		_, serr := fresh.RecoverWith([]io.Reader{bytes.NewReader(corrupt)}, RecoverOptions{})
+		_, serr := fresh.RecoverFromWith(nil, []io.Reader{bytes.NewReader(corrupt)}, RecoverOptions{})
 		var ce *CorruptionError
 		if !errors.As(serr, &ce) {
 			t.Fatalf("%s: strict error = %v, want *CorruptionError", label, serr)
@@ -259,7 +251,7 @@ func TestCrashTortureRandomCorruption(t *testing.T) {
 				t.Fatalf("%s: tail=%v, want %v (%v)", label, ce.Tail, wantTail, ce)
 			}
 		}
-		if got := checkpointOf(t, fresh); !bytes.Equal(got, shadow[0]) {
+		if got := statecheck.VisibleRows(fresh.catalog); got != shadow[0] {
 			t.Fatalf("%s: strict recovery mutated the catalog before failing", label)
 		}
 
@@ -349,7 +341,7 @@ func TestCrashTortureMultiStream(t *testing.T) {
 
 	// Strict recovery names the damaged stream and its offset.
 	strictDB := bankDB(t, Config{Protocol: Healing, Workers: 1})
-	_, serr := strictDB.RecoverWith(streamsFor(), RecoverOptions{})
+	_, serr := strictDB.RecoverFromWith(nil, streamsFor(), RecoverOptions{})
 	var ce *CorruptionError
 	if !errors.As(serr, &ce) {
 		t.Fatalf("strict error = %v, want *CorruptionError", serr)

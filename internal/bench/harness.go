@@ -228,11 +228,9 @@ func prepareTPCC(r tpccRun) (func(tpccRun) tpccResult, func()) {
 		}
 		if r.system == THEDBW {
 			opts.Order = core.ReverseTreeOrder
-			opts.OrderSet = true
 		}
 		if r.addrOrder {
 			opts.Order = core.AddrOrder
-			opts.OrderSet = true
 		}
 		if r.logging {
 			opts.Logger = wal.NewLogger(r.logMode, r.workers, func(int) io.Writer { return io.Discard })

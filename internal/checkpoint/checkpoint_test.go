@@ -90,6 +90,23 @@ func TestImageRoundTrip(t *testing.T) {
 	sameCatalog(t, cat, cat2)
 }
 
+// TestImageDeterministic: the image depends on the rows, not on the
+// order they were inserted in.
+func TestImageDeterministic(t *testing.T) {
+	build := func(order []int64) *storage.Catalog {
+		cat := newCatalog()
+		for _, i := range order {
+			cat.Tables()[0].Put(storage.Key(i), storage.Tuple{storage.Int(i), storage.Str("s")}, uint64(i))
+		}
+		return cat
+	}
+	a := imageBytes(t, build([]int64{5, 1, 9, 3}), 1)
+	b := imageBytes(t, build([]int64{3, 9, 1, 5}), 1)
+	if !bytes.Equal(a, b) {
+		t.Fatal("checkpoint image not deterministic")
+	}
+}
+
 func TestImageSkipsInvisibleRows(t *testing.T) {
 	cat := newCatalog()
 	fill(cat, 10)

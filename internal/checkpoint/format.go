@@ -44,8 +44,7 @@ const (
 	kindFooter byte = 3
 )
 
-// Magic identifies the slot-framed checkpoint format ("thedbck2";
-// "thedbcp1" was the legacy unframed quiesced format in package wal).
+// Magic identifies the checkpoint image format ("thedbck2").
 const Magic uint64 = 0x7468656462636b32
 
 // Version is the current format version.

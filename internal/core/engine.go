@@ -76,11 +76,13 @@ func (p Protocol) String() string {
 // OrderMode selects the global validation (lock-acquisition) order.
 type OrderMode int
 
-// Validation orders (§4.2.1, §4.5, Appendix G).
+// Validation orders (§4.2.1, §4.5, Appendix G). The zero OrderMode
+// means the protocol's default: TreeOrder for Healing, AddrOrder
+// otherwise.
 const (
 	// AddrOrder sorts read/write-set elements by record address
 	// alone, the conventional global order.
-	AddrOrder OrderMode = iota
+	AddrOrder OrderMode = iota + 1
 	// TreeOrder sorts by (schema-tree rank, address): tables closer
 	// to the schema root validate first, so key-dependent membership
 	// updates insert elements after the frontier and deadlock-
@@ -99,12 +101,9 @@ type Options struct {
 	// Workers is the number of execution threads the engine serves.
 	Workers int
 
-	// Order selects the validation order (TreeOrder by default for
-	// the healing protocol, AddrOrder otherwise).
+	// Order selects the validation order; zero picks the protocol's
+	// default (see OrderMode).
 	Order OrderMode
-
-	// orderSet records whether Order was set explicitly.
-	OrderSet bool
 
 	// EpochInterval is the period of the global epoch advancer
 	// (default 10ms, §4.3).
@@ -175,7 +174,7 @@ type Options struct {
 	// into worker-owned scratch and the completed trace is offered to
 	// the tracer's tail-retention ring. Nil (the default) keeps the
 	// per-transaction cost at a single pointer check, mirroring
-	// Recorder (DESIGN.md §15).
+	// Recorder (DESIGN.md §14).
 	Tracer *obs.Tracer
 
 	// Contention, when non-nil, is the hot-key profiler: validation
@@ -221,7 +220,7 @@ func (o *Options) defaults() {
 	if o.WatchdogLag == 0 {
 		o.WatchdogLag = 16
 	}
-	if !o.OrderSet {
+	if o.Order == 0 {
 		if o.Protocol == Healing {
 			o.Order = TreeOrder
 		} else {
@@ -259,7 +258,7 @@ type Engine struct {
 	stopC    chan struct{}
 	stopOnce sync.Once
 
-	// Snapshot-read state (DESIGN.md §16): snap publishes each
+	// Snapshot-read state (DESIGN.md §15): snap publishes each
 	// worker's pinned snapshot timestamp, snapFloor is the monotone
 	// snapshot-floor ratchet; together they feed the version GC's
 	// low-watermark.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"thedb/internal/proc"
+	"thedb/internal/statecheck"
 	"thedb/internal/storage"
 	"thedb/internal/wal"
 )
@@ -235,10 +236,7 @@ func TestRecoveryMatchesLiveState(t *testing.T) {
 	wg.Wait()
 	e.Stop() // flushes the logs
 
-	var live bytes.Buffer
-	if err := wal.Checkpoint(cat, &live); err != nil {
-		t.Fatal(err)
-	}
+	live := statecheck.VisibleRows(cat)
 
 	// Rebuild from the initial state plus logs, streams in a
 	// scrambled order.
@@ -261,15 +259,11 @@ func TestRecoveryMatchesLiveState(t *testing.T) {
 	for _, i := range []int{3, 1, 2, 0} {
 		streams = append(streams, bytes.NewReader(logs[i].Bytes()))
 	}
-	if _, err := wal.Recover(cat2, streams); err != nil {
+	if _, err := wal.RecoverStreams(cat2, streams, wal.RecoverOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	var recovered bytes.Buffer
-	if err := wal.Checkpoint(cat2, &recovered); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(live.Bytes(), recovered.Bytes()) {
-		t.Fatal("recovered state differs from live state")
+	if recovered := statecheck.VisibleRows(cat2); recovered != live {
+		t.Fatalf("recovered state differs from live state\n got: %s\nwant: %s", recovered, live)
 	}
 }
 
@@ -297,7 +291,7 @@ func TestDeadlockPreventionAbort(t *testing.T) {
 	}
 	ptr.Put(1, storage.Tuple{storage.Int(2)}, 0)
 
-	e := NewEngine(cat, Options{Protocol: Healing, Workers: 1, Order: AddrOrder, OrderSet: true, MaxLockAttempts: 1})
+	e := NewEngine(cat, Options{Protocol: Healing, Workers: 1, Order: AddrOrder, MaxLockAttempts: 1})
 	e.MustRegister(&proc.Spec{
 		Name:   "Chase",
 		Params: []string{"k"},
@@ -423,12 +417,12 @@ func TestCommitTimestampsUniqueUnderConcurrency(t *testing.T) {
 
 	seen := make(map[uint64]int)
 	for wi := range logs {
-		cmds, err := wal.Recover(storage.NewCatalog(), []io.Reader{bytes.NewReader(logs[wi].Bytes())})
+		res, err := wal.RecoverStreams(storage.NewCatalog(), []io.Reader{bytes.NewReader(logs[wi].Bytes())}, wal.RecoverOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var prev uint64
-		for _, c := range cmds {
+		for _, c := range res.Commands {
 			if c.TS <= prev {
 				t.Fatalf("worker %d: non-increasing commit ts %d after %d", wi, c.TS, prev)
 			}

@@ -244,7 +244,7 @@ func TestSecondaryScanPhantomHealing(t *testing.T) {
 // TestWorstCaseOrderStillCorrect: THEDB-W (reversed validation order)
 // must stay serializable — only its abort rate differs.
 func TestWorstCaseOrderStillCorrect(t *testing.T) {
-	e := bankEngine(t, Options{Protocol: Healing, Workers: 1, Order: ReverseTreeOrder, OrderSet: true})
+	e := bankEngine(t, Options{Protocol: Healing, Workers: 1, Order: ReverseTreeOrder})
 	w := e.Worker(0)
 	spec, _ := e.Spec("Transfer")
 	env := buildEnv(spec, []storage.Value{storage.Int(amy), storage.Int(20)})

@@ -24,7 +24,7 @@ var ErrReadOnlyTxn = errors.New("core: snapshot transaction is read-only")
 // is fully installed; every in-flight commit is stamped above it
 // (EpochManager.VisibleFloor); and the result never falls below a
 // watermark the version GC has already reclaimed against (the
-// ratchet). See DESIGN.md §16.
+// ratchet). See DESIGN.md §15.
 func (e *Engine) snapshotTS() uint64 {
 	return e.snapFloor.Raise(storage.MakeTS(e.epoch.VisibleFloor(), 0) - 1)
 }
@@ -247,7 +247,7 @@ func (t *snapTxn) ScanMin(table string, lo, hi storage.Key) (storage.Key, storag
 // suppressed. A row whose old image was in range but whose current one
 // is not has been re-keyed out of the walk and is missed — snapshot
 // secondary scans are as-of-now on index membership, as-of-snapshot on
-// row contents (documented in DESIGN.md §16).
+// row contents (documented in DESIGN.md §15).
 func (t *snapTxn) ScanSec(table, index string, lo, hi string, limit int, fn func(pk storage.Key, row storage.Tuple) bool) error {
 	tab, err := t.table(table)
 	if err != nil {

@@ -76,7 +76,7 @@ type Counters struct {
 	BudgetExhausted  int64 // transactions that ran out of retry budget (ErrContended)
 	WatchdogTrips    int64 // stuck-epoch watchdog firings attributed to this worker
 
-	// Snapshot-read counters (DESIGN.md §16). SnapshotReads counts
+	// Snapshot-read counters (DESIGN.md §15). SnapshotReads counts
 	// committed snapshot transactions (a subset of Committed);
 	// VersionsInstalled counts version-chain nodes pushed by the commit
 	// path on epoch-boundary crossings.
@@ -137,7 +137,7 @@ type Worker struct {
 	BudgetExhausted  int64 // transactions that ran out of retry budget (ErrContended)
 	WatchdogTrips    int64 // stuck-epoch watchdog firings attributed to this worker
 
-	// Snapshot-read counters (DESIGN.md §16).
+	// Snapshot-read counters (DESIGN.md §15).
 	SnapshotReads     int64
 	VersionsInstalled int64
 
@@ -249,7 +249,7 @@ type Aggregate struct {
 	WALFrames int64 // log frames written across all streams
 	WALBytes  int64 // log bytes written across all streams
 
-	// MVCC / snapshot-read state (engine-filled, DESIGN.md §16).
+	// MVCC / snapshot-read state (engine-filled, DESIGN.md §15).
 	MVCCVersionsReclaimed int64  // version-chain nodes reclaimed by the GC
 	MVCCTrackedChains     int    // records currently queued for chain pruning
 	SnapshotsPinned       int    // workers currently holding a pinned snapshot

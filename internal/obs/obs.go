@@ -145,7 +145,7 @@ type Event struct {
 	A, B uint64
 	// Trace is the transaction trace ID active when the event was
 	// recorded (0 when untraced): the correlation key between the
-	// flight recorder and the trace ring (DESIGN.md §15).
+	// flight recorder and the trace ring (DESIGN.md §14).
 	Trace uint64
 }
 

@@ -1,4 +1,4 @@
-// Transaction tracing (DESIGN.md §15): each transaction accumulates
+// Transaction tracing (DESIGN.md §14): each transaction accumulates
 // monotonic per-phase timings while it runs, and at completion the
 // worker offers the finished trace to a Tracer — a bounded ring with
 // tail-based retention that always keeps the interesting traces

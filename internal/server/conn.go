@@ -151,11 +151,6 @@ func (c *conn) readLoop() {
 	}
 
 	for {
-		if s.cfg.ReadTimeout > 0 {
-			if err := c.nc.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout)); err != nil {
-				return
-			}
-		}
 		f, err := fr.Next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
@@ -166,7 +161,7 @@ func (c *conn) readLoop() {
 		if s.draining.Load() {
 			s.stats.Inc(&s.stats.DrainRejected)
 			c.send(wire.AppendError(nil, f.ID, wire.RemoteError{
-				Code: wire.CodeDraining, Backoff: s.cfg.DrainHint, Msg: "server draining",
+				Code: wire.CodeDraining, Backoff: drainHint, Msg: "server draining",
 			}))
 			continue
 		}
@@ -205,7 +200,7 @@ func (c *conn) admit(id uint64, call wire.Call) {
 	if c.inflight.Load() >= int64(s.cfg.PerConnInFlight) {
 		s.stats.Inc(&s.stats.Shed)
 		c.send(wire.AppendError(nil, id, wire.RemoteError{
-			Code: wire.CodeShed, Backoff: s.cfg.ShedHint, Msg: "connection pipeline full",
+			Code: wire.CodeShed, Backoff: shedHint, Msg: "connection pipeline full",
 		}))
 		return
 	}
@@ -244,7 +239,7 @@ func (c *conn) admit(id uint64, call wire.Call) {
 		s.finish(c)
 		s.stats.Inc(&s.stats.DrainRejected)
 		c.send(wire.AppendError(nil, id, wire.RemoteError{
-			Code: wire.CodeDraining, Backoff: s.cfg.DrainHint, Msg: "server draining",
+			Code: wire.CodeDraining, Backoff: drainHint, Msg: "server draining",
 		}))
 		return
 	}
@@ -287,7 +282,7 @@ func (c *conn) admit(id uint64, call wire.Call) {
 	default:
 		s.stats.Inc(&s.stats.Shed)
 		s.respond(req, wire.OpError, wire.AppendErrorPayload(nil, wire.RemoteError{
-			Code: wire.CodeShed, Backoff: s.cfg.ShedHint, Msg: "server at capacity",
+			Code: wire.CodeShed, Backoff: shedHint, Msg: "server at capacity",
 		}), false)
 	}
 }
@@ -296,7 +291,7 @@ func (c *conn) admit(id uint64, call wire.Call) {
 // limits. Returns false when the connection should be torn down.
 func (c *conn) handshake(fr *wire.Reader) bool {
 	s := c.srv
-	if err := c.nc.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout)); err != nil {
+	if err := c.nc.SetReadDeadline(time.Now().Add(handshakeTimeout)); err != nil {
 		return false
 	}
 	f, err := fr.Next()
@@ -332,7 +327,7 @@ func (c *conn) handshake(fr *wire.Reader) bool {
 	w := wire.Welcome{
 		MaxFrame:    uint32(s.cfg.MaxFrame),
 		MaxInFlight: uint32(s.cfg.PerConnInFlight),
-		Server:      s.cfg.Banner,
+		Server:      banner,
 		Incarnation: s.incarnation,
 	}
 	if s.cfg.DedupWindow > 0 {
@@ -355,7 +350,7 @@ func (c *conn) writeLoop() {
 		if c.dead.Load() {
 			continue // peer is gone; drain so senders never block
 		}
-		if err := c.nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout)); err != nil {
+		if err := c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 			c.fail()
 			continue
 		}
@@ -382,9 +377,8 @@ func (c *conn) writeLoop() {
 	s.stats.Inc(&s.stats.ConnsClosed)
 }
 
-// isTimeout reports whether err is a network timeout (a shutdown wake
-// or an idle ReadTimeout expiry — expected teardown, not a protocol
-// fault).
+// isTimeout reports whether err is a network timeout (a shutdown
+// wake — expected teardown, not a protocol fault).
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()

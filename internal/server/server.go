@@ -58,46 +58,38 @@ type Config struct {
 	// requests beyond it are shed, never queued unboundedly.
 	GlobalInFlight int
 
-	// ReadTimeout, when positive, is the per-connection idle bound:
-	// a connection that sends nothing for this long is closed.
-	ReadTimeout time.Duration
-
-	// WriteTimeout bounds each network write (default 10s): a client
-	// that stops reading is disconnected rather than wedging a
-	// dispatch goroutine.
-	WriteTimeout time.Duration
-
-	// HandshakeTimeout bounds the wait for the client's hello
-	// (default 5s).
-	HandshakeTimeout time.Duration
-
-	// ContendedHint, ShedHint and DrainHint are the backoff hints
-	// attached to the three retryable error codes (defaults 2ms, 1ms,
-	// 10ms). Clients treat them as a floor for their own jittered
-	// backoff.
-	ContendedHint time.Duration
-	ShedHint      time.Duration
-	DrainHint     time.Duration
-
 	// DedupWindow bounds each session's cache of completed responses,
 	// used to answer retried calls without re-executing them (default
 	// 256; negative disables exactly-once dedup entirely). Advertised
 	// to clients in the handshake.
 	DedupWindow int
 
-	// MaxSessions caps the session registry (default 1024). At the
-	// cap, an idle session — no bound connections, nothing executing —
-	// is evicted to make room for a new one.
-	MaxSessions int
-
 	// Stats receives the serving plane's counters; New allocates one
 	// when nil. Share it with an obs.Plane via SetServerStats to get
 	// the thedb_server_* Prometheus series.
 	Stats *metrics.Server
-
-	// Banner names the server in the handshake (default "thedb").
-	Banner string
 }
+
+// Fixed serving-plane parameters.
+const (
+	// writeTimeout bounds each network write: a client that stops
+	// reading is disconnected rather than wedging a dispatch goroutine.
+	writeTimeout = 10 * time.Second
+	// handshakeTimeout bounds the wait for the client's hello.
+	handshakeTimeout = 5 * time.Second
+	// contendedHint, shedHint and drainHint are the backoff hints
+	// attached to the three retryable error codes. Clients treat them
+	// as a floor for their own jittered backoff.
+	contendedHint = 2 * time.Millisecond
+	shedHint      = time.Millisecond
+	drainHint     = 10 * time.Millisecond
+	// maxSessions caps the session registry. At the cap, an idle
+	// session — no bound connections, nothing executing — is evicted to
+	// make room for a new one.
+	maxSessions = 1024
+	// banner names the server in the handshake.
+	banner = "thedb"
+)
 
 // request is one admitted procedure invocation traveling from a
 // connection's read loop to a dispatch goroutine.
@@ -186,32 +178,11 @@ func New(db *thedb.DB, cfg Config) *Server {
 	if cfg.GlobalInFlight <= 0 {
 		cfg.GlobalInFlight = 128 * db.Workers()
 	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 10 * time.Second
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 5 * time.Second
-	}
-	if cfg.ContendedHint <= 0 {
-		cfg.ContendedHint = 2 * time.Millisecond
-	}
-	if cfg.ShedHint <= 0 {
-		cfg.ShedHint = time.Millisecond
-	}
-	if cfg.DrainHint <= 0 {
-		cfg.DrainHint = 10 * time.Millisecond
-	}
-	if cfg.Banner == "" {
-		cfg.Banner = "thedb"
-	}
 	switch {
 	case cfg.DedupWindow == 0:
 		cfg.DedupWindow = 256
 	case cfg.DedupWindow < 0:
 		cfg.DedupWindow = 0 // dedup disabled
-	}
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 1024
 	}
 	if cfg.Stats == nil {
 		cfg.Stats = &metrics.Server{}
@@ -388,7 +359,7 @@ func (s *Server) finish(c *conn) {
 func (s *Server) mapError(err error) wire.RemoteError {
 	switch {
 	case errors.Is(err, thedb.ErrContended):
-		return wire.RemoteError{Code: wire.CodeContended, Backoff: s.cfg.ContendedHint, Msg: err.Error()}
+		return wire.RemoteError{Code: wire.CodeContended, Backoff: contendedHint, Msg: err.Error()}
 	case errors.Is(err, thedb.ErrNoSuchProc):
 		return wire.RemoteError{Code: wire.CodeUnknownProc, Msg: err.Error()}
 	}
@@ -457,7 +428,7 @@ waiting:
 		case req := <-s.work:
 			s.stats.Inc(&s.stats.DrainRejected)
 			s.respond(req, wire.OpError, wire.AppendErrorPayload(nil, wire.RemoteError{
-				Code: wire.CodeDraining, Backoff: s.cfg.DrainHint, Msg: "server draining",
+				Code: wire.CodeDraining, Backoff: drainHint, Msg: "server draining",
 			}), false)
 		default:
 			goto queueEmpty

@@ -142,7 +142,7 @@ func (s *Server) bindSession(token uint64) *session {
 		ss.refs.Add(1)
 		return ss
 	}
-	if len(r.m) >= s.cfg.MaxSessions {
+	if len(r.m) >= maxSessions {
 		s.evictSessionLocked()
 	}
 	ss := &session{token: token, entries: map[uint64]*dedupEntry{}, order: list.New()}

@@ -15,9 +15,14 @@ package statecheck
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"sort"
+	"strings"
 	"sync"
+
+	"thedb/internal/storage"
 )
 
 // OpKind discriminates model operations.
@@ -72,6 +77,33 @@ func StateAfter(ops []Op, k int) map[uint64]int64 {
 		}
 	}
 	return st
+}
+
+// VisibleRows renders every visible row of the catalog — table, key,
+// commit timestamp, tuple — ordered by table then key. Two databases
+// produce the same text exactly when they hold the same visible state,
+// so recovery tests compare a recovered database with the live one (or
+// with a shadow taken earlier) by comparing this text.
+func VisibleRows(cat *storage.Catalog) string {
+	var b strings.Builder
+	for _, tab := range cat.Tables() {
+		type row struct {
+			key  storage.Key
+			line string
+		}
+		var rows []row
+		tab.ForEach(func(k storage.Key, r *storage.Record) bool {
+			if ts, t, visible := r.StableSnapshot(); visible {
+				rows = append(rows, row{k, fmt.Sprintf("%s %d @%d %q\n", tab.Schema().Name, k, ts, t)})
+			}
+			return true
+		})
+		sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
+		for _, r := range rows {
+			b.WriteString(r.line)
+		}
+	}
+	return b.String()
 }
 
 // ErrCrashed is what a tripped sink's Sync returns: the device is

@@ -97,9 +97,9 @@ func TestStrictErrorLeavesCatalogUntouched(t *testing.T) {
 	corrupt[frameHeaderSize] ^= 0x01 // first payload byte of frame 0
 
 	cat := newCatalog()
-	cmds, err := Recover(cat, []io.Reader{bytes.NewReader(corrupt)})
-	if cmds != nil {
-		t.Fatal("strict recovery returned commands alongside an error")
+	res, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(corrupt)}, RecoverOptions{})
+	if res != nil {
+		t.Fatal("strict recovery returned a result alongside an error")
 	}
 	var ce *CorruptionError
 	if !errors.As(err, &ce) {
@@ -116,7 +116,7 @@ func TestStrictErrorLeavesCatalogUntouched(t *testing.T) {
 	// Salvage over the same damage: everything after the corrupt
 	// frame is unreachable, so nothing applies — but it reports
 	// rather than errors.
-	res, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(corrupt)}, RecoverOptions{Salvage: true})
+	res, err = RecoverStreams(cat, []io.Reader{bytes.NewReader(corrupt)}, RecoverOptions{Salvage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestTailVersusMidStreamClassification(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			damaged := tc.mutate(append([]byte(nil), stream...))
-			_, err := Recover(newCatalog(), []io.Reader{bytes.NewReader(damaged)})
+			_, err := RecoverStreams(newCatalog(), []io.Reader{bytes.NewReader(damaged)}, RecoverOptions{})
 			var ce *CorruptionError
 			if !errors.As(err, &ce) {
 				t.Fatalf("err = %v, want *CorruptionError", err)
@@ -210,7 +210,7 @@ func TestStrictRejectsIncompleteCommitGroup(t *testing.T) {
 	_ = wl.Flush() // crash before EndCommit
 
 	cat := newCatalog()
-	_, err := Recover(cat, []io.Reader{bytes.NewReader(buf.Bytes())})
+	_, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(buf.Bytes())}, RecoverOptions{})
 	var ce *CorruptionError
 	if !errors.As(err, &ce) || !ce.Tail || !strings.Contains(ce.Reason, "incomplete commit group") {
 		t.Fatalf("err = %v, want torn-tail incomplete-commit-group", err)

@@ -305,8 +305,13 @@ func validateAgainst(catalog *storage.Catalog, scans []*streamScan) error {
 
 // RecoverStreams replays log streams into the catalog under the
 // chosen recovery contract. See RecoverOptions for the strict and
-// salvage semantics. The returned result is non-nil iff err is nil;
-// on error the catalog has not been modified.
+// salvage semantics. Value-log entries are applied with the Thomas
+// write rule — a logged write lands only if its timestamp is not older
+// than the record's — so streams may be given in any order (Appendix
+// C.1); command-log entries are returned for the caller to re-execute,
+// since that needs the engine's procedure registry. The returned
+// result is non-nil iff err is nil; on error the catalog has not been
+// modified.
 func RecoverStreams(catalog *storage.Catalog, streams []io.Reader, opts RecoverOptions) (*RecoveryResult, error) {
 	scans := make([]*streamScan, len(streams))
 	for i, s := range streams {
@@ -380,27 +385,6 @@ func RecoverStreams(catalog *storage.Catalog, streams []io.Reader, opts RecoverO
 		}
 	}
 	return res, nil
-}
-
-// Recover is the strict-mode entry point: it replays value-log
-// streams into the catalog, applying the Thomas write rule — a
-// logged write lands only if its timestamp exceeds the record's
-// current one, so streams may be replayed in any order or in
-// parallel (Appendix C.1) — and returns command-log entries for the
-// caller to re-execute (command-logging recovery needs the procedure
-// registry, which lives in the engine).
-//
-// The contract is all-or-nothing: on any error — torn tail,
-// checksum mismatch, incomplete commit group, schema mismatch — the
-// catalog is untouched and the commands slice is nil. Use
-// RecoverStreams with RecoverOptions.Salvage to recover a crash-torn
-// log to its epoch-consistent committed prefix instead.
-func Recover(catalog *storage.Catalog, streams []io.Reader) ([]Command, error) {
-	res, err := RecoverStreams(catalog, streams, RecoverOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Commands, nil
 }
 
 // applyEntry installs one value-log entry under the Thomas write

@@ -55,12 +55,12 @@ func TestValueLogRoundTrip(t *testing.T) {
 	cat := newCatalog()
 	tab, _ := cat.Table("T")
 	tab.Put(3, storage.Tuple{storage.Int(1), storage.Str("gone")}, 0)
-	cmds, err := Recover(cat, []io.Reader{bytes.NewReader(buf.Bytes())})
+	res, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(buf.Bytes())}, RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cmds) != 0 {
-		t.Fatalf("value log produced %d commands", len(cmds))
+	if len(res.Commands) != 0 {
+		t.Fatalf("value log produced %d commands", len(res.Commands))
 	}
 	rec, ok := tab.Peek(7)
 	if !ok || !rec.Visible() {
@@ -96,7 +96,7 @@ func TestThomasWriteRule(t *testing.T) {
 	cat := newCatalog()
 	tab, _ := cat.Table("T")
 	tab.Put(1, storage.Tuple{storage.Int(0), storage.Str("")}, 0)
-	if _, err := Recover(cat, []io.Reader{bytes.NewReader(newer), bytes.NewReader(older)}); err != nil {
+	if _, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(newer), bytes.NewReader(older)}, RecoverOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	rec, _ := tab.Peek(1)
@@ -128,7 +128,7 @@ func TestRecoveryOrderIndependence(t *testing.T) {
 		for _, s := range streams {
 			readers = append(readers, bytes.NewReader(s))
 		}
-		if _, err := Recover(cat, readers); err != nil {
+		if _, err := RecoverStreams(cat, readers, RecoverOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		rec, _ := tab.Peek(1)
@@ -157,14 +157,14 @@ func TestCommandLogRoundTrip(t *testing.T) {
 	_ = wl.EndCommit(ts)
 	_ = l.Close()
 
-	cmds, err := Recover(newCatalog(), []io.Reader{bytes.NewReader(buf.Bytes())})
+	res, err := RecoverStreams(newCatalog(), []io.Reader{bytes.NewReader(buf.Bytes())}, RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cmds) != 1 {
-		t.Fatalf("commands = %d", len(cmds))
+	if len(res.Commands) != 1 {
+		t.Fatalf("commands = %d", len(res.Commands))
 	}
-	c := cmds[0]
+	c := res.Commands[0]
 	if c.TS != ts || c.Proc != "Transfer" || len(c.Args) != 3 {
 		t.Fatalf("command = %+v", c)
 	}
@@ -194,69 +194,4 @@ func TestEpochGroupCommitFlushes(t *testing.T) {
 		t.Fatal("epoch boundary did not flush the previous group")
 	}
 	_ = l.Close()
-}
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	cat := newCatalog()
-	tab, _ := cat.Table("T")
-	for i := int64(0); i < 100; i++ {
-		tab.Put(storage.Key(i), storage.Tuple{storage.Int(i), storage.Str("r")}, storage.MakeTS(1, uint32(i)))
-	}
-	// Invisible records must not be checkpointed.
-	rec, _ := tab.GetOrCreateDummy(999)
-	rec.Unpin()
-
-	var buf bytes.Buffer
-	if err := Checkpoint(cat, &buf); err != nil {
-		t.Fatal(err)
-	}
-
-	cat2 := newCatalog()
-	if err := LoadCheckpoint(cat2, bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	tab2, _ := cat2.Table("T")
-	if tab2.Len() != 100 {
-		t.Fatalf("restored %d records, want 100", tab2.Len())
-	}
-	for i := int64(0); i < 100; i++ {
-		r, ok := tab2.Peek(storage.Key(i))
-		if !ok {
-			t.Fatalf("missing key %d", i)
-		}
-		if r.Tuple()[0].Int() != i || r.Timestamp() != storage.MakeTS(1, uint32(i)) {
-			t.Fatalf("key %d corrupted", i)
-		}
-	}
-	if _, ok := tab2.Peek(999); ok {
-		t.Fatal("invisible record was checkpointed")
-	}
-}
-
-func TestCheckpointDeterministic(t *testing.T) {
-	build := func() *storage.Catalog {
-		cat := newCatalog()
-		tab, _ := cat.Table("T")
-		// Insert in different orders; images must match.
-		for _, i := range []int64{5, 1, 9, 3} {
-			tab.Put(storage.Key(i), storage.Tuple{storage.Int(i), storage.Str("s")}, uint64(i))
-		}
-		return cat
-	}
-	var a, b bytes.Buffer
-	if err := Checkpoint(build(), &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := Checkpoint(build(), &b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("checkpoint image not deterministic")
-	}
-}
-
-func TestLoadCheckpointRejectsGarbage(t *testing.T) {
-	if err := LoadCheckpoint(newCatalog(), bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9})); err == nil {
-		t.Fatal("garbage accepted as checkpoint")
-	}
 }

@@ -36,31 +36,34 @@
 // limits) or OpError with CodeVersion and closes. Both directions pin
 // the version byte for the rest of the connection.
 //
-// Version 2 adds exactly-once retry plumbing. Hello carries a client
-// session token (0 asks the server to mint one); Welcome returns the
-// bound token plus the server's boot incarnation and per-session
-// dedup-window size. Each Call then carries a per-session monotonic
-// operation sequence number: re-sending a call with the same
-// (session, seq) after a connection death is safe, because the server
-// answers an already-completed sequence from its dedup window instead
-// of executing it again. Seq 0 opts out (no dedup). A Call also
-// carries the client's remaining context deadline as a microsecond
-// budget (0 = none), which the server enforces at admission and again
-// before execution so work whose caller has given up is never run.
+// Hello carries a client session token (0 asks the server to mint
+// one); Welcome returns the bound token plus the server's boot
+// incarnation and per-session dedup-window size. That is the
+// exactly-once retry plumbing: each Call carries a per-session
+// monotonic operation sequence number, and re-sending a call with the
+// same (session, seq) after a connection death is safe, because the
+// server answers an already-completed sequence from its dedup window
+// instead of executing it again. Seq 0 opts out (no dedup).
 //
-// Version 3 adds end-to-end transaction tracing. Each Call carries an
-// optional trace ID (0 = untraced; the server mints one at admission
-// when tracing is on), threaded through dispatch into the engine so
-// the retained trace, the flight-recorder events and the histogram
-// exemplars of one transaction all share the ID.
+// # Calls
 //
-// Version 4 adds a per-call flags word (uvarint, after the trace ID).
-// Bit 0 marks the call read-only: the server executes it as a snapshot
-// transaction — an epoch-consistent read with zero validation
-// (DESIGN.md §16) — and skips the dedup window, since a read-only call
-// is safe to re-execute. Higher flag bits must be zero; the server
-// rejects calls carrying flags it does not understand rather than
-// silently dropping their semantics.
+// Besides the procedure name, argument vector and sequence number, a
+// Call carries:
+//
+//   - the client's remaining context deadline as a microsecond budget
+//     (0 = none), which the server enforces at admission and again
+//     before execution so work whose caller has given up is never run;
+//   - a trace ID (0 = untraced; the server mints one at admission when
+//     tracing is on), threaded through dispatch into the engine so the
+//     retained trace, the flight-recorder events and the histogram
+//     exemplars of one transaction all share the ID;
+//   - a flags word. Bit 0 marks the call read-only: the server
+//     executes it as a snapshot transaction — an epoch-consistent read
+//     with zero validation (DESIGN.md §15) — and skips the dedup
+//     window, since a read-only call is safe to re-execute. Higher
+//     bits must be zero; the server rejects calls carrying flags it
+//     does not understand rather than silently dropping their
+//     semantics.
 //
 // # Errors and load shedding
 //
@@ -81,12 +84,8 @@ import (
 // is not speaking this protocol.
 const Magic uint16 = 0x7DB1
 
-// Version is the protocol version this package speaks. The handshake
-// pins it: both sides reject frames carrying any other version.
-// Version 2 added session tokens, per-session op sequences and
-// deadline budgets (exactly-once retries); version 3 added the
-// per-call transaction trace ID; version 4 added the per-call flags
-// word (read-only snapshot calls). The frame header is unchanged.
+// Version is the one protocol version this package speaks. The
+// handshake pins it: both sides reject frames carrying any other.
 const Version uint8 = 4
 
 // HeaderSize is the fixed frame header length in bytes.

@@ -146,12 +146,12 @@ type chaosIncarnation struct {
 	done chan error
 }
 
-// bootIncarnation recovers a database from dir's WAL tail (exactly as
-// cmd/thedb-server boots, minus the checkpoint image — none is ever
-// written here) and starts a server on a fresh loopback port. All
-// incarnations of one seed share rec: shutdowns are drained, so every
-// recorded commit survives into the next life and later reads of
-// recovered rows resolve against the earlier incarnations' writes.
+// bootIncarnation boots a database from dir (DB.Boot, as
+// cmd/thedb-server does; no checkpoint image is ever written here, so
+// it replays the whole WAL) and starts a server on a fresh loopback
+// port. All incarnations of one seed share rec: shutdowns are drained,
+// so every recorded commit survives into the next life and later reads
+// of recovered rows resolve against the earlier incarnations' writes.
 func bootIncarnation(t *testing.T, dir string, workers int, rec *oracle.Recorder) *chaosIncarnation {
 	t.Helper()
 	fs, err := thedb.OpenWALSet(dir, workers)
@@ -170,18 +170,9 @@ func bootIncarnation(t *testing.T, dir string, workers int, rec *oracle.Recorder
 		t.Fatalf("open db: %v", err)
 	}
 	chaosSchema(db)
-	streams, closeAll, err := fs.BootStreams()
-	if err != nil {
-		t.Fatalf("boot streams: %v", err)
+	if _, err := db.Boot(fs, thedb.RecoverOptions{Salvage: true}); err != nil {
+		t.Fatalf("boot: %v", err)
 	}
-	rep, err := db.RecoverFromWith(nil, streams, thedb.RecoverOptions{Salvage: true})
-	if cerr := closeAll(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	fs.SetRecoveredMax(rep.MaxEpoch)
 	db.Start()
 
 	srv := server.New(db, server.Config{DedupWindow: 256})

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 
+	"thedb/internal/checkpoint"
 	"thedb/internal/wal"
 )
 
@@ -55,46 +57,48 @@ func (db *DB) ReplayCommands(cmds []Command) error {
 	return nil
 }
 
-// RecoverFrom restores the database from a checkpoint (optional, may
-// be nil) plus a set of log streams: value-log entries are applied
+// RecoverFromWith is the stream-only recovery primitive: it replays
+// log streams over a database that holds the schema (tables created)
+// and is not processing transactions. Value-log entries are applied
 // with the Thomas write rule, command-log entries are re-executed in
-// timestamp order. This is the full Appendix C recovery path, in
-// strict mode: any log damage aborts recovery with the log unapplied
-// (the checkpoint, which is loaded first, may already be in place).
-// Use RecoverFromWith for crashed logs.
+// timestamp order (Appendix C). To restart from a WAL directory call
+// Boot instead — it picks the image, bounds the tail by the image's
+// watermark and seeds the epoch past the image's rows, none of which a
+// caller who restored an image separately gets from this method.
 //
-// The database must contain the schema (tables created) but no data,
-// and must not be processing transactions.
-func (db *DB) RecoverFrom(checkpoint io.Reader, logs []io.Reader) error {
-	_, err := db.RecoverFromWith(checkpoint, logs, RecoverOptions{})
-	return err
-}
-
-// RecoverFromWith is RecoverFrom under explicit options. With Salvage
-// set, a crashed log's committed prefix is restored: each stream is
-// truncated at its first damaged frame and only commit groups within
-// the epoch-consistent cut are applied (see RecoverOptions). The
-// returned report carries the cut and per-stream damage.
+// image, when non-nil, is a checkpoint image (the format Checkpoint
+// publishes) loaded first; commit groups at or below its watermark are
+// then skipped. Without Salvage any log damage fails recovery with the
+// log unapplied (an image, loaded first, may already be in place).
+// With Salvage each stream is truncated at its first damaged frame and
+// only commit groups within the epoch-consistent cut are applied (see
+// RecoverOptions); the returned report carries the cut and per-stream
+// damage.
 //
-// The global epoch is seeded past the highest recovered commit epoch
-// (see SeedEpoch), so new commits land above everything recovered.
+// The global epoch is seeded past the highest epoch in the image and
+// the streams (see SeedEpoch), so new commits land above everything
+// recovered.
 //
 // If command replay fails partway the store holds an undefined mix of
 // replayed and missing effects: the engine is stopped and the database
 // poisoned — every subsequent transaction returns ErrRecoveryFailed
 // (which the returned error wraps). Restore from scratch.
-func (db *DB) RecoverFromWith(checkpoint io.Reader, logs []io.Reader, opts RecoverOptions) (*RecoveryReport, error) {
-	if checkpoint != nil {
-		if err := db.LoadCheckpoint(checkpoint); err != nil {
+func (db *DB) RecoverFromWith(image io.Reader, logs []io.Reader, opts RecoverOptions) (*RecoveryReport, error) {
+	var seed uint32
+	if image != nil {
+		info, err := checkpoint.Load(db.catalog, image)
+		if err != nil {
 			return nil, err
 		}
+		opts.FromEpoch = max(opts.FromEpoch, info.Watermark)
+		seed = max(info.Watermark, info.MaxRowEpoch)
 	}
-	rep, err := db.RecoverWith(logs, opts)
+	rep, err := wal.RecoverStreams(db.catalog, logs, opts)
 	if err != nil {
 		return nil, err
 	}
-	if rep.MaxEpoch > 0 {
-		db.SeedEpoch(rep.MaxEpoch + 1)
+	if seed = max(seed, rep.MaxEpoch); seed > 0 {
+		db.SeedEpoch(seed + 1)
 	}
 	if len(rep.Commands) > 0 {
 		db.Start() // command replay needs a running engine
@@ -107,4 +111,75 @@ func (db *DB) RecoverFromWith(checkpoint io.Reader, logs []io.Reader, opts Recov
 		}
 	}
 	return rep, nil
+}
+
+// Boot restarts the database from the WAL directory fs manages — the
+// one boot sequence (DESIGN.md §8): restore the newest valid checkpoint
+// image in fs.Dir(), replay the generations found there above the
+// image's watermark, seed the epoch past every epoch seen in the image
+// or the tail, and tell fs that bound so later checkpoints can delete
+// the replayed generations. opts.Salvage selects strict or salvage
+// replay; opts.FromEpoch is set by Boot. Call it on a database that
+// holds the schema and no data, before Start.
+//
+// An empty directory is a fresh start: the report names no checkpoint
+// and counts no groups. On error the database may hold the image's rows
+// and must be discarded.
+func (db *DB) Boot(fs *WALSet, opts RecoverOptions) (*BootReport, error) {
+	start := time.Now()
+	report := &BootReport{Salvaged: opts.Salvage}
+
+	info, err := db.RestoreCheckpoint(fs.Dir())
+	if err != nil {
+		return nil, err
+	}
+	var seed uint32
+	opts.FromEpoch = 0 // the tail bound is the image's watermark, not the caller's
+	if info != nil {
+		report.CheckpointPath = info.Path
+		report.CheckpointSeq = info.Seq
+		report.Watermark = info.Watermark
+		report.CheckpointRows = info.Rows
+		opts.FromEpoch = info.Watermark
+		seed = max(info.Watermark, info.MaxRowEpoch)
+	}
+
+	streams, closeAll, err := fs.BootStreams()
+	if err != nil {
+		return nil, err
+	}
+	report.Streams = len(streams)
+	rep, err := db.RecoverFromWith(nil, streams, opts)
+	if cerr := closeAll(); cerr != nil && err == nil {
+		err = cerr
+	}
+	if err != nil {
+		var ce *CorruptionError
+		if !opts.Salvage && errors.As(err, &ce) {
+			err = fmt.Errorf("%w (boot with RecoverOptions.Salvage — thedb-server -wal.salvage — to restore the committed prefix of a crashed log)", err)
+		}
+		return nil, err
+	}
+	report.GroupsApplied = rep.AppliedGroups
+	report.GroupsSkipped = rep.SkippedGroups
+	report.GroupsDropped = rep.DroppedGroups
+	report.TornTails = rep.TornGroups
+	report.CommandsReplayed = len(rep.Commands)
+	report.DurableEpoch = rep.DurableEpoch
+	for i := range rep.Damage {
+		report.Damage = append(report.Damage, rep.Damage[i].Error())
+	}
+
+	if seed = max(seed, rep.MaxEpoch); seed > 0 {
+		db.SeedEpoch(seed + 1)
+		report.SeededEpoch = seed + 1
+	}
+	// The adopted generations' groups all sit at or below seed: a
+	// watermark of seed or higher proves them redundant.
+	fs.SetRecoveredMax(seed)
+
+	wall := time.Since(start)
+	report.WallMS = float64(wall.Microseconds()) / 1000
+	db.ckstats.SetRestart(wall.Nanoseconds(), int64(rep.AppliedGroups), int64(rep.SkippedGroups))
+	return report, nil
 }

@@ -248,7 +248,7 @@ func tortureSeed(t *testing.T, seed int64) {
 		t.Fatalf("%s: checkpoint round after disk death did not abort", label)
 	}
 
-	// ---- Recovery, exactly as the server boots. ----
+	// ---- Recovery: the one boot sequence. ----
 	fs2, err := checkpoint.OpenFileSet(dir, 1, nil)
 	if err != nil {
 		t.Fatalf("%s: reopen: %v", label, err)
@@ -259,24 +259,9 @@ func tortureSeed(t *testing.T, seed int64) {
 		t.Fatalf("%s: %v", label, err)
 	}
 	tortureSchema(db2)
-	info, err := db2.RestoreCheckpoint(dir)
+	boot, err := db2.Boot(fs2, RecoverOptions{Salvage: true})
 	if err != nil {
-		t.Fatalf("%s: restore: %v", label, err)
-	}
-	var fromEpoch uint32
-	if info != nil {
-		fromEpoch = info.Watermark
-	}
-	streams, closeAll, err := fs2.BootStreams()
-	if err != nil {
-		t.Fatalf("%s: boot streams: %v", label, err)
-	}
-	rep, err := db2.RecoverFromWith(nil, streams, RecoverOptions{Salvage: true, FromEpoch: fromEpoch})
-	if cerr := closeAll(); cerr != nil {
-		t.Fatalf("%s: closing streams: %v", label, cerr)
-	}
-	if err != nil {
-		t.Fatalf("%s: recovery: %v", label, err)
+		t.Fatalf("%s: boot: %v", label, err)
 	}
 	defer db2.Close()
 
@@ -312,10 +297,7 @@ func tortureSeed(t *testing.T, seed int64) {
 
 	// No lost acked commits: everything at or below the durable cut
 	// must be inside the surviving prefix.
-	cut := rep.DurableEpoch
-	if info != nil && info.Watermark > cut {
-		cut = info.Watermark
-	}
+	cut := max(boot.DurableEpoch, boot.Watermark)
 	floor := 0
 	for i, e := range epochs {
 		if e <= cut {
@@ -327,7 +309,7 @@ func tortureSeed(t *testing.T, seed int64) {
 			label, applied, floor, cut)
 	}
 	t.Logf("%s: %d/%d ops survived, durable floor %d, checkpoint=%v, groups applied=%d skipped=%d",
-		label, applied, len(ops), floor, info != nil, rep.AppliedGroups, rep.SkippedGroups)
+		label, applied, len(ops), floor, boot.CheckpointPath != "", boot.GroupsApplied, boot.GroupsSkipped)
 }
 
 func seqTab2(db *DB) *storage.Table {

@@ -149,26 +149,11 @@ func runRestartCase(t *testing.T, txns int, withCkpt bool) restartCase {
 		t.Fatal(err)
 	}
 	benchRestartSchema(db2)
-	info, err := db2.RestoreCheckpoint(dir)
+	boot, err := db2.Boot(fs2, RecoverOptions{Salvage: true})
 	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	var fromEpoch uint32
-	if info != nil {
-		fromEpoch = info.Watermark
-	}
-	streams, closeAll, err := fs2.BootStreams()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := db2.RecoverFromWith(nil, streams, RecoverOptions{Salvage: true, FromEpoch: fromEpoch})
-	if err != nil {
-		t.Fatalf("recover: %v", err)
+		t.Fatalf("boot: %v", err)
 	}
 	elapsed := time.Since(start)
-	if cerr := closeAll(); cerr != nil {
-		t.Fatal(cerr)
-	}
 
 	// Sanity: every committed transaction must be visible after
 	// restart — the newest value of the last-written key is txns-1.
@@ -199,19 +184,16 @@ func runRestartCase(t *testing.T, txns int, withCkpt bool) restartCase {
 		t.Fatal(err)
 	}
 
-	c := restartCase{
-		Txns:       txns,
-		Checkpoint: withCkpt,
-		RestartMS:  float64(elapsed.Microseconds()) / 1000,
-		CkptRows:   ckptRows,
-		WALBytes:   walBytes,
-		CkptBytes:  ckptBytes,
+	return restartCase{
+		Txns:          txns,
+		Checkpoint:    withCkpt,
+		RestartMS:     float64(elapsed.Microseconds()) / 1000,
+		CkptRows:      ckptRows,
+		GroupsApplied: boot.GroupsApplied,
+		GroupsSkipped: boot.GroupsSkipped,
+		WALBytes:      walBytes,
+		CkptBytes:     ckptBytes,
 	}
-	if rep != nil {
-		c.GroupsApplied = rep.AppliedGroups
-		c.GroupsSkipped = rep.SkippedGroups
-	}
-	return c
 }
 
 // TestBenchRestartSnapshot regenerates BENCH_restart.json. Gated on

@@ -161,20 +161,6 @@ func (p Protocol) String() string {
 	return core.Protocol(p).String()
 }
 
-// OrderMode selects the global validation order (§4.2.1, §4.5).
-type OrderMode = core.OrderMode
-
-// Validation orders.
-const (
-	// AddrOrder validates in record-address order.
-	AddrOrder = core.AddrOrder
-	// TreeOrder validates in schema-tree order (§4.5), the healing
-	// default.
-	TreeOrder = core.TreeOrder
-	// ReverseTreeOrder is the worst-case order (THEDB-W, App. G).
-	ReverseTreeOrder = core.ReverseTreeOrder
-)
-
 // LogMode selects what the write-ahead log records (Appendix C).
 type LogMode = wal.Mode
 
@@ -198,22 +184,8 @@ type Config struct {
 	// protocol (default Workers).
 	Partitions int
 
-	// Order overrides the validation order; zero keeps the protocol
-	// default (TreeOrder for Healing, AddrOrder otherwise).
-	Order OrderMode
-	// OrderSet marks Order as explicitly chosen.
-	OrderSet bool
-
 	// EpochInterval is the commit-epoch period (default 10ms, §4.3).
 	EpochInterval time.Duration
-
-	// DisableAccessCache turns off the per-operation access cache
-	// (Table 4 ablation): healing degrades to abort-and-restart.
-	DisableAccessCache bool
-
-	// DisableReadCopies turns off per-read column copies and with
-	// them false-invalidation elimination (§4.5).
-	DisableReadCopies bool
 
 	// DetailedMetrics enables per-phase timing (Fig. 19).
 	DetailedMetrics bool
@@ -242,10 +214,6 @@ type Config struct {
 	// SyncBackoff is the initial delay between sync retries,
 	// doubling per retry (default 1ms).
 	SyncBackoff time.Duration
-
-	// MaxLockAttempts bounds no-wait lock retries during healing
-	// membership updates (§4.2.2).
-	MaxLockAttempts int
 
 	// RetryBudget bounds failed attempts per rung of the contention
 	// degradation ladder: a transaction escalates Healing → OCC → 2PL
@@ -409,18 +377,10 @@ func (db *DB) ensureEngines() {
 		db.cont = obs.NewContention(db.cfg.ContentionK)
 	}
 	db.eng = core.NewEngine(db.catalog, core.Options{
-		Protocol: core.Protocol(db.cfg.Protocol),
-		Workers:  db.cfg.Workers,
-		Order:    db.cfg.Order,
-		// A non-default Order counts as explicitly chosen even
-		// without OrderSet (AddrOrder, the zero value, still needs
-		// the flag).
-		OrderSet:        db.cfg.OrderSet || db.cfg.Order != AddrOrder,
+		Protocol:        core.Protocol(db.cfg.Protocol),
+		Workers:         db.cfg.Workers,
 		EpochInterval:   db.cfg.EpochInterval,
-		NoAccessCache:   db.cfg.DisableAccessCache,
-		NoReadCopies:    db.cfg.DisableReadCopies,
 		DetailedMetrics: db.cfg.DetailedMetrics,
-		MaxLockAttempts: db.cfg.MaxLockAttempts,
 		RetryBudget:     db.cfg.RetryBudget,
 		SyncRetries:     db.cfg.SyncRetries,
 		SyncBackoff:     db.cfg.SyncBackoff,
@@ -602,27 +562,6 @@ func (db *DB) ResetMetrics() {
 	db.eng.ResetMetrics()
 }
 
-// Recover replays value-log streams (Thomas write rule) and returns
-// any command-log entries found for the caller to re-execute in
-// timestamp order via Session.Run (or ReplayCommands).
-//
-// Recover is strict: every frame of every stream is checksum-verified
-// before anything is applied. On any error — a corrupt frame, a torn
-// tail, an entry referencing an unknown table or column — the catalog
-// is untouched and the returned commands slice is nil. Use
-// RecoverWith with Salvage set to recover the committed prefix of a
-// crashed log instead.
-func (db *DB) Recover(streams []io.Reader) ([]wal.Command, error) {
-	return wal.Recover(db.catalog, streams)
-}
-
-// RecoverWith replays value-log streams under explicit options,
-// returning salvage statistics alongside any command-log entries.
-// See RecoverOptions for the strict-versus-salvage contract.
-func (db *DB) RecoverWith(streams []io.Reader, opts RecoverOptions) (*RecoveryReport, error) {
-	return wal.RecoverStreams(db.catalog, streams, opts)
-}
-
 // Session is one execution thread's handle.
 type Session struct {
 	db *DB
@@ -673,7 +612,7 @@ func (s *Session) Transact(fn func(ctx OpCtx) error) error {
 }
 
 // RunSnapshot executes a stored procedure as a read-only snapshot
-// transaction (DESIGN.md §16): it pins an epoch-consistent snapshot at
+// transaction (DESIGN.md §15): it pins an epoch-consistent snapshot at
 // start, resolves every read against the record version visible at
 // that snapshot, and commits with zero validation — no read-set
 // tracking, no healing, no aborts, and no interference with concurrent

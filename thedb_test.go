@@ -3,11 +3,13 @@ package thedb_test
 import (
 	"bytes"
 	"io"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 
 	"thedb"
+	"thedb/internal/statecheck"
 )
 
 // counterDB builds a tiny database with an Increment procedure.
@@ -174,43 +176,54 @@ func TestCheckpointAndRecoverThroughAPI(t *testing.T) {
 	}
 	db.Close() // flush log
 
-	var snap bytes.Buffer
-	if err := db.WriteCheckpoint(&snap); err != nil {
-		t.Fatal(err)
-	}
+	live := statecheck.VisibleRows(db.Catalog())
 
 	// Fresh instance: initial data + log replay must reproduce state.
 	db2 := counterDB(t, thedb.Config{Protocol: thedb.Healing, Workers: 1})
-	if _, err := db2.Recover([]io.Reader{bytes.NewReader(log.Bytes())}); err != nil {
+	if _, err := db2.RecoverFromWith(nil, []io.Reader{bytes.NewReader(log.Bytes())}, thedb.RecoverOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	var snap2 bytes.Buffer
-	if err := db2.WriteCheckpoint(&snap2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snap.Bytes(), snap2.Bytes()) {
-		t.Fatal("recovered state differs")
+	if got := statecheck.VisibleRows(db2.Catalog()); got != live {
+		t.Fatalf("recovered state differs\n got: %s\nwant: %s", got, live)
 	}
 
-	// Checkpoint restore path.
-	db3 := counterDB(t, thedb.Config{Protocol: thedb.Healing, Workers: 1})
-	// counterDB pre-populates; restore over a truly empty catalog:
-	db3e, _ := thedb.Open(thedb.Config{Protocol: thedb.Healing})
-	db3e.MustCreateTable(thedb.Schema{
-		Name:    "C",
-		Columns: []thedb.ColumnDef{{Name: "v", Kind: thedb.KindInt}},
-	})
-	if err := db3e.LoadCheckpoint(bytes.NewReader(snap.Bytes())); err != nil {
+	// Checkpoint restore path, over a truly empty catalog (counterDB
+	// pre-populates): once from the directory, once handing the
+	// published image to RecoverFromWith as a stream.
+	dir := t.TempDir()
+	info, err := db.Checkpoint(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var snap3 bytes.Buffer
-	if err := db3e.WriteCheckpoint(&snap3); err != nil {
-		t.Fatal(err)
+	empty := func() *thedb.DB {
+		e, _ := thedb.Open(thedb.Config{Protocol: thedb.Healing})
+		e.MustCreateTable(thedb.Schema{
+			Name:    "C",
+			Columns: []thedb.ColumnDef{{Name: "v", Kind: thedb.KindInt}},
+		})
+		return e
 	}
-	if !bytes.Equal(snap.Bytes(), snap3.Bytes()) {
+	db3 := empty()
+	if got, err := db3.RestoreCheckpoint(dir); err != nil || got == nil || got.Rows != info.Rows {
+		t.Fatalf("RestoreCheckpoint = (%+v, %v), want %d rows", got, err, info.Rows)
+	}
+	if got := statecheck.VisibleRows(db3.Catalog()); got != live {
 		t.Fatal("checkpoint round trip differs")
 	}
-	_ = db3
+	image, err := os.ReadFile(info.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db4 := empty()
+	if _, err := db4.RecoverFromWith(bytes.NewReader(image), nil, thedb.RecoverOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := statecheck.VisibleRows(db4.Catalog()); got != live {
+		t.Fatal("image stream round trip differs")
+	}
+	if _, err := empty().RecoverFromWith(bytes.NewReader(log.Bytes()), nil, thedb.RecoverOptions{}); err == nil {
+		t.Fatal("a log stream was accepted as a checkpoint image")
+	}
 }
 
 func TestProtocolNames(t *testing.T) {
@@ -249,7 +262,7 @@ func TestCommandLogReplayThroughAPI(t *testing.T) {
 	// Fresh instance from the initial state: replay must rebuild the
 	// counters exactly.
 	db2 := counterDB(t, thedb.Config{Protocol: thedb.Healing, Workers: 1})
-	if err := db2.RecoverFrom(nil, []io.Reader{bytes.NewReader(log.Bytes())}); err != nil {
+	if _, err := db2.RecoverFromWith(nil, []io.Reader{bytes.NewReader(log.Bytes())}, thedb.RecoverOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
