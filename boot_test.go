@@ -19,8 +19,40 @@ import (
 	"thedb/internal/wal"
 )
 
-// bootLife opens dir as a one-worker WAL directory with the restart
-// benchmark's KV schema. Epochs are advanced by the test, not a ticker.
+// bootSchema declares the one-column KV table and RPut(key, val), an
+// upsert, so a history is a plain sequence of single-row writes.
+func bootSchema(db *DB) {
+	db.MustCreateTable(Schema{
+		Name:    "KV",
+		Columns: []ColumnDef{{Name: "v", Kind: KindInt}},
+	})
+	db.MustRegister(&Spec{
+		Name:   "RPut",
+		Params: []string{"key", "val"},
+		Plan: func(b *Builder, _ *Env) {
+			b.Op(Op{
+				Name:     "put",
+				KeyReads: []string{"key"},
+				ValReads: []string{"val"},
+				Body: func(ctx OpCtx) error {
+					e := ctx.Env()
+					k := Key(e.Int("key"))
+					_, ok, err := ctx.Read("KV", k, nil)
+					if err != nil {
+						return err
+					}
+					if ok {
+						return ctx.Write("KV", k, []int{0}, []Value{Int(e.Int("val"))})
+					}
+					return ctx.Insert("KV", k, Tuple{Int(e.Int("val"))})
+				},
+			})
+		},
+	})
+}
+
+// bootLife opens dir as a one-worker WAL directory with the bootSchema
+// tables. Epochs are advanced by the test, not a ticker.
 func bootLife(t *testing.T, dir string) (*DB, *WALSet) {
 	t.Helper()
 	fs, err := OpenWALSet(dir, 1)
@@ -35,7 +67,7 @@ func bootLife(t *testing.T, dir string) (*DB, *WALSet) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	benchRestartSchema(db)
+	bootSchema(db)
 	return db, fs
 }
 

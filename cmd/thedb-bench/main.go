@@ -1,14 +1,12 @@
-// Command thedb-bench regenerates the tables and figures of
-// "Transaction Healing: Scaling Optimistic Concurrency Control on
-// Multicores" (SIGMOD 2016).
+// Command thedb-bench has two modes.
 //
-// Usage:
+// Paper figures: regenerate the tables and figures of "Transaction
+// Healing: Scaling Optimistic Concurrency Control on Multicores"
+// (SIGMOD 2016) against in-process engines.
 //
 //	thedb-bench [flags] all            # every experiment, paper order
 //	thedb-bench [flags] fig10 tab1 ... # selected experiments
 //	thedb-bench list                   # available experiment ids
-//
-// Flags:
 //
 //	-workers N    concurrent workers standing in for the paper's cores (default 8)
 //	-duration D   measured window per cell (default 400ms)
@@ -17,10 +15,20 @@
 //	              Prometheus text format, /debug/pprof/ profiles the
 //	              run with per-worker labels
 //
-// With -addr the command instead benchmarks a remote thedb-server
-// over the wire protocol (pipelined YCSB mix; see the -net.* flags):
+// Load generator: with -addr, drive a running thedb-server with a
+// pipelined YCSB mix for -duration and print outcome counts. It takes
+// no experiment ids, ignores the flags above other than -duration (as
+// the figures ignore -net.* and -chaos.*), and is not a measuring
+// instrument — system numbers come from benchmark/run.sh.
 //
 //	thedb-bench -addr 127.0.0.1:7707 -duration 2s -net.mix a
+//
+//	-net.clients N   client goroutines (default 8)
+//	-net.conns N     pooled connections (default 4)
+//	-net.mix M       YCSB mix: a, b, c, f or snap (default b)
+//	-net.records N   table size; must match the server's -ycsb.records
+//	-chaos.net       interpose the fault-injecting proxy
+//	-chaos.seed N    seed for its fault streams
 package main
 
 import (
@@ -35,43 +43,49 @@ import (
 
 func main() {
 	workers := flag.Int("workers", 8, "concurrent workers (the paper's 'cores' axis)")
-	duration := flag.Duration("duration", 400*time.Millisecond, "measured window per experiment cell")
+	duration := flag.Duration("duration", 400*time.Millisecond, "measured window per experiment cell, or how long -addr mode drives the server")
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	obsAddr := flag.String("obs.addr", "", "serve /metrics and /debug/pprof on this host:port while experiments run")
-	addr := flag.String("addr", "", "benchmark a remote thedb-server at this address instead of running local experiments")
+	addr := flag.String("addr", "", "drive a running thedb-server at this address instead of running local experiments")
 	netClients := flag.Int("net.clients", 8, "client goroutines for -addr mode")
 	netConns := flag.Int("net.conns", 4, "pooled connections for -addr mode")
-	netPipeline := flag.Int("net.pipeline", 32, "calls pipelined per batch in -addr mode")
 	netMix := flag.String("net.mix", "b", "YCSB mix for -addr mode: a, b, c, f or snap (read-mostly with snapshot long scans)")
 	netRecords := flag.Int("net.records", 100000, "remote YCSB table size (must match the server's -ycsb.records)")
-	netTheta := flag.Float64("net.theta", 0.8, "zipfian skew for -addr mode")
-	netObs := flag.String("net.obs", "", "the remote server's obs plane (host:port); after the run, pull /debug/trace and print the per-phase latency breakdown")
 	chaosNet := flag.Bool("chaos.net", false, "interpose a fault-injecting proxy between the clients and -addr (resets, delays, blackholes, duplicates)")
 	chaosSeed := flag.Uint64("chaos.seed", 1, "seed for the -chaos.net fault streams (a failing seed replays)")
+	flag.Usage = usage
 	flag.Parse()
+	args := flag.Args()
 
 	if *addr != "" {
-		err := netBench(netOpts{
+		if len(args) > 0 {
+			fmt.Fprintf(os.Stderr, "thedb-bench: -addr takes no experiment ids (got %q)\n", args)
+			usage()
+			os.Exit(2)
+		}
+		o := netOpts{
 			addr:      *addr,
 			clients:   *netClients,
 			conns:     *netConns,
-			pipeline:  *netPipeline,
 			mix:       *netMix,
 			records:   *netRecords,
-			theta:     *netTheta,
 			duration:  *duration,
 			chaos:     *chaosNet,
 			chaosSeed: *chaosSeed,
-			obsAddr:   *netObs,
-		})
+		}
+		c, err := netBench(o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "net bench: %v\n", err)
+			os.Exit(1)
+		}
+		printNetCounts(o, c)
+		if c.failed > 0 {
+			fmt.Fprintf(os.Stderr, "net bench: %d calls failed\n", c.failed)
 			os.Exit(1)
 		}
 		return
 	}
 
-	args := flag.Args()
 	if len(args) == 0 {
 		usage()
 		os.Exit(2)
@@ -115,7 +129,28 @@ func main() {
 	}
 }
 
+// printNetCounts renders one -addr run: what was driven, then what
+// came back.
+func printNetCounts(o netOpts, c netCounts) {
+	fmt.Printf("net bench: %s mix=%s clients=%d conns=%d pipeline=%d records=%d theta=%.2f\n",
+		o.addr, o.mix, o.clients, o.conns, netPipeline, o.records, netTheta)
+	fmt.Printf("  committed %d (%.0f txn/s), aborted %d, ambiguous %d, failed %d in %v\n",
+		c.committed, float64(c.committed)/c.wall.Seconds(), c.aborted, c.ambiguous, c.failed, c.wall.Round(time.Millisecond))
+	if c.snapReads > 0 {
+		fmt.Printf("  snapshot reads %d (read-only path, zero validation)\n", c.snapReads)
+	}
+	if o.chaos {
+		var total int64
+		for _, n := range c.faults {
+			total += n
+		}
+		fmt.Printf("  chaos: seed %d, %d faults injected (pre=%d mid=%d post=%d delay=%d hole=%d dup=%d)\n",
+			o.chaosSeed, total, c.faults[0], c.faults[1], c.faults[2], c.faults[3], c.faults[4], c.faults[5])
+	}
+}
+
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: thedb-bench [flags] all | list | <experiment-id>...")
+	fmt.Fprintln(os.Stderr, "usage: thedb-bench [-workers N] [-duration D] [-quick] [-obs.addr A] all | list | <experiment-id>...")
+	fmt.Fprintln(os.Stderr, "       thedb-bench -addr host:port [-duration D] [-net.* ...] [-chaos.* ...]   (load generator; no experiment ids)")
 	flag.PrintDefaults()
 }

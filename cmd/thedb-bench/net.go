@@ -2,55 +2,63 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"thedb/client"
 	"thedb/internal/netfault"
-	"thedb/internal/obs"
 	"thedb/internal/wire"
 	"thedb/internal/workload/ycsb"
 )
 
-// netOpts carries the -net.* and -chaos.* flag values for a remote
-// benchmark run.
+const (
+	netPipeline = 32  // calls per CallBatch
+	netTheta    = 0.8 // zipfian skew of the key choice
+)
+
+// netOpts carries the -addr, -duration, -net.* and -chaos.* flag
+// values for one load-generator run.
 type netOpts struct {
 	addr      string
 	clients   int
 	conns     int
-	pipeline  int
 	mix       string
 	records   int
-	theta     float64
 	duration  time.Duration
 	chaos     bool
 	chaosSeed uint64
-	obsAddr   string
 }
 
-// netBench drives a YCSB mix against a remote thedb-server over the
+// netCounts is what one run saw come back.
+type netCounts struct {
+	committed, aborted, ambiguous, failed int64
+	snapReads                             int64 // committed calls that took the read-only path
+	// faults is the -chaos.net proxy's census: reset pre-, mid- and
+	// post-write, delay, blackhole, duplicate. Zero without the proxy.
+	faults [6]int64
+	wall   time.Duration
+}
+
+// netBench drives a YCSB mix against a running thedb-server over the
 // wire protocol: each client goroutine pipelines batches of calls and
-// the report separates commits from aborts, sheds and failures —
-// shed/contended work is retried by the client library, so a shed
-// under this load shows up as latency, not as an error.
-func netBench(o netOpts) error {
+// the counts separate commits from aborts, ambiguous outcomes and
+// failures — shed/contended work is retried by the client library, so
+// a shed under this load is not an error.
+func netBench(o netOpts) (netCounts, error) {
 	mix, ok := map[string]ycsb.Mix{
 		"a": ycsb.WorkloadA, "b": ycsb.WorkloadB, "c": ycsb.WorkloadC, "f": ycsb.WorkloadF,
 		"snap": ycsb.WorkloadSnap,
 	}[o.mix]
 	if !ok {
-		return fmt.Errorf("unknown -net.mix %q (want a, b, c, f or snap)", o.mix)
+		return netCounts{}, fmt.Errorf("unknown -net.mix %q (want a, b, c, f or snap)", o.mix)
 	}
 	// With -chaos.net, every client connection runs through a
-	// fault-injecting proxy: the throughput and ambiguity numbers then
-	// measure the serving plane under adversity, not the happy path.
+	// fault-injecting proxy: the counts then describe the serving plane
+	// under adversity, not the happy path.
 	target := o.addr
 	var proxy *netfault.Proxy
 	if o.chaos {
@@ -65,7 +73,7 @@ func netBench(o netOpts) error {
 			PDuplicate: 0.002,
 		})
 		if perr != nil {
-			return fmt.Errorf("chaos proxy: %w", perr)
+			return netCounts{}, fmt.Errorf("chaos proxy: %w", perr)
 		}
 		defer func() {
 			if cerr := proxy.Close(); cerr != nil {
@@ -76,7 +84,7 @@ func netBench(o netOpts) error {
 	}
 	cl, err := client.Dial(target, client.Options{Conns: o.conns})
 	if err != nil {
-		return err
+		return netCounts{}, err
 	}
 	defer func() {
 		if cerr := cl.Close(); cerr != nil {
@@ -85,8 +93,6 @@ func netBench(o netOpts) error {
 	}()
 
 	var committed, aborted, ambiguous, failed, snapReads atomic.Int64
-	var mu sync.Mutex
-	var latencies []time.Duration // per-batch round-trip, all clients
 
 	ctx, cancel := context.WithTimeout(context.Background(), o.duration)
 	defer cancel()
@@ -96,12 +102,11 @@ func netBench(o netOpts) error {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			gen := ycsb.NewGen(mix, o.records, o.theta, c)
-			local := make([]time.Duration, 0, 1024)
-			batch := make([]client.Invocation, 0, o.pipeline)
+			gen := ycsb.NewGen(mix, o.records, netTheta, c)
+			batch := make([]client.Invocation, 0, netPipeline)
 			for ctx.Err() == nil {
 				batch = batch[:0]
-				for len(batch) < o.pipeline && ctx.Err() == nil {
+				for len(batch) < netPipeline && ctx.Err() == nil {
 					proc, args := gen.Next()
 					if ycsb.IsReadOnly(proc) {
 						// Snapshot long scans go out on the read-only
@@ -112,7 +117,7 @@ func netBench(o netOpts) error {
 						case err == nil:
 							committed.Add(1)
 							snapReads.Add(1)
-						case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+						case outOfTime(err):
 						default:
 							failed.Add(1)
 						}
@@ -123,14 +128,11 @@ func netBench(o netOpts) error {
 				if len(batch) == 0 {
 					continue
 				}
-				t0 := time.Now()
-				replies := cl.CallBatch(ctx, batch)
-				local = append(local, time.Since(t0))
-				for _, r := range replies {
+				for _, r := range cl.CallBatch(ctx, batch) {
 					switch {
 					case r.Err == nil:
 						committed.Add(1)
-					case errors.Is(r.Err, context.DeadlineExceeded), errors.Is(r.Err, context.Canceled):
+					case outOfTime(r.Err):
 						// Clock ran out mid-batch; not a failure.
 					case errors.Is(r.Err, client.ErrMaybeCommitted):
 						// The fault proxy ate the ack; the outcome is
@@ -148,113 +150,29 @@ func netBench(o netOpts) error {
 					}
 				}
 			}
-			mu.Lock()
-			latencies = append(latencies, local...)
-			mu.Unlock()
 		}(c)
 	}
 	wg.Wait()
-	wall := time.Since(start)
-
-	tps := float64(committed.Load()) / wall.Seconds()
-	fmt.Printf("net bench: %s mix=%s clients=%d conns=%d pipeline=%d records=%d theta=%.2f\n",
-		o.addr, o.mix, o.clients, o.conns, o.pipeline, o.records, o.theta)
-	fmt.Printf("  committed %d (%.0f txn/s), aborted %d, ambiguous %d, failed %d in %v\n",
-		committed.Load(), tps, aborted.Load(), ambiguous.Load(), failed.Load(), wall.Round(time.Millisecond))
-	if snapReads.Load() > 0 {
-		fmt.Printf("  snapshot reads %d (read-only path, zero validation)\n", snapReads.Load())
+	counts := netCounts{
+		committed: committed.Load(), aborted: aborted.Load(), ambiguous: ambiguous.Load(),
+		failed: failed.Load(), snapReads: snapReads.Load(), wall: time.Since(start),
 	}
 	if proxy != nil {
-		fmt.Printf("  chaos: seed %d, %d faults injected (pre=%d mid=%d post=%d delay=%d hole=%d dup=%d)\n",
-			o.chaosSeed, proxy.Injected(),
-			proxy.Count(netfault.FaultResetPreWrite), proxy.Count(netfault.FaultResetMidWrite),
-			proxy.Count(netfault.FaultResetPostWrite), proxy.Count(netfault.FaultDelay),
-			proxy.Count(netfault.FaultBlackhole), proxy.Count(netfault.FaultDuplicate))
-	}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		pct := func(p float64) time.Duration {
-			return latencies[int(p*float64(len(latencies)-1))]
-		}
-		fmt.Printf("  batch latency p50=%v p95=%v p99=%v p99.9=%v (batch=%d calls)\n",
-			pct(0.50).Round(time.Microsecond), pct(0.95).Round(time.Microsecond),
-			pct(0.99).Round(time.Microsecond), pct(0.999).Round(time.Microsecond), o.pipeline)
-	}
-	if o.obsAddr != "" {
-		if err := printPhaseBreakdown(o.obsAddr); err != nil {
-			fmt.Fprintf(os.Stderr, "net bench: phase breakdown: %v\n", err)
+		for i, f := range []netfault.Fault{
+			netfault.FaultResetPreWrite, netfault.FaultResetMidWrite, netfault.FaultResetPostWrite,
+			netfault.FaultDelay, netfault.FaultBlackhole, netfault.FaultDuplicate,
+		} {
+			counts.faults[i] = proxy.Count(f)
 		}
 	}
-	if failed.Load() > 0 {
-		return fmt.Errorf("%d calls failed", failed.Load())
-	}
-	return nil
+	return counts, nil
 }
 
-// printPhaseBreakdown pulls the server's retained transaction traces
-// (/debug/trace on its -obs.addr plane) and renders the per-phase
-// latency split: where the slow tail actually spent its time, healing
-// pass counts included. The traces are tail-sampled — slow, aborted,
-// contended and healed transactions — so the table describes the
-// interesting tail, not the average call.
-func printPhaseBreakdown(obsAddr string) error {
-	hc := &http.Client{Timeout: 5 * time.Second}
-	resp, err := hc.Get("http://" + obsAddr + "/debug/trace")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /debug/trace: %s (is the server running with -trace.buffer > 0?)", resp.Status)
-	}
-	var tr struct {
-		SlowThresholdUS int64       `json:"slow_threshold_us"`
-		Total           uint64      `json:"total"`
-		Kept            uint64      `json:"kept"`
-		Traces          []obs.Trace `json:"traces"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		return fmt.Errorf("decode /debug/trace: %w", err)
-	}
-	fmt.Printf("  server traces: %d retained of %d transactions (slow threshold %dµs)\n",
-		len(tr.Traces), tr.Total, tr.SlowThresholdUS)
-	if len(tr.Traces) == 0 {
-		return nil
-	}
-	type phase struct {
-		name string
-		get  func(*obs.Trace) int64
-	}
-	phases := []phase{
-		{"queue", func(t *obs.Trace) int64 { return t.QueueUS }},
-		{"execute", func(t *obs.Trace) int64 { return t.ExecUS }},
-		{"validate", func(t *obs.Trace) int64 { return t.ValidateUS }},
-		{"heal", func(t *obs.Trace) int64 { return t.HealUS }},
-		{"commit", func(t *obs.Trace) int64 { return t.CommitUS }},
-		{"wal", func(t *obs.Trace) int64 { return t.WALUS }},
-		{"response", func(t *obs.Trace) int64 { return t.RespUS }},
-		{"total", func(t *obs.Trace) int64 { return t.TotalUS }},
-	}
-	var healed, passes int
-	for i := range tr.Traces {
-		if tr.Traces[i].NPasses > 0 {
-			healed++
-			passes += int(tr.Traces[i].NPasses)
-		}
-	}
-	fmt.Printf("  %-9s %10s %10s %10s\n", "phase", "mean", "p50", "max")
-	for _, p := range phases {
-		vals := make([]int64, len(tr.Traces))
-		var sum int64
-		for i := range tr.Traces {
-			vals[i] = p.get(&tr.Traces[i])
-			sum += vals[i]
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		us := func(v int64) time.Duration { return time.Duration(v) * time.Microsecond }
-		fmt.Printf("  %-9s %10v %10v %10v\n", p.name,
-			us(sum/int64(len(vals))), us(vals[len(vals)/2]), us(vals[len(vals)-1]))
-	}
-	fmt.Printf("  healed: %d traces, %d passes\n", healed, passes)
-	return nil
+// outOfTime reports an error that only says the run's clock expired:
+// locally (the context), or at the server, which enforces the same
+// deadline as each call's remaining budget.
+func outOfTime(err error) bool {
+	var re *wire.RemoteError
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||
+		errors.As(err, &re) && re.Code == wire.CodeDeadline
 }

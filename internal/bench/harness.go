@@ -138,11 +138,8 @@ type tpccRun struct {
 	warehouses int
 	mix        tpcc.Mix
 	duration   time.Duration
-	// txnLimit, when positive, runs a fixed transaction count
-	// instead of a fixed duration (testing.B integration).
-	txnLimit int64
-	adhocPct int
-	detailed bool
+	adhocPct   int
+	detailed   bool
 	// ablation / ordering flags
 	noAccessCache   bool
 	noReadCopies    bool
@@ -165,28 +162,6 @@ type tpccResult struct {
 // runTPCC populates a fresh TPC-C database at laptop scale and drives
 // the workers in closed loops for the cell duration.
 func runTPCC(r tpccRun) tpccResult {
-	run, cleanup := prepareTPCC(r)
-	defer cleanup()
-	return run(r)
-}
-
-// PrepareTPCC builds a populated TPC-C database and engine for the
-// given system and returns a function executing n transactions of the
-// mix across the workers, plus a cleanup. It exists for testing.B
-// integration: population stays outside the timed region.
-func PrepareTPCC(system System, workers, warehouses int, mix tpcc.Mix) (run func(n int64) *metrics.Aggregate, cleanup func()) {
-	base := tpccRun{system: system, workers: workers, warehouses: warehouses, mix: mix}
-	inner, cleanup := prepareTPCC(base)
-	return func(n int64) *metrics.Aggregate {
-		r := base
-		r.txnLimit = n
-		return inner(r).agg
-	}, cleanup
-}
-
-// prepareTPCC performs setup once; the returned closure can run
-// multiple measurement cells against the same database.
-func prepareTPCC(r tpccRun) (func(tpccRun) tpccResult, func()) {
 	cfg := tpcc.Scaled(r.warehouses)
 	partitions := 0
 	if r.system == DT {
@@ -202,7 +177,6 @@ func prepareTPCC(r tpccRun) (func(tpccRun) tpccResult, func()) {
 
 	var (
 		workers []runner
-		stopEng func()
 		agg     func(time.Duration) *metrics.Aggregate
 	)
 	if r.system == DT {
@@ -214,7 +188,6 @@ func prepareTPCC(r tpccRun) (func(tpccRun) tpccResult, func()) {
 		for i := 0; i < r.workers; i++ {
 			workers = append(workers, eng.Worker(i))
 		}
-		stopEng = func() {}
 		agg = eng.Metrics
 	} else {
 		opts := core.Options{
@@ -241,95 +214,73 @@ func prepareTPCC(r tpccRun) (func(tpccRun) tpccResult, func()) {
 		}
 		eng.Start()
 		attachObs(eng.LiveMetrics)
+		defer func() { detachObs(); _ = eng.Stop() }()
 		for i := 0; i < r.workers; i++ {
 			workers = append(workers, eng.Worker(i))
 		}
-		stopEng = func() { detachObs(); _ = eng.Stop() }
 		agg = eng.Metrics
 	}
 
-	run := func(r tpccRun) tpccResult {
-		for _, w := range workers {
-			if cw, ok := w.(*core.Worker); ok {
-				*cw.Metrics() = metrics.Worker{}
-			}
-			if dw, ok := w.(*det.Worker); ok {
-				*dw.Metrics() = metrics.Worker{}
-			}
-		}
-		res := tpccResult{perProc: map[string]*Sampler{}}
-		samplers := make([]map[string]*Sampler, r.workers)
-		var crossCount atomic.Int64
-		var remaining atomic.Int64
-		remaining.Store(r.txnLimit)
-		var stop atomic.Bool
-		var wg sync.WaitGroup
-		start := time.Now()
-		for wi := 0; wi < r.workers; wi++ {
-			wg.Add(1)
-			samplers[wi] = map[string]*Sampler{}
-			go func(wi int) {
-				defer wg.Done()
-				// The pprof label makes per-worker samples separable
-				// in profiles taken through the exposition endpoint.
-				obs.DoWorker(wi, func() {
-					gen := tpcc.NewGen(cfg, r.mix, wi)
-					rng := rand.New(rand.NewSource(int64(wi)*31 + 17))
-					w := workers[wi]
-					mine := samplers[wi]
-					for !stop.Load() {
-						if r.txnLimit > 0 && remaining.Add(-1) < 0 {
-							return
-						}
-						req := gen.Next()
-						if req.CrossPartition {
-							crossCount.Add(1)
-						}
-						adhoc := r.adhocPct > 0 && rng.Intn(100) < r.adhocPct
-						t0 := time.Now()
-						var err error
-						if adhoc {
-							err = runAdhoc(w, req.Proc, req.Args)
-						} else {
-							_, err = w.Run(req.Proc, req.Args...)
-						}
-						dt := time.Since(t0)
-						if err == nil && (r.procOnly == "" || r.procOnly == req.Proc) {
-							s := mine[req.Proc]
-							if s == nil {
-								s = &Sampler{}
-								mine[req.Proc] = s
-							}
-							s.Observe(float64(dt) / float64(time.Microsecond))
-						}
+	samplers := make([]map[string]*Sampler, r.workers)
+	var crossCount atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	start := time.Now()
+	for wi := 0; wi < r.workers; wi++ {
+		wg.Add(1)
+		samplers[wi] = map[string]*Sampler{}
+		go func(wi int) {
+			defer wg.Done()
+			// The pprof label makes per-worker samples separable
+			// in profiles taken through the exposition endpoint.
+			obs.DoWorker(wi, func() {
+				gen := tpcc.NewGen(cfg, r.mix, wi)
+				rng := rand.New(rand.NewSource(int64(wi)*31 + 17))
+				w := workers[wi]
+				mine := samplers[wi]
+				for !stop.Load() {
+					req := gen.Next()
+					if req.CrossPartition {
+						crossCount.Add(1)
 					}
-				})
-			}(wi)
-		}
-		if r.txnLimit > 0 {
-			wg.Wait()
-		} else {
-			time.Sleep(r.duration)
-			stop.Store(true)
-			wg.Wait()
-		}
-		wall := time.Since(start)
-
-		res.agg = agg(wall)
-		res.cross = crossCount.Load()
-		for _, m := range samplers {
-			for p, s := range m {
-				dst := res.perProc[p]
-				if dst == nil {
-					dst = &Sampler{}
-					res.perProc[p] = dst
+					adhoc := r.adhocPct > 0 && rng.Intn(100) < r.adhocPct
+					t0 := time.Now()
+					var err error
+					if adhoc {
+						err = runAdhoc(w, req.Proc, req.Args)
+					} else {
+						_, err = w.Run(req.Proc, req.Args...)
+					}
+					dt := time.Since(t0)
+					if err == nil && (r.procOnly == "" || r.procOnly == req.Proc) {
+						s := mine[req.Proc]
+						if s == nil {
+							s = &Sampler{}
+							mine[req.Proc] = s
+						}
+						s.Observe(float64(dt) / float64(time.Microsecond))
+					}
 				}
-				dst.Merge(s)
-			}
-		}
-		return res
+			})
+		}(wi)
 	}
-	return run, stopEng
+	time.Sleep(r.duration)
+	stop.Store(true)
+	wg.Wait()
+	wall := time.Since(start)
+
+	res := tpccResult{agg: agg(wall), perProc: map[string]*Sampler{}, cross: crossCount.Load()}
+	for _, m := range samplers {
+		for p, s := range m {
+			dst := res.perProc[p]
+			if dst == nil {
+				dst = &Sampler{}
+				res.perProc[p] = dst
+			}
+			dst.Merge(s)
+		}
+	}
+	return res
 }
 
 // runner is the common surface of core and det workers.
@@ -354,7 +305,6 @@ type smallbankRun struct {
 	theta    float64
 	accounts int
 	duration time.Duration
-	txnLimit int64
 }
 
 type smallbankResult struct {
@@ -365,28 +315,9 @@ type smallbankResult struct {
 // runSmallbank drives the six-procedure Smallbank mix with
 // Zipfian-skewed account selection (θ controls contention, Table 2).
 func runSmallbank(r smallbankRun) smallbankResult {
-	run, cleanup := prepareSmallbank(r)
-	defer cleanup()
-	return run(r)
-}
-
-// PrepareSmallbank is the testing.B entry point: setup outside the
-// timed region, the returned closure runs n transactions.
-func PrepareSmallbank(system System, workers int, theta float64) (run func(n int64) *metrics.Aggregate, cleanup func()) {
-	base := smallbankRun{system: system, workers: workers, theta: theta}
-	inner, cleanup := prepareSmallbank(base)
-	return func(n int64) *metrics.Aggregate {
-		r := base
-		r.txnLimit = n
-		return inner(r).agg
-	}, cleanup
-}
-
-func prepareSmallbank(r smallbankRun) (func(smallbankRun) smallbankResult, func()) {
 	if r.accounts <= 0 {
 		r.accounts = 1000
 	}
-	accounts := r.accounts // the run closure must see the defaulted value
 	cat := storage.NewCatalog()
 	for _, s := range smallbank.Schemas(0) {
 		cat.MustCreateTable(s)
@@ -400,55 +331,43 @@ func prepareSmallbank(r smallbankRun) (func(smallbankRun) smallbankResult, func(
 	}
 	eng.Start()
 	attachObs(eng.LiveMetrics)
+	defer func() { detachObs(); _ = eng.Stop() }()
 
-	run := func(r smallbankRun) smallbankResult {
-		eng.ResetMetrics()
-		var stop atomic.Bool
-		var remaining atomic.Int64
-		remaining.Store(r.txnLimit)
-		var wg sync.WaitGroup
-		samplers := make([]*Sampler, r.workers)
-		start := time.Now()
-		for wi := 0; wi < r.workers; wi++ {
-			wg.Add(1)
-			samplers[wi] = &Sampler{}
-			go func(wi int) {
-				defer wg.Done()
-				obs.DoWorker(wi, func() {
-					rng := rand.New(rand.NewSource(int64(wi)*13 + 7))
-					zg := zipf.New(uint64(accounts), r.theta)
-					w := eng.Worker(wi)
-					mine := samplers[wi]
-					for !stop.Load() {
-						if r.txnLimit > 0 && remaining.Add(-1) < 0 {
-							return
-						}
-						procName, args := smallbankRequest(rng, zg)
-						t0 := time.Now()
-						_, err := w.Run(procName, args...)
-						if err == nil {
-							mine.Observe(float64(time.Since(t0)) / float64(time.Microsecond))
-						}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	samplers := make([]*Sampler, r.workers)
+	start := time.Now()
+	for wi := 0; wi < r.workers; wi++ {
+		wg.Add(1)
+		samplers[wi] = &Sampler{}
+		go func(wi int) {
+			defer wg.Done()
+			obs.DoWorker(wi, func() {
+				rng := rand.New(rand.NewSource(int64(wi)*13 + 7))
+				zg := zipf.New(uint64(r.accounts), r.theta)
+				w := eng.Worker(wi)
+				mine := samplers[wi]
+				for !stop.Load() {
+					procName, args := smallbankRequest(rng, zg)
+					t0 := time.Now()
+					_, err := w.Run(procName, args...)
+					if err == nil {
+						mine.Observe(float64(time.Since(t0)) / float64(time.Microsecond))
 					}
-				})
-			}(wi)
-		}
-		if r.txnLimit > 0 {
-			wg.Wait()
-		} else {
-			time.Sleep(r.duration)
-			stop.Store(true)
-			wg.Wait()
-		}
-		wall := time.Since(start)
-
-		all := &Sampler{}
-		for _, s := range samplers {
-			all.Merge(s)
-		}
-		return smallbankResult{agg: eng.Metrics(wall), latency: all}
+				}
+			})
+		}(wi)
 	}
-	return run, func() { detachObs(); _ = eng.Stop() }
+	time.Sleep(r.duration)
+	stop.Store(true)
+	wg.Wait()
+	wall := time.Since(start)
+
+	all := &Sampler{}
+	for _, s := range samplers {
+		all.Merge(s)
+	}
+	return smallbankResult{agg: eng.Metrics(wall), latency: all}
 }
 
 // smallbankRequest draws one transaction of the uniform six-way mix

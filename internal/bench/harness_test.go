@@ -63,15 +63,6 @@ func TestRunTPCCOptionsPaths(t *testing.T) {
 			t.Fatal("no commits with logging")
 		}
 	})
-	t.Run("txnLimit", func(t *testing.T) {
-		r := base
-		r.system, r.txnLimit = THEDB, 50
-		res := runTPCC(r)
-		if res.agg.Committed+res.agg.Aborted != 50 {
-			t.Fatalf("txn-limited run finished %d txns, want 50",
-				res.agg.Committed+res.agg.Aborted)
-		}
-	})
 	t.Run("procOnly", func(t *testing.T) {
 		r := base
 		r.system, r.procOnly = THEDB, tpcc.ProcNewOrder
@@ -98,13 +89,6 @@ func TestRunSmallbank(t *testing.T) {
 		if res.latency.Len() == 0 {
 			t.Fatalf("%s recorded no latencies", sys)
 		}
-	}
-	// Count-limited path (the one the fixed shadowing bug broke).
-	run, cleanup := PrepareSmallbank(THEDB, 2, 0.5)
-	defer cleanup()
-	agg := run(40)
-	if agg.Committed+agg.Aborted != 40 {
-		t.Fatalf("count-limited smallbank ran %d", agg.Committed+agg.Aborted)
 	}
 }
 

@@ -452,7 +452,7 @@ func (e *Engine) Metrics(wall time.Duration) *metrics.Aggregate {
 	a := metrics.Merge(wall, ws)
 	// Watchdog trips are counted by the epoch advancer, not the
 	// worker (the worker is by definition stuck when one fires); fold
-	// them into the aggregate so ResetMetrics stays race-free.
+	// them into the aggregate here.
 	for i := range e.workers {
 		a.WatchdogTrips += e.epoch.Trips(i)
 	}
@@ -525,14 +525,6 @@ func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 // Contention returns the hot-key contention sketch (nil when
 // profiling is off).
 func (e *Engine) Contention() *obs.Contention { return e.cont }
-
-// ResetMetrics clears all workers' collectors (between benchmark
-// phases).
-func (e *Engine) ResetMetrics() {
-	for _, w := range e.workers {
-		w.m = metrics.Worker{}
-	}
-}
 
 // Errors reported by the engine.
 var (

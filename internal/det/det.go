@@ -109,13 +109,6 @@ func (e *Engine) Metrics(wall time.Duration) *metrics.Aggregate {
 	return metrics.Merge(wall, ws)
 }
 
-// ResetMetrics clears all workers' collectors.
-func (e *Engine) ResetMetrics() {
-	for _, w := range e.workers {
-		w.m = metrics.Worker{}
-	}
-}
-
 // Worker is one client execution context.
 type Worker struct {
 	e  *Engine

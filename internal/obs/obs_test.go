@@ -406,8 +406,8 @@ func TestDoWorkerRunsInline(t *testing.T) {
 }
 
 // BenchmarkRecord measures the per-event cost with the recorder
-// enabled (the disabled path is benchmarked where it is gated, in the
-// engine's bench suite).
+// enabled (the disabled path is one nil check in core's Worker.event,
+// pinned allocation-free by its //thedb:noalloc annotation).
 func BenchmarkRecord(b *testing.B) {
 	r := NewRecorder(1, 1024)
 	b.ReportAllocs()

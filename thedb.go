@@ -553,15 +553,6 @@ func (db *DB) ObsHandler() http.Handler {
 	return db.ObsPlane().Handler()
 }
 
-// ResetMetrics clears all sessions' counters.
-func (db *DB) ResetMetrics() {
-	if db.deng != nil {
-		db.deng.ResetMetrics()
-		return
-	}
-	db.eng.ResetMetrics()
-}
-
 // Session is one execution thread's handle.
 type Session struct {
 	db *DB
