@@ -31,13 +31,14 @@ chaos:
 	$(GO) test -race ./internal/fault/ ./internal/oracle/ ./internal/obs/
 	$(GO) test -race -short -run 'Chaos|Watchdog|Ladder|Backoff|Epoch|Event|Contended' ./internal/core/
 
-# fuzz gives the wire-protocol frame decoder a short adversarial
-# workout beyond the checked-in seed corpus (DESIGN.md §12.1). The
-# decoder must never panic on hostile bytes; CI runs this in the lint
-# job.
+# fuzz gives the wire-protocol frame decoder and the value codec the
+# WAL, checkpoint and wire formats share a short adversarial workout
+# beyond the checked-in seeds (DESIGN.md §12.1). Neither decoder may
+# panic on hostile bytes; CI runs this in the lint job.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzValueCodec -fuzztime $(FUZZTIME) ./internal/storage/
 
 # smoke is the one end-to-end check of the served database (DESIGN.md
 # §8.5, §11.4, §12, §14, §15). Both binaries are built once; one durable

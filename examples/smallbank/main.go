@@ -85,14 +85,14 @@ func main() {
 					_, err = s.Run(smallbank.ProcTransactSavings, acct(), amt)
 				case 3:
 					a, b := acct(), acct()
-					if a != b {
+					if !a.Equal(b) {
 						_, err = s.Run(smallbank.ProcAmalgamate, a, b)
 					}
 				case 4:
 					_, err = s.Run(smallbank.ProcWriteCheck, acct(), amt)
 				default:
 					a, b := acct(), acct()
-					if a != b {
+					if !a.Equal(b) {
 						_, err = s.Run(smallbank.ProcSendPayment, a, b, amt)
 					}
 				}

@@ -197,8 +197,14 @@ func (f *facts) add(pos token.Pos, what string) {
 func (f *facts) call(pkg *ana.Package, funcs map[*types.Func]*ana.FuncInfo, params map[*types.Var]bool, call *ast.CallExpr) {
 	fun := ast.Unparen(call.Fun)
 
-	// Builtins.
-	if id, ok := fun.(*ast.Ident); ok {
+	// Builtins: the universe's by bare name, unsafe's (Slice, String,
+	// SliceData, StringData, Add, ...) through a selector. The latter
+	// compile to pointer arithmetic and match no case below.
+	id, _ := fun.(*ast.Ident)
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		id = sel.Sel
+	}
+	if id != nil {
 		if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
 			case "make":

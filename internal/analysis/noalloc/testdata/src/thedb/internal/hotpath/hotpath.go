@@ -5,6 +5,7 @@ package hotpath
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"thedb/internal/hotsub"
 )
@@ -34,6 +35,16 @@ func Encode(dst []byte, v uint64) []byte {
 	}
 	dst = append(dst, hdr[:]...)
 	return append(dst, byte(len(dst)))
+}
+
+// Row is the good case for unsafe's builtins: they resolve to
+// *types.Builtin, not to a function in package unsafe, and compile to
+// pointer arithmetic.
+//
+//thedb:noalloc
+func Row(p *uint64, n int32, s string) ([]uint64, string) {
+	row := unsafe.Slice(p, n)
+	return row[:len(row):len(row)], unsafe.String(unsafe.StringData(s), len(s))
 }
 
 //thedb:noalloc

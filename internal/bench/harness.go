@@ -380,7 +380,7 @@ func smallbankRequest(rng *rand.Rand, zg *zipf.Generator) (string, []storage.Val
 		a := acct()
 		for {
 			b := acct()
-			if b != a {
+			if !b.Equal(a) {
 				return a, b
 			}
 		}

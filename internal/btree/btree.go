@@ -21,12 +21,29 @@ import (
 const maxKeys = 64
 
 // Leaf is an opaque handle to a leaf node, exposed so callers can
-// re-check its version during validation.
+// re-check its version during validation. Its key and value arrays
+// are allocated once, at the fan-out, and never regrown: a leaf costs
+// the same whether a split or an append filled it.
 type Leaf[K cmp.Ordered, V any] struct {
 	version atomic.Uint64
 	keys    []K
 	vals    []V
 	next    *Leaf[K, V]
+}
+
+func newLeaf[K cmp.Ordered, V any](next *Leaf[K, V]) *Leaf[K, V] {
+	return &Leaf[K, V]{keys: make([]K, 0, maxKeys), vals: make([]V, 0, maxKeys), next: next}
+}
+
+// put inserts k/v at position i. The leaf must have room.
+func (l *Leaf[K, V]) put(i int, k K, v V) {
+	l.keys = l.keys[:len(l.keys)+1]
+	copy(l.keys[i+1:], l.keys[i:])
+	l.keys[i] = k
+	l.vals = l.vals[:len(l.vals)+1]
+	copy(l.vals[i+1:], l.vals[i:])
+	l.vals[i] = v
+	l.version.Add(1)
 }
 
 // Version returns the leaf's current structural version. It may be
@@ -50,7 +67,7 @@ type Tree[K cmp.Ordered, V any] struct {
 
 // New returns an empty tree.
 func New[K cmp.Ordered, V any]() *Tree[K, V] {
-	return &Tree[K, V]{root: &Leaf[K, V]{}}
+	return &Tree[K, V]{root: newLeaf[K, V](nil)}
 }
 
 // Len returns the number of stored keys.
@@ -209,27 +226,32 @@ func (t *Tree[K, V]) insert(n any, k K, v V) (splitKey K, splitNode any, added b
 			x.version.Add(1)
 			return splitKey, nil, false
 		}
-		x.keys = append(x.keys, k)
-		copy(x.keys[i+1:], x.keys[i:])
-		x.keys[i] = k
-		var zero V
-		x.vals = append(x.vals, zero)
-		copy(x.vals[i+1:], x.vals[i:])
-		x.vals[i] = v
-		x.version.Add(1)
-		if len(x.keys) > maxKeys {
-			mid := len(x.keys) / 2
-			right := &Leaf[K, V]{next: x.next}
-			right.keys = append(right.keys, x.keys[mid:]...)
-			right.vals = append(right.vals, x.vals[mid:]...)
-			x.keys = x.keys[:mid:mid]
-			x.vals = x.vals[:mid:mid]
-			x.next = right
-			x.version.Add(1)
-			right.version.Add(1)
-			return right.keys[0], right, true
+		if len(x.keys) < maxKeys {
+			x.put(i, k, v)
+			return splitKey, nil, true
 		}
-		return splitKey, nil, true
+		// Full leaf: split first, then insert. A key that lands at
+		// the tail takes nothing with it, so ascending inserts leave
+		// full leaves behind; any other key halves the leaf. Either
+		// way both leaves change version: a scan that saw x must
+		// notice that part of its range now lives in right.
+		mid := maxKeys / 2
+		if i == maxKeys {
+			mid = maxKeys
+		}
+		right := newLeaf(x.next)
+		right.keys = append(right.keys, x.keys[mid:]...)
+		right.vals = append(right.vals, x.vals[mid:]...)
+		clear(x.vals[mid:]) // the moved references now live in right
+		x.keys, x.vals, x.next = x.keys[:mid], x.vals[:mid], right
+		if i < mid {
+			x.put(i, k, v)
+			right.version.Add(1)
+		} else {
+			right.put(i-mid, k, v)
+			x.version.Add(1)
+		}
+		return right.keys[0], right, true
 	case *inner[K, V]:
 		i := sort.Search(len(x.keys), func(i int) bool { return k < x.keys[i] })
 		sk, sn, add := t.insert(x.children[i], k, v)

@@ -334,3 +334,91 @@ func TestShardedMinAndDelete(t *testing.T) {
 		t.Fatal("Get(17) failed")
 	}
 }
+
+// leafFill walks the leaf chain and returns the mean fill, failing on
+// any leaf whose arrays outgrew the fan-out (a regrown backing array
+// is memory no key will ever use).
+func leafFill(t *testing.T, tr *Tree[uint64, int]) float64 {
+	t.Helper()
+	leaves, keys := 0, 0
+	for l := tr.leafFor(0); l != nil; l = l.next {
+		if cap(l.keys) > maxKeys+1 || cap(l.vals) > maxKeys+1 {
+			t.Fatalf("leaf %d: cap(keys)=%d cap(vals)=%d, fan-out is %d", leaves, cap(l.keys), cap(l.vals), maxKeys)
+		}
+		leaves++
+		keys += len(l.keys)
+	}
+	if keys != tr.Len() {
+		t.Fatalf("leaf chain holds %d keys, tree says %d", keys, tr.Len())
+	}
+	return float64(keys) / float64(leaves*maxKeys)
+}
+
+func TestLeafFill(t *testing.T) {
+	const n = 10000
+	for _, c := range []struct {
+		name string
+		key  func(i int) uint64
+		min  float64
+	}{
+		{"ascending", func(i int) uint64 { return uint64(i) }, 0.9},
+		{"descending", func(i int) uint64 { return uint64(n - i) }, 0.5},
+		{"random", func() func(int) uint64 {
+			rng := rand.New(rand.NewSource(1))
+			return func(int) uint64 { return rng.Uint64() }
+		}(), 0.5},
+	} {
+		tr := New[uint64, int]()
+		for i := 0; i < n; i++ {
+			tr.Insert(c.key(i), i)
+		}
+		if fill := leafFill(t, tr); fill < c.min {
+			t.Errorf("%s inserts: mean leaf fill %.2f, want >= %.2f", c.name, fill, c.min)
+		}
+		prev, first := uint64(0), true
+		tr.Scan(0, ^uint64(0), func(k uint64, _ int) bool {
+			if !first && k <= prev {
+				t.Fatalf("%s inserts: scan out of order at %d after %d", c.name, k, prev)
+			}
+			prev, first = k, false
+			return true
+		})
+	}
+}
+
+// TestScanStraddlesTailSplit: a key appended past a full leaf moves
+// alone into a new leaf. A scan whose range ran past that leaf's last
+// key must see the split as a change, and a rescan must cover both
+// leaves so the next append is caught too.
+func TestScanStraddlesTailSplit(t *testing.T) {
+	tr := New[uint64, int]()
+	for i := 0; i < maxKeys; i++ {
+		tr.Insert(uint64(i), i)
+	}
+	scan := func() (keys []uint64, refs []ScanRef[uint64, int]) {
+		refs = tr.Scan(maxKeys-3, maxKeys+3, func(k uint64, _ int) bool {
+			keys = append(keys, k)
+			return true
+		})
+		return keys, refs
+	}
+	keys, refs := scan()
+	if len(keys) != 3 || len(refs) != 1 {
+		t.Fatalf("before the split: keys %v over %d leaves", keys, len(refs))
+	}
+	tr.Insert(maxKeys, maxKeys) // tail split
+	if !refs[0].Changed() {
+		t.Fatal("tail split not visible to a scan that ran past the leaf's last key (phantom!)")
+	}
+	if l := refs[0].Leaf; len(l.keys) != maxKeys || l.next == nil || len(l.next.keys) != 1 {
+		t.Fatalf("tail split left %d keys behind and moved %d", len(l.keys), len(l.next.keys))
+	}
+	keys, refs = scan()
+	if len(keys) != 4 || keys[3] != maxKeys || len(refs) != 2 {
+		t.Fatalf("after the split: keys %v over %d leaves", keys, len(refs))
+	}
+	tr.Insert(maxKeys+1, 0)
+	if refs[0].Changed() || !refs[1].Changed() {
+		t.Fatalf("append after the split: left changed=%v right changed=%v", refs[0].Changed(), refs[1].Changed())
+	}
+}

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -477,5 +478,28 @@ func TestSchemaDigestSensitivity(t *testing.T) {
 	})
 	if SchemaDigest(renamed) == base {
 		t.Fatal("digest ignores table names")
+	}
+}
+
+// TestGoldenImageBytes pins a whole image — header, one slot holding
+// every value kind, footer — to the bytes the 32-byte-Value
+// representation wrote: a change to the in-memory row must leave old
+// images loadable and new ones identical.
+func TestGoldenImageBytes(t *testing.T) {
+	const want = "21000000bf05fd2f01326b636264656874010000006c6801c9e753a240030000000100000000020000210000008003e44a02000163878080803005015302808080808080808240030668c3a96c6c6f03000004000000033bf68f03010103"
+	cat := storage.NewCatalog()
+	cat.MustCreateTable(storage.Schema{
+		Name: "g",
+		Columns: []storage.ColumnDef{
+			{Name: "i", Kind: storage.KindInt},
+			{Name: "f", Kind: storage.KindFloat},
+			{Name: "s", Kind: storage.KindString},
+			{Name: "e", Kind: storage.KindString},
+			{Name: "n", Kind: storage.KindInt},
+		},
+	})
+	cat.Tables()[0].Put(99, storage.Tuple{storage.Int(-42), storage.Float(2.5), storage.Str("héllo"), storage.Str(""), storage.Null}, storage.MakeTS(3, 7))
+	if got := hex.EncodeToString(imageBytes(t, cat, 3)); got != want {
+		t.Fatalf("image bytes changed:\n got %s\nwant %s", got, want)
 	}
 }

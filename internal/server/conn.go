@@ -71,7 +71,6 @@ func (c countConn) Write(p []byte) (int, error) {
 // startConn registers a new connection and launches its goroutine
 // pair.
 func (s *Server) startConn(raw net.Conn) {
-	s.stats.Inc(&s.stats.ConnsOpened)
 	nc := countConn{Conn: raw, stats: s.stats}
 	c := &conn{
 		srv: s,
@@ -80,10 +79,20 @@ func (s *Server) startConn(raw net.Conn) {
 		// rejections so dispatchers almost never block on a slow peer.
 		out: make(chan []byte, s.cfg.PerConnInFlight+16),
 	}
+	// Register under mu, which Shutdown takes after raising draining:
+	// a connection accepted as the drain began is either counted before
+	// Shutdown snapshots s.conns and waits on connWG, or refused here.
 	s.mu.Lock()
+	if s.draining.Load() {
+		s.mu.Unlock()
+		cerr := raw.Close()
+		_ = cerr // the connection never served; nothing durable rides on it
+		return
+	}
 	s.conns[c] = struct{}{}
-	s.mu.Unlock()
 	s.connWG.Add(2)
+	s.mu.Unlock()
+	s.stats.Inc(&s.stats.ConnsOpened)
 	go c.readLoop()
 	go c.writeLoop()
 }

@@ -14,10 +14,12 @@ import (
 // depend on it.
 
 // ByteReader is what the value decoder needs: checkpoint slots read
-// from a bytes.Reader, WAL frame payloads too.
+// from a bytes.Reader, WAL frame payloads too. Len is the bytes left,
+// which bounds a string's length prefix before anything is allocated.
 type ByteReader interface {
 	io.Reader
 	io.ByteReader
+	Len() int
 }
 
 // AppendValue appends v's wire encoding to b.
@@ -69,6 +71,9 @@ func ReadString(r ByteReader) (string, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return "", err
+	}
+	if n > uint64(r.Len()) {
+		return "", io.ErrUnexpectedEOF
 	}
 	b := make([]byte, n)
 	if _, err := io.ReadFull(r, b); err != nil {

@@ -3,6 +3,7 @@ package storage
 import (
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Meta word layout (one atomic uint64 per record):
@@ -42,17 +43,21 @@ func SplitTS(ts uint64) (epoch uint32, seq uint32) {
 var addrCounter atomic.Uint64
 
 // Record is one database row plus its concurrency-control metadata.
-// The tuple is an immutable slice replaced wholesale by writers while
-// they hold the record lock, so optimistic readers never observe a
-// torn row.
+// The tuple is an immutable array of width Values replaced wholesale
+// by writers while they hold the record lock, so optimistic readers
+// never observe a torn row. The record points at the array's first
+// column and keeps the width itself (every image of a row has its
+// table's width), so one atomic load yields the whole row and no
+// slice header has to be boxed on the heap per write.
 type Record struct {
 	meta  atomic.Uint64
-	tuple atomic.Pointer[Tuple]
-	refs  atomic.Int32 // transactions currently pinning the record (GC)
-	rw    RWLock       // reader/writer lock for the 2PL baseline only
-	addr  uint64       // global lock-order position, fixed at creation
-	key   Key          // primary key, for logging and recovery
-	table int          // owning table id, for logging and recovery
+	tuple atomic.Pointer[Value] // first column of the current image
+	refs  atomic.Int32          // transactions currently pinning the record (GC)
+	rw    RWLock                // reader/writer lock for the 2PL baseline only
+	addr  uint64                // global lock-order position, fixed at creation
+	key   Key                   // primary key, for logging and recovery
+	table int32                 // owning table id, for logging and recovery
+	width int32                 // columns per image, fixed at creation
 
 	// older heads the version chain of superseded row images
 	// (version.go); chained marks membership in the version GC's
@@ -66,14 +71,13 @@ type Record struct {
 // records inserted by an uncommitted transaction start invisible
 // (§4.7.1).
 func NewRecord(table int, key Key, tuple Tuple, ts uint64, visible bool) *Record {
-	r := &Record{addr: addrCounter.Add(1), key: key, table: table}
+	r := &Record{addr: addrCounter.Add(1), key: key, table: int32(table), width: int32(len(tuple))}
 	m := ts & metaTSMask
 	if visible {
 		m |= metaVisibleBit
 	}
 	r.meta.Store(m)
-	t := tuple
-	r.tuple.Store(&t)
+	r.tuple.Store(unsafe.SliceData(tuple))
 	return r
 }
 
@@ -84,7 +88,7 @@ func (r *Record) Addr() uint64 { return r.addr }
 func (r *Record) Key() Key { return r.key }
 
 // Table returns the owning table id.
-func (r *Record) Table() int { return r.table }
+func (r *Record) Table() int { return int(r.table) }
 
 // Meta atomically reads the record's timestamp, lock bit and
 // visibility bit together.
@@ -191,7 +195,12 @@ func (r *Record) SetVisible(v bool) {
 // in a fresh copy).
 //
 //thedb:noalloc
-func (r *Record) Tuple() Tuple { return *r.tuple.Load() }
+func (r *Record) Tuple() Tuple { return r.row(r.tuple.Load()) }
+
+// row rebuilds the slice over an image loaded from r.tuple.
+//
+//thedb:noalloc
+func (r *Record) row(p *Value) Tuple { return unsafe.Slice(p, r.width) }
 
 // StableSnapshot reads the record's timestamp, visibility and tuple
 // as one consistent pair without blocking writers: a seqlock-style
@@ -211,7 +220,7 @@ func (r *Record) StableSnapshot() (ts uint64, t Tuple, visible bool) {
 		if m1&metaLockBit == 0 {
 			tp := r.tuple.Load()
 			if r.meta.Load() == m1 {
-				return m1 & metaTSMask, *tp, m1&metaVisibleBit != 0
+				return m1 & metaTSMask, r.row(tp), m1&metaVisibleBit != 0
 			}
 		}
 		if i%16 == 15 {
@@ -220,9 +229,14 @@ func (r *Record) StableSnapshot() (ts uint64, t Tuple, visible bool) {
 	}
 }
 
-// SetTuple installs a new row image. The caller must hold the record
-// lock and must not mutate t afterwards.
-func (r *Record) SetTuple(t Tuple) { r.tuple.Store(&t) }
+// SetTuple installs a new row image of the record's width. The caller
+// must hold the record lock and must not mutate t afterwards.
+func (r *Record) SetTuple(t Tuple) {
+	if len(t) != int(r.width) {
+		panic("storage: SetTuple: image width differs from the record's")
+	}
+	r.tuple.Store(unsafe.SliceData(t))
+}
 
 // Pin increments the reference counter: the calling transaction holds
 // the record in its read/write set, so the garbage collector must not

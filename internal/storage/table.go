@@ -14,6 +14,7 @@ import (
 type Table struct {
 	id          int
 	schema      Schema
+	nullRow     Tuple // the all-null image every dummy record shares
 	primary     *hashidx.Map[*Record]
 	ordered     *btree.Sharded[*Record]
 	secondaries []*btree.Tree[string, *Record]
@@ -26,7 +27,7 @@ type ScanRefs = []btree.ScanRef[uint64, *Record]
 // NewTable builds a table from its schema. id must be unique within
 // the catalog.
 func NewTable(id int, schema Schema) *Table {
-	t := &Table{id: id, schema: schema, primary: hashidx.New[*Record]()}
+	t := &Table{id: id, schema: schema, nullRow: make(Tuple, len(schema.Columns)), primary: hashidx.New[*Record]()}
 	if schema.Ordered {
 		shift := schema.ShardShift
 		if shift == 0 {
@@ -68,10 +69,10 @@ func (t *Table) Peek(key Key) (*Record, bool) {
 // GetOrCreateDummy returns the record under key, creating an
 // invisible dummy record if none exists — the mechanism of §4.7.1 for
 // reads of non-existent keys and for inserts. The result is pinned.
+// Every dummy of a table points at the same immutable all-null row.
 func (t *Table) GetOrCreateDummy(key Key) (rec *Record, created bool) {
 	rec, loaded := t.primary.LoadOrStoreWith(uint64(key), func() *Record {
-		r := NewRecord(t.id, key, make(Tuple, len(t.schema.Columns)), 0, false)
-		return r
+		return NewRecord(t.id, key, t.nullRow, 0, false)
 	}, (*Record).Pin)
 	if !loaded && t.ordered != nil {
 		t.ordered.Insert(uint64(key), rec)

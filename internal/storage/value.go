@@ -13,8 +13,9 @@
 package storage
 
 import (
-	"fmt"
+	"math"
 	"strconv"
+	"unsafe"
 )
 
 // ValueKind discriminates the runtime type of a column Value.
@@ -28,71 +29,115 @@ const (
 	KindString
 )
 
-// Value is a single column value. It is a small immutable sum type:
-// integers and floats share the numeric slot, strings use the string
-// slot. Value is copied freely; it must never be mutated in place
-// once published in a tuple.
+// Value is a single column value: a two-word immutable sum type. The
+// pointer word is the discriminator — nil for null, the address of a
+// package sentinel for ints and floats, and otherwise a string's data
+// pointer — and the integer word holds the number (float bits for
+// floats) or the string's length. Values are copied freely; neither a
+// Value nor the string bytes it points at may be written once built.
+//
+// The zero-size func array makes == on a Value a compile error: two
+// strings with the same content need not share a data pointer, so
+// equality must go through Equal.
 type Value struct {
-	kind ValueKind
-	num  int64
-	str  string
+	_ [0]func()
+	p *byte
+	n int64
 }
 
+// Kind sentinels. emptyTag stands in for the data pointer of "",
+// which unsafe.StringData leaves unspecified (it may be nil, and nil
+// is null).
+var intTag, floatTag, emptyTag byte
+
 // Int returns an integer Value.
-func Int(v int64) Value { return Value{kind: KindInt, num: v} }
+func Int(v int64) Value { return Value{p: &intTag, n: v} }
 
 // Float returns a floating-point Value. The bit pattern is stored in
 // the numeric slot.
-func Float(v float64) Value { return Value{kind: KindFloat, num: int64(floatBits(v))} }
+func Float(v float64) Value { return Value{p: &floatTag, n: int64(math.Float64bits(v))} }
 
-// Str returns a string Value.
-func Str(v string) Value { return Value{kind: KindString, str: v} }
+// Str returns a string Value. The string's bytes are shared, not
+// copied.
+func Str(v string) Value {
+	if len(v) == 0 {
+		return Value{p: &emptyTag}
+	}
+	return Value{p: unsafe.StringData(v), n: int64(len(v))}
+}
 
 // Null is the zero Value.
 var Null = Value{}
 
 // Kind reports the value's runtime kind.
-func (v Value) Kind() ValueKind { return v.kind }
-
-// IsNull reports whether the value is the SQL-style null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
-
-// Int returns the integer payload. It is valid only for KindInt
-// values; other kinds return the raw numeric slot coerced to int64.
-func (v Value) Int() int64 {
-	if v.kind == KindFloat {
-		return int64(floatFromBits(uint64(v.num)))
+func (v Value) Kind() ValueKind {
+	switch v.p {
+	case nil:
+		return KindNull
+	case &intTag:
+		return KindInt
+	case &floatTag:
+		return KindFloat
 	}
-	return v.num
+	return KindString
 }
 
-// Float returns the floating-point payload, coercing integers.
-func (v Value) Float() float64 {
-	if v.kind == KindFloat {
-		return floatFromBits(uint64(v.num))
+// IsNull reports whether the value is the SQL-style null.
+func (v Value) IsNull() bool { return v.p == nil }
+
+// Int returns the integer payload, truncating floats; null and
+// strings yield 0.
+func (v Value) Int() int64 {
+	switch v.p {
+	case &intTag:
+		return v.n
+	case &floatTag:
+		return int64(math.Float64frombits(uint64(v.n)))
 	}
-	return float64(v.num)
+	return 0
+}
+
+// Float returns the floating-point payload, coercing integers; null
+// and strings yield 0.
+func (v Value) Float() float64 {
+	switch v.p {
+	case &floatTag:
+		return math.Float64frombits(uint64(v.n))
+	case &intTag:
+		return float64(v.n)
+	}
+	return 0
 }
 
 // Str returns the string payload ("" for non-strings).
-func (v Value) Str() string { return v.str }
+func (v Value) Str() string {
+	if v.Kind() != KindString {
+		return ""
+	}
+	return unsafe.String(v.p, v.n)
+}
 
-// Equal reports deep equality of two values.
-func (v Value) Equal(o Value) bool { return v == o }
+// Equal reports deep equality of two values: same kind and same
+// number, or same string content.
+func (v Value) Equal(o Value) bool {
+	if v.n != o.n {
+		return false // different number, or different string length
+	}
+	return v.p == o.p ||
+		v.Kind() == KindString && o.Kind() == KindString && v.Str() == o.Str()
+}
 
 // String renders the value for debugging and logging.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.num, 10)
+		return strconv.FormatInt(v.n, 10)
 	case KindFloat:
 		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
-	case KindString:
-		return v.str
 	default:
-		return fmt.Sprintf("Value(kind=%d)", v.kind)
+		return v.Str()
 	}
 }
 
@@ -113,7 +158,7 @@ func (t Tuple) Equal(o Tuple) bool {
 		return false
 	}
 	for i := range t {
-		if t[i] != o[i] {
+		if !t[i].Equal(o[i]) {
 			return false
 		}
 	}

@@ -80,7 +80,7 @@ func (r *Record) InstallVersion(newTS uint64) bool {
 	if !NeedsVersion(ts, newTS) {
 		return false
 	}
-	v := &Version{begin: ts, end: newTS, tuple: *r.tuple.Load()} //thedb:nolint:noalloc cold branch: at most one node per record per crossed epoch boundary (~EpochInterval apart), not one per write
+	v := &Version{begin: ts, end: newTS, tuple: r.Tuple()} //thedb:nolint:noalloc cold branch: at most one node per record per crossed epoch boundary (~EpochInterval apart), not one per write
 	v.next.Store(r.older.Load())
 	r.older.Store(v)
 	return true
@@ -125,7 +125,7 @@ func (r *Record) SnapshotAt(s uint64) (Tuple, bool) {
 			if !vis1 {
 				return nil, false // deleted (or never inserted) as of s
 			}
-			return *tp, true
+			return r.row(tp), true
 		}
 		if i%16 == 15 {
 			runtime.Gosched()

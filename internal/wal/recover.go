@@ -292,6 +292,9 @@ func validateAgainst(catalog *storage.Catalog, scans []*streamScan) error {
 					return fmt.Errorf("wal: stream %d: entry references table %d, catalog has %d tables", i, e.table, ntab)
 				}
 				ncols := len(catalog.TableByID(e.table).Schema().Columns)
+				if e.kind == KindInsert && len(e.tuple) != ncols {
+					return fmt.Errorf("wal: stream %d: insert into table %d has %d columns, schema has %d", i, e.table, len(e.tuple), ncols)
+				}
 				for _, c := range e.cols {
 					if c < 0 || c >= ncols {
 						return fmt.Errorf("wal: stream %d: entry references column %d of table %d (%d columns)", i, c, e.table, ncols)

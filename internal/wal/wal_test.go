@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/hex"
 	"io"
 	"testing"
 
@@ -194,4 +195,58 @@ func TestEpochGroupCommitFlushes(t *testing.T) {
 		t.Fatal("epoch boundary did not flush the previous group")
 	}
 	_ = l.Close()
+}
+
+// TestGoldenValueLogBytes pins the value log's bytes for one commit
+// group carrying every value kind. The hex was produced by the
+// 32-byte-Value representation this format was defined under: a
+// change to the in-memory row must leave old logs replayable.
+func TestGoldenValueLogBytes(t *testing.T) {
+	const want = "20000000410ececc028780808030016305015302808080808080808240030668c3a96c6c6f03000015000000ef6e7dfd01878080803001630200018080808080400203017806000000c8f69cde0587808080300200000014d5fe8b0603"
+	var buf bytes.Buffer
+	l := NewLogger(ValueLogging, 1, func(int) io.Writer { return &buf })
+	wl := l.Worker(0)
+	ts := storage.MakeTS(3, 7)
+	row := storage.Tuple{storage.Int(-42), storage.Float(2.5), storage.Str("héllo"), storage.Str(""), storage.Null}
+	for _, err := range []error{
+		wl.BeginCommit(ts),
+		wl.LogInsert(ts, 1, 99, row),
+		wl.LogWrite(ts, 1, 99, []int{0, 2}, []storage.Value{storage.Int(1 << 40), storage.Str("x")}),
+		wl.EndCommit(ts),
+		l.Close(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hex.EncodeToString(buf.Bytes()); got != want {
+		t.Fatalf("value log bytes changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestInsertWidthMismatchRejected: an insert logged under a schema of
+// another width must fail recovery before any mutation — a record's
+// width is fixed, and installing the image would panic mid-replay.
+func TestInsertWidthMismatchRejected(t *testing.T) {
+	var buf bytes.Buffer
+	l := NewLogger(ValueLogging, 1, func(int) io.Writer { return &buf })
+	wl := l.Worker(0)
+	ts := storage.MakeTS(1, 1)
+	for _, err := range []error{
+		wl.BeginCommit(ts),
+		wl.LogInsert(ts, 0, 7, storage.Tuple{storage.Int(1)}),
+		wl.EndCommit(ts),
+		l.Close(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat := newCatalog()
+	if _, err := RecoverStreams(cat, []io.Reader{bytes.NewReader(buf.Bytes())}, RecoverOptions{}); err == nil {
+		t.Fatal("one-column insert into a two-column table replayed")
+	}
+	if tab, _ := cat.Table("T"); tab.Len() != 0 {
+		t.Fatal("rejected log mutated the catalog")
+	}
 }

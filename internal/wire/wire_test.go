@@ -2,10 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
@@ -182,7 +182,7 @@ func TestResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, outs) {
+	if !outputsEqual(got, outs) {
 		t.Fatalf("decoded %+v, want %+v", got, outs)
 	}
 }
@@ -228,5 +228,22 @@ func TestDecodeCallRejectsHostileCounts(t *testing.T) {
 	p = []byte{0xff, 0xff, 0x03} // name length 65535, no body
 	if _, err := DecodeCall(p); err == nil {
 		t.Fatal("hostile string length decoded successfully")
+	}
+}
+
+// TestGoldenCallAndResultBytes pins one CALL and one RESULT frame
+// carrying every value kind to the bytes the 32-byte-Value
+// representation sent: the wire must not notice the in-memory row
+// changing.
+func TestGoldenCallAndResultBytes(t *testing.T) {
+	const wantCall, wantResult = "b17d040305000000000000002300000009dc0bef9baf050103506179050153020000000000000440030668c3a96c6c6f030000", "b17d04040500000000000000220000000203726f7701050153020000000000000440030668c3a96c6c6f030000016e000153"
+	vals := []storage.Value{storage.Int(-42), storage.Float(2.5), storage.Str("héllo"), storage.Str(""), storage.Null}
+	call := AppendCall(nil, 5, Call{Proc: "Pay", Args: vals, Seq: 9, BudgetUS: 1500, TraceID: 0xabcdef, ReadOnly: true})
+	if got := hex.EncodeToString(call); got != wantCall {
+		t.Fatalf("CALL bytes changed:\n got %s\nwant %s", got, wantCall)
+	}
+	result := AppendResult(nil, 5, []Output{{Name: "row", List: true, Vals: vals}, {Name: "n", Vals: vals[:1]}})
+	if got := hex.EncodeToString(result); got != wantResult {
+		t.Fatalf("RESULT bytes changed:\n got %s\nwant %s", got, wantResult)
 	}
 }
