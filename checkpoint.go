@@ -39,10 +39,7 @@ func (db *DB) CheckpointStats() *metrics.Checkpoint { return &db.ckstats }
 // recovered record's far-higher epoch would otherwise sit above every
 // seal the advancer writes and be dropped by the next salvage.
 func (db *DB) SeedEpoch(epoch uint32) {
-	db.ensureEngines()
-	if db.eng != nil {
-		db.eng.SeedEpoch(epoch)
-	}
+	db.engine().SeedEpoch(epoch)
 }
 
 // checkpointSource builds the engine surface the checkpointer
@@ -51,11 +48,8 @@ func (db *DB) SeedEpoch(epoch uint32) {
 // procedures; value replay is idempotent under the Thomas write rule)
 // and a live durability frontier to gate publication on.
 func (db *DB) checkpointSource() (checkpoint.Source, error) {
-	db.ensureEngines()
-	if db.deng != nil {
-		return checkpoint.Source{}, fmt.Errorf("thedb: checkpointing is not supported on the deterministic engine")
-	}
-	src := checkpoint.Source{Catalog: db.catalog, CurrentEpoch: db.eng.Epoch().Current}
+	eng := db.engine()
+	src := checkpoint.Source{Catalog: db.catalog, CurrentEpoch: eng.Epoch().Current}
 	if !db.started {
 		src.Quiesced = true
 		return src, nil
@@ -66,8 +60,8 @@ func (db *DB) checkpointSource() (checkpoint.Source, error) {
 	if db.cfg.LogMode == CommandLogging {
 		return src, fmt.Errorf("thedb: online checkpoint requires value logging (command replay of a fuzzy image is not idempotent)")
 	}
-	src.DurableEpoch = db.eng.DurableEpoch
-	src.DurabilityLost = db.eng.DurabilityLost
+	src.DurableEpoch = eng.DurableEpoch
+	src.DurabilityLost = eng.DurabilityLost
 	return src, nil
 }
 

@@ -90,22 +90,6 @@ func (t *Tree[K, V]) Get(k K) (V, bool) {
 	return l.vals[i], true
 }
 
-// GetWithLeaf returns the value stored under k along with the leaf
-// that holds (or would hold) k and the leaf version observed, for
-// callers that need phantom protection on point misses.
-func (t *Tree[K, V]) GetWithLeaf(k K) (v V, ok bool, leaf *Leaf[K, V], version uint64) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	l := t.leafFor(k)
-	ver := l.version.Load()
-	i, found := search(l.keys, k)
-	if !found {
-		var zero V
-		return zero, false, l, ver
-	}
-	return l.vals[i], true, l, ver
-}
-
 // Insert stores v under k, replacing any existing value. It reports
 // whether a new key was added.
 func (t *Tree[K, V]) Insert(k K, v V) bool {

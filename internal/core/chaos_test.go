@@ -290,68 +290,6 @@ func TestChaosForcedStallTripsWatchdog(t *testing.T) {
 	}
 }
 
-// TestDegradationLadderExhaustsToErrContended drives every attempt
-// into a spurious restart and checks the full deterministic descent:
-// RetryBudget failed attempts on the Healing rung, escalation to OCC,
-// then to 2PL, then the typed ErrContended — with the fallback and
-// exhaustion counters accounting for each step.
-func TestDegradationLadderExhaustsToErrContended(t *testing.T) {
-	const budget = 4
-	cat := storage.NewCatalog()
-	cat.MustCreateTable(storage.Schema{
-		Name:    "BALANCE",
-		Columns: []storage.ColumnDef{{Name: "v", Kind: storage.KindInt}},
-	})
-	tab, _ := cat.Table("BALANCE")
-	tab.Put(1, storage.Tuple{storage.Int(0)}, 0)
-
-	sched := fault.NewSchedule(3, 1)
-	sched.Inject(fault.PreValidation, fault.ActRestart, 1.0)
-
-	e := NewEngine(cat, Options{
-		Protocol:    Healing,
-		Workers:     1,
-		Chaos:       sched,
-		RetryBudget: budget,
-	})
-	// A registered (non-ad-hoc) procedure, so the ladder starts on the
-	// Healing rung; ad-hoc transactions would begin at OCC (§4.8).
-	e.MustRegister(&proc.Spec{
-		Name: "ReadOne",
-		Plan: func(b *proc.Builder, _ *proc.Env) {
-			b.Op(proc.Op{Name: "read", Body: func(ctx proc.OpCtx) error {
-				_, _, err := ctx.Read("BALANCE", 1, nil)
-				return err
-			}})
-		},
-	})
-	w := e.Worker(0)
-	_, err := w.Run("ReadOne")
-	if !errors.Is(err, ErrContended) {
-		t.Fatalf("err = %v, want ErrContended", err)
-	}
-	m := w.Metrics()
-	// Three rungs × budget attempts, every one restarted.
-	if m.Restarts != 3*budget {
-		t.Errorf("restarts = %d, want %d", m.Restarts, 3*budget)
-	}
-	if m.HealingFallbacks != 2 {
-		t.Errorf("fallbacks = %d, want 2 (Healing→OCC, OCC→2PL)", m.HealingFallbacks)
-	}
-	if m.BudgetExhausted != 1 {
-		t.Errorf("budget exhaustions = %d, want 1", m.BudgetExhausted)
-	}
-	if m.Aborted != 1 {
-		t.Errorf("aborted = %d, want 1", m.Aborted)
-	}
-	if m.Committed != 0 {
-		t.Errorf("committed = %d, want 0", m.Committed)
-	}
-	if got := sched.Count(fault.PreValidation, fault.ActRestart); got != 3*budget {
-		t.Errorf("injected restarts = %d, want %d", got, 3*budget)
-	}
-}
-
 // TestDegradationLadderRecoversMidway scripts exactly one rung's
 // worth of restarts: the transaction must escalate once, then commit
 // on the OCC rung instead of exhausting.

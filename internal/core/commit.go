@@ -13,7 +13,7 @@ import (
 // The caller must hold the locks required by its protocol (all
 // elements for healing/OCC, the write set for Silo, 2PL locks for
 // TPL).
-func (t *Txn) commit(procName string) error {
+func (t *Txn) commit() error {
 	// Chaos checkpoint: the write phase is where lock hold times are
 	// longest, so perturbations here hurt most; a restart drawn here
 	// exercises the full-abort cleanup before anything is installed.
@@ -133,7 +133,7 @@ func (t *Txn) commit(procName string) error {
 			walT = time.Now()
 		}
 		if !valueLog {
-			if err := w.wlog.LogCommand(ts, procName, w.curArgs); err != nil {
+			if err := w.wlog.LogCommand(ts, t.prog.Spec.Name, w.curArgs); err != nil {
 				return err
 			}
 		}

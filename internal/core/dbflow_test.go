@@ -63,13 +63,13 @@ func TestReadAfterHealedWrite(t *testing.T) {
 	})
 	w := e.Worker(0)
 	spec, _ := e.Spec("P")
-	env := buildEnv(spec, nil)
-	txn := newTxn(w, spec.Instantiate(env), env, false)
+	env := spec.Bind(nil)
+	txn := newTxn(w, spec.Instantiate(env), env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
 	externalCommit(t, e, "KV", 10, 0, storage.Int(777), storage.MakeTS(1, 1))
-	if err := txn.validateAndCommitHealing("P"); err != nil {
+	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if env.Int("v2") != 777 {
@@ -120,13 +120,13 @@ func TestHealedWriteRetraction(t *testing.T) {
 	})
 	w := e.Worker(0)
 	spec, _ := e.Spec("WriteAtPointer")
-	env := buildEnv(spec, nil)
-	txn := newTxn(w, spec.Instantiate(env), env, false)
+	env := spec.Bind(nil)
+	txn := newTxn(w, spec.Instantiate(env), env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
 	externalCommit(t, e, "KV", 1, 0, storage.Int(3), storage.MakeTS(1, 1))
-	if err := txn.validateAndCommitHealing("WriteAtPointer"); err != nil {
+	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	r2, _ := tab.Peek(2)

@@ -239,6 +239,10 @@ type Engine struct {
 	specs   map[string]*proc.Spec
 	workers []*Worker
 
+	// rungs and adhocRungs are the degradation ladders of stored
+	// procedures and of ad-hoc transactions, computed once from opts.
+	rungs, adhocRungs []rung
+
 	// rec is the flight recorder (nil when event tracing is off).
 	rec *obs.Recorder
 
@@ -287,6 +291,9 @@ func NewEngine(catalog *storage.Catalog, opts Options) *Engine {
 		rec:     opts.Recorder,
 		tracer:  opts.Tracer,
 		cont:    opts.Contention,
+		rungs:   newRungs(&opts, false),
+
+		adhocRungs: newRungs(&opts, true),
 	}
 	e.epoch = NewEpochManager(opts.EpochInterval)
 	e.epoch.chaos = opts.Chaos
@@ -431,6 +438,15 @@ func (e *Engine) MustRegister(spec *proc.Spec) {
 func (e *Engine) Spec(name string) (*proc.Spec, bool) {
 	s, ok := e.specs[name]
 	return s, ok
+}
+
+// lookup resolves a procedure name for the run methods.
+func (e *Engine) lookup(name string) (*proc.Spec, error) {
+	spec, ok := e.specs[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchProc, name)
+	}
+	return spec, nil
 }
 
 // Worker returns execution context i. Each worker must be driven by

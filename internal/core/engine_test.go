@@ -85,13 +85,13 @@ func TestAdhocFallsBackToOCC(t *testing.T) {
 	w := e.Worker(0)
 
 	spec, _ := e.Spec("Transfer")
-	env := buildEnv(spec, []storage.Value{storage.Int(amy), storage.Int(20)})
-	txn := newTxn(w, spec.Instantiate(env), env, true /* adhoc */)
+	env := spec.Bind([]storage.Value{storage.Int(amy), storage.Int(20)})
+	txn := newTxn(w, spec.Instantiate(env), env, firstRung(w, true))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
 	externalCommit(t, e, "BALANCE", amy, 0, storage.Int(2500), storage.MakeTS(1, 1))
-	if err := txn.validateOCC(false); err != errRestart {
+	if err := txn.validateAndCommit(); err != errRestart {
 		t.Fatalf("adhoc validation = %v, want errRestart", err)
 	}
 	txn.finish(false)
@@ -114,13 +114,13 @@ func TestAblationNoAccessCache(t *testing.T) {
 	w := e.Worker(0)
 
 	spec, _ := e.Spec("Transfer")
-	env := buildEnv(spec, []storage.Value{storage.Int(amy), storage.Int(20)})
-	txn := newTxn(w, spec.Instantiate(env), env, false)
+	env := spec.Bind([]storage.Value{storage.Int(amy), storage.Int(20)})
+	txn := newTxn(w, spec.Instantiate(env), env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
 	externalCommit(t, e, "BALANCE", amy, 0, storage.Int(2500), storage.MakeTS(1, 1))
-	if err := txn.validateAndCommitHealing("Transfer"); err != errRestart {
+	if err := txn.validateAndCommit(); err != errRestart {
 		t.Fatalf("without access cache: %v, want errRestart", err)
 	}
 	txn.finish(false)
@@ -171,13 +171,13 @@ func TestAblationNoReadCopies(t *testing.T) {
 	})
 	w := e.Worker(0)
 	spec, _ := e.Spec("ReadA")
-	env := buildEnv(spec, []storage.Value{storage.Int(1)})
-	txn := newTxn(w, spec.Instantiate(env), env, false)
+	env := spec.Bind([]storage.Value{storage.Int(1)})
+	txn := newTxn(w, spec.Instantiate(env), env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
 	externalCommit(t, e, "WIDE", 1, 1, storage.Int(99), storage.MakeTS(1, 1))
-	if err := txn.validateAndCommitHealing("ReadA"); err != nil {
+	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if w.m.FalseInval != 0 {
@@ -322,8 +322,8 @@ func TestDeadlockPreventionAbort(t *testing.T) {
 	w := e.Worker(0)
 
 	spec, _ := e.Spec("Chase")
-	env := buildEnv(spec, []storage.Value{storage.Int(1)})
-	txn := newTxn(w, spec.Instantiate(env), env, false)
+	env := spec.Bind([]storage.Value{storage.Int(1)})
+	txn := newTxn(w, spec.Instantiate(env), env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestDeadlockPreventionAbort(t *testing.T) {
 	defer v1.Unlock()
 	externalCommit(t, e, "PTR", 1, 0, storage.Int(1), storage.MakeTS(1, 1))
 
-	err := txn.validateAndCommitHealing("Chase")
+	err := txn.validateAndCommit()
 	if err != errRestart {
 		t.Fatalf("healing with contended membership lock = %v, want errRestart (no-wait)", err)
 	}

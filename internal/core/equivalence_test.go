@@ -205,9 +205,9 @@ func TestHealingEquivalentToReexecution(t *testing.T) {
 		liveEng := NewEngine(liveCat, Options{Protocol: Healing, Workers: 1})
 		liveEng.MustRegister(spec)
 		w := liveEng.Worker(0)
-		env := buildEnv(spec, nil)
+		env := spec.Bind(nil)
 		prog := spec.Instantiate(env)
-		txn := newTxn(w, prog, env, false)
+		txn := newTxn(w, prog, env, firstRung(w, false))
 		if err := txn.readPhase(); err != nil {
 			t.Fatalf("trial %d: read phase: %v", trial, err)
 		}
@@ -219,7 +219,7 @@ func TestHealingEquivalentToReexecution(t *testing.T) {
 			rec.SetTimestamp(storage.MakeTS(1, uint32(i+1)))
 			rec.Unlock()
 		}
-		if err := txn.validateAndCommitHealing("Rand"); err != nil {
+		if err := txn.validateAndCommit(); err != nil {
 			// A restart (deadlock prevention, divergence) is legal;
 			// drive to completion through the public path, which is
 			// serial here and must succeed.

@@ -86,8 +86,8 @@ func TestHealPropagatesThroughChain(t *testing.T) {
 	w := e.Worker(0)
 	spec, _ := e.Spec("Chain")
 
-	env := buildEnv(spec, []storage.Value{storage.Int(0)})
-	txn := newTxn(w, spec.Instantiate(env), env, false)
+	env := spec.Bind([]storage.Value{storage.Int(0)})
+	txn := newTxn(w, spec.Instantiate(env), env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestHealPropagatesThroughChain(t *testing.T) {
 	// Concurrent commit reroutes hop 1: 0 -> 100 (then 101, 102...).
 	externalCommit(t, e, "PTR", 0, 0, storage.Int(100), storage.MakeTS(1, 1))
 
-	if err := txn.validateAndCommitHealing("Chain"); err != nil {
+	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if got := env.Int("k4"); got != 103 {
@@ -127,8 +127,8 @@ func TestHealMidChain(t *testing.T) {
 	w := e.Worker(0)
 	spec, _ := e.Spec("Chain")
 
-	env := buildEnv(spec, []storage.Value{storage.Int(0)})
-	txn := newTxn(w, spec.Instantiate(env), env, false)
+	env := spec.Bind([]storage.Value{storage.Int(0)})
+	txn := newTxn(w, spec.Instantiate(env), env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestHealMidChain(t *testing.T) {
 	// Reroute hop 3's input: PTR[2] = 100.
 	externalCommit(t, e, "PTR", 2, 0, storage.Int(100), storage.MakeTS(1, 1))
 
-	if err := txn.validateAndCommitHealing("Chain"); err != nil {
+	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if got := env.Int("k2"); got != 2 {
@@ -220,8 +220,8 @@ func TestSecondaryScanPhantomHealing(t *testing.T) {
 	w1, w2 := e.Worker(0), e.Worker(1)
 
 	spec, _ := e.Spec("CountName")
-	env := buildEnv(spec, []storage.Value{storage.Str("smith")})
-	txn := newTxn(w1, spec.Instantiate(env), env, false)
+	env := spec.Bind([]storage.Value{storage.Str("smith")})
+	txn := newTxn(w1, spec.Instantiate(env), env, firstRung(w1, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestSecondaryScanPhantomHealing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := txn.validateAndCommitHealing("CountName"); err != nil {
+	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if env.Int("n") != 3 {
@@ -247,15 +247,15 @@ func TestWorstCaseOrderStillCorrect(t *testing.T) {
 	e := bankEngine(t, Options{Protocol: Healing, Workers: 1, Order: ReverseTreeOrder})
 	w := e.Worker(0)
 	spec, _ := e.Spec("Transfer")
-	env := buildEnv(spec, []storage.Value{storage.Int(amy), storage.Int(20)})
-	txn := newTxn(w, spec.Instantiate(env), env, false)
+	env := spec.Bind([]storage.Value{storage.Int(amy), storage.Int(20)})
+	txn := newTxn(w, spec.Instantiate(env), env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
 	externalCommit(t, e, "CLIENT", amy, 0, storage.Int(dave), storage.MakeTS(1, 1))
 	// Either the heal succeeds or deadlock prevention restarts — both
 	// are correct; drive to completion through Run in the latter case.
-	if err := txn.validateAndCommitHealing("Transfer"); err != nil {
+	if err := txn.validateAndCommit(); err != nil {
 		if err != errRestart {
 			t.Fatal(err)
 		}

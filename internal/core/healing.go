@@ -9,112 +9,6 @@ import (
 	"thedb/internal/obs"
 )
 
-// validateAndCommitHealing runs the paper's Algorithm 1: lock the
-// read/write set in the global validation order, validate each
-// read-accessed element, and invoke the healing phase on any
-// inconsistency instead of aborting. Afterwards it validates the node
-// set (phantoms, §4.7.2) and commits.
-//
-// For independent transactions (§4.6) the effect is the merged
-// validate+write fast path: with no key dependencies the membership
-// never changes, healing cannot abort, and the transaction is
-// guaranteed to commit.
-func (t *Txn) validateAndCommitHealing(procName string) error {
-	if err := t.validateHealing(); err != nil {
-		return err
-	}
-	return t.commit(procName)
-}
-
-// validateHealing is Algorithm 1 without the write phase, so the
-// caller can account validation/healing and write time separately.
-func (t *Txn) validateHealing() error {
-	t.rw.sortFor(t.e.opts.Order)
-	for t.frontier = 0; t.frontier < len(t.rw.elems); t.frontier++ {
-		el := t.rw.elems[t.frontier]
-		if el.locked {
-			// Locked during a membership update; its content was
-			// (re)read under the lock, hence consistent.
-			continue
-		}
-		if el.removed {
-			continue
-		}
-		//thedb:nolint:lockorder safe by construction: sortFor imposed the global Addr/tree order above, so every thread stacks record locks in the same sequence (§4.2.1)
-		t.lockElement(el)
-		if el.isInsert {
-			// §4.7.1 scenario 3: another transaction committed into
-			// our dummy slot first; genuine duplicates abort, stale
-			// keys restart (the stale source heals first under tree
-			// order, replacing this element before we reach it).
-			if err := t.checkInsertElement(el); err != nil {
-				return err
-			}
-			continue
-		}
-		if el.mode&ModeRead == 0 {
-			continue
-		}
-		ts, _, vis := el.rec.Meta()
-		if ts == el.rts {
-			continue
-		}
-		// Inconsistent read. First dismiss false invalidations
-		// (§4.5): a concurrent write that did not touch the columns
-		// we read.
-		if vis == el.seenVisible && el.falseInvalidation(el.rec.Tuple()) {
-			el.rts = ts
-			t.w.m.Inc(&t.w.m.FalseInval)
-			t.w.event(obs.KFalseInval, uint64(el.rec.Key()), uint64(el.tab.ID()))
-			continue
-		}
-		t.w.event(obs.KValidationFail, uint64(el.rec.Key()), uint64(el.tab.ID()))
-		if c := t.e.cont; c != nil {
-			c.Touch(el.tab.ID(), uint64(el.rec.Key()), obs.TouchValidationFail)
-		}
-		if !t.canHeal() {
-			return errRestart
-		}
-		if err := t.heal(el); err != nil {
-			return err
-		}
-	}
-	t.frontier = len(t.rw.elems)
-
-	// Node-set validation: structural index changes in scanned
-	// ranges are healed by re-executing the scan operation. Healing
-	// may add scans, so iterate to a fixpoint (bounded; beyond the
-	// bound abort-and-restart is always safe).
-	for round := 0; ; round++ {
-		if round > 64 {
-			return errRestart
-		}
-		changed := false
-		for i := 0; i < len(t.rw.scans); i++ {
-			sa := t.rw.scans[i]
-			if sa.removed || !sa.changed() {
-				continue
-			}
-			changed = true
-			if !t.canHeal() {
-				return errRestart
-			}
-			if err := t.healFromOp(sa.op); err != nil {
-				return err
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return nil
-}
-
-// canHeal reports whether the healing machinery is available: the
-// access cache must be maintained (Table 4 ablation turns it off) and
-// the transaction must not be ad-hoc (§4.8).
-func (t *Txn) canHeal() bool { return t.trackAccesses() }
-
 // restoreKind says how an operation must be restored.
 type restoreKind uint8
 
@@ -150,11 +44,13 @@ func (h *healQueue) push(r *OpRun, k restoreKind) {
 }
 
 // heal is Algorithm 2: restore the non-serializable operations
-// reachable from the inconsistent element el through the program
-// dependency graph. The caller holds el's record lock.
-func (t *Txn) heal(el *Element) error {
+// reachable through the program dependency graph from an inconsistent
+// element el (whose record lock the caller holds) — or, when el is
+// nil, from scan, an operation whose scanned range changed
+// structurally and must be re-executed (phantom repair).
+func (t *Txn) heal(el *Element, scan *OpRun) error {
 	traced := t.w.traceOn
-	if t.e.opts.DetailedMetrics || traced {
+	if t.timed {
 		defer t.timeHeal()()
 	}
 	var passStart time.Duration
@@ -162,45 +58,23 @@ func (t *Txn) heal(el *Element) error {
 		passStart = time.Since(t.w.traceStart)
 	}
 	t.w.m.Inc(&t.w.m.Heals)
-	t.w.event(obs.KHealStart, uint64(el.rec.Key()), uint64(el.tab.ID()))
-	if c := t.e.cont; c != nil {
-		c.Touch(el.tab.ID(), uint64(el.rec.Key()), obs.TouchHealStart)
-	}
-	// Reload the inconsistent element under its lock: this is the
-	// restoration basis for the bookmarked operation(s).
-	el.rts, _, el.seenVisible = el.rec.Meta()
-	el.refreshCopies(el.rec.Tuple())
-
 	q := &healQueue{kind: make(map[*OpRun]restoreKind)}
-	for _, run := range el.bookmarks {
-		q.push(run, restoreReplay)
+	if el == nil {
+		t.w.event(obs.KHealStart, 0, 0) // 0,0 marks a phantom repair
+		q.push(scan, restoreReexec)
+	} else {
+		t.w.event(obs.KHealStart, uint64(el.rec.Key()), uint64(el.tab.ID()))
+		if c := t.e.cont; c != nil {
+			c.Touch(el.tab.ID(), uint64(el.rec.Key()), obs.TouchHealStart)
+		}
+		// Reload the inconsistent element under its lock: this is the
+		// restoration basis for the bookmarked operation(s).
+		el.rts, _, el.seenVisible = el.rec.Meta()
+		el.refreshCopies(el.rec.Tuple())
+		for _, run := range el.bookmarks {
+			q.push(run, restoreReplay)
+		}
 	}
-	before := t.healOps
-	if err := t.drainHealQueue(q); err != nil {
-		return err
-	}
-	t.w.event(obs.KHealEnd, uint64(t.healOps-before), uint64(t.frontier))
-	if traced {
-		t.w.tracePass(passStart, time.Since(t.w.traceStart), t.healOps-before, t.frontier)
-	}
-	return nil
-}
-
-// healFromOp heals starting from a single operation that must be
-// re-executed (phantom repair of a scan).
-func (t *Txn) healFromOp(run *OpRun) error {
-	traced := t.w.traceOn
-	if t.e.opts.DetailedMetrics || traced {
-		defer t.timeHeal()()
-	}
-	var passStart time.Duration
-	if traced {
-		passStart = time.Since(t.w.traceStart)
-	}
-	t.w.m.Inc(&t.w.m.Heals)
-	t.w.event(obs.KHealStart, 0, 0) // 0,0 marks a phantom repair
-	q := &healQueue{kind: make(map[*OpRun]restoreKind)}
-	q.push(run, restoreReexec)
 	before := t.healOps
 	if err := t.drainHealQueue(q); err != nil {
 		return err

@@ -264,9 +264,9 @@ func TestHealValueDependent(t *testing.T) {
 	w := e.Worker(0)
 
 	spec, _ := e.Spec("Transfer")
-	env := buildEnv(spec, []storage.Value{storage.Int(amy), storage.Int(20)})
+	env := spec.Bind([]storage.Value{storage.Int(amy), storage.Int(20)})
 	prog := spec.Instantiate(env)
-	txn := newTxn(w, prog, env, false)
+	txn := newTxn(w, prog, env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestHealValueDependent(t *testing.T) {
 	// Concurrent commit: Amy's balance 2000 -> 2500.
 	externalCommit(t, e, "BALANCE", amy, 0, storage.Int(2500), storage.MakeTS(1, 1))
 
-	if err := txn.validateAndCommitHealing("Transfer"); err != nil {
+	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if w.m.Heals != 1 {
@@ -301,16 +301,16 @@ func TestHealKeyDependent(t *testing.T) {
 	w := e.Worker(0)
 
 	spec, _ := e.Spec("Transfer")
-	env := buildEnv(spec, []storage.Value{storage.Int(amy), storage.Int(20)})
+	env := spec.Bind([]storage.Value{storage.Int(amy), storage.Int(20)})
 	prog := spec.Instantiate(env)
-	txn := newTxn(w, prog, env, false)
+	txn := newTxn(w, prog, env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
 
 	externalCommit(t, e, "CLIENT", amy, 0, storage.Int(dave), storage.MakeTS(1, 1))
 
-	if err := txn.validateAndCommitHealing("Transfer"); err != nil {
+	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if w.m.Heals != 1 {
@@ -337,9 +337,9 @@ func TestHealBothDependencies(t *testing.T) {
 	w := e.Worker(0)
 
 	spec, _ := e.Spec("Transfer")
-	env := buildEnv(spec, []storage.Value{storage.Int(amy), storage.Int(20)})
+	env := spec.Bind([]storage.Value{storage.Int(amy), storage.Int(20)})
 	prog := spec.Instantiate(env)
-	txn := newTxn(w, prog, env, false)
+	txn := newTxn(w, prog, env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestHealBothDependencies(t *testing.T) {
 	externalCommit(t, e, "CLIENT", amy, 0, storage.Int(dave), storage.MakeTS(1, 1))
 	externalCommit(t, e, "BALANCE", amy, 0, storage.Int(3000), storage.MakeTS(1, 2))
 
-	if err := txn.validateAndCommitHealing("Transfer"); err != nil {
+	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if got := balanceOf(t, e, amy); got != 2980 {
@@ -409,9 +409,9 @@ func TestFalseInvalidation(t *testing.T) {
 	e.MustRegister(spec)
 	w := e.Worker(0)
 
-	env := buildEnv(spec, []storage.Value{storage.Int(1)})
+	env := spec.Bind([]storage.Value{storage.Int(1)})
 	prog := spec.Instantiate(env)
-	txn := newTxn(w, prog, env, false)
+	txn := newTxn(w, prog, env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestFalseInvalidation(t *testing.T) {
 	// Concurrent commit touches only column b.
 	externalCommit(t, e, "WIDE", 1, 1, storage.Int(99), storage.MakeTS(1, 1))
 
-	if err := txn.validateAndCommitHealing("ReadA"); err != nil {
+	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if w.m.Heals != 0 {
@@ -444,16 +444,16 @@ func TestHealOCCRestartsInstead(t *testing.T) {
 	w := e.Worker(0)
 
 	spec, _ := e.Spec("Transfer")
-	env := buildEnv(spec, []storage.Value{storage.Int(amy), storage.Int(20)})
+	env := spec.Bind([]storage.Value{storage.Int(amy), storage.Int(20)})
 	prog := spec.Instantiate(env)
-	txn := newTxn(w, prog, env, false)
+	txn := newTxn(w, prog, env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
 	externalCommit(t, e, "BALANCE", amy, 0, storage.Int(2500), storage.MakeTS(1, 1))
-	err := txn.validateOCC(false)
+	err := txn.validateAndCommit()
 	if err != errRestart {
-		t.Fatalf("validateOCC = %v, want errRestart", err)
+		t.Fatalf("validateAndCommit = %v, want errRestart", err)
 	}
 	txn.finish(false)
 	// The full Run path must converge by restarting.

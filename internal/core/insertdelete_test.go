@@ -150,16 +150,16 @@ func TestInsertScenario1(t *testing.T) {
 
 	// T1: read phase only (buffered insert, invisible dummy).
 	spec, _ := e.Spec("Put")
-	env1 := buildEnv(spec, []storage.Value{storage.Int(7), storage.Int(70)})
-	t1 := newTxn(w1, spec.Instantiate(env1), env1, false)
+	env1 := spec.Bind([]storage.Value{storage.Int(7), storage.Int(70)})
+	t1 := newTxn(w1, spec.Instantiate(env1), env1, firstRung(w1, false))
 	if err := t1.readPhase(); err != nil {
 		t.Fatal(err)
 	}
 
 	// T2 reads key 7 concurrently: must not see the uncommitted row.
 	getSpec, _ := e.Spec("Get")
-	env2 := buildEnv(getSpec, []storage.Value{storage.Int(7)})
-	t2 := newTxn(w2, getSpec.Instantiate(env2), env2, false)
+	env2 := getSpec.Bind([]storage.Value{storage.Int(7)})
+	t2 := newTxn(w2, getSpec.Instantiate(env2), env2, firstRung(w2, false))
 	if err := t2.readPhase(); err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +169,10 @@ func TestInsertScenario1(t *testing.T) {
 
 	// T1 commits; T2's validation detects the visibility flip and
 	// heals the read — the healed query result now sees the row.
-	if err := t1.validateAndCommitHealing("Put"); err != nil {
+	if err := t1.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := t2.validateAndCommitHealing("Get"); err != nil {
+	if err := t2.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if env2.Int("ok") != 1 || env2.Int("v") != 70 {
@@ -191,8 +191,8 @@ func TestInsertScenario2(t *testing.T) {
 	w1, w2 := e.Worker(0), e.Worker(1)
 
 	getSpec, _ := e.Spec("Get")
-	env1 := buildEnv(getSpec, []storage.Value{storage.Int(9)})
-	t1 := newTxn(w1, getSpec.Instantiate(env1), env1, false)
+	env1 := getSpec.Bind([]storage.Value{storage.Int(9)})
+	t1 := newTxn(w1, getSpec.Instantiate(env1), env1, firstRung(w1, false))
 	if err := t1.readPhase(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestInsertScenario2(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := t1.validateAndCommitHealing("Get"); err != nil {
+	if err := t1.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if env1.Int("ok") != 1 || env1.Int("v") != 90 {
@@ -220,24 +220,24 @@ func TestInsertScenario3(t *testing.T) {
 	w1, w2 := e.Worker(0), e.Worker(1)
 
 	spec, _ := e.Spec("Put")
-	env1 := buildEnv(spec, []storage.Value{storage.Int(11), storage.Int(1)})
-	t1 := newTxn(w1, spec.Instantiate(env1), env1, false)
+	env1 := spec.Bind([]storage.Value{storage.Int(11), storage.Int(1)})
+	t1 := newTxn(w1, spec.Instantiate(env1), env1, firstRung(w1, false))
 	if err := t1.readPhase(); err != nil {
 		t.Fatal(err)
 	}
-	env2 := buildEnv(spec, []storage.Value{storage.Int(11), storage.Int(2)})
-	t2 := newTxn(w2, spec.Instantiate(env2), env2, false)
+	env2 := spec.Bind([]storage.Value{storage.Int(11), storage.Int(2)})
+	t2 := newTxn(w2, spec.Instantiate(env2), env2, firstRung(w2, false))
 	if err := t2.readPhase(); err != nil {
 		t.Fatal(err)
 	}
 
-	if err := t2.validateAndCommitHealing("Put"); err != nil {
+	if err := t2.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	// T1 must not commit: its insert element's timestamp/visibility
 	// changed, which signals a restart; the retry then sees a genuine
 	// duplicate.
-	err := t1.validateAndCommitHealing("Put")
+	err := t1.validateAndCommit()
 	if err == nil {
 		t.Fatal("second inserter committed over the first")
 	}
@@ -263,8 +263,8 @@ func TestPhantomHealing(t *testing.T) {
 	}
 
 	spec, _ := e.Spec("GetSum")
-	env := buildEnv(spec, []storage.Value{storage.Int(1), storage.Int(100)})
-	txn := newTxn(w1, spec.Instantiate(env), env, false)
+	env := spec.Bind([]storage.Value{storage.Int(1), storage.Int(100)})
+	txn := newTxn(w1, spec.Instantiate(env), env, firstRung(w1, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestPhantomHealing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := txn.validateAndCommitHealing("GetSum"); err != nil {
+	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if env.Int("sum") != 210 || env.Int("count") != 6 {
@@ -299,16 +299,16 @@ func TestPhantomAbortsOCC(t *testing.T) {
 		}
 	}
 	spec, _ := e.Spec("GetSum")
-	env := buildEnv(spec, []storage.Value{storage.Int(1), storage.Int(100)})
-	txn := newTxn(w1, spec.Instantiate(env), env, false)
+	env := spec.Bind([]storage.Value{storage.Int(1), storage.Int(100)})
+	txn := newTxn(w1, spec.Instantiate(env), env, firstRung(w1, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w2.Run("Put", storage.Int(4), storage.Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := txn.validateOCC(false); err != errRestart {
-		t.Fatalf("validateOCC = %v, want errRestart", err)
+	if err := txn.validateAndCommit(); err != errRestart {
+		t.Fatalf("validateAndCommit = %v, want errRestart", err)
 	}
 	txn.finish(false)
 }
@@ -324,8 +324,8 @@ func TestDeleteDetectedByConcurrentReader(t *testing.T) {
 	}
 
 	getSpec, _ := e.Spec("Get")
-	env := buildEnv(getSpec, []storage.Value{storage.Int(3)})
-	txn := newTxn(w1, getSpec.Instantiate(env), env, false)
+	env := getSpec.Bind([]storage.Value{storage.Int(3)})
+	txn := newTxn(w1, getSpec.Instantiate(env), env, firstRung(w1, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestDeleteDetectedByConcurrentReader(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := txn.validateAndCommitHealing("Get"); err != nil {
+	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if env.Int("ok") != 0 {

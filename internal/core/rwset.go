@@ -93,15 +93,6 @@ type Element struct {
 	tplMode uint8
 }
 
-// Record returns the record the element points at.
-func (el *Element) Record() *storage.Record { return el.rec }
-
-// Mode returns the access mode.
-func (el *Element) Mode() AccessMode { return el.mode }
-
-// RTS returns the R-timestamp.
-func (el *Element) RTS() uint64 { return el.rts }
-
 // noteRead merges a read of cols (nil = all) over the observed tuple
 // cur, maintaining the local read copies when enabled. It never
 // refreshes the R-timestamp: rts is captured when the element is
@@ -313,11 +304,6 @@ func (s *ScanAccess) changed() bool {
 type OpRun struct {
 	op       *proc.Op
 	accesses []accessEntry
-	// healed marks the op as already restored in the current healing
-	// pass (each op is restored at most once, §4.2.2).
-	healed bool
-	// queued marks membership in the current healing queue.
-	queued bool
 }
 
 type accessKind uint8
@@ -328,9 +314,8 @@ const (
 )
 
 type accessEntry struct {
-	kind     accessKind
-	elem     *Element // accessPoint
-	readCols []int
+	kind accessKind
+	elem *Element // accessPoint
 	// seq is the entry's stable write fold position (program order),
 	// reused when a replayed write re-buffers its effect.
 	seq int
@@ -350,13 +335,15 @@ type RWSet struct {
 	elems []*Element
 	byRec map[*storage.Record]*Element
 	scans []*ScanAccess
-	// sorted reports whether elems is currently in validation order.
+	// sorted reports whether elems is currently in validation order;
+	// order is that order — the engine's, fixed at construction, so no
+	// validation loop can pick another.
 	sorted bool
 	order  OrderMode
 }
 
-func newRWSet() *RWSet {
-	return &RWSet{byRec: make(map[*storage.Record]*Element, 16)}
+func newRWSet(order OrderMode) *RWSet {
+	return &RWSet{byRec: make(map[*storage.Record]*Element, 16), order: order}
 }
 
 // lookup returns the element for rec, if any.
@@ -378,11 +365,9 @@ func (s *RWSet) add(el *Element) {
 	s.elems[i] = el
 }
 
-// sortFor orders the elements for validation under the given order
-// mode.
-func (s *RWSet) sortFor(order OrderMode) {
-	s.order = order
-	sort.Slice(s.elems, func(i, j int) bool { return less(s.elems[i], s.elems[j], order) })
+// sort puts the elements in validation order.
+func (s *RWSet) sort() {
+	sort.Slice(s.elems, func(i, j int) bool { return less(s.elems[i], s.elems[j], s.order) })
 	s.sorted = true
 }
 

@@ -123,14 +123,14 @@ func TestBranchyProcedureHealsViaRestart(t *testing.T) {
 	})
 
 	spec, _ := e.Spec("Branch")
-	env := buildEnv(spec, nil)
-	txn := newTxn(w, spec.Instantiate(env), env, false)
+	env := spec.Bind(nil)
+	txn := newTxn(w, spec.Instantiate(env), env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
 	// Flip the switch mid-flight.
 	externalCommit(t, e, "KV", 1, 0, storage.Int(7), storage.MakeTS(1, 1))
-	err := txn.validateAndCommitHealing("Branch")
+	err := txn.validateAndCommit()
 	if err != errRestart {
 		t.Fatalf("branch flip mid-heal = %v, want errRestart (divergence fallback)", err)
 	}
@@ -184,8 +184,8 @@ func TestScanLimitUnderPhantomHealing(t *testing.T) {
 		},
 	})
 	spec, _ := e.Spec("First2")
-	env := buildEnv(spec, nil)
-	txn := newTxn(w1, spec.Instantiate(env), env, false)
+	env := spec.Bind(nil)
+	txn := newTxn(w1, spec.Instantiate(env), env, firstRung(w1, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestScanLimitUnderPhantomHealing(t *testing.T) {
 	if _, err := w2.Run("Put", storage.Int(3), storage.Int(3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := txn.validateAndCommitHealing("First2"); err != nil {
+	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
 	if env.Int("sum") != 8 { // 3 + 5
@@ -258,8 +258,8 @@ func TestTreeOrderAvoidsMembershipAbort(t *testing.T) {
 	})
 	w := e.Worker(0)
 	spec, _ := e.Spec("Chase")
-	env := buildEnv(spec, nil)
-	txn := newTxn(w, spec.Instantiate(env), env, false)
+	env := spec.Bind(nil)
+	txn := newTxn(w, spec.Instantiate(env), env, firstRung(w, false))
 	if err := txn.readPhase(); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestTreeOrderAvoidsMembershipAbort(t *testing.T) {
 	externalCommit(t, e, "PTR", 1, 0, storage.Int(3), storage.MakeTS(1, 1))
 
 	done := make(chan error, 1)
-	go func() { done <- txn.validateAndCommitHealing("Chase") }()
+	go func() { done <- txn.validateAndCommit() }()
 	// The validation loop is spinning on VAL[3] now; releasing the
 	// lock lets it commit — no abort, exactly the §4.5 argument.
 	v3.Unlock()

@@ -64,26 +64,18 @@ func (e *Engine) snapshotEpochLag() uint32 {
 // Write primitives fail with ErrReadOnlyTxn. Same single-goroutine
 // contract as Run.
 func (w *Worker) RunSnapshot(procName string, args ...storage.Value) (*proc.Env, error) {
-	spec, ok := w.e.specs[procName]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchProc, procName)
+	spec, err := w.e.lookup(procName)
+	if err != nil {
+		return nil, err
 	}
-	w.curArgs = args
-	return w.runSnapshot(spec, procName, func() *proc.Env { return buildEnv(spec, args) })
+	return w.runSnapshot(spec, args)
 }
 
 // TransactSnapshot runs fn as an anonymous read-only snapshot
 // transaction through the usual OpCtx primitives. Unlike Transact, fn
 // runs exactly once — snapshot transactions never restart.
 func (w *Worker) TransactSnapshot(fn func(ctx proc.OpCtx) error) error {
-	spec := &proc.Spec{
-		Name: "snapshot",
-		Plan: func(b *proc.Builder, _ *proc.Env) {
-			b.Op(proc.Op{Name: "snapshot", Body: fn})
-		},
-	}
-	w.curArgs = nil
-	_, err := w.runSnapshot(spec, "snapshot", proc.NewEnv)
+	_, err := w.runSnapshot(closureSpec("snapshot", fn), nil)
 	return err
 }
 
@@ -93,10 +85,10 @@ func (w *Worker) TransactSnapshot(fn func(ctx proc.OpCtx) error) error {
 // registering it would drag the visible floor (and with it writer GC)
 // behind a long scan for no benefit; the SnapshotEpochLag gauge tracks
 // long readers instead.
-func (w *Worker) runSnapshot(spec *proc.Spec, procName string, mkEnv func() *proc.Env) (*proc.Env, error) {
+func (w *Worker) runSnapshot(spec *proc.Spec, args []storage.Value) (*proc.Env, error) {
 	start := time.Now()
 	if w.e.tracer != nil {
-		w.beginTrace(start, procName)
+		w.beginTrace(start, spec.Name)
 	}
 	s := w.e.snapshotTS()
 	// Publish the pin, then re-read the ratchet: if the floor moved
@@ -114,7 +106,7 @@ func (w *Worker) runSnapshot(spec *proc.Spec, procName string, mkEnv func() *pro
 	}
 	defer w.e.snap.Unpin(w.id)
 
-	env := mkEnv()
+	env := spec.Bind(args)
 	prog := spec.Instantiate(env)
 	st := &snapTxn{e: w.e, w: w, env: env, at: s}
 	interleave := w.e.opts.Interleave
@@ -211,33 +203,9 @@ func (t *snapTxn) Scan(table string, lo, hi storage.Key, limit int, fn func(key 
 	if tab.Schema() == nil || !tab.Schema().Ordered {
 		return fmt.Errorf("core: table %s has no ordered index", table)
 	}
-	seen := 0
-	tab.RangeScan(lo, hi, func(k storage.Key, rec *storage.Record) bool {
-		img, vis := rec.SnapshotAt(t.at)
-		if !vis {
-			return true
-		}
-		seen++
-		if !fn(k, img) {
-			return false
-		}
-		return limit <= 0 || seen < limit
-	})
+	visit := t.visitor(limit, fn, nil)
+	tab.RangeScan(lo, hi, func(_ storage.Key, rec *storage.Record) bool { return visit(rec) })
 	return nil
-}
-
-// ScanMin implements proc.OpCtx.
-func (t *snapTxn) ScanMin(table string, lo, hi storage.Key) (storage.Key, storage.Tuple, bool, error) {
-	var (
-		rk  storage.Key
-		rt  storage.Tuple
-		got bool
-	)
-	err := t.Scan(table, lo, hi, 1, func(k storage.Key, row storage.Tuple) bool {
-		rk, rt, got = k, row, true
-		return false
-	})
-	return rk, rt, got, err
 }
 
 // ScanSec implements proc.OpCtx. Secondary entries track the CURRENT
@@ -258,20 +226,25 @@ func (t *snapTxn) ScanSec(table, index string, lo, hi string, limit int, fn func
 		return fmt.Errorf("core: table %s has no index %q", table, index)
 	}
 	def := tab.Schema().Secondaries[idx]
+	visit := t.visitor(limit, fn, func(k storage.Key, img storage.Tuple) bool {
+		sk := def.Key(k, img)
+		return lo <= sk && sk <= hi
+	})
+	tab.SecondaryScan(idx, lo, hi, func(_ string, rec *storage.Record) bool { return visit(rec) })
+	return nil
+}
+
+// visitor builds the per-record step Scan and ScanSec share: resolve
+// the record at the snapshot, skip it when absent there (or rejected
+// by keep, when given), hand it to fn, and stop at limit rows.
+func (t *snapTxn) visitor(limit int, fn func(storage.Key, storage.Tuple) bool, keep func(storage.Key, storage.Tuple) bool) func(*storage.Record) bool {
 	seen := 0
-	tab.SecondaryScan(idx, lo, hi, func(_ string, rec *storage.Record) bool {
+	return func(rec *storage.Record) bool {
 		img, vis := rec.SnapshotAt(t.at)
-		if !vis {
-			return true
-		}
-		if sk := def.Key(rec.Key(), img); sk < lo || sk > hi {
+		if !vis || (keep != nil && !keep(rec.Key(), img)) {
 			return true
 		}
 		seen++
-		if !fn(rec.Key(), img) {
-			return false
-		}
-		return limit <= 0 || seen < limit
-	})
-	return nil
+		return fn(rec.Key(), img) && (limit <= 0 || seen < limit)
+	}
 }

@@ -15,12 +15,12 @@ const (
 // the most scalable deadlock-prevention policy per the paper's
 // reference [61] — so any failure signals abort-and-restart.
 //
-// THEDB-HYBRID's lock-based leg runs concurrently with OCC
-// transactions, which only respect the record meta lock; that leg
-// therefore locks through the meta word (exclusive only) so the two
-// protocols serialize against each other.
+// A 2PL rung under an optimistic engine (THEDB-HYBRID's second leg,
+// the ladder's last rung) runs beside optimistic transactions, which
+// only respect the record meta lock; it therefore locks through the
+// meta word (exclusive only) so the two serialize against each other.
 func (t *Txn) tplLock(el *Element, write bool) error {
-	if t.tplMeta {
+	if t.pol.metaLocks {
 		if el.locked {
 			return nil
 		}

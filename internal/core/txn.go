@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"time"
 
+	"thedb/internal/fault"
+	"thedb/internal/metrics"
 	"thedb/internal/proc"
 	"thedb/internal/storage"
 )
@@ -53,45 +55,39 @@ type Txn struct {
 
 	locked []*Element // elements whose record meta-lock we hold
 
-	// adhoc transactions skip access-cache maintenance and are
-	// validated with plain OCC (§4.8).
-	adhoc bool
-
-	// useTPL switches the access primitives to lock-at-access
-	// two-phase locking (THEDB-2PL and the second leg of
-	// THEDB-HYBRID).
-	useTPL bool
-
-	// noYield suppresses interleaving yields for this attempt (the
-	// starvation guard of Worker.backoff).
-	noYield bool
-
-	// tplMeta makes the 2PL leg lock through the record meta word so
-	// it serializes against concurrent OCC transactions (HYBRID).
-	tplMeta bool
-
-	// noTrack marks a fallback-rung attempt running a non-healing
-	// protocol under a Healing engine: healing bookkeeping (access
-	// cache, read copies) would never be consumed, so skip it.
-	noTrack bool
+	// pol is this attempt's rung policy, copied from the engine's
+	// precomputed ladder at attempt start: every place the protocols
+	// differ reads one of its fields.
+	pol policy
 
 	healOps int // operations restored in this attempt (metrics)
 
-	// healDur accumulates wall time spent in healing passes when
-	// detailed metrics are on (Fig. 19).
-	healDur time.Duration
+	// Phase clocks (Fig. 19, traces). They are boundary timestamps:
+	// each phase ends where the next begins (lap), so a fully timed
+	// commit costs four clock reads per attempt, not a start/stop pair
+	// per phase. start is the attempt's first instant, mark the last
+	// boundary; timed is off unless detailed metrics or a trace
+	// consume the result. healDur is the share of the validate phase
+	// spent inside healing passes.
+	start, mark time.Time
+	timed       bool
+	phase       [metrics.NumPhases]time.Duration
+	healDur     time.Duration
 }
 
-func newTxn(w *Worker, prog *proc.Program, env *proc.Env, adhoc bool) *Txn {
+func newTxn(w *Worker, prog *proc.Program, env *proc.Env, pol *policy) *Txn {
 	t := &Txn{
 		w:        w,
 		e:        w.e,
 		prog:     prog,
 		env:      env,
-		rw:       newRWSet(),
+		rw:       newRWSet(w.e.opts.Order),
 		frontier: -1,
-		adhoc:    adhoc,
+		pol:      *pol,
+		start:    time.Now(),
+		timed:    w.e.opts.DetailedMetrics || w.traceOn,
 	}
+	t.mark = t.start
 	t.runs = make([]*OpRun, len(prog.Ops))
 	for i, op := range prog.Ops {
 		t.runs[i] = &OpRun{op: op}
@@ -99,39 +95,69 @@ func newTxn(w *Worker, prog *proc.Program, env *proc.Env, adhoc bool) *Txn {
 	return t
 }
 
+// lap closes the current phase: it returns the time since the last
+// phase boundary and moves the boundary to now (zero when nothing
+// consumes phase timings).
+func (t *Txn) lap() time.Duration {
+	if !t.timed {
+		return 0
+	}
+	now := time.Now()
+	d := now.Sub(t.mark)
+	t.mark = now
+	return d
+}
+
 // Env implements proc.OpCtx.
 func (t *Txn) Env() *proc.Env { return t.env }
-
-// trackAccesses reports whether the access cache is maintained for
-// this transaction. Only the healing protocol consumes it, so the
-// baselines skip the maintenance entirely (the paper's baselines do
-// not carry healing structures either); it is also off for ad-hoc
-// transactions (§4.8) and under the Table 4 ablation.
-func (t *Txn) trackAccesses() bool {
-	return t.e.opts.Protocol == Healing && !t.adhoc && !t.noTrack && !t.e.opts.NoAccessCache
-}
-
-// keepReadCopies reports whether per-read column copies are
-// maintained (false-invalidation elimination, §4.5) — healing only.
-func (t *Txn) keepReadCopies() bool {
-	return t.e.opts.Protocol == Healing && !t.adhoc && !t.noTrack && !t.e.opts.NoReadCopies
-}
 
 // readPhase executes all operations in program order.
 func (t *Txn) readPhase() error {
 	t.mode = modeExec
-	interleave := t.e.opts.Interleave && !t.noYield
+	var err error
 	for i := range t.runs {
 		t.cur = t.runs[i]
 		t.nacc = 0
-		if err := t.cur.op.Body(t); err != nil {
-			return err
+		if err = t.cur.op.Body(t); err != nil {
+			break // application abort, or a lock-at-access no-wait conflict
 		}
-		if interleave {
+		if t.pol.yield {
 			runtime.Gosched()
 		}
 	}
-	return nil
+	t.phase[metrics.PhaseRead] = t.lap()
+	if t.w.traceOn {
+		t.w.trace.ExecUS += int64(t.phase[metrics.PhaseRead] / time.Microsecond)
+		t.w.trace.Proto = uint8(t.pol.proto)
+	}
+	return err
+}
+
+// validateAndCommit is the back half of the attempt pipeline: lock and
+// validate per the policy (healing or restarting on a stale read),
+// then install. A chaos stall drawn at the pre-validation checkpoint
+// lands in the validate phase, which is exactly the window it
+// stretches.
+func (t *Txn) validateAndCommit() error {
+	err := t.w.chaosPoint(fault.PreValidation)
+	if err == nil {
+		err = t.validate()
+	}
+	t.phase[metrics.PhaseHeal] = t.healDur
+	t.phase[metrics.PhaseValidate] = t.lap() - t.healDur
+	if t.w.traceOn {
+		t.w.trace.ValidateUS += int64(t.phase[metrics.PhaseValidate] / time.Microsecond)
+		t.w.trace.HealUS += int64(t.healDur / time.Microsecond)
+	}
+	if err != nil {
+		return err
+	}
+	err = t.commit()
+	t.phase[metrics.PhaseWrite] = t.lap()
+	if t.w.traceOn {
+		t.w.trace.CommitUS += int64(t.phase[metrics.PhaseWrite] / time.Microsecond)
+	}
+	return err
 }
 
 // seqFor derives a stable fold-order sequence for the n-th access of
@@ -140,34 +166,51 @@ func (t *Txn) readPhase() error {
 func seqFor(opID, n int) int { return opID<<20 | n }
 
 // acquire returns the element for (tab, key), creating the record as
-// an invisible dummy when absent (§4.7.1) and handling membership
-// insertion during key-dependent re-execution (§4.2.2).
-func (t *Txn) acquire(tab *storage.Table, key storage.Key) (*Element, error) {
-	rec, created := tab.GetOrCreateDummy(key)
+// an invisible dummy when absent (§4.7.1).
+func (t *Txn) acquire(tab *storage.Table, key storage.Key, write bool) (*Element, error) {
+	rec, created := tab.GetOrCreateDummy(key) // arrives pinned
+	return t.join(tab, rec, true, created, write)
+}
+
+// join returns rec's element, adding it to the read/write set on
+// first touch: one pin per element (pinned says whether the caller
+// already took it — point lookups do, scans do not), the R-timestamp
+// captured strictly before any data load, the membership insertion of
+// a key-dependent re-execution (§4.2.2), and the policy's
+// lock-at-access.
+func (t *Txn) join(tab *storage.Table, rec *storage.Record, pinned, created, write bool) (*Element, error) {
 	el := t.rw.lookup(rec)
 	if el != nil {
-		rec.Unpin() // the element already holds one pin
-		if el.removed {
-			el.removed = false // back in the footprint
+		if pinned {
+			rec.Unpin() // the element already holds one pin
 		}
-		return el, nil
-	}
-	el = &Element{rec: rec, tab: tab, rank: tab.Rank(), createdDummy: created}
-	el.rts, _, el.seenVisible = rec.Meta()
-	t.rw.add(el)
-	if t.mode == modeReexec && t.rw.sorted {
-		// Membership update: if the new element sorts at or before
-		// the validation frontier, its lock must be taken now,
-		// no-wait (Algorithm 2); otherwise the main validation loop
-		// will reach it.
-		if idx := t.rw.indexOf(el); idx <= t.frontier {
-			if !t.tryLockBounded(el) {
-				return nil, errRestart
+		el.removed = false // back in the footprint
+	} else {
+		if !pinned {
+			rec.Pin()
+		}
+		el = &Element{rec: rec, tab: tab, rank: tab.Rank(), createdDummy: created}
+		el.rts, _, el.seenVisible = rec.Meta()
+		t.rw.add(el)
+		if t.mode == modeReexec && t.rw.sorted {
+			// Membership update: if the new element sorts at or before
+			// the validation frontier, its lock must be taken now,
+			// no-wait (Algorithm 2); otherwise the main validation loop
+			// will reach it.
+			if idx := t.rw.indexOf(el); idx <= t.frontier {
+				if !t.tryLockBounded(el) {
+					return nil, errRestart
+				}
+				// We hold the lock, so the fresh read below is
+				// consistent by construction.
+				el.rts, _, el.seenVisible = rec.Meta()
+				t.frontier++ // the frontier element shifted right by the insert
 			}
-			// We hold the lock, so the fresh read below is
-			// consistent by construction.
-			el.rts, _, el.seenVisible = rec.Meta()
-			t.frontier++ // the frontier element shifted right by the insert
+		}
+	}
+	if t.pol.lockAtAccess {
+		if err := t.tplLock(el, write); err != nil {
+			return nil, err
 		}
 	}
 	return el, nil
@@ -248,20 +291,15 @@ func (t *Txn) Read(table string, key storage.Key, cols []int) (storage.Tuple, bo
 	if err != nil {
 		return nil, false, err
 	}
-	el, err := t.acquire(tab, key)
+	el, err := t.acquire(tab, key, false)
 	if err != nil {
 		return nil, false, err
-	}
-	if t.useTPL {
-		if err := t.tplLock(el, false); err != nil {
-			return nil, false, err
-		}
 	}
 	seq := seqFor(t.cur.op.ID, t.nacc)
 	cur := el.rec.Tuple() // single load: consumed, copied, and validated together
 	img, vis := t.viewOn(el, seq, cur, el.rec.Visible())
-	el.noteRead(t.bookmark(), cols, cur, t.keepReadCopies())
-	t.register(accessEntry{kind: accessPoint, elem: el, readCols: cols, seq: seq})
+	el.noteRead(t.bookmark(), cols, cur, t.pol.readCopies)
+	t.register(accessEntry{kind: accessPoint, elem: el, seq: seq})
 	return img, vis, nil
 }
 
@@ -287,14 +325,9 @@ func (t *Txn) Write(table string, key storage.Key, cols []int, vals []storage.Va
 	if err != nil {
 		return err
 	}
-	el, err := t.acquire(tab, key)
+	el, err := t.acquire(tab, key, true)
 	if err != nil {
 		return err
-	}
-	if t.useTPL {
-		if err := t.tplLock(el, true); err != nil {
-			return err
-		}
 	}
 	seq := seqFor(t.cur.op.ID, t.nacc)
 	if _, vis := t.viewAt(el, seq); !vis {
@@ -325,17 +358,12 @@ func (t *Txn) Insert(table string, key storage.Key, tuple storage.Tuple) error {
 	if len(tuple) != len(tab.Schema().Columns) {
 		return fmt.Errorf("core: insert into %s: tuple width %d != %d", table, len(tuple), len(tab.Schema().Columns))
 	}
-	el, err := t.acquire(tab, key)
+	el, err := t.acquire(tab, key, true)
 	if err != nil {
 		return err
 	}
-	if t.useTPL {
-		if err := t.tplLock(el, true); err != nil {
-			return err
-		}
-	}
 	if visibleTo(el) {
-		if t.useTPL {
+		if t.pol.lockAtAccess {
 			// 2PL holds the record lock, so the observation is
 			// current: the key exists.
 			return proc.UserAbort(fmt.Sprintf("duplicate key %s[%d]", table, key))
@@ -379,14 +407,9 @@ func (t *Txn) Delete(table string, key storage.Key) error {
 	if err != nil {
 		return err
 	}
-	el, err := t.acquire(tab, key)
+	el, err := t.acquire(tab, key, true)
 	if err != nil {
 		return err
-	}
-	if t.useTPL {
-		if err := t.tplLock(el, true); err != nil {
-			return err
-		}
 	}
 	if !visibleTo(el) {
 		return proc.UserAbort(fmt.Sprintf("delete of non-existent record %s[%d]", table, key))
@@ -407,17 +430,40 @@ func (t *Txn) Delete(table string, key storage.Key) error {
 
 // Scan implements proc.OpCtx.
 func (t *Txn) Scan(table string, lo, hi storage.Key, limit int, fn func(key storage.Key, row storage.Tuple) bool) error {
+	return t.scan(table, limit, fn, func(tab *storage.Table, sa *ScanAccess, visit func(*storage.Record) bool) error {
+		if tab.Schema() == nil || !tab.Schema().Ordered {
+			return fmt.Errorf("core: table %s has no ordered index", table)
+		}
+		sa.primary = tab.RangeScan(lo, hi, func(_ storage.Key, rec *storage.Record) bool { return visit(rec) })
+		return nil
+	})
+}
+
+// ScanSec implements proc.OpCtx.
+func (t *Txn) ScanSec(table, index string, lo, hi string, limit int, fn func(pk storage.Key, row storage.Tuple) bool) error {
+	return t.scan(table, limit, fn, func(tab *storage.Table, sa *ScanAccess, visit func(*storage.Record) bool) error {
+		idx := tab.SecondaryIndexID(index)
+		if idx < 0 {
+			return fmt.Errorf("core: table %s has no index %q", table, index)
+		}
+		sa.secondary = tab.SecondaryScan(idx, lo, hi, func(_ string, rec *storage.Record) bool { return visit(rec) })
+		return nil
+	})
+}
+
+// scan is the body Scan and ScanSec share. A replay feeds fn the
+// cached elements; otherwise walk drives visit over the index in
+// order and stores the leaf observations it collected in sa for
+// phantom validation (§4.7.2).
+func (t *Txn) scan(table string, limit int, fn func(storage.Key, storage.Tuple) bool,
+	walk func(tab *storage.Table, sa *ScanAccess, visit func(*storage.Record) bool) error) error {
 	if t.mode == modeReplay {
 		entry, err := t.nextEntry(accessScan, false)
 		if err != nil {
 			return err
 		}
 		for _, el := range entry.scanElems {
-			img, vis := t.viewAt(el, entry.seq)
-			if !vis {
-				continue
-			}
-			if !fn(el.rec.Key(), img) {
+			if img, vis := t.viewAt(el, entry.seq); vis && !fn(el.rec.Key(), img) {
 				break
 			}
 		}
@@ -427,21 +473,19 @@ func (t *Txn) Scan(table string, lo, hi storage.Key, limit int, fn func(key stor
 	if err != nil {
 		return err
 	}
-	if tab.Schema() == nil || !tab.Schema().Ordered {
-		return fmt.Errorf("core: table %s has no ordered index", table)
-	}
 	seq := seqFor(t.cur.op.ID, t.nacc)
+	sa := &ScanAccess{op: t.cur}
 	var scanErr error
 	var elems []*Element
 	seen := 0
-	refs := tab.RangeScan(lo, hi, func(k storage.Key, rec *storage.Record) bool {
-		el, aerr := t.acquireScanned(tab, rec) // captures rts before the data load
+	err = walk(tab, sa, func(rec *storage.Record) bool {
+		el, aerr := t.join(tab, rec, false, false, false) // captures rts before the data load
 		if aerr != nil {
 			scanErr = aerr
 			return false
 		}
 		cur := rec.Tuple() // single load: consumed, copied, validated together
-		el.noteRead(t.bookmark(), nil, cur, t.keepReadCopies())
+		el.noteRead(t.bookmark(), nil, cur, t.pol.readCopies)
 		elems = append(elems, el)
 		img, vis := t.viewOn(el, seq, cur, rec.Visible())
 		if !vis {
@@ -451,127 +495,26 @@ func (t *Txn) Scan(table string, lo, hi storage.Key, limit int, fn func(key stor
 			return true
 		}
 		seen++
-		if !fn(k, img) {
-			return false
-		}
-		return limit <= 0 || seen < limit
-	})
-	if scanErr != nil {
-		return scanErr
-	}
-	sa := &ScanAccess{op: t.cur, primary: refs}
-	t.rw.scans = append(t.rw.scans, sa)
-	t.register(accessEntry{kind: accessScan, scan: sa, scanElems: elems, seq: seq})
-	return nil
-}
-
-// ScanMin implements proc.OpCtx.
-func (t *Txn) ScanMin(table string, lo, hi storage.Key) (storage.Key, storage.Tuple, bool, error) {
-	var (
-		rk  storage.Key
-		rt  storage.Tuple
-		got bool
-	)
-	err := t.Scan(table, lo, hi, 1, func(k storage.Key, row storage.Tuple) bool {
-		rk, rt, got = k, row, true
-		return false
-	})
-	return rk, rt, got, err
-}
-
-// ScanSec implements proc.OpCtx.
-func (t *Txn) ScanSec(table, index string, lo, hi string, limit int, fn func(pk storage.Key, row storage.Tuple) bool) error {
-	if t.mode == modeReplay {
-		entry, err := t.nextEntry(accessScan, false)
-		if err != nil {
-			return err
-		}
-		for _, el := range entry.scanElems {
-			img, vis := t.viewAt(el, entry.seq)
-			if !vis {
-				continue
-			}
-			if !fn(el.rec.Key(), img) {
-				break
-			}
-		}
-		return nil
-	}
-	tab, err := t.table(table)
-	if err != nil {
-		return err
-	}
-	idx := tab.SecondaryIndexID(index)
-	if idx < 0 {
-		return fmt.Errorf("core: table %s has no index %q", table, index)
-	}
-	seq := seqFor(t.cur.op.ID, t.nacc)
-	var scanErr error
-	var elems []*Element
-	seen := 0
-	refs := tab.SecondaryScan(idx, lo, hi, func(_ string, rec *storage.Record) bool {
-		el, aerr := t.acquireScanned(tab, rec) // captures rts before the data load
-		if aerr != nil {
-			scanErr = aerr
-			return false
-		}
-		cur := rec.Tuple() // single load: consumed, copied, validated together
-		el.noteRead(t.bookmark(), nil, cur, t.keepReadCopies())
-		elems = append(elems, el)
-		img, vis := t.viewOn(el, seq, cur, rec.Visible())
-		if !vis {
-			return true
-		}
-		seen++
 		if !fn(rec.Key(), img) {
 			return false
 		}
 		return limit <= 0 || seen < limit
 	})
-	if scanErr != nil {
-		return scanErr
+	if err == nil {
+		err = scanErr
 	}
-	sa := &ScanAccess{op: t.cur, secondary: refs}
+	if err != nil {
+		return err
+	}
 	t.rw.scans = append(t.rw.scans, sa)
 	t.register(accessEntry{kind: accessScan, scan: sa, scanElems: elems, seq: seq})
 	return nil
 }
 
-// acquireScanned is acquire for a record already located by a scan:
-// the record is pinned explicitly (scans bypass Table.Get).
-func (t *Txn) acquireScanned(tab *storage.Table, rec *storage.Record) (*Element, error) {
-	el := t.rw.lookup(rec)
-	if el != nil {
-		if el.removed {
-			el.removed = false
-		}
-		return el, nil
-	}
-	rec.Pin()
-	el = &Element{rec: rec, tab: tab, rank: tab.Rank()}
-	el.rts, _, el.seenVisible = rec.Meta()
-	t.rw.add(el)
-	if t.mode == modeReexec && t.rw.sorted {
-		if idx := t.rw.indexOf(el); idx <= t.frontier {
-			if !t.tryLockBounded(el) {
-				return nil, errRestart
-			}
-			el.rts, _, el.seenVisible = rec.Meta()
-			t.frontier++
-		}
-	}
-	if t.useTPL {
-		if err := t.tplLock(el, false); err != nil {
-			return nil, err
-		}
-	}
-	return el, nil
-}
-
 // bookmark returns the current op for bookmark registration, or nil
-// when the access cache is disabled.
+// when the access cache is not maintained.
 func (t *Txn) bookmark() *OpRun {
-	if !t.trackAccesses() {
+	if !t.pol.heal {
 		return nil
 	}
 	return t.cur
@@ -589,7 +532,7 @@ func (t *Txn) register(e accessEntry) {
 		e.seq = seqFor(t.cur.op.ID, t.nacc)
 	}
 	t.nacc++
-	if !t.trackAccesses() {
+	if !t.pol.heal {
 		return
 	}
 	t.cur.accesses = append(t.cur.accesses, e)

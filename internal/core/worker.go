@@ -168,14 +168,14 @@ func (w *Worker) tracePass(start, end time.Duration, restored, frontier int) {
 // variable environment (query results) or the application abort
 // error.
 func (w *Worker) Run(procName string, args ...storage.Value) (*proc.Env, error) {
-	return w.run(procName, args, false)
+	return w.run(procName, args, w.e.rungs)
 }
 
 // RunAdhoc executes the procedure as an ad-hoc transaction (§4.8):
 // no access cache is maintained and validation failures abort and
 // restart under plain OCC, regardless of the engine protocol.
 func (w *Worker) RunAdhoc(procName string, args ...storage.Value) (*proc.Env, error) {
-	return w.run(procName, args, true)
+	return w.run(procName, args, w.e.adhocRungs)
 }
 
 // Transact executes fn as an anonymous ad-hoc transaction: fn's reads
@@ -185,45 +185,48 @@ func (w *Worker) RunAdhoc(procName string, args ...storage.Value) (*proc.Env, er
 // be healed). fn may run multiple times; it must be idempotent apart
 // from its OpCtx effects.
 func (w *Worker) Transact(fn func(ctx proc.OpCtx) error) error {
-	spec := &proc.Spec{
-		Name: "adhoc",
-		Plan: func(b *proc.Builder, _ *proc.Env) {
-			b.Op(proc.Op{Name: "adhoc", Body: fn})
-		},
-	}
-	w.curArgs = nil
-	_, err := w.runLoop(spec, "adhoc", true, proc.NewEnv)
+	_, err := w.runLoop(closureSpec("adhoc", fn), nil, w.e.adhocRungs)
 	return err
 }
 
-func (w *Worker) run(procName string, args []storage.Value, adhoc bool) (*proc.Env, error) {
-	spec, ok := w.e.specs[procName]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchProc, procName)
+// closureSpec wraps fn as a one-operation anonymous procedure.
+func closureSpec(name string, fn func(ctx proc.OpCtx) error) *proc.Spec {
+	return &proc.Spec{
+		Name: name,
+		Plan: func(b *proc.Builder, _ *proc.Env) {
+			b.Op(proc.Op{Name: name, Body: fn})
+		},
 	}
-	w.curArgs = args
-	return w.runLoop(spec, procName, adhoc, func() *proc.Env { return buildEnv(spec, args) })
+}
+
+func (w *Worker) run(procName string, args []storage.Value, rungs []rung) (*proc.Env, error) {
+	spec, err := w.e.lookup(procName)
+	if err != nil {
+		return nil, err
+	}
+	return w.runLoop(spec, args, rungs)
 }
 
 // runLoop drives one transaction to commit or permanent failure down
-// the degradation ladder: each rung retries under one protocol until
+// the given degradation ladder: each rung retries under one policy until
 // its budget is spent, then the ladder escalates to a less optimistic
 // rung; past the last rung the transaction fails with ErrContended.
 // The loop also keeps the worker's epoch registration fresh, so the
 // stuck-epoch watchdog can tell a worker wedged inside an attempt
 // from one that is merely between transactions.
-func (w *Worker) runLoop(spec *proc.Spec, procName string, adhoc bool, mkEnv func() *proc.Env) (*proc.Env, error) {
+func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []rung) (*proc.Env, error) {
 	start := time.Now()
-	lad := newLadder(&w.e.opts, adhoc)
+	procName := spec.Name
+	w.curArgs = args
+	lad := ladder{rungs: rungs}
 	if w.e.tracer != nil {
 		w.beginTrace(start, procName)
 	}
 	defer w.e.epoch.Idle(w.id)
 	for {
 		w.e.epoch.Refresh(w.id)
-		env := mkEnv()
-		prog := spec.Instantiate(env)
-		err := w.attempt(prog, env, procName, adhoc, lad)
+		env := spec.Bind(args)
+		err := w.attempt(spec.Instantiate(env), env, &lad)
 		if err == nil {
 			lat := time.Since(start)
 			w.m.Inc(&w.m.Committed)
@@ -236,7 +239,7 @@ func (w *Worker) runLoop(spec *proc.Spec, procName string, adhoc bool, mkEnv fun
 		}
 		if errors.Is(err, errRestart) {
 			w.m.Inc(&w.m.Restarts)
-			prevRung := lad.idx
+			prev := lad.idx
 			if !lad.next(&w.m) {
 				w.m.Inc(&w.m.BudgetExhausted)
 				w.m.Inc(&w.m.Aborted)
@@ -246,8 +249,8 @@ func (w *Worker) runLoop(spec *proc.Spec, procName string, adhoc bool, mkEnv fun
 				}
 				return env, fmt.Errorf("%w: %q gave up after %d attempts", ErrContended, procName, lad.total)
 			}
-			if lad.idx != prevRung {
-				w.event(obs.KLadderEscalate, uint64(lad.rungs[prevRung].proto), uint64(lad.proto()))
+			if lad.idx != prev {
+				w.event(obs.KLadderEscalate, uint64(lad.rungs[prev].proto), uint64(lad.rungs[lad.idx].proto))
 				if w.traceOn {
 					w.trace.Escalations++
 				}
@@ -263,80 +266,6 @@ func (w *Worker) runLoop(spec *proc.Spec, procName string, adhoc bool, mkEnv fun
 		}
 		return env, err
 	}
-}
-
-// rung is one step of the degradation ladder: a protocol and how many
-// failed attempts it absorbs before the ladder escalates (0 = no
-// bound).
-type rung struct {
-	proto  Protocol
-	budget int
-}
-
-// ladder tracks a transaction's descent from optimistic to
-// pessimistic execution (DESIGN.md §10): healing stops paying off
-// once the same transaction keeps invalidating, plain OCC restarts
-// stop paying off under sustained conflict, and 2PL is the rung that
-// cannot livelock. With no retry budget configured the ladder reduces
-// to the legacy policies — a single unbounded rung, or OCC-then-2PL
-// for THEDB-HYBRID.
-type ladder struct {
-	rungs []rung
-	idx   int
-	spent int // failed attempts on the current rung
-	total int // failed attempts overall
-}
-
-func newLadder(opts *Options, adhoc bool) *ladder {
-	base := opts.Protocol
-	if adhoc && (base == Healing || base == Hybrid) {
-		// Ad-hoc transactions carry no dependency information (§4.8):
-		// they run under plain OCC.
-		base = OCC
-	}
-	budget := opts.RetryBudget
-	if budget <= 0 {
-		if base == Hybrid {
-			// OCC first; after any OCC validation abort rerun under
-			// 2PL (references [28, 52, 60]).
-			return &ladder{rungs: []rung{{OCC, 1}, {TPL, 0}}}
-		}
-		return &ladder{rungs: []rung{{base, 0}}}
-	}
-	switch base {
-	case Healing:
-		return &ladder{rungs: []rung{{Healing, budget}, {OCC, budget}, {TPL, budget}}}
-	case Hybrid:
-		return &ladder{rungs: []rung{{OCC, budget}, {TPL, budget}}}
-	case OCC, Silo:
-		return &ladder{rungs: []rung{{base, budget}, {TPL, budget}}}
-	case TPL:
-		return &ladder{rungs: []rung{{TPL, budget}}}
-	default:
-		// The no-validate protocols never restart; a budget is moot.
-		return &ladder{rungs: []rung{{base, 0}}}
-	}
-}
-
-// proto returns the current rung's protocol.
-func (l *ladder) proto() Protocol { return l.rungs[l.idx].proto }
-
-// next consumes one failed attempt and reports whether another may
-// run, escalating to the next rung — and resetting the per-rung
-// attempt counter, so backoff jitter restarts from its shortest
-// window — when the current budget is spent.
-func (l *ladder) next(m *metrics.Worker) bool {
-	l.total++
-	l.spent++
-	if b := l.rungs[l.idx].budget; b > 0 && l.spent >= b {
-		l.idx++
-		l.spent = 0
-		if l.idx >= len(l.rungs) {
-			return false
-		}
-		m.Inc(&m.HealingFallbacks)
-	}
-	return true
 }
 
 // backoff sleeps after a restart with capped exponential jitter. It
@@ -396,161 +325,39 @@ func (w *Worker) chaosPoint(cp fault.Checkpoint) error {
 }
 
 // attempt executes one try of the transaction under the ladder's
-// current protocol. It returns nil on commit, errRestart when the
-// attempt must be retried, or a permanent application error.
-func (w *Worker) attempt(prog *proc.Program, env *proc.Env, procName string, adhoc bool, lad *ladder) error {
-	proto := lad.proto()
-
-	t := newTxn(w, prog, env, adhoc)
-	t.useTPL = proto == TPL
-	// A 2PL rung running under an optimistic engine protocol must
-	// serialize with concurrent optimistic transactions, which only
-	// respect the record meta lock — so it locks through that word.
-	t.tplMeta = t.useTPL && w.e.opts.Protocol != TPL
-	// Fallback rungs run a different protocol than the engine's: skip
-	// the healing bookkeeping their validation will never consume.
-	t.noTrack = proto != Healing
+// current rung: execute, lock and validate, commit. It returns nil on
+// commit, errRestart when the attempt must be retried, or a permanent
+// application error.
+func (w *Worker) attempt(prog *proc.Program, env *proc.Env, lad *ladder) error {
+	t := newTxn(w, prog, env, &lad.rungs[lad.idx].policy)
 	// Liveness guard for the multicore-interleaving emulation: after
 	// repeated restarts, run an attempt without yielding so its
 	// conflict window collapses and it commits (a long transaction
 	// such as TPC-C Delivery could otherwise starve forever under
 	// stretched windows; real multicores do not stretch windows by
 	// the worker count).
-	t.noYield = lad.total > 8
-
-	// Tracing needs the same phase clocks as detailed metrics; the
-	// trace accumulates across attempts (a restarted attempt's work is
-	// real latency), while the per-phase counters stay gated on
-	// DetailedMetrics alone.
-	detailed := w.e.opts.DetailedMetrics
-	traced := w.traceOn
-	timed := detailed || traced
-	var tRead, tValidate, tHeal, tWrite time.Duration
-	attemptStart := time.Now()
-
-	fail := func(err error) error {
+	if lad.total > 8 {
+		t.pol.yield = false
+	}
+	err := t.readPhase()
+	if err == nil {
+		err = t.validateAndCommit()
+	}
+	// The per-phase counters describe committed attempts; a failed
+	// attempt's whole duration is abort time. (The trace, by contrast,
+	// accumulates across attempts as the phases run: a restarted
+	// attempt's work is real latency.)
+	if err != nil {
 		t.finish(false)
-		if detailed {
-			w.m.AddPhase(metrics.PhaseAbort, time.Since(attemptStart))
+		if w.e.opts.DetailedMetrics {
+			w.m.AddPhase(metrics.PhaseAbort, time.Since(t.start))
 		}
 		return err
 	}
-
-	// Phase clocks are boundary timestamps: each phase ends where the
-	// next begins, so a fully timed commit costs four clock reads per
-	// attempt, not a start/stop pair per phase. A chaos stall drawn at
-	// the pre-validation checkpoint lands in the validate phase, which
-	// is exactly the window it stretches.
-	err := t.readPhase()
-	valStart := attemptStart
-	if timed {
-		valStart = time.Now()
-		tRead = valStart.Sub(attemptStart)
-	}
-	if traced {
-		w.trace.ExecUS += int64(tRead / time.Microsecond)
-		w.trace.Proto = uint8(proto)
-	}
-	if err != nil {
-		if errors.Is(err, errRestart) {
-			return fail(errRestart) // 2PL no-wait conflict
+	if w.e.opts.DetailedMetrics {
+		for p, d := range t.phase {
+			w.m.AddPhase(metrics.Phase(p), d)
 		}
-		return fail(err) // application abort
-	}
-	if err := w.chaosPoint(fault.PreValidation); err != nil {
-		return fail(err)
-	}
-
-	switch proto {
-	case Healing:
-		err := t.validateHealing()
-		writeStart := valStart
-		if timed {
-			writeStart = time.Now()
-			tHeal = t.healDur
-			tValidate = writeStart.Sub(valStart) - tHeal
-		}
-		if traced {
-			w.trace.ValidateUS += int64(tValidate / time.Microsecond)
-			w.trace.HealUS += int64(tHeal / time.Microsecond)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		err = t.commit(procName)
-		if timed {
-			tWrite = time.Since(writeStart)
-		}
-		if traced {
-			w.trace.CommitUS += int64(tWrite / time.Microsecond)
-		}
-		if err != nil {
-			return fail(err)
-		}
-	case OCC, OCCNoValidate, Silo, SiloNoValidate:
-		var err error
-		if proto == OCC || proto == OCCNoValidate {
-			err = t.validateOCC(proto == OCCNoValidate)
-		} else {
-			err = t.validateSilo(proto == SiloNoValidate)
-		}
-		writeStart := valStart
-		if timed {
-			writeStart = time.Now()
-			tValidate = writeStart.Sub(valStart)
-		}
-		if traced {
-			w.trace.ValidateUS += int64(tValidate / time.Microsecond)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		err = t.commit(procName)
-		if timed {
-			tWrite = time.Since(writeStart)
-		}
-		if traced {
-			w.trace.CommitUS += int64(tWrite / time.Microsecond)
-		}
-		if err != nil {
-			return fail(err)
-		}
-	case TPL:
-		// Locks were taken during the read phase; no validation, so
-		// install directly.
-		err := t.commit(procName)
-		if timed {
-			tWrite = time.Since(valStart)
-		}
-		if traced {
-			w.trace.CommitUS += int64(tWrite / time.Microsecond)
-		}
-		if err != nil {
-			return fail(err)
-		}
-	default:
-		return fail(fmt.Errorf("core: unsupported protocol %v", proto))
-	}
-
-	if detailed {
-		w.m.AddPhase(metrics.PhaseRead, tRead)
-		w.m.AddPhase(metrics.PhaseValidate, tValidate)
-		w.m.AddPhase(metrics.PhaseHeal, tHeal)
-		w.m.AddPhase(metrics.PhaseWrite, tWrite)
 	}
 	return nil
-}
-
-// buildEnv seeds the environment with named parameters and positional
-// aliases ($0, $1, ...) so variadic procedures can address argument
-// tails beyond their named prefix.
-func buildEnv(spec *proc.Spec, args []storage.Value) *proc.Env {
-	env := proc.NewEnv()
-	for i, a := range args {
-		if i < len(spec.Params) {
-			env.SetVal(spec.Params[i], a)
-		}
-		env.SetVal(fmt.Sprintf("$%d", i), a)
-	}
-	return env
 }

@@ -141,13 +141,7 @@ func (w *Worker) Run(procName string, args ...storage.Value) (*proc.Env, error) 
 		}
 	}()
 
-	env := proc.NewEnv()
-	for i, a := range args {
-		if i < len(p.Spec.Params) {
-			env.SetVal(p.Spec.Params[i], a)
-		}
-		env.SetVal(fmt.Sprintf("$%d", i), a)
-	}
+	env := p.Spec.Bind(args)
 	prog := p.Spec.Instantiate(env)
 
 	t := &txn{e: w.e, env: env, home: parts}
@@ -317,20 +311,6 @@ func (t *txn) Scan(table string, lo, hi storage.Key, limit int, fn func(key stor
 		return limit <= 0 || seen < limit
 	})
 	return nil
-}
-
-// ScanMin implements proc.OpCtx.
-func (t *txn) ScanMin(table string, lo, hi storage.Key) (storage.Key, storage.Tuple, bool, error) {
-	var (
-		rk  storage.Key
-		rt  storage.Tuple
-		got bool
-	)
-	err := t.Scan(table, lo, hi, 1, func(k storage.Key, row storage.Tuple) bool {
-		rk, rt, got = k, row, true
-		return false
-	})
-	return rk, rt, got, err
 }
 
 // ScanSec implements proc.OpCtx.

@@ -185,13 +185,6 @@ func (s *Schedule) Inject(cp Checkpoint, act Action, p float64) {
 	s.prob[cp][act] = p
 }
 
-// InjectAll arms act with probability p at every checkpoint.
-func (s *Schedule) InjectAll(act Action, p float64) {
-	for cp := Checkpoint(0); cp < NumCheckpoints; cp++ {
-		s.prob[cp][act] = p
-	}
-}
-
 // ScriptAt forces act on the visit-th consultation (0-based) of cp by
 // the given worker slot (EpochSlot for the advancer), overriding the
 // probabilistic draw. Scripted actions make single hostile schedules

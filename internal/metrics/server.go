@@ -75,11 +75,6 @@ func (s *Server) Inc(field *int64) { atomic.AddInt64(field, 1) }
 // Add atomically adds n to a counter field of this collector.
 func (s *Server) Add(field *int64, n int64) { atomic.AddInt64(field, n) }
 
-// Connections returns the currently-open connection gauge.
-func (s *Server) Connections() int64 {
-	return atomic.LoadInt64(&s.ConnsOpened) - atomic.LoadInt64(&s.ConnsClosed)
-}
-
 // ServerCounters is the plain-field snapshot of a Server collector,
 // mirroring the Worker/Counters split: Server fields are atomic-only,
 // a ServerCounters value is ordinary data.

@@ -308,15 +308,9 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Dump writes the merged, time-ordered event interleaving in a
-// human-readable form. Table IDs are printed raw; use DumpWith to
-// resolve them to names.
-func (r *Recorder) Dump(w io.Writer) {
-	r.DumpWith(w, nil)
-}
-
-// DumpWith is Dump with a table-name resolver for the events that
-// carry a table ID (validation failures, heal starts).
+// DumpWith writes the merged, time-ordered event interleaving in a
+// human-readable form. tableName resolves the table IDs carried by
+// validation failures and heal starts; nil prints them raw.
 func (r *Recorder) DumpWith(w io.Writer, tableName func(id int) string) {
 	events := r.Events()
 	fmt.Fprintf(w, "flight recorder: %d events retained (%d recorded, %d overwritten)\n",

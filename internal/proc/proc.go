@@ -25,6 +25,7 @@ package proc
 
 import (
 	"fmt"
+	"strconv"
 
 	"thedb/internal/storage"
 )
@@ -102,13 +103,20 @@ type OpCtx interface {
 	// validation (§4.7.2).
 	Scan(table string, lo, hi storage.Key, limit int, fn func(key storage.Key, row storage.Tuple) bool) error
 
-	// ScanMin returns the first visible record in [lo, hi], the
-	// phantom-safe "oldest entry" probe.
-	ScanMin(table string, lo, hi storage.Key) (storage.Key, storage.Tuple, bool, error)
-
 	// ScanSec visits visible records via a secondary index in
 	// secondary-key order over [lo, hi].
 	ScanSec(table, index string, lo, hi string, limit int, fn func(pk storage.Key, row storage.Tuple) bool) error
+}
+
+// ScanMin returns the first visible record in [lo, hi] — the "oldest
+// entry" probe. It is a Scan with limit 1, so it is exactly as
+// phantom-safe as one under every OpCtx implementation.
+func ScanMin(ctx OpCtx, table string, lo, hi storage.Key) (key storage.Key, row storage.Tuple, found bool, err error) {
+	err = ctx.Scan(table, lo, hi, 1, func(k storage.Key, r storage.Tuple) bool {
+		key, row, found = k, r, true
+		return false
+	})
+	return key, row, found, err
 }
 
 // AbortError is returned (or wrapped) by operation bodies to abort
@@ -147,6 +155,35 @@ func (b *Builder) Op(op Op) *Op {
 	}
 	b.ops = append(b.ops, &o)
 	return b.ops[len(b.ops)-1]
+}
+
+// positional holds the names of the first positional argument aliases
+// ($0, $1, ...) so binding the common short argument vectors does not
+// format a string per argument.
+var positional = func() (names [64]string) {
+	for i := range names {
+		names[i] = "$" + strconv.Itoa(i)
+	}
+	return names
+}()
+
+// Bind builds the environment of one invocation: each argument under
+// its parameter name and under its positional alias ($0, $1, ...), so
+// variadic procedures can address argument tails beyond their named
+// prefix. Every engine starts every attempt from it.
+func (s *Spec) Bind(args []storage.Value) *Env {
+	env := NewEnv()
+	for i, a := range args {
+		if i < len(s.Params) {
+			env.SetVal(s.Params[i], a)
+		}
+		if i < len(positional) {
+			env.SetVal(positional[i], a)
+		} else {
+			env.SetVal("$"+strconv.Itoa(i), a)
+		}
+	}
+	return env
 }
 
 // Instantiate expands the procedure for args and runs the dependency

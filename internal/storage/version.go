@@ -37,9 +37,6 @@ type Version struct {
 	next atomic.Pointer[Version] // next-older node; only ever re-stored as nil after publish
 }
 
-// Begin returns the commit timestamp that produced this image.
-func (v *Version) Begin() uint64 { return v.begin }
-
 // End returns the commit timestamp that superseded this image.
 func (v *Version) End() uint64 { return v.end }
 
@@ -190,19 +187,6 @@ func (r *Record) PruneVersions(watermark uint64) (dropped int, empty bool) {
 // currently reachable. The full chain length as seen by a snapshot
 // reader is VersionLen()+1: the in-record image is always version 0.
 func (r *Record) VersionLen() int { return chainLen(r.older.Load()) }
-
-// OldestVersion returns the tail of the chain, or nil when empty
-// (tests, diagnostics).
-func (r *Record) OldestVersion() *Version {
-	v := r.older.Load()
-	if v == nil {
-		return nil
-	}
-	for n := v.next.Load(); n != nil; n = v.next.Load() {
-		v = n
-	}
-	return v
-}
 
 func chainLen(v *Version) int {
 	n := 0

@@ -74,12 +74,6 @@ func OrderLineKey(w, d, o, ol int64) storage.Key {
 	return storage.PackKey([]uint64{uint64(w), uint64(d), uint64(o), uint64(ol)}, olWidths)
 }
 
-// SplitOrderLineKey decomposes an ORDER_LINE key.
-func SplitOrderLineKey(k storage.Key) (w, d, o, ol int64) {
-	return int64(k.Component(0, olWidths)), int64(k.Component(1, olWidths)),
-		int64(k.Component(2, olWidths)), int64(k.Component(3, olWidths))
-}
-
 // ItemKey builds an ITEM primary key.
 func ItemKey(i int64) storage.Key {
 	return storage.PackKey([]uint64{uint64(i)}, iWidths)

@@ -158,7 +158,7 @@ func deliverySpec() *proc.Spec {
 					Writes:   []string{oidVar, foundVar},
 					Body: func(ctx proc.OpCtx) error {
 						e := ctx.Env()
-						k, _, ok, err := ctx.ScanMin(TabNewOrder,
+						k, _, ok, err := proc.ScanMin(ctx, TabNewOrder,
 							NewOrderKey(e.Int("w"), d, 0),
 							NewOrderKey(e.Int("w"), d, (1<<24)-1))
 						if err != nil {

@@ -36,9 +36,6 @@ func New(n uint64, theta float64) *Generator {
 // N returns the key-space size.
 func (g *Generator) N() uint64 { return g.n }
 
-// Theta returns the skew parameter.
-func (g *Generator) Theta() float64 { return g.theta }
-
 // Next maps a uniform sample u in [0, 1) to a key rank in [0, n),
 // rank 0 being the most popular key.
 func (g *Generator) Next(u float64) uint64 {

@@ -3,8 +3,9 @@
 // "Transaction Healing: Scaling Optimistic Concurrency Control on
 // Multicores" (Wu, Chan, Tan; SIGMOD 2016) — together with the
 // baseline protocols its evaluation compares against: conventional
-// OCC, Silo's OCC variant, no-wait two-phase locking, an OCC→2PL
-// hybrid, and an H-Store-style deterministic partitioned engine.
+// OCC, Silo's OCC variant, no-wait two-phase locking and an OCC→2PL
+// hybrid. (The deterministic partitioned baseline, THEDB-DT, is
+// package internal/det, driven by `thedb-bench fig12`.)
 //
 // # Quick start
 //
@@ -38,7 +39,6 @@ import (
 
 	"thedb/internal/checkpoint"
 	"thedb/internal/core"
-	"thedb/internal/det"
 	"thedb/internal/metrics"
 	"thedb/internal/obs"
 	"thedb/internal/oracle"
@@ -125,41 +125,31 @@ var (
 	ErrReadOnlyTxn = core.ErrReadOnlyTxn
 )
 
-// Protocol selects the concurrency-control mechanism.
-type Protocol int
+// Protocol selects the concurrency-control mechanism; its String
+// method names the protocol as the paper does.
+type Protocol = core.Protocol
 
 // Protocols, named as the paper's systems (§5).
 const (
 	// Healing is transaction healing (THEDB), the paper's
 	// contribution.
-	Healing Protocol = iota
+	Healing = core.Healing
 	// OCC is conventional optimistic concurrency control with
 	// abort-and-restart (THEDB-OCC).
-	OCC
+	OCC = core.OCC
 	// Silo is Silo's commit protocol (THEDB-SILO).
-	Silo
+	Silo = core.Silo
 	// TPL is no-wait two-phase locking (THEDB-2PL).
-	TPL
+	TPL = core.TPL
 	// Hybrid retries OCC validation failures under 2PL
 	// (THEDB-HYBRID).
-	Hybrid
+	Hybrid = core.Hybrid
 	// OCCNoValidate disables OCC validation — non-serializable; it
 	// measures peak no-abort throughput (THEDB-OCC⁻).
-	OCCNoValidate
+	OCCNoValidate = core.OCCNoValidate
 	// SiloNoValidate is the Silo analogue (THEDB-SILO⁻).
-	SiloNoValidate
-	// Deterministic is the partitioned single-threaded-per-partition
-	// engine with coarse partition locks (THEDB-DT).
-	Deterministic
+	SiloNoValidate = core.SiloNoValidate
 )
-
-// String names the protocol as the paper does.
-func (p Protocol) String() string {
-	if p == Deterministic {
-		return "THEDB-DT"
-	}
-	return core.Protocol(p).String()
-}
 
 // LogMode selects what the write-ahead log records (Appendix C).
 type LogMode = wal.Mode
@@ -179,10 +169,6 @@ type Config struct {
 
 	// Workers is the number of execution sessions (default 1).
 	Workers int
-
-	// Partitions is the partition count for the Deterministic
-	// protocol (default Workers).
-	Partitions int
 
 	// EpochInterval is the commit-epoch period (default 10ms, §4.3).
 	EpochInterval time.Duration
@@ -227,8 +213,7 @@ type Config struct {
 	// EventBuffer protocol events, dumped via DumpEvents or served at
 	// /debug/events by ObsHandler. Zero (the default) disables
 	// recording entirely — the per-event cost is then a single nil
-	// check. Rounded up to a power of two. Not supported by the
-	// Deterministic engine.
+	// check. Rounded up to a power of two.
 	EventBuffer int
 
 	// TraceBuffer enables per-transaction tracing: every transaction
@@ -239,7 +224,6 @@ type Config struct {
 	// and contended transactions always kept, clean fast commits
 	// dropped. Served at /debug/trace by ObsHandler. Zero (the default)
 	// disables tracing; the per-transaction cost is then one nil check.
-	// Not supported by the Deterministic engine.
 	TraceBuffer int
 
 	// TraceSlow is the latency threshold above which a committed
@@ -257,14 +241,13 @@ type Config struct {
 	// space-saving top-K sketch fed from validation-failure and
 	// heal-start sites, served at /debug/contention and exposed as the
 	// thedb_contention_topk metric series. Zero (the default) disables
-	// it. Not supported by the Deterministic engine.
+	// it.
 	ContentionK int
 
 	// Oracle, when non-nil, records every committed transaction's
 	// read/write footprint with its commit timestamp for an offline
 	// serializability check (oracle.Recorder.Check) after the run.
-	// Meant for torture tests; it keeps all commits in memory. Not
-	// supported by the Deterministic engine.
+	// Meant for torture tests; it keeps all commits in memory.
 	Oracle *oracle.Recorder
 }
 
@@ -272,8 +255,7 @@ type Config struct {
 type DB struct {
 	cfg     Config
 	catalog *storage.Catalog
-	eng     *core.Engine // nil for Deterministic
-	deng    *det.Engine  // nil otherwise
+	eng     *core.Engine // built on first use, see engine
 	logger  *wal.Logger
 	rec     *obs.Recorder   // nil unless Config.EventBuffer > 0
 	tracer  *obs.Tracer     // nil unless Config.TraceBuffer > 0
@@ -313,15 +295,9 @@ func (db *DB) MustCreateTable(schema Schema) {
 	}
 }
 
-// Register adds a stored procedure. For the Deterministic protocol,
-// use RegisterPartitioned instead so the engine knows the partition
-// set.
+// Register adds a stored procedure.
 func (db *DB) Register(spec *Spec) error {
-	db.ensureEngines()
-	if db.deng != nil {
-		return fmt.Errorf("thedb: deterministic protocol requires RegisterPartitioned for %q", spec.Name)
-	}
-	return db.eng.Register(spec)
+	return db.engine().Register(spec)
 }
 
 // MustRegister is Register panicking on error.
@@ -331,35 +307,12 @@ func (db *DB) MustRegister(spec *Spec) {
 	}
 }
 
-// RegisterPartitioned adds a stored procedure with its partition-set
-// function (Deterministic protocol only). home must return the
-// partitions the invocation touches given its arguments.
-func (db *DB) RegisterPartitioned(spec *Spec, home func(args []Value) []int) error {
-	db.ensureEngines()
-	if db.deng == nil {
-		return fmt.Errorf("thedb: RegisterPartitioned requires the Deterministic protocol")
-	}
-	return db.deng.Register(&det.Proc{Spec: spec, Home: home})
-}
-
-// MustRegisterPartitioned is RegisterPartitioned panicking on error.
-func (db *DB) MustRegisterPartitioned(spec *Spec, home func(args []Value) []int) {
-	if err := db.RegisterPartitioned(spec, home); err != nil {
-		panic(err)
-	}
-}
-
-func (db *DB) ensureEngines() {
-	if db.eng != nil || db.deng != nil {
-		return
-	}
-	if db.cfg.Protocol == Deterministic {
-		parts := db.cfg.Partitions
-		if parts <= 0 {
-			parts = db.cfg.Workers
-		}
-		db.deng = det.NewEngine(db.catalog, parts, db.cfg.Workers)
-		return
+// engine returns the database's engine, building it on first use
+// together with the log, recorder, tracer and contention sketch the
+// configuration asks for.
+func (db *DB) engine() *core.Engine {
+	if db.eng != nil {
+		return db.eng
 	}
 	if db.cfg.LogSink == nil && db.cfg.WALSet != nil {
 		db.cfg.LogSink = db.cfg.WALSet.Sink
@@ -377,7 +330,7 @@ func (db *DB) ensureEngines() {
 		db.cont = obs.NewContention(db.cfg.ContentionK)
 	}
 	db.eng = core.NewEngine(db.catalog, core.Options{
-		Protocol:        core.Protocol(db.cfg.Protocol),
+		Protocol:        db.cfg.Protocol,
 		Workers:         db.cfg.Workers,
 		EpochInterval:   db.cfg.EpochInterval,
 		DetailedMetrics: db.cfg.DetailedMetrics,
@@ -390,15 +343,15 @@ func (db *DB) ensureEngines() {
 		Contention:      db.cont,
 		Oracle:          db.cfg.Oracle,
 	})
+	return db.eng
 }
 
 // Start launches background services (epoch advancer, garbage
 // collector). Population (see Load) must happen before Start or
 // between transactions.
 func (db *DB) Start() {
-	db.ensureEngines()
-	if db.eng != nil && !db.started {
-		db.eng.Start()
+	if !db.started {
+		db.engine().Start()
 	}
 	db.started = true
 }
@@ -410,7 +363,7 @@ func (db *DB) Start() {
 func (db *DB) Close() error {
 	db.StopCheckpoints()
 	var err error
-	if db.eng != nil && db.started {
+	if db.started {
 		err = db.eng.Stop()
 	}
 	db.started = false
@@ -430,11 +383,7 @@ func (db *DB) Catalog() *storage.Catalog { return db.catalog }
 // Session returns execution context i in [0, Workers). A session
 // must be driven by one goroutine at a time.
 func (db *DB) Session(i int) *Session {
-	db.ensureEngines()
-	if db.deng != nil {
-		return &Session{db: db, dw: db.deng.Worker(i)}
-	}
-	return &Session{db: db, w: db.eng.Worker(i)}
+	return &Session{db: db, w: db.engine().Worker(i)}
 }
 
 // Workers returns the configured session count: valid session indexes
@@ -454,34 +403,23 @@ func (db *DB) SnapshotRead(fn func(ctx OpCtx) error) error {
 // name. The network server consults it to reject unknown procedures
 // before burning a transaction attempt.
 func (db *DB) HasProcedure(name string) bool {
-	db.ensureEngines()
-	if db.deng != nil {
-		return db.deng.Has(name)
-	}
-	_, ok := db.eng.Spec(name)
+	_, ok := db.engine().Spec(name)
 	return ok
 }
 
 // Metrics aggregates all sessions' counters over the given wall-clock
 // duration.
 func (db *DB) Metrics(wall time.Duration) *metrics.Aggregate {
-	if db.deng != nil {
-		return db.deng.Metrics(wall)
-	}
-	return db.eng.Metrics(wall)
+	return db.engine().Metrics(wall)
 }
 
 // LiveMetrics snapshots all sessions' counters while transactions are
 // in flight — unlike Metrics, which requires quiescence. The snapshot
 // is epoch-consistent: counters are read atomically and the scan
 // retries if the global epoch advances mid-read. Wall time (for TPS)
-// runs from Start. Returns nil on the Deterministic engine, which has
-// no live-snapshot path.
+// runs from Start.
 func (db *DB) LiveMetrics() *metrics.Aggregate {
-	if db.deng != nil || db.eng == nil {
-		return nil
-	}
-	return db.eng.LiveMetrics()
+	return db.engine().LiveMetrics()
 }
 
 // Event is one decoded flight-recorder entry (see Config.EventBuffer).
@@ -519,7 +457,7 @@ func (db *DB) tableName(id int) string {
 // sources (e.g. the network server's counters via SetServerStats)
 // before serving plane.Handler().
 func (db *DB) ObsPlane() *obs.Plane {
-	db.ensureEngines()
+	db.engine()
 	p := obs.NewPlane()
 	p.SetSource(db.LiveMetrics)
 	p.SetRecorder(db.rec, db.tableName)
@@ -532,14 +470,14 @@ func (db *DB) ObsPlane() *obs.Plane {
 // Tracer returns the transaction trace ring (nil unless
 // Config.TraceBuffer > 0).
 func (db *DB) Tracer() *obs.Tracer {
-	db.ensureEngines()
+	db.engine()
 	return db.tracer
 }
 
 // Contention returns the hot-key contention sketch (nil unless
 // Config.ContentionK > 0).
 func (db *DB) Contention() *obs.Contention {
-	db.ensureEngines()
+	db.engine()
 	return db.cont
 }
 
@@ -557,7 +495,14 @@ func (db *DB) ObsHandler() http.Handler {
 type Session struct {
 	db *DB
 	w  *core.Worker
-	dw *det.Worker
+}
+
+// usable refuses service on a database whose recovery failed.
+func (s *Session) usable() error {
+	if s.db.poisoned.Load() {
+		return ErrRecoveryFailed
+	}
+	return nil
 }
 
 // Run executes a stored procedure to completion, retrying internal
@@ -565,11 +510,8 @@ type Session struct {
 // environment holding the procedure's outputs, or the application's
 // abort error.
 func (s *Session) Run(procName string, args ...Value) (*Env, error) {
-	if s.db != nil && s.db.poisoned.Load() {
-		return nil, ErrRecoveryFailed
-	}
-	if s.dw != nil {
-		return s.dw.Run(procName, args...)
+	if err := s.usable(); err != nil {
+		return nil, err
 	}
 	return s.w.Run(procName, args...)
 }
@@ -577,11 +519,8 @@ func (s *Session) Run(procName string, args ...Value) (*Env, error) {
 // RunAdhoc executes a procedure as an ad-hoc transaction (§4.8):
 // plain OCC with abort-and-restart, no healing.
 func (s *Session) RunAdhoc(procName string, args ...Value) (*Env, error) {
-	if s.db != nil && s.db.poisoned.Load() {
-		return nil, ErrRecoveryFailed
-	}
-	if s.dw != nil {
-		return s.dw.Run(procName, args...)
+	if err := s.usable(); err != nil {
+		return nil, err
 	}
 	return s.w.RunAdhoc(procName, args...)
 }
@@ -590,14 +529,10 @@ func (s *Session) RunAdhoc(procName string, args ...Value) (*Env, error) {
 // interactive-query path (§4.8). fn's reads and writes go through the
 // OpCtx primitives; the transaction is serialized with plain OCC and
 // fn may re-run after conflicts, so it must be idempotent apart from
-// its OpCtx effects. Not available on the Deterministic engine, whose
-// execution model requires partition sets known up front.
+// its OpCtx effects.
 func (s *Session) Transact(fn func(ctx OpCtx) error) error {
-	if s.db != nil && s.db.poisoned.Load() {
-		return ErrRecoveryFailed
-	}
-	if s.dw != nil {
-		return fmt.Errorf("thedb: Transact is not supported on the deterministic engine")
+	if err := s.usable(); err != nil {
+		return err
 	}
 	return s.w.Transact(fn)
 }
@@ -609,14 +544,10 @@ func (s *Session) Transact(fn func(ctx OpCtx) error) error {
 // tracking, no healing, no aborts, and no interference with concurrent
 // writers. Any write primitive inside the procedure fails with
 // ErrReadOnlyTxn. Long analytical scans run at a stable snapshot
-// without ever invalidating or being invalidated. Not available on the
-// Deterministic engine.
+// without ever invalidating or being invalidated.
 func (s *Session) RunSnapshot(procName string, args ...Value) (*Env, error) {
-	if s.db != nil && s.db.poisoned.Load() {
-		return nil, ErrRecoveryFailed
-	}
-	if s.dw != nil {
-		return nil, fmt.Errorf("thedb: RunSnapshot is not supported on the deterministic engine")
+	if err := s.usable(); err != nil {
+		return nil, err
 	}
 	return s.w.RunSnapshot(procName, args...)
 }
@@ -624,14 +555,10 @@ func (s *Session) RunSnapshot(procName string, args ...Value) (*Env, error) {
 // SnapshotRead runs fn as an anonymous read-only snapshot transaction:
 // fn's reads go through the usual OpCtx primitives against one
 // epoch-consistent snapshot; writes fail with ErrReadOnlyTxn. fn runs
-// exactly once — snapshot transactions never restart. Not available on
-// the Deterministic engine.
+// exactly once — snapshot transactions never restart.
 func (s *Session) SnapshotRead(fn func(ctx OpCtx) error) error {
-	if s.db != nil && s.db.poisoned.Load() {
-		return ErrRecoveryFailed
-	}
-	if s.dw != nil {
-		return fmt.Errorf("thedb: SnapshotRead is not supported on the deterministic engine")
+	if err := s.usable(); err != nil {
+		return err
 	}
 	return s.w.TransactSnapshot(fn)
 }
@@ -640,11 +567,9 @@ func (s *Session) SnapshotRead(fn func(ctx OpCtx) error) error {
 // caller-supplied trace context: the wire trace ID (0 = mint one
 // locally), queue wait in microseconds, and the admission wall clock
 // in nanoseconds (0 = stamp at first execution). A no-op when tracing
-// is off or on the Deterministic engine.
+// is off.
 func (s *Session) SetTraceContext(id uint64, queueUS, startNS int64) {
-	if s.w != nil {
-		s.w.SetTraceContext(id, queueUS, startNS)
-	}
+	s.w.SetTraceContext(id, queueUS, startNS)
 }
 
 // LastTrace reports where the session's previous transaction landed
@@ -652,16 +577,10 @@ func (s *Session) SetTraceContext(id uint64, queueUS, startNS int64) {
 // tracing is off) and its trace ID. The serving plane uses it to
 // amend response-write time via Tracer.AmendResp.
 func (s *Session) LastTrace() (slot int, id uint64) {
-	if s.w != nil {
-		return s.w.LastTrace()
-	}
-	return -1, 0
+	return s.w.LastTrace()
 }
 
 // Metrics returns this session's private counters.
 func (s *Session) Metrics() *metrics.Worker {
-	if s.dw != nil {
-		return s.dw.Metrics()
-	}
 	return s.w.Metrics()
 }

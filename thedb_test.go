@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"os"
-	"strings"
 	"sync"
 	"testing"
 
@@ -51,23 +50,17 @@ func counterDB(t testing.TB, cfg thedb.Config) *thedb.DB {
 			})
 		},
 	}
-	if cfg.Protocol == thedb.Deterministic {
-		db.MustRegisterPartitioned(spec, func(args []thedb.Value) []int {
-			return []int{int(args[0].Int()) % 2}
-		})
-	} else {
-		db.MustRegister(spec)
-	}
+	db.MustRegister(spec)
 	return db
 }
 
 func TestEveryProtocolEndToEnd(t *testing.T) {
 	protos := []thedb.Protocol{
-		thedb.Healing, thedb.OCC, thedb.Silo, thedb.TPL, thedb.Hybrid, thedb.Deterministic,
+		thedb.Healing, thedb.OCC, thedb.Silo, thedb.TPL, thedb.Hybrid,
 	}
 	for _, p := range protos {
 		t.Run(p.String(), func(t *testing.T) {
-			db := counterDB(t, thedb.Config{Protocol: p, Workers: 4, Partitions: 2})
+			db := counterDB(t, thedb.Config{Protocol: p, Workers: 4})
 			db.Start()
 			defer db.Close()
 
@@ -146,19 +139,6 @@ func TestDuplicateTable(t *testing.T) {
 	}
 }
 
-func TestRegisterMismatch(t *testing.T) {
-	db, _ := thedb.Open(thedb.Config{Protocol: thedb.Deterministic, Workers: 1})
-	spec := &thedb.Spec{Name: "P", Plan: func(*thedb.Builder, *thedb.Env) {}}
-	if err := db.Register(spec); err == nil ||
-		!strings.Contains(err.Error(), "RegisterPartitioned") {
-		t.Fatalf("deterministic Register: %v", err)
-	}
-	db2, _ := thedb.Open(thedb.Config{Protocol: thedb.Healing})
-	if err := db2.RegisterPartitioned(spec, nil); err == nil {
-		t.Fatal("RegisterPartitioned accepted on non-deterministic engine")
-	}
-}
-
 func TestCheckpointAndRecoverThroughAPI(t *testing.T) {
 	var log bytes.Buffer
 	db := counterDB(t, thedb.Config{
@@ -228,12 +208,11 @@ func TestCheckpointAndRecoverThroughAPI(t *testing.T) {
 
 func TestProtocolNames(t *testing.T) {
 	want := map[thedb.Protocol]string{
-		thedb.Healing:       "THEDB",
-		thedb.OCC:           "THEDB-OCC",
-		thedb.Silo:          "THEDB-SILO",
-		thedb.TPL:           "THEDB-2PL",
-		thedb.Hybrid:        "THEDB-HYBRID",
-		thedb.Deterministic: "THEDB-DT",
+		thedb.Healing: "THEDB",
+		thedb.OCC:     "THEDB-OCC",
+		thedb.Silo:    "THEDB-SILO",
+		thedb.TPL:     "THEDB-2PL",
+		thedb.Hybrid:  "THEDB-HYBRID",
 	}
 	for p, name := range want {
 		if p.String() != name {
@@ -340,13 +319,5 @@ func TestTransactAdhoc(t *testing.T) {
 		return thedb.UserAbort("nope")
 	}); err == nil {
 		t.Fatal("user abort swallowed")
-	}
-
-	// Deterministic engine rejects Transact.
-	ddb := counterDB(t, thedb.Config{Protocol: thedb.Deterministic, Workers: 1, Partitions: 1})
-	ddb.Start()
-	defer ddb.Close()
-	if err := ddb.Session(0).Transact(func(thedb.OpCtx) error { return nil }); err == nil {
-		t.Fatal("deterministic Transact accepted")
 	}
 }
