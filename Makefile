@@ -128,18 +128,20 @@ verify:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # loc prints the size metrics ROADMAP.md tracks and CHANGES.md entries
-# quote: Go lines (non-test outside benchmark/, test, benchmark/) and
-# the option counts — exported fields of the three configuration
+# quote: Go lines (non-test outside benchmark/, the serving plane —
+# client + internal/server + internal/wire — test, benchmark/) and the
+# option counts — exported fields of the three configuration
 # structs. CI runs it at the end of the verify job, so every PR's log
 # carries its numbers.
-lines = find . $(1) -name '*.go' -print | xargs cat | wc -l
+lines = find $(1) -name '*.go' -print | xargs cat | wc -l
 fields = awk '/^type $(2) struct/{on=1;next} on&&/^}/{exit} on&&/^\t[A-Z][A-Za-z0-9]*[ \t]/{n++} END{print n+0}' $(1)
 loc:
-	@echo "go lines, non-test, outside benchmark/: $$($(call lines,-path ./benchmark -prune -o ! -name '*_test.go'))"
-	@echo "go lines, non-test, internal/core:      $$(cd internal/core && $(call lines,! -name '*_test.go'))"
-	@echo "go lines, non-test, root package:       $$($(call lines,-maxdepth 1 ! -name '*_test.go'))"
-	@echo "go lines, tests, outside benchmark/:    $$($(call lines,-path ./benchmark -prune -o -name '*_test.go'))"
-	@echo "go lines, benchmark/:                   $$(cd benchmark && $(call lines,))"
+	@echo "go lines, non-test, outside benchmark/: $$($(call lines,. -path ./benchmark -prune -o ! -name '*_test.go'))"
+	@echo "go lines, non-test, internal/core:      $$($(call lines,internal/core ! -name '*_test.go'))"
+	@echo "go lines, non-test, root package:       $$($(call lines,. -maxdepth 1 ! -name '*_test.go'))"
+	@echo "go lines, non-test, serving plane:      $$($(call lines,client internal/server internal/wire ! -name '*_test.go')) (client + internal/server: $$($(call lines,client internal/server ! -name '*_test.go')))"
+	@echo "go lines, tests, outside benchmark/:    $$($(call lines,. -path ./benchmark -prune -o -name '*_test.go'))"
+	@echo "go lines, benchmark/:                   $$($(call lines,benchmark))"
 	@echo "fields, thedb.Config:                   $$($(call fields,thedb.go,Config))"
 	@echo "fields, core.Options:                   $$($(call fields,internal/core/engine.go,Options))"
 	@echo "fields, server.Config:                  $$($(call fields,internal/server/server.go,Config))"

@@ -41,7 +41,6 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -327,10 +326,10 @@ func (c *Client) callSeq(ctx context.Context, seq, sentInc uint64, procName stri
 		var re *wire.RemoteError
 		if errors.As(err, &re) {
 			// A retryable rejection proves only that this attempt did
-			// not execute: the server sheds and drains before it looks
-			// at the dedup window, so an earlier unanswered attempt may
-			// still have committed. sentInc therefore stays set — a
-			// retry is safe only under the incarnation that holds it.
+			// not execute: the server sheds before it looks at the dedup
+			// window, so an earlier unanswered attempt may still have
+			// committed. sentInc therefore stays set — a retry is safe
+			// only under the incarnation that holds it.
 			if re.Retryable() {
 				continue
 			}
@@ -355,9 +354,10 @@ func (c *Client) callSeq(ctx context.Context, seq, sentInc uint64, procName stri
 }
 
 // CallBatch pipelines a batch of invocations over one connection —
-// one write, one flush, responses collected as they complete (in any
-// order). Retryable failures within the batch are retried
-// individually via Call. The returned slice matches calls by index.
+// one write per window, one wake when the window's last response has
+// arrived (in any order). Retryable failures within the batch are
+// retried individually via Call. The returned slice matches calls by
+// index.
 func (c *Client) CallBatch(ctx context.Context, calls []Invocation) []Reply {
 	replies := make([]Reply, len(calls))
 	if len(calls) == 0 {
@@ -366,9 +366,9 @@ func (c *Client) CallBatch(ctx context.Context, calls []Invocation) []Reply {
 	// Each invocation gets its sequence number up front, so a batched
 	// call retried individually below re-sends under the same seq and
 	// stays exactly-once.
-	slots := make([]batchSlot, len(calls))
-	for i := range slots {
-		slots[i].seq = c.seq.Add(1)
+	atts := make([]attempt, len(calls))
+	for i := range atts {
+		atts[i].seq = c.seq.Add(1)
 	}
 	cc, err := c.conn()
 	if err != nil {
@@ -379,40 +379,39 @@ func (c *Client) CallBatch(ctx context.Context, calls []Invocation) []Reply {
 	}
 	// Window the batch by the server's in-flight bound so pipelining
 	// never trips the shed policy by construction.
-	window := cap(cc.sem)
+	window := len(cc.slots)
 	for lo := 0; lo < len(calls); lo += window {
-		hi := lo + window
-		if hi > len(calls) {
-			hi = len(calls)
-		}
-		cc.sendWindow(ctx, calls[lo:hi], replies[lo:hi], slots[lo:hi])
+		hi := min(lo+window, len(calls))
+		cc.sendWindow(ctx, calls[lo:hi], atts[lo:hi], false)
 	}
 	// Individually retry what can be retried safely: retryable server
 	// rejections (provably not executed) and connection failures,
 	// whose sent frames the dedup window guards against double apply.
 	for i := range replies {
-		err := replies[i].Err
-		if err == nil {
+		a := &atts[i]
+		if a.err == nil {
+			replies[i].Result = &a.res
 			continue
 		}
+		replies[i].Err = a.err
 		var re *wire.RemoteError
 		switch {
-		case errors.As(err, &re):
+		case errors.As(a.err, &re):
 			if !re.Retryable() {
 				continue // settled outcome
 			}
-			slots[i].sentInc = 0 // rejection: the seq did not execute
+			a.sentInc = 0 // rejection: the seq did not execute
 		case ctx.Err() != nil:
-			if slots[i].sentInc != 0 {
-				replies[i].Err = &MaybeCommittedError{Cause: err}
+			if a.sentInc != 0 {
+				replies[i].Err = &MaybeCommittedError{Cause: a.err}
 			}
 			continue
-		case slots[i].sent && slots[i].sentInc == 0:
+		case a.sent && a.sentInc == 0:
 			// Sent without a dedup-capable session: no safe retry.
-			replies[i].Err = &MaybeCommittedError{Cause: err}
+			replies[i].Err = &MaybeCommittedError{Cause: a.err}
 			continue
 		}
-		replies[i].Result, replies[i].Err = c.callSeq(ctx, slots[i].seq, slots[i].sentInc, calls[i].Proc, calls[i].Args, false)
+		replies[i].Result, replies[i].Err = c.callSeq(ctx, a.seq, a.sentInc, calls[i].Proc, calls[i].Args, false)
 	}
 	return replies
 }
@@ -498,44 +497,75 @@ func (c *Client) conn() (*clientConn, error) {
 	return fresh, nil
 }
 
-// clientConn is one TCP connection: a writer guarded by wmu and a
-// reader goroutine that dispatches responses to waiting calls by
+// clientConn is one TCP connection: a write buffer guarded by wmu and
+// a reader goroutine that delivers responses to waiting calls by
 // request id.
 //
-// The in-flight window (sem) counts requests the server has not yet
-// answered. A slot is acquired in issue and released the moment the
-// response arrives at the read loop (or the request is abandoned) —
-// NOT when the caller collects the result. Releasing on arrival
-// matters: concurrent batches issue whole windows before collecting,
-// so slots held until collection would deadlock once enough batches
-// share a connection.
+// A call in flight occupies one slot of a fixed table sized by the
+// handshake's MaxInFlight; its request id is the slot's index with the
+// slot's generation above it. The stack of free slots is the in-flight
+// window: a slot is taken in sendWindow and freed the moment its
+// response reaches the read loop (or the call is abandoned) — NOT when
+// the caller collects the result. Freeing on arrival matters:
+// concurrent batches issue whole windows before collecting, so slots
+// held until collection would deadlock once enough batches share a
+// connection. Hence an outcome lands in memory the caller owns, through
+// the slot's pointer, never in the slot.
 type clientConn struct {
 	nc net.Conn
-	bw *bufio.Writer
+	fr *wire.Reader // the connection's one reader: handshake, then readLoop
 
 	welcome wire.Welcome
-	sem     chan struct{} // unanswered-request window, sized from the handshake
-	done    chan struct{} // closed when the connection fails; unblocks acquirers
+	done    chan struct{} // closed when the connection fails; unblocks issuers waiting for a slot
 
-	wmu sync.Mutex // serializes bw writes and flushes
+	wmu  sync.Mutex // guards wbuf and serializes socket writes
+	wbuf []byte     // calls encoded in place, awaiting a flush
 
-	mu      sync.Mutex
-	pending map[uint64]chan outcome
-	err     error // set once the connection is unusable
+	mu    sync.Mutex
+	slots []slot
+	free  []uint32 // free[:nfree] index the unoccupied slots
+	nfree int
+	space chan struct{} // non-nil while an issuer waits for a slot; closed by the next release
+	err   error         // set once the connection is unusable
 
-	nextID atomic.Uint64
-
-	// traceBase salts the per-call trace IDs minted by issue: each
-	// attempt carries splitmix64(traceBase + request id), unique across
-	// connections and retries so server-side traces, recorder events
-	// and exemplars correlate end to end.
+	// traceBase salts the per-call trace IDs: each attempt carries
+	// wire.MintTraceID(traceBase + request id), unique across connections
+	// and retries so server-side traces, recorder events and exemplars
+	// correlate end to end.
 	traceBase uint64
 }
 
-type outcome struct {
-	outs []wire.Output
-	err  error
+// slot is one in-flight call. gen is bumped on every release, so the
+// late response to an abandoned call carries a generation the slot has
+// left behind and is dropped, never handed to the slot's next occupant.
+type slot struct {
+	gen uint32
+	att *attempt // where the outcome lands; nil while the slot is free
+	w   *waiter
 }
+
+// attempt is one call's state on a connection: its pre-assigned
+// sequence number going in; coming out, its outcome (res is handed to
+// the caller when err is nil), whether its frame may have reached the
+// wire (a failed write can still have delivered it) and under which
+// server incarnation.
+type attempt struct {
+	res     Result
+	err     error
+	seq     uint64
+	sent    bool
+	sentInc uint64 // incarnation if sent with a dedup-capable session
+}
+
+// waiter is what one window of calls blocks on: n (guarded by
+// clientConn.mu) counts the outcomes still owed, plus the issuer's own
+// hold while it is issuing; whoever takes it to zero sends the one wake.
+type waiter struct {
+	ch chan struct{}
+	n  int
+}
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan struct{}, 1)} }}
 
 func (c *Client) dialConn() (*clientConn, error) {
 	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
@@ -544,8 +574,7 @@ func (c *Client) dialConn() (*clientConn, error) {
 	}
 	cc := &clientConn{
 		nc:        nc,
-		bw:        bufio.NewWriterSize(nc, 64<<10),
-		pending:   make(map[uint64]chan outcome),
+		fr:        wire.NewReader(nc, c.opts.MaxFrame),
 		done:      make(chan struct{}),
 		traceBase: rand.Uint64(),
 	}
@@ -557,7 +586,7 @@ func (c *Client) dialConn() (*clientConn, error) {
 	// The first successful handshake mints the client's session; every
 	// later dial presented it, and the server echoed the same token.
 	c.session.CompareAndSwap(0, cc.welcome.Session)
-	go cc.readLoop(c.opts.MaxFrame)
+	go cc.readLoop()
 	return cc, nil
 }
 
@@ -572,8 +601,7 @@ func (cc *clientConn) handshake(opts Options, session uint64) error {
 	if _, err := cc.nc.Write(buf); err != nil {
 		return fmt.Errorf("client: sending hello: %w", err)
 	}
-	fr := wire.NewReader(cc.nc, opts.MaxFrame)
-	f, err := fr.Next()
+	f, err := cc.fr.Next()
 	if err != nil {
 		return fmt.Errorf("client: reading welcome: %w", err)
 	}
@@ -596,193 +624,182 @@ func (cc *clientConn) handshake(opts Options, session uint64) error {
 		return fmt.Errorf("client: clearing deadline: %w", err)
 	}
 	cc.welcome = w
-	window := int(w.MaxInFlight)
-	if window <= 0 {
-		window = 1
+	window := max(int(w.MaxInFlight), 1)
+	cc.slots = make([]slot, window)
+	cc.free = make([]uint32, window)
+	for i := range cc.slots {
+		cc.slots[i].gen = 1 // request id 0 belongs to the handshake
+		cc.free[i] = uint32(i)
 	}
-	cc.sem = make(chan struct{}, window)
+	cc.nfree = window
 	return nil
 }
 
 // call runs one attempt of a sequenced call on this connection. sent
-// reports whether the frame may have reached the wire — the flag that
-// separates "provably never executed" from "ambiguous" when err is a
-// connection failure rather than a server answer.
+// (may the frame have reached the wire?) separates "provably never
+// executed" from "ambiguous" when err is a connection failure.
 func (cc *clientConn) call(ctx context.Context, seq uint64, procName string, args []storage.Value, readOnly bool) (*Result, bool, error) {
-	ch, id, sent, err := cc.issue(ctx, seq, procName, args, true, readOnly)
-	if err != nil {
-		return nil, sent, err
+	inv := [1]Invocation{{Proc: procName, Args: args}}
+	att := []attempt{{seq: seq}}
+	cc.sendWindow(ctx, inv[:], att, readOnly)
+	if err := att[0].err; err != nil {
+		return nil, att[0].sent, err
 	}
-	res, err := cc.await(ctx, id, ch)
-	return res, true, err
+	return &att[0].res, true, nil
 }
 
-// issue reserves an in-flight slot, registers a waiter, and writes
-// one call frame stamped with its sequence number and the context's
-// remaining deadline as a microsecond budget; flush controls whether
-// the buffer is pushed to the wire immediately (single calls) or left
-// for a batch flush. sent=true means bytes may have reached the wire
-// (a failed write can still have delivered the frame).
-func (cc *clientConn) issue(ctx context.Context, seq uint64, procName string, args []storage.Value, flush, readOnly bool) (chan outcome, uint64, bool, error) {
-	var budgetUS uint64
-	if dl, ok := ctx.Deadline(); ok {
-		rem := time.Until(dl)
-		if rem <= 0 {
-			return nil, 0, false, ctx.Err()
+// sendWindow pipelines one window of calls and blocks once, until
+// every atts[i] has its outcome: each call takes a slot and is encoded
+// straight into the write buffer, stamped with its sequence number and
+// the context's remaining deadline as a microsecond budget; the buffer
+// is written once; the read loop (or a connection failure) sends the
+// one wake when the last outcome lands.
+func (cc *clientConn) sendWindow(ctx context.Context, calls []Invocation, atts []attempt, readOnly bool) {
+	w := waiterPool.Get().(*waiter)
+	w.n = 1 // the issuer's hold: early responses cannot drain the count mid-issue
+	var err error
+	i := 0 // calls issued so far
+	for i < len(calls) && err == nil {
+		var budgetUS uint64
+		if dl, ok := ctx.Deadline(); ok {
+			rem := time.Until(dl)
+			if rem <= 0 {
+				err = context.DeadlineExceeded
+				break
+			}
+			budgetUS = max(uint64(rem/time.Microsecond), 1)
 		}
-		if budgetUS = uint64(rem / time.Microsecond); budgetUS == 0 {
-			budgetUS = 1
+		var space chan struct{}
+		cc.wmu.Lock()
+		cc.mu.Lock()
+		for ; i < len(calls) && cc.nfree > 0 && cc.err == nil; i++ {
+			a := &atts[i]
+			id := cc.occupy(a, w)
+			cc.wbuf = wire.AppendCall(cc.wbuf, id, wire.Call{
+				Proc: calls[i].Proc, Args: calls[i].Args, Seq: a.seq, BudgetUS: budgetUS,
+				TraceID: wire.MintTraceID(cc.traceBase + id), ReadOnly: readOnly,
+			})
+			a.sent = true
+			if cc.welcome.Session != 0 {
+				a.sentInc = cc.welcome.Incarnation
+			}
 		}
-	}
-	select {
-	case cc.sem <- struct{}{}:
-	default:
-		// The window is full. Push any frames still sitting in the
-		// write buffer (ours or a sibling batch's) before blocking:
-		// a slot only frees when the server answers, and it cannot
-		// answer frames it has never been sent. Without this flush,
-		// concurrent batches on one connection can fill the window
-		// entirely with buffered frames and deadlock.
-		if err := cc.flushCalls(); err != nil {
-			return nil, 0, false, err
+		if err = cc.err; err == nil && i < len(calls) {
+			if cc.space == nil {
+				cc.space = make(chan struct{})
+			}
+			space = cc.space
 		}
-		select {
-		case cc.sem <- struct{}{}:
-		case <-cc.done:
-			return nil, 0, false, cc.failure()
-		case <-ctx.Done():
-			return nil, 0, false, ctx.Err()
-		}
-	}
-	id := cc.nextID.Add(1)
-	ch := make(chan outcome, 1)
-	cc.mu.Lock()
-	if cc.err != nil {
-		err := cc.err
 		cc.mu.Unlock()
-		<-cc.sem
-		return nil, 0, false, err
+		cc.wmu.Unlock()
+		if space == nil {
+			continue
+		}
+		// The window is full. Push any frames still in the write buffer
+		// (ours or a sibling batch's) before blocking: a slot only frees
+		// when the server answers, and it cannot answer frames it was
+		// never sent — concurrent batches on one connection could fill
+		// the window entirely with buffered frames and deadlock.
+		if err = cc.flush(); err == nil {
+			select {
+			case <-space:
+			case <-cc.done: // the next pass finds cc.err
+			case <-ctx.Done():
+				err = ctx.Err()
+			}
+		}
 	}
-	cc.pending[id] = ch
+	ferr := cc.flush()
+	_ = ferr // a failed flush closed the connection, settling every slot: the wait below still ends
+	for ; i < len(atts); i++ {
+		atts[i].err = err // never issued: no slot, nothing owed
+	}
+	cc.mu.Lock()
+	w.n--
+	owed := w.n > 0
 	cc.mu.Unlock()
-
-	buf := wire.AppendCall(nil, id, wire.Call{
-		Proc: procName, Args: args, Seq: seq, BudgetUS: budgetUS,
-		TraceID: mintTraceID(cc.traceBase + id), ReadOnly: readOnly,
-	})
-	cc.wmu.Lock()
-	_, werr := cc.bw.Write(buf)
-	if werr == nil && flush {
-		werr = cc.bw.Flush()
+	if owed {
+		select {
+		case <-w.ch:
+		case <-ctx.Done():
+			cc.abandon(w, ctx.Err())
+			return // not pooled: the wake may already be on its way
+		}
 	}
-	cc.wmu.Unlock()
-	if werr != nil {
-		cc.abandon(id)
-		werr = fmt.Errorf("client: write: %w", werr)
-		cerr := cc.close(werr)
-		_ = cerr // the write error is the one worth reporting
-		return nil, 0, true, werr
-	}
-	return ch, id, true, nil
+	waiterPool.Put(w)
 }
 
-// mintTraceID finalizes a trace ID from the connection salt plus the
-// request id (splitmix64; | 1 keeps it nonzero, since zero means
-// untraced on the wire).
-func mintTraceID(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x | 1
+// occupy pops a free slot for attempt a and returns its request id.
+// Caller holds mu and has checked nfree.
+//
+//thedb:noalloc
+func (cc *clientConn) occupy(a *attempt, w *waiter) uint64 {
+	cc.nfree--
+	i := cc.free[cc.nfree]
+	s := &cc.slots[i]
+	s.att, s.w = a, w
+	w.n++
+	return uint64(s.gen)<<32 | uint64(i)
 }
 
-// flushCalls pushes buffered batch frames to the wire.
-func (cc *clientConn) flushCalls() error {
+// settle lands one outcome in slot i's attempt, frees the slot, and
+// sends the window's wake if this was the last outcome owed. Caller
+// holds mu.
+//
+//thedb:noalloc
+func (cc *clientConn) settle(i uint32, outs []wire.Output, err error) {
+	s := &cc.slots[i]
+	s.att.res.outs, s.att.err = outs, err
+	w := s.w
+	cc.release(i)
+	if w.n--; w.n == 0 {
+		w.ch <- struct{}{} // capacity 1, one wake per window: never blocks
+	}
+}
+
+// release frees slot i: the generation bump retires its request id,
+// and an issuer waiting for a slot is let through. Caller holds mu.
+//
+//thedb:noalloc
+func (cc *clientConn) release(i uint32) {
+	s := &cc.slots[i]
+	s.att, s.w = nil, nil
+	s.gen++
+	cc.free[cc.nfree] = i
+	cc.nfree++
+	if cc.space != nil {
+		close(cc.space)
+		cc.space = nil
+	}
+}
+
+// flush writes the buffered calls to the wire.
+func (cc *clientConn) flush() error {
 	cc.wmu.Lock()
-	err := cc.bw.Flush()
+	var err error
+	if len(cc.wbuf) > 0 {
+		_, err = cc.nc.Write(cc.wbuf)
+		cc.wbuf = wire.Recycle(cc.wbuf)
+	}
 	cc.wmu.Unlock()
 	if err != nil {
-		err = fmt.Errorf("client: flush: %w", err)
+		err = fmt.Errorf("client: write: %w", err)
 		cerr := cc.close(err)
-		_ = cerr // the flush error is the one worth reporting
+		_ = cerr // the write error is the one worth reporting
 	}
 	return err
 }
 
-// await blocks until the response for id arrives or ctx ends. The
-// in-flight slot was already released when the response reached the
-// read loop (or by abandon here).
-func (cc *clientConn) await(ctx context.Context, id uint64, ch chan outcome) (*Result, error) {
-	select {
-	case out := <-ch:
-		if out.err != nil {
-			return nil, out.err
-		}
-		return &Result{outs: out.outs}, nil
-	case <-ctx.Done():
-		cc.abandon(id)
-		return nil, ctx.Err()
-	}
-}
-
-// batchSlot carries one batched invocation's exactly-once state: its
-// pre-assigned sequence number and, after sendWindow, whether its
-// frame may have reached the wire and under which server incarnation.
-type batchSlot struct {
-	seq     uint64
-	sent    bool
-	sentInc uint64 // incarnation if sent with a dedup-capable session
-}
-
-// sendWindow pipelines one window of batch calls: issue all (buffered),
-// one flush, then collect. slots[i] records each call's sent state for
-// the exactly-once retry pass in CallBatch.
-func (cc *clientConn) sendWindow(ctx context.Context, calls []Invocation, replies []Reply, slots []batchSlot) {
-	type pend struct {
-		ch chan outcome
-		id uint64
-	}
-	pends := make([]pend, len(calls))
-	issued := 0
-	for i, inv := range calls {
-		ch, id, sent, err := cc.issue(ctx, slots[i].seq, inv.Proc, inv.Args, false, false)
-		slots[i].sent = sent
-		if sent && cc.welcome.Session != 0 {
-			slots[i].sentInc = cc.welcome.Incarnation
-		}
-		if err != nil {
-			replies[i].Err = err
-			continue
-		}
-		pends[i] = pend{ch: ch, id: id}
-		issued++
-	}
-	if issued > 0 {
-		if err := cc.flushCalls(); err != nil {
-			// close already failed every pending waiter; fall through
-			// so collection below reports the connection error.
-			_ = err
-		}
-	}
-	for i := range calls {
-		if pends[i].ch == nil {
-			continue
-		}
-		replies[i].Result, replies[i].Err = cc.await(ctx, pends[i].id, pends[i].ch)
-	}
-}
-
-// abandon forgets a request whose caller stopped waiting and releases
-// its slot; a late response is dropped by the reader.
-func (cc *clientConn) abandon(id uint64) {
+// abandon gives up on every call of w's window still in flight: each
+// fails with cause and frees its slot.
+func (cc *clientConn) abandon(w *waiter, cause error) {
 	cc.mu.Lock()
-	_, had := cc.pending[id]
-	delete(cc.pending, id)
-	cc.mu.Unlock()
-	if had {
-		<-cc.sem
+	defer cc.mu.Unlock()
+	for i := range cc.slots {
+		if s := &cc.slots[i]; s.w == w {
+			s.att.err = cause
+			cc.release(uint32(i))
+		}
 	}
 }
 
@@ -793,82 +810,61 @@ func (cc *clientConn) broken() bool {
 	return cc.err != nil
 }
 
-// failure returns the error the connection failed with.
-func (cc *clientConn) failure() error {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if cc.err != nil {
-		return cc.err
-	}
-	return errors.New("client: connection failed")
-}
-
-// close marks the connection failed with cause, fails every pending
-// call, unblocks window waiters, and closes the socket.
+// close marks the connection failed with cause, fails every call in
+// flight, unblocks issuers waiting for a slot, and closes the socket.
 func (cc *clientConn) close(cause error) error {
 	cc.mu.Lock()
 	first := cc.err == nil
 	if first {
 		cc.err = cause
 	}
-	pend := cc.pending
-	cc.pending = make(map[uint64]chan outcome)
+	for i := range cc.slots {
+		if cc.slots[i].att != nil {
+			cc.settle(uint32(i), nil, cause)
+		}
+	}
 	cc.mu.Unlock()
-	if first {
-		close(cc.done)
-	}
-	for _, ch := range pend {
-		ch <- outcome{err: cause}
-	}
 	if !first {
 		return nil // socket already closed by the first closer
 	}
+	close(cc.done)
 	return cc.nc.Close()
 }
 
-// readLoop dispatches response frames to their waiters by request id
-// until the connection dies.
-func (cc *clientConn) readLoop(maxFrame int) {
-	fr := wire.NewReader(cc.nc, maxFrame)
+// readLoop delivers response frames to the slots their request ids
+// name until the connection dies.
+func (cc *clientConn) readLoop() {
 	for {
-		f, err := fr.Next()
+		f, err := cc.fr.Next()
 		if err != nil {
 			cerr := cc.close(fmt.Errorf("client: connection lost: %w", err))
 			_ = cerr // close-after-error: the read error is authoritative
 			return
 		}
-		var out outcome
+		var outs []wire.Output
 		switch f.Op {
 		case wire.OpResult:
-			outs, derr := wire.DecodeResult(f.Payload)
-			if derr != nil {
-				out.err = fmt.Errorf("client: malformed result: %w", derr)
-			} else {
-				out.outs = outs
+			if outs, err = wire.DecodeResult(f.Payload); err != nil {
+				err = fmt.Errorf("client: malformed result: %w", err)
 			}
 		case wire.OpError:
-			re, derr := wire.DecodeError(f.Payload)
-			if derr != nil {
-				out.err = fmt.Errorf("client: malformed error frame: %w", derr)
+			if re, derr := wire.DecodeError(f.Payload); derr != nil {
+				err = fmt.Errorf("client: malformed error frame: %w", derr)
 			} else {
-				out.err = &re
+				err = &re
 			}
 		default:
-			// Unknown frame for a known id is a protocol fault; for an
-			// unknown id it is dropped below like any late response.
-			out.err = fmt.Errorf("client: unexpected %s frame", wire.OpName(f.Op))
+			// Unknown frame for a live id is a protocol fault; for a
+			// retired id it is dropped below like any late response.
+			err = fmt.Errorf("client: unexpected %s frame", wire.OpName(f.Op))
 		}
+		// Settling frees the slot now, before anyone collects the result.
+		// A generation the slot has left behind marks a late response.
+		i, gen := uint32(f.ID), uint32(f.ID>>32)
 		cc.mu.Lock()
-		ch, ok := cc.pending[f.ID]
-		delete(cc.pending, f.ID)
-		cc.mu.Unlock()
-		if ok {
-			ch <- outcome{outs: out.outs, err: out.err}
-			// The request is answered: free its window slot now so
-			// batches still issuing can proceed before anyone
-			// collects this result. Abandoned requests released
-			// their slot in abandon (the pending entry was gone).
-			<-cc.sem
+		if int(i) < len(cc.slots) && cc.slots[i].gen == gen && cc.slots[i].att != nil {
+			cc.settle(i, outs, err)
 		}
+		cc.mu.Unlock()
 	}
 }

@@ -588,3 +588,205 @@ func TestSessionReusedAcrossReconnect(t *testing.T) {
 		}
 	}
 }
+
+// TestOneReaderPerConnection: the server's first write carries WELCOME
+// plus the leading bytes of the next frame. The handshake and the read
+// loop must share one buffered reader, or those bytes are lost and the
+// stream desynchronises.
+func TestOneReaderPerConnection(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer func() { _ = l.Close() }()
+	go func() {
+		nc, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer func() { _ = nc.Close() }()
+		fr := wire.NewReader(nc, wire.DefaultMaxFrame)
+		if f, err := fr.Next(); err != nil || f.Op != wire.OpHello {
+			return
+		}
+		resp := resultFrame(0, wire.Output{Name: "v", Vals: []storage.Value{storage.Int(7)}})
+		first := wire.AppendWelcome(nil, wire.Welcome{MaxFrame: wire.DefaultMaxFrame, MaxInFlight: 4, Server: "eager"})
+		first = append(first, resp[:4]...) // magic, version, opcode: no request id needed yet
+		if _, err := nc.Write(first); err != nil {
+			return
+		}
+		f, err := fr.Next()
+		if err != nil {
+			return
+		}
+		wire.SetID(resp, f.ID)
+		_, _ = nc.Write(resp[4:])
+		_, _ = fr.Next() // hold the connection open until the client hangs up
+	}()
+	cl, err := Dial(l.Addr().String(), Options{RetryAttempts: -1})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer func() { _ = cl.Close() }()
+	res, err := cl.Call(context.Background(), "P")
+	if err != nil {
+		t.Fatalf("call: %v (bytes buffered past WELCOME were lost)", err)
+	}
+	if got := res.Val("v").Int(); got != 7 {
+		t.Fatalf("v = %d, want 7", got)
+	}
+}
+
+// TestSlotReuseDropsLateResponse: a call abandoned by its context frees
+// its slot; the late response to it — which names the same slot under
+// an older generation — must be dropped, never handed to the slot's
+// next occupant, and must not free the slot a second time.
+func TestSlotReuseDropsLateResponse(t *testing.T) {
+	echo := func(id uint64, v storage.Value) []byte {
+		return resultFrame(id, wire.Output{Name: "echo", Vals: []storage.Value{v}})
+	}
+	var hangID uint64
+	type pendingCall struct {
+		id  uint64
+		arg storage.Value
+	}
+	var pending []pendingCall
+	fs := newFakeServerW(t, func(wire.Hello, int64) wire.Welcome {
+		return wire.Welcome{MaxFrame: wire.DefaultMaxFrame, MaxInFlight: 2, Server: "late"}
+	}, func(f wire.Frame, c wire.Call) []byte { // one conn: the handler runs serially
+		switch c.Proc {
+		case "Hang":
+			hangID = f.ID
+			return nil
+		case "Solo":
+			return echo(f.ID, c.Args[0])
+		}
+		if pending = append(pending, pendingCall{f.ID, c.Args[0]}); len(pending) < 2 {
+			return nil
+		}
+		// Both slots are occupied again. Answer late, out of order, and
+		// with the stale frame twice.
+		stale := echo(hangID, storage.Int(-1))
+		buf := append([]byte(nil), stale...)
+		buf = append(buf, echo(pending[1].id, pending[1].arg)...)
+		buf = append(buf, stale...)
+		buf = append(buf, echo(pending[0].id, pending[0].arg)...)
+		pending = nil
+		return buf
+	})
+	cl, err := Dial(fs.addr(), Options{RetryAttempts: -1})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer func() { _ = cl.Close() }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if _, err := cl.Call(ctx, "Hang"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("hang: err = %v, want deadline exceeded", err)
+	}
+	for round := int64(0); round < 3; round++ {
+		replies := cl.CallBatch(context.Background(), []Invocation{
+			{Proc: "Echo", Args: []storage.Value{storage.Int(10 + round)}},
+			{Proc: "Echo", Args: []storage.Value{storage.Int(20 + round)}},
+		})
+		for i, r := range replies {
+			if r.Err != nil {
+				t.Fatalf("round %d batch[%d]: %v", round, i, r.Err)
+			}
+			if got, want := r.Result.Val("echo").Int(), int64(10*(i+1))+round; got != want {
+				t.Fatalf("round %d batch[%d] echo = %d, want %d (a late response reached the slot's next occupant)", round, i, got, want)
+			}
+		}
+	}
+	res, err := cl.Call(context.Background(), "Solo", storage.Int(99))
+	if err != nil || res.Val("echo").Int() != 99 {
+		t.Fatalf("call after the late responses: %v, %v", res, err)
+	}
+	cc := cl.pool[0]
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.nfree != len(cc.slots) {
+		t.Fatalf("free slots = %d of %d: the window was released twice or leaked", cc.nfree, len(cc.slots))
+	}
+	seen := map[uint32]bool{}
+	for _, i := range cc.free[:cc.nfree] {
+		if seen[i] || cc.slots[i].att != nil {
+			t.Fatalf("slot %d is on the free stack twice or still occupied", i)
+		}
+		seen[i] = true
+	}
+}
+
+// TestSteadyStateAllocations pins what a call costs the client once a
+// connection is warm: the attempt it lands in and the three
+// allocations of wire.DecodeResult — four for a Call; for a 16-call
+// CallBatch the replies, one block of attempts and three per result.
+// The fake server here answers from one preencoded frame and allocates
+// nothing, so testing.AllocsPerRun (which counts process-wide) sees the
+// client alone.
+func TestSteadyStateAllocations(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer func() { _ = l.Close() }()
+	go func() {
+		nc, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer func() { _ = nc.Close() }()
+		fr := wire.NewReader(nc, wire.DefaultMaxFrame)
+		if f, err := fr.Next(); err != nil || f.Op != wire.OpHello {
+			return
+		}
+		if _, err := nc.Write(wire.AppendWelcome(nil, wire.Welcome{MaxFrame: wire.DefaultMaxFrame, MaxInFlight: 64, Server: "quiet"})); err != nil {
+			return
+		}
+		resp := resultFrame(0, wire.Output{Name: "v", Vals: []storage.Value{storage.Int(7)}},
+			wire.Output{Name: "s", Vals: []storage.Value{storage.Str("payload")}})
+		for {
+			f, err := fr.Next()
+			if err != nil {
+				return
+			}
+			wire.SetID(resp, f.ID)
+			if _, err := nc.Write(resp); err != nil {
+				return
+			}
+		}
+	}()
+	cl, err := Dial(l.Addr().String(), Options{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer func() { _ = cl.Close() }()
+	ctx := context.Background()
+	args := []storage.Value{storage.Int(1), storage.Str("x")}
+	batch := make([]Invocation, 16)
+	for i := range batch {
+		batch[i] = Invocation{Proc: "P", Args: args}
+	}
+	one := func() {
+		if _, err := cl.Call(ctx, "P", args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sixteen := func() {
+		for _, r := range cl.CallBatch(ctx, batch) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	}
+	one()
+	sixteen() // warm: write buffer grown, waiter pooled
+	const maxCall, maxBatch = 4, 2 + 3*16
+	if n := testing.AllocsPerRun(200, one); n > maxCall {
+		t.Errorf("Call: %v allocs, want <= %d", n, maxCall)
+	}
+	if n := testing.AllocsPerRun(50, sixteen); n > maxBatch {
+		t.Errorf("CallBatch(16): %v allocs, want <= %d", n, maxBatch)
+	}
+}

@@ -2,7 +2,8 @@ package proc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"thedb/internal/storage"
 )
@@ -108,18 +109,30 @@ func (e *Env) Vals(name string) []storage.Value {
 // SetVals stores a slice of values.
 func (e *Env) SetVals(name string, v []storage.Value) { e.Set(name, v) }
 
-// Each calls fn for every defined variable in sorted name order — the
-// deterministic enumeration the network result encoding relies on. It
-// bypasses checked mode: enumeration happens after the transaction
-// has run, when the declared-access discipline no longer applies.
-func (e *Env) Each(fn func(name string, v any)) {
-	names := make([]string, 0, len(e.vals))
-	for k := range e.vals {
-		names = append(names, k)
+// Var is one defined variable as Sorted enumerates it.
+type Var struct {
+	Name string
+	V    any
+}
+
+// Sorted appends every defined variable to dst in name order — the
+// deterministic enumeration the network result encoding relies on —
+// and allocates nothing when dst has room. It bypasses checked mode:
+// enumeration happens after the transaction has run, when the
+// declared-access discipline no longer applies.
+func (e *Env) Sorted(dst []Var) []Var {
+	first := len(dst)
+	for k, v := range e.vals {
+		dst = append(dst, Var{k, v})
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		fn(n, e.vals[n])
+	slices.SortFunc(dst[first:], func(a, b Var) int { return strings.Compare(a.Name, b.Name) })
+	return dst
+}
+
+// Each calls fn for every defined variable in sorted name order.
+func (e *Env) Each(fn func(name string, v any)) {
+	for _, v := range e.Sorted(make([]Var, 0, len(e.vals))) {
+		fn(v.Name, v.V)
 	}
 }
 

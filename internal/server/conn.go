@@ -16,33 +16,119 @@ import (
 
 // conn is one client connection. Two goroutines drive it: a read loop
 // (handshake, frame decode, admission) and a writer draining out.
-// Responses arrive on out from dispatch goroutines in completion
-// order, which is what gives the protocol out-of-order pipelining.
+// Responses are queued on out by dispatch goroutines in completion
+// order, which is what gives the protocol out-of-order pipelining. A
+// call lives in one of the connection's PerConnInFlight slots from
+// admission to its response; the free slots are the admission window.
 //
 // Teardown order is load-bearing: the read loop exits first, waits
 // for every admitted request it let in (reqs), then closes out; the
-// writer drains the channel, flushes, and closes the socket. Senders
-// therefore never race close(out) — a dispatch goroutine's send
-// happens strictly before its reqs.Done, which happens before
-// reqs.Wait returns.
+// writer writes what is left and closes the socket. Senders therefore
+// never race the close — a dispatch goroutine's put happens strictly
+// before its reqs.Done, which happens before reqs.Wait returns.
 type conn struct {
 	srv *Server
 	nc  net.Conn
-	out chan []byte
+	out outQueue
 
 	// sess is the exactly-once session bound in the handshake (nil
 	// when dedup is disabled). Written once before the first call is
 	// admitted, read by the same read loop thereafter.
 	sess *session
 
-	reqs     sync.WaitGroup // this connection's admitted, unanswered requests
-	inflight atomic.Int64
+	reqs sync.WaitGroup // this connection's admitted, unanswered requests
+
+	free chan *request // the slots no call occupies
+
+	// Read-loop state: scratch is where the loop encodes the frames it
+	// answers itself (handshake, rejections, dedup replays); procs
+	// interns the names of the procedures this connection has called.
+	scratch []byte
+	procs   map[string]string
 
 	// dead flips when a write fails or shutdown forces the socket
 	// closed; the writer then discards instead of writing, so senders
 	// drain without blocking on a broken peer.
 	dead      atomic.Bool
 	closeOnce sync.Once
+}
+
+// acquire takes a free slot for an arriving call; nil means the
+// connection's pipeline is full.
+//
+//thedb:noalloc
+func (c *conn) acquire() *request {
+	select {
+	case req := <-c.free:
+		return req
+	default:
+		return nil
+	}
+}
+
+// release frees an answered call's slot. The caller must not touch req
+// afterwards: its next occupant may already be decoding into it.
+//
+//thedb:noalloc
+func (c *conn) release(req *request) {
+	req.sess, req.entry = nil, nil
+	c.free <- req
+}
+
+// outQueue is a connection's outbound bytes: two buffers, one filling
+// with encoded frames while the writer goroutine has the other on the
+// wire. The writer is woken only when the filling buffer goes from
+// empty to non-empty, so a burst of pipelined responses costs one
+// wake, one write deadline and one write(2). A buffer holds at most
+// max frames, and a sender past that blocks until the writer swaps: a
+// peer that stops reading stalls only senders to its own connection,
+// until writeTimeout kills it.
+type outQueue struct {
+	mu       sync.Mutex
+	nonEmpty sync.Cond // the writer waits here
+	space    sync.Cond // senders wait here while the buffer is full
+	buf      []byte
+	frames   int
+	max      int
+	closed   bool
+}
+
+// put queues a copy of one encoded frame. Callers must hold an
+// admission slot (reqs) or be the read loop itself (see conn).
+func (q *outQueue) put(frame []byte) {
+	q.mu.Lock()
+	for q.frames >= q.max {
+		q.space.Wait()
+	}
+	wake := len(q.buf) == 0
+	q.buf = append(q.buf, frame...)
+	q.frames++
+	q.mu.Unlock()
+	if wake {
+		q.nonEmpty.Signal()
+	}
+}
+
+// take blocks until frames are queued, hands them to the writer and
+// leaves spare to fill; ok is false once the queue is closed and empty.
+func (q *outQueue) take(spare []byte) (out []byte, ok bool) {
+	q.mu.Lock()
+	for len(q.buf) == 0 && !q.closed {
+		q.nonEmpty.Wait()
+	}
+	out = q.buf
+	q.buf, q.frames = spare, 0
+	q.mu.Unlock()
+	q.space.Broadcast()
+	return out, len(out) > 0
+}
+
+// close lets the writer exit once it has written what is queued.
+func (q *outQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.nonEmpty.Signal()
 }
 
 // countConn wraps a net.Conn, feeding byte counts into the server
@@ -72,13 +158,18 @@ func (c countConn) Write(p []byte) (int, error) {
 // pair.
 func (s *Server) startConn(raw net.Conn) {
 	nc := countConn{Conn: raw, stats: s.stats}
-	c := &conn{
-		srv: s,
-		nc:  nc,
-		// Capacity covers the admission bound plus reader-side
-		// rejections so dispatchers almost never block on a slow peer.
-		out: make(chan []byte, s.cfg.PerConnInFlight+16),
+	n := s.cfg.PerConnInFlight
+	c := &conn{srv: s, nc: nc, free: make(chan *request, n), procs: map[string]string{}}
+	slots := make([]request, n)
+	for i := range slots {
+		slots[i].c = c
+		c.free <- &slots[i]
 	}
+	// Room for the admission window plus reader-side rejections, so
+	// dispatchers almost never block on a slow peer.
+	c.out.max = n + 16
+	c.out.nonEmpty.L = &c.out.mu
+	c.out.space.L = &c.out.mu
 	// Register under mu, which Shutdown takes after raising draining:
 	// a connection accepted as the drain began is either counted before
 	// Shutdown snapshots s.conns and waits on connWG, or refused here.
@@ -97,11 +188,10 @@ func (s *Server) startConn(raw net.Conn) {
 	go c.writeLoop()
 }
 
-// send enqueues an encoded frame for the writer. Callers must hold an
-// admission slot (reqs) or be the read loop itself; see the teardown
-// comment on conn.
-func (c *conn) send(frame []byte) {
-	c.out <- frame
+// reject answers request id with a typed error from the read loop.
+func (c *conn) reject(id uint64, e wire.RemoteError) {
+	c.scratch = wire.AppendError(c.scratch[:0], id, e)
+	c.out.put(c.scratch)
 }
 
 // wake unblocks a read loop parked in a blocking read (used by
@@ -140,10 +230,10 @@ func (c *conn) readLoop() {
 	s := c.srv
 	defer s.connWG.Done()
 	defer func() {
-		// All admitted requests answered, then hand the channel to
-		// the writer for final flush + socket close.
+		// All admitted requests answered, then hand the queue to the
+		// writer for the final write + socket close.
 		c.reqs.Wait()
-		close(c.out)
+		c.out.close()
 		if c.sess != nil {
 			c.sess.release()
 		}
@@ -167,133 +257,134 @@ func (c *conn) readLoop() {
 			}
 			return
 		}
-		if s.draining.Load() {
-			s.stats.Inc(&s.stats.DrainRejected)
-			c.send(wire.AppendError(nil, f.ID, wire.RemoteError{
-				Code: wire.CodeDraining, Backoff: drainHint, Msg: "server draining",
-			}))
-			continue
-		}
-		if f.Op != wire.OpCall {
-			s.stats.Inc(&s.stats.BadFrames)
-			c.send(wire.AppendError(nil, f.ID, wire.RemoteError{
-				Code: wire.CodeBadRequest, Msg: "expected CALL frame, got " + wire.OpName(f.Op),
-			}))
-			continue
-		}
-		call, err := wire.DecodeCall(f.Payload)
-		if err != nil {
-			s.stats.Inc(&s.stats.BadFrames)
-			c.send(wire.AppendError(nil, f.ID, wire.RemoteError{
-				Code: wire.CodeBadRequest, Msg: "malformed CALL: " + err.Error(),
-			}))
-			continue
-		}
-		if !s.db.HasProcedure(call.Proc) {
-			c.send(wire.AppendError(nil, f.ID, wire.RemoteError{
-				Code: wire.CodeUnknownProc, Msg: "no such procedure " + call.Proc,
-			}))
-			continue
-		}
-		c.admit(f.ID, call)
+		c.serve(f)
 	}
 }
 
-// admit applies the admission policy to one decoded call: shed past
-// the per-connection bound, refuse a dead deadline budget, dedup a
-// retried sequence number, shed when the global queue is full,
-// otherwise hand it to the dispatchers. Shedding always answers with
-// a retryable typed error plus backoff hint — never a silent drop.
-func (c *conn) admit(id uint64, call wire.Call) {
+// serve answers one frame: a rejection, or a call decoded into a free
+// slot and admitted.
+func (c *conn) serve(f wire.Frame) {
 	s := c.srv
-	if c.inflight.Load() >= int64(s.cfg.PerConnInFlight) {
-		s.stats.Inc(&s.stats.Shed)
-		c.send(wire.AppendError(nil, id, wire.RemoteError{
-			Code: wire.CodeShed, Backoff: shedHint, Msg: "connection pipeline full",
-		}))
+	if f.Op != wire.OpCall {
+		s.stats.Inc(&s.stats.BadFrames)
+		c.reject(f.ID, wire.RemoteError{Code: wire.CodeBadRequest, Msg: "expected CALL frame, got " + wire.OpName(f.Op)})
 		return
 	}
-	req := &request{
-		c: c, id: id, proc: call.Proc, args: call.Args,
-		sess: c.sess, seq: call.Seq, readOnly: call.ReadOnly,
-		arrival: time.Now(), budget: time.Duration(call.BudgetUS) * time.Microsecond,
+	req := c.acquire()
+	if req == nil {
+		s.stats.Inc(&s.stats.Shed)
+		c.reject(f.ID, wire.RemoteError{Code: wire.CodeShed, Backoff: shedHint, Msg: "connection pipeline full"})
+		return
 	}
+	name, err := wire.DecodeCallInto(&req.call, f.Payload)
+	if err != nil {
+		c.release(req)
+		s.stats.Inc(&s.stats.BadFrames)
+		c.reject(f.ID, wire.RemoteError{Code: wire.CodeBadRequest, Msg: "malformed CALL: " + err.Error()})
+		return
+	}
+	// The lookup does not materialize the string; a hit yields the
+	// interned name every later stage uses.
+	proc, ok := c.procs[string(name)]
+	if !ok {
+		proc = string(name)
+		if !s.db.HasProcedure(proc) {
+			c.release(req)
+			c.reject(f.ID, wire.RemoteError{Code: wire.CodeUnknownProc, Msg: "no such procedure " + proc})
+			return
+		}
+		c.procs[proc] = proc
+	}
+	req.id, req.call.Proc = f.ID, proc
+	c.admit(req)
+}
+
+// admit applies the admission policy to one decoded call: refuse a
+// dead deadline budget, dedup a retried sequence number, refuse new
+// work while draining, shed when the global queue is full, otherwise
+// hand it to the dispatchers. Refusals always answer with a retryable
+// typed error plus backoff hint — never a silent drop.
+func (c *conn) admit(req *request) {
+	s := c.srv
+	req.arrival = time.Now()
 	if s.tracer != nil {
-		req.trace = call.TraceID
+		req.trace = req.call.TraceID
 		if req.trace == 0 {
-			// Untraced caller: mint the end-to-end ID at admission.
-			req.trace = s.mintTrace()
+			// Untraced caller: mint the end-to-end ID at admission, from
+			// a boot-salted counter so IDs stay unique across restarts.
+			req.trace = wire.MintTraceID(s.traceCtr.Add(1) + s.incarnation)
 		}
 	}
-	if req.budget > 0 && time.Since(req.arrival) >= req.budget {
+	if b := req.budget(); b > 0 && time.Since(req.arrival) >= b {
 		// The caller's context died in transit; nothing was admitted,
 		// so answer plainly without touching the accounting or window.
 		s.stats.Inc(&s.stats.DeadlineRejected)
-		c.send(wire.AppendError(nil, id, wire.RemoteError{
-			Code: wire.CodeDeadline, Msg: "deadline budget exhausted at admission",
-		}))
+		c.reject(req.id, wire.RemoteError{Code: wire.CodeDeadline, Msg: "deadline budget exhausted at admission"})
+		c.release(req)
 		return
 	}
 	// Account before offering: a dispatcher may pick the request up
 	// and finish it the instant it lands in the channel.
 	s.pending.Add(1)
 	c.reqs.Add(1)
-	c.inflight.Add(1)
 	s.stats.Add(&s.stats.InFlight, 1)
-	if s.draining.Load() {
-		// Shutdown flipped the flag between the read loop's check and
-		// the increment above. Back out so the drain never waits on —
-		// or worse, misses — a request admitted behind its back. No
-		// dedup entry exists yet, so a plain finish balances.
-		s.finish(c)
-		s.stats.Inc(&s.stats.DrainRejected)
-		c.send(wire.AppendError(nil, id, wire.RemoteError{
-			Code: wire.CodeDraining, Backoff: drainHint, Msg: "server draining",
-		}))
-		return
-	}
 	// Read-only snapshot calls skip the dedup window: they write
 	// nothing, so re-executing a retry is safe and cheaper than
-	// caching response payloads for it.
-	if c.sess != nil && req.seq != 0 && !req.readOnly {
-		switch verdict, e := c.sess.register(req); verdict {
+	// caching responses for it.
+	if c.sess != nil && req.call.Seq != 0 && !req.call.ReadOnly {
+		req.sess = c.sess
+		switch c.sess.register(req, &c.scratch) {
 		case dedupHit:
-			// Already executed: replay the cached response under the
-			// retry's request id. The transaction does not run again.
+			// Already executed: replay the cached response (register
+			// copied it into scratch) under the retry's request id.
 			s.stats.Inc(&s.stats.DedupHits)
 			if tr := s.tracer; tr != nil {
 				// A cached replay never reaches the engine, so record
 				// its trace here (always retained: outcome ≠ committed).
 				t := obs.Trace{
-					ID: req.trace, Proc: req.proc, Worker: -1,
+					ID: req.trace, Proc: req.call.Proc, Worker: -1,
 					Outcome: obs.TraceDedupHit,
 					StartNS: req.arrival.UnixNano(),
 					TotalUS: time.Since(req.arrival).Microseconds(),
 				}
 				tr.Keep(&t)
 			}
-			c.send(wire.AppendFrame(nil, e.op, id, e.payload))
-			s.finish(c)
+			wire.SetID(c.scratch, req.id)
+			c.out.put(c.scratch)
+			s.finish(req)
 			return
 		case dedupJoined:
 			// The original attempt is still executing; this retry is
-			// parked on its entry and answered by respond when the one
-			// execution completes. Accounting stays held until then.
+			// parked on its entry, slot and accounting held, and answered
+			// by respond when the one execution completes.
 			s.stats.Inc(&s.stats.DedupCoalesced)
 			return
-		case dedupNew:
-			req.entry = e
 		}
+	}
+	// The draining flag is read after the increments above (Shutdown
+	// sets it, then reads the counter: one side sees the other) and
+	// after the dedup window: a duplicate of a frame this incarnation
+	// admitted shares that call's answer. A retryable "never ran" would
+	// send the client to the next incarnation, whose window is empty.
+	if s.draining.Load() {
+		s.stats.Inc(&s.stats.DrainRejected)
+		c.refuse(req, wire.RemoteError{Code: wire.CodeDraining, Backoff: drainHint, Msg: "server draining"})
+		return
 	}
 	select {
 	case s.work <- req:
 		s.stats.Inc(&s.stats.Requests)
 	default:
 		s.stats.Inc(&s.stats.Shed)
-		s.respond(req, wire.OpError, wire.AppendErrorPayload(nil, wire.RemoteError{
-			Code: wire.CodeShed, Backoff: shedHint, Msg: "server at capacity",
-		}), false)
+		c.refuse(req, wire.RemoteError{Code: wire.CodeShed, Backoff: shedHint, Msg: "server at capacity"})
 	}
+}
+
+// refuse answers an accounted request, and any retry already parked on
+// its dedup entry, with an error that is never cached.
+func (c *conn) refuse(req *request, e wire.RemoteError) {
+	c.scratch = wire.AppendError(c.scratch[:0], req.id, e)
+	c.srv.respond(req, c.scratch, false)
 }
 
 // handshake reads the client hello and answers with the server's
@@ -307,9 +398,7 @@ func (c *conn) handshake(fr *wire.Reader) bool {
 	if err != nil {
 		if errors.Is(err, wire.ErrBadVersion) {
 			// The header parsed; tell the peer why before hanging up.
-			c.send(wire.AppendError(nil, 0, wire.RemoteError{
-				Code: wire.CodeVersion, Msg: "unsupported protocol version",
-			}))
+			c.reject(0, wire.RemoteError{Code: wire.CodeVersion, Msg: "unsupported protocol version"})
 		} else if !errors.Is(err, io.EOF) {
 			s.stats.Inc(&s.stats.BadFrames)
 		}
@@ -317,17 +406,13 @@ func (c *conn) handshake(fr *wire.Reader) bool {
 	}
 	if f.Op != wire.OpHello {
 		s.stats.Inc(&s.stats.BadFrames)
-		c.send(wire.AppendError(nil, f.ID, wire.RemoteError{
-			Code: wire.CodeBadRequest, Msg: "expected HELLO, got " + wire.OpName(f.Op),
-		}))
+		c.reject(f.ID, wire.RemoteError{Code: wire.CodeBadRequest, Msg: "expected HELLO, got " + wire.OpName(f.Op)})
 		return false
 	}
 	h, err := wire.DecodeHello(f.Payload)
 	if err != nil {
 		s.stats.Inc(&s.stats.BadFrames)
-		c.send(wire.AppendError(nil, f.ID, wire.RemoteError{
-			Code: wire.CodeBadRequest, Msg: "malformed HELLO: " + err.Error(),
-		}))
+		c.reject(f.ID, wire.RemoteError{Code: wire.CodeBadRequest, Msg: "malformed HELLO: " + err.Error()})
 		return false
 	}
 	if err := c.nc.SetReadDeadline(time.Time{}); err != nil {
@@ -344,43 +429,31 @@ func (c *conn) handshake(fr *wire.Reader) bool {
 		w.Session = c.sess.token
 		w.DedupWindow = uint32(s.cfg.DedupWindow)
 	}
-	c.send(wire.AppendWelcome(nil, w))
+	c.scratch = wire.AppendWelcome(c.scratch[:0], w)
+	c.out.put(c.scratch)
 	return true
 }
 
-// writeLoop drains out onto the socket, coalescing flushes: it only
-// flushes when the channel momentarily empties, so a burst of
-// pipelined responses shares one syscall.
+// writeLoop swaps the out queue's buffers and writes what the swap
+// yields: everything queued during the previous write shares one
+// deadline and one syscall.
 func (c *conn) writeLoop() {
 	s := c.srv
 	defer s.connWG.Done()
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
-	for buf := range c.out {
-		if c.dead.Load() {
-			continue // peer is gone; drain so senders never block
+	var spare []byte
+	for {
+		buf, ok := c.out.take(spare)
+		if !ok {
+			break
 		}
-		if err := c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
-			c.fail()
-			continue
-		}
-		if _, err := bw.Write(buf); err != nil {
-			c.fail()
-			continue
-		}
-		// Flush when the queue momentarily empties (burst over) or
-		// once enough has accumulated: without the byte cap, a
-		// steadily-fed queue would defer responses until bufio's own
-		// buffer fills, adding seconds of latency under load.
-		if len(c.out) == 0 || bw.Buffered() >= 16<<10 {
-			if err := bw.Flush(); err != nil {
+		if !c.dead.Load() { // else the peer is gone; drain so senders never block
+			if err := c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
+				c.fail()
+			} else if _, err := c.nc.Write(buf); err != nil {
 				c.fail()
 			}
 		}
-	}
-	if !c.dead.Load() {
-		if err := bw.Flush(); err != nil {
-			c.fail()
-		}
+		spare = wire.Recycle(buf)
 	}
 	c.closeNC()
 	s.stats.Inc(&s.stats.ConnsClosed)

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"net"
 	"strings"
 	"testing"
@@ -214,11 +215,10 @@ func TestDedupSurvivesReconnect(t *testing.T) {
 	}
 }
 
-// TestDedupCoalescesConcurrentRetry parks a retry that arrives while
-// the original attempt is still executing: both get the answer of the
-// single execution.
-func TestDedupCoalescesConcurrentRetry(t *testing.T) {
-	db := newKVDB(t, 2, nil)
+// registerSlowInc adds KVInc's slow twin: it sleeps ms before the
+// read-modify-write, holding its dedup entry in the executing state
+// long enough for a retry to park on it.
+func registerSlowInc(db *thedb.DB) {
 	db.MustRegister(&thedb.Spec{
 		Name:   "SlowInc",
 		Params: []string{"key", "ms"},
@@ -249,6 +249,14 @@ func TestDedupCoalescesConcurrentRetry(t *testing.T) {
 			})
 		},
 	})
+}
+
+// TestDedupCoalescesConcurrentRetry parks a retry that arrives while
+// the original attempt is still executing: both get the answer of the
+// single execution.
+func TestDedupCoalescesConcurrentRetry(t *testing.T) {
+	db := newKVDB(t, 2, nil)
+	registerSlowInc(db)
 	srv, addr := startServer(t, db, server.Config{})
 
 	ncA, frA, w := rawDialSession(t, addr, 0)
@@ -310,6 +318,138 @@ func TestDedupWindowEviction(t *testing.T) {
 	}))
 	if v := resultInt(t, nextFrame(t, fr), "val"); v != 2 {
 		t.Fatalf("evicted-seq retry val = %d, want 2 (re-execution)", v)
+	}
+}
+
+// TestDedupWaiterOnRecycledEntry parks a retry on a dedup entry that
+// has already lived one life: with a window of 2, earlier completions
+// were evicted and recycled before the slow call took one of them, and
+// further completions keep evicting and recycling around it while the
+// retry waits. The one execution must answer original and retry
+// exactly once each, and nothing parked on an entry's earlier life may
+// leak into its next.
+func TestDedupWaiterOnRecycledEntry(t *testing.T) {
+	db := newKVDB(t, 2, nil)
+	registerKVInc(db)
+	registerSlowInc(db)
+	srv, addr := startServer(t, db, server.Config{DedupWindow: 2})
+
+	ncA, frA, w := rawDialSession(t, addr, 0)
+	ncB, frB, _ := rawDialSession(t, addr, w.Session)
+	inc := func(seq uint64) {
+		t.Helper()
+		writeFrames(t, ncA, wire.AppendCall(nil, seq, wire.Call{
+			Proc: "KVInc", Seq: seq, Args: []thedb.Value{thedb.Int(100 + int64(seq)), thedb.Int(1)},
+		}))
+		if f := nextFrame(t, frA); f.ID != seq || resultInt(t, f, "val") != 1 {
+			t.Fatalf("seq %d: answered by frame id %d", seq, f.ID)
+		}
+	}
+	for seq := uint64(1); seq <= 4; seq++ {
+		inc(seq) // fills the window, then evicts and recycles two entries
+	}
+	for round := uint64(0); round < 2; round++ { // the second round re-parks on an entry a waiter already left
+		slow := 10 + 10*round
+		writeFrames(t, ncA, wire.AppendCall(nil, slow, wire.Call{
+			Proc: "SlowInc", Seq: slow, Args: []thedb.Value{thedb.Int(1), thedb.Int(300)},
+		}))
+		time.Sleep(50 * time.Millisecond) // let the original start executing
+		writeFrames(t, ncB, wire.AppendCall(nil, slow+1, wire.Call{
+			Proc: "SlowInc", Seq: slow, Args: []thedb.Value{thedb.Int(1), thedb.Int(300)},
+		}))
+		// The other dispatcher keeps completing, evicting and recycling
+		// while the retry is parked.
+		for seq := slow + 2; seq < slow+6; seq++ {
+			inc(seq)
+		}
+		want := int64(round + 1)
+		if f := nextFrame(t, frA); f.ID != slow || resultInt(t, f, "val") != want {
+			t.Fatalf("round %d: original answered by frame id %d", round, f.ID)
+		}
+		if f := nextFrame(t, frB); f.ID != slow+1 || resultInt(t, f, "val") != want {
+			t.Fatalf("round %d: parked retry answered by frame id %d", round, f.ID)
+		}
+		// Exactly once: the next frame on B answers B's next call, not
+		// the parked retry a second time; and the row moved by one.
+		writeFrames(t, ncB, wire.AppendCall(nil, slow+9, wire.Call{
+			Proc: "KVGet", Seq: slow + 9, Args: []thedb.Value{thedb.Int(1)},
+		}))
+		if f := nextFrame(t, frB); f.ID != slow+9 || resultInt(t, f, "val") != want {
+			t.Fatalf("round %d: frame id %d after the parked retry, want %d with val %d", round, f.ID, slow+9, want)
+		}
+	}
+	snap := srv.Stats().Snapshot()
+	if snap.DedupCoalesced != 2 || snap.DedupHits != 0 || snap.DedupEntries != 2 {
+		t.Fatalf("DedupCoalesced = %d DedupHits = %d DedupEntries = %d, want 2, 0 and 2", snap.DedupCoalesced, snap.DedupHits, snap.DedupEntries)
+	}
+}
+
+// TestDedupDuplicateFrameDuringDrain duplicates a call's frame across
+// the instant the server starts draining: the first copy was admitted,
+// the second arrives with the flag up. The duplicate must share the
+// one execution's answer. A draining rejection under the same request
+// id would tell the client the call never ran and send it, same seq,
+// to the next incarnation — whose empty window would run it again. A
+// seq the window has never seen is still refused.
+func TestDedupDuplicateFrameDuringDrain(t *testing.T) {
+	db := newKVDB(t, 1, nil)
+	registerSlowInc(db)
+	db.Start()
+	srv := server.New(db, server.Config{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(l) }()
+
+	nc, fr, _ := rawDialSession(t, l.Addr().String(), 0)
+	frame := wire.AppendCall(nil, 1, wire.Call{
+		Proc: "SlowInc", Seq: 7, Args: []thedb.Value{thedb.Int(1), thedb.Int(300)},
+	})
+	writeFrames(t, nc, frame)
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().Snapshot().Requests == 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("slow call never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	shutdownDone := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutdownDone <- srv.Shutdown(ctx)
+	}()
+	time.Sleep(50 * time.Millisecond) // let Shutdown raise the draining flag
+	writeFrames(t, nc, frame)
+	writeFrames(t, nc, wire.AppendCall(nil, 2, wire.Call{
+		Proc: "SlowInc", Seq: 8, Args: []thedb.Value{thedb.Int(1), thedb.Int(0)},
+	}))
+
+	results := 0
+	for i := 0; i < 3; i++ {
+		switch f := nextFrame(t, fr); {
+		case f.ID == 1:
+			if v := resultInt(t, f, "val"); v != 1 {
+				t.Fatalf("val = %d, want 1", v)
+			}
+			results++
+		case f.ID == 2 && f.Op == wire.OpError:
+			if re, err := wire.DecodeError(f.Payload); err != nil || re.Code != wire.CodeDraining {
+				t.Fatalf("new seq during drain: %+v, %v, want draining", re, err)
+			}
+		default:
+			t.Fatalf("unexpected frame op=%s id=%d", wire.OpName(f.Op), f.ID)
+		}
+	}
+	if results != 2 {
+		t.Fatalf("%d results for the duplicated frame, want 2", results)
+	}
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("serve: %v", err)
 	}
 }
 

@@ -10,6 +10,13 @@
 // owned by exactly one dispatch goroutine; connections feed a bounded
 // global work queue and collect responses out of order by request id.
 //
+// The serving path carries a call in reused memory: it is decoded into
+// one of its connection's fixed slots (conn), and its response is
+// encoded once, from the transaction's variables into the dispatcher's
+// scratch, then copied into the session's dedup ring (session.go) and
+// onto the connection's outbound byte queue (outQueue), which a writer
+// goroutine — woken once per burst — swaps and writes.
+//
 // Admission control is load shedding, not queueing: a request beyond
 // the per-connection or global in-flight bound is answered immediately
 // with a typed retryable error carrying a backoff hint (wire.CodeShed),
@@ -91,35 +98,35 @@ const (
 	banner = "thedb"
 )
 
-// request is one admitted procedure invocation traveling from a
-// connection's read loop to a dispatch goroutine.
+// request is one slot of a connection's in-flight table: a procedure
+// invocation from the frame that carried it to the response that
+// answers it, reused — argument vector included — by the next one.
 type request struct {
-	c    *conn
-	id   uint64
-	proc string
-	args []storage.Value
+	c  *conn
+	id uint64
 
-	// Exactly-once plumbing: the connection's session, the call's
-	// per-session sequence number (0 = dedup opted out), and the dedup
-	// entry when this request owns the execution of a tracked seq.
+	// call is the decoded CALL, Proc interned. Seq 0 opts out of dedup;
+	// ReadOnly is dispatched via Session.RunSnapshot and never deduped.
+	call wire.Call
+
+	// Exactly-once plumbing: the session when the call is dedup-tracked,
+	// the dedup entry when this request owns the execution of its seq.
 	sess  *session
-	seq   uint64
 	entry *dedupEntry
 
 	// arrival anchors the deadline budget: the call is refused once
 	// arrival+budget passes without the transaction having run.
 	arrival time.Time
-	budget  time.Duration
 
 	// trace is the call's end-to-end trace ID: the client's when it
 	// sent one, otherwise minted at admission when tracing is on
 	// (0 = tracing off).
 	trace uint64
+}
 
-	// readOnly marks a snapshot-read call (wire v4 flag): dispatched
-	// via Session.RunSnapshot, bypassing the dedup window — re-reading
-	// a snapshot is idempotent, so retries simply re-execute.
-	readOnly bool
+// budget is the caller's deadline budget at send time (0 = none).
+func (r *request) budget() time.Duration {
+	return time.Duration(r.call.BudgetUS) * time.Microsecond
 }
 
 // Server serves a database's stored-procedure catalog over the wire
@@ -202,19 +209,6 @@ func New(db *thedb.DB, cfg Config) *Server {
 	}
 }
 
-// mintTrace mints a nonzero trace ID for a call that arrived without
-// one (splitmix64 over a boot-salted counter, so IDs stay unique
-// across restarts with high probability).
-func (s *Server) mintTrace() uint64 {
-	x := s.traceCtr.Add(1) + s.incarnation
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x | 1
-}
-
 // Stats returns the serving plane's counters (live; read with
 // Snapshot).
 func (s *Server) Stats() *metrics.Server { return s.stats }
@@ -261,89 +255,131 @@ func (s *Server) Serve(l net.Listener) error {
 func (s *Server) startDispatchers() {
 	s.dispatchers.Do(func() {
 		for i := 0; i < s.db.Workers(); i++ {
-			sess := s.db.Session(i)
-			go s.dispatch(sess)
+			go s.dispatch(&dispatcher{sess: s.db.Session(i)})
 		}
 	})
 }
 
+// dispatcher is one dispatch goroutine's engine session and scratch.
+type dispatcher struct {
+	sess  *thedb.Session
+	frame []byte     // the response frame under construction
+	vars  []proc.Var // the committed transaction's variables, sorted
+}
+
 // dispatch serves queued requests on one engine session until quit.
-func (s *Server) dispatch(sess *thedb.Session) {
+func (s *Server) dispatch(d *dispatcher) {
 	for {
 		select {
 		case <-s.quit:
 			return
 		case req := <-s.work:
-			s.serveOne(sess, req)
+			s.serveOne(d, req)
 		}
 	}
 }
 
-// serveOne runs one admitted request to completion and enqueues its
+// serveOne runs one admitted request to completion and queues its
 // response frame. A request whose deadline budget expired while queued
 // is refused without executing: the caller's context is already dead,
 // so running the transaction would burn engine time on an answer
 // nobody reads.
-func (s *Server) serveOne(sess *thedb.Session, req *request) {
-	if req.budget > 0 && time.Since(req.arrival) >= req.budget {
+func (s *Server) serveOne(d *dispatcher, req *request) {
+	if b := req.budget(); b > 0 && time.Since(req.arrival) >= b {
 		s.stats.Inc(&s.stats.DeadlineRejected)
-		s.respond(req, wire.OpError, wire.AppendErrorPayload(nil, wire.RemoteError{
+		d.frame = wire.AppendError(d.frame[:0], req.id, wire.RemoteError{
 			Code: wire.CodeDeadline, Msg: "deadline budget exhausted before execution",
-		}), false)
+		})
+		s.respond(req, d.frame, false)
 		return
 	}
 	// Hand the wire trace context to the engine session: queue wait is
 	// everything between admission and this dispatch slot.
 	traced := s.tracer != nil
 	if traced {
-		sess.SetTraceContext(req.trace, time.Since(req.arrival).Microseconds(), req.arrival.UnixNano())
+		d.sess.SetTraceContext(req.trace, time.Since(req.arrival).Microseconds(), req.arrival.UnixNano())
 	}
 	var env *thedb.Env
 	var err error
-	if req.readOnly {
-		env, err = sess.RunSnapshot(req.proc, req.args...)
+	if req.call.ReadOnly {
+		env, err = d.sess.RunSnapshot(req.call.Proc, req.call.Args...)
 	} else {
-		env, err = sess.Run(req.proc, req.args...)
+		env, err = d.sess.Run(req.call.Proc, req.call.Args...)
 	}
 	respStart := time.Now()
 	if err != nil {
 		re := s.mapError(err)
+		d.frame = wire.AppendError(d.frame[:0], req.id, re)
 		// Cache only settled outcomes. A retryable rejection (shed,
 		// contended, draining) must re-execute on retry, not replay
 		// the rejection from the window.
-		s.respond(req, wire.OpError, wire.AppendErrorPayload(nil, re), !re.Retryable())
+		s.respond(req, d.frame, !re.Retryable())
 	} else {
-		s.respond(req, wire.OpResult, wire.AppendResultPayload(nil, outputsOf(env)), true)
+		d.vars = env.Sorted(d.vars[:0])
+		d.frame = appendResult(d.frame[:0], req.id, d.vars)
+		s.respond(req, d.frame, true)
 	}
 	if traced {
 		// Amend the retained trace (if tail sampling kept it) with the
 		// response-write cost, outbound backpressure included.
-		slot, id := sess.LastTrace()
+		slot, id := d.sess.LastTrace()
 		s.tracer.AmendResp(slot, id, time.Since(respStart).Microseconds())
 	}
 }
 
-// respond answers an admitted request and any retries parked on its
-// dedup entry, releasing each one's accounting. cache controls whether
-// the response joins the session's dedup window for future retries.
-// Every completion path for a request that may own a dedup entry must
-// come through here — answering around it would strand parked waiters.
-func (s *Server) respond(req *request, op uint8, payload []byte, cache bool) {
-	if req.entry != nil {
-		for _, w := range req.sess.complete(s, req.entry, op, payload, cache, s.cfg.DedupWindow) {
-			w.c.send(wire.AppendFrame(nil, op, w.id, payload))
-			s.finish(w.c)
+// appendResult encodes a committed transaction's variables, sorted, as
+// one RESULT frame: scalars and value lists are outputs, anything else
+// a procedure parked in its environment is not.
+//
+//thedb:noalloc
+func appendResult(dst []byte, id uint64, vars []proc.Var) []byte {
+	n := 0
+	for _, v := range vars {
+		switch v.V.(type) {
+		case storage.Value, []storage.Value:
+			n++
 		}
 	}
-	req.c.send(wire.AppendFrame(nil, op, req.id, payload))
-	s.finish(req.c)
+	start := len(dst)
+	dst = wire.BeginFrame(dst, wire.OpResult, id)
+	dst = wire.AppendOutputCount(dst, n)
+	for _, v := range vars {
+		switch val := v.V.(type) {
+		case storage.Value:
+			dst = wire.AppendScalar(dst, v.Name, val)
+		case []storage.Value:
+			dst = wire.AppendList(dst, v.Name, val)
+		}
+	}
+	return wire.EndFrame(dst, start)
 }
 
-// finish releases one admitted request's accounting on connection c
-// after its response (or rejection) has been enqueued.
-func (s *Server) finish(c *conn) {
+// respond answers an admitted request, and any retries parked on its
+// dedup entry, with one encoded frame, releasing each one's slot and
+// accounting. cache controls whether the frame joins the session's
+// dedup window for future retries. Every completion path for a request
+// that may own a dedup entry must come through here — answering around
+// it would strand parked waiters. frame is the caller's scratch: copied
+// wherever it goes, re-addressed in place per recipient.
+func (s *Server) respond(req *request, frame []byte, cache bool) {
+	if req.entry != nil {
+		for _, w := range req.sess.complete(s, req.entry, frame, cache) {
+			wire.SetID(frame, w.id)
+			w.c.out.put(frame)
+			s.finish(w)
+		}
+		wire.SetID(frame, req.id)
+	}
+	req.c.out.put(frame)
+	s.finish(req)
+}
+
+// finish releases one admitted request's slot and accounting after
+// its response (or rejection) has been queued.
+func (s *Server) finish(req *request) {
+	c := req.c
 	s.stats.Add(&s.stats.InFlight, -1)
-	c.inflight.Add(-1)
+	c.release(req)
 	c.reqs.Done()
 	if s.pending.Add(-1) == 0 && s.draining.Load() {
 		select {
@@ -368,21 +404,6 @@ func (s *Server) mapError(err error) wire.RemoteError {
 		return wire.RemoteError{Code: wire.CodeAbort, Msg: abort.Reason}
 	}
 	return wire.RemoteError{Code: wire.CodeInternal, Msg: err.Error()}
-}
-
-// outputsOf flattens a committed transaction's variable environment
-// into named wire outputs, in deterministic (sorted) order.
-func outputsOf(env *proc.Env) []wire.Output {
-	var outs []wire.Output
-	env.Each(func(name string, v any) {
-		switch val := v.(type) {
-		case storage.Value:
-			outs = append(outs, wire.Output{Name: name, Vals: []storage.Value{val}})
-		case []storage.Value:
-			outs = append(outs, wire.Output{Name: name, List: true, Vals: val})
-		}
-	})
-	return outs
 }
 
 // Shutdown drains the server: stop accepting, reject new calls with
@@ -427,7 +448,7 @@ waiting:
 		select {
 		case req := <-s.work:
 			s.stats.Inc(&s.stats.DrainRejected)
-			s.respond(req, wire.OpError, wire.AppendErrorPayload(nil, wire.RemoteError{
+			s.respond(req, wire.AppendError(nil, req.id, wire.RemoteError{
 				Code: wire.CodeDraining, Backoff: drainHint, Msg: "server draining",
 			}), false)
 		default:

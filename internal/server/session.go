@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
@@ -15,27 +14,20 @@ import (
 // retry that arrives while the original is still executing parks as a
 // waiter and shares the single execution's response.
 //
-// Lock order: registry.mu before session.mu. Connection sends never
+// Lock order: registry.mu before session.mu. Connection puts never
 // happen under either lock.
 
-// waiter is a parked retry of an in-flight operation: the connection
-// and request id to answer when the original execution completes.
-type waiter struct {
-	c  *conn
-	id uint64
-}
-
-// dedupEntry tracks one (session, seq) operation. It is created
-// executing (done=false, retries park in waiters) and either
-// transitions to done with the response payload cached, or is removed
-// when the outcome must not be replayed (retryable rejections, which a
-// retry should re-attempt for real).
+// dedupEntry tracks one (session, seq) operation. It starts executing
+// (done=false, retries park in waiters) and either transitions to done
+// with the response frame cached, or is dropped when the outcome must
+// not be replayed (retryable rejections, which a retry should
+// re-attempt for real). An evicted or dropped entry is recycled, frame
+// buffer included, for the next new seq.
 type dedupEntry struct {
 	seq     uint64
 	done    bool
-	op      uint8  // response opcode once done
-	payload []byte // response payload once done; immutable after
-	waiters []waiter
+	frame   []byte     // the encoded response once done; guarded by session.mu
+	waiters []*request // parked retries' slots
 }
 
 // session is one client's exactly-once scope: the dedup window shared
@@ -48,7 +40,11 @@ type session struct {
 
 	mu      sync.Mutex
 	entries map[uint64]*dedupEntry
-	order   *list.List // completed entries, oldest first (eviction order)
+	// ring holds the completed entries in completion order; once grown
+	// to the window size, each completion evicts ring[head], the oldest.
+	ring  []*dedupEntry
+	head  int
+	spare []*dedupEntry // recycled entries awaiting a new seq
 }
 
 // release drops one connection's binding (readLoop teardown).
@@ -68,49 +64,61 @@ const (
 	dedupHit
 )
 
-// register classifies req's sequence number against the window. For
-// dedupHit the returned entry's op/payload are safe to read without
-// the lock: completed entries are immutable.
-func (ss *session) register(req *request) (dedupVerdict, *dedupEntry) {
+// register classifies req's sequence number against the window. On
+// dedupHit the cached frame is copied into *replay under the lock: the
+// entry may be recycled the moment it drops. On dedupNew req owns the
+// execution and carries the entry.
+func (ss *session) register(req *request, replay *[]byte) dedupVerdict {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if e, ok := ss.entries[req.seq]; ok {
+	if e, ok := ss.entries[req.call.Seq]; ok {
 		if e.done {
-			return dedupHit, e
+			*replay = append((*replay)[:0], e.frame...)
+			return dedupHit
 		}
-		e.waiters = append(e.waiters, waiter{c: req.c, id: req.id})
-		return dedupJoined, e
+		e.waiters = append(e.waiters, req)
+		return dedupJoined
 	}
-	e := &dedupEntry{seq: req.seq}
-	ss.entries[req.seq] = e
+	var e *dedupEntry
+	if n := len(ss.spare); n > 0 {
+		e, ss.spare = ss.spare[n-1], ss.spare[:n-1]
+	} else {
+		e = new(dedupEntry)
+	}
+	e.seq, e.done = req.call.Seq, false
+	ss.entries[e.seq] = e
 	ss.inflight.Add(1)
-	return dedupNew, e
+	req.entry = e
+	return dedupNew
 }
 
 // complete finishes an executing entry, returning the parked retries
-// the caller must answer (outside the lock). With cache=true the
-// response is kept for future retries, evicting the oldest completed
-// entries past the window bound; with cache=false the entry is
-// removed so a retry re-executes — used for retryable rejections and
-// deadline kills, where replaying the verdict would be wrong.
-func (ss *session) complete(s *Server, e *dedupEntry, op uint8, payload []byte, cache bool, window int) []waiter {
+// the caller must answer (outside the lock). With cache=true a copy of
+// the response frame is kept for future retries, evicting the oldest
+// completed entry once the window is full; with cache=false the entry
+// is dropped so a retry re-executes — used for retryable rejections
+// and deadline kills, where replaying the verdict would be wrong.
+func (ss *session) complete(s *Server, e *dedupEntry, frame []byte, cache bool) []*request {
 	ss.mu.Lock()
+	// The waiters leave with their backing array: the entry may be
+	// recycled and parked on again before the caller has served them.
 	w := e.waiters
 	e.waiters = nil
 	if cache {
-		e.done = true
-		e.op = op
-		e.payload = payload
-		ss.order.PushBack(e)
-		s.stats.Add(&s.stats.DedupEntries, 1)
-		for ss.order.Len() > window {
-			old := ss.order.Remove(ss.order.Front()).(*dedupEntry)
-			delete(ss.entries, old.seq)
+		e.done, e.frame = true, append(e.frame[:0], frame...)
+		if len(ss.ring) < s.cfg.DedupWindow {
+			ss.ring = append(ss.ring, e)
+			s.stats.Add(&s.stats.DedupEntries, 1)
+			e = nil
+		} else { // e takes the oldest entry's place; that one is dropped below
+			e, ss.ring[ss.head] = ss.ring[ss.head], e
+			ss.head = (ss.head + 1) % len(ss.ring)
 			s.stats.Inc(&s.stats.DedupEvicted)
-			s.stats.Add(&s.stats.DedupEntries, -1)
 		}
-	} else {
+	}
+	if e != nil {
 		delete(ss.entries, e.seq)
+		ss.spare = append(ss.spare, e)
 	}
 	ss.mu.Unlock()
 	ss.inflight.Add(-1)
@@ -145,7 +153,7 @@ func (s *Server) bindSession(token uint64) *session {
 	if len(r.m) >= maxSessions {
 		s.evictSessionLocked()
 	}
-	ss := &session{token: token, entries: map[uint64]*dedupEntry{}, order: list.New()}
+	ss := &session{token: token, entries: map[uint64]*dedupEntry{}}
 	ss.refs.Add(1)
 	r.m[token] = ss
 	s.stats.Add(&s.stats.Sessions, 1)
@@ -160,7 +168,7 @@ func (s *Server) evictSessionLocked() {
 	for tok, ss := range s.sessions.m {
 		if ss.refs.Load() == 0 && ss.inflight.Load() == 0 {
 			ss.mu.Lock()
-			n := ss.order.Len()
+			n := len(ss.ring)
 			ss.mu.Unlock()
 			delete(s.sessions.m, tok)
 			s.stats.Add(&s.stats.DedupEntries, -int64(n))

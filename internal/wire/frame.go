@@ -24,22 +24,54 @@ var ErrBadVersion = errors.New("wire: unsupported protocol version")
 // ErrTruncated reports a frame or payload cut short.
 var ErrTruncated = errors.New("wire: truncated")
 
-// AppendFrame appends one encoded frame to dst and returns the
-// extended slice. It is the single encoding path: every message
-// helper (AppendCall, AppendResult, ...) funnels through it.
-// Growing dst is the caller's amortized cost; the frame itself adds
-// no allocation.
+// BeginFrame appends a frame header for op and id with the length
+// field left zero. The caller appends the payload straight after it
+// and closes the frame with EndFrame, so a message is encoded once,
+// in place, with no intermediate payload buffer. Growing dst is the
+// caller's amortized cost; the frame itself adds no allocation.
+//
+//thedb:noalloc
+func BeginFrame(dst []byte, op uint8, id uint64) []byte {
+	dst = append(dst, byte(Magic&0xff), byte(Magic>>8), Version, op)
+	dst = binary.LittleEndian.AppendUint64(dst, id)
+	return append(dst, 0, 0, 0, 0)
+}
+
+// EndFrame back-patches the length field of the frame BeginFrame
+// started at dst[start] with the payload bytes appended since.
+//
+//thedb:noalloc
+func EndFrame(dst []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(dst[start+12:], uint32(len(dst)-start-HeaderSize))
+	return dst
+}
+
+// SetID re-addresses an encoded frame: the server's dedup window
+// replays one cached response under each retry's request id.
+//
+//thedb:noalloc
+func SetID(frame []byte, id uint64) {
+	binary.LittleEndian.PutUint64(frame[4:12], id)
+}
+
+// AppendFrame appends one encoded frame around an existing payload
+// and returns the extended slice.
 //
 //thedb:noalloc
 func AppendFrame(dst []byte, op uint8, id uint64, payload []byte) []byte {
-	var hdr [HeaderSize]byte
-	binary.LittleEndian.PutUint16(hdr[0:2], Magic)
-	hdr[2] = Version
-	hdr[3] = op
-	binary.LittleEndian.PutUint64(hdr[4:12], id)
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	start := len(dst)
+	dst = BeginFrame(dst, op, id)
+	dst = append(dst, payload...)
+	return EndFrame(dst, start)
+}
+
+// Recycle empties an encode buffer for reuse, unless one burst of large
+// frames grew it past what is worth pinning for a connection's life.
+func Recycle(buf []byte) []byte {
+	if cap(buf) > 64<<10 {
+		return nil
+	}
+	return buf[:0]
 }
 
 // DecodeFrame decodes one frame from the front of b without copying:
@@ -89,6 +121,7 @@ func DecodeFrame(b []byte, maxPayload int) (f Frame, n int, err error) {
 type Reader struct {
 	br  *bufio.Reader
 	max int
+	hdr [HeaderSize]byte // here, not in Next: a local would escape through io.ReadFull
 	buf []byte
 }
 
@@ -109,8 +142,8 @@ func NewReader(r io.Reader, maxPayload int) *Reader {
 //
 //thedb:noalloc
 func (r *Reader) Next() (Frame, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	if _, err := io.ReadFull(r.br, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return Frame{}, io.ErrUnexpectedEOF
 		}

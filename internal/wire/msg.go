@@ -56,10 +56,11 @@ type Welcome struct {
 
 // AppendHello appends an encoded OpHello frame (request id 0).
 func AppendHello(dst []byte, h Hello) []byte {
-	p := make([]byte, 0, 12+len(h.Client))
-	p = binary.LittleEndian.AppendUint64(p, h.Session)
-	p = appendString(p, h.Client)
-	return AppendFrame(dst, OpHello, 0, p)
+	start := len(dst)
+	dst = BeginFrame(dst, OpHello, 0)
+	dst = binary.LittleEndian.AppendUint64(dst, h.Session)
+	dst = appendString(dst, h.Client)
+	return EndFrame(dst, start)
 }
 
 // DecodeHello decodes an OpHello payload.
@@ -81,14 +82,15 @@ func DecodeHello(p []byte) (Hello, error) {
 
 // AppendWelcome appends an encoded OpWelcome frame (request id 0).
 func AppendWelcome(dst []byte, w Welcome) []byte {
-	p := make([]byte, 0, 32+len(w.Server))
-	p = binary.LittleEndian.AppendUint32(p, w.MaxFrame)
-	p = binary.LittleEndian.AppendUint32(p, w.MaxInFlight)
-	p = binary.LittleEndian.AppendUint64(p, w.Session)
-	p = binary.LittleEndian.AppendUint64(p, w.Incarnation)
-	p = binary.LittleEndian.AppendUint32(p, w.DedupWindow)
-	p = appendString(p, w.Server)
-	return AppendFrame(dst, OpWelcome, 0, p)
+	start := len(dst)
+	dst = BeginFrame(dst, OpWelcome, 0)
+	dst = binary.LittleEndian.AppendUint32(dst, w.MaxFrame)
+	dst = binary.LittleEndian.AppendUint32(dst, w.MaxInFlight)
+	dst = binary.LittleEndian.AppendUint64(dst, w.Session)
+	dst = binary.LittleEndian.AppendUint64(dst, w.Incarnation)
+	dst = binary.LittleEndian.AppendUint32(dst, w.DedupWindow)
+	dst = appendString(dst, w.Server)
+	return EndFrame(dst, start)
 }
 
 // DecodeWelcome decodes an OpWelcome payload.
@@ -153,76 +155,92 @@ const (
 	callFlagsKnown = callFlagReadOnly
 )
 
-// AppendCall appends an encoded OpCall frame.
+// AppendCall appends an encoded OpCall frame, header and payload
+// written in place into dst: a client encodes straight into its
+// connection's write buffer.
+//
+//thedb:noalloc
 func AppendCall(dst []byte, id uint64, c Call) []byte {
-	p := binary.AppendUvarint(nil, c.Seq)
-	p = binary.AppendUvarint(p, c.BudgetUS)
-	p = binary.AppendUvarint(p, c.TraceID)
+	start := len(dst)
+	dst = BeginFrame(dst, OpCall, id)
+	dst = binary.AppendUvarint(dst, c.Seq)
+	dst = binary.AppendUvarint(dst, c.BudgetUS)
+	dst = binary.AppendUvarint(dst, c.TraceID)
 	flags := uint64(0)
 	if c.ReadOnly {
 		flags |= callFlagReadOnly
 	}
-	p = binary.AppendUvarint(p, flags)
-	p = appendString(p, c.Proc)
-	p = binary.AppendUvarint(p, uint64(len(c.Args)))
+	dst = binary.AppendUvarint(dst, flags)
+	dst = appendString(dst, c.Proc)
+	dst = binary.AppendUvarint(dst, uint64(len(c.Args)))
 	for _, v := range c.Args {
-		p = appendValue(p, v)
+		dst = appendValue(dst, v)
 	}
-	return AppendFrame(dst, OpCall, id, p)
+	return EndFrame(dst, start)
 }
 
-// DecodeCall decodes an OpCall payload.
+// DecodeCall decodes an OpCall payload into a fresh Call.
 func DecodeCall(p []byte) (Call, error) {
-	seq, rest, err := decodeUvarint(p)
-	if err != nil {
-		return Call{}, fmt.Errorf("wire: call: op sequence: %w", err)
+	var c Call
+	name, err := DecodeCallInto(&c, p)
+	c.Proc = string(name)
+	return c, err
+}
+
+// DecodeCallInto decodes an OpCall payload into c, reusing c.Args'
+// backing array, and returns the procedure name as bytes aliasing p.
+// c.Proc is left alone: a server resolves the name against its
+// catalog from those bytes instead of allocating a string per call.
+// String arguments are the only allocations (each its own, so a value
+// the engine stores never pins the frame it arrived in). On error c
+// is unspecified.
+func DecodeCallInto(c *Call, p []byte) (name []byte, err error) {
+	rest := p
+	if c.Seq, rest, err = decodeUvarint(rest); err != nil {
+		return nil, fmt.Errorf("wire: call: op sequence: %w", err)
 	}
-	budgetUS, rest, err := decodeUvarint(rest)
-	if err != nil {
-		return Call{}, fmt.Errorf("wire: call: deadline budget: %w", err)
+	if c.BudgetUS, rest, err = decodeUvarint(rest); err != nil {
+		return nil, fmt.Errorf("wire: call: deadline budget: %w", err)
 	}
-	if budgetUS > uint64(math.MaxInt64/int64(time.Microsecond)) {
-		return Call{}, fmt.Errorf("wire: call: implausible deadline budget %dµs", budgetUS)
+	if c.BudgetUS > uint64(math.MaxInt64/int64(time.Microsecond)) {
+		return nil, fmt.Errorf("wire: call: implausible deadline budget %dµs", c.BudgetUS)
 	}
-	traceID, rest, err := decodeUvarint(rest)
-	if err != nil {
-		return Call{}, fmt.Errorf("wire: call: trace id: %w", err)
+	if c.TraceID, rest, err = decodeUvarint(rest); err != nil {
+		return nil, fmt.Errorf("wire: call: trace id: %w", err)
 	}
 	flags, rest, err := decodeUvarint(rest)
 	if err != nil {
-		return Call{}, fmt.Errorf("wire: call: flags: %w", err)
+		return nil, fmt.Errorf("wire: call: flags: %w", err)
 	}
 	if flags&^callFlagsKnown != 0 {
-		return Call{}, fmt.Errorf("wire: call: unknown flags %#x", flags&^callFlagsKnown)
+		return nil, fmt.Errorf("wire: call: unknown flags %#x", flags&^callFlagsKnown)
 	}
-	name, rest, err := decodeString(rest)
-	if err != nil {
-		return Call{}, fmt.Errorf("wire: call: procedure name: %w", err)
+	c.ReadOnly = flags&callFlagReadOnly != 0
+	if name, rest, err = decodeBytes(rest); err != nil {
+		return nil, fmt.Errorf("wire: call: procedure name: %w", err)
 	}
 	argc, rest, err := decodeUvarint(rest)
 	if err != nil {
-		return Call{}, fmt.Errorf("wire: call: argument count: %w", err)
+		return nil, fmt.Errorf("wire: call: argument count: %w", err)
 	}
 	if argc > maxArgs {
-		return Call{}, fmt.Errorf("wire: call: implausible argument count %d", argc)
+		return nil, fmt.Errorf("wire: call: implausible argument count %d", argc)
 	}
-	c := Call{Proc: name, Seq: seq, BudgetUS: budgetUS, TraceID: traceID,
-		ReadOnly: flags&callFlagReadOnly != 0}
-	if argc > 0 {
+	if uint64(cap(c.Args)) < argc {
 		c.Args = make([]storage.Value, 0, argc)
 	}
+	c.Args = c.Args[:0]
 	for i := uint64(0); i < argc; i++ {
 		var v storage.Value
-		v, rest, err = decodeValue(rest)
-		if err != nil {
-			return Call{}, fmt.Errorf("wire: call: argument %d: %w", i, err)
+		if v, rest, err = decodeValue(rest, nil); err != nil {
+			return nil, fmt.Errorf("wire: call: argument %d: %w", i, err)
 		}
 		c.Args = append(c.Args, v)
 	}
 	if len(rest) != 0 {
-		return Call{}, fmt.Errorf("wire: call: %d trailing bytes", len(rest))
+		return nil, fmt.Errorf("wire: call: %d trailing bytes", len(rest))
 	}
-	return c, nil
+	return name, nil
 }
 
 // --- Results -----------------------------------------------------------
@@ -236,85 +254,110 @@ type Output struct {
 	Vals []storage.Value
 }
 
-// AppendResultPayload appends the payload encoding of the named
-// outputs (no frame header). The server's dedup window caches these
-// payloads and re-frames them per retry with the retry's request id.
-func AppendResultPayload(dst []byte, outs []Output) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(outs)))
-	for _, o := range outs {
-		dst = appendString(dst, o.Name)
-		if o.List {
-			dst = append(dst, 1)
-			dst = binary.AppendUvarint(dst, uint64(len(o.Vals)))
-			for _, v := range o.Vals {
-				dst = appendValue(dst, v)
-			}
-		} else {
-			dst = append(dst, 0)
-			dst = appendValue(dst, o.Vals[0])
-		}
+// A RESULT payload is an output count followed by that many outputs.
+// AppendOutputCount, AppendScalar and AppendList are its pieces: the
+// server writes them between BeginFrame and EndFrame straight from a
+// transaction's variables, with no []Output in between.
+
+// AppendOutputCount appends the number of outputs that follow.
+//
+//thedb:noalloc
+func AppendOutputCount(dst []byte, n int) []byte {
+	return binary.AppendUvarint(dst, uint64(n))
+}
+
+// AppendScalar appends one scalar output.
+//
+//thedb:noalloc
+func AppendScalar(dst []byte, name string, v storage.Value) []byte {
+	dst = appendString(dst, name)
+	dst = append(dst, 0)
+	return appendValue(dst, v)
+}
+
+// AppendList appends one value-list output.
+//
+//thedb:noalloc
+func AppendList(dst []byte, name string, vals []storage.Value) []byte {
+	dst = appendString(dst, name)
+	dst = append(dst, 1)
+	dst = binary.AppendUvarint(dst, uint64(len(vals)))
+	for _, v := range vals {
+		dst = appendValue(dst, v)
 	}
 	return dst
 }
 
 // AppendResult appends an encoded OpResult frame carrying the named
-// outputs in the given order.
+// outputs in the given order, written in place into dst.
+//
+//thedb:noalloc
 func AppendResult(dst []byte, id uint64, outs []Output) []byte {
-	return AppendFrame(dst, OpResult, id, AppendResultPayload(nil, outs))
+	start := len(dst)
+	dst = BeginFrame(dst, OpResult, id)
+	dst = AppendOutputCount(dst, len(outs))
+	for _, o := range outs {
+		if o.List {
+			dst = AppendList(dst, o.Name, o.Vals)
+		} else {
+			dst = AppendScalar(dst, o.Name, o.Vals[0])
+		}
+	}
+	return EndFrame(dst, start)
 }
 
-// DecodeResult decodes an OpResult payload.
+// DecodeResult decodes an OpResult payload. A result of scalars costs
+// three allocations whatever its size — the outputs, one backing array
+// for every value, and one copy of the payload that every name and
+// string value is cut from (so any of them keeps that copy alive); a
+// value list may grow the backing array once more.
 func DecodeResult(p []byte) ([]Output, error) {
 	n, rest, err := decodeUvarint(p)
 	if err != nil {
 		return nil, fmt.Errorf("wire: result: output count: %w", err)
 	}
-	if n > maxArgs {
+	if n > maxArgs || n > uint64(len(rest)) { // an output is at least a name length and a tag
 		return nil, fmt.Errorf("wire: result: implausible output count %d", n)
 	}
 	outs := make([]Output, 0, n)
+	vals := make([]storage.Value, 0, n)
+	src := &shared{p: p}
 	for i := uint64(0); i < n; i++ {
-		var o Output
-		o.Name, rest, err = decodeString(rest)
-		if err != nil {
+		var name []byte
+		if name, rest, err = decodeBytes(rest); err != nil {
 			return nil, fmt.Errorf("wire: result: output %d name: %w", i, err)
 		}
+		o := Output{Name: src.str(name)}
 		if len(rest) == 0 {
 			return nil, fmt.Errorf("wire: result: output %q: %w: tag", o.Name, ErrTruncated)
 		}
-		tag := rest[0]
+		tag, cnt := rest[0], uint64(1)
 		rest = rest[1:]
 		switch tag {
 		case 0:
-			var v storage.Value
-			v, rest, err = decodeValue(rest)
-			if err != nil {
-				return nil, fmt.Errorf("wire: result: output %q: %w", o.Name, err)
-			}
-			o.Vals = []storage.Value{v}
 		case 1:
 			o.List = true
-			var cnt uint64
-			cnt, rest, err = decodeUvarint(rest)
-			if err != nil {
+			if cnt, rest, err = decodeUvarint(rest); err != nil {
 				return nil, fmt.Errorf("wire: result: output %q length: %w", o.Name, err)
 			}
-			if cnt > maxArgs {
+			if cnt > maxArgs || cnt > uint64(len(rest)) { // a value is at least its kind byte
 				return nil, fmt.Errorf("wire: result: output %q: implausible length %d", o.Name, cnt)
 			}
-			if cnt > 0 {
-				o.Vals = make([]storage.Value, 0, cnt)
-			}
-			for j := uint64(0); j < cnt; j++ {
-				var v storage.Value
-				v, rest, err = decodeValue(rest)
-				if err != nil {
-					return nil, fmt.Errorf("wire: result: output %q[%d]: %w", o.Name, j, err)
-				}
-				o.Vals = append(o.Vals, v)
+			if need := len(vals) + int(cnt+n-i-1); need > cap(vals) { // the list and the outputs still to come
+				vals = append(make([]storage.Value, 0, need), vals...)
 			}
 		default:
 			return nil, fmt.Errorf("wire: result: output %q: unknown tag %d", o.Name, tag)
+		}
+		for j := uint64(0); j < cnt; j++ {
+			var v storage.Value
+			if v, rest, err = decodeValue(rest, src); err != nil {
+				return nil, fmt.Errorf("wire: result: output %q[%d]: %w", o.Name, j, err)
+			}
+			vals = append(vals, v)
+		}
+		if cnt > 0 {
+			o.Vals = vals[len(vals)-int(cnt) : len(vals) : len(vals)]
 		}
 		outs = append(outs, o)
 	}
@@ -326,9 +369,13 @@ func DecodeResult(p []byte) ([]Output, error) {
 
 // --- Errors ------------------------------------------------------------
 
-// AppendErrorPayload appends the payload encoding of e (no frame
-// header) — the cacheable form, like AppendResultPayload.
-func AppendErrorPayload(dst []byte, e RemoteError) []byte {
+// AppendError appends an encoded OpError frame for e, written in
+// place into dst.
+//
+//thedb:noalloc
+func AppendError(dst []byte, id uint64, e RemoteError) []byte {
+	start := len(dst)
+	dst = BeginFrame(dst, OpError, id)
 	dst = append(dst, e.Code)
 	flags := byte(0)
 	if Retryable(e.Code) {
@@ -341,12 +388,7 @@ func AppendErrorPayload(dst []byte, e RemoteError) []byte {
 	}
 	dst = binary.AppendUvarint(dst, backoffUS)
 	dst = appendString(dst, e.Msg)
-	return dst
-}
-
-// AppendError appends an encoded OpError frame for e.
-func AppendError(dst []byte, id uint64, e RemoteError) []byte {
-	return AppendFrame(dst, OpError, id, AppendErrorPayload(nil, e))
+	return EndFrame(dst, start)
 }
 
 // DecodeError decodes an OpError payload.
@@ -392,8 +434,29 @@ func appendValue(dst []byte, v storage.Value) []byte {
 	return dst
 }
 
-// decodeValue decodes one typed value from the front of b.
-func decodeValue(b []byte) (storage.Value, []byte, error) {
+// shared cuts strings out of one lazily made copy of a payload, so a
+// message with many names and string values costs one allocation for
+// all of them. Every body handed to str must be a subslice of p.
+type shared struct {
+	p []byte
+	s string
+}
+
+func (sh *shared) str(body []byte) string {
+	if len(body) == 0 {
+		return ""
+	}
+	if sh.s == "" {
+		sh.s = string(sh.p)
+	}
+	off := cap(sh.p) - cap(body)
+	return sh.s[off : off+len(body)]
+}
+
+// decodeValue decodes one typed value from the front of b. A string
+// value is cut from src when src is non-nil, else allocated on its
+// own.
+func decodeValue(b []byte, src *shared) (storage.Value, []byte, error) {
 	if len(b) == 0 {
 		return storage.Null, nil, fmt.Errorf("%w: value kind", ErrTruncated)
 	}
@@ -414,11 +477,14 @@ func decodeValue(b []byte) (storage.Value, []byte, error) {
 		}
 		return storage.Float(math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))), b[8:], nil
 	case storage.KindString:
-		s, rest, err := decodeString(b)
+		body, rest, err := decodeBytes(b)
 		if err != nil {
 			return storage.Null, nil, err
 		}
-		return storage.Str(s), rest, nil
+		if src != nil {
+			return storage.Str(src.str(body)), rest, nil
+		}
+		return storage.Str(string(body)), rest, nil
 	default:
 		return storage.Null, nil, fmt.Errorf("wire: unknown value kind %d", kind)
 	}
@@ -430,18 +496,24 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// decodeString decodes a length-prefixed string. The declared length
-// is checked against the remaining bytes before the string is
-// materialized, so a hostile length cannot over-allocate.
-func decodeString(b []byte) (string, []byte, error) {
+// decodeBytes decodes a length-prefixed string as bytes aliasing b.
+// The declared length is checked against the remaining bytes before
+// anything is sliced, so a hostile length cannot over-allocate.
+func decodeBytes(b []byte) (body, rest []byte, err error) {
 	n, rest, err := decodeUvarint(b)
 	if err != nil {
-		return "", nil, fmt.Errorf("%w: string length", ErrTruncated)
+		return nil, nil, fmt.Errorf("%w: string length", ErrTruncated)
 	}
 	if n > uint64(len(rest)) {
-		return "", nil, fmt.Errorf("%w: string body (%d of %d bytes)", ErrTruncated, len(rest), n)
+		return nil, nil, fmt.Errorf("%w: string body (%d of %d bytes)", ErrTruncated, len(rest), n)
 	}
-	return string(rest[:n]), rest[n:], nil
+	return rest[:n], rest[n:], nil
+}
+
+// decodeString is decodeBytes with the body copied into a string.
+func decodeString(b []byte) (string, []byte, error) {
+	body, rest, err := decodeBytes(b)
+	return string(body), rest, err
 }
 
 // decodeUvarint decodes a uvarint from the front of b.

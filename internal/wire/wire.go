@@ -129,6 +129,19 @@ func OpName(op uint8) string {
 	}
 }
 
+// MintTraceID finalizes a Call.TraceID from a salted counter
+// (splitmix64; | 1 keeps it nonzero, since zero means untraced on the
+// wire). Client and server mint with the same function, so an ID's
+// origin does not show in its distribution.
+func MintTraceID(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x | 1
+}
+
 // Frame is one decoded protocol frame. Payload aliases the decode
 // buffer and is valid only until the next read on the same Reader.
 type Frame struct {

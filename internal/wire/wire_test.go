@@ -247,3 +247,33 @@ func TestGoldenCallAndResultBytes(t *testing.T) {
 		t.Fatalf("RESULT bytes changed:\n got %s\nwant %s", got, wantResult)
 	}
 }
+
+// TestEncodersAllocateNothing pins the in-place encoders: a call or a
+// result written into a buffer that already has room costs no
+// allocation — no temporary payload, no second copy into a frame.
+func TestEncodersAllocateNothing(t *testing.T) {
+	call := Call{Proc: "Pay", Seq: 9, BudgetUS: 1500, TraceID: 0xabcdef,
+		Args: []storage.Value{storage.Int(-42), storage.Float(2.5), storage.Str("héllo"), storage.Null}}
+	outs := []Output{{Name: "row", List: true, Vals: call.Args}, {Name: "n", Vals: call.Args[:1]}}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendCall(buf[:0], 5, call) }); n != 0 {
+		t.Errorf("AppendCall into a reused buffer: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = AppendResult(buf[:0], 5, outs) }); n != 0 {
+		t.Errorf("AppendResult into a reused buffer: %v allocs, want 0", n)
+	}
+	// Decoding a result costs three allocations — the outputs, one
+	// backing array of values, one copy of the payload — plus one more
+	// for the backing array to take in a value list.
+	f, _, err := DecodeFrame(buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeResult(f.Payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Errorf("DecodeResult: %v allocs, want <= 4", n)
+	}
+}
