@@ -110,10 +110,10 @@ func (t *Txn) drainHealQueue(q *healQueue) error {
 		t.w.m.Inc(&t.w.m.HealedOps)
 		t.healOps++
 		for _, c := range run.op.KeyChildren() {
-			q.push(t.runs[c.ID], restoreReexec)
+			q.push(&t.runs[c.ID], restoreReexec)
 		}
 		for _, c := range run.op.ValChildren() {
-			q.push(t.runs[c.ID], restoreReplay)
+			q.push(&t.runs[c.ID], restoreReplay)
 		}
 	}
 	t.mode = modeExec

@@ -330,7 +330,8 @@ type accessEntry struct {
 	scanElems []*Element
 }
 
-// RWSet is a transaction's read/write set plus its scan (node) set.
+// RWSet is a transaction's read/write set plus its scan (node) set,
+// reset rather than remade between attempts.
 type RWSet struct {
 	elems []*Element
 	byRec map[*storage.Record]*Element
@@ -342,8 +343,25 @@ type RWSet struct {
 	order  OrderMode
 }
 
-func newRWSet(order OrderMode) *RWSet {
-	return &RWSet{byRec: make(map[*storage.Record]*Element, 16), order: order}
+// keepElems bounds the footprint whose storage reset keeps: clearing a
+// map costs its capacity, not its length, so a set that once held a
+// long scan would tax every point transaction after it.
+const keepElems = 64
+
+// reset empties the set, nil-ing what it truncates.
+//
+//thedb:noalloc
+func (s *RWSet) reset() {
+	if len(s.elems) > keepElems {
+		s.elems, s.byRec = nil, nil
+	} else {
+		clear(s.elems)
+		s.elems = s.elems[:0]
+		clear(s.byRec)
+	}
+	clear(s.scans)
+	s.scans = s.scans[:0]
+	s.sorted = false
 }
 
 // lookup returns the element for rec, if any.
@@ -351,6 +369,9 @@ func (s *RWSet) lookup(rec *storage.Record) *Element { return s.byRec[rec] }
 
 // add registers a new element.
 func (s *RWSet) add(el *Element) {
+	if s.byRec == nil {
+		s.byRec = make(map[*storage.Record]*Element)
+	}
 	s.byRec[el.rec] = el
 	if !s.sorted {
 		s.elems = append(s.elems, el)

@@ -87,6 +87,11 @@ func (w *Worker) TransactSnapshot(fn func(ctx proc.OpCtx) error) error {
 // long readers instead.
 func (w *Worker) runSnapshot(spec *proc.Spec, args []storage.Value) (*proc.Env, error) {
 	start := time.Now()
+	env := spec.Bind(args)
+	prog, err := w.compile(spec, env)
+	if err != nil {
+		return nil, err
+	}
 	if w.e.tracer != nil {
 		w.beginTrace(start, spec.Name)
 	}
@@ -106,9 +111,9 @@ func (w *Worker) runSnapshot(spec *proc.Spec, args []storage.Value) (*proc.Env, 
 	}
 	defer w.e.snap.Unpin(w.id)
 
-	env := spec.Bind(args)
-	prog := spec.Instantiate(env)
-	st := &snapTxn{e: w.e, w: w, env: env, at: s}
+	st := &w.snap
+	st.env, st.at = env, s
+	defer func() { st.env = nil }()
 	interleave := w.e.opts.Interleave
 	for _, op := range prog.Ops {
 		if err := op.Body(st); err != nil {
@@ -139,6 +144,7 @@ func (w *Worker) runSnapshot(spec *proc.Spec, args []storage.Value) (*proc.Env, 
 // is registered, copied, pinned or locked, and the write primitives
 // are rejected. Long scans therefore cost writers nothing: they touch
 // no record metadata and hold no locks a writer could conflict with.
+// Like Txn, a worker owns one and re-points it per transaction.
 type snapTxn struct {
 	e   *Engine
 	w   *Worker

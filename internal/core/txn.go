@@ -34,14 +34,17 @@ const (
 // abort-and-restart, which is always safe.
 var errDiverged = errors.New("core: cached replay diverged")
 
-// Txn is one transaction attempt. It implements proc.OpCtx.
+// Txn is a worker's transaction frame, the paper's thread-local
+// read/write set and access cache (§4.1): every attempt the worker runs
+// is set up in it by newTxn and emptied out of it by finish. It
+// implements proc.OpCtx.
 type Txn struct {
 	w    *Worker
 	e    *Engine
 	prog *proc.Program
 	env  *proc.Env
-	rw   *RWSet
-	runs []*OpRun
+	rw   RWSet
+	runs []OpRun // access cache, one per op of prog; the slab is reused, no entry's accesses are
 
 	mode   execMode
 	cur    *OpRun
@@ -66,33 +69,48 @@ type Txn struct {
 	// each phase ends where the next begins (lap), so a fully timed
 	// commit costs four clock reads per attempt, not a start/stop pair
 	// per phase. start is the attempt's first instant, mark the last
-	// boundary; timed is off unless detailed metrics or a trace
-	// consume the result. healDur is the share of the validate phase
-	// spent inside healing passes.
+	// boundary; timed is off, and no attempt reads the clock, unless
+	// detailed metrics or a trace consume the result. healDur is the
+	// share of the validate phase spent inside healing passes.
 	start, mark time.Time
 	timed       bool
 	phase       [metrics.NumPhases]time.Duration
 	healDur     time.Duration
 }
 
+// newTxn starts an attempt in w's frame, keeping nothing of the last
+// one but its storage.
 func newTxn(w *Worker, prog *proc.Program, env *proc.Env, pol *policy) *Txn {
-	t := &Txn{
-		w:        w,
-		e:        w.e,
-		prog:     prog,
-		env:      env,
-		rw:       newRWSet(w.e.opts.Order),
-		frontier: -1,
-		pol:      *pol,
-		start:    time.Now(),
-		timed:    w.e.opts.DetailedMetrics || w.traceOn,
+	t := &w.txn
+	t.reset()
+	*t = Txn{w: w, e: w.e, prog: prog, env: env, rw: t.rw, runs: t.runs, locked: t.locked,
+		frontier: -1, pol: *pol, timed: w.e.opts.DetailedMetrics || w.traceOn}
+	if t.timed {
+		t.start = time.Now()
+		t.mark = t.start
 	}
-	t.mark = t.start
-	t.runs = make([]*OpRun, len(prog.Ops))
+	if cap(t.runs) < len(prog.Ops) {
+		t.runs = make([]OpRun, len(prog.Ops))
+	}
+	t.runs = t.runs[:len(prog.Ops)]
 	for i, op := range prog.Ops {
-		t.runs[i] = &OpRun{op: op}
+		t.runs[i].op = op
 	}
 	return t
+}
+
+// reset drops every reference into the attempt the frame ran, so that
+// nothing reachable from an idle worker pins a retired Record or a
+// superseded row image.
+//
+//thedb:noalloc
+func (t *Txn) reset() {
+	t.rw.reset()
+	clear(t.locked)
+	t.locked = t.locked[:0]
+	clear(t.runs)
+	t.runs = t.runs[:0]
+	t.prog, t.env, t.cur = nil, nil, nil
 }
 
 // lap closes the current phase: it returns the time since the last
@@ -116,7 +134,7 @@ func (t *Txn) readPhase() error {
 	t.mode = modeExec
 	var err error
 	for i := range t.runs {
-		t.cur = t.runs[i]
+		t.cur = &t.runs[i]
 		t.nacc = 0
 		if err = t.cur.op.Body(t); err != nil {
 			break // application abort, or a lock-at-access no-wait conflict
@@ -572,14 +590,14 @@ func (t *Txn) table(name string) (*storage.Table, error) {
 	return tab, nil
 }
 
-// finish releases locks and pins and retires dummies; called on both
-// commit and abort paths, after the write phase if any.
+// finish releases locks and pins, retires dummies and empties the
+// frame; called on both commit and abort paths, after the write phase
+// if any.
 func (t *Txn) finish(committed bool) {
 	for _, el := range t.locked {
 		el.rec.Unlock()
 		el.locked = false
 	}
-	t.locked = t.locked[:0]
 	for _, el := range t.rw.elems {
 		rec := el.rec
 		if el.tplMode != tplNone {
@@ -592,4 +610,5 @@ func (t *Txn) finish(committed bool) {
 		}
 		rec.Unpin()
 	}
+	t.reset()
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // Worker is one execution thread's context: its metrics collector,
-// its commit-timestamp state, and its private log stream. A worker
-// must be driven by at most one goroutine at a time.
+// its commit-timestamp state, its private log stream, its transaction
+// frames. A worker must be driven by at most one goroutine at a time.
 type Worker struct {
 	e        *Engine
 	id       int
@@ -24,6 +24,10 @@ type Worker struct {
 	lastTS   uint64
 	wlog     *wal.WorkerLog
 	rngState uint64
+
+	// The frames its validated and its snapshot transactions run in.
+	txn  Txn
+	snap snapTxn
 
 	// curArgs holds the running procedure's argument vector for
 	// command logging.
@@ -56,6 +60,8 @@ type Worker struct {
 func newWorker(e *Engine, id int) *Worker {
 	w := &Worker{e: e, id: id, rngState: uint64(id)*2685821657736338717 + 88172645463325252,
 		lastTraceSlot: -1}
+	w.txn.rw.order = e.opts.Order
+	w.snap = snapTxn{w: w, e: e}
 	if e.opts.Logger != nil {
 		w.wlog = e.opts.Logger.Worker(id)
 	}
@@ -207,15 +213,32 @@ func (w *Worker) run(procName string, args []storage.Value, rungs []rung) (*proc
 	return w.runLoop(spec, args, rungs)
 }
 
+// compile is Spec.Compile with the expansions counted.
+func (w *Worker) compile(spec *proc.Spec, env *proc.Env) (*proc.Program, error) {
+	prog, planned, err := spec.Compile(env)
+	if planned {
+		w.m.Inc(&w.m.PlanExpansions)
+	}
+	return prog, err
+}
+
 // runLoop drives one transaction to commit or permanent failure down
 // the given degradation ladder: each rung retries under one policy until
 // its budget is spent, then the ladder escalates to a less optimistic
 // rung; past the last rung the transaction fails with ErrContended.
-// The loop also keeps the worker's epoch registration fresh, so the
-// stuck-epoch watchdog can tell a worker wedged inside an attempt
-// from one that is merely between transactions.
+// The program is compiled once, ahead of the loop (a malformed one is
+// refused like an unknown name, before a transaction exists); every
+// attempt binds a fresh environment. The loop also keeps the worker's
+// epoch registration fresh, so the stuck-epoch watchdog can tell a
+// worker wedged inside an attempt from one that is merely between
+// transactions.
 func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []rung) (*proc.Env, error) {
 	start := time.Now()
+	env := spec.Bind(args)
+	prog, err := w.compile(spec, env)
+	if err != nil {
+		return nil, err
+	}
 	procName := spec.Name
 	w.curArgs = args
 	lad := ladder{rungs: rungs}
@@ -225,8 +248,7 @@ func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []rung) (*
 	defer w.e.epoch.Idle(w.id)
 	for {
 		w.e.epoch.Refresh(w.id)
-		env := spec.Bind(args)
-		err := w.attempt(spec.Instantiate(env), env, &lad)
+		err := w.attempt(prog, env, &lad)
 		if err == nil {
 			lat := time.Since(start)
 			w.m.Inc(&w.m.Committed)
@@ -256,6 +278,7 @@ func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []rung) (*
 				}
 			}
 			w.backoff(lad.spent)
+			env = spec.Bind(args)
 			continue
 		}
 		// Application abort: permanent.

@@ -83,6 +83,13 @@ type Counters struct {
 	SnapshotReads     int64
 	VersionsInstalled int64
 
+	// PlanExpansions counts executions of a procedure's Plan. A plan
+	// that reads no argument expands once per Spec, so under a steady
+	// load of such procedures the counter stands still; one that grows
+	// with the transaction count marks a procedure whose dependency
+	// graph is rebuilt per transaction (DESIGN.md §6).
+	PlanExpansions int64
+
 	// LatencySumNS totals committed-transaction latency, pairing with
 	// the histogram buckets for exposition (_sum of the Prometheus
 	// histogram).
@@ -106,6 +113,7 @@ func (c *Counters) accumulate(o *Counters) {
 	c.WatchdogTrips += o.WatchdogTrips
 	c.SnapshotReads += o.SnapshotReads
 	c.VersionsInstalled += o.VersionsInstalled
+	c.PlanExpansions += o.PlanExpansions
 	c.LatencySumNS += o.LatencySumNS
 	for p := range o.PhaseNS {
 		c.PhaseNS[p] += o.PhaseNS[p]
@@ -140,6 +148,8 @@ type Worker struct {
 	// Snapshot-read counters (DESIGN.md §15).
 	SnapshotReads     int64
 	VersionsInstalled int64
+
+	PlanExpansions int64 // executions of a procedure's Plan
 
 	// LatencySumNS totals committed-transaction latency, pairing with
 	// the histogram buckets for exposition (_sum of the Prometheus
@@ -215,6 +225,7 @@ func (w *Worker) Snapshot() Counters {
 	s.WatchdogTrips = atomic.LoadInt64(&w.WatchdogTrips)
 	s.SnapshotReads = atomic.LoadInt64(&w.SnapshotReads)
 	s.VersionsInstalled = atomic.LoadInt64(&w.VersionsInstalled)
+	s.PlanExpansions = atomic.LoadInt64(&w.PlanExpansions)
 	s.LatencySumNS = atomic.LoadInt64(&w.LatencySumNS)
 	for p := range s.PhaseNS {
 		s.PhaseNS[p] = atomic.LoadInt64(&w.PhaseNS[p])

@@ -63,6 +63,7 @@ func WritePromWith(w io.Writer, a *metrics.Aggregate, ex *Exemplar) {
 	counter("thedb_wal_frames_total", "WAL frames written across all streams.", a.WALFrames)
 	counter("thedb_wal_bytes_total", "WAL bytes written across all streams.", a.WALBytes)
 	counter("thedb_snapshot_reads_total", "Committed snapshot (read-only, zero-validation) transactions.", a.SnapshotReads)
+	counter("thedb_plan_expansions_total", "Executions of a stored procedure's Plan; flat under load when every plan in use is static.", a.PlanExpansions)
 	counter("thedb_mvcc_versions_installed_total", "Version-chain nodes pushed by the commit path on epoch-boundary crossings.", a.VersionsInstalled)
 	counter("thedb_mvcc_versions_reclaimed_total", "Version-chain nodes reclaimed by the GC past the snapshot watermark.", a.MVCCVersionsReclaimed)
 

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -78,28 +79,20 @@ func (p *Program) Graph() string {
 }
 
 // Validate checks structural well-formedness: forward-only variable
-// flow (guaranteed by construction), unique op IDs, and that every
-// declared write set is disjoint from the procedure parameters.
+// flow (guaranteed by construction), op IDs equal to positions, a body
+// on every operation, every declared write set disjoint from the
+// parameters. It allocates only to refuse, so every expansion pays it.
 func (p *Program) Validate() error {
-	seen := make(map[int]bool)
-	params := make(map[string]bool)
-	for _, a := range p.Spec.Params {
-		params[a] = true
-	}
 	for i, op := range p.Ops {
 		if op.ID != i {
-			return fmt.Errorf("proc %s: op %q has id %d at position %d", p.Spec.Name, op.Name, op.ID, i)
+			return fmt.Errorf("%w: proc %s: op %q has id %d at position %d", ErrMalformed, p.Spec.Name, op.Name, op.ID, i)
 		}
-		if seen[op.ID] {
-			return fmt.Errorf("proc %s: duplicate op id %d", p.Spec.Name, op.ID)
-		}
-		seen[op.ID] = true
 		if op.Body == nil {
-			return fmt.Errorf("proc %s: op %d %q has no body", p.Spec.Name, op.ID, op.Name)
+			return fmt.Errorf("%w: proc %s: op %d %q has no body", ErrMalformed, p.Spec.Name, op.ID, op.Name)
 		}
 		for _, w := range op.Writes {
-			if params[w] {
-				return fmt.Errorf("proc %s: op %d writes parameter %q", p.Spec.Name, op.ID, w)
+			if slices.Contains(p.Spec.Params, w) {
+				return fmt.Errorf("%w: proc %s: op %d writes parameter %q", ErrMalformed, p.Spec.Name, op.ID, w)
 			}
 		}
 	}

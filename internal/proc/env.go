@@ -20,6 +20,10 @@ import (
 type Env struct {
 	vals map[string]any
 
+	// reads counts lookups (Get, Has, enumeration): Spec.Compile
+	// compares it across a Plan call.
+	reads int
+
 	// checked-mode state
 	checking  bool
 	mayRead   map[string]bool
@@ -33,6 +37,7 @@ func NewEnv() *Env { return &Env{vals: make(map[string]any)} }
 // Clone returns a deep-enough copy: the map is copied, values are
 // shared (they are treated as immutable).
 func (e *Env) Clone() *Env {
+	e.reads++
 	c := NewEnv()
 	for k, v := range e.vals {
 		c.vals[k] = v
@@ -53,6 +58,7 @@ func (e *Env) Get(name string) any {
 	if e.checking && !e.mayRead[name] {
 		e.violate("read", name)
 	}
+	e.reads++
 	v, ok := e.vals[name]
 	if !ok {
 		panic(fmt.Sprintf("proc: undefined variable %q", name))
@@ -62,6 +68,7 @@ func (e *Env) Get(name string) any {
 
 // Has reports whether name is defined.
 func (e *Env) Has(name string) bool {
+	e.reads++
 	_, ok := e.vals[name]
 	return ok
 }
@@ -121,6 +128,7 @@ type Var struct {
 // enumeration happens after the transaction has run, when the
 // declared-access discipline no longer applies.
 func (e *Env) Sorted(dst []Var) []Var {
+	e.reads++
 	first := len(dst)
 	for k, v := range e.vals {
 		dst = append(dst, Var{k, v})

@@ -24,8 +24,11 @@
 package proc
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"thedb/internal/storage"
 )
@@ -134,11 +137,27 @@ func UserAbort(reason string) error { return &AbortError{Reason: reason} }
 // may depend on argument values (loop bounds), never on database
 // state, which keeps the dependency graph static per invocation as
 // required by §3.
+//
+// Plan must be pure (DESIGN.md §6): one that reads no argument runs
+// once and every worker shares its Program, any other runs once per
+// transaction, not per attempt. So a body may close over nothing Plan
+// computed except values derived from the arguments Plan read — no
+// Plan-local state a body mutates, never args itself (a body's
+// environment is OpCtx.Env). Do not copy a Spec that has run.
 type Spec struct {
 	Name   string
 	Params []string
 	Plan   func(b *Builder, args *Env)
+
+	// static is the Program of a Plan that read no argument, shaped
+	// marks a Plan seen reading one; mu serialises until either is set.
+	mu     sync.Mutex
+	static atomic.Pointer[Program]
+	shaped atomic.Bool
 }
+
+// ErrMalformed is what Program.Validate's refusals wrap.
+var ErrMalformed = errors.New("malformed procedure")
 
 // Builder collects the operations of one invocation in program order.
 type Builder struct {
@@ -188,11 +207,42 @@ func (s *Spec) Bind(args []storage.Value) *Env {
 
 // Instantiate expands the procedure for args and runs the dependency
 // analyzer. The returned Program carries the operations and the
-// program dependency graph.
+// program dependency graph, and is immutable from here on.
 func (s *Spec) Instantiate(args *Env) *Program {
 	b := &Builder{}
 	s.Plan(b, args)
 	p := &Program{Spec: s, Ops: b.ops}
 	p.analyze()
 	return p
+}
+
+// Compile returns the validated Program of one invocation (§3's
+// compile-time extraction). The first expansion watches whether Plan
+// reads args: if not, the plan has one shape and every later call, on
+// any worker, gets that Program without running Plan; if so, the Spec
+// is expanded on every call. planned reports whether this one ran Plan.
+func (s *Spec) Compile(args *Env) (p *Program, planned bool, err error) {
+	if p = s.static.Load(); p != nil {
+		return p, false, nil
+	}
+	if !s.shaped.Load() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if p = s.static.Load(); p != nil {
+			return p, false, nil
+		}
+	}
+	reads := args.reads
+	p = s.Instantiate(args)
+	if err = p.Validate(); err != nil {
+		return nil, true, err
+	}
+	switch {
+	case s.shaped.Load(): // already known to be argument-shaped
+	case args.reads == reads:
+		s.static.Store(p)
+	default:
+		s.shaped.Store(true)
+	}
+	return p, true, nil
 }

@@ -1,6 +1,7 @@
 package smallbank
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"sync"
@@ -260,5 +261,61 @@ func TestDeterministicEngine(t *testing.T) {
 	wg.Wait()
 	if after := TotalAssets(cat); after != before {
 		t.Fatalf("assets %d -> %d under THEDB-DT", before, after)
+	}
+}
+
+// TestProgramsSharedAcrossWorkers: no Smallbank plan reads an
+// argument, so each of the six procedures is compiled once and every
+// worker runs the same Program concurrently on a handful of hot
+// accounts. The race detector is the judge of the sharing; the counter
+// is the judge of "once".
+func TestProgramsSharedAcrossWorkers(t *testing.T) {
+	const (
+		workers = 4
+		txns    = 300
+	)
+	e := build(t, 10, core.Options{Protocol: core.Healing, Workers: workers, Interleave: true})
+	e.Start()
+	defer e.Stop()
+	var wg sync.WaitGroup
+	for wi := 0; wi < workers; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(wi)))
+			w := e.Worker(wi)
+			for i := 0; i < txns; i++ {
+				a, b := storage.Int(rng.Int63n(4)), storage.Int(4+rng.Int63n(4))
+				amt := storage.Int(1 + rng.Int63n(5))
+				var err error
+				switch i % 6 {
+				case 0:
+					_, err = w.Run(ProcBalance, a)
+				case 1:
+					_, err = w.Run(ProcDepositChecking, a, amt)
+				case 2:
+					_, err = w.Run(ProcTransactSavings, a, amt)
+				case 3:
+					_, err = w.Run(ProcAmalgamate, a, b)
+				case 4:
+					_, err = w.Run(ProcWriteCheck, a, amt)
+				case 5:
+					_, err = w.Run(ProcSendPayment, a, b, amt)
+				}
+				var ab *proc.AbortError
+				if err != nil && !errors.As(err, &ab) {
+					t.Errorf("worker %d txn %d: %v", wi, i, err)
+					return
+				}
+			}
+		}(wi)
+	}
+	wg.Wait()
+	m := e.Metrics(0)
+	if m.Committed+m.Aborted != workers*txns {
+		t.Errorf("committed %d + aborted %d, want %d", m.Committed, m.Aborted, workers*txns)
+	}
+	if want := int64(len(Specs())); m.PlanExpansions != want {
+		t.Errorf("PlanExpansions = %d over %d transactions, want one per procedure (%d)", m.PlanExpansions, workers*txns, want)
 	}
 }

@@ -394,3 +394,36 @@ func TestDeliveryGraphChains(t *testing.T) {
 		t.Errorf("readOrder key children = %v", names)
 	}
 }
+
+// TestCompileShapes pins which TPC-C plans are static and which are
+// argument-shaped. NewOrder reads ol_cnt, so every transaction is
+// expanded to the shape of its own arguments (4 header ops, 2 order
+// inserts, 3 per line, 1 total); StockLevel reads nothing, so the
+// second call gets the first call's Program back without running Plan.
+func TestCompileShapes(t *testing.T) {
+	newOrder := newOrderSpec()
+	for _, c := range []struct{ olCnt, ops int }{{5, 22}, {15, 52}, {5, 22}} {
+		args := []storage.Value{storage.Int(1), storage.Int(1), storage.Int(1),
+			storage.Int(int64(c.olCnt)), storage.Int(0), storage.Int(0)}
+		for j := 0; j < c.olCnt; j++ {
+			args = append(args, storage.Int(int64(j+1)), storage.Int(1), storage.Int(1))
+		}
+		prog, planned, err := newOrder.Compile(newOrder.Bind(args))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !planned || len(prog.Ops) != c.ops {
+			t.Errorf("NewOrder ol_cnt=%d: planned=%v, %d ops, want a fresh expansion of %d ops", c.olCnt, planned, len(prog.Ops), c.ops)
+		}
+	}
+	stockLevel := specByName(t, ProcStockLevel)
+	args := []storage.Value{storage.Int(1), storage.Int(1), storage.Int(15)}
+	first, planned, err := stockLevel.Compile(stockLevel.Bind(args))
+	if err != nil || !planned {
+		t.Fatalf("StockLevel first compile: planned=%v err=%v", planned, err)
+	}
+	again, planned, err := stockLevel.Compile(stockLevel.Bind(args))
+	if err != nil || planned || again != first {
+		t.Errorf("StockLevel second compile: planned=%v same=%v err=%v, want the published Program", planned, again == first, err)
+	}
+}

@@ -202,3 +202,44 @@ func TestConcurrentWorkloadARunsCleanUnderHealing(t *testing.T) {
 		t.Fatalf("committed = %d", m.Committed)
 	}
 }
+
+// TestProgramsSharedAcrossWorkers: no YCSB plan reads an argument, so
+// each procedure is compiled once and all four workers run the same
+// Program concurrently — point reads, writes, inserts, validated scans
+// and snapshot scans alike. The race detector is the judge of the
+// sharing; the counter is the judge of "once".
+func TestProgramsSharedAcrossWorkers(t *testing.T) {
+	const n = 200
+	e := build(t, n, core.Healing)
+	e.Start()
+	defer e.Stop()
+	mix := Mix{ReadPct: 20, UpdatePct: 20, InsertPct: 15, ScanPct: 15, SnapScanPct: 15} // the rest is RMW
+	var wg sync.WaitGroup
+	for wi := 0; wi < 4; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			g := NewGen(mix, n, 0.9, wi)
+			w := e.Worker(wi)
+			for i := 0; i < 400; i++ {
+				p, args := g.Next()
+				run := w.Run
+				if IsReadOnly(p) {
+					run = w.RunSnapshot
+				}
+				if _, err := run(p, args...); err != nil {
+					t.Errorf("worker %d %s: %v", wi, p, err)
+					return
+				}
+			}
+		}(wi)
+	}
+	wg.Wait()
+	m := e.Metrics(0)
+	if m.Committed != 4*400 {
+		t.Errorf("committed = %d, want %d", m.Committed, 4*400)
+	}
+	if want := int64(len(Specs())); m.PlanExpansions != want {
+		t.Errorf("PlanExpansions = %d over %d transactions, want one per procedure (%d)", m.PlanExpansions, m.Committed, want)
+	}
+}

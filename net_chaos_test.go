@@ -48,6 +48,11 @@ const (
 	netChaosClients = 4
 	netChaosOps     = 40 // per client
 	netChaosKeys    = 16 // per client, remapped to disjoint ranges
+
+	// netChaosSeedTimeout bounds one seed's fleet. A seed takes seconds;
+	// the bound only has to sit below `go test`'s own ten minutes, so
+	// that what a wedged seed prints is its number, not a goroutine dump.
+	netChaosSeedTimeout = 4 * time.Minute
 )
 
 // chaosSchema registers the KV table and the three procedures the
@@ -255,22 +260,33 @@ func readBack(ctx context.Context, cl *client.Client, key uint64) (cell, error) 
 // chaosClient runs one client's sequential workload through the
 // proxy, maintaining its authoritative model over its disjoint key
 // range and reconciling every ambiguous outcome.
-func chaosClient(t *testing.T, proxyAddr string, cid int, ops []statecheck.Op, progress *atomic.Int64) (map[uint64]cell, int, error) {
-	cl, err := client.Dial(proxyAddr, client.Options{
-		Conns:         1,
-		RetryAttempts: 300,
-		RetryBase:     500 * time.Microsecond,
-		RetryMax:      20 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, 0, fmt.Errorf("client %d: dial: %w", cid, err)
+func chaosClient(ctx context.Context, t *testing.T, proxyAddr string, cid int, ops []statecheck.Op, progress *atomic.Int64) (map[uint64]cell, int, error) {
+	// A client scheduled late dials into a restart's CutAll: the first
+	// dial is retried like every call after it, until the seed's time
+	// runs out.
+	var cl *client.Client
+	for {
+		var err error
+		cl, err = client.Dial(proxyAddr, client.Options{
+			Conns:         1,
+			RetryAttempts: 300,
+			RetryBase:     500 * time.Microsecond,
+			RetryMax:      20 * time.Millisecond,
+		})
+		if err == nil {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			return nil, 0, fmt.Errorf("client %d: dial: %w", cid, err)
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
 	defer func() {
 		if cerr := cl.Close(); cerr != nil {
 			t.Errorf("client %d: close: %v", cid, cerr)
 		}
 	}()
-	ctx := context.Background()
 	model := make(map[uint64]cell)
 	ambiguous := 0
 	for i, op := range ops {
@@ -344,6 +360,10 @@ func netChaosSeed(t *testing.T, seed int64) {
 		}
 	}()
 
+	// Everything the fleet does is bounded by the seed's timeout, so a
+	// wedged seed fails with its number instead of hanging the job.
+	ctx, cancel := context.WithTimeout(context.Background(), netChaosSeedTimeout)
+	defer cancel()
 	var progress atomic.Int64
 	total := int64(netChaosClients * netChaosOps)
 
@@ -359,10 +379,15 @@ func netChaosSeed(t *testing.T, seed int64) {
 		go func(cid int) {
 			defer wg.Done()
 			ops := statecheck.GenOps(seed*131+int64(cid), netChaosOps, netChaosKeys)
-			m, amb, err := chaosClient(t, proxy.Addr(), cid, ops, &progress)
+			m, amb, err := chaosClient(ctx, t, proxy.Addr(), cid, ops, &progress)
 			results[cid] = fleetResult{model: m, ambiguous: amb, err: err}
 		}(cid)
 	}
+	fleetDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(fleetDone)
+	}()
 
 	// Kill + restart the server twice, at one-third and two-thirds of
 	// fleet progress. The drained shutdown seals the WAL; the next
@@ -370,9 +395,14 @@ func netChaosSeed(t *testing.T, seed int64) {
 	// in-flight client retries land on a server with a different
 	// incarnation and an empty dedup window — the ambiguity path.
 	restarts := 0
+restarting:
 	for _, target := range []int64{total / 3, 2 * total / 3} {
 		for progress.Load() < target {
-			time.Sleep(5 * time.Millisecond)
+			select {
+			case <-fleetDone: // a client gave up early; its error is reported below
+				break restarting
+			case <-time.After(5 * time.Millisecond):
+			}
 		}
 		inc.stop(t, fmt.Sprintf("seed %d incarnation %d", seed, restarts))
 		inc = bootIncarnation(t, dir, workers, rec)
@@ -380,7 +410,10 @@ func netChaosSeed(t *testing.T, seed int64) {
 		proxy.CutAll()
 		restarts++
 	}
-	wg.Wait()
+	<-fleetDone
+	if ctx.Err() != nil {
+		t.Fatalf("seed %d: timed out after %v at %d of %d ops, %d restarts", seed, netChaosSeedTimeout, progress.Load(), total, restarts)
+	}
 
 	totalAmbiguous := 0
 	for cid := range results {
@@ -397,7 +430,6 @@ func netChaosSeed(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatalf("seed %d: direct dial: %v", seed, err)
 	}
-	ctx := context.Background()
 	mismatches := 0
 	for cid := range results {
 		ops := statecheck.GenOps(seed*131+int64(cid), netChaosOps, netChaosKeys)

@@ -115,6 +115,10 @@ var (
 	ErrContended = core.ErrContended
 	// ErrNoSuchProc reports an unregistered procedure name.
 	ErrNoSuchProc = core.ErrNoSuchProc
+	// ErrMalformedProc reports a registered procedure whose expansion
+	// is not well-formed (an operation without a body, or one that
+	// writes a parameter): Run and RunSnapshot refuse it, every time.
+	ErrMalformedProc = proc.ErrMalformed
 	// ErrRecoveryFailed reports that recovery left the database in an
 	// undefined state (command replay failed partway): the instance is
 	// poisoned and every subsequent transaction fails with this error.
