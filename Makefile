@@ -45,9 +45,10 @@ fuzz:
 # YCSB server runs with checkpoints, tracing, exemplars and the
 # contention profiler on; the load generator drives mix a then mix snap
 # over loopback; every metric family the obs plane promises must be
-# there and /debug/trace must hold traces; then kill -9, restart with
-# -wal.salvage, and the recovery report must name a checkpoint; then
-# SIGTERM must drain cleanly. The 1µs slow threshold makes trace
+# there, the pipelined load must have reached the dispatchers in runs
+# longer than one call, and /debug/trace must hold traces; then kill -9,
+# restart with -wal.salvage, and the recovery report must name a
+# checkpoint; then SIGTERM must drain cleanly. The 1µs slow threshold makes trace
 # retention deterministic: every committed transaction counts as slow.
 # Each failure names its assertion; logs and scrapes stay in
 # $(SMOKE_DIR).
@@ -82,6 +83,8 @@ smoke:
 	need metrics.txt '^thedb_mvcc_versions_installed_total [1-9]' "no versions installed in /metrics"; \
 	need metrics.txt '^thedb_mvcc_versions_reclaimed_total [1-9]' "GC reclaimed no versions in /metrics"; \
 	need metrics.txt '^thedb_plan_expansions_total [1-6]$$' "plan expansions not within 1..6 (the six YCSB procedures): a static plan is being re-expanded per transaction"; \
+	awk '$$1 == "thedb_server_requests_total" { calls = $$2 } $$1 == "thedb_server_runs_total" { runs = $$2 } END { exit !(runs > 0 && calls > runs) }' metrics.txt \
+		|| { grep '^thedb_server_r' metrics.txt; die "requests_total / runs_total is not above 1 after a pipelined load: calls are being handed to the dispatchers one at a time"; }; \
 	need trace.json '"id"' "no traces retained on /debug/trace"; \
 	need contention.json '"total"' "/debug/contention malformed"; \
 	ok=; for i in $$(seq 1 20); do ls wal/checkpoint-*.ckpt >/dev/null 2>&1 && { ok=1; break; }; sleep 0.5; done; \

@@ -13,9 +13,9 @@ import (
 // (Txn, read/write set, access cache) belongs to the worker, so what
 // remains of a null procedure with two integer arguments is Bind's
 // doing — the Env, its map (two objects), and one boxed storage.Value
-// per name an argument is bound under (here the positional alias
-// only; a declared parameter name costs one more each) — which is the
-// next slice of ROADMAP item 1, not this pin's business.
+// per argument (bound under its positional alias here, Null declaring
+// no parameters; under its parameter name alone where one is declared)
+// — which is the next slice of ROADMAP item 1, not this pin's business.
 // YCSBRead adds what one point read costs on top: its Element, the
 // read copy and its column mask, the bookmark and access-cache slices,
 // and the boxed result.
@@ -49,8 +49,8 @@ func TestSessionRunAllocations(t *testing.T) {
 		args []thedb.Value
 		max  float64
 	}{
-		{"Null", []thedb.Value{thedb.Int(1), thedb.Int(2)}, 6},
-		{ycsb.ProcRead, []thedb.Value{thedb.Int(7)}, 12},
+		{"Null", []thedb.Value{thedb.Int(1), thedb.Int(2)}, 5},
+		{ycsb.ProcRead, []thedb.Value{thedb.Int(7)}, 11},
 	} {
 		got := testing.AllocsPerRun(500, func() {
 			if _, err := sess.Run(c.proc, c.args...); err != nil {

@@ -402,8 +402,13 @@ func (c *Client) CallBatch(ctx context.Context, calls []Invocation) []Reply {
 			}
 			a.sentInc = 0 // rejection: the seq did not execute
 		case ctx.Err() != nil:
-			if a.sentInc != 0 {
+			switch {
+			case a.sentInc != 0:
 				replies[i].Err = &MaybeCommittedError{Cause: a.err}
+			case !a.sent:
+				// Never written, and no time left to write it: only the
+				// caller's clock ran out, whatever stopped the window.
+				replies[i].Err = fmt.Errorf("%w before the call was sent (%v)", ctx.Err(), a.err)
 			}
 			continue
 		case a.sent && a.sentInc == 0:
@@ -832,39 +837,58 @@ func (cc *clientConn) close(cause error) error {
 }
 
 // readLoop delivers response frames to the slots their request ids
-// name until the connection dies.
+// name until the connection dies. The responses that arrived together
+// — a pipelined window's usually do — are settled under one hold of mu.
 func (cc *clientConn) readLoop() {
 	for {
 		f, err := cc.fr.Next()
+		if err == nil {
+			cc.mu.Lock()
+			for {
+				cc.deliver(f)
+				if !cc.fr.Buffered() {
+					break
+				}
+				if f, err = cc.fr.Next(); err != nil {
+					break
+				}
+			}
+			cc.mu.Unlock()
+		}
 		if err != nil {
 			cerr := cc.close(fmt.Errorf("client: connection lost: %w", err))
 			_ = cerr // close-after-error: the read error is authoritative
 			return
 		}
-		var outs []wire.Output
-		switch f.Op {
-		case wire.OpResult:
-			if outs, err = wire.DecodeResult(f.Payload); err != nil {
-				err = fmt.Errorf("client: malformed result: %w", err)
-			}
-		case wire.OpError:
-			if re, derr := wire.DecodeError(f.Payload); derr != nil {
-				err = fmt.Errorf("client: malformed error frame: %w", derr)
-			} else {
-				err = &re
-			}
-		default:
-			// Unknown frame for a live id is a protocol fault; for a
-			// retired id it is dropped below like any late response.
-			err = fmt.Errorf("client: unexpected %s frame", wire.OpName(f.Op))
+	}
+}
+
+// deliver decodes one response frame and settles the slot it names;
+// nothing of the frame's payload is referenced afterwards. Caller
+// holds mu.
+func (cc *clientConn) deliver(f wire.Frame) {
+	var outs []wire.Output
+	var err error
+	switch f.Op {
+	case wire.OpResult:
+		if outs, err = wire.DecodeResult(f.Payload); err != nil {
+			err = fmt.Errorf("client: malformed result: %w", err)
 		}
-		// Settling frees the slot now, before anyone collects the result.
-		// A generation the slot has left behind marks a late response.
-		i, gen := uint32(f.ID), uint32(f.ID>>32)
-		cc.mu.Lock()
-		if int(i) < len(cc.slots) && cc.slots[i].gen == gen && cc.slots[i].att != nil {
-			cc.settle(i, outs, err)
+	case wire.OpError:
+		if re, derr := wire.DecodeError(f.Payload); derr != nil {
+			err = fmt.Errorf("client: malformed error frame: %w", derr)
+		} else {
+			err = &re
 		}
-		cc.mu.Unlock()
+	default:
+		// Unknown frame for a live id is a protocol fault; for a
+		// retired id it is dropped below like any late response.
+		err = fmt.Errorf("client: unexpected %s frame", wire.OpName(f.Op))
+	}
+	// Settling frees the slot now, before anyone collects the result.
+	// A generation the slot has left behind marks a late response.
+	i, gen := uint32(f.ID), uint32(f.ID>>32)
+	if int(i) < len(cc.slots) && cc.slots[i].gen == gen && cc.slots[i].att != nil {
+		cc.settle(i, outs, err)
 	}
 }

@@ -431,6 +431,49 @@ func TestTransparentRetrySameSeq(t *testing.T) {
 	}
 }
 
+// TestBatchNeverSentAtDeadline: a connection dies under a batch, the
+// retry of the call that was on it uses up the caller's time, and the
+// calls behind it were never written. Those must report that the clock
+// ran out — they provably did not execute and nothing failed — not the
+// lost connection that merely stopped their window.
+func TestBatchNeverSentAtDeadline(t *testing.T) {
+	var calls atomic.Int64
+	welcome := func(h wire.Hello, _ int64) wire.Welcome {
+		w := sessionWelcome(0x2222)(h, 0)
+		w.MaxInFlight = 1 // one call per window: the later ones wait their turn
+		return w
+	}
+	fs := newFakeServerW(t, welcome, func(wire.Frame, wire.Call) []byte {
+		if calls.Add(1) == 1 {
+			return killConn
+		}
+		return nil // the retry is never answered
+	})
+	cl, err := Dial(fs.addr(), Options{RetryBase: time.Microsecond})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer func() {
+		if err := cl.Close(); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	replies := cl.CallBatch(ctx, []Invocation{{Proc: "P"}, {Proc: "P"}, {Proc: "P"}})
+	if err := replies[0].Err; !errors.Is(err, ErrMaybeCommitted) {
+		t.Errorf("the call that was sent: %v, want ErrMaybeCommitted", err)
+	}
+	for i, r := range replies[1:] {
+		if !errors.Is(r.Err, context.DeadlineExceeded) || errors.Is(r.Err, ErrMaybeCommitted) {
+			t.Errorf("never-sent call %d: %v, want the context's deadline error", i+1, r.Err)
+		}
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("server saw %d calls, want 2 (the first and its retry)", n)
+	}
+}
+
 // TestIncarnationChangeSurfacesMaybeCommitted: when the server holding
 // an unanswered attempt restarts (new incarnation), the client must
 // NOT re-send — the dedup window is gone — and must surface the typed
@@ -721,7 +764,8 @@ func TestSlotReuseDropsLateResponse(t *testing.T) {
 // TestSteadyStateAllocations pins what a call costs the client once a
 // connection is warm: the attempt it lands in and the three
 // allocations of wire.DecodeResult — four for a Call; for a 16-call
-// CallBatch the replies, one block of attempts and three per result.
+// CallBatch the replies, one block of attempts and three per result,
+// however many outputs a result carries.
 // The fake server here answers from one preencoded frame and allocates
 // nothing, so testing.AllocsPerRun (which counts process-wide) sees the
 // client alone.
@@ -786,7 +830,9 @@ func TestSteadyStateAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(200, one); n > maxCall {
 		t.Errorf("Call: %v allocs, want <= %d", n, maxCall)
 	}
-	if n := testing.AllocsPerRun(50, sixteen); n > maxBatch {
+	n := testing.AllocsPerRun(50, sixteen)
+	t.Logf("CallBatch(16): %v allocs", n)
+	if n > maxBatch {
 		t.Errorf("CallBatch(16): %v allocs, want <= %d", n, maxBatch)
 	}
 }

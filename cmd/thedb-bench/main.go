@@ -80,7 +80,7 @@ func main() {
 		}
 		printNetCounts(o, c)
 		if c.failed > 0 {
-			fmt.Fprintf(os.Stderr, "net bench: %d calls failed\n", c.failed)
+			fmt.Fprintf(os.Stderr, "net bench: %d calls failed, the first with: %v\n", c.failed, c.firstFailure)
 			os.Exit(1)
 		}
 		return

@@ -41,6 +41,9 @@ type netCounts struct {
 	// post-write, delay, blackhole, duplicate. Zero without the proxy.
 	faults [6]int64
 	wall   time.Duration
+	// firstFailure is the error of the first call counted in failed, so
+	// a non-zero count says why.
+	firstFailure error
 }
 
 // netBench drives a YCSB mix against a running thedb-server over the
@@ -93,6 +96,12 @@ func netBench(o netOpts) (netCounts, error) {
 	}()
 
 	var committed, aborted, ambiguous, failed, snapReads atomic.Int64
+	var firstFailure atomic.Pointer[error]
+	fail := func(err error) {
+		if failed.Add(1) == 1 {
+			firstFailure.Store(&err)
+		}
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), o.duration)
 	defer cancel()
@@ -119,7 +128,7 @@ func netBench(o netOpts) (netCounts, error) {
 							snapReads.Add(1)
 						case outOfTime(err):
 						default:
-							failed.Add(1)
+							fail(err)
 						}
 						continue
 					}
@@ -145,7 +154,7 @@ func netBench(o netOpts) (netCounts, error) {
 						if errors.As(r.Err, &re) && re.Code == wire.CodeAbort {
 							aborted.Add(1)
 						} else {
-							failed.Add(1)
+							fail(r.Err)
 						}
 					}
 				}
@@ -156,6 +165,9 @@ func netBench(o netOpts) (netCounts, error) {
 	counts := netCounts{
 		committed: committed.Load(), aborted: aborted.Load(), ambiguous: ambiguous.Load(),
 		failed: failed.Load(), snapReads: snapReads.Load(), wall: time.Since(start),
+	}
+	if err := firstFailure.Load(); err != nil {
+		counts.firstFailure = *err
 	}
 	if proxy != nil {
 		for i, f := range []netfault.Fault{
@@ -169,8 +181,11 @@ func netBench(o netOpts) (netCounts, error) {
 }
 
 // outOfTime reports an error that only says the run's clock expired:
-// locally (the context), or at the server, which enforces the same
-// deadline as each call's remaining budget.
+// locally (the context — which is also what the client reports for a
+// call of a batch it never wrote because the clock ran out first, even
+// when a lost connection is what stopped the window), or at the
+// server, which enforces the same deadline as each call's remaining
+// budget.
 func outOfTime(err error) bool {
 	var re *wire.RemoteError
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||

@@ -17,9 +17,11 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"thedb"
+	"thedb/internal/wal"
 )
 
 const accounts = 16
@@ -176,17 +178,28 @@ func salvageDemo() {
 	}
 	shutdown(db, fs)
 
-	// The crash: worker 0's log loses the last 40% of its bytes, cutting
-	// a frame in half.
+	// The crash: worker 0's log loses roughly the last 40% of its bytes,
+	// cutting a frame in half. The cut is placed by walking the frames:
+	// a truncation that happened to fall on a frame boundary would leave
+	// a well-formed, merely shorter log that strict boot rightly accepts.
 	gens, err := filepath.Glob(filepath.Join(dir, "worker-0.gen-*.wal"))
 	if err != nil || len(gens) != 1 {
 		log.Fatalf("worker 0 generations = %v (%v), want one", gens, err)
 	}
-	st, err := os.Stat(gens[0])
+	f, err := os.Open(gens[0])
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := os.Truncate(gens[0], st.Size()*3/5); err != nil {
+	frames, damage, err := wal.InspectStream(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil || damage != nil || len(frames) == 0 {
+		log.Fatalf("worker 0 log before the crash: %d frames, damage %v, err %v", len(frames), damage, err)
+	}
+	target := frames[len(frames)-1].End * 3 / 5
+	cut := frames[sort.Search(len(frames), func(i int) bool { return frames[i].End > target })]
+	if err := os.Truncate(gens[0], (cut.Offset+cut.End)/2); err != nil {
 		log.Fatal(err)
 	}
 

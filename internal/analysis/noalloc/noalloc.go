@@ -64,6 +64,9 @@ var allowPkgs = map[string]bool{
 // not deserve package-wide trust.
 var allowFuncs = map[string]bool{
 	"io.ReadFull": true,
+	// A bufio.Reader's Peek, Discard, Buffered and Size work inside the
+	// buffer it was made with.
+	"bufio.Peek": true, "bufio.Discard": true, "bufio.Buffered": true, "bufio.Size": true,
 }
 
 // site is one allocating construct found in a function body.

@@ -16,6 +16,12 @@ type Server struct {
 	// are not included).
 	Requests int64
 
+	// Runs counts hand-offs to a dispatcher: a run is a contiguous
+	// share of one burst of pipelined calls, so Requests / Runs is the
+	// mean run length — 1 under synchronous calls, more when the
+	// per-run costs are being amortised.
+	Runs int64
+
 	// InFlight is the gauge of admitted-but-unanswered requests
 	// across all connections.
 	InFlight int64
@@ -82,6 +88,7 @@ type ServerCounters struct {
 	ConnsOpened   int64
 	ConnsClosed   int64
 	Requests      int64
+	Runs          int64
 	InFlight      int64
 	Shed          int64
 	DrainRejected int64
@@ -105,6 +112,7 @@ func (s *Server) Snapshot() ServerCounters {
 	c.ConnsOpened = atomic.LoadInt64(&s.ConnsOpened)
 	c.ConnsClosed = atomic.LoadInt64(&s.ConnsClosed)
 	c.Requests = atomic.LoadInt64(&s.Requests)
+	c.Runs = atomic.LoadInt64(&s.Runs)
 	c.InFlight = atomic.LoadInt64(&s.InFlight)
 	c.Shed = atomic.LoadInt64(&s.Shed)
 	c.DrainRejected = atomic.LoadInt64(&s.DrainRejected)

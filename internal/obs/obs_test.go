@@ -276,6 +276,7 @@ func TestWritePromServerFormat(t *testing.T) {
 	s.Add(&s.ConnsOpened, 5)
 	s.Add(&s.ConnsClosed, 2)
 	s.Add(&s.Requests, 100)
+	s.Add(&s.Runs, 13)
 	s.Add(&s.InFlight, 7)
 	s.Add(&s.Shed, 3)
 	s.Inc(&s.DrainRejected)
@@ -297,6 +298,7 @@ func TestWritePromServerFormat(t *testing.T) {
 		"thedb_server_connections_total":      5,
 		"thedb_server_in_flight":              7,
 		"thedb_server_requests_total":         100,
+		"thedb_server_runs_total":             13,
 		"thedb_server_shed_total":             3,
 		"thedb_server_draining_rejects_total": 1,
 		"thedb_server_bytes_in_total":         4096,

@@ -107,6 +107,7 @@ func WritePromServer(w io.Writer, s metrics.ServerCounters) {
 	counter("thedb_server_connections_total", "Client connections accepted since start.", s.ConnsOpened)
 	gauge("thedb_server_in_flight", "Admitted requests not yet answered.", float64(s.InFlight))
 	counter("thedb_server_requests_total", "Procedure invocations admitted.", s.Requests)
+	counter("thedb_server_runs_total", "Hand-offs to a dispatcher: runs of one burst's admitted calls (requests / runs = mean run length).", s.Runs)
 	counter("thedb_server_shed_total", "Requests shed by admission control (typed retryable errors, never silent drops).", s.Shed)
 	counter("thedb_server_draining_rejects_total", "Requests refused with the draining error during shutdown.", s.DrainRejected)
 	counter("thedb_server_bad_frames_total", "Protocol-violating frames answered with a bad-request error.", s.BadFrames)

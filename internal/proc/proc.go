@@ -177,7 +177,7 @@ func (b *Builder) Op(op Op) *Op {
 }
 
 // positional holds the names of the first positional argument aliases
-// ($0, $1, ...) so binding the common short argument vectors does not
+// ($0, $1, ...) so binding the common short argument tails does not
 // format a string per argument.
 var positional = func() (names [64]string) {
 	for i := range names {
@@ -186,19 +186,22 @@ var positional = func() (names [64]string) {
 	return names
 }()
 
-// Bind builds the environment of one invocation: each argument under
-// its parameter name and under its positional alias ($0, $1, ...), so
-// variadic procedures can address argument tails beyond their named
-// prefix. Every engine starts every attempt from it.
+// Bind builds the environment of one invocation: argument i under its
+// parameter name when the Spec declares one, and under the positional
+// alias $i only when it does not (i >= len(Params)) — the tail a
+// variadic procedure addresses beyond its named prefix. An argument is
+// therefore bound, and echoed in a remote RESULT, exactly once: "$0"
+// does not exist for a named parameter. Every engine starts every
+// attempt from it.
 func (s *Spec) Bind(args []storage.Value) *Env {
 	env := NewEnv()
 	for i, a := range args {
-		if i < len(s.Params) {
+		switch {
+		case i < len(s.Params):
 			env.SetVal(s.Params[i], a)
-		}
-		if i < len(positional) {
+		case i < len(positional):
 			env.SetVal(positional[i], a)
-		} else {
+		default:
 			env.SetVal("$"+strconv.Itoa(i), a)
 		}
 	}

@@ -243,3 +243,46 @@ func TestDOTRendering(t *testing.T) {
 		}
 	}
 }
+
+// TestBindAliasRule pins what an argument is bound under: its parameter
+// name when the Spec declares one — and then not under its positional
+// alias too, so it is boxed, sorted and echoed to a remote caller once —
+// and $i only for the tail beyond the named prefix (NewOrder's order
+// lines start at $6, after six named parameters).
+func TestBindAliasRule(t *testing.T) {
+	ycsbRead := &Spec{Name: "YCSBRead", Params: []string{"k"}}
+	env := ycsbRead.Bind([]storage.Value{storage.Int(42)})
+	if env.Int("k") != 42 || env.Has("$0") {
+		t.Fatalf("one named argument: k = %v, has $0 = %v; want 42 and no alias", env.Val("k"), env.Has("$0"))
+	}
+	if got := len(env.Sorted(nil)); got != 1 {
+		t.Fatalf("one named argument binds %d variables, want 1", got)
+	}
+
+	newOrder := &Spec{Name: "NewOrder", Params: []string{"w", "d", "c", "ol_cnt", "entry", "rbk"}}
+	args := make([]storage.Value, 6+3*2)
+	for i := range args {
+		args[i] = storage.Int(int64(100 + i))
+	}
+	env = newOrder.Bind(args)
+	for i, name := range newOrder.Params {
+		if env.Int(name) != int64(100+i) || env.Has(positional[i]) {
+			t.Fatalf("parameter %d: %s = %v, has %s = %v", i, name, env.Val(name), positional[i], env.Has(positional[i]))
+		}
+	}
+	for i := len(newOrder.Params); i < len(args); i++ {
+		if !env.Has(positional[i]) || env.Int(positional[i]) != int64(100+i) {
+			t.Fatalf("tail argument %d not bound under %s", i, positional[i])
+		}
+	}
+	if got := len(env.Sorted(nil)); got != len(args) {
+		t.Fatalf("%d arguments bind %d variables", len(args), got)
+	}
+
+	// Past the precomputed alias names the rule is the same.
+	long := make([]storage.Value, len(positional)+2)
+	env = (&Spec{Name: "Variadic"}).Bind(long)
+	if !env.Has("$0") || !env.Has("$65") || len(env.Sorted(nil)) != len(long) {
+		t.Fatalf("parameterless spec: $0 %v, $65 %v, %d variables", env.Has("$0"), env.Has("$65"), len(env.Sorted(nil)))
+	}
+}

@@ -1,9 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -21,11 +21,17 @@ import (
 // call lives in one of the connection's PerConnInFlight slots from
 // admission to its response; the free slots are the admission window.
 //
+// The read loop's unit of work is the burst: the complete frames
+// already in its read buffer. It decodes each into a slot, then admits
+// them together (admit) — one clock read, one round of accounting, one
+// dedup lock hold, one queue operation per run handed to a dispatcher.
+//
 // Teardown order is load-bearing: the read loop exits first, waits
 // for every admitted request it let in (reqs), then closes out; the
 // writer writes what is left and closes the socket. Senders therefore
-// never race the close — a dispatch goroutine's put happens strictly
-// before its reqs.Done, which happens before reqs.Wait returns.
+// never race the close — a dispatch goroutine's puts happen strictly
+// before it gives its run's count back to reqs, which happens before
+// reqs.Wait returns.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -38,11 +44,14 @@ type conn struct {
 
 	reqs sync.WaitGroup // this connection's admitted, unanswered requests
 
-	free chan *request // the slots no call occupies
-
-	// Read-loop state: scratch is where the loop encodes the frames it
-	// answers itself (handshake, rejections, dedup replays); procs
-	// interns the names of the procedures this connection has called.
+	// Read-loop state. free is the loop's stack of slots no call
+	// occupies, refilled from out.back when it runs dry; burst holds the
+	// calls decoded from the current burst, in arrival order; scratch is
+	// where the loop encodes the frames it answers itself (handshake,
+	// rejections, dedup replays); procs interns the names of the
+	// procedures this connection has called.
+	free    []*request
+	burst   []*request
 	scratch []byte
 	procs   map[string]string
 
@@ -53,26 +62,26 @@ type conn struct {
 	closeOnce sync.Once
 }
 
-// acquire takes a free slot for an arriving call; nil means the
-// connection's pipeline is full.
+// acquire takes a free slot for an arriving call, swapping the loop's
+// empty stack for the slots freed since the last swap when it has run
+// dry; nil means the connection's pipeline is full. A slot is free from
+// the moment its response is queued: PerConnInFlight is an exact bound.
 //
 //thedb:noalloc
 func (c *conn) acquire() *request {
-	select {
-	case req := <-c.free:
-		return req
-	default:
-		return nil
+	if len(c.free) == 0 {
+		q := &c.out
+		q.mu.Lock()
+		c.free, q.back = q.back, c.free
+		q.mu.Unlock()
+		if len(c.free) == 0 {
+			return nil
+		}
 	}
-}
-
-// release frees an answered call's slot. The caller must not touch req
-// afterwards: its next occupant may already be decoding into it.
-//
-//thedb:noalloc
-func (c *conn) release(req *request) {
-	req.sess, req.entry = nil, nil
-	c.free <- req
+	req := c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
+	req.sess, req.entry, req.verdict, req.next = nil, nil, dedupNew, nil
+	return req
 }
 
 // outQueue is a connection's outbound bytes: two buffers, one filling
@@ -83,6 +92,9 @@ func (c *conn) release(req *request) {
 // max frames, and a sender past that blocks until the writer swaps: a
 // peer that stops reading stalls only senders to its own connection,
 // until writeTimeout kills it.
+//
+// The queue carries answered calls' slots back to the read loop the
+// same way: a response and its slot change hands under one lock hold.
 type outQueue struct {
 	mu       sync.Mutex
 	nonEmpty sync.Cond // the writer waits here
@@ -91,18 +103,29 @@ type outQueue struct {
 	frames   int
 	max      int
 	closed   bool
+	back     []*request // slots freed since the read loop last swapped; cap = every slot
 }
 
-// put queues a copy of one encoded frame. Callers must hold an
-// admission slot (reqs) or be the read loop itself (see conn).
-func (q *outQueue) put(frame []byte) {
+// put queues a copy of one encoded frame and, when the frame answers an
+// admitted call, frees that call's slot: req must not be touched
+// afterwards, its next occupant may already be decoding into it.
+// Callers must hold an admission slot (reqs) or be the read loop itself
+// (see conn), which passes nil and returns slots to its own stack.
+//
+//thedb:noalloc
+func (q *outQueue) put(frame []byte, req *request) {
 	q.mu.Lock()
 	for q.frames >= q.max {
 		q.space.Wait()
 	}
 	wake := len(q.buf) == 0
+	//thedb:nolint:noalloc amortized growth: the two buffers grow to the largest burst of responses, then swap for the connection's life
 	q.buf = append(q.buf, frame...)
 	q.frames++
+	if req != nil {
+		q.back = q.back[:len(q.back)+1] // past capacity is a slot freed twice: panic
+		q.back[len(q.back)-1] = req
+	}
 	q.mu.Unlock()
 	if wake {
 		q.nonEmpty.Signal()
@@ -159,11 +182,12 @@ func (c countConn) Write(p []byte) (int, error) {
 func (s *Server) startConn(raw net.Conn) {
 	nc := countConn{Conn: raw, stats: s.stats}
 	n := s.cfg.PerConnInFlight
-	c := &conn{srv: s, nc: nc, free: make(chan *request, n), procs: map[string]string{}}
+	c := &conn{srv: s, nc: nc, procs: map[string]string{}}
 	slots := make([]request, n)
+	c.free, c.burst, c.out.back = make([]*request, n), make([]*request, 0, n), make([]*request, 0, n)
 	for i := range slots {
 		slots[i].c = c
-		c.free <- &slots[i]
+		c.free[i] = &slots[i]
 	}
 	// Room for the admission window plus reader-side rejections, so
 	// dispatchers almost never block on a slow peer.
@@ -191,7 +215,7 @@ func (s *Server) startConn(raw net.Conn) {
 // reject answers request id with a typed error from the read loop.
 func (c *conn) reject(id uint64, e wire.RemoteError) {
 	c.scratch = wire.AppendError(c.scratch[:0], id, e)
-	c.out.put(c.scratch)
+	c.out.put(c.scratch, nil)
 }
 
 // wake unblocks a read loop parked in a blocking read (used by
@@ -242,28 +266,38 @@ func (c *conn) readLoop() {
 		s.mu.Unlock()
 	}()
 
-	br := bufio.NewReaderSize(c.nc, 64<<10)
-	fr := wire.NewReader(br, s.cfg.MaxFrame)
-
+	fr := wire.NewReader(c.nc, s.cfg.MaxFrame)
 	if !c.handshake(fr) {
 		return
 	}
-
 	for {
+		// One burst: block for a frame, then take every frame that
+		// arrived with it. A burst cut short by a bad frame is still
+		// admitted: its calls were sent before the fault.
 		f, err := fr.Next()
+		for err == nil {
+			c.decode(f)
+			if !fr.Buffered() {
+				break
+			}
+			f, err = fr.Next()
+		}
+		if len(c.burst) > 0 {
+			c.admit()
+		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
 				s.stats.Inc(&s.stats.BadFrames)
 			}
 			return
 		}
-		c.serve(f)
 	}
 }
 
-// serve answers one frame: a rejection, or a call decoded into a free
-// slot and admitted.
-func (c *conn) serve(f wire.Frame) {
+// decode answers one frame with a rejection, or decodes its call into a
+// free slot and appends it to the burst. The frame's payload is not
+// referenced afterwards: it is the read buffer.
+func (c *conn) decode(f wire.Frame) {
 	s := c.srv
 	if f.Op != wire.OpCall {
 		s.stats.Inc(&s.stats.BadFrames)
@@ -278,7 +312,7 @@ func (c *conn) serve(f wire.Frame) {
 	}
 	name, err := wire.DecodeCallInto(&req.call, f.Payload)
 	if err != nil {
-		c.release(req)
+		c.free = append(c.free, req)
 		s.stats.Inc(&s.stats.BadFrames)
 		c.reject(f.ID, wire.RemoteError{Code: wire.CodeBadRequest, Msg: "malformed CALL: " + err.Error()})
 		return
@@ -289,102 +323,141 @@ func (c *conn) serve(f wire.Frame) {
 	if !ok {
 		proc = string(name)
 		if !s.db.HasProcedure(proc) {
-			c.release(req)
+			c.free = append(c.free, req)
 			c.reject(f.ID, wire.RemoteError{Code: wire.CodeUnknownProc, Msg: "no such procedure " + proc})
 			return
 		}
 		c.procs[proc] = proc
 	}
 	req.id, req.call.Proc = f.ID, proc
-	c.admit(req)
+	c.burst = append(c.burst, req)
 }
 
-// admit applies the admission policy to one decoded call: refuse a
-// dead deadline budget, dedup a retried sequence number, refuse new
-// work while draining, shed when the global queue is full, otherwise
-// hand it to the dispatchers. Refusals always answer with a retryable
-// typed error plus backoff hint — never a silent drop.
-func (c *conn) admit(req *request) {
+// admit applies the admission policy to the decoded burst, paying for
+// the burst what used to be paid per call: dedup retried sequence
+// numbers, refuse new work while draining, shed what exceeds the global
+// bound, and hand the rest to the dispatchers as runs. Refusals always
+// answer with a retryable typed error plus backoff hint — never a
+// silent drop.
+func (c *conn) admit() {
 	s := c.srv
-	req.arrival = time.Now()
-	if s.tracer != nil {
-		req.trace = req.call.TraceID
-		if req.trace == 0 {
-			// Untraced caller: mint the end-to-end ID at admission, from
-			// a boot-salted counter so IDs stay unique across restarts.
-			req.trace = wire.MintTraceID(s.traceCtr.Add(1) + s.incarnation)
+	n, now := len(c.burst), time.Now()
+	for _, req := range c.burst {
+		// arrival anchors the deadline budget and the trace's queue wait.
+		req.arrival = now
+		if s.tracer != nil {
+			if req.trace = req.call.TraceID; req.trace == 0 {
+				// Untraced caller: mint the end-to-end ID at admission, from
+				// a boot-salted counter so IDs stay unique across restarts.
+				req.trace = wire.MintTraceID(s.traceCtr.Add(1) + s.incarnation)
+			}
 		}
 	}
-	if b := req.budget(); b > 0 && time.Since(req.arrival) >= b {
-		// The caller's context died in transit; nothing was admitted,
-		// so answer plainly without touching the accounting or window.
-		s.stats.Inc(&s.stats.DeadlineRejected)
-		c.reject(req.id, wire.RemoteError{Code: wire.CodeDeadline, Msg: "deadline budget exhausted at admission"})
-		c.release(req)
-		return
+	// Account before offering: a dispatcher may pick a run up and finish
+	// it the instant it lands in the channel. over is how far this burst
+	// took pending past GlobalInFlight; done counts what this loop
+	// answers itself and gives back at the end.
+	over := int(s.pending.Add(int64(n))) - s.cfg.GlobalInFlight
+	c.reqs.Add(n)
+	s.stats.Add(&s.stats.InFlight, int64(n))
+	done := 0
+
+	// Dedup, under one lock hold: afterwards a call is a hit (its cached
+	// response is in scratch, in burst order), parked on the execution it
+	// duplicates, or — like every call the window does not track — this
+	// burst's to run.
+	if c.sess != nil {
+		c.scratch = c.sess.register(c.burst, c.scratch[:0])
 	}
-	// Account before offering: a dispatcher may pick the request up
-	// and finish it the instant it lands in the channel.
-	s.pending.Add(1)
-	c.reqs.Add(1)
-	s.stats.Add(&s.stats.InFlight, 1)
-	// Read-only snapshot calls skip the dedup window: they write
-	// nothing, so re-executing a retry is safe and cheaper than
-	// caching responses for it.
-	if c.sess != nil && req.call.Seq != 0 && !req.call.ReadOnly {
-		req.sess = c.sess
-		switch c.sess.register(req, &c.scratch) {
-		case dedupHit:
-			// Already executed: replay the cached response (register
-			// copied it into scratch) under the retry's request id.
-			s.stats.Inc(&s.stats.DedupHits)
-			if tr := s.tracer; tr != nil {
-				// A cached replay never reaches the engine, so record
-				// its trace here (always retained: outcome ≠ committed).
-				t := obs.Trace{
-					ID: req.trace, Proc: req.call.Proc, Worker: -1,
-					Outcome: obs.TraceDedupHit,
-					StartNS: req.arrival.UnixNano(),
-					TotalUS: time.Since(req.arrival).Microseconds(),
-				}
-				tr.Keep(&t)
-			}
-			wire.SetID(c.scratch, req.id)
-			c.out.put(c.scratch)
-			s.finish(req)
-			return
+	replay, runs := c.scratch, c.burst[:0]
+	for _, req := range c.burst {
+		switch req.verdict {
+		case dedupNew:
+			runs = append(runs, req)
 		case dedupJoined:
 			// The original attempt is still executing; this retry is
 			// parked on its entry, slot and accounting held, and answered
 			// by respond when the one execution completes.
 			s.stats.Inc(&s.stats.DedupCoalesced)
-			return
+		case dedupHit:
+			// Already executed: replay the cached response under the
+			// retry's request id.
+			s.stats.Inc(&s.stats.DedupHits)
+			if tr := s.tracer; tr != nil {
+				// A cached replay never reaches the engine, so record
+				// its trace here (always retained: outcome ≠ committed).
+				tr.Keep(&obs.Trace{
+					ID: req.trace, Proc: req.call.Proc, Worker: -1,
+					Outcome: obs.TraceDedupHit, StartNS: now.UnixNano(),
+					TotalUS: time.Since(now).Microseconds(),
+				})
+			}
+			_, size, _ := wire.DecodeFrame(replay, math.MaxInt32) // a frame this server encoded
+			wire.SetID(replay, req.id)
+			c.out.put(replay[:size], nil)
+			replay = replay[size:]
+			c.free = append(c.free, req)
+			done++
 		}
 	}
+
 	// The draining flag is read after the increments above (Shutdown
 	// sets it, then reads the counter: one side sees the other) and
 	// after the dedup window: a duplicate of a frame this incarnation
 	// admitted shares that call's answer. A retryable "never ran" would
 	// send the client to the next incarnation, whose window is empty.
 	if s.draining.Load() {
-		s.stats.Inc(&s.stats.DrainRejected)
-		c.refuse(req, wire.RemoteError{Code: wire.CodeDraining, Backoff: drainHint, Msg: "server draining"})
-		return
+		s.stats.Add(&s.stats.DrainRejected, int64(len(runs)))
+		c.refuse(runs, wire.RemoteError{Code: wire.CodeDraining, Backoff: drainHint, Msg: "server draining"})
+		done += len(runs)
+		runs = nil
+	} else if over > 0 {
+		// The burst's tail goes back. The bound is never exceeded; bursts
+		// racing each other may each count the other and shed more than
+		// either would alone.
+		shed := runs[max(len(runs)-over, 0):]
+		s.stats.Add(&s.stats.Shed, int64(len(shed)))
+		c.refuse(shed, wire.RemoteError{Code: wire.CodeShed, Backoff: shedHint, Msg: "server at capacity"})
+		done += len(shed)
+		runs = runs[:len(runs)-len(shed)]
 	}
-	select {
-	case s.work <- req:
-		s.stats.Inc(&s.stats.Requests)
-	default:
-		s.stats.Inc(&s.stats.Shed)
-		c.refuse(req, wire.RemoteError{Code: wire.CodeShed, Backoff: shedHint, Msg: "server at capacity"})
+	if len(runs) > 0 {
+		c.handOff(runs)
+	}
+	c.burst = c.burst[:0]
+	if done > 0 {
+		s.finish(c, done)
 	}
 }
 
-// refuse answers an accounted request, and any retry already parked on
-// its dedup entry, with an error that is never cached.
-func (c *conn) refuse(req *request, e wire.RemoteError) {
-	c.scratch = wire.AppendError(c.scratch[:0], req.id, e)
-	c.srv.respond(req, c.scratch, false)
+// handOff queues a burst's admitted calls for the dispatchers as at
+// most one contiguous run per worker, so a lone pipelining connection
+// still occupies every session. The queue has room for every admitted
+// call and a run holds at least one: a send never blocks.
+//
+//thedb:noalloc
+func (c *conn) handOff(calls []*request) {
+	s := c.srv
+	k := min(len(calls), s.db.Workers())
+	s.stats.Add(&s.stats.Requests, int64(len(calls)))
+	s.stats.Add(&s.stats.Runs, int64(k))
+	for i := 0; i < k; i++ {
+		run := calls[i*len(calls)/k : (i+1)*len(calls)/k]
+		for j := 1; j < len(run); j++ {
+			run[j-1].next = run[j]
+		}
+		s.work <- run[0]
+	}
+}
+
+// refuse answers accounted requests, and any retries already parked on
+// their dedup entries, with an error that is never cached; the caller
+// gives their accounting back.
+func (c *conn) refuse(reqs []*request, e wire.RemoteError) {
+	for _, req := range reqs {
+		c.scratch = wire.AppendError(c.scratch[:0], req.id, e)
+		c.srv.respond(req, c.scratch, false)
+	}
 }
 
 // handshake reads the client hello and answers with the server's
@@ -430,7 +503,7 @@ func (c *conn) handshake(fr *wire.Reader) bool {
 		w.DedupWindow = uint32(s.cfg.DedupWindow)
 	}
 	c.scratch = wire.AppendWelcome(c.scratch[:0], w)
-	c.out.put(c.scratch)
+	c.out.put(c.scratch, nil)
 	return true
 }
 

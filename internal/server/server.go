@@ -9,6 +9,9 @@
 // round-trip inside the critical section. Each engine session is
 // owned by exactly one dispatch goroutine; connections feed a bounded
 // global work queue and collect responses out of order by request id.
+// The unit of that queue is the run — a contiguous share of one burst of
+// pipelined calls — so what the server pays to schedule and account for
+// work, it pays per burst and per run, not per call (conn.admit).
 //
 // The serving path carries a call in reused memory: it is decoded into
 // one of its connection's fixed slots (conn), and its response is
@@ -61,8 +64,9 @@ type Config struct {
 	PerConnInFlight int
 
 	// GlobalInFlight bounds admitted requests across all connections
-	// (default 128 × workers). This is the work-queue capacity:
-	// requests beyond it are shed, never queued unboundedly.
+	// (default 128 × workers), counted from admission until the run a
+	// request was dispatched in has been answered: requests beyond it
+	// are shed, never queued unboundedly.
 	GlobalInFlight int
 
 	// DedupWindow bounds each session's cache of completed responses,
@@ -110,12 +114,18 @@ type request struct {
 	call wire.Call
 
 	// Exactly-once plumbing: the session when the call is dedup-tracked,
-	// the dedup entry when this request owns the execution of its seq.
-	sess  *session
-	entry *dedupEntry
+	// the dedup entry when this request owns the execution of its seq,
+	// and what the window said of it at admission.
+	sess    *session
+	entry   *dedupEntry
+	verdict dedupVerdict
 
-	// arrival anchors the deadline budget: the call is refused once
-	// arrival+budget passes without the transaction having run.
+	// next links the calls of one run, in arrival order.
+	next *request
+
+	// arrival, the burst's one clock reading, anchors the deadline
+	// budget: the call is refused once arrival+budget passes without the
+	// transaction having run.
 	arrival time.Time
 
 	// trace is the call's end-to-end trace ID: the client's when it
@@ -136,10 +146,15 @@ type Server struct {
 	cfg   Config
 	stats *metrics.Server
 
+	// work carries runs: each element heads a list of calls from one
+	// connection (request.next) that one dispatcher answers in order. Its
+	// capacity is GlobalInFlight, which pending enforces at admission, so
+	// a read loop's send never blocks.
 	work chan *request
 	quit chan struct{}
 
-	// pending counts admitted, unanswered requests. It is an atomic
+	// pending counts admitted requests whose run is unfinished, and is
+	// what GlobalInFlight bounds. It is an atomic
 	// counter rather than a WaitGroup because admission races drain:
 	// admit increments then re-checks the draining flag, Shutdown sets
 	// the flag then reads the counter, and seq-cst atomics guarantee
@@ -267,16 +282,31 @@ type dispatcher struct {
 	vars  []proc.Var // the committed transaction's variables, sorted
 }
 
-// dispatch serves queued requests on one engine session until quit.
+// dispatch serves queued runs on one engine session until quit.
 func (s *Server) dispatch(d *dispatcher) {
+	serve := func(req *request) { s.serveOne(d, req) }
 	for {
 		select {
 		case <-s.quit:
 			return
-		case req := <-s.work:
-			s.serveOne(d, req)
+		case head := <-s.work:
+			s.serveRun(head, serve)
 		}
 	}
+}
+
+// serveRun answers every call of the run head leads, each as soon as it
+// is done — the connection's outQueue already coalesces the wake and
+// the write, and a slow transaction must not hold back the answers of
+// the calls before it — then gives the run's accounting back at once.
+func (s *Server) serveRun(head *request, serve func(*request)) {
+	c, n := head.c, 0
+	for req := head; req != nil; n++ {
+		next := req.next // the response frees the slot
+		serve(req)
+		req = next
+	}
+	s.finish(c, n)
 }
 
 // serveOne runs one admitted request to completion and queues its
@@ -306,7 +336,10 @@ func (s *Server) serveOne(d *dispatcher, req *request) {
 	} else {
 		env, err = d.sess.Run(req.call.Proc, req.call.Args...)
 	}
-	respStart := time.Now()
+	var respStart time.Time
+	if traced {
+		respStart = time.Now()
+	}
 	if err != nil {
 		re := s.mapError(err)
 		d.frame = wire.AppendError(d.frame[:0], req.id, re)
@@ -355,33 +388,34 @@ func appendResult(dst []byte, id uint64, vars []proc.Var) []byte {
 }
 
 // respond answers an admitted request, and any retries parked on its
-// dedup entry, with one encoded frame, releasing each one's slot and
-// accounting. cache controls whether the frame joins the session's
-// dedup window for future retries. Every completion path for a request
-// that may own a dedup entry must come through here — answering around
-// it would strand parked waiters. frame is the caller's scratch: copied
-// wherever it goes, re-addressed in place per recipient.
+// dedup entry, with one encoded frame, freeing each one's slot. cache
+// controls whether the frame joins the session's dedup window for
+// future retries. Every completion path for a request that may own a
+// dedup entry must come through here — answering around it would strand
+// parked waiters — and the caller gives req's accounting back with
+// finish (a parked retry's goes back here). frame is the caller's
+// scratch: copied wherever it goes, re-addressed in place per recipient.
 func (s *Server) respond(req *request, frame []byte, cache bool) {
 	if req.entry != nil {
 		for _, w := range req.sess.complete(s, req.entry, frame, cache) {
+			wc := w.c
 			wire.SetID(frame, w.id)
-			w.c.out.put(frame)
-			s.finish(w)
+			wc.out.put(frame, w)
+			s.finish(wc, 1)
 		}
 		wire.SetID(frame, req.id)
 	}
-	req.c.out.put(frame)
-	s.finish(req)
+	req.c.out.put(frame, req)
 }
 
-// finish releases one admitted request's slot and accounting after
-// its response (or rejection) has been queued.
-func (s *Server) finish(req *request) {
-	c := req.c
-	s.stats.Add(&s.stats.InFlight, -1)
-	c.release(req)
-	c.reqs.Done()
-	if s.pending.Add(-1) == 0 && s.draining.Load() {
+// finish gives back the accounting of n of c's admitted requests, after
+// their responses (or rejections) have been queued.
+//
+//thedb:noalloc
+func (s *Server) finish(c *conn, n int) {
+	s.stats.Add(&s.stats.InFlight, int64(-n))
+	c.reqs.Add(-n)
+	if s.pending.Add(int64(-n)) == 0 && s.draining.Load() {
 		select {
 		case s.drainSig <- struct{}{}:
 		default: // a wakeup is already queued
@@ -439,23 +473,25 @@ waiting:
 		}
 	}
 
-	// Stop the dispatchers, then answer anything left in the queue
+	// Stop the dispatchers, then answer the runs left in the queue
 	// (only non-empty when ctx expired) with draining errors so no
 	// request vanishes silently and the per-connection accounting
 	// still balances.
 	s.quitOnce.Do(func() { close(s.quit) })
-	for {
+	refuse := func(req *request) {
+		s.stats.Inc(&s.stats.DrainRejected)
+		s.respond(req, wire.AppendError(nil, req.id, wire.RemoteError{
+			Code: wire.CodeDraining, Backoff: drainHint, Msg: "server draining",
+		}), false)
+	}
+	for queued := true; queued; {
 		select {
-		case req := <-s.work:
-			s.stats.Inc(&s.stats.DrainRejected)
-			s.respond(req, wire.AppendError(nil, req.id, wire.RemoteError{
-				Code: wire.CodeDraining, Backoff: drainHint, Msg: "server draining",
-			}), false)
+		case head := <-s.work:
+			s.serveRun(head, refuse)
 		default:
-			goto queueEmpty
+			queued = false
 		}
 	}
-queueEmpty:
 
 	// Wake every connection's read loop; teardown then flushes
 	// pending responses and closes the socket.

@@ -51,45 +51,60 @@ type session struct {
 func (ss *session) release() { ss.refs.Add(-1) }
 
 // dedupVerdict is register's answer for an incoming (session, seq).
-type dedupVerdict int
+type dedupVerdict uint8
 
 const (
-	// dedupNew: first sighting; the caller owns the execution.
+	// dedupNew: first sighting (or a call the window does not track);
+	// the caller owns the execution.
 	dedupNew dedupVerdict = iota
 	// dedupJoined: the original is still executing; the caller was
 	// parked as a waiter and must not execute or answer.
 	dedupJoined
-	// dedupHit: already completed; answer from the entry's cached
-	// response.
+	// dedupHit: already completed; answer from the cached response.
 	dedupHit
 )
 
-// register classifies req's sequence number against the window. On
-// dedupHit the cached frame is copied into *replay under the lock: the
-// entry may be recycled the moment it drops. On dedupNew req owns the
-// execution and carries the entry.
-func (ss *session) register(req *request, replay *[]byte) dedupVerdict {
+// register classifies a burst's sequence numbers against the window
+// under one lock hold, leaving each request its verdict (dedupNew
+// already, from acquire). Read-only
+// snapshot calls and Seq 0 skip the window: a snapshot writes nothing,
+// so re-executing a retry is safe and cheaper than caching responses
+// for it. A dedupHit's cached frame is appended to replay, in burst
+// order, under the lock: the entry may be recycled the moment it drops.
+// A dedupNew request owns the execution and carries the entry; a later
+// duplicate in the same burst parks on it like any other.
+func (ss *session) register(burst []*request, replay []byte) []byte {
+	owned := int64(0)
 	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if e, ok := ss.entries[req.call.Seq]; ok {
-		if e.done {
-			*replay = append((*replay)[:0], e.frame...)
-			return dedupHit
+	for _, req := range burst {
+		if req.call.Seq == 0 || req.call.ReadOnly {
+			continue
 		}
-		e.waiters = append(e.waiters, req)
-		return dedupJoined
+		req.sess = ss
+		if e, ok := ss.entries[req.call.Seq]; ok {
+			if e.done {
+				req.verdict = dedupHit
+				replay = append(replay, e.frame...)
+			} else {
+				req.verdict = dedupJoined
+				e.waiters = append(e.waiters, req)
+			}
+			continue
+		}
+		var e *dedupEntry
+		if n := len(ss.spare); n > 0 {
+			e, ss.spare = ss.spare[n-1], ss.spare[:n-1]
+		} else {
+			e = new(dedupEntry)
+		}
+		e.seq, e.done = req.call.Seq, false
+		ss.entries[e.seq] = e
+		req.entry = e
+		owned++
 	}
-	var e *dedupEntry
-	if n := len(ss.spare); n > 0 {
-		e, ss.spare = ss.spare[n-1], ss.spare[:n-1]
-	} else {
-		e = new(dedupEntry)
-	}
-	e.seq, e.done = req.call.Seq, false
-	ss.entries[e.seq] = e
-	ss.inflight.Add(1)
-	req.entry = e
-	return dedupNew
+	ss.inflight.Add(owned)
+	ss.mu.Unlock()
+	return replay
 }
 
 // complete finishes an executing entry, returning the parked retries

@@ -74,23 +74,14 @@ func Recycle(buf []byte) []byte {
 	return buf[:0]
 }
 
-// DecodeFrame decodes one frame from the front of b without copying:
-// the returned Frame's payload aliases b. n is the number of bytes
-// consumed. maxPayload bounds the accepted payload length (<= 0 means
-// DefaultMaxFrame); a length field beyond it fails with
-// ErrFrameTooLarge before anything is allocated or sliced. The
-// accepting path is zero-alloc; the rejecting paths build one
-// detailed error and the connection dies.
+// decodeHeader checks and decodes the HeaderSize bytes at the front of
+// b: the frame's fields, Payload excepted, and the payload length the
+// header declares, bounded by maxPayload before anything is allocated
+// or sliced. The accepting path is zero-alloc; the rejecting paths
+// build one detailed error and the connection dies.
 //
 //thedb:noalloc
-func DecodeFrame(b []byte, maxPayload int) (f Frame, n int, err error) {
-	if maxPayload <= 0 {
-		maxPayload = DefaultMaxFrame
-	}
-	if len(b) < HeaderSize {
-		//thedb:nolint:noalloc cold reject path: a malformed frame tears down the connection, never the commit path
-		return Frame{}, 0, fmt.Errorf("%w: frame header (%d of %d bytes)", ErrTruncated, len(b), HeaderSize)
-	}
+func decodeHeader(b []byte, maxPayload int) (f Frame, length int, err error) {
 	if got := binary.LittleEndian.Uint16(b[0:2]); got != Magic {
 		//thedb:nolint:noalloc cold reject path: a malformed frame tears down the connection, never the commit path
 		return Frame{}, 0, fmt.Errorf("%w: %#04x", ErrBadMagic, got)
@@ -102,81 +93,125 @@ func DecodeFrame(b []byte, maxPayload int) (f Frame, n int, err error) {
 	}
 	f.Op = b[3]
 	f.ID = binary.LittleEndian.Uint64(b[4:12])
-	length := binary.LittleEndian.Uint32(b[12:16])
-	if uint64(length) > uint64(maxPayload) {
+	n := binary.LittleEndian.Uint32(b[12:16])
+	if uint64(n) > uint64(maxPayload) {
 		//thedb:nolint:noalloc cold reject path: a malformed frame tears down the connection, never the commit path
-		return Frame{}, 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, length, maxPayload)
+		return Frame{}, 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxPayload)
 	}
-	if uint64(len(b)-HeaderSize) < uint64(length) {
+	return f, int(n), nil
+}
+
+// DecodeFrame decodes one frame from the front of b without copying:
+// the returned Frame's payload aliases b. n is the number of bytes
+// consumed. maxPayload bounds the accepted payload length (<= 0 means
+// DefaultMaxFrame); a length field beyond it fails with
+// ErrFrameTooLarge.
+//
+//thedb:noalloc
+func DecodeFrame(b []byte, maxPayload int) (f Frame, n int, err error) {
+	if maxPayload <= 0 {
+		maxPayload = DefaultMaxFrame
+	}
+	if len(b) < HeaderSize {
+		//thedb:nolint:noalloc cold reject path: a malformed frame tears down the connection, never the commit path
+		return Frame{}, 0, fmt.Errorf("%w: frame header (%d of %d bytes)", ErrTruncated, len(b), HeaderSize)
+	}
+	f, length, err := decodeHeader(b, maxPayload)
+	if err != nil {
+		return Frame{}, 0, err
+	}
+	if len(b)-HeaderSize < length {
 		//thedb:nolint:noalloc cold reject path: a malformed frame tears down the connection, never the commit path
 		return Frame{}, 0, fmt.Errorf("%w: frame body (%d of %d bytes)", ErrTruncated, len(b)-HeaderSize, length)
 	}
-	f.Payload = b[HeaderSize : HeaderSize+int(length)]
-	return f, HeaderSize + int(length), nil
+	f.Payload = b[HeaderSize : HeaderSize+length]
+	return f, HeaderSize + length, nil
 }
 
-// Reader pulls frames off a byte stream. It owns a reusable payload
-// buffer: the returned Frame's payload is valid only until the next
-// call to Next.
+// readBuffer is a Reader's buffer size: a burst of small pipelined
+// frames arrives in one read, and a frame that fits is decoded where it
+// lies.
+const readBuffer = 64 << 10
+
+// Reader pulls frames off a byte stream through one buffer: a frame
+// that fits in it is returned in place, its payload aliasing the
+// buffer, so a Frame is valid only until the next call to Next.
 type Reader struct {
-	br  *bufio.Reader
-	max int
-	hdr [HeaderSize]byte // here, not in Next: a local would escape through io.ReadFull
-	buf []byte
+	br   *bufio.Reader
+	max  int
+	held int    // bytes of the buffer the last frame returned still occupies
+	big  []byte // the payload of a frame larger than the buffer, copied out
 }
 
-// NewReader wraps r. maxPayload bounds accepted frame payloads
-// (<= 0 means DefaultMaxFrame); the buffer grows to the largest frame
-// actually seen, never to a hostile length field.
+// NewReader wraps r, which needs no buffering of its own. maxPayload
+// bounds accepted frame payloads (<= 0 means DefaultMaxFrame); memory
+// grows to the largest frame actually seen, never to a hostile length
+// field.
 func NewReader(r io.Reader, maxPayload int) *Reader {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxFrame
 	}
-	return &Reader{br: bufio.NewReaderSize(r, 1<<16), max: maxPayload}
+	return &Reader{br: bufio.NewReaderSize(r, readBuffer), max: maxPayload}
+}
+
+// Buffered reports whether a whole frame is already in the buffer, so
+// that Next will return it without reading from the stream: the frames
+// of one burst are those Next yields until Buffered turns false.
+//
+//thedb:noalloc
+func (r *Reader) Buffered() bool {
+	n := r.br.Buffered() - r.held - HeaderSize
+	if n < 0 {
+		return false
+	}
+	b, _ := r.br.Peek(r.held + HeaderSize) // buffered: cannot fail
+	return uint64(binary.LittleEndian.Uint32(b[r.held+12:])) <= uint64(n)
 }
 
 // Next reads one frame. io.EOF means the peer closed cleanly between
-// frames; a partial frame surfaces as io.ErrUnexpectedEOF. The
-// steady-state path reads into the reused payload buffer without
-// allocating.
+// frames; a partial frame surfaces as io.ErrUnexpectedEOF. Nothing is
+// allocated or copied unless the frame is larger than the buffer.
 //
 //thedb:noalloc
 func (r *Reader) Next() (Frame, error) {
-	hdr := r.hdr[:]
-	if _, err := io.ReadFull(r.br, hdr); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return Frame{}, io.ErrUnexpectedEOF
+	r.br.Discard(r.held) // the last frame's bytes, lent out until now; buffered, so it cannot fail
+	r.held = 0
+	hdr, err := r.br.Peek(HeaderSize)
+	if err != nil {
+		if len(hdr) > 0 {
+			err = torn(err)
 		}
 		return Frame{}, err
 	}
-	var f Frame
-	if got := binary.LittleEndian.Uint16(hdr[0:2]); got != Magic {
-		//thedb:nolint:noalloc cold reject path: a malformed frame tears down the connection, never the commit path
-		return Frame{}, fmt.Errorf("%w: %#04x", ErrBadMagic, got)
-	}
-	f.Version = hdr[2]
-	if f.Version != Version {
-		//thedb:nolint:noalloc cold reject path: a malformed frame tears down the connection, never the commit path
-		return Frame{}, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, f.Version, Version)
-	}
-	f.Op = hdr[3]
-	f.ID = binary.LittleEndian.Uint64(hdr[4:12])
-	length := binary.LittleEndian.Uint32(hdr[12:16])
-	if uint64(length) > uint64(r.max) {
-		//thedb:nolint:noalloc cold reject path: a malformed frame tears down the connection, never the commit path
-		return Frame{}, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, length, r.max)
-	}
-	if cap(r.buf) < int(length) {
-		//thedb:nolint:noalloc amortized growth: the buffer grows to the largest frame actually seen, then is reused for every later frame
-		r.buf = make([]byte, length)
-	}
-	r.buf = r.buf[:length]
-	if _, err := io.ReadFull(r.br, r.buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Frame{}, io.ErrUnexpectedEOF
-		}
+	f, length, err := decodeHeader(hdr, r.max)
+	if err != nil {
 		return Frame{}, err
 	}
-	f.Payload = r.buf
+	if size := HeaderSize + length; size <= r.br.Size() {
+		b, err := r.br.Peek(size)
+		if err != nil {
+			return Frame{}, torn(err)
+		}
+		r.held, f.Payload = size, b[HeaderSize:]
+		return f, nil
+	}
+	r.br.Discard(HeaderSize) // just peeked
+	if cap(r.big) < length {
+		//thedb:nolint:noalloc amortized growth: to the largest oversized frame actually seen, then reused
+		r.big = make([]byte, length)
+	}
+	f.Payload = r.big[:length]
+	if _, err := io.ReadFull(r.br, f.Payload); err != nil {
+		return Frame{}, torn(err)
+	}
 	return f, nil
+}
+
+// torn turns the end of the stream inside a frame into
+// io.ErrUnexpectedEOF.
+func torn(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

@@ -17,7 +17,10 @@ import (
 //     input prefix (frame-level identity);
 //  3. a successfully decoded message re-encodes and re-decodes to the
 //     same structure (message-level round trip — byte identity is not
-//     required because varints accept non-minimal encodings).
+//     required because varints accept non-minimal encodings);
+//  4. the streaming Reader, which decodes a frame where it lies in its
+//     buffer, accepts exactly the inputs DecodeFrame accepts and yields
+//     the same frame.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a frame at all"))
@@ -64,8 +67,15 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := DecodeFrame(data, DefaultMaxFrame)
+		streamed, serr := NewReader(bytes.NewReader(data), DefaultMaxFrame).Next()
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("DecodeFrame err %v, Reader.Next err %v", err, serr)
+		}
 		if err != nil {
 			return
+		}
+		if streamed.Op != fr.Op || streamed.ID != fr.ID || !bytes.Equal(streamed.Payload, fr.Payload) {
+			t.Fatalf("Reader.Next = %+v, DecodeFrame = %+v", streamed, fr)
 		}
 		if n < HeaderSize || n > len(data) {
 			t.Fatalf("consumed %d bytes of %d", n, len(data))

@@ -95,6 +95,93 @@ func TestReaderStream(t *testing.T) {
 	}
 }
 
+// splitReader hands out its chunks one Read at a time, the way a
+// socket delivers a stream in pieces.
+type splitReader struct{ chunks [][]byte }
+
+func (r *splitReader) Read(p []byte) (int, error) {
+	for len(r.chunks) > 0 && len(r.chunks[0]) == 0 {
+		r.chunks = r.chunks[1:]
+	}
+	if len(r.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.chunks[0])
+	r.chunks[0] = r.chunks[0][n:]
+	return n, nil
+}
+
+// TestReaderInPlace drives the Reader's two paths — a frame returned
+// where it lies in the buffer, and one larger than the buffer copied
+// out — over a stream cut in two at every byte offset, headers and
+// payloads alike: every cut yields the frames DecodeFrame yields, and
+// Buffered is true exactly when the next frame has wholly arrived.
+func TestReaderInPlace(t *testing.T) {
+	big := make([]byte, readBuffer+100)
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	frames := [][]byte{
+		AppendCall(nil, 1, Call{Proc: "YCSBUpdate", Seq: 9, Args: []storage.Value{storage.Int(7), storage.Str("field")}}),
+		AppendFrame(nil, OpResult, 2, nil),
+		AppendFrame(nil, OpCall, 3, big),
+		AppendError(nil, 4, RemoteError{Code: CodeShed, Backoff: time.Millisecond, Msg: "shed"}),
+	}
+	var stream []byte
+	var ends []int // stream offset just past each frame
+	for _, f := range frames {
+		stream = append(stream, f...)
+		ends = append(ends, len(stream))
+	}
+	check := func(cut int) {
+		r := NewReader(&splitReader{chunks: [][]byte{stream[:cut], stream[cut:]}}, len(big))
+		for i, want := range frames {
+			got, err := r.Next()
+			if err != nil {
+				t.Fatalf("cut %d: frame %d: %v", cut, i, err)
+			}
+			ref, _, err := DecodeFrame(want, len(big))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Op != ref.Op || got.ID != ref.ID || !bytes.Equal(got.Payload, ref.Payload) {
+				t.Fatalf("cut %d: frame %d = op %d id %d (%d bytes), want op %d id %d (%d bytes)",
+					cut, i, got.Op, got.ID, len(got.Payload), ref.Op, ref.ID, len(ref.Payload))
+			}
+			if i+1 == len(frames) {
+				break
+			}
+			// The next frame is buffered when the read that completed this
+			// one brought all of it along; a frame larger than the buffer
+			// never is, and the one after it only once the copy has drained
+			// the buffer's earlier bytes.
+			if next := ends[i+1]; len(frames[i+1]) <= readBuffer {
+				arrived := cut >= next || ends[i] > cut
+				if i == 2 {
+					continue // after the oversized frame the buffer's fill is the reader's business
+				}
+				if got := r.Buffered(); got != arrived {
+					t.Fatalf("cut %d: after frame %d: Buffered = %v, want %v", cut, i, got, arrived)
+				}
+			} else if r.Buffered() {
+				t.Fatalf("cut %d: Buffered reports a frame larger than the buffer", cut)
+			}
+		}
+		if _, err := r.Next(); err != io.EOF {
+			t.Fatalf("cut %d: after stream: err = %v, want io.EOF", cut, err)
+		}
+	}
+	// Every offset through the small frames and the oversized frame's
+	// header, then every offset of its tail and the frame behind it; the
+	// oversized payload's middle is sampled.
+	for cut := 1; cut < len(stream); cut++ {
+		if cut > ends[1]+2*HeaderSize && cut < ends[2]-2*HeaderSize && cut%997 != 0 {
+			continue
+		}
+		check(cut)
+	}
+}
+
 func TestReaderEnforcesLimit(t *testing.T) {
 	big := AppendFrame(nil, OpCall, 1, make([]byte, 100))
 	r := NewReader(bytes.NewReader(big), 50)

@@ -1,10 +1,8 @@
 package tpcc
 
 import (
-	"fmt"
 	"math/rand"
 
-	"thedb/internal/proc"
 	"thedb/internal/storage"
 )
 
@@ -269,30 +267,18 @@ func DependencyGraphs() []string {
 	var out []string
 	{
 		spec := newOrderSpec()
-		env := proc.NewEnv()
 		args := []storage.Value{
 			storage.Int(1), storage.Int(1), storage.Int(1),
 			storage.Int(2), storage.Int(1), storage.Int(0),
 			storage.Int(1), storage.Int(1), storage.Int(5),
 			storage.Int(2), storage.Int(1), storage.Int(5),
 		}
-		for i, a := range args {
-			if i < len(spec.Params) {
-				env.SetVal(spec.Params[i], a)
-			}
-			env.SetVal(fmt.Sprintf("$%d", i), a)
-		}
-		out = append(out, spec.Instantiate(env).Graph())
+		out = append(out, spec.Instantiate(spec.Bind(args)).Graph())
 	}
 	{
 		spec := deliverySpec()
-		env := proc.NewEnv()
 		args := []storage.Value{storage.Int(1), storage.Int(1), storage.Int(1), storage.Int(2)}
-		for i, a := range args {
-			env.SetVal(spec.Params[i], a)
-			env.SetVal(fmt.Sprintf("$%d", i), a)
-		}
-		out = append(out, spec.Instantiate(env).Graph())
+		out = append(out, spec.Instantiate(spec.Bind(args)).Graph())
 	}
 	return out
 }
