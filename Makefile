@@ -11,13 +11,17 @@ vet:
 test:
 	$(GO) test ./...
 
-# lint runs the custom concurrency-invariant analyzers (atomicdisc,
-# lockorder, metaencap, noalloc, nondet, syncerr, unlockpath — see
+# lint runs the custom analyzers (noalloc, nondet, syncerr — see
 # DESIGN.md §9) plus the stock `go vet` passes, which thedb-lint
 # invokes itself. Every run prints the //thedb:nolint tally and fails
-# on suppressions with no justification text.
+# on suppressions with no justification text. The grep keeps shared
+# counters on typed atomics (atomic.Int64 and friends), where a plain
+# access does not compile and vet's copylocks catches every copy: it
+# fails on any pointer-form sync/atomic call outside tests and benchmark/.
 lint:
 	$(GO) run ./cmd/thedb-lint ./...
+	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int|Uint|Pointer|Uintptr)[0-9]*\(' . \
+		|| { echo "lint: pointer-form sync/atomic call; use a typed atomic field instead"; exit 1; }
 
 race:
 	$(GO) test -race ./...
@@ -141,7 +145,8 @@ pins:
 
 # loc prints the size metrics ROADMAP.md tracks and CHANGES.md entries
 # quote: Go lines (non-test outside benchmark/, the serving plane —
-# client + internal/server + internal/wire — test, benchmark/) and the
+# client + internal/server + internal/wire — internal/analysis with its
+# tests and fixtures, test, benchmark/) and the
 # option counts — exported fields of the three configuration
 # structs. CI runs it at the end of the verify job, so every PR's log
 # carries its numbers.
@@ -152,6 +157,7 @@ loc:
 	@echo "go lines, non-test, internal/core:      $$($(call lines,internal/core ! -name '*_test.go')) (internal/proc: $$($(call lines,internal/proc ! -name '*_test.go')))"
 	@echo "go lines, non-test, root package:       $$($(call lines,. -maxdepth 1 ! -name '*_test.go'))"
 	@echo "go lines, non-test, serving plane:      $$($(call lines,client internal/server internal/wire ! -name '*_test.go')) (client + internal/server: $$($(call lines,client internal/server ! -name '*_test.go')))"
+	@echo "go lines, internal/analysis (all .go):  $$($(call lines,internal/analysis))"
 	@echo "go lines, tests, outside benchmark/:    $$($(call lines,. -path ./benchmark -prune -o -name '*_test.go'))"
 	@echo "go lines, benchmark/:                   $$($(call lines,benchmark))"
 	@echo "fields, thedb.Config:                   $$($(call fields,thedb.go,Config))"

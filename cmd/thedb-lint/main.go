@@ -1,8 +1,8 @@
-// Command thedb-lint is the multichecker for THEDB's custom
-// concurrency-invariant analyzers (internal/analysis): atomicdisc,
-// lockorder, metaencap, noalloc, nondet, syncerr, and unlockpath. By
-// default it also runs the stock `go vet` passes over the same
-// patterns so `make lint` is one gate.
+// Command thedb-lint is the multichecker for THEDB's custom analyzers
+// (internal/analysis): noalloc, nondet and syncerr. By default it also
+// runs the stock `go vet` passes over the same patterns — copylocks
+// among them, which flags every copy of a struct holding a typed
+// atomic — so `make lint` is one gate.
 //
 // Usage:
 //

@@ -1,8 +1,8 @@
 // Package ana is a minimal, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis driver model, built on the standard
 // library only (go/ast, go/types, and export data obtained from
-// `go list -export`). THEDB's custom concurrency-invariant analyzers
-// (see internal/analysis/...) run on top of it, both from the
+// `go list -export`). THEDB's custom analyzers (see
+// internal/analysis/...) run on top of it, both from the
 // cmd/thedb-lint multichecker and from analysistest-style fixture
 // suites (internal/analysis/anatest).
 //
@@ -34,7 +34,7 @@ type Analyzer struct {
 	// module-scoped analyzers.
 	Run func(*Pass) error
 	// RunModule executes the check once over the whole loaded module
-	// (interprocedural analyzers: lockorder, noalloc, atomicdisc).
+	// (interprocedural analyzers: noalloc).
 	// Either Run or RunModule must be set; both is allowed.
 	RunModule func(*ModulePass) error
 }
@@ -216,38 +216,4 @@ func suppressions(fset *token.FileSet, files []*ast.File) suppressionSet {
 func (s suppressionSet) covers(d Diagnostic) bool {
 	names := s[d.Pos.Filename][d.Pos.Line]
 	return names["*"] || names[d.Analyzer]
-}
-
-// ReceiverNamed resolves the named type of a method call's receiver,
-// unwrapping one level of pointer: for a call expression `x.M(...)`
-// it returns the *types.Named of x's type, or nil when the receiver
-// is not a (pointer to a) named type. Analyzers use it to restrict
-// checks to methods of specific types (storage.Record, storage.RWLock).
-func ReceiverNamed(info *types.Info, call *ast.CallExpr) *types.Named {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	tv, ok := info.Types[sel.X]
-	if !ok {
-		return nil
-	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
-}
-
-// CalleeFunc resolves the *types.Func a call expression invokes
-// through a selector (method call or qualified package function),
-// or nil when the callee is not a selector or not a function.
-func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	fn, _ := info.Uses[sel.Sel].(*types.Func)
-	return fn
 }

@@ -3,7 +3,6 @@ package ana_test
 import (
 	"go/ast"
 	"go/parser"
-	"go/token"
 	"go/types"
 	"strings"
 	"testing"
@@ -67,105 +66,6 @@ var unsuppressed = flagme //thedb:nolint:differentpass wrong analyzer name
 	if len(diags) != 2 || lines[0] != 3 || lines[1] != 10 {
 		t.Fatalf("got diagnostics %v, want lines [3 10]", diags)
 	}
-}
-
-func parseFuncBody(t *testing.T, body string) *ast.BlockStmt {
-	t.Helper()
-	src := "package p\nfunc f(c bool, xs []int) {\n" + body + "\n}"
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "cfg.go", src, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f.Decls[0].(*ast.FuncDecl).Body
-}
-
-// reachesExit reports whether the exit is reachable from the entry.
-func reachesExit(g *ana.CFG) bool {
-	seen := map[*ana.CFBlock]bool{}
-	stack := []*ana.CFBlock{g.Entry}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if b == g.Exit {
-			return true
-		}
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
-		stack = append(stack, b.Succs...)
-	}
-	return false
-}
-
-func TestCFGBranchesAndLoops(t *testing.T) {
-	body := parseFuncBody(t, `
-	x := 0
-	if c {
-		x = 1
-	} else {
-		x = 2
-	}
-	for _, v := range xs {
-		if v > 3 {
-			break
-		}
-		x += v
-	}
-	_ = x
-`)
-	g := ana.BuildCFG(body)
-	if !reachesExit(g) {
-		t.Fatal("exit not reachable from entry")
-	}
-	if len(g.If) != 2 {
-		t.Fatalf("recorded %d if statements, want 2", len(g.If))
-	}
-	for ifStmt, br := range g.If {
-		if br.Then == nil || br.Else == nil || br.After == nil {
-			t.Fatalf("incomplete branches for if at %v", ifStmt.Pos())
-		}
-	}
-	// Every whole-statement atom must be findable.
-	found := 0
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			if blk, _ := g.Find(n); blk != b {
-				t.Fatalf("Find misplaced atom %T", n)
-			}
-			found++
-		}
-	}
-	if found == 0 {
-		t.Fatal("CFG has no atoms")
-	}
-}
-
-func TestCFGPanicTerminatesPath(t *testing.T) {
-	body := parseFuncBody(t, `
-	if c {
-		panic("dead end")
-	}
-	_ = xs
-`)
-	g := ana.BuildCFG(body)
-	// The panic block must have no successors: the path dies there.
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			if es, ok := n.(*ast.ExprStmt); ok {
-				if call, ok := es.X.(*ast.CallExpr); ok {
-					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-						if len(b.Succs) != 0 {
-							t.Fatalf("panic block has successors: %v", b.Succs)
-						}
-						return
-					}
-				}
-			}
-		}
-	}
-	t.Fatal("panic atom not found in CFG")
 }
 
 func TestLoadRealPackage(t *testing.T) {
@@ -249,60 +149,6 @@ func caller() {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("resolved callees %v, want %v", got, want)
-		}
-	}
-}
-
-// TestSummariesMemoizationAndRecursion: each function's summary is
-// computed exactly once, and a recursive cycle yields the zero value
-// with ok=false for the in-progress member instead of diverging.
-func TestSummariesMemoization(t *testing.T) {
-	pkg := checkSource(t, `package fixture
-
-func a() { b() }
-func b() { a() }
-func leaf() {}
-`)
-	funcs := ana.IndexFuncs([]*ana.Package{pkg})
-	fa := lookupFunc(t, pkg, funcs, "a")
-	fb := lookupFunc(t, pkg, funcs, "b")
-	leaf := lookupFunc(t, pkg, funcs, "leaf")
-
-	computed := map[string]int{}
-	var sums *ana.Summaries[int]
-	sums = ana.NewSummaries(func(fn *types.Func) int {
-		computed[fn.Name()]++
-		n := 1
-		ast.Inspect(funcs[fn].Decl, func(node ast.Node) bool {
-			if call, ok := node.(*ast.CallExpr); ok {
-				if callee := ana.Callee(pkg.Info, call); callee != nil {
-					if v, ok := sums.Of(callee); ok {
-						n += v
-					}
-				}
-			}
-			return true
-		})
-		return n
-	})
-
-	if v, ok := sums.Of(leaf); !ok || v != 1 {
-		t.Fatalf("leaf summary = %d, %v", v, ok)
-	}
-	// a -> b -> a: the inner request for a (mid-computation) must
-	// report ok=false, so b=1, a=2.
-	if v, ok := sums.Of(fa); !ok || v != 2 {
-		t.Fatalf("a summary = %d, %v, want 2 with the recursive edge dropped", v, ok)
-	}
-	if v, ok := sums.Of(fb); !ok || v != 1 {
-		t.Fatalf("b summary = %d, %v", v, ok)
-	}
-	// Every summary was computed exactly once despite repeated Of calls.
-	sums.Of(fa)
-	sums.Of(fb)
-	for name, n := range computed {
-		if n != 1 {
-			t.Errorf("summary of %s computed %d times, want memoized once", name, n)
 		}
 	}
 }

@@ -8,12 +8,10 @@ import (
 )
 
 // This file extends the per-package driver model with module-wide
-// passes and the interprocedural machinery they share: a function
-// index (types.Func -> declaration), a memoizing summary store with
-// recursion cut-off, and static callee resolution. The lockorder and
-// noalloc analyzers are built on it: a lock acquired in a helper must
-// propagate to every caller, and an allocation three calls deep must
-// surface at the annotated hot path.
+// passes and the interprocedural machinery they need: a function
+// index (types.Func -> declaration) and static callee resolution. The
+// noalloc analyzer is built on it: an allocation three calls deep, in
+// another package, must surface at the annotated hot path.
 
 // ModulePass carries every loaded package to a module-scoped analyzer
 // (Analyzer.RunModule). All packages must share one token.FileSet,
@@ -77,47 +75,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// Summaries memoizes one fact per function for bottom-up
-// interprocedural analyses (callee summaries). Of computes a
-// function's summary on first request via the compute callback, which
-// may itself request callee summaries; recursion is cut off by
-// returning the zero summary with ok=false for a function whose
-// summary is still being computed (a conservative fixed point for
-// monotone facts: a recursive cycle contributes nothing extra on the
-// first pass).
-type Summaries[T any] struct {
-	compute func(*types.Func) T
-	memo    map[*types.Func]T
-	active  map[*types.Func]bool
-}
-
-// NewSummaries builds a store around the per-function compute step.
-func NewSummaries[T any](compute func(*types.Func) T) *Summaries[T] {
-	return &Summaries[T]{
-		compute: compute,
-		memo:    map[*types.Func]T{},
-		active:  map[*types.Func]bool{},
-	}
-}
-
-// Of returns fn's summary, computing and caching it on first use.
-// ok=false means fn is currently mid-computation (a recursive call
-// chain) and the zero T was returned instead.
-func (s *Summaries[T]) Of(fn *types.Func) (T, bool) {
-	if v, ok := s.memo[fn]; ok {
-		return v, true
-	}
-	if s.active[fn] {
-		var zero T
-		return zero, false
-	}
-	s.active[fn] = true
-	v := s.compute(fn)
-	delete(s.active, fn)
-	s.memo[fn] = v
-	return v, true
 }
 
 // SuppressionAudit is the accounting over //thedb:nolint comments in

@@ -1,29 +1,20 @@
-// Package analysis registers THEDB's concurrency-invariant analyzers.
-// Each one mechanically enforces a hand-maintained discipline from the
-// paper that code review alone cannot scale: see the individual
-// packages and DESIGN.md §9.
+// Package analysis registers THEDB's custom analyzers. Each one
+// mechanically enforces a discipline that neither the compiler nor
+// `go vet` can see: see the individual packages and DESIGN.md §9.
 package analysis
 
 import (
 	"thedb/internal/analysis/ana"
-	"thedb/internal/analysis/atomicdisc"
-	"thedb/internal/analysis/lockorder"
-	"thedb/internal/analysis/metaencap"
 	"thedb/internal/analysis/noalloc"
 	"thedb/internal/analysis/nondet"
 	"thedb/internal/analysis/syncerr"
-	"thedb/internal/analysis/unlockpath"
 )
 
 // All returns every registered analyzer, in stable order.
 func All() []*ana.Analyzer {
 	return []*ana.Analyzer{
-		atomicdisc.Analyzer,
-		lockorder.Analyzer,
-		metaencap.Analyzer,
 		noalloc.Analyzer,
 		nondet.Analyzer,
 		syncerr.Analyzer,
-		unlockpath.Analyzer,
 	}
 }

@@ -12,16 +12,16 @@ import (
 
 // Ring mimics the flight recorder's fixed ring.
 type Ring struct {
-	head  uint64
-	slots [8]uint64
+	head  atomic.Uint64
+	slots [8]atomic.Uint64
 }
 
 // Record is the good case: atomic ops, index math, no allocation.
 //
 //thedb:noalloc
 func (r *Ring) Record(a, b uint64) {
-	i := atomic.AddUint64(&r.head, 1) % uint64(len(r.slots))
-	atomic.StoreUint64(&r.slots[i], a+b)
+	i := r.head.Add(1) % uint64(len(r.slots))
+	r.slots[i].Store(a + b)
 }
 
 // Encode is the good case for the append idiom: growing the

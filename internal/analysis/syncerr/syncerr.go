@@ -105,7 +105,7 @@ func run(pass *ana.Pass) error {
 			if call == nil {
 				return true
 			}
-			fn := ana.CalleeFunc(pass.Info, call)
+			fn := ana.Callee(pass.Info, call)
 			if fn == nil {
 				return true
 			}

@@ -191,7 +191,16 @@ func runChaosSeed(t *testing.T, seed uint64, proto Protocol) {
 			}
 		}(wi)
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		// A lock leaked on some path wedges the next transaction that
+		// blocks on it; name the records before giving up.
+		checkReleased(t, cat)
+		t.Fatalf("seed %d under %v: workers wedged", seed, proto)
+	}
 	close(errCh)
 	if err := e.Stop(); err != nil {
 		t.Fatalf("stop: %v", err)
@@ -200,6 +209,10 @@ func runChaosSeed(t *testing.T, seed uint64, proto Protocol) {
 		dumpEvents(t, rec, cat)
 		t.Fatal(err)
 	}
+
+	// Every path — commit, heal, user abort, injected restart, every
+	// rung of the ladder — released what it took.
+	checkReleased(t, cat)
 
 	// The schedule must actually have perturbed the run.
 	injected := sched.Total(fault.ActYield) + sched.Total(fault.ActDelay) +
@@ -235,6 +248,30 @@ func runChaosSeed(t *testing.T, seed uint64, proto Protocol) {
 	}
 	if len(orc.Commits()) == 0 {
 		t.Fatalf("oracle recorded no commits")
+	}
+}
+
+// checkReleased reports every record of the catalog that still
+// carries the meta lock bit, a 2PL hold (TryWLock wins only on a free
+// lock) or a pin.
+func checkReleased(t *testing.T, cat *storage.Catalog) {
+	t.Helper()
+	for _, tab := range cat.Tables() {
+		name := tab.Schema().Name
+		tab.ForEach(func(k storage.Key, r *storage.Record) bool {
+			if r.Locked() {
+				t.Errorf("%s[%d]: meta lock bit still set", name, k)
+			}
+			if !r.RW().TryWLock() {
+				t.Errorf("%s[%d]: 2PL lock still held", name, k)
+			} else {
+				r.RW().WUnlock()
+			}
+			if n := r.Refs(); n != 0 {
+				t.Errorf("%s[%d]: still pinned %d times", name, k, n)
+			}
+			return true
+		})
 	}
 }
 
@@ -331,17 +368,17 @@ func TestDegradationLadderRecoversMidway(t *testing.T) {
 		t.Fatalf("transaction failed: %v", err)
 	}
 	m := w.Metrics()
-	if m.Committed != 1 {
-		t.Errorf("committed = %d, want 1", m.Committed)
+	if m.Committed.Load() != 1 {
+		t.Errorf("committed = %d, want 1", m.Committed.Load())
 	}
-	if m.Restarts != budget {
-		t.Errorf("restarts = %d, want %d", m.Restarts, budget)
+	if m.Restarts.Load() != budget {
+		t.Errorf("restarts = %d, want %d", m.Restarts.Load(), budget)
 	}
-	if m.HealingFallbacks != 1 {
-		t.Errorf("fallbacks = %d, want 1 (Healing→OCC only)", m.HealingFallbacks)
+	if m.HealingFallbacks.Load() != 1 {
+		t.Errorf("fallbacks = %d, want 1 (Healing→OCC only)", m.HealingFallbacks.Load())
 	}
-	if m.BudgetExhausted != 0 {
-		t.Errorf("budget exhaustions = %d, want 0", m.BudgetExhausted)
+	if m.BudgetExhausted.Load() != 0 {
+		t.Errorf("budget exhaustions = %d, want 0", m.BudgetExhausted.Load())
 	}
 	rec, _ := tab.Peek(1)
 	if got := rec.Tuple()[0].Int(); got != 1 {

@@ -67,7 +67,7 @@ func (t *Txn) commit() error {
 		case el.isDelete:
 			if rec.InstallVersion(ts) {
 				t.e.gc.TrackVersions(rec)
-				w.m.Inc(&w.m.VersionsInstalled)
+				w.m.VersionsInstalled.Add(1)
 			}
 			rec.SetVisible(false)
 			rec.SetTimestamp(ts)
@@ -107,7 +107,7 @@ func (t *Txn) commit() error {
 			// it. InstallVersion no-ops in the same-epoch common case.
 			if rec.InstallVersion(ts) {
 				t.e.gc.TrackVersions(rec)
-				w.m.Inc(&w.m.VersionsInstalled)
+				w.m.VersionsInstalled.Add(1)
 			}
 			old := rec.Tuple()
 			tuple := el.applyWrites(old)

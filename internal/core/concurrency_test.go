@@ -77,7 +77,7 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 			}
 			var committed int64
 			for wi := 0; wi < workers; wi++ {
-				committed += e.Worker(wi).m.Committed
+				committed += e.Worker(wi).m.Committed.Load()
 			}
 			if committed != workers*txnsPer {
 				t.Errorf("committed = %d, want %d", committed, workers*txnsPer)
@@ -173,7 +173,7 @@ func TestHealingNeverRestartsIndependent(t *testing.T) {
 		t.Errorf("counter = %d, want %d (lost update!)", got, workers*txnsPer)
 	}
 	for wi := 0; wi < workers; wi++ {
-		if r := e.Worker(wi).m.Restarts; r != 0 {
+		if r := e.Worker(wi).m.Restarts.Load(); r != 0 {
 			t.Errorf("worker %d restarted %d times; independent healing transactions must never restart", wi, r)
 		}
 	}

@@ -101,8 +101,8 @@ func TestAdhocFallsBackToOCC(t *testing.T) {
 	if _, err := w.RunAdhoc("Transfer", storage.Int(amy), storage.Int(20)); err != nil {
 		t.Fatal(err)
 	}
-	if w.m.Heals != 0 {
-		t.Errorf("ad-hoc transaction healed (%d heals)", w.m.Heals)
+	if w.m.Heals.Load() != 0 {
+		t.Errorf("ad-hoc transaction healed (%d heals)", w.m.Heals.Load())
 	}
 }
 
@@ -130,8 +130,8 @@ func TestAblationNoAccessCache(t *testing.T) {
 	if got := balanceOf(t, e, amy); got != 2480 {
 		t.Errorf("balance = %d, want 2480", got)
 	}
-	if w.m.Heals != 0 {
-		t.Errorf("healed without an access cache (%d)", w.m.Heals)
+	if w.m.Heals.Load() != 0 {
+		t.Errorf("healed without an access cache (%d)", w.m.Heals.Load())
 	}
 }
 
@@ -180,11 +180,11 @@ func TestAblationNoReadCopies(t *testing.T) {
 	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
-	if w.m.FalseInval != 0 {
+	if w.m.FalseInval.Load() != 0 {
 		t.Error("false invalidation dismissed without read copies")
 	}
-	if w.m.Heals != 1 {
-		t.Errorf("heals = %d, want 1 (cannot prove the read unaffected)", w.m.Heals)
+	if w.m.Heals.Load() != 1 {
+		t.Errorf("heals = %d, want 1 (cannot prove the read unaffected)", w.m.Heals.Load())
 	}
 }
 

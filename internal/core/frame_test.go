@@ -300,15 +300,7 @@ func TestWorkerFrameReuse(t *testing.T) {
 				t.Errorf("a footprint of %d left %d element slots on the worker", size, cap(f.rw.elems))
 			}
 
-			tab.ForEach(func(k storage.Key, rec *storage.Record) bool {
-				if rec.Refs() != 0 {
-					t.Errorf("KV[%d] still pinned %d times", k, rec.Refs())
-				}
-				if rec.Locked() {
-					t.Errorf("KV[%d] still locked", k)
-				}
-				return true
-			})
+			checkReleased(t, e.Catalog())
 			e.GC().Collect()
 			if _, ok := tab.Peek(victim); ok {
 				t.Error("the deleted record was not reclaimed while the worker idled")

@@ -107,7 +107,7 @@ func TestHealPropagatesThroughChain(t *testing.T) {
 	}
 	// All depth hops after hop1 plus the mark were restored, plus
 	// hop1 itself: depth+1 ops.
-	if got := w.m.HealedOps; got != depth+1 {
+	if got := w.m.HealedOps.Load(); got != depth+1 {
 		t.Errorf("healed ops = %d, want %d", got, depth+1)
 	}
 	val, _ := e.Catalog().Table("VAL")
@@ -146,7 +146,7 @@ func TestHealMidChain(t *testing.T) {
 		t.Errorf("healed walk ended at %d, want 101", got)
 	}
 	// hop3 (the bookmark), hop4, mark: 3 restorations.
-	if got := w.m.HealedOps; got != 3 {
+	if got := w.m.HealedOps.Load(); got != 3 {
 		t.Errorf("healed ops = %d, want 3 (hop3, hop4, mark)", got)
 	}
 }

@@ -57,7 +57,7 @@ func (t *Txn) heal(el *Element, scan *OpRun) error {
 	if traced {
 		passStart = time.Since(t.w.traceStart)
 	}
-	t.w.m.Inc(&t.w.m.Heals)
+	t.w.m.Heals.Add(1)
 	q := &healQueue{kind: make(map[*OpRun]restoreKind)}
 	if el == nil {
 		t.w.event(obs.KHealStart, 0, 0) // 0,0 marks a phantom repair
@@ -107,7 +107,7 @@ func (t *Txn) drainHealQueue(q *healQueue) error {
 		if err := t.restore(run, kind, q); err != nil {
 			return err
 		}
-		t.w.m.Inc(&t.w.m.HealedOps)
+		t.w.m.HealedOps.Add(1)
 		t.healOps++
 		for _, c := range run.op.KeyChildren() {
 			q.push(&t.runs[c.ID], restoreReexec)

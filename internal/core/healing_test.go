@@ -247,8 +247,8 @@ func TestTransferNoConflict(t *testing.T) {
 			if got := bonusOf(t, e, amy); got != 19 {
 				t.Errorf("amy bonus = %d, want 19", got)
 			}
-			if w.m.Committed != 1 || w.m.Restarts != 0 || w.m.Aborted != 0 {
-				t.Errorf("metrics = %+v", w.m)
+			if w.m.Committed.Load() != 1 || w.m.Restarts.Load() != 0 || w.m.Aborted.Load() != 0 {
+				t.Errorf("metrics = %+v", w.m.Snapshot())
 			}
 		})
 	}
@@ -277,8 +277,8 @@ func TestHealValueDependent(t *testing.T) {
 	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
-	if w.m.Heals != 1 {
-		t.Errorf("heals = %d, want 1", w.m.Heals)
+	if w.m.Heals.Load() != 1 {
+		t.Errorf("heals = %d, want 1", w.m.Heals.Load())
 	}
 	if got := balanceOf(t, e, amy); got != 2480 {
 		t.Errorf("amy balance = %d, want 2480 (2500 - 20)", got)
@@ -313,8 +313,8 @@ func TestHealKeyDependent(t *testing.T) {
 	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
-	if w.m.Heals != 1 {
-		t.Errorf("heals = %d, want 1", w.m.Heals)
+	if w.m.Heals.Load() != 1 {
+		t.Errorf("heals = %d, want 1", w.m.Heals.Load())
 	}
 	if got := balanceOf(t, e, amy); got != 1980 {
 		t.Errorf("amy balance = %d, want 1980", got)
@@ -422,11 +422,11 @@ func TestFalseInvalidation(t *testing.T) {
 	if err := txn.validateAndCommit(); err != nil {
 		t.Fatal(err)
 	}
-	if w.m.Heals != 0 {
-		t.Errorf("heals = %d, want 0 (false invalidation dismissed)", w.m.Heals)
+	if w.m.Heals.Load() != 0 {
+		t.Errorf("heals = %d, want 0 (false invalidation dismissed)", w.m.Heals.Load())
 	}
-	if w.m.FalseInval != 1 {
-		t.Errorf("false invalidations = %d, want 1", w.m.FalseInval)
+	if w.m.FalseInval.Load() != 1 {
+		t.Errorf("false invalidations = %d, want 1", w.m.FalseInval.Load())
 	}
 	rec, _ := tab.Peek(1)
 	if got := rec.Tuple()[0].Int(); got != 11 {

@@ -178,8 +178,8 @@ func TestInsertScenario1(t *testing.T) {
 	if env2.Int("ok") != 1 || env2.Int("v") != 70 {
 		t.Fatalf("healed read: ok=%d v=%d, want the committed insert", env2.Int("ok"), env2.Int("v"))
 	}
-	if w2.m.Heals != 1 {
-		t.Errorf("heals = %d, want 1", w2.m.Heals)
+	if w2.m.Heals.Load() != 1 {
+		t.Errorf("heals = %d, want 1", w2.m.Heals.Load())
 	}
 }
 
@@ -283,7 +283,7 @@ func TestPhantomHealing(t *testing.T) {
 	if env.Int("sum") != 210 || env.Int("count") != 6 {
 		t.Fatalf("healed scan: sum=%d count=%d, want 210/6 (phantom healed)", env.Int("sum"), env.Int("count"))
 	}
-	if w1.m.Heals == 0 {
+	if w1.m.Heals.Load() == 0 {
 		t.Error("no healing recorded for the phantom")
 	}
 }

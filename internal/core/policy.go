@@ -144,7 +144,7 @@ func (l *ladder) next(m *metrics.Worker) bool {
 		if l.idx >= len(l.rungs) {
 			return false
 		}
-		m.Inc(&m.HealingFallbacks)
+		m.HealingFallbacks.Add(1)
 	}
 	return true
 }

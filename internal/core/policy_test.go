@@ -155,14 +155,14 @@ func TestLadderPolicies(t *testing.T) {
 				attempts += r.budget
 			}
 			m := w.Metrics()
-			if int(m.Restarts) != attempts {
-				t.Errorf("restarts = %d, want %d (every rung's budget)", m.Restarts, attempts)
+			if int(m.Restarts.Load()) != attempts {
+				t.Errorf("restarts = %d, want %d (every rung's budget)", m.Restarts.Load(), attempts)
 			}
-			if int(m.HealingFallbacks) != len(tc.want)-1 {
-				t.Errorf("fallbacks = %d, want %d", m.HealingFallbacks, len(tc.want)-1)
+			if int(m.HealingFallbacks.Load()) != len(tc.want)-1 {
+				t.Errorf("fallbacks = %d, want %d", m.HealingFallbacks.Load(), len(tc.want)-1)
 			}
-			if m.BudgetExhausted != 1 || m.Aborted != 1 || m.Committed != 0 {
-				t.Errorf("exhausted/aborted/committed = %d/%d/%d, want 1/1/0", m.BudgetExhausted, m.Aborted, m.Committed)
+			if m.BudgetExhausted.Load() != 1 || m.Aborted.Load() != 1 || m.Committed.Load() != 0 {
+				t.Errorf("exhausted/aborted/committed = %d/%d/%d, want 1/1/0", m.BudgetExhausted.Load(), m.Aborted.Load(), m.Committed.Load())
 			}
 			if got := sched.Count(fault.PreValidation, fault.ActRestart); int(got) != attempts {
 				t.Errorf("injected restarts = %d, want %d", got, attempts)
@@ -260,7 +260,7 @@ func TestLadderRungsShareOneLockOrder(t *testing.T) {
 		}
 		var committed int64
 		for i := range drivers {
-			committed += e.Worker(i).Metrics().Committed
+			committed += e.Worker(i).Metrics().Committed.Load()
 		}
 		for _, name := range []string{"LATE", "EARLY"} {
 			tab, _ := cat.Table(name)

@@ -284,7 +284,7 @@ func TestTreeOrderAvoidsMembershipAbort(t *testing.T) {
 	if got := v3.Tuple()[0].Int(); got != 1 {
 		t.Fatalf("VAL[3] = %d, want 1", got)
 	}
-	if w.m.Restarts != 0 {
-		t.Fatalf("restarts = %d, want 0 under tree order", w.m.Restarts)
+	if w.m.Restarts.Load() != 0 {
+		t.Fatalf("restarts = %d, want 0 under tree order", w.m.Restarts.Load())
 	}
 }

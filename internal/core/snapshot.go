@@ -117,7 +117,7 @@ func (w *Worker) runSnapshot(spec *proc.Spec, args []storage.Value) (*proc.Env, 
 	interleave := w.e.opts.Interleave
 	for _, op := range prog.Ops {
 		if err := op.Body(st); err != nil {
-			w.m.Inc(&w.m.Aborted)
+			w.m.Aborted.Add(1)
 			w.event(obs.KAbort, uint64(obs.AbortUser), 0)
 			if w.traceOn {
 				w.finishTrace(obs.TraceAborted, time.Since(start), 1)
@@ -129,8 +129,8 @@ func (w *Worker) runSnapshot(spec *proc.Spec, args []storage.Value) (*proc.Env, 
 		}
 	}
 	lat := time.Since(start)
-	w.m.Inc(&w.m.Committed)
-	w.m.Inc(&w.m.SnapshotReads)
+	w.m.Committed.Add(1)
+	w.m.SnapshotReads.Add(1)
 	w.m.ObserveLatency(lat)
 	w.event(obs.KCommit, s, uint64(lat/time.Microsecond))
 	if w.traceOn {

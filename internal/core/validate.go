@@ -51,7 +51,11 @@ func (t *Txn) validateLocked() error {
 		if el.removed {
 			continue
 		}
-		//thedb:nolint:lockorder safe by construction: the sort above imposed the engine's one global order (Options.Order, the only order an RWSet can have), and every rung of every transaction on the engine sorts by it, so every thread stacks record locks in the same sequence (§4.2.1)
+		// Blocking while holding earlier locks is safe by construction:
+		// the sort above imposed the engine's one global order
+		// (Options.Order, the only order an RWSet can have), and every
+		// rung of every transaction on the engine sorts by it, so every
+		// thread stacks record locks in the same sequence (§4.2.1).
 		t.lockElement(el)
 		if !t.pol.validate {
 			continue
@@ -78,7 +82,7 @@ func (t *Txn) validateLocked() error {
 		// we read.
 		if vis == el.seenVisible && el.falseInvalidation(el.rec.Tuple()) {
 			el.rts = ts
-			t.w.m.Inc(&t.w.m.FalseInval)
+			t.w.m.FalseInval.Add(1)
 			t.w.event(obs.KFalseInval, uint64(el.rec.Key()), uint64(el.tab.ID()))
 			continue
 		}

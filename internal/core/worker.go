@@ -217,7 +217,7 @@ func (w *Worker) run(procName string, args []storage.Value, rungs []rung) (*proc
 func (w *Worker) compile(spec *proc.Spec, env *proc.Env) (*proc.Program, error) {
 	prog, planned, err := spec.Compile(env)
 	if planned {
-		w.m.Inc(&w.m.PlanExpansions)
+		w.m.PlanExpansions.Add(1)
 	}
 	return prog, err
 }
@@ -251,7 +251,7 @@ func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []rung) (*
 		err := w.attempt(prog, env, &lad)
 		if err == nil {
 			lat := time.Since(start)
-			w.m.Inc(&w.m.Committed)
+			w.m.Committed.Add(1)
 			w.m.ObserveLatency(lat)
 			w.event(obs.KCommit, w.lastTS, uint64(lat/time.Microsecond))
 			if w.traceOn {
@@ -260,11 +260,11 @@ func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []rung) (*
 			return env, nil
 		}
 		if errors.Is(err, errRestart) {
-			w.m.Inc(&w.m.Restarts)
+			w.m.Restarts.Add(1)
 			prev := lad.idx
 			if !lad.next(&w.m) {
-				w.m.Inc(&w.m.BudgetExhausted)
-				w.m.Inc(&w.m.Aborted)
+				w.m.BudgetExhausted.Add(1)
+				w.m.Aborted.Add(1)
 				w.event(obs.KAbort, uint64(obs.AbortContended), uint64(lad.total))
 				if w.traceOn {
 					w.finishTrace(obs.TraceContended, time.Since(start), lad.total)
@@ -282,7 +282,7 @@ func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []rung) (*
 			continue
 		}
 		// Application abort: permanent.
-		w.m.Inc(&w.m.Aborted)
+		w.m.Aborted.Add(1)
 		w.event(obs.KAbort, uint64(obs.AbortUser), uint64(lad.total))
 		if w.traceOn {
 			w.finishTrace(obs.TraceAborted, time.Since(start), lad.total+1)

@@ -132,7 +132,9 @@ func (w *Worker) Run(procName string, args ...storage.Value) (*proc.Env, error) 
 	sort.Ints(parts)
 	parts = dedupInts(parts)
 	for _, pi := range parts {
-		//thedb:nolint:lockorder safe by construction: parts was sorted and deduplicated above, so all workers acquire partitions in ascending index order
+		// Safe by construction: parts was sorted and deduplicated
+		// above, so all workers acquire partitions in ascending index
+		// order.
 		w.e.partitions[pi].Lock()
 	}
 	defer func() {
@@ -156,7 +158,7 @@ func (w *Worker) Run(procName string, args ...storage.Value) (*proc.Env, error) 
 		}
 		if err != nil {
 			t.rollback()
-			w.m.Inc(&w.m.Aborted)
+			w.m.Aborted.Add(1)
 			return env, err
 		}
 		if w.e.interleave {
@@ -172,7 +174,7 @@ func (w *Worker) Run(procName string, args ...storage.Value) (*proc.Env, error) 
 			u.rec.SetTimestamp(ts)
 		}
 	}
-	w.m.Inc(&w.m.Committed)
+	w.m.Committed.Add(1)
 	w.m.ObserveLatency(time.Since(start)) //thedb:nolint:nondet latency metrics only; never feeds transaction logic
 	return env, nil
 }

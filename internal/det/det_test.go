@@ -3,6 +3,7 @@ package det
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -133,6 +134,10 @@ func TestSerialPerPartition(t *testing.T) {
 	}
 }
 
+// TestCrossPartitionAtomicity: cross-partition transactions stay
+// atomic, and half the workers name their partitions in the opposite
+// order — Run's sort is the only thing that makes every worker lock
+// partition 0 before partition 1, so without it the two halves wedge.
 func TestCrossPartitionAtomicity(t *testing.T) {
 	const (
 		partitions = 2
@@ -140,21 +145,37 @@ func TestCrossPartitionAtomicity(t *testing.T) {
 		txns       = 400
 	)
 	e, tab := counterEngine(t, partitions, workers, 1)
+	var progress [workers]atomic.Int64
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
 			w := e.Worker(wi)
+			a, b := storage.Int(0), storage.Int(1)
+			if wi%2 == 1 {
+				a, b = b, a
+			}
 			for i := 0; i < txns; i++ {
-				if _, err := w.Run("IncrBoth", storage.Int(0), storage.Int(1)); err != nil {
+				if _, err := w.Run("IncrBoth", a, b); err != nil {
 					t.Error(err)
 					return
 				}
+				progress[wi].Add(1)
 			}
 		}(wi)
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		var got []int64
+		for i := range progress {
+			got = append(got, progress[i].Load())
+		}
+		t.Fatalf("workers wedged: transactions finished per worker %v of %d", got, txns)
+	}
 	r0, _ := tab.Peek(0)
 	r1, _ := tab.Peek(1)
 	if r0.Tuple()[0].Int() != r1.Tuple()[0].Int() {
@@ -181,7 +202,7 @@ func TestRollbackRestoresPreImages(t *testing.T) {
 		t.Fatalf("counter = %d after rollback, want 1", got)
 	}
 	m := w.Metrics()
-	if m.Committed != 1 || m.Aborted != 1 {
+	if m.Committed.Load() != 1 || m.Aborted.Load() != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }

@@ -59,7 +59,7 @@ const numBuckets = 24
 
 // Counters is a plain-field snapshot of one collector's counter
 // state. It is the read side of the live/snapshot split: Worker's
-// fields are written with atomic adds and must never be read plainly,
+// fields are sync/atomic types that can only be read atomically,
 // while a Counters value is an ordinary struct — copy it, sum it,
 // read it from any goroutine. Worker.Snapshot is the only bridge
 // between the two.
@@ -125,41 +125,40 @@ func (c *Counters) accumulate(o *Counters) {
 
 // Worker is a single worker's private metrics collector.
 //
-// The int64 counter fields are written with atomic adds by the owning
-// worker and read atomically by everyone, including the owner: use
-// Snapshot, which returns a plain Counters value. The atomicdisc
-// analyzer enforces the split — a plain read or write of any field
-// below is a lint error everywhere in the module. The raw percentile
-// samples are worker-private until the run ends and are never part of
-// a live snapshot.
+// The counter fields are sync/atomic types written by the owning
+// worker and read by everyone, including the owner: use Snapshot,
+// which returns a plain Counters value. A plain read or write of a
+// field does not compile, and `go vet`'s copylocks check flags any
+// copy of a Worker. The raw percentile samples are worker-private
+// until the run ends and are never part of a live snapshot.
 type Worker struct {
-	Committed  int64
-	Aborted    int64 // transactions given up permanently (user abort, deadlock prevention)
-	Restarts   int64 // abort-and-restart events (OCC/2PL retries)
-	Heals      int64 // healing-phase invocations
-	HealedOps  int64 // operations restored by healing
-	FalseInval int64 // validation failures dismissed as false invalidations
+	Committed  atomic.Int64
+	Aborted    atomic.Int64 // transactions given up permanently (user abort, deadlock prevention)
+	Restarts   atomic.Int64 // abort-and-restart events (OCC/2PL retries)
+	Heals      atomic.Int64 // healing-phase invocations
+	HealedOps  atomic.Int64 // operations restored by healing
+	FalseInval atomic.Int64 // validation failures dismissed as false invalidations
 
 	// Degradation-ladder and watchdog counters (DESIGN.md §10).
-	HealingFallbacks int64 // escalations to a less optimistic rung (Healing→OCC, OCC→2PL)
-	BudgetExhausted  int64 // transactions that ran out of retry budget (ErrContended)
-	WatchdogTrips    int64 // stuck-epoch watchdog firings attributed to this worker
+	HealingFallbacks atomic.Int64 // escalations to a less optimistic rung (Healing→OCC, OCC→2PL)
+	BudgetExhausted  atomic.Int64 // transactions that ran out of retry budget (ErrContended)
+	WatchdogTrips    atomic.Int64 // stuck-epoch watchdog firings attributed to this worker
 
 	// Snapshot-read counters (DESIGN.md §15).
-	SnapshotReads     int64
-	VersionsInstalled int64
+	SnapshotReads     atomic.Int64
+	VersionsInstalled atomic.Int64
 
-	PlanExpansions int64 // executions of a procedure's Plan
+	PlanExpansions atomic.Int64 // executions of a procedure's Plan
 
 	// LatencySumNS totals committed-transaction latency, pairing with
 	// the histogram buckets for exposition (_sum of the Prometheus
 	// histogram).
-	LatencySumNS int64
+	LatencySumNS atomic.Int64
 
-	PhaseNS [numPhases]int64
+	PhaseNS [numPhases]atomic.Int64
 
-	latency [numBuckets]int64 // committed-transaction latency, bucket i: [2^i, 2^(i+1)) µs
-	samples []float64         // raw latency samples (µs), capped, for percentiles
+	latency [numBuckets]atomic.Int64 // committed-transaction latency, bucket i: [2^i, 2^(i+1)) µs
+	samples []float64                // raw latency samples (µs), capped, for percentiles
 }
 
 // maxSamples caps raw percentile samples per worker.
@@ -171,28 +170,16 @@ const maxSamples = 1 << 17
 // worker alone may contribute up to maxSamples = 1<<17).
 const MaxMergedSamples = 1 << 18
 
-// Inc atomically adds 1 to a counter field of this collector; Add
-// adds n. Callers pass a pointer to one of the exported int64 fields
-// (e.g. w.Inc(&w.Committed)).
-//
-//thedb:noalloc
-func (w *Worker) Inc(field *int64) { atomic.AddInt64(field, 1) }
-
-// Add atomically adds n to a counter field of this collector.
-//
-//thedb:noalloc
-func (w *Worker) Add(field *int64, n int64) { atomic.AddInt64(field, n) }
-
 // AddPhase accrues d into the phase's total.
 //
 //thedb:noalloc
 func (w *Worker) AddPhase(p Phase, d time.Duration) {
-	atomic.AddInt64(&w.PhaseNS[p], int64(d))
+	w.PhaseNS[p].Add(int64(d))
 }
 
 // ObserveLatency records one committed transaction's latency.
 func (w *Worker) ObserveLatency(d time.Duration) {
-	atomic.AddInt64(&w.LatencySumNS, int64(d))
+	w.LatencySumNS.Add(int64(d))
 	us := float64(d) / float64(time.Microsecond)
 	b := 0
 	if us >= 1 {
@@ -201,7 +188,7 @@ func (w *Worker) ObserveLatency(d time.Duration) {
 	if b >= numBuckets {
 		b = numBuckets - 1
 	}
-	atomic.AddInt64(&w.latency[b], 1)
+	w.latency[b].Add(1)
 	if len(w.samples) < maxSamples {
 		w.samples = append(w.samples, us)
 	}
@@ -214,24 +201,24 @@ func (w *Worker) ObserveLatency(d time.Duration) {
 // phase times and all counters are included.
 func (w *Worker) Snapshot() Counters {
 	var s Counters
-	s.Committed = atomic.LoadInt64(&w.Committed)
-	s.Aborted = atomic.LoadInt64(&w.Aborted)
-	s.Restarts = atomic.LoadInt64(&w.Restarts)
-	s.Heals = atomic.LoadInt64(&w.Heals)
-	s.HealedOps = atomic.LoadInt64(&w.HealedOps)
-	s.FalseInval = atomic.LoadInt64(&w.FalseInval)
-	s.HealingFallbacks = atomic.LoadInt64(&w.HealingFallbacks)
-	s.BudgetExhausted = atomic.LoadInt64(&w.BudgetExhausted)
-	s.WatchdogTrips = atomic.LoadInt64(&w.WatchdogTrips)
-	s.SnapshotReads = atomic.LoadInt64(&w.SnapshotReads)
-	s.VersionsInstalled = atomic.LoadInt64(&w.VersionsInstalled)
-	s.PlanExpansions = atomic.LoadInt64(&w.PlanExpansions)
-	s.LatencySumNS = atomic.LoadInt64(&w.LatencySumNS)
+	s.Committed = w.Committed.Load()
+	s.Aborted = w.Aborted.Load()
+	s.Restarts = w.Restarts.Load()
+	s.Heals = w.Heals.Load()
+	s.HealedOps = w.HealedOps.Load()
+	s.FalseInval = w.FalseInval.Load()
+	s.HealingFallbacks = w.HealingFallbacks.Load()
+	s.BudgetExhausted = w.BudgetExhausted.Load()
+	s.WatchdogTrips = w.WatchdogTrips.Load()
+	s.SnapshotReads = w.SnapshotReads.Load()
+	s.VersionsInstalled = w.VersionsInstalled.Load()
+	s.PlanExpansions = w.PlanExpansions.Load()
+	s.LatencySumNS = w.LatencySumNS.Load()
 	for p := range s.PhaseNS {
-		s.PhaseNS[p] = atomic.LoadInt64(&w.PhaseNS[p])
+		s.PhaseNS[p] = w.PhaseNS[p].Load()
 	}
 	for b := range s.latency {
-		s.latency[b] = atomic.LoadInt64(&w.latency[b])
+		s.latency[b] = w.latency[b].Load()
 	}
 	return s
 }

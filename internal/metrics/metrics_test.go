@@ -7,9 +7,24 @@ import (
 	"time"
 )
 
+// workerWith returns a collector whose ladder and outcome counters
+// start at c's values.
+func workerWith(c Counters) *Worker {
+	w := &Worker{}
+	w.Committed.Store(c.Committed)
+	w.Aborted.Store(c.Aborted)
+	w.Restarts.Store(c.Restarts)
+	w.Heals.Store(c.Heals)
+	w.FalseInval.Store(c.FalseInval)
+	w.HealingFallbacks.Store(c.HealingFallbacks)
+	w.BudgetExhausted.Store(c.BudgetExhausted)
+	w.WatchdogTrips.Store(c.WatchdogTrips)
+	return w
+}
+
 func TestMergeAndTPS(t *testing.T) {
-	w1 := &Worker{Committed: 100, Restarts: 10, Heals: 5}
-	w2 := &Worker{Committed: 200, Restarts: 20, Aborted: 2, FalseInval: 3}
+	w1 := workerWith(Counters{Committed: 100, Restarts: 10, Heals: 5})
+	w2 := workerWith(Counters{Committed: 200, Restarts: 20, Aborted: 2, FalseInval: 3})
 	a := Merge(2*time.Second, []*Worker{w1, w2})
 	if a.Committed != 300 || a.Restarts != 30 || a.Aborted != 2 || a.Heals != 5 || a.FalseInval != 3 {
 		t.Fatalf("merged = %+v", a.Counters)
@@ -31,8 +46,8 @@ func TestMergeAndTPS(t *testing.T) {
 // The degradation-ladder counters must survive aggregation and show
 // up in the breakdown only when nonzero.
 func TestLadderCountersSurviveMerge(t *testing.T) {
-	w1 := &Worker{Committed: 10, HealingFallbacks: 3, BudgetExhausted: 1}
-	w2 := &Worker{Committed: 20, HealingFallbacks: 4, WatchdogTrips: 2}
+	w1 := workerWith(Counters{Committed: 10, HealingFallbacks: 3, BudgetExhausted: 1})
+	w2 := workerWith(Counters{Committed: 20, HealingFallbacks: 4, WatchdogTrips: 2})
 	a := Merge(time.Second, []*Worker{w1, w2})
 	if a.HealingFallbacks != 7 || a.BudgetExhausted != 1 || a.WatchdogTrips != 2 {
 		t.Fatalf("ladder counters lost in merge: %+v", a.Counters)
@@ -43,7 +58,7 @@ func TestLadderCountersSurviveMerge(t *testing.T) {
 			t.Fatalf("breakdown %q missing %q", s, want)
 		}
 	}
-	quiet := Merge(time.Second, []*Worker{{Committed: 5}})
+	quiet := Merge(time.Second, []*Worker{workerWith(Counters{Committed: 5})})
 	if s := quiet.BreakdownString(); strings.Contains(s, "fallbacks") {
 		t.Fatalf("breakdown shows ladder counters on a quiet run: %q", s)
 	}
@@ -174,8 +189,8 @@ func TestMergeCapsSamples(t *testing.T) {
 // worker-private raw sample slice.
 func TestSnapshotCopiesCountersExcludesSamples(t *testing.T) {
 	w := &Worker{}
-	w.Inc(&w.Committed)
-	w.Add(&w.Restarts, 5)
+	w.Committed.Add(1)
+	w.Restarts.Add(5)
 	w.AddPhase(PhaseHeal, time.Millisecond)
 	w.ObserveLatency(3 * time.Microsecond)
 	s := w.Snapshot()

@@ -3,83 +3,75 @@ package metrics
 import "sync/atomic"
 
 // Server collects the network serving plane's counters. Like Worker,
-// the int64 fields are written with atomic adds by the serving
-// goroutines and may be read atomically mid-run (use Snapshot); a
-// single Server instance is shared by all connections of one server.
+// the fields are sync/atomic types written by the serving goroutines
+// and read mid-run through Snapshot; a single Server instance is
+// shared by all connections of one server.
 type Server struct {
 	// ConnsOpened / ConnsClosed count accepted and torn-down
 	// connections; their difference is the currently-open gauge.
-	ConnsOpened int64
-	ConnsClosed int64
+	ConnsOpened atomic.Int64
+	ConnsClosed atomic.Int64
 
 	// Requests counts admitted procedure invocations (shed requests
 	// are not included).
-	Requests int64
+	Requests atomic.Int64
 
 	// Runs counts hand-offs to a dispatcher: a run is a contiguous
 	// share of one burst of pipelined calls, so Requests / Runs is the
 	// mean run length — 1 under synchronous calls, more when the
 	// per-run costs are being amortised.
-	Runs int64
+	Runs atomic.Int64
 
 	// InFlight is the gauge of admitted-but-unanswered requests
 	// across all connections.
-	InFlight int64
+	InFlight atomic.Int64
 
 	// Shed counts admission-control rejections: requests turned away
 	// with a retryable contended/shed error because a per-connection
 	// or global in-flight bound was hit. Shedding is visible by
 	// design — never a silent drop.
-	Shed int64
+	Shed atomic.Int64
 
 	// DrainRejected counts requests refused with the draining error
 	// during graceful shutdown.
-	DrainRejected int64
+	DrainRejected atomic.Int64
 
 	// BadFrames counts protocol-violating frames (malformed payloads,
 	// unexpected opcodes) answered with a bad-request error.
-	BadFrames int64
+	BadFrames atomic.Int64
 
 	// BytesIn / BytesOut count raw connection bytes, frames included.
-	BytesIn  int64
-	BytesOut int64
+	BytesIn  atomic.Int64
+	BytesOut atomic.Int64
 
 	// DedupHits counts calls answered from a session's dedup window:
 	// the retry of an already-completed (session, seq) was served the
 	// cached response instead of executing again.
-	DedupHits int64
+	DedupHits atomic.Int64
 
 	// DedupCoalesced counts retries that arrived while the original
 	// attempt was still executing; they waited for its single execution
 	// instead of starting another.
-	DedupCoalesced int64
+	DedupCoalesced atomic.Int64
 
 	// DedupEvicted counts completed entries pushed out of a session's
 	// bounded dedup window. An evicted entry's retry would re-execute,
 	// so sustained eviction under retry load is a sizing signal.
-	DedupEvicted int64
+	DedupEvicted atomic.Int64
 
 	// DedupEntries is the gauge of completed responses currently held
 	// across all sessions' dedup windows.
-	DedupEntries int64
+	DedupEntries atomic.Int64
 
 	// Sessions is the gauge of live client sessions; SessionsEvicted
 	// counts idle sessions discarded to stay under the registry cap.
-	Sessions        int64
-	SessionsEvicted int64
+	Sessions        atomic.Int64
+	SessionsEvicted atomic.Int64
 
 	// DeadlineRejected counts calls refused because their deadline
 	// budget was already exhausted when the server would have run them.
-	DeadlineRejected int64
+	DeadlineRejected atomic.Int64
 }
-
-// Inc atomically adds 1 to a counter field of this collector; Add
-// adds n. Callers pass a pointer to one of the exported fields,
-// mirroring the Worker collector's idiom.
-func (s *Server) Inc(field *int64) { atomic.AddInt64(field, 1) }
-
-// Add atomically adds n to a counter field of this collector.
-func (s *Server) Add(field *int64, n int64) { atomic.AddInt64(field, n) }
 
 // ServerCounters is the plain-field snapshot of a Server collector,
 // mirroring the Worker/Counters split: Server fields are atomic-only,
@@ -108,23 +100,23 @@ type ServerCounters struct {
 // Snapshot returns an atomically-read copy, safe to take while the
 // server keeps serving.
 func (s *Server) Snapshot() ServerCounters {
-	var c ServerCounters
-	c.ConnsOpened = atomic.LoadInt64(&s.ConnsOpened)
-	c.ConnsClosed = atomic.LoadInt64(&s.ConnsClosed)
-	c.Requests = atomic.LoadInt64(&s.Requests)
-	c.Runs = atomic.LoadInt64(&s.Runs)
-	c.InFlight = atomic.LoadInt64(&s.InFlight)
-	c.Shed = atomic.LoadInt64(&s.Shed)
-	c.DrainRejected = atomic.LoadInt64(&s.DrainRejected)
-	c.BadFrames = atomic.LoadInt64(&s.BadFrames)
-	c.BytesIn = atomic.LoadInt64(&s.BytesIn)
-	c.BytesOut = atomic.LoadInt64(&s.BytesOut)
-	c.DedupHits = atomic.LoadInt64(&s.DedupHits)
-	c.DedupCoalesced = atomic.LoadInt64(&s.DedupCoalesced)
-	c.DedupEvicted = atomic.LoadInt64(&s.DedupEvicted)
-	c.DedupEntries = atomic.LoadInt64(&s.DedupEntries)
-	c.Sessions = atomic.LoadInt64(&s.Sessions)
-	c.SessionsEvicted = atomic.LoadInt64(&s.SessionsEvicted)
-	c.DeadlineRejected = atomic.LoadInt64(&s.DeadlineRejected)
-	return c
+	return ServerCounters{
+		ConnsOpened:      s.ConnsOpened.Load(),
+		ConnsClosed:      s.ConnsClosed.Load(),
+		Requests:         s.Requests.Load(),
+		Runs:             s.Runs.Load(),
+		InFlight:         s.InFlight.Load(),
+		Shed:             s.Shed.Load(),
+		DrainRejected:    s.DrainRejected.Load(),
+		BadFrames:        s.BadFrames.Load(),
+		BytesIn:          s.BytesIn.Load(),
+		BytesOut:         s.BytesOut.Load(),
+		DedupHits:        s.DedupHits.Load(),
+		DedupCoalesced:   s.DedupCoalesced.Load(),
+		DedupEvicted:     s.DedupEvicted.Load(),
+		DedupEntries:     s.DedupEntries.Load(),
+		Sessions:         s.Sessions.Load(),
+		SessionsEvicted:  s.SessionsEvicted.Load(),
+		DeadlineRejected: s.DeadlineRejected.Load(),
+	}
 }

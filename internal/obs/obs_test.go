@@ -238,10 +238,10 @@ func TestWritePromNilAggregate(t *testing.T) {
 func TestWritePromFormat(t *testing.T) {
 	w := &metrics.Worker{}
 	for i := 0; i < 10; i++ {
-		w.Inc(&w.Committed)
+		w.Committed.Add(1)
 		w.ObserveLatency(time.Duration(1+i) * time.Microsecond)
 	}
-	w.Inc(&w.Restarts)
+	w.Restarts.Add(1)
 	w.AddPhase(metrics.PhaseHeal, 5*time.Millisecond)
 	a := metrics.Merge(2*time.Second, []*metrics.Worker{w})
 	a.Epoch = 9
@@ -273,22 +273,22 @@ func TestWritePromFormat(t *testing.T) {
 
 func TestWritePromServerFormat(t *testing.T) {
 	s := &metrics.Server{}
-	s.Add(&s.ConnsOpened, 5)
-	s.Add(&s.ConnsClosed, 2)
-	s.Add(&s.Requests, 100)
-	s.Add(&s.Runs, 13)
-	s.Add(&s.InFlight, 7)
-	s.Add(&s.Shed, 3)
-	s.Inc(&s.DrainRejected)
-	s.Add(&s.BytesIn, 4096)
-	s.Add(&s.BytesOut, 8192)
-	s.Add(&s.DedupHits, 11)
-	s.Add(&s.DedupCoalesced, 4)
-	s.Add(&s.DedupEvicted, 2)
-	s.Add(&s.DedupEntries, 9)
-	s.Add(&s.Sessions, 6)
-	s.Inc(&s.SessionsEvicted)
-	s.Add(&s.DeadlineRejected, 5)
+	s.ConnsOpened.Add(5)
+	s.ConnsClosed.Add(2)
+	s.Requests.Add(100)
+	s.Runs.Add(13)
+	s.InFlight.Add(7)
+	s.Shed.Add(3)
+	s.DrainRejected.Add(1)
+	s.BytesIn.Add(4096)
+	s.BytesOut.Add(8192)
+	s.DedupHits.Add(11)
+	s.DedupCoalesced.Add(4)
+	s.DedupEvicted.Add(2)
+	s.DedupEntries.Add(9)
+	s.Sessions.Add(6)
+	s.SessionsEvicted.Add(1)
+	s.DeadlineRejected.Add(5)
 
 	var sb strings.Builder
 	WritePromServer(&sb, s.Snapshot())
@@ -321,7 +321,7 @@ func TestWritePromServerFormat(t *testing.T) {
 func TestPlaneServesServerStats(t *testing.T) {
 	p := NewPlane()
 	s := &metrics.Server{}
-	s.Inc(&s.ConnsOpened)
+	s.ConnsOpened.Add(1)
 	p.SetServerStats(s)
 	srv := httptest.NewServer(p.Handler())
 	defer srv.Close()
@@ -378,7 +378,7 @@ func TestPlaneHandler(t *testing.T) {
 
 	// Attach a source and recorder; both endpoints go live.
 	w := &metrics.Worker{}
-	w.Inc(&w.Committed)
+	w.Committed.Add(1)
 	p.SetSource(func() *metrics.Aggregate {
 		return metrics.Merge(time.Second, []*metrics.Worker{w})
 	})

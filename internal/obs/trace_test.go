@@ -164,7 +164,7 @@ func TestContentionSpaceSaving(t *testing.T) {
 func TestPromExemplarFormat(t *testing.T) {
 	w := &metrics.Worker{}
 	for i := 0; i < 5; i++ {
-		w.Inc(&w.Committed)
+		w.Committed.Add(1)
 		w.ObserveLatency(time.Duration(1+i) * time.Microsecond)
 	}
 	a := metrics.Merge(time.Second, []*metrics.Worker{w})

@@ -164,7 +164,7 @@ type countConn struct {
 func (c countConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	if n > 0 {
-		c.stats.Add(&c.stats.BytesIn, int64(n))
+		c.stats.BytesIn.Add(int64(n))
 	}
 	return n, err
 }
@@ -172,7 +172,7 @@ func (c countConn) Read(p []byte) (int, error) {
 func (c countConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
 	if n > 0 {
-		c.stats.Add(&c.stats.BytesOut, int64(n))
+		c.stats.BytesOut.Add(int64(n))
 	}
 	return n, err
 }
@@ -207,7 +207,7 @@ func (s *Server) startConn(raw net.Conn) {
 	s.conns[c] = struct{}{}
 	s.connWG.Add(2)
 	s.mu.Unlock()
-	s.stats.Inc(&s.stats.ConnsOpened)
+	s.stats.ConnsOpened.Add(1)
 	go c.readLoop()
 	go c.writeLoop()
 }
@@ -242,7 +242,7 @@ func (c *conn) fail() {
 func (c *conn) closeNC() {
 	c.closeOnce.Do(func() {
 		if err := c.nc.Close(); err != nil && !c.dead.Load() {
-			c.srv.stats.Inc(&c.srv.stats.BadFrames)
+			c.srv.stats.BadFrames.Add(1)
 		}
 	})
 }
@@ -287,7 +287,7 @@ func (c *conn) readLoop() {
 		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !isTimeout(err) {
-				s.stats.Inc(&s.stats.BadFrames)
+				s.stats.BadFrames.Add(1)
 			}
 			return
 		}
@@ -300,20 +300,20 @@ func (c *conn) readLoop() {
 func (c *conn) decode(f wire.Frame) {
 	s := c.srv
 	if f.Op != wire.OpCall {
-		s.stats.Inc(&s.stats.BadFrames)
+		s.stats.BadFrames.Add(1)
 		c.reject(f.ID, wire.RemoteError{Code: wire.CodeBadRequest, Msg: "expected CALL frame, got " + wire.OpName(f.Op)})
 		return
 	}
 	req := c.acquire()
 	if req == nil {
-		s.stats.Inc(&s.stats.Shed)
+		s.stats.Shed.Add(1)
 		c.reject(f.ID, wire.RemoteError{Code: wire.CodeShed, Backoff: shedHint, Msg: "connection pipeline full"})
 		return
 	}
 	name, err := wire.DecodeCallInto(&req.call, f.Payload)
 	if err != nil {
 		c.free = append(c.free, req)
-		s.stats.Inc(&s.stats.BadFrames)
+		s.stats.BadFrames.Add(1)
 		c.reject(f.ID, wire.RemoteError{Code: wire.CodeBadRequest, Msg: "malformed CALL: " + err.Error()})
 		return
 	}
@@ -359,7 +359,7 @@ func (c *conn) admit() {
 	// answers itself and gives back at the end.
 	over := int(s.pending.Add(int64(n))) - s.cfg.GlobalInFlight
 	c.reqs.Add(n)
-	s.stats.Add(&s.stats.InFlight, int64(n))
+	s.stats.InFlight.Add(int64(n))
 	done := 0
 
 	// Dedup, under one lock hold: afterwards a call is a hit (its cached
@@ -378,11 +378,11 @@ func (c *conn) admit() {
 			// The original attempt is still executing; this retry is
 			// parked on its entry, slot and accounting held, and answered
 			// by respond when the one execution completes.
-			s.stats.Inc(&s.stats.DedupCoalesced)
+			s.stats.DedupCoalesced.Add(1)
 		case dedupHit:
 			// Already executed: replay the cached response under the
 			// retry's request id.
-			s.stats.Inc(&s.stats.DedupHits)
+			s.stats.DedupHits.Add(1)
 			if tr := s.tracer; tr != nil {
 				// A cached replay never reaches the engine, so record
 				// its trace here (always retained: outcome ≠ committed).
@@ -407,7 +407,7 @@ func (c *conn) admit() {
 	// admitted shares that call's answer. A retryable "never ran" would
 	// send the client to the next incarnation, whose window is empty.
 	if s.draining.Load() {
-		s.stats.Add(&s.stats.DrainRejected, int64(len(runs)))
+		s.stats.DrainRejected.Add(int64(len(runs)))
 		c.refuse(runs, wire.RemoteError{Code: wire.CodeDraining, Backoff: drainHint, Msg: "server draining"})
 		done += len(runs)
 		runs = nil
@@ -416,7 +416,7 @@ func (c *conn) admit() {
 		// racing each other may each count the other and shed more than
 		// either would alone.
 		shed := runs[max(len(runs)-over, 0):]
-		s.stats.Add(&s.stats.Shed, int64(len(shed)))
+		s.stats.Shed.Add(int64(len(shed)))
 		c.refuse(shed, wire.RemoteError{Code: wire.CodeShed, Backoff: shedHint, Msg: "server at capacity"})
 		done += len(shed)
 		runs = runs[:len(runs)-len(shed)]
@@ -439,8 +439,8 @@ func (c *conn) admit() {
 func (c *conn) handOff(calls []*request) {
 	s := c.srv
 	k := min(len(calls), s.db.Workers())
-	s.stats.Add(&s.stats.Requests, int64(len(calls)))
-	s.stats.Add(&s.stats.Runs, int64(k))
+	s.stats.Requests.Add(int64(len(calls)))
+	s.stats.Runs.Add(int64(k))
 	for i := 0; i < k; i++ {
 		run := calls[i*len(calls)/k : (i+1)*len(calls)/k]
 		for j := 1; j < len(run); j++ {
@@ -473,18 +473,18 @@ func (c *conn) handshake(fr *wire.Reader) bool {
 			// The header parsed; tell the peer why before hanging up.
 			c.reject(0, wire.RemoteError{Code: wire.CodeVersion, Msg: "unsupported protocol version"})
 		} else if !errors.Is(err, io.EOF) {
-			s.stats.Inc(&s.stats.BadFrames)
+			s.stats.BadFrames.Add(1)
 		}
 		return false
 	}
 	if f.Op != wire.OpHello {
-		s.stats.Inc(&s.stats.BadFrames)
+		s.stats.BadFrames.Add(1)
 		c.reject(f.ID, wire.RemoteError{Code: wire.CodeBadRequest, Msg: "expected HELLO, got " + wire.OpName(f.Op)})
 		return false
 	}
 	h, err := wire.DecodeHello(f.Payload)
 	if err != nil {
-		s.stats.Inc(&s.stats.BadFrames)
+		s.stats.BadFrames.Add(1)
 		c.reject(f.ID, wire.RemoteError{Code: wire.CodeBadRequest, Msg: "malformed HELLO: " + err.Error()})
 		return false
 	}
@@ -529,7 +529,7 @@ func (c *conn) writeLoop() {
 		spare = wire.Recycle(buf)
 	}
 	c.closeNC()
-	s.stats.Inc(&s.stats.ConnsClosed)
+	s.stats.ConnsClosed.Add(1)
 }
 
 // isTimeout reports whether err is a network timeout (a shutdown

@@ -316,7 +316,7 @@ func (s *Server) serveRun(head *request, serve func(*request)) {
 // nobody reads.
 func (s *Server) serveOne(d *dispatcher, req *request) {
 	if b := req.budget(); b > 0 && time.Since(req.arrival) >= b {
-		s.stats.Inc(&s.stats.DeadlineRejected)
+		s.stats.DeadlineRejected.Add(1)
 		d.frame = wire.AppendError(d.frame[:0], req.id, wire.RemoteError{
 			Code: wire.CodeDeadline, Msg: "deadline budget exhausted before execution",
 		})
@@ -413,7 +413,7 @@ func (s *Server) respond(req *request, frame []byte, cache bool) {
 //
 //thedb:noalloc
 func (s *Server) finish(c *conn, n int) {
-	s.stats.Add(&s.stats.InFlight, int64(-n))
+	s.stats.InFlight.Add(int64(-n))
 	c.reqs.Add(-n)
 	if s.pending.Add(int64(-n)) == 0 && s.draining.Load() {
 		select {
@@ -479,7 +479,7 @@ waiting:
 	// still balances.
 	s.quitOnce.Do(func() { close(s.quit) })
 	refuse := func(req *request) {
-		s.stats.Inc(&s.stats.DrainRejected)
+		s.stats.DrainRejected.Add(1)
 		s.respond(req, wire.AppendError(nil, req.id, wire.RemoteError{
 			Code: wire.CodeDraining, Backoff: drainHint, Msg: "server draining",
 		}), false)

@@ -123,12 +123,12 @@ func (ss *session) complete(s *Server, e *dedupEntry, frame []byte, cache bool) 
 		e.done, e.frame = true, append(e.frame[:0], frame...)
 		if len(ss.ring) < s.cfg.DedupWindow {
 			ss.ring = append(ss.ring, e)
-			s.stats.Add(&s.stats.DedupEntries, 1)
+			s.stats.DedupEntries.Add(1)
 			e = nil
 		} else { // e takes the oldest entry's place; that one is dropped below
 			e, ss.ring[ss.head] = ss.ring[ss.head], e
 			ss.head = (ss.head + 1) % len(ss.ring)
-			s.stats.Inc(&s.stats.DedupEvicted)
+			s.stats.DedupEvicted.Add(1)
 		}
 	}
 	if e != nil {
@@ -171,7 +171,7 @@ func (s *Server) bindSession(token uint64) *session {
 	ss := &session{token: token, entries: map[uint64]*dedupEntry{}}
 	ss.refs.Add(1)
 	r.m[token] = ss
-	s.stats.Add(&s.stats.Sessions, 1)
+	s.stats.Sessions.Add(1)
 	return ss
 }
 
@@ -186,10 +186,10 @@ func (s *Server) evictSessionLocked() {
 			n := len(ss.ring)
 			ss.mu.Unlock()
 			delete(s.sessions.m, tok)
-			s.stats.Add(&s.stats.DedupEntries, -int64(n))
-			s.stats.Add(&s.stats.DedupEvicted, int64(n))
-			s.stats.Add(&s.stats.Sessions, -1)
-			s.stats.Inc(&s.stats.SessionsEvicted)
+			s.stats.DedupEntries.Add(-int64(n))
+			s.stats.DedupEvicted.Add(int64(n))
+			s.stats.Sessions.Add(-1)
+			s.stats.SessionsEvicted.Add(1)
 			return
 		}
 	}

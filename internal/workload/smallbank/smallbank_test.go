@@ -167,7 +167,7 @@ func TestConcurrentHotAccountsNeverAbortUnderHealing(t *testing.T) {
 	}
 	wg.Wait()
 	for wi := 0; wi < workers; wi++ {
-		if r := e.Worker(wi).Metrics().Restarts; r != 0 {
+		if r := e.Worker(wi).Metrics().Restarts.Load(); r != 0 {
 			t.Errorf("worker %d restarted %d times", wi, r)
 		}
 	}
