@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint verify pins chaos fuzz smoke net-chaos recovery-torture loc
+.PHONY: build test vet race lint verify pins chaos fuzz smoke net-chaos recovery-torture loc pairs
 
 build:
 	$(GO) build ./...
@@ -163,3 +163,18 @@ loc:
 	@echo "fields, thedb.Config:                   $$($(call fields,thedb.go,Config))"
 	@echo "fields, core.Options:                   $$($(call fields,internal/core/engine.go,Options))"
 	@echo "fields, server.Config:                  $$($(call fields,internal/server/server.go,Config))"
+
+# pairs is the evidence for a claimed gain (choosing-metrics §8): N
+# alternating runs of the parent commit and of the working tree on one
+# workload, 16 s each, seeds SEED..SEED+N-1, with per-pair deltas, each
+# side's median and quartiles, and the verdict (the change wins >= 9 of
+# 10 pairs and the median gap exceeds the parent's IQR). METRIC picks
+# the end-to-end metric (default txn_per_s). The parent is exported
+# under .bench_build/pairs/; nothing under benchmark/ is edited.
+PARENT ?= HEAD
+WORKLOAD ?= ycsb-net-pipe
+N ?= 10
+SEED ?= 1
+METRIC ?= txn_per_s
+pairs:
+	bash scripts/pairs.sh $(PARENT) $(WORKLOAD) $(N) $(SEED) $(METRIC)

@@ -9,16 +9,12 @@ import (
 
 // TestSessionRunAllocations pins the fixed allocation cost of a
 // transaction: what Session.Run spends before and after the operation
-// bodies run. The program is compiled once and the transaction frame
-// (Txn, read/write set, access cache) belongs to the worker, so what
-// remains of a null procedure with two integer arguments is Bind's
-// doing — the Env, its map (two objects), and one boxed storage.Value
-// per argument (bound under its positional alias here, Null declaring
-// no parameters; under its parameter name alone where one is declared)
-// — which is the next slice of ROADMAP item 1, not this pin's business.
-// YCSBRead adds what one point read costs on top: its Element, the
-// read copy and its column mask, the bookmark and access-cache slices,
-// and the boxed result.
+// bodies run. The program is compiled once, and the transaction frame
+// (Txn, read/write set, access cache) and the variables' slot vector
+// (proc.Env) belong to the worker, so a null procedure with two integer
+// arguments allocates nothing. YCSBRead adds what one point read costs:
+// its Element, the read copy and its column mask, and the bookmark and
+// access-cache slices.
 //
 // `make pins` runs this without the race detector, whose runtime may
 // add allocations of its own to the count.
@@ -49,8 +45,8 @@ func TestSessionRunAllocations(t *testing.T) {
 		args []thedb.Value
 		max  float64
 	}{
-		{"Null", []thedb.Value{thedb.Int(1), thedb.Int(2)}, 5},
-		{ycsb.ProcRead, []thedb.Value{thedb.Int(7)}, 11},
+		{"Null", []thedb.Value{thedb.Int(1), thedb.Int(2)}, 0},
+		{ycsb.ProcRead, []thedb.Value{thedb.Int(7)}, 6},
 	} {
 		got := testing.AllocsPerRun(500, func() {
 			if _, err := sess.Run(c.proc, c.args...); err != nil {

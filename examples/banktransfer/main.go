@@ -165,11 +165,8 @@ func main() {
 
 	// Print the program dependency graph (Figure 3): K = key
 	// dependency, V = value dependency.
-	env := thedb.NewEnv()
-	env.SetInt("src", 0)
-	env.SetInt("amount", 1)
 	fmt.Println("program dependency graph:")
-	fmt.Print(spec.Instantiate(env).Graph())
+	fmt.Print(spec.Instantiate(spec.Bind([]thedb.Value{thedb.Int(0), thedb.Int(1)})).Graph())
 
 	// Race transfers against client-pointer updates: conflicting
 	// balance updates exercise value-dependent healing, pointer flips

@@ -61,12 +61,20 @@ func IndexFuncs(pkgs []*Package) map[*types.Func]*FuncInfo {
 }
 
 // Callee resolves the *types.Func a call invokes statically: a plain
-// package-level function, a method call, or a qualified import. It
+// package-level function (a generic one by its origin), a method call,
+// or a qualified import. It
 // returns nil for calls through function values, interface methods
 // resolve to their abstract types.Func (which has no entry in the
 // function index), and built-ins resolve to nil.
 func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch inst := fun.(type) { // an explicitly instantiated generic
+	case *ast.IndexExpr:
+		fun = inst.X
+	case *ast.IndexListExpr:
+		fun = inst.X
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		fn, _ := info.Uses[fun].(*types.Func)
 		return fn

@@ -67,6 +67,8 @@ var allowFuncs = map[string]bool{
 	// A bufio.Reader's Peek, Discard, Buffered and Size work inside the
 	// buffer it was made with.
 	"bufio.Peek": true, "bufio.Discard": true, "bufio.Buffered": true, "bufio.Size": true,
+	// slices.SortFunc sorts in place (pdqsort, no scratch).
+	"slices.SortFunc": true,
 }
 
 // site is one allocating construct found in a function body.
@@ -248,6 +250,11 @@ func (f *facts) call(pkg *ana.Package, funcs map[*types.Func]*ana.FuncInfo, para
 				f.add(call.Pos(), "interface method call cannot be verified allocation-free")
 				return
 			}
+		}
+		// Box against the instantiated signature: a type parameter is
+		// stenciled, not boxed, unless instantiated with an interface.
+		if inst, ok := pkg.Info.Types[call.Fun].Type.(*types.Signature); ok {
+			sig = inst
 		}
 		f.boxedArgs(pkg, sig, call)
 	}

@@ -89,6 +89,17 @@ func BadBox() {
 	eat(42) // want `boxing a non-pointer value into an interface parameter allocates in a //thedb:noalloc path \(root hotpath\.BadBox\)`
 }
 
+func same[T any](v T) T { return v }
+
+// GoodGeneric hands a value to a type parameter, which is stenciled,
+// not boxed; instantiated with an interface it is boxed after all.
+//
+//thedb:noalloc
+func GoodGeneric() int {
+	same[any](42) // want `boxing a non-pointer value into an interface parameter allocates in a //thedb:noalloc path \(root hotpath\.GoodGeneric\)`
+	return same(42)
+}
+
 //thedb:noalloc
 func BadDynamic(fn func()) {
 	fn() // want `dynamic call through a function value cannot be verified allocation-free in a //thedb:noalloc path \(root hotpath\.BadDynamic\)`

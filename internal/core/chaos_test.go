@@ -72,13 +72,16 @@ func TestChaosTortureSerializable(t *testing.T) {
 	}
 	// Healing is the paper's contribution and gets double weight; the
 	// optimistic baselines and the hybrid must survive the same abuse.
+	// 2PL runs every seed besides, so that each seed keeps its rotation
+	// protocol (and its subtest name).
 	protos := []Protocol{Healing, Healing, OCC, Silo, Hybrid}
 	for seed := 0; seed < seeds; seed++ {
-		proto := protos[seed%len(protos)]
-		t.Run(fmt.Sprintf("seed=%d/%v", seed, proto), func(t *testing.T) {
-			t.Parallel()
-			runChaosSeed(t, uint64(seed)+1, proto)
-		})
+		for _, proto := range []Protocol{protos[seed%len(protos)], TPL} {
+			t.Run(fmt.Sprintf("seed=%d/%v", seed, proto), func(t *testing.T) {
+				t.Parallel()
+				runChaosSeed(t, uint64(seed)+1, proto)
+			})
+		}
 	}
 }
 

@@ -141,9 +141,7 @@ func TestHealingNeverRestartsIndependent(t *testing.T) {
 			})
 		},
 	}
-	env := proc.NewEnv()
-	env.SetInt("k", 1)
-	if !spec.Instantiate(env).Independent {
+	if !spec.Instantiate(spec.Bind([]storage.Value{storage.Int(1)})).Independent {
 		t.Fatal("Incr must be classified independent")
 	}
 

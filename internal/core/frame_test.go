@@ -51,6 +51,90 @@ func TestMalformedProcedureRefused(t *testing.T) {
 	}
 }
 
+// TestUndeclaredAccessRefused: a body that reads, writes or probes a
+// variable its operation did not declare is refused with
+// proc.ErrMalformed on every path that runs bodies here — the validated
+// read phase, a healing re-execution, a snapshot transaction — without
+// a retry, and the worker goes on to run a good transaction.
+// (internal/det pins its own path.)
+func TestUndeclaredAccessRefused(t *testing.T) {
+	for _, sneak := range []struct {
+		kind string
+		do   func(e *proc.Env)
+	}{
+		{"read", func(e *proc.Env) { _ = e.Int("src") }},
+		{"write", func(e *proc.Env) { e.SetVal("dst", storage.Int(dave)) }},
+		{"Has", func(e *proc.Env) { _ = e.Has("src") }},
+	} {
+		// Sneaky reads the client of src, then that client's balance,
+		// and sneaks only when the client is Dave: from the start once
+		// the client has changed, or when healing re-executes readDst
+		// because it changed under the transaction.
+		e := bankEngine(t, Options{Protocol: Healing, Workers: 1})
+		e.MustRegister(&proc.Spec{Name: "Sneaky", Params: []string{"src"}, Plan: func(b *proc.Builder, _ *proc.Env) {
+			b.Op(proc.Op{Name: "readClient", KeyReads: []string{"src"}, Writes: []string{"dst"}, Body: func(ctx proc.OpCtx) error {
+				row, _, err := ctx.Read("CLIENT", storage.Key(ctx.Env().Int("src")), []int{0})
+				if err == nil {
+					ctx.Env().SetVal("dst", row[0])
+				}
+				return err
+			}})
+			b.Op(proc.Op{Name: "readDst", KeyReads: []string{"dst"}, Writes: []string{"bal"}, Body: func(ctx proc.OpCtx) error {
+				e := ctx.Env()
+				row, _, err := ctx.Read("BALANCE", storage.Key(e.Int("dst")), []int{0})
+				if err == nil {
+					e.SetVal("bal", row[0])
+				}
+				if e.Int("dst") == dave {
+					sneak.do(e)
+				}
+				return err
+			}})
+		}})
+		e.MustRegister(&proc.Spec{Name: "Blind", Params: []string{"src"}, Plan: func(b *proc.Builder, _ *proc.Env) {
+			b.Op(proc.Op{Name: "sneak", Body: func(ctx proc.OpCtx) error { sneak.do(ctx.Env()); return nil }})
+		}})
+		w := e.Worker(0)
+		refused := func(path string, err error) {
+			t.Helper()
+			if !errors.Is(err, proc.ErrMalformed) {
+				t.Errorf("%s, undeclared %s: %v, want ErrMalformed", path, sneak.kind, err)
+			}
+		}
+		if env, err := w.Run("Sneaky", storage.Int(amy)); err != nil || env.Int("bal") != 1200 {
+			t.Fatalf("honest run: %v", err)
+		}
+
+		spec, _ := e.Spec("Sneaky")
+		env := spec.Bind([]storage.Value{storage.Int(amy)})
+		txn := newTxn(w, spec.Instantiate(env), env, firstRung(w, false))
+		if err := txn.readPhase(); err != nil {
+			t.Fatal(err)
+		}
+		externalCommit(t, e, "CLIENT", amy, 0, storage.Int(dave), storage.MakeTS(1, 1))
+		err := txn.validateAndCommit()
+		if err != nil {
+			txn.finish(false)
+		}
+		refused("healing re-execution", err)
+		if w.m.Heals.Load() != 1 {
+			t.Errorf("undeclared %s: %d heals, want the one that re-executed readDst", sneak.kind, w.m.Heals.Load())
+		}
+
+		restarts := w.m.Restarts.Load()
+		_, err = w.Run("Sneaky", storage.Int(amy))
+		refused("validated", err)
+		_, err = w.RunSnapshot("Blind", storage.Int(amy))
+		refused("snapshot", err)
+		if got := w.m.Restarts.Load(); got != restarts {
+			t.Errorf("undeclared %s: a refusal was retried (%d restarts)", sneak.kind, got-restarts)
+		}
+		if _, err := w.Run("Transfer", storage.Int(dan), storage.Int(20)); err != nil {
+			t.Fatalf("good transaction after the refusals: %v", err)
+		}
+	}
+}
+
 // countingSpec reads n keys of KV. Its Plan counts its own executions;
 // when shaped, n comes from the "n" argument (an argument-shaped plan),
 // otherwise the plan looks at no argument and reads fixed keys.
@@ -111,6 +195,22 @@ func TestStaticPlanRunsOnce(t *testing.T) {
 	}
 	if got := e.LiveMetrics().PlanExpansions; got != 1 {
 		t.Errorf("PlanExpansions = %d, want 1", got)
+	}
+
+	// A call with another number of arguments cannot share that
+	// Program — the arguments fill the first slots — so it expands
+	// again, uncached, and the cached arity keeps its Program.
+	w := e.Worker(0)
+	for i := 0; i < 2; i++ {
+		if env, err := w.Run("Static", storage.Int(1), storage.Int(2)); err != nil || env.Int("r2") != 1 || env.Int("$1") != 2 {
+			t.Fatalf("two-argument call: %v", err)
+		}
+	}
+	if _, err := w.Run("Static", storage.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := plans.Load(); got != 3 {
+		t.Errorf("static Plan ran %d times, want once more per call of another arity (3)", got)
 	}
 }
 

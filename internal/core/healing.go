@@ -139,7 +139,7 @@ func (t *Txn) restore(run *OpRun, kind restoreKind, q *healQueue) error {
 		t.retractWrites(run)
 		t.mode = modeReplay
 		t.cursor = 0
-		err := run.op.Body(t)
+		err := run.op.Run(t)
 		if err == nil && t.cursor != len(run.accesses) {
 			// The healed control flow performed fewer accesses than
 			// the cached pattern: divergence.
@@ -179,7 +179,7 @@ func (t *Txn) restore(run *OpRun, kind restoreKind, q *healQueue) error {
 		}
 	}
 	t.mode = modeReexec
-	err := run.op.Body(t)
+	err := run.op.Run(t)
 	if err == nil {
 		t.notifyReaders(run, q)
 	}

@@ -190,10 +190,7 @@ func externalCommit(t *testing.T, e *Engine, table string, key storage.Key, col 
 
 func TestTransferDependencyGraph(t *testing.T) {
 	spec := transferSpec()
-	env := proc.NewEnv()
-	env.SetInt("src", amy)
-	env.SetInt("amount", 20)
-	prog := spec.Instantiate(env)
+	prog := spec.Instantiate(spec.Bind([]storage.Value{storage.Int(amy), storage.Int(20)}))
 	if err := prog.Validate(); err != nil {
 		t.Fatal(err)
 	}

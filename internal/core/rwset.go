@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"thedb/internal/btree"
@@ -378,44 +380,43 @@ func (s *RWSet) add(el *Element) {
 		return
 	}
 	// Membership update during validation: keep the slice sorted.
-	i := sort.Search(len(s.elems), func(i int) bool {
-		return !less(s.elems[i], el, s.order)
-	})
-	s.elems = append(s.elems, nil)
-	copy(s.elems[i+1:], s.elems[i:])
-	s.elems[i] = el
+	i, _ := slices.BinarySearchFunc(s.elems, el, compareIn[s.order])
+	s.elems = slices.Insert(s.elems, i, el)
 }
 
 // sort puts the elements in validation order.
+//
+//thedb:noalloc
 func (s *RWSet) sort() {
-	sort.Slice(s.elems, func(i, j int) bool { return less(s.elems[i], s.elems[j], s.order) })
+	slices.SortFunc(s.elems, compareIn[s.order])
 	s.sorted = true
 }
 
 // indexOf returns el's current position in the sorted slice.
 func (s *RWSet) indexOf(el *Element) int {
-	i := sort.Search(len(s.elems), func(i int) bool {
-		return !less(s.elems[i], el, s.order)
-	})
-	for ; i < len(s.elems); i++ {
-		if s.elems[i] == el {
-			return i
-		}
+	if i, ok := slices.BinarySearchFunc(s.elems, el, compareIn[s.order]); ok {
+		return i
 	}
 	return -1
 }
 
-// less implements the global validation orders of §4.2.1/§4.5/App. G.
-func less(a, b *Element, order OrderMode) bool {
-	switch order {
-	case TreeOrder:
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-	case ReverseTreeOrder:
-		if a.rank != b.rank {
-			return a.rank > b.rank
-		}
+// compareIn holds the global validation orders of §4.2.1/§4.5/App. G
+// as three-way comparisons, indexed by OrderMode (the zero mode is
+// address order) and built once, so that sorting makes no closure.
+// Each is a total order: record addresses are unique.
+var compareIn = [...]func(a, b *Element) int{
+	0:                byAddr,
+	AddrOrder:        byAddr,
+	TreeOrder:        func(a, b *Element) int { return byRank(a.rank-b.rank, a, b) },
+	ReverseTreeOrder: func(a, b *Element) int { return byRank(b.rank-a.rank, a, b) },
+}
+
+func byAddr(a, b *Element) int { return cmp.Compare(a.rec.Addr(), b.rec.Addr()) }
+
+// byRank orders by rank difference d, loading the records only on a tie.
+func byRank(d int, a, b *Element) int {
+	if d != 0 {
+		return d
 	}
-	return a.rec.Addr() < b.rec.Addr()
+	return byAddr(a, b)
 }

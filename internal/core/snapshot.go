@@ -87,7 +87,8 @@ func (w *Worker) TransactSnapshot(fn func(ctx proc.OpCtx) error) error {
 // long readers instead.
 func (w *Worker) runSnapshot(spec *proc.Spec, args []storage.Value) (*proc.Env, error) {
 	start := time.Now()
-	env := spec.Bind(args)
+	env := &w.senv
+	env.Reset(spec, args)
 	prog, err := w.compile(spec, env)
 	if err != nil {
 		return nil, err
@@ -113,10 +114,10 @@ func (w *Worker) runSnapshot(spec *proc.Spec, args []storage.Value) (*proc.Env, 
 
 	st := &w.snap
 	st.env, st.at = env, s
-	defer func() { st.env = nil }()
+	env.Start(prog)
 	interleave := w.e.opts.Interleave
 	for _, op := range prog.Ops {
-		if err := op.Body(st); err != nil {
+		if err := op.Run(st); err != nil {
 			w.m.Aborted.Add(1)
 			w.event(obs.KAbort, uint64(obs.AbortUser), 0)
 			if w.traceOn {

@@ -79,10 +79,11 @@ type Txn struct {
 }
 
 // newTxn starts an attempt in w's frame, keeping nothing of the last
-// one but its storage.
+// one but its storage, and of env nothing but the arguments.
 func newTxn(w *Worker, prog *proc.Program, env *proc.Env, pol *policy) *Txn {
 	t := &w.txn
 	t.reset()
+	env.Start(prog)
 	*t = Txn{w: w, e: w.e, prog: prog, env: env, rw: t.rw, runs: t.runs, locked: t.locked,
 		frontier: -1, pol: *pol, timed: w.e.opts.DetailedMetrics || w.traceOn}
 	if t.timed {
@@ -136,7 +137,7 @@ func (t *Txn) readPhase() error {
 	for i := range t.runs {
 		t.cur = &t.runs[i]
 		t.nacc = 0
-		if err = t.cur.op.Body(t); err != nil {
+		if err = t.cur.op.Run(t); err != nil {
 			break // application abort, or a lock-at-access no-wait conflict
 		}
 		if t.pol.yield {
@@ -230,6 +231,9 @@ func (t *Txn) join(tab *storage.Table, rec *storage.Record, pinned, created, wri
 		if err := t.tplLock(el, write); err != nil {
 			return nil, err
 		}
+		// 2PL never validates: the footprint's version is the stamp of
+		// the image read under the lock, not one replaced while waiting.
+		el.rts, _, el.seenVisible = rec.Meta()
 	}
 	return el, nil
 }

@@ -25,9 +25,11 @@ type Worker struct {
 	wlog     *wal.WorkerLog
 	rngState uint64
 
-	// The frames its validated and its snapshot transactions run in.
-	txn  Txn
-	snap snapTxn
+	// The frames its validated and its snapshot transactions run in, and
+	// the variables of each (what Run and RunSnapshot return).
+	txn       Txn
+	snap      snapTxn
+	env, senv proc.Env
 
 	// curArgs holds the running procedure's argument vector for
 	// command logging.
@@ -171,8 +173,8 @@ func (w *Worker) tracePass(start, end time.Duration, restored, frontier int) {
 // Run executes the named stored procedure to completion under the
 // engine's protocol, retrying aborted attempts (down the degradation
 // ladder when Options.RetryBudget is set). It returns the final
-// variable environment (query results) or the application abort
-// error.
+// variable environment (query results), which the worker reuses for
+// its next transaction, or the application abort error.
 func (w *Worker) Run(procName string, args ...storage.Value) (*proc.Env, error) {
 	return w.run(procName, args, w.e.rungs)
 }
@@ -228,13 +230,14 @@ func (w *Worker) compile(spec *proc.Spec, env *proc.Env) (*proc.Program, error) 
 // rung; past the last rung the transaction fails with ErrContended.
 // The program is compiled once, ahead of the loop (a malformed one is
 // refused like an unknown name, before a transaction exists); every
-// attempt binds a fresh environment. The loop also keeps the worker's
-// epoch registration fresh, so the stuck-epoch watchdog can tell a
-// worker wedged inside an attempt from one that is merely between
-// transactions.
+// attempt starts from the arguments alone (newTxn). The loop also
+// keeps the worker's epoch registration fresh, so the stuck-epoch
+// watchdog can tell a worker wedged inside an attempt from one that is
+// merely between transactions.
 func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []rung) (*proc.Env, error) {
 	start := time.Now()
-	env := spec.Bind(args)
+	env := &w.env
+	env.Reset(spec, args)
 	prog, err := w.compile(spec, env)
 	if err != nil {
 		return nil, err
@@ -278,7 +281,6 @@ func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []rung) (*
 				}
 			}
 			w.backoff(lad.spent)
-			env = spec.Bind(args)
 			continue
 		}
 		// Application abort: permanent.

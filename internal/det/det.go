@@ -44,15 +44,7 @@ type Engine struct {
 	workers    []*Worker
 	tsCounter  []uint64 // per-partition commit counter (first partition stamps)
 	interleave bool
-	checked    bool
 }
-
-// SetChecked makes every operation body run under Env.CheckOp, which
-// reports reads or writes of variables outside the op's declared
-// sets. The dependency analyzer's soundness rests on those
-// declarations, so the workload test suites run their full mixes in
-// this mode.
-func (e *Engine) SetChecked(v bool) { e.checked = v }
 
 // SetInterleave makes workers yield between operations, matching the
 // core engine's multicore-interleaving emulation (see DESIGN.md §3).
@@ -145,18 +137,12 @@ func (w *Worker) Run(procName string, args ...storage.Value) (*proc.Env, error) 
 
 	env := p.Spec.Bind(args)
 	prog := p.Spec.Instantiate(env)
+	env.Start(prog)
 
 	t := &txn{e: w.e, env: env, home: parts}
 	for _, op := range prog.Ops {
 		t.cur = op
-		var err error
-		if w.e.checked {
-			op := op
-			err = env.CheckOp(op, func() error { return op.Body(t) })
-		} else {
-			err = op.Body(t)
-		}
-		if err != nil {
+		if err := op.Run(t); err != nil {
 			t.rollback()
 			w.m.Aborted.Add(1)
 			return env, err

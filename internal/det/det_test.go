@@ -1,6 +1,7 @@
 package det
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -253,4 +254,43 @@ func TestDedupHome(t *testing.T) {
 		t.Fatal("duplicate partition set deadlocked")
 	}
 	_ = tab
+}
+
+// TestUndeclaredAccessRefused: THEDB-DT runs every body through
+// proc.Op.Run like the core engine, so a body that reads, writes or
+// probes a variable its operation did not declare is refused with
+// proc.ErrMalformed, and what it wrote before is rolled back.
+func TestUndeclaredAccessRefused(t *testing.T) {
+	for _, sneak := range []struct {
+		kind string
+		do   func(e *proc.Env)
+	}{
+		{"read", func(e *proc.Env) { _ = e.Int("hidden") }},
+		{"write", func(e *proc.Env) { e.SetInt("k", 9) }},
+		{"Has", func(e *proc.Env) { _ = e.Has("hidden") }},
+	} {
+		e, tab := counterEngine(t, 1, 1, 2)
+		e.MustRegister(&Proc{
+			Spec: &proc.Spec{
+				Name:   "Sneaky",
+				Params: []string{"k", "hidden"},
+				Plan: func(b *proc.Builder, _ *proc.Env) {
+					b.Op(proc.Op{Name: "bump", KeyReads: []string{"k"}, Body: func(ctx proc.OpCtx) error {
+						e := ctx.Env()
+						err := ctx.Write("C", storage.Key(e.Int("k")), []int{0}, []storage.Value{storage.Int(5)})
+						sneak.do(e)
+						return err
+					}})
+				},
+			},
+			Home: func([]storage.Value) []int { return []int{0} },
+		})
+		_, err := e.Worker(0).Run("Sneaky", storage.Int(1), storage.Int(2))
+		if !errors.Is(err, proc.ErrMalformed) {
+			t.Errorf("undeclared %s: %v, want ErrMalformed", sneak.kind, err)
+		}
+		if rec, _ := tab.Peek(1); rec.Tuple()[0].Int() != 0 {
+			t.Errorf("undeclared %s: the refused transaction's write stayed: %d", sneak.kind, rec.Tuple()[0].Int())
+		}
+	}
 }

@@ -20,39 +20,92 @@ type Program struct {
 	// transactions take the merged validate+write fast path and can
 	// never abort under healing (§4.6).
 	Independent bool
+
+	// The symbol table: slot i < nargs is argument i (argSlot names
+	// it), slot nargs+j is names[j] — first the nout variables the
+	// operations write, in name order (the output order), then names
+	// an operation declares that nothing binds, which stay unset.
+	// slots indexes names.
+	names       []string
+	slots       map[string]int32
+	nargs, nout int
 }
 
-// analyze infers key and value dependencies from variable flow.
-// Variable definitions follow program order: an operation reading
-// variable v depends on the latest preceding operation that writes v
-// (static single-assignment is not required; procedures in practice
-// assign each variable once).
-func (p *Program) analyze() {
-	lastDef := make(map[string]*Op)
+// analyze builds the symbol table for a call with nargs arguments,
+// resolves every operation's declared names to slots, and infers key
+// and value dependencies from variable flow. Variable definitions
+// follow program order: an operation reading variable v depends on the
+// latest preceding operation that writes v (static single-assignment
+// is not required; procedures in practice assign each variable once).
+func (p *Program) analyze(nargs int) {
+	writes, decls := 0, 0
+	for _, op := range p.Ops {
+		writes += len(op.Writes)
+		decls += len(op.KeyReads) + len(op.ValReads) + len(op.Writes)
+	}
+	p.names = make([]string, 0, writes)
+	for _, op := range p.Ops {
+		p.names = append(p.names, op.Writes...)
+	}
+	slices.Sort(p.names)
+	p.names = slices.Compact(p.names)
+	p.nargs, p.nout = nargs, len(p.names)
+	p.slots = make(map[string]int32, p.nout)
+	for i, n := range p.names {
+		p.slots[n] = int32(nargs + i)
+	}
+	lastDef := make([]*Op, nargs+p.nout)
+	vars := make([]opVar, 0, decls)
+	declare := func(names []string, write bool) int {
+		for _, n := range names {
+			i := p.slot(n)
+			if i < 0 {
+				i = nargs + len(p.names)
+				p.slots[n] = int32(i)
+				p.names = append(p.names, n)
+				lastDef = append(lastDef, nil)
+			}
+			vars = append(vars, opVar{name: n, slot: int32(i), write: write})
+		}
+		return len(vars)
+	}
+
 	p.Independent = true
 	for _, op := range p.Ops {
+		lo := len(vars)
+		k, v := declare(op.KeyReads, false), declare(op.ValReads, false)
+		declare(op.Writes, true)
+		op.vars = vars[lo:len(vars):len(vars)]
 		// De-duplicate edges per (parent, kind).
 		keyParents := make(map[*Op]bool)
 		valParents := make(map[*Op]bool)
-		for _, v := range op.KeyReads {
-			if def := lastDef[v]; def != nil && !keyParents[def] {
+		for _, d := range vars[lo:k] {
+			if def := lastDef[d.slot]; def != nil && !keyParents[def] {
 				keyParents[def] = true
 				def.keyChildren = append(def.keyChildren, op)
 				op.parents++
 				p.Independent = false
 			}
 		}
-		for _, v := range op.ValReads {
-			if def := lastDef[v]; def != nil && !valParents[def] && !keyParents[def] {
+		for _, d := range vars[k:v] {
+			if def := lastDef[d.slot]; def != nil && !valParents[def] && !keyParents[def] {
 				valParents[def] = true
 				def.valChildren = append(def.valChildren, op)
 				op.parents++
 			}
 		}
-		for _, v := range op.Writes {
-			lastDef[v] = op
+		for _, d := range vars[v:] {
+			lastDef[d.slot] = op
 		}
 	}
+}
+
+// slot returns the slot of the variable named name, or -1.
+func (p *Program) slot(name string) int {
+	if i, ok := p.slots[name]; ok {
+		return int(i)
+	}
+	return argSlot(p.Spec.Params, p.nargs, name)
 }
 
 // Op returns the operation with the given bookmark.
@@ -81,7 +134,8 @@ func (p *Program) Graph() string {
 // Validate checks structural well-formedness: forward-only variable
 // flow (guaranteed by construction), op IDs equal to positions, a body
 // on every operation, every declared write set disjoint from the
-// parameters. It allocates only to refuse, so every expansion pays it.
+// parameters and the arguments. It allocates only to refuse, so every
+// expansion pays it.
 func (p *Program) Validate() error {
 	for i, op := range p.Ops {
 		if op.ID != i {
@@ -91,7 +145,7 @@ func (p *Program) Validate() error {
 			return fmt.Errorf("%w: proc %s: op %d %q has no body", ErrMalformed, p.Spec.Name, op.ID, op.Name)
 		}
 		for _, w := range op.Writes {
-			if slices.Contains(p.Spec.Params, w) {
+			if slices.Contains(p.Spec.Params, w) || argSlot(p.Spec.Params, p.nargs, w) >= 0 {
 				return fmt.Errorf("%w: proc %s: op %d writes parameter %q", ErrMalformed, p.Spec.Name, op.ID, w)
 			}
 		}

@@ -3,191 +3,172 @@ package proc
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"thedb/internal/storage"
 )
 
-// Env is a transaction's variable environment: procedure arguments
-// plus every variable produced by its operations. Values are scalars
-// (storage.Value) or small collections (slices) for range-read
-// results.
+// Env is a transaction's variables, one Slot per name of its Program's
+// symbol table (DESIGN.md §6): slot i < len(args) holds argument i, the
+// variables the operations write follow in name order (the Program's
+// output order), then any name an operation declares that nothing
+// binds. An engine's worker owns one Env and refills it per attempt.
 //
-// In checked mode the environment verifies that each operation only
-// touches the variables it declared, which is how tests guarantee the
-// honesty of the declared dependency information the analyzer relies
-// on.
+// Where a name resolves depends on who asks. A Plan sees the arguments
+// alone. An operation body (Op.Run) sees only the names its operation
+// declared: any other read, write or Has is recorded, answered with
+// nothing, and the operation refused with ErrMalformed when the body
+// returns. The caller of a finished transaction sees every name of the
+// Program.
 type Env struct {
-	vals map[string]any
+	spec  *Spec
+	prog  *Program // nil while the Plan runs
+	nargs int
+	slots []Slot
+	op    *Op // the operation whose body is running
 
-	// reads counts lookups (Get, Has, enumeration): Spec.Compile
-	// compares it across a Plan call.
+	// undeclared is op's first access outside its declarations.
+	undeclared struct{ kind, name string }
+
+	// reads counts lookups: Spec.Compile compares it across a Plan call.
 	reads int
-
-	// checked-mode state
-	checking  bool
-	mayRead   map[string]bool
-	mayWrite  map[string]bool
-	violation error
 }
 
-// NewEnv returns an empty environment.
-func NewEnv() *Env { return &Env{vals: make(map[string]any)} }
+// Slot is one variable, unboxed: a scalar V, or a List when IsList.
+// Set is false until something binds it in the current attempt.
+type Slot struct {
+	V      storage.Value
+	List   []storage.Value
+	IsList bool
+	Set    bool
+}
 
-// Clone returns a deep-enough copy: the map is copied, values are
-// shared (they are treated as immutable).
-func (e *Env) Clone() *Env {
+// NewEnv returns an environment with no arguments, enough to expand a
+// Plan that reads none (for inspecting dependency graphs via
+// Spec.Instantiate).
+func NewEnv() *Env { return new(Env) }
+
+// Reset empties e and binds args to it for one call of s, as the Plan
+// sees them: argument i is named Params[i], or $i beyond them.
+func (e *Env) Reset(s *Spec, args []storage.Value) {
+	e.slots = slices.Grow(e.slots[:0], len(args))[:len(args)]
+	for i, a := range args {
+		e.slots[i] = Slot{V: a, Set: true}
+	}
+	e.spec, e.prog, e.op, e.nargs, e.undeclared.kind = s, nil, nil, len(args), ""
+}
+
+// Start lays e out for one attempt of p, which was compiled for e's
+// arguments: they stay bound, every other variable is unset.
+func (e *Env) Start(p *Program) {
+	if p.nargs != e.nargs {
+		panic(fmt.Sprintf("proc: %s compiled for %d arguments, bound with %d", p.Spec.Name, p.nargs, e.nargs))
+	}
+	e.prog, e.op = p, nil
+	e.slots = slices.Grow(e.slots[:e.nargs], len(p.names))[:e.nargs+len(p.names)]
+	clear(e.slots[e.nargs:])
+}
+
+// lookup resolves name to its slot, or -1. Inside an operation only its
+// declarations count, and a miss is recorded as an undeclared access of
+// the given kind.
+func (e *Env) lookup(kind, name string) int {
 	e.reads++
-	c := NewEnv()
-	for k, v := range e.vals {
-		c.vals[k] = v
+	if op := e.op; op != nil {
+		for _, d := range op.vars {
+			if d.name == name && (d.write || kind != "write") {
+				return int(d.slot)
+			}
+		}
+		if e.undeclared.kind == "" {
+			e.undeclared.kind, e.undeclared.name = kind, name
+		}
+		return -1
 	}
-	return c
+	switch {
+	case kind == "write":
+		panic(fmt.Sprintf("proc: write of %q outside an operation", name))
+	case e.prog != nil:
+		return e.prog.slot(name)
+	case e.spec != nil:
+		return argSlot(e.spec.Params, e.nargs, name)
+	}
+	return -1
 }
 
-// Set stores v under name.
-func (e *Env) Set(name string, v any) {
-	if e.checking && !e.mayWrite[name] {
-		e.violate("write", name)
+// get returns the variable name for a read wanting a list or a scalar.
+// An undefined variable is a bug in the procedure and panics; an
+// undeclared one reads as the zero Slot, the refusal pending.
+func (e *Env) get(name string, list bool) Slot {
+	i := e.lookup("read", name)
+	if i < 0 && e.op != nil {
+		return Slot{}
 	}
-	e.vals[name] = v
+	if i < 0 || !e.slots[i].Set || e.slots[i].IsList != list {
+		panic(fmt.Sprintf("proc: undefined variable %q (as a list: %v)", name, list))
+	}
+	return e.slots[i]
 }
 
-// Get returns the raw value stored under name, which must exist.
-func (e *Env) Get(name string) any {
-	if e.checking && !e.mayRead[name] {
-		e.violate("read", name)
+func (e *Env) set(name string, s Slot) {
+	if i := e.lookup("write", name); i >= 0 {
+		e.slots[i] = s
 	}
-	e.reads++
-	v, ok := e.vals[name]
-	if !ok {
-		panic(fmt.Sprintf("proc: undefined variable %q", name))
-	}
-	return v
 }
 
 // Has reports whether name is defined.
 func (e *Env) Has(name string) bool {
-	e.reads++
-	_, ok := e.vals[name]
-	return ok
+	i := e.lookup("Has", name)
+	return i >= 0 && e.slots[i].Set
 }
 
-// Val returns the storage.Value stored under name.
-func (e *Env) Val(name string) storage.Value {
-	v, ok := e.Get(name).(storage.Value)
-	if !ok {
-		panic(fmt.Sprintf("proc: variable %q is not a Value", name))
-	}
-	return v
-}
+// Val returns the scalar stored under name.
+func (e *Env) Val(name string) storage.Value { return e.get(name, false).V }
 
 // Int returns the integer stored under name.
 func (e *Env) Int(name string) int64 { return e.Val(name).Int() }
 
-// Float returns the float stored under name.
-func (e *Env) Float(name string) float64 { return e.Val(name).Float() }
-
 // Str returns the string stored under name.
 func (e *Env) Str(name string) string { return e.Val(name).Str() }
 
+// Vals returns the list stored under name (range-read outputs).
+func (e *Env) Vals(name string) []storage.Value { return e.get(name, true).List }
+
 // SetVal stores a scalar value.
-func (e *Env) SetVal(name string, v storage.Value) { e.Set(name, v) }
+func (e *Env) SetVal(name string, v storage.Value) { e.set(name, Slot{V: v, Set: true}) }
 
 // SetInt stores an integer scalar.
-func (e *Env) SetInt(name string, v int64) { e.Set(name, storage.Int(v)) }
+func (e *Env) SetInt(name string, v int64) { e.SetVal(name, storage.Int(v)) }
 
-// SetFloat stores a float scalar.
-func (e *Env) SetFloat(name string, v float64) { e.Set(name, storage.Float(v)) }
+// SetVals stores a list of values.
+func (e *Env) SetVals(name string, v []storage.Value) {
+	e.set(name, Slot{List: v, IsList: true, Set: true})
+}
 
-// SetStr stores a string scalar.
-func (e *Env) SetStr(name string, v string) { e.Set(name, storage.Str(v)) }
-
-// Vals returns the slice of values stored under name (range-read
-// outputs).
-func (e *Env) Vals(name string) []storage.Value {
-	v, ok := e.Get(name).([]storage.Value)
-	if !ok {
-		panic(fmt.Sprintf("proc: variable %q is not a []Value", name))
+// Outputs returns the Program's output order — the variables its
+// operations write, in name order — as names and their slots, side by
+// side, without copying: what a RESULT carries. A slot no operation
+// set in this run is not Set. The caller must not modify either.
+//
+//thedb:noalloc
+func (e *Env) Outputs() (names []string, vars []Slot) {
+	if e.prog == nil {
+		return nil, nil
 	}
-	return v
+	p := e.prog
+	return p.names[:p.nout], e.slots[p.nargs : p.nargs+p.nout]
 }
 
-// SetVals stores a slice of values.
-func (e *Env) SetVals(name string, v []storage.Value) { e.Set(name, v) }
-
-// Var is one defined variable as Sorted enumerates it.
-type Var struct {
-	Name string
-	V    any
-}
-
-// Sorted appends every defined variable to dst in name order — the
-// deterministic enumeration the network result encoding relies on —
-// and allocates nothing when dst has room. It bypasses checked mode:
-// enumeration happens after the transaction has run, when the
-// declared-access discipline no longer applies.
-func (e *Env) Sorted(dst []Var) []Var {
-	e.reads++
-	first := len(dst)
-	for k, v := range e.vals {
-		dst = append(dst, Var{k, v})
-	}
-	slices.SortFunc(dst[first:], func(a, b Var) int { return strings.Compare(a.Name, b.Name) })
-	return dst
-}
-
-// Each calls fn for every defined variable in sorted name order.
+// Each calls fn for every set output, in name order, with its value
+// boxed: a storage.Value, or a []storage.Value for a list.
 func (e *Env) Each(fn func(name string, v any)) {
-	for _, v := range e.Sorted(make([]Var, 0, len(e.vals))) {
-		fn(v.Name, v.V)
+	names, vars := e.Outputs()
+	for i, s := range vars {
+		switch {
+		case !s.Set:
+		case s.IsList:
+			fn(names[i], s.List)
+		default:
+			fn(names[i], s.V)
+		}
 	}
-}
-
-// beginOp enters checked mode for one operation; endOp leaves it.
-// Arguments and already-defined variables outside the declared sets
-// stay inaccessible, so an undeclared dependency is caught the first
-// time a body sneaks a read.
-func (e *Env) beginOp(op *Op, params []string) {
-	e.checking = true
-	e.mayRead = make(map[string]bool, len(op.KeyReads)+len(op.ValReads)+len(op.Writes))
-	e.mayWrite = make(map[string]bool, len(op.Writes))
-	for _, v := range op.KeyReads {
-		e.mayRead[v] = true
-	}
-	for _, v := range op.ValReads {
-		e.mayRead[v] = true
-	}
-	for _, v := range op.Writes {
-		// An op may read back what it wrote within its own body.
-		e.mayRead[v] = true
-		e.mayWrite[v] = true
-	}
-	e.violation = nil
-	_ = params
-}
-
-func (e *Env) endOp() error {
-	e.checking = false
-	v := e.violation
-	e.violation = nil
-	return v
-}
-
-func (e *Env) violate(kind, name string) {
-	if e.violation == nil {
-		e.violation = fmt.Errorf("proc: undeclared %s of variable %q", kind, name)
-	}
-}
-
-// CheckOp runs fn with access checking restricted to op's declared
-// variable sets, returning an error on any undeclared access. Used by
-// the analyzer's verification mode and by tests.
-func (e *Env) CheckOp(op *Op, fn func() error) error {
-	e.beginOp(op, nil)
-	err := fn()
-	if verr := e.endOp(); verr != nil {
-		return verr
-	}
-	return err
 }

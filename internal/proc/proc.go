@@ -26,6 +26,7 @@ package proc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -56,14 +57,39 @@ type Op struct {
 
 	// Body performs the operation's record accesses and computation
 	// through ctx. It must be deterministic given the environment
-	// variables it declared, and must not touch undeclared variables
-	// (enforced when the environment runs in checked mode).
+	// variables it declared; it can see no others (Run).
 	Body func(ctx OpCtx) error
 
-	// keyChildren/valChildren are filled by the analyzer.
+	// The analyzer fills these: the declared names resolved to slots,
+	// and the dependency edges.
+	vars        []opVar
 	keyChildren []*Op
 	valChildren []*Op
 	parents     int // number of incoming dependency edges
+}
+
+// opVar is one name an operation declared, resolved to its Env slot.
+type opVar struct {
+	name  string
+	slot  int32
+	write bool
+}
+
+// Run executes o's body in ctx with the environment scoped to o's
+// declared variables. A body that touched any other is refused with
+// ErrMalformed, whatever it returned: the dependency graph healing
+// repairs by is only as sound as the declarations. Every engine runs
+// every body through Run.
+func (o *Op) Run(ctx OpCtx) error {
+	e := ctx.Env()
+	e.op = o
+	err := o.Body(ctx)
+	e.op = nil
+	if u := e.undeclared; u.kind != "" {
+		e.undeclared.kind = ""
+		return fmt.Errorf("%w: proc %s: op %d %q: undeclared %s of %q", ErrMalformed, e.prog.Spec.Name, o.ID, o.Name, u.kind, u.name)
+	}
+	return err
 }
 
 // KeyChildren returns the operations key-dependent on op.
@@ -176,9 +202,8 @@ func (b *Builder) Op(op Op) *Op {
 	return b.ops[len(b.ops)-1]
 }
 
-// positional holds the names of the first positional argument aliases
-// ($0, $1, ...) so binding the common short argument tails does not
-// format a string per argument.
+// positional holds the names of the first positional arguments ($0,
+// $1, ...), so naming the common short argument tails formats nothing.
 var positional = func() (names [64]string) {
 	for i := range names {
 		names[i] = "$" + strconv.Itoa(i)
@@ -186,26 +211,38 @@ var positional = func() (names [64]string) {
 	return names
 }()
 
-// Bind builds the environment of one invocation: argument i under its
-// parameter name when the Spec declares one, and under the positional
-// alias $i only when it does not (i >= len(Params)) — the tail a
-// variadic procedure addresses beyond its named prefix. An argument is
-// therefore bound, and echoed in a remote RESULT, exactly once: "$0"
-// does not exist for a named parameter. Every engine starts every
-// attempt from it.
-func (s *Spec) Bind(args []storage.Value) *Env {
-	env := NewEnv()
-	for i, a := range args {
-		switch {
-		case i < len(s.Params):
-			env.SetVal(s.Params[i], a)
-		case i < len(positional):
-			env.SetVal(positional[i], a)
-		default:
-			env.SetVal("$"+strconv.Itoa(i), a)
+// Positional returns "$i", the name of argument i when i is beyond a
+// Spec's Params (the tail a variadic procedure addresses).
+func Positional(i int) string {
+	if i < len(positional) {
+		return positional[i]
+	}
+	return "$" + strconv.Itoa(i)
+}
+
+// argSlot returns the slot of the argument named name in a call with
+// nargs arguments to a Spec declaring params, or -1.
+func argSlot(params []string, nargs int, name string) int {
+	i := slices.Index(params, name)
+	if i < 0 && len(name) > 1 && name[0] == '$' {
+		if n, err := strconv.Atoi(name[1:]); err == nil && n >= len(params) && n < nargs && Positional(n) == name {
+			i = n
 		}
 	}
-	return env
+	if i >= nargs {
+		return -1
+	}
+	return i
+}
+
+// Bind returns a new environment holding args as a Plan sees them:
+// argument i under its parameter name when the Spec declares one, and
+// under $i only when it does not (i >= len(Params)). The engines bind
+// into an Env their worker owns instead (Env.Reset).
+func (s *Spec) Bind(args []storage.Value) *Env {
+	e := new(Env)
+	e.Reset(s, args)
+	return e
 }
 
 // Instantiate expands the procedure for args and runs the dependency
@@ -215,23 +252,24 @@ func (s *Spec) Instantiate(args *Env) *Program {
 	b := &Builder{}
 	s.Plan(b, args)
 	p := &Program{Spec: s, Ops: b.ops}
-	p.analyze()
+	p.analyze(args.nargs)
 	return p
 }
 
 // Compile returns the validated Program of one invocation (§3's
 // compile-time extraction). The first expansion watches whether Plan
-// reads args: if not, the plan has one shape and every later call, on
-// any worker, gets that Program without running Plan; if so, the Spec
-// is expanded on every call. planned reports whether this one ran Plan.
+// reads args: if not, the plan has one shape and every later call with
+// as many arguments, on any worker, gets that Program without running
+// Plan; if so, the Spec is expanded on every call. planned reports
+// whether this one ran Plan.
 func (s *Spec) Compile(args *Env) (p *Program, planned bool, err error) {
-	if p = s.static.Load(); p != nil {
+	if p = s.static.Load(); p != nil && p.nargs == args.nargs {
 		return p, false, nil
 	}
 	if !s.shaped.Load() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if p = s.static.Load(); p != nil {
+		if p = s.static.Load(); p != nil && p.nargs == args.nargs {
 			return p, false, nil
 		}
 	}
@@ -241,7 +279,7 @@ func (s *Spec) Compile(args *Env) (p *Program, planned bool, err error) {
 		return nil, true, err
 	}
 	switch {
-	case s.shaped.Load(): // already known to be argument-shaped
+	case s.shaped.Load(), s.static.Load() != nil: // argument-shaped, or another arity of a static plan
 	case args.reads == reads:
 		s.static.Store(p)
 	default:

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -114,25 +115,53 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// fakeCtx is an OpCtx that only carries an environment: enough to run
+// bodies that touch no records.
+type fakeCtx struct {
+	OpCtx
+	env *Env
+}
+
+func (c fakeCtx) Env() *Env { return c.env }
+
+// started binds args for spec and lays the environment out for its
+// Program, as an engine does before the first operation runs.
+func started(spec *Spec, args ...storage.Value) (*Program, fakeCtx) {
+	env := spec.Bind(args)
+	prog := spec.Instantiate(env)
+	env.Start(prog)
+	return prog, fakeCtx{env: env}
+}
+
 func TestEnvTypedAccess(t *testing.T) {
-	e := NewEnv()
-	e.SetInt("i", 42)
-	e.SetStr("s", "hi")
-	e.SetFloat("f", 2.5)
-	e.SetVals("vs", []storage.Value{storage.Int(1), storage.Int(2)})
-	if e.Int("i") != 42 || e.Str("s") != "hi" || e.Float("f") != 2.5 {
+	spec := &Spec{Name: "T", Params: []string{"n"}, Plan: func(b *Builder, _ *Env) {
+		b.Op(Op{Name: "w", ValReads: []string{"n"}, Writes: []string{"i", "s", "f", "vs"}, Body: func(ctx OpCtx) error {
+			e := ctx.Env()
+			e.SetInt("i", e.Int("n"))
+			e.SetVal("s", storage.Str("hi"))
+			e.SetVal("f", storage.Float(2.5))
+			e.SetVals("vs", []storage.Value{storage.Int(1), storage.Int(2)})
+			return nil
+		}})
+	}}
+	prog, ctx := started(spec, storage.Int(42))
+	if err := prog.Op(0).Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	e := ctx.env
+	if e.Int("i") != 42 || e.Str("s") != "hi" || e.Val("f").Float() != 2.5 {
 		t.Fatal("scalar round trips failed")
 	}
 	if len(e.Vals("vs")) != 2 {
 		t.Fatal("slice round trip failed")
 	}
-	if !e.Has("i") || e.Has("nope") {
+	if !e.Has("i") || !e.Has("n") || e.Has("nope") {
 		t.Fatal("Has broken")
 	}
-	c := e.Clone()
-	c.SetInt("i", 1)
-	if e.Int("i") != 42 {
-		t.Fatal("clone aliases parent")
+	// The next attempt starts from the arguments alone.
+	e.Start(prog)
+	if e.Has("i") || e.Int("n") != 42 {
+		t.Fatalf("after Start: has i %v, n = %d; want only the argument", e.Has("i"), e.Int("n"))
 	}
 }
 
@@ -145,37 +174,38 @@ func TestEnvPanicsOnUndefined(t *testing.T) {
 	NewEnv().Int("missing")
 }
 
-// TestCheckedModeCatchesUndeclaredAccess verifies the honesty checker
-// the analyzer's soundness rests on: an op body touching variables
-// outside its declared sets is reported.
-func TestCheckedModeCatchesUndeclaredAccess(t *testing.T) {
-	e := NewEnv()
-	e.SetInt("declared", 1)
-	e.SetInt("hidden", 2)
-	op := &Op{Name: "x", ValReads: []string{"declared"}, Writes: []string{"out"}}
-
-	err := e.CheckOp(op, func() error {
-		e.SetInt("out", e.Int("declared"))
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("compliant body flagged: %v", err)
+// TestUndeclaredAccessRefused pins what the dependency analyzer's
+// soundness rests on: an op body can see only the variables it
+// declared, and one that reads, writes or probes any other is refused
+// with ErrMalformed when it returns, whatever it returned itself.
+func TestUndeclaredAccessRefused(t *testing.T) {
+	var body func(e *Env)
+	spec := &Spec{Name: "T", Params: []string{"declared", "hidden"}, Plan: func(b *Builder, _ *Env) {
+		b.Op(Op{Name: "x", ValReads: []string{"declared"}, Writes: []string{"out"}, Body: func(ctx OpCtx) error {
+			body(ctx.Env())
+			return nil
+		}})
+	}}
+	prog, ctx := started(spec, storage.Int(1), storage.Int(2))
+	for _, c := range []struct {
+		name string
+		body func(e *Env)
+		ok   bool
+	}{
+		{"compliant", func(e *Env) { e.SetInt("out", e.Int("declared")); e.SetInt("out", e.Int("out")+1) }, true},
+		{"read", func(e *Env) { e.SetInt("out", e.Int("hidden")) }, false},
+		{"write", func(e *Env) { e.SetInt("sneaky", 1) }, false},
+		{"write of a read", func(e *Env) { e.SetInt("declared", 3) }, false},
+		{"has", func(e *Env) { _ = e.Has("hidden") }, false},
+	} {
+		body = c.body
+		err := prog.Op(0).Run(ctx)
+		if c.ok != (err == nil) || (err != nil && !errors.Is(err, ErrMalformed)) {
+			t.Errorf("%s: Run = %v, want refused %v with ErrMalformed", c.name, err, !c.ok)
+		}
 	}
-
-	err = e.CheckOp(op, func() error {
-		e.SetInt("out", e.Int("hidden")) // undeclared read
-		return nil
-	})
-	if err == nil {
-		t.Fatal("undeclared read not caught")
-	}
-
-	err = e.CheckOp(op, func() error {
-		e.SetInt("sneaky", 1) // undeclared write
-		return nil
-	})
-	if err == nil {
-		t.Fatal("undeclared write not caught")
+	if got := ctx.env.Int("declared"); got != 1 {
+		t.Errorf("refused write landed: declared = %d", got)
 	}
 }
 
@@ -246,17 +276,15 @@ func TestDOTRendering(t *testing.T) {
 
 // TestBindAliasRule pins what an argument is bound under: its parameter
 // name when the Spec declares one — and then not under its positional
-// alias too, so it is boxed, sorted and echoed to a remote caller once —
-// and $i only for the tail beyond the named prefix (NewOrder's order
-// lines start at $6, after six named parameters).
+// alias too — and $i only for the tail beyond the named prefix
+// (NewOrder's order lines start at $6, after six named parameters).
+// Arguments are not outputs: a Program's output order holds only the
+// variables its operations write.
 func TestBindAliasRule(t *testing.T) {
 	ycsbRead := &Spec{Name: "YCSBRead", Params: []string{"k"}}
 	env := ycsbRead.Bind([]storage.Value{storage.Int(42)})
 	if env.Int("k") != 42 || env.Has("$0") {
 		t.Fatalf("one named argument: k = %v, has $0 = %v; want 42 and no alias", env.Val("k"), env.Has("$0"))
-	}
-	if got := len(env.Sorted(nil)); got != 1 {
-		t.Fatalf("one named argument binds %d variables, want 1", got)
 	}
 
 	newOrder := &Spec{Name: "NewOrder", Params: []string{"w", "d", "c", "ol_cnt", "entry", "rbk"}}
@@ -266,23 +294,34 @@ func TestBindAliasRule(t *testing.T) {
 	}
 	env = newOrder.Bind(args)
 	for i, name := range newOrder.Params {
-		if env.Int(name) != int64(100+i) || env.Has(positional[i]) {
-			t.Fatalf("parameter %d: %s = %v, has %s = %v", i, name, env.Val(name), positional[i], env.Has(positional[i]))
+		if env.Int(name) != int64(100+i) || env.Has(Positional(i)) {
+			t.Fatalf("parameter %d: %s = %v, has %s = %v", i, name, env.Val(name), Positional(i), env.Has(Positional(i)))
 		}
 	}
 	for i := len(newOrder.Params); i < len(args); i++ {
-		if !env.Has(positional[i]) || env.Int(positional[i]) != int64(100+i) {
-			t.Fatalf("tail argument %d not bound under %s", i, positional[i])
+		if !env.Has(Positional(i)) || env.Int(Positional(i)) != int64(100+i) {
+			t.Fatalf("tail argument %d not bound under %s", i, Positional(i))
 		}
 	}
-	if got := len(env.Sorted(nil)); got != len(args) {
-		t.Fatalf("%d arguments bind %d variables", len(args), got)
+	if env.Has(Positional(len(args))) || env.Has("$06") || env.Has("$+6") {
+		t.Fatal("a name that is no argument's resolves")
 	}
 
 	// Past the precomputed alias names the rule is the same.
 	long := make([]storage.Value, len(positional)+2)
 	env = (&Spec{Name: "Variadic"}).Bind(long)
-	if !env.Has("$0") || !env.Has("$65") || len(env.Sorted(nil)) != len(long) {
-		t.Fatalf("parameterless spec: $0 %v, $65 %v, %d variables", env.Has("$0"), env.Has("$65"), len(env.Sorted(nil)))
+	if !env.Has("$0") || !env.Has("$65") || env.Has("$66") {
+		t.Fatalf("parameterless spec: $0 %v, $65 %v, $66 %v", env.Has("$0"), env.Has("$65"), env.Has("$66"))
+	}
+
+	one := &Spec{Name: "One", Params: []string{"k"}, Plan: func(b *Builder, _ *Env) {
+		b.Op(Op{Name: "w", KeyReads: []string{"k", "$1"}, Writes: []string{"y", "x"}, Body: nopBody})
+	}}
+	prog, ctx := started(one, storage.Int(1), storage.Int(2))
+	if names, vars := ctx.env.Outputs(); strings.Join(names, ",") != "x,y" || len(vars) != 2 {
+		t.Fatalf("output order %v, want x,y", names)
+	}
+	if err := prog.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -47,7 +47,6 @@ import (
 	"thedb/internal/metrics"
 	"thedb/internal/obs"
 	"thedb/internal/proc"
-	"thedb/internal/storage"
 	"thedb/internal/wire"
 )
 
@@ -278,8 +277,7 @@ func (s *Server) startDispatchers() {
 // dispatcher is one dispatch goroutine's engine session and scratch.
 type dispatcher struct {
 	sess  *thedb.Session
-	frame []byte     // the response frame under construction
-	vars  []proc.Var // the committed transaction's variables, sorted
+	frame []byte // the response frame under construction
 }
 
 // dispatch serves queued runs on one engine session until quit.
@@ -348,8 +346,7 @@ func (s *Server) serveOne(d *dispatcher, req *request) {
 		// the rejection from the window.
 		s.respond(req, d.frame, !re.Retryable())
 	} else {
-		d.vars = env.Sorted(d.vars[:0])
-		d.frame = appendResult(d.frame[:0], req.id, d.vars)
+		d.frame = appendResult(d.frame[:0], req.id, env)
 		s.respond(req, d.frame, true)
 	}
 	if traced {
@@ -360,28 +357,30 @@ func (s *Server) serveOne(d *dispatcher, req *request) {
 	}
 }
 
-// appendResult encodes a committed transaction's variables, sorted, as
-// one RESULT frame: scalars and value lists are outputs, anything else
-// a procedure parked in its environment is not.
+// appendResult encodes a committed transaction's outputs as one RESULT
+// frame, straight from its slots in the Program's output order: every
+// variable an operation wrote, in name order, and no argument — the
+// caller has those.
 //
 //thedb:noalloc
-func appendResult(dst []byte, id uint64, vars []proc.Var) []byte {
+func appendResult(dst []byte, id uint64, env *thedb.Env) []byte {
+	names, vars := env.Outputs()
 	n := 0
-	for _, v := range vars {
-		switch v.V.(type) {
-		case storage.Value, []storage.Value:
+	for i := range vars {
+		if vars[i].Set {
 			n++
 		}
 	}
 	start := len(dst)
 	dst = wire.BeginFrame(dst, wire.OpResult, id)
 	dst = wire.AppendOutputCount(dst, n)
-	for _, v := range vars {
-		switch val := v.V.(type) {
-		case storage.Value:
-			dst = wire.AppendScalar(dst, v.Name, val)
-		case []storage.Value:
-			dst = wire.AppendList(dst, v.Name, val)
+	for i := range vars {
+		switch v := &vars[i]; {
+		case !v.Set:
+		case v.IsList:
+			dst = wire.AppendList(dst, names[i], v.List)
+		default:
+			dst = wire.AppendScalar(dst, names[i], v.V)
 		}
 	}
 	return wire.EndFrame(dst, start)

@@ -3,8 +3,10 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -336,5 +338,50 @@ func TestBadFrameHandling(t *testing.T) {
 	}
 	if f.Op != wire.OpResult || f.ID != 9 {
 		t.Fatalf("got op=%s id=%d, want RESULT id=9", wire.OpName(f.Op), f.ID)
+	}
+}
+
+// TestResultCarriesOutputsOnly pins the RESULT encoding: exactly the
+// variables the procedure's operations wrote in this run, in name
+// order, each once — no argument (named or in the $i tail), and no
+// output of a branch that did not run.
+func TestResultCarriesOutputsOnly(t *testing.T) {
+	db := newKVDB(t, 1, nil)
+	db.MustRegister(&thedb.Spec{
+		Name:   "Outputs",
+		Params: []string{"k"},
+		Plan: func(b *thedb.Builder, _ *thedb.Env) {
+			b.Op(thedb.Op{Name: "w", ValReads: []string{"k", "$1"}, Writes: []string{"zeta", "alpha", "list", "never"},
+				Body: func(ctx thedb.OpCtx) error {
+					e := ctx.Env()
+					e.SetInt("zeta", e.Int("k"))
+					e.SetInt("alpha", e.Int("$1"))
+					e.SetVals("list", []thedb.Value{thedb.Int(1), thedb.Int(2)})
+					return nil
+				}})
+			b.Op(thedb.Op{Name: "again", ValReads: []string{"zeta"}, Writes: []string{"mid"},
+				Body: func(ctx thedb.OpCtx) error { ctx.Env().SetInt("mid", ctx.Env().Int("zeta")+1); return nil }})
+		},
+	})
+	_, addr := startServer(t, db, server.Config{})
+	nc, fr, _ := rawDialSession(t, addr, 0)
+	frame := wire.AppendCall(nil, 1, wire.Call{Proc: "Outputs", Seq: 1, Args: []thedb.Value{thedb.Int(7), thedb.Int(8)}})
+	if _, err := nc.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fr.Next()
+	if err != nil || f.Op != wire.OpResult {
+		t.Fatalf("frame %+v, err %v", f, err)
+	}
+	outs, err := wire.DecodeResult(f.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, o := range outs {
+		got = append(got, fmt.Sprintf("%s=%v", o.Name, o.Vals))
+	}
+	if want := "alpha=[8] list=[1 2] mid=[8] zeta=[7]"; strings.Join(got, " ") != want {
+		t.Fatalf("RESULT %q, want %q", strings.Join(got, " "), want)
 	}
 }

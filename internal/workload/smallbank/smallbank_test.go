@@ -43,11 +43,7 @@ func TestAllProceduresIndependent(t *testing.T) {
 		ProcSendPayment:     {storage.Int(1), storage.Int(2), storage.Int(5)},
 	}
 	for _, s := range Specs() {
-		env := proc.NewEnv()
-		for i, a := range args[s.Name] {
-			env.SetVal(s.Params[i], a)
-		}
-		prog := s.Instantiate(env)
+		prog := s.Instantiate(s.Bind(args[s.Name]))
 		if err := prog.Validate(); err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}

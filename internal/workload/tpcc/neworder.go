@@ -103,7 +103,7 @@ func newOrderSpec() *proc.Spec {
 
 			allLocal := int64(1)
 			for j := 0; j < olCnt; j++ {
-				if args.Int(fmt.Sprintf("$%d", 7+3*j)) != args.Int("w") {
+				if args.Int(proc.Positional(7+3*j)) != args.Int("w") {
 					allLocal = 0
 					break
 				}
@@ -136,9 +136,9 @@ func newOrderSpec() *proc.Spec {
 
 			for j := 0; j < olCnt; j++ {
 				j := j
-				iidVar := fmt.Sprintf("$%d", 6+3*j)
-				supVar := fmt.Sprintf("$%d", 7+3*j)
-				qtyVar := fmt.Sprintf("$%d", 8+3*j)
+				iidVar := proc.Positional(6 + 3*j)
+				supVar := proc.Positional(7 + 3*j)
+				qtyVar := proc.Positional(8 + 3*j)
 				priceVar := fmt.Sprintf("price%d", j)
 				amtVar := fmt.Sprintf("amt%d", j)
 

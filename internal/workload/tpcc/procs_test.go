@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"thedb/internal/core"
-	"thedb/internal/proc"
 	"thedb/internal/storage"
 )
 
@@ -251,9 +250,14 @@ func TestStockLevelCountsLowStock(t *testing.T) {
 	w := e.Worker(0)
 	// Threshold above the maximum stock (100) counts every distinct
 	// item in the window; threshold 0 counts none.
+	// A returned Env lives until the worker's next transaction: read
+	// the first result before running the second.
 	envAll, err := w.Run(ProcStockLevel, storage.Int(1), storage.Int(1), storage.Int(101), storage.Int(20))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if envAll.Int("low") == 0 {
+		t.Error("low with threshold 101 = 0; expected every scanned item")
 	}
 	envNone, err := w.Run(ProcStockLevel, storage.Int(1), storage.Int(1), storage.Int(0), storage.Int(20))
 	if err != nil {
@@ -261,9 +265,6 @@ func TestStockLevelCountsLowStock(t *testing.T) {
 	}
 	if envNone.Int("low") != 0 {
 		t.Errorf("low with threshold 0 = %d", envNone.Int("low"))
-	}
-	if envAll.Int("low") == 0 {
-		t.Error("low with threshold 101 = 0; expected every scanned item")
 	}
 }
 
@@ -282,6 +283,7 @@ func TestOrderStatusFindsLastOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	newOID := envNO.Int("oid") // envNO is reused by the next Run
 	env, err := w.Run(ProcOrderStatus, storage.Int(1), storage.Int(1), storage.Int(3), storage.Str(""))
 	if err != nil {
 		t.Fatal(err)
@@ -289,8 +291,8 @@ func TestOrderStatusFindsLastOrder(t *testing.T) {
 	if env.Int("found") != 1 {
 		t.Fatal("no order found for customer with fresh order")
 	}
-	if env.Int("oid") != envNO.Int("oid") {
-		t.Errorf("last order id = %d, want %d", env.Int("oid"), envNO.Int("oid"))
+	if env.Int("oid") != newOID {
+		t.Errorf("last order id = %d, want %d", env.Int("oid"), newOID)
 	}
 	if env.Int("lines") != 1 {
 		t.Errorf("lines = %d", env.Int("lines"))
@@ -303,7 +305,6 @@ func TestOrderStatusFindsLastOrder(t *testing.T) {
 // inserts (key dependencies) and feeds the next_o_id bump (value
 // dependency).
 func TestNewOrderGraphMatchesFig15a(t *testing.T) {
-	env := proc.NewEnv()
 	args := []storage.Value{
 		storage.Int(1), storage.Int(1), storage.Int(3),
 		storage.Int(2), storage.Int(777), storage.Int(0),
@@ -311,13 +312,7 @@ func TestNewOrderGraphMatchesFig15a(t *testing.T) {
 		storage.Int(20), storage.Int(1), storage.Int(2),
 	}
 	spec := newOrderSpec()
-	for i, a := range args {
-		if i < len(spec.Params) {
-			env.SetVal(spec.Params[i], a)
-		}
-		env.SetVal(posVar(i), a)
-	}
-	prog := spec.Instantiate(env)
+	prog := spec.Instantiate(spec.Bind(args))
 	if prog.Independent {
 		t.Fatal("NewOrder classified independent")
 	}
@@ -360,14 +355,9 @@ func TestNewOrderGraphMatchesFig15a(t *testing.T) {
 // TestDeliveryGraphChains verifies Figure 15b's per-district
 // dependency chain: oldest -> delete/read/stamp -> lines -> customer.
 func TestDeliveryGraphChains(t *testing.T) {
-	env := proc.NewEnv()
 	spec := deliverySpec()
 	args := []storage.Value{storage.Int(1), storage.Int(7), storage.Int(9), storage.Int(2)}
-	for i, a := range args {
-		env.SetVal(spec.Params[i], a)
-		env.SetVal(posVar(i), a)
-	}
-	prog := spec.Instantiate(env)
+	prog := spec.Instantiate(spec.Bind(args))
 	if prog.Independent {
 		t.Fatal("Delivery classified independent")
 	}

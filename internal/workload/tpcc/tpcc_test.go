@@ -1,7 +1,6 @@
 package tpcc
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -59,14 +58,7 @@ func TestProgramsValidate(t *testing.T) {
 		req := gen.Next()
 		seen[req.Proc] = true
 		spec := specByName(t, req.Proc)
-		env := proc.NewEnv()
-		for j, a := range req.Args {
-			if j < len(spec.Params) {
-				env.SetVal(spec.Params[j], a)
-			}
-			env.SetVal(posVar(j), a)
-		}
-		prog := spec.Instantiate(env)
+		prog := spec.Instantiate(spec.Bind(req.Args))
 		if err := prog.Validate(); err != nil {
 			t.Fatalf("%s: %v", req.Proc, err)
 		}
@@ -76,10 +68,6 @@ func TestProgramsValidate(t *testing.T) {
 			t.Errorf("mix never produced %s in 200 draws", p)
 		}
 	}
-}
-
-func posVar(i int) string {
-	return fmt.Sprintf("$%d", i)
 }
 
 func specByName(t *testing.T, name string) *proc.Spec {

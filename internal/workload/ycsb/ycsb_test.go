@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"thedb/internal/core"
-	"thedb/internal/proc"
 	"thedb/internal/storage"
 )
 
@@ -33,11 +32,7 @@ func TestAllProceduresIndependent(t *testing.T) {
 		ProcRMW:    {storage.Int(1), storage.Int(0), storage.Str("x")},
 	}
 	for _, s := range Specs() {
-		env := proc.NewEnv()
-		for i, a := range args[s.Name] {
-			env.SetVal(s.Params[i], a)
-		}
-		prog := s.Instantiate(env)
+		prog := s.Instantiate(s.Bind(args[s.Name]))
 		if err := prog.Validate(); err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}

@@ -117,7 +117,9 @@ var (
 	ErrNoSuchProc = core.ErrNoSuchProc
 	// ErrMalformedProc reports a registered procedure whose expansion
 	// is not well-formed (an operation without a body, or one that
-	// writes a parameter): Run and RunSnapshot refuse it, every time.
+	// writes an argument) or whose operation body touched a variable
+	// it did not declare: Run and RunSnapshot refuse it, without a
+	// retry.
 	ErrMalformedProc = proc.ErrMalformed
 	// ErrRecoveryFailed reports that recovery left the database in an
 	// undefined state (command replay failed partway): the instance is
@@ -513,6 +515,11 @@ func (s *Session) usable() error {
 // conflicts per the configured protocol. It returns the variable
 // environment holding the procedure's outputs, or the application's
 // abort error.
+//
+// The returned *Env belongs to the session and is valid until the next
+// call on it (Run, RunAdhoc, RunSnapshot, Transact or SnapshotRead),
+// which refills it: read or copy what you need first. The same holds
+// for RunAdhoc and RunSnapshot.
 func (s *Session) Run(procName string, args ...Value) (*Env, error) {
 	if err := s.usable(); err != nil {
 		return nil, err

@@ -321,3 +321,48 @@ func TestTransactAdhoc(t *testing.T) {
 		t.Fatal("user abort swallowed")
 	}
 }
+
+// TestSessionEnvLifetime pins the contract Session.Run states: the
+// *Env it returns is the session's own, valid until the session's next
+// call. Another session's calls leave it alone; the next call on the
+// same session refills that very Env.
+func TestSessionEnvLifetime(t *testing.T) {
+	db, err := thedb.Open(thedb.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustRegister(&thedb.Spec{
+		Name:   "Echo",
+		Params: []string{"x"},
+		Plan: func(b *thedb.Builder, _ *thedb.Env) {
+			b.Op(thedb.Op{Name: "echo", ValReads: []string{"x"}, Writes: []string{"y"}, Body: func(ctx thedb.OpCtx) error {
+				ctx.Env().SetInt("y", ctx.Env().Int("x"))
+				return nil
+			}})
+		},
+	})
+	db.Start()
+	defer db.Close()
+	s0, s1 := db.Session(0), db.Session(1)
+
+	env, err := s0.Run("Echo", thedb.Int(1))
+	if err != nil || env.Int("y") != 1 || env.Int("x") != 1 {
+		t.Fatalf("Run: %v", err)
+	}
+	if _, err := s1.Run("Echo", thedb.Int(2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.RunSnapshot("Echo", thedb.Int(3)); err != nil {
+		t.Fatal(err)
+	}
+	if env.Int("y") != 1 {
+		t.Fatalf("another session's calls changed this one's result: y = %d", env.Int("y"))
+	}
+	next, err := s0.Run("Echo", thedb.Int(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next != env || env.Int("y") != 4 {
+		t.Fatalf("the session's next Run did not refill its Env: same %v, y = %d", next == env, env.Int("y"))
+	}
+}
