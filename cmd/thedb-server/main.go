@@ -231,7 +231,7 @@ func setupSchema(db *thedb.DB, name string) {
 			db.MustRegister(s)
 		}
 	case "smallbank":
-		for _, s := range smallbank.Schemas(0) {
+		for _, s := range smallbank.Schemas() {
 			db.MustCreateTable(s)
 		}
 		for _, s := range smallbank.Specs() {

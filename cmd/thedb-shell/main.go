@@ -67,7 +67,7 @@ func main() {
 		fatal(err)
 	}
 	if *useSmallbank {
-		for _, s := range smallbank.Schemas(0) {
+		for _, s := range smallbank.Schemas() {
 			db.MustCreateTable(s)
 		}
 		if err := smallbank.Populate(db.Catalog(), 1000, 10000, 10000); err != nil {

@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, s := range smallbank.Schemas(0) {
+	for _, s := range smallbank.Schemas() {
 		db.MustCreateTable(s)
 	}
 	const initBal = 10000

@@ -1,11 +1,9 @@
 // Package nondet forbids sources of nondeterminism on the
-// deterministic replay paths: the partitioned THEDB-DT engine
-// (internal/det, which must produce the same schedule for the same
-// input, §5) and command-log replay (ReplayCommands, Appendix C,
-// which reconstructs the database only if stored procedures re-run
-// deterministically in commit order).
+// deterministic replay path: command-log replay (ReplayCommands,
+// Appendix C), which reconstructs the database only if stored
+// procedures re-run deterministically in commit order.
 //
-// Flagged inside the scope:
+// Flagged inside a function named ReplayCommands:
 //
 //   - calls to time.Now / time.Since (wall-clock dependence)
 //   - any use of math/rand or math/rand/v2 (unseeded or
@@ -34,9 +32,6 @@ import (
 	"thedb/internal/analysis/ana"
 )
 
-// DetPath is the deterministic engine package.
-const DetPath = "thedb/internal/det"
-
 // CorePath is the protocol engine package, where math/rand is
 // forbidden in favor of the seeded fault.Schedule injector.
 const CorePath = "thedb/internal/core"
@@ -47,17 +42,11 @@ const ReplayFunc = "ReplayCommands"
 // Analyzer is the nondet pass.
 var Analyzer = &ana.Analyzer{
 	Name: "nondet",
-	Doc:  "time.Now, math/rand, and map iteration are forbidden in deterministic replay paths (internal/det, ReplayCommands); internal/core forbids math/rand (fault.Schedule is the sanctioned randomness) and fmt/log printing to process-global streams (metrics and the flight recorder are the sanctioned observability)",
+	Doc:  "time.Now, math/rand, and map iteration are forbidden in command-log replay (ReplayCommands); internal/core forbids math/rand (fault.Schedule is the sanctioned randomness) and fmt/log printing to process-global streams (metrics and the flight recorder are the sanctioned observability)",
 	Run:  run,
 }
 
 func run(pass *ana.Pass) error {
-	if pass.Pkg.Path() == DetPath {
-		for _, file := range pass.Files {
-			checkRegion(pass, file)
-		}
-		return nil
-	}
 	if pass.Pkg.Path() == CorePath {
 		for _, file := range pass.Files {
 			checkRandOnly(pass, file)

@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"thedb/internal/core"
-	"thedb/internal/det"
 	"thedb/internal/metrics"
 	"thedb/internal/obs"
-	"thedb/internal/proc"
 	"thedb/internal/storage"
 	"thedb/internal/wal"
 	"thedb/internal/workload/smallbank"
@@ -81,6 +79,8 @@ func (s System) protocol() core.Protocol {
 		return core.OCCNoValidate
 	case SILOMinus:
 		return core.SiloNoValidate
+	case DT:
+		return core.DT
 	default:
 		panic("bench: system has no core protocol")
 	}
@@ -163,63 +163,39 @@ type tpccResult struct {
 // the workers in closed loops for the cell duration.
 func runTPCC(r tpccRun) tpccResult {
 	cfg := tpcc.Scaled(r.warehouses)
-	partitions := 0
-	if r.system == DT {
-		partitions = r.warehouses
-	}
 	cat := storage.NewCatalog()
-	for _, s := range tpcc.Schemas(partitions) {
+	for _, s := range tpcc.Schemas(0) {
 		cat.MustCreateTable(s)
 	}
 	if err := tpcc.Populate(cat, cfg); err != nil {
 		panic(err)
 	}
 
-	var (
-		workers []runner
-		agg     func(time.Duration) *metrics.Aggregate
-	)
-	if r.system == DT {
-		eng := det.NewEngine(cat, partitions, r.workers)
-		eng.SetInterleave(true)
-		for _, p := range tpcc.DetProcs(partitions) {
-			eng.MustRegister(p)
-		}
-		for i := 0; i < r.workers; i++ {
-			workers = append(workers, eng.Worker(i))
-		}
-		agg = eng.Metrics
-	} else {
-		opts := core.Options{
-			Protocol:        r.system.protocol(),
-			Workers:         r.workers,
-			NoAccessCache:   r.noAccessCache,
-			NoReadCopies:    r.noReadCopies,
-			DetailedMetrics: r.detailed,
-			Interleave:      !r.noInterleave,
-			MaxLockAttempts: r.maxLockAttempts,
-		}
-		if r.system == THEDBW {
-			opts.Order = core.ReverseTreeOrder
-		}
-		if r.addrOrder {
-			opts.Order = core.AddrOrder
-		}
-		if r.logging {
-			opts.Logger = wal.NewLogger(r.logMode, r.workers, func(int) io.Writer { return io.Discard })
-		}
-		eng := core.NewEngine(cat, opts)
-		for _, s := range tpcc.Specs() {
-			eng.MustRegister(s)
-		}
-		eng.Start()
-		attachObs(eng.LiveMetrics)
-		defer func() { detachObs(); _ = eng.Stop() }()
-		for i := 0; i < r.workers; i++ {
-			workers = append(workers, eng.Worker(i))
-		}
-		agg = eng.Metrics
+	opts := core.Options{
+		Protocol:        r.system.protocol(),
+		Workers:         r.workers,
+		NoAccessCache:   r.noAccessCache,
+		NoReadCopies:    r.noReadCopies,
+		DetailedMetrics: r.detailed,
+		Interleave:      !r.noInterleave,
+		MaxLockAttempts: r.maxLockAttempts,
 	}
+	if r.system == THEDBW {
+		opts.Order = core.ReverseTreeOrder
+	}
+	if r.addrOrder {
+		opts.Order = core.AddrOrder
+	}
+	if r.logging {
+		opts.Logger = wal.NewLogger(r.logMode, r.workers, func(int) io.Writer { return io.Discard })
+	}
+	eng := core.NewEngine(cat, opts)
+	for _, s := range tpcc.Specs() {
+		eng.MustRegister(s)
+	}
+	eng.Start()
+	attachObs(eng.LiveMetrics)
+	defer func() { detachObs(); _ = eng.Stop() }()
 
 	samplers := make([]map[string]*Sampler, r.workers)
 	var crossCount atomic.Int64
@@ -236,7 +212,7 @@ func runTPCC(r tpccRun) tpccResult {
 			obs.DoWorker(wi, func() {
 				gen := tpcc.NewGen(cfg, r.mix, wi)
 				rng := rand.New(rand.NewSource(int64(wi)*31 + 17))
-				w := workers[wi]
+				w := eng.Worker(wi)
 				mine := samplers[wi]
 				for !stop.Load() {
 					req := gen.Next()
@@ -247,7 +223,7 @@ func runTPCC(r tpccRun) tpccResult {
 					t0 := time.Now()
 					var err error
 					if adhoc {
-						err = runAdhoc(w, req.Proc, req.Args)
+						_, err = w.RunAdhoc(req.Proc, req.Args...)
 					} else {
 						_, err = w.Run(req.Proc, req.Args...)
 					}
@@ -269,7 +245,7 @@ func runTPCC(r tpccRun) tpccResult {
 	wg.Wait()
 	wall := time.Since(start)
 
-	res := tpccResult{agg: agg(wall), perProc: map[string]*Sampler{}, cross: crossCount.Load()}
+	res := tpccResult{agg: eng.Metrics(wall), perProc: map[string]*Sampler{}, cross: crossCount.Load()}
 	for _, m := range samplers {
 		for p, s := range m {
 			dst := res.perProc[p]
@@ -281,21 +257,6 @@ func runTPCC(r tpccRun) tpccResult {
 		}
 	}
 	return res
-}
-
-// runner is the common surface of core and det workers.
-type runner interface {
-	Run(proc string, args ...storage.Value) (*proc.Env, error)
-}
-
-// runAdhoc dispatches RunAdhoc when available (core workers only).
-func runAdhoc(w runner, procName string, args []storage.Value) error {
-	if cw, ok := w.(*core.Worker); ok {
-		_, err := cw.RunAdhoc(procName, args...)
-		return err
-	}
-	_, err := w.Run(procName, args...)
-	return err
 }
 
 // smallbankRun configures one Smallbank cell.
@@ -319,7 +280,7 @@ func runSmallbank(r smallbankRun) smallbankResult {
 		r.accounts = 1000
 	}
 	cat := storage.NewCatalog()
-	for _, s := range smallbank.Schemas(0) {
+	for _, s := range smallbank.Schemas() {
 		cat.MustCreateTable(s)
 	}
 	if err := smallbank.Populate(cat, r.accounts, 10000, 10000); err != nil {

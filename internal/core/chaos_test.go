@@ -57,14 +57,39 @@ func auditSpec(accounts int) *proc.Spec {
 	}
 }
 
+// churnSpec deletes key from CHURN when it is visible and inserts it
+// with value v otherwise. Its Home is the key.
+func churnSpec() *proc.Spec {
+	return &proc.Spec{
+		Name:   "Churn",
+		Params: []string{"key", "v"},
+		Home:   func(args []storage.Value) []int { return []int{int(args[0].Int())} },
+		Plan: func(b *proc.Builder, _ *proc.Env) {
+			b.Op(proc.Op{Name: "churn", KeyReads: []string{"key"}, ValReads: []string{"v"}, Body: func(ctx proc.OpCtx) error {
+				key := storage.Key(ctx.Env().Int("key"))
+				_, vis, err := ctx.Read("CHURN", key, nil)
+				if err != nil {
+					return err
+				}
+				if vis {
+					return ctx.Delete("CHURN", key)
+				}
+				return ctx.Insert("CHURN", key, storage.Tuple{ctx.Env().Val("v")})
+			}})
+		},
+	}
+}
+
 // TestChaosTortureSerializable is the headline robustness test: many
 // distinct seeded hostile schedules × several protocols × contended
 // workers, with the serializability oracle auditing every committed
 // footprint. The workload mixes the paper's transfer example (value
 // and key dependencies, so healing has real repair work), read-only
 // audits that must observe the conserved total at commit time, and
-// per-worker insert/delete churn that drives records through delete,
-// garbage collection and fresh-dummy re-creation.
+// per-worker ad-hoc insert/delete churn that drives records through
+// delete, garbage collection and fresh-dummy re-creation. Under DT the
+// churn locks its key's stripe while transfers and audits, which name
+// no partition, lock every stripe.
 func TestChaosTortureSerializable(t *testing.T) {
 	seeds := 64
 	if testing.Short() {
@@ -72,11 +97,11 @@ func TestChaosTortureSerializable(t *testing.T) {
 	}
 	// Healing is the paper's contribution and gets double weight; the
 	// optimistic baselines and the hybrid must survive the same abuse.
-	// 2PL runs every seed besides, so that each seed keeps its rotation
-	// protocol (and its subtest name).
+	// 2PL and DT run every seed besides, so that each seed keeps its
+	// rotation protocol (and its subtest name).
 	protos := []Protocol{Healing, Healing, OCC, Silo, Hybrid}
 	for seed := 0; seed < seeds; seed++ {
-		for _, proto := range []Protocol{protos[seed%len(protos)], TPL} {
+		for _, proto := range []Protocol{protos[seed%len(protos)], TPL, DT} {
 			t.Run(fmt.Sprintf("seed=%d/%v", seed, proto), func(t *testing.T) {
 				t.Parallel()
 				runChaosSeed(t, uint64(seed)+1, proto)
@@ -143,6 +168,7 @@ func runChaosSeed(t *testing.T, seed uint64, proto Protocol) {
 	})
 	e.MustRegister(transferSpec())
 	e.MustRegister(auditSpec(accounts))
+	e.MustRegister(churnSpec())
 	e.Start()
 
 	var wg sync.WaitGroup
@@ -162,17 +188,8 @@ func runChaosSeed(t *testing.T, seed uint64, proto Protocol) {
 				var err error
 				switch i % 5 {
 				case 3: // insert/delete churn on worker-private keys
-					key := storage.Key(10_000 + int64(wi)*1_000 + next(5))
-					err = w.Transact(func(ctx proc.OpCtx) error {
-						_, vis, rerr := ctx.Read("CHURN", key, nil)
-						if rerr != nil {
-							return rerr
-						}
-						if vis {
-							return ctx.Delete("CHURN", key)
-						}
-						return ctx.Insert("CHURN", key, storage.Tuple{storage.Int(int64(i))})
-					})
+					key := storage.Int(10_000 + int64(wi)*1_000 + next(5))
+					_, err = w.RunAdhoc("Churn", key, storage.Int(int64(i)))
 				case 4: // read-only audit: must see the conserved total
 					var env *proc.Env
 					env, err = w.Run("Audit")
@@ -216,6 +233,7 @@ func runChaosSeed(t *testing.T, seed uint64, proto Protocol) {
 	// Every path — commit, heal, user abort, injected restart, every
 	// rung of the ladder — released what it took.
 	checkReleased(t, cat)
+	checkStripesFree(t, e)
 
 	// The schedule must actually have perturbed the run.
 	injected := sched.Total(fault.ActYield) + sched.Total(fault.ActDelay) +

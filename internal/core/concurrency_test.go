@@ -21,7 +21,7 @@ func TestConcurrentTransfersConserveTotal(t *testing.T) {
 		txnsPer  = 300
 		initial  = 1000
 	)
-	for _, p := range []Protocol{Healing, OCC, Silo, TPL, Hybrid} {
+	for _, p := range []Protocol{Healing, OCC, Silo, TPL, Hybrid, DT} {
 		t.Run(p.String(), func(t *testing.T) {
 			cat := storage.NewCatalog()
 			for _, name := range []string{"CLIENT", "BALANCE", "BONUS"} {

@@ -1,9 +1,9 @@
 // Package core implements THEDB's transaction engine: the
 // transaction-healing protocol (the paper's contribution) plus the
 // baseline protocols the evaluation compares against — conventional
-// OCC, Silo's OCC variant, no-wait two-phase locking, and the
-// OCC→2PL hybrid — all over the same storage, index, procedure and
-// logging substrate.
+// OCC, Silo's OCC variant, no-wait two-phase locking, the OCC→2PL
+// hybrid and the deterministic partitioned engine — all over the same
+// storage, index, procedure and logging substrate.
 package core
 
 import (
@@ -49,6 +49,11 @@ const (
 	OCCNoValidate
 	// SiloNoValidate is the Silo analogue (THEDB-SILO⁻).
 	SiloNoValidate
+	// DT is the deterministic partitioned engine (THEDB-DT, following
+	// H-Store and Calvin): a transaction locks the partitions its
+	// arguments name (proc.Spec.Home), in order, and runs SiloNoValidate
+	// under them.
+	DT
 )
 
 // String names the protocol as the paper does.
@@ -68,6 +73,8 @@ func (p Protocol) String() string {
 		return "THEDB-OCC-"
 	case SiloNoValidate:
 		return "THEDB-SILO-"
+	case DT:
+		return "THEDB-DT"
 	default:
 		return fmt.Sprintf("protocol(%d)", int(p))
 	}
@@ -242,6 +249,9 @@ type Engine struct {
 	// rungs and adhocRungs are the degradation ladders of stored
 	// procedures and of ad-hoc transactions, computed once from opts.
 	rungs, adhocRungs []rung
+
+	// stripes are DT's partition locks (see Worker.lockStripes).
+	stripes [stripeCount]sync.Mutex
 
 	// rec is the flight recorder (nil when event tracing is off).
 	rec *obs.Recorder

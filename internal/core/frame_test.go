@@ -56,7 +56,7 @@ func TestMalformedProcedureRefused(t *testing.T) {
 // proc.ErrMalformed on every path that runs bodies here — the validated
 // read phase, a healing re-execution, a snapshot transaction — without
 // a retry, and the worker goes on to run a good transaction.
-// (internal/det pins its own path.)
+// (TestDTUndeclaredAccessRefused pins it under DT's stripes.)
 func TestUndeclaredAccessRefused(t *testing.T) {
 	for _, sneak := range []struct {
 		kind string

@@ -228,7 +228,7 @@ func ids(ops []*proc.Op) []int {
 }
 
 func TestTransferNoConflict(t *testing.T) {
-	for _, p := range []Protocol{Healing, OCC, Silo, TPL, Hybrid} {
+	for _, p := range []Protocol{Healing, OCC, Silo, TPL, Hybrid, DT} {
 		t.Run(p.String(), func(t *testing.T) {
 			e := bankEngine(t, Options{Protocol: p, Workers: 1})
 			w := e.Worker(0)

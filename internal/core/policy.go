@@ -41,6 +41,10 @@ type policy struct {
 	// readCopies keeps per-read column copies, so a timestamp mismatch
 	// caused by a write to other columns is dismissed (§4.5).
 	readCopies bool
+	// stripes holds the partition stripes the arguments name for the
+	// whole transaction (DT): conflicting transactions never overlap,
+	// so nothing needs validating.
+	stripes bool
 	// yield hands the scheduler over after every operation of the read
 	// phase (Options.Interleave). The only field an attempt overrides:
 	// see Worker.attempt.
@@ -66,9 +70,10 @@ func policyFor(opts *Options, proto Protocol) policy {
 		p.readCopies = !opts.NoReadCopies
 	case OCC:
 		p.validate = true
-	case Silo, SiloNoValidate:
+	case Silo, SiloNoValidate, DT:
 		p.writeSetOnly = true
 		p.validate = proto == Silo
+		p.stripes = proto == DT
 	case TPL:
 		p.lockAtAccess = true
 		p.metaLocks = opts.Protocol != TPL
@@ -109,7 +114,7 @@ func newRungs(opts *Options, adhoc bool) []rung {
 		rungs := mk(0, OCC, TPL)
 		rungs[0].budget = 1
 		return rungs
-	case budget <= 0 || base == OCCNoValidate || base == SiloNoValidate:
+	case budget <= 0 || base == OCCNoValidate || base == SiloNoValidate || base == DT:
 		// The no-validate protocols never restart; a budget is moot.
 		return mk(0, base)
 	case base == Healing:

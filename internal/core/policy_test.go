@@ -40,6 +40,7 @@ func TestLadderPolicies(t *testing.T) {
 		tplMeta = policy{proto: TPL, lockAtAccess: true, metaLocks: true} // a 2PL rung beside optimistic ones
 		occNV   = policy{proto: OCCNoValidate}
 		siloNV  = policy{proto: SiloNoValidate, writeSetOnly: true}
+		dt      = policy{proto: DT, writeSetOnly: true, stripes: true} // siloNV under partition stripes
 	)
 	with := func(p policy, f func(*policy)) policy { f(&p); return p }
 	ladder := func(budget int, ps ...policy) []rung {
@@ -82,6 +83,10 @@ func TestLadderPolicies(t *testing.T) {
 		{Options{Protocol: SiloNoValidate}, false, ladder(0, siloNV)},
 		{Options{Protocol: SiloNoValidate, RetryBudget: n}, false, ladder(0, siloNV)},
 		{Options{Protocol: SiloNoValidate, RetryBudget: n}, true, ladder(0, siloNV)},
+		{Options{Protocol: DT}, false, ladder(0, dt)},
+		{Options{Protocol: DT, RetryBudget: n}, false, ladder(0, dt)},
+		{Options{Protocol: DT}, true, ladder(0, dt)},
+		{Options{Protocol: DT, RetryBudget: n}, true, ladder(0, dt)},
 		// Table 4 ablations and the interleaving emulation touch one
 		// field each, on the rungs that have it.
 		{Options{Protocol: Healing, NoAccessCache: true}, false,

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"time"
 
@@ -230,10 +231,11 @@ func (w *Worker) compile(spec *proc.Spec, env *proc.Env) (*proc.Program, error) 
 // rung; past the last rung the transaction fails with ErrContended.
 // The program is compiled once, ahead of the loop (a malformed one is
 // refused like an unknown name, before a transaction exists); every
-// attempt starts from the arguments alone (newTxn). The loop also
-// keeps the worker's epoch registration fresh, so the stuck-epoch
-// watchdog can tell a worker wedged inside an attempt from one that is
-// merely between transactions.
+// attempt starts from the arguments alone (newTxn). Under DT the
+// partition stripes are held from there until the loop returns. The
+// loop also keeps the worker's epoch registration fresh, so the
+// stuck-epoch watchdog can tell a worker wedged inside an attempt from
+// one that is merely between transactions — or waiting on a stripe.
 func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []rung) (*proc.Env, error) {
 	start := time.Now()
 	env := &w.env
@@ -241,6 +243,9 @@ func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []rung) (*
 	prog, err := w.compile(spec, env)
 	if err != nil {
 		return nil, err
+	}
+	if rungs[0].stripes {
+		defer w.unlockStripes(w.lockStripes(spec.Home, args))
 	}
 	procName := spec.Name
 	w.curArgs = args
@@ -290,6 +295,35 @@ func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []rung) (*
 			w.finishTrace(obs.TraceAborted, time.Since(start), lad.total+1)
 		}
 		return env, err
+	}
+}
+
+// stripeCount is the number of DT partition stripes: one per bit of
+// the set lockStripes returns, and one per warehouse up to 64.
+const stripeCount = 64
+
+// lockStripes takes the stripes of the partition keys home names for
+// args (key % stripeCount; every stripe when home is nil), once each
+// and in ascending order, so no two workers can wait on each other. It
+// returns the set it took.
+func (w *Worker) lockStripes(home func([]storage.Value) []int, args []storage.Value) uint64 {
+	set := ^uint64(0)
+	if home != nil {
+		set = 0
+		for _, k := range home(args) {
+			set |= 1 << (uint(k) % stripeCount)
+		}
+	}
+	for s := set; s != 0; s &= s - 1 {
+		w.e.stripes[bits.TrailingZeros64(s)].Lock()
+	}
+	return set
+}
+
+// unlockStripes releases the set lockStripes took.
+func (w *Worker) unlockStripes(set uint64) {
+	for ; set != 0; set &= set - 1 {
+		w.e.stripes[bits.TrailingZeros64(set)].Unlock()
 	}
 }
 

@@ -237,7 +237,7 @@ type Aggregate struct {
 	Epoch uint32
 
 	// Durability state, filled by the engine (not per-worker; zero
-	// when logging is off or on the deterministic engine).
+	// when logging is off).
 	DurableEpoch    uint32 // highest epoch synced to stable storage on every stream
 	DurabilityLost  bool   // a log sync exhausted its retries; recent epochs may not be durable
 	LogSyncs        int64  // successful epoch log syncs

@@ -175,6 +175,11 @@ type Spec struct {
 	Params []string
 	Plan   func(b *Builder, args *Env)
 
+	// Home, optional, names the partition keys an invocation touches,
+	// from its arguments alone. Only THEDB-DT (core.DT) reads it; a
+	// procedure without one locks every partition there.
+	Home func(args []storage.Value) []int
+
 	// static is the Program of a Plan that read no argument, shaped
 	// marks a Plan seen reading one; mu serialises until either is set.
 	mu     sync.Mutex

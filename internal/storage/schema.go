@@ -15,10 +15,9 @@ type SecondaryDef struct {
 	Key  func(pk Key, t Tuple) string
 }
 
-// Schema describes a table: its columns, indexing strategy, its rank
-// in the application's tree schema (used for validation-order
-// rearrangement, §4.5), and its partitioning rule (used by the
-// deterministic engine, §5).
+// Schema describes a table: its columns, indexing strategy and its
+// rank in the application's tree schema (used for validation-order
+// rearrangement, §4.5).
 type Schema struct {
 	Name    string
 	Columns []ColumnDef
@@ -40,10 +39,6 @@ type Schema struct {
 	// ...). Tables default to rank 0; the engine falls back to pure
 	// address order among equal ranks.
 	Rank int
-
-	// Partition maps a primary key to its partition for the
-	// deterministic engine. Nil marks a replicated read-only table.
-	Partition func(Key) int
 }
 
 // ColumnIndex returns the position of the named column, or -1.

@@ -11,7 +11,6 @@ package smallbank
 import (
 	"fmt"
 
-	"thedb/internal/det"
 	"thedb/internal/proc"
 	"thedb/internal/storage"
 )
@@ -39,32 +38,23 @@ const (
 	ProcSendPayment     = "SendPayment"
 )
 
-// Schemas returns the three table schemas. partitions > 0 assigns a
-// modulo partitioning for the deterministic engine.
-func Schemas(partitions int) []storage.Schema {
-	part := func(k storage.Key) int { return int(uint64(k) % uint64(partitions)) }
-	var pf func(storage.Key) int
-	if partitions > 0 {
-		pf = part
-	}
+// Schemas returns the three table schemas.
+func Schemas() []storage.Schema {
 	return []storage.Schema{
 		{
-			Name:      TabAccounts,
-			Columns:   []storage.ColumnDef{{Name: "name", Kind: storage.KindString}},
-			Rank:      0,
-			Partition: pf,
+			Name:    TabAccounts,
+			Columns: []storage.ColumnDef{{Name: "name", Kind: storage.KindString}},
+			Rank:    0,
 		},
 		{
-			Name:      TabSavings,
-			Columns:   []storage.ColumnDef{{Name: "bal", Kind: storage.KindInt}},
-			Rank:      1,
-			Partition: pf,
+			Name:    TabSavings,
+			Columns: []storage.ColumnDef{{Name: "bal", Kind: storage.KindInt}},
+			Rank:    1,
 		},
 		{
-			Name:      TabChecking,
-			Columns:   []storage.ColumnDef{{Name: "bal", Kind: storage.KindInt}},
-			Rank:      2,
-			Partition: pf,
+			Name:    TabChecking,
+			Columns: []storage.ColumnDef{{Name: "bal", Kind: storage.KindInt}},
+			Rank:    2,
 		},
 	}
 }
@@ -133,10 +123,19 @@ func Specs() []*proc.Spec {
 	}
 }
 
+// homeCust and homeCusts name the customers a procedure touches: the
+// partition keys THEDB-DT locks.
+func homeCust(args []storage.Value) []int { return []int{int(args[0].Int())} }
+
+func homeCusts(args []storage.Value) []int {
+	return []int{int(args[0].Int()), int(args[1].Int())}
+}
+
 // balanceSpec: return savings + checking of one customer.
 func balanceSpec() *proc.Spec {
 	return &proc.Spec{
 		Name:   ProcBalance,
+		Home:   homeCust,
 		Params: []string{"cust"},
 		Plan: func(b *proc.Builder, _ *proc.Env) {
 			b.Op(readBalanceOp("readSav", TabSavings, "cust", "sav"))
@@ -159,6 +158,7 @@ func balanceSpec() *proc.Spec {
 func depositCheckingSpec() *proc.Spec {
 	return &proc.Spec{
 		Name:   ProcDepositChecking,
+		Home:   homeCust,
 		Params: []string{"cust", "amount"},
 		Plan: func(b *proc.Builder, _ *proc.Env) {
 			b.Op(readBalanceOp("readChk", TabChecking, "cust", "chk"))
@@ -172,6 +172,7 @@ func depositCheckingSpec() *proc.Spec {
 func transactSavingsSpec() *proc.Spec {
 	return &proc.Spec{
 		Name:   ProcTransactSavings,
+		Home:   homeCust,
 		Params: []string{"cust", "amount"},
 		Plan: func(b *proc.Builder, _ *proc.Env) {
 			b.Op(readBalanceOp("readSav", TabSavings, "cust", "sav"))
@@ -199,6 +200,7 @@ func transactSavingsSpec() *proc.Spec {
 func amalgamateSpec() *proc.Spec {
 	return &proc.Spec{
 		Name:   ProcAmalgamate,
+		Home:   homeCusts,
 		Params: []string{"cust1", "cust2"},
 		Plan: func(b *proc.Builder, _ *proc.Env) {
 			b.Op(readBalanceOp("readSav1", TabSavings, "cust1", "sav1"))
@@ -219,6 +221,7 @@ func amalgamateSpec() *proc.Spec {
 func writeCheckSpec() *proc.Spec {
 	return &proc.Spec{
 		Name:   ProcWriteCheck,
+		Home:   homeCust,
 		Params: []string{"cust", "amount"},
 		Plan: func(b *proc.Builder, _ *proc.Env) {
 			b.Op(readBalanceOp("readSav", TabSavings, "cust", "sav"))
@@ -248,6 +251,7 @@ func writeCheckSpec() *proc.Spec {
 func sendPaymentSpec() *proc.Spec {
 	return &proc.Spec{
 		Name:   ProcSendPayment,
+		Home:   homeCusts,
 		Params: []string{"cust1", "cust2", "amount"},
 		Plan: func(b *proc.Builder, _ *proc.Env) {
 			b.Op(readBalanceOp("readChk1", TabChecking, "cust1", "chk1"))
@@ -272,29 +276,6 @@ func sendPaymentSpec() *proc.Spec {
 				func(e *proc.Env) int64 { return e.Int("chk2") + e.Int("amount") }))
 		},
 	}
-}
-
-// DetProcs wraps the specs with partition-set functions for the
-// deterministic engine: a customer's partition is cust % partitions.
-func DetProcs(partitions int) []*det.Proc {
-	home1 := func(args []storage.Value) []int {
-		return []int{int(args[0].Int() % int64(partitions))}
-	}
-	home2 := func(args []storage.Value) []int {
-		return []int{
-			int(args[0].Int() % int64(partitions)),
-			int(args[1].Int() % int64(partitions)),
-		}
-	}
-	var out []*det.Proc
-	for _, s := range Specs() {
-		home := home1
-		if s.Name == ProcAmalgamate || s.Name == ProcSendPayment {
-			home = home2
-		}
-		out = append(out, &det.Proc{Spec: s, Home: home})
-	}
-	return out
 }
 
 // TotalAssets sums all balances; transfers preserve it, deposits and

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"thedb/internal/core"
-	"thedb/internal/det"
 	"thedb/internal/proc"
 	"thedb/internal/storage"
 	"thedb/internal/workload/zipf"
@@ -17,7 +16,7 @@ import (
 func build(t *testing.T, n int, opts core.Options) *core.Engine {
 	t.Helper()
 	cat := storage.NewCatalog()
-	for _, s := range Schemas(0) {
+	for _, s := range Schemas() {
 		cat.MustCreateTable(s)
 	}
 	if err := Populate(cat, n, 1000, 1000); err != nil {
@@ -222,19 +221,14 @@ func TestMoneyConservedUnderTransfers(t *testing.T) {
 	}
 }
 
+// TestDeterministicEngine: SendPayment under THEDB-DT, which locks the
+// two customers' partition stripes and validates nothing, conserves
+// money.
 func TestDeterministicEngine(t *testing.T) {
-	const partitions = 2
-	cat := storage.NewCatalog()
-	for _, s := range Schemas(partitions) {
-		cat.MustCreateTable(s)
-	}
-	if err := Populate(cat, 8, 1000, 1000); err != nil {
-		t.Fatal(err)
-	}
-	e := det.NewEngine(cat, partitions, 2)
-	for _, p := range DetProcs(partitions) {
-		e.MustRegister(p)
-	}
+	e := build(t, 8, core.Options{Protocol: core.DT, Workers: 2, Interleave: true})
+	e.Start()
+	defer e.Stop()
+	cat := e.Catalog()
 	before := TotalAssets(cat)
 	var wg sync.WaitGroup
 	for wi := 0; wi < 2; wi++ {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"thedb/internal/core"
-	"thedb/internal/det"
 	"thedb/internal/proc"
 	"thedb/internal/storage"
 	"thedb/internal/workload/smallbank"
@@ -35,7 +34,7 @@ func TestDeclaredVariableHonesty(t *testing.T) {
 
 	t.Run("tpcc", func(t *testing.T) {
 		cfg := testConfig(1)
-		e := core.NewEngine(buildCatalog(t, cfg, 0), core.Options{Protocol: core.Healing, Workers: 2, Interleave: true})
+		e := core.NewEngine(buildCatalog(t, cfg), core.Options{Protocol: core.Healing, Workers: 2, Interleave: true})
 		for _, s := range Specs() {
 			e.MustRegister(s)
 		}
@@ -60,9 +59,9 @@ func TestDeclaredVariableHonesty(t *testing.T) {
 
 	t.Run("tpcc-dt", func(t *testing.T) {
 		cfg := testConfig(2)
-		e := det.NewEngine(buildCatalog(t, cfg, 2), 2, 1)
-		for _, p := range DetProcs(2) {
-			e.MustRegister(p)
+		e := core.NewEngine(buildCatalog(t, cfg), core.Options{Protocol: core.DT, Workers: 1})
+		for _, s := range Specs() {
+			e.MustRegister(s)
 		}
 		mix := StandardMix()
 		mix.RemotePct = 20
@@ -107,7 +106,7 @@ func TestDeclaredVariableHonesty(t *testing.T) {
 	t.Run("smallbank", func(t *testing.T) {
 		const accounts = 100
 		cat := storage.NewCatalog()
-		for _, s := range smallbank.Schemas(0) {
+		for _, s := range smallbank.Schemas() {
 			cat.MustCreateTable(s)
 		}
 		if err := smallbank.Populate(cat, accounts, 1000, 1000); err != nil {

@@ -33,6 +33,7 @@ const (
 func newOrderSpec() *proc.Spec {
 	return &proc.Spec{
 		Name:   ProcNewOrder,
+		Home:   newOrderHome,
 		Params: []string{"w", "d", "c", "ol_cnt", "entry", "rbk"},
 		Plan: func(b *proc.Builder, args *proc.Env) {
 			olCnt := int(args.Int("ol_cnt"))

@@ -13,6 +13,7 @@ import (
 func orderStatusSpec() *proc.Spec {
 	return &proc.Spec{
 		Name:   ProcOrderStatus,
+		Home:   homeWarehouse,
 		Params: []string{"w", "d", "c", "last"},
 		Plan: func(b *proc.Builder, args *proc.Env) {
 			if args.Str("last") != "" {
@@ -141,6 +142,7 @@ func orderStatusSpec() *proc.Spec {
 func deliverySpec() *proc.Spec {
 	return &proc.Spec{
 		Name:   ProcDelivery,
+		Home:   homeWarehouse,
 		Params: []string{"w", "carrier", "delivery_d", "districts"},
 		Plan: func(b *proc.Builder, args *proc.Env) {
 			districts := int(args.Int("districts"))
@@ -289,6 +291,7 @@ func deliverySpec() *proc.Spec {
 func stockLevelSpec() *proc.Spec {
 	return &proc.Spec{
 		Name:   ProcStockLevel,
+		Home:   homeWarehouse,
 		Params: []string{"w", "d", "threshold", "orders"},
 		Plan: func(b *proc.Builder, _ *proc.Env) {
 			b.Op(proc.Op{
@@ -362,6 +365,24 @@ func stockLevelSpec() *proc.Spec {
 			})
 		},
 	}
+}
+
+// THEDB-DT's partition key is a warehouse id − 1 (proc.Spec.Home):
+// homeWarehouse names the home warehouse, newOrderHome adds every
+// supply warehouse, paymentHome the customer's.
+func homeWarehouse(args []storage.Value) []int { return []int{int(args[0].Int() - 1)} }
+
+func newOrderHome(args []storage.Value) []int {
+	olCnt := int(args[3].Int())
+	home := append(make([]int, 0, 1+olCnt), int(args[0].Int()-1))
+	for j := 0; j < olCnt; j++ {
+		home = append(home, int(args[7+3*j].Int()-1))
+	}
+	return home
+}
+
+func paymentHome(args []storage.Value) []int {
+	return []int{int(args[0].Int() - 1), int(args[2].Int() - 1)}
 }
 
 // Specs returns all five TPC-C stored procedures.

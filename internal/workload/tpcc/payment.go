@@ -19,6 +19,7 @@ import (
 func paymentSpec() *proc.Spec {
 	return &proc.Spec{
 		Name:   ProcPayment,
+		Home:   paymentHome,
 		Params: []string{"w", "d", "c_w", "c_d", "c", "last", "amount", "h_id", "h_date"},
 		Plan: func(b *proc.Builder, args *proc.Env) {
 			byName := args.Str("last") != ""

@@ -10,7 +10,7 @@ import (
 
 func singleEngine(t *testing.T, cfg Config) *core.Engine {
 	t.Helper()
-	cat := buildCatalog(t, cfg, 0)
+	cat := buildCatalog(t, cfg)
 	e := core.NewEngine(cat, core.Options{Protocol: core.Healing, Workers: 1})
 	for _, s := range Specs() {
 		e.MustRegister(s)

@@ -139,17 +139,11 @@ const IdxCustomerName = "customer_name"
 // o_id) used to find a customer's most recent order.
 const IdxOrderCustomer = "order_customer"
 
-// Schemas returns the nine table schemas. partitions > 0 enables
-// warehouse partitioning for the deterministic engine (partition =
-// (w-1) % partitions); ITEM is read-only and replicated.
-func Schemas(partitions int) []storage.Schema {
-	var wpart func(storage.Key) int
-	if partitions > 0 {
-		wpart = func(k storage.Key) int {
-			w := k.Component(0, []uint8{16}) // warehouse id is always the top 16 bits
-			return int((w - 1) % uint64(partitions))
-		}
-	}
+// Schemas returns the nine table schemas. Its argument is ignored:
+// THEDB-DT partitions by the warehouses each procedure names
+// (proc.Spec.Home), not by table. It stays until the benchmark module,
+// which calls Schemas(0), can drop it.
+func Schemas(_ int) []storage.Schema {
 	str := storage.KindString
 	num := storage.KindInt
 	cols := func(defs ...storage.ColumnDef) []storage.ColumnDef { return defs }
@@ -158,17 +152,17 @@ func Schemas(partitions int) []storage.Schema {
 	}
 	return []storage.Schema{
 		{
-			Name: TabWarehouse, Rank: 0, Partition: wpart,
+			Name: TabWarehouse, Rank: 0,
 			Columns: cols(c("name", str), c("street", str), c("city", str), c("state", str),
 				c("zip", str), c("tax_bps", num), c("ytd_cents", num)),
 		},
 		{
-			Name: TabDistrict, Rank: 1, Partition: wpart,
+			Name: TabDistrict, Rank: 1,
 			Columns: cols(c("name", str), c("street", str), c("city", str), c("state", str),
 				c("zip", str), c("tax_bps", num), c("ytd_cents", num), c("next_o_id", num)),
 		},
 		{
-			Name: TabCustomer, Rank: 2, Partition: wpart,
+			Name: TabCustomer, Rank: 2,
 			Columns: cols(c("first", str), c("middle", str), c("last", str), c("street", str),
 				c("city", str), c("state", str), c("zip", str), c("phone", str), c("since", num),
 				c("credit", str), c("credit_lim_cents", num), c("discount_bps", num),
@@ -183,16 +177,16 @@ func Schemas(partitions int) []storage.Schema {
 			}},
 		},
 		{
-			Name: TabHistory, Rank: 5, Partition: wpart,
+			Name: TabHistory, Rank: 5,
 			Columns: cols(c("c_id", num), c("c_d_id", num), c("c_w_id", num), c("d_id", num),
 				c("w_id", num), c("date", num), c("amount_cents", num), c("data", str)),
 		},
 		{
-			Name: TabNewOrder, Rank: 3, Partition: wpart, Ordered: true, ShardShift: 40,
+			Name: TabNewOrder, Rank: 3, Ordered: true, ShardShift: 40,
 			Columns: cols(c("o_id", num)),
 		},
 		{
-			Name: TabOrders, Rank: 4, Partition: wpart, Ordered: true, ShardShift: 40,
+			Name: TabOrders, Rank: 4, Ordered: true, ShardShift: 40,
 			Columns: cols(c("c_id", num), c("entry_d", num), c("carrier_id", num),
 				c("ol_cnt", num), c("all_local", num)),
 			Secondaries: []storage.SecondaryDef{{
@@ -204,16 +198,16 @@ func Schemas(partitions int) []storage.Schema {
 			}},
 		},
 		{
-			Name: TabOrderLine, Rank: 6, Partition: wpart, Ordered: true, ShardShift: 40,
+			Name: TabOrderLine, Rank: 6, Ordered: true, ShardShift: 40,
 			Columns: cols(c("i_id", num), c("supply_w_id", num), c("delivery_d", num),
 				c("quantity", num), c("amount_cents", num), c("dist_info", str)),
 		},
 		{
-			Name: TabItem, Rank: 7, Partition: nil, // read-only, replicated
+			Name: TabItem, Rank: 7,
 			Columns: cols(c("im_id", num), c("name", str), c("price_cents", num), c("data", str)),
 		},
 		{
-			Name: TabStock, Rank: 8, Partition: wpart,
+			Name: TabStock, Rank: 8,
 			Columns: cols(c("quantity", num), c("ytd", num), c("order_cnt", num),
 				c("remote_cnt", num), c("dist_all", str), c("data", str)),
 		},

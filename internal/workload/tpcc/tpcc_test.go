@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"thedb/internal/core"
-	"thedb/internal/det"
 	"thedb/internal/proc"
 	"thedb/internal/storage"
 )
@@ -21,10 +20,10 @@ func testConfig(warehouses int) Config {
 	}
 }
 
-func buildCatalog(t *testing.T, cfg Config, partitions int) *storage.Catalog {
+func buildCatalog(t *testing.T, cfg Config) *storage.Catalog {
 	t.Helper()
 	cat := storage.NewCatalog()
-	for _, s := range Schemas(partitions) {
+	for _, s := range Schemas(0) {
 		cat.MustCreateTable(s)
 	}
 	if err := Populate(cat, cfg); err != nil {
@@ -35,7 +34,7 @@ func buildCatalog(t *testing.T, cfg Config, partitions int) *storage.Catalog {
 
 func TestPopulateConsistent(t *testing.T) {
 	cfg := testConfig(2)
-	cat := buildCatalog(t, cfg, 0)
+	cat := buildCatalog(t, cfg)
 	if err := CheckConsistency(cat, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +92,7 @@ func TestMixedWorkloadConsistency(t *testing.T) {
 	for _, p := range []core.Protocol{core.Healing, core.OCC, core.Silo, core.TPL, core.Hybrid} {
 		t.Run(p.String(), func(t *testing.T) {
 			cfg := testConfig(1) // single warehouse: maximum contention
-			cat := buildCatalog(t, cfg, 0)
+			cat := buildCatalog(t, cfg)
 			e := core.NewEngine(cat, core.Options{Protocol: p, Workers: workers})
 			for _, s := range Specs() {
 				e.MustRegister(s)
@@ -149,19 +148,21 @@ func errorsAs(err error, target any) bool {
 }
 
 // TestDeterministicEngineConsistency runs the same mixed workload on
-// THEDB-DT.
+// THEDB-DT, whose only concurrency control is the warehouse stripes
+// each procedure's Home names.
 func TestDeterministicEngineConsistency(t *testing.T) {
 	const (
-		workers    = 4
-		partitions = 2
-		txnsPer    = 150
+		workers = 4
+		txnsPer = 150
 	)
 	cfg := testConfig(2)
-	cat := buildCatalog(t, cfg, partitions)
-	e := det.NewEngine(cat, partitions, workers)
-	for _, p := range DetProcs(partitions) {
-		e.MustRegister(p)
+	cat := buildCatalog(t, cfg)
+	e := core.NewEngine(cat, core.Options{Protocol: core.DT, Workers: workers, Interleave: true})
+	for _, s := range Specs() {
+		e.MustRegister(s)
 	}
+	e.Start()
+	defer e.Stop()
 
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
@@ -199,7 +200,7 @@ func TestHealingRacingNewOrders(t *testing.T) {
 	)
 	cfg := testConfig(1)
 	cfg.DistrictsPerW = 1 // one district: every NewOrder collides
-	cat := buildCatalog(t, cfg, 0)
+	cat := buildCatalog(t, cfg)
 	e := core.NewEngine(cat, core.Options{Protocol: core.Healing, Workers: workers})
 	for _, s := range Specs() {
 		e.MustRegister(s)

@@ -5,7 +5,7 @@
 // baseline protocols its evaluation compares against: conventional
 // OCC, Silo's OCC variant, no-wait two-phase locking and an OCC→2PL
 // hybrid. (The deterministic partitioned baseline, THEDB-DT, is
-// package internal/det, driven by `thedb-bench fig12`.)
+// core.DT, not exported here; `thedb-bench fig12` drives it.)
 //
 // # Quick start
 //
