@@ -35,14 +35,19 @@ chaos:
 	$(GO) test -race ./internal/fault/ ./internal/oracle/ ./internal/obs/
 	$(GO) test -race -short -run 'Chaos|Watchdog|Ladder|Backoff|Epoch|Event|Contended' ./internal/core/
 
-# fuzz gives the wire-protocol frame decoder and the value codec the
-# WAL, checkpoint and wire formats share a short adversarial workout
-# beyond the checked-in seeds (DESIGN.md §12.1). Neither decoder may
-# panic on hostile bytes; CI runs this in the lint job.
+# fuzz gives every decoder of untrusted bytes a short adversarial
+# workout beyond the checked-in seeds: the wire-protocol frame decoder
+# (DESIGN.md §12.1), the disk value codec, the WAL entry decoder and
+# the checkpoint image loader (§8.1, §8.2). None may panic on hostile
+# bytes; a WAL entry that decodes must re-encode to the same payload,
+# and a refused image must leave the catalog untouched. CI runs this
+# in the lint job.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzValueCodec -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzLoadImage -fuzztime $(FUZZTIME) ./internal/checkpoint/
 
 # smoke is the one end-to-end check of the served database (DESIGN.md
 # §8.5, §11.4, §12, §14, §15). Both binaries are built once; one durable

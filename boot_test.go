@@ -170,6 +170,36 @@ func TestBootImageOnlySeedsPastImageRows(t *testing.T) {
 	}
 }
 
+// A caller that restores the image itself and replays the tail
+// through RecoverFromWith with the watermark as FromEpoch gets the
+// epoch seeded past it too: Boot and RecoverFromWith share one replay,
+// and an empty tail says nothing about how high the image's rows go.
+func TestRecoverFromWithSeedsPastFromEpoch(t *testing.T) {
+	dir := t.TempDir()
+	db := bootHistory(t, dir, 6, 4)
+	info, err := db.Checkpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range walFiles(t, dir) {
+		if err := os.Remove(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	db2, _ := bootLife(t, dir)
+	restored, err := db2.RestoreCheckpoint(dir)
+	if err != nil || restored == nil || restored.Watermark != info.Watermark {
+		t.Fatalf("RestoreCheckpoint = (%+v, %v), want the image of watermark %d", restored, err, info.Watermark)
+	}
+	if _, err := db2.RecoverFromWith(nil, nil, RecoverOptions{FromEpoch: restored.Watermark}); err != nil {
+		t.Fatal(err)
+	}
+	if got := db2.engine().Epoch().Current(); got <= restored.Watermark {
+		t.Fatalf("epoch after recovery = %d, not above the watermark %d", got, restored.Watermark)
+	}
+}
+
 func TestBootEmptyDirIsAFreshStart(t *testing.T) {
 	db, fs := bootLife(t, t.TempDir())
 	report, err := db.Boot(fs, RecoverOptions{})

@@ -32,16 +32,6 @@ func OpenWALSet(dir string, workers int) (*WALSet, error) {
 // served as thedb_checkpoint_* by the obs plane).
 func (db *DB) CheckpointStats() *metrics.Checkpoint { return &db.ckstats }
 
-// SeedEpoch fast-forwards the global epoch to at least epoch. A
-// database serving restored state must be seeded past the highest
-// recovered commit epoch first (Boot does this itself): the epoch
-// counter restarts at 1 in every process, and a commit inheriting a
-// recovered record's far-higher epoch would otherwise sit above every
-// seal the advancer writes and be dropped by the next salvage.
-func (db *DB) SeedEpoch(epoch uint32) {
-	db.engine().SeedEpoch(epoch)
-}
-
 // checkpointSource builds the engine surface the checkpointer
 // snapshots, validating that an online checkpoint is safe: value
 // logging only (a fuzzy image plus command replay double-executes

@@ -2,9 +2,11 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -502,4 +504,105 @@ func TestGoldenImageBytes(t *testing.T) {
 	if got := hex.EncodeToString(imageBytes(t, cat, 3)); got != want {
 		t.Fatalf("image bytes changed:\n got %s\nwant %s", got, want)
 	}
+}
+
+// hostileImage is a CRC-valid image of cat's schema whose one slot
+// declares 2^40 rows of table 0.
+func hostileImage(cat *storage.Catalog) []byte {
+	b := wal.AppendFrame(nil, encodeHeader(Header{
+		Magic: Magic, Version: Version, SchemaDigest: SchemaDigest(cat),
+		Tables: uint32(len(cat.Tables())), SlotRows: slotRows,
+	}))
+	slot := append([]byte{kindSlot, 0}, binary.AppendUvarint(nil, 1<<40)...)
+	b = wal.AppendFrame(b, append(slot, 1, 2, 3))
+	return wal.AppendFrame(b, []byte{kindFooter, 1, 0, 0})
+}
+
+// A slot declaring more rows than its frame holds is a damaged image,
+// not an allocation request: Load refuses it with the catalog
+// untouched, and LoadNewest falls back to the previous image.
+func TestLoadRefusesHostileSlotCount(t *testing.T) {
+	cat := newCatalog()
+	if _, err := Load(cat, bytes.NewReader(hostileImage(cat))); err == nil {
+		t.Fatal("Load accepted a slot declaring 2^40 rows")
+	}
+	for _, tab := range cat.Tables() {
+		if tab.Len() != 0 {
+			t.Fatal("a refused image mutated the catalog")
+		}
+	}
+
+	dir := t.TempDir()
+	src := newCatalog()
+	fill(src, 50)
+	c, err := New(quiescedSource(src, 3), Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := c.RunOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckptPath(dir, good.Seq+1), hostileImage(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cat2 := newCatalog()
+	info, err := LoadNewest(cat2, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Seq != good.Seq {
+		t.Fatalf("loaded seq %d, want fallback to %d", info.Seq, good.Seq)
+	}
+	sameCatalog(t, src, cat2)
+}
+
+// goldenImage is the image TestGoldenImageBytes pins, and
+// goldenCatalog the schema it was written from.
+const goldenImage = "21000000bf05fd2f01326b636264656874010000006c6801c9e753a240030000000100000000020000210000008003e44a02000163878080803005015302808080808080808240030668c3a96c6c6f03000004000000033bf68f03010103"
+
+func goldenCatalog() *storage.Catalog {
+	cat := storage.NewCatalog()
+	cat.MustCreateTable(storage.Schema{
+		Name: "g",
+		Columns: []storage.ColumnDef{
+			{Name: "i", Kind: storage.KindInt},
+			{Name: "f", Kind: storage.KindFloat},
+			{Name: "s", Kind: storage.KindString},
+			{Name: "e", Kind: storage.KindString},
+			{Name: "n", Kind: storage.KindInt},
+		},
+	})
+	return cat
+}
+
+// FuzzLoadImage: no byte string panics Load, and a refused image
+// leaves the catalog untouched. Each input is loaded twice, as is and
+// with every whole frame's checksum recomputed, so mutations reach the
+// slot and footer decoders instead of stopping at the CRC.
+func FuzzLoadImage(f *testing.F) {
+	golden, err := hex.DecodeString(goldenImage)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(hostileImage(goldenCatalog()))
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	f.Fuzz(func(t *testing.T, img []byte) {
+		resealed := append([]byte(nil), img...)
+		for off := 0; off+8 <= len(resealed); {
+			end := off + 8 + int(binary.LittleEndian.Uint32(resealed[off:]))
+			if end < off+8 || end > len(resealed) {
+				break
+			}
+			binary.LittleEndian.PutUint32(resealed[off+4:], crc32.Checksum(resealed[off+8:end], castagnoli))
+			off = end
+		}
+		for _, b := range [][]byte{img, resealed} {
+			cat := goldenCatalog()
+			if _, err := Load(cat, bytes.NewReader(b)); err != nil && cat.Tables()[0].Len() != 0 {
+				t.Fatalf("refused image %x left %d rows: %v", b, cat.Tables()[0].Len(), err)
+			}
+		}
+	})
 }

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -441,7 +440,7 @@ func loadFile(catalog *storage.Catalog, path string) (*Info, error) {
 		return nil, err
 	}
 	defer f.Close() //thedb:nolint:syncerr read-only fd; nothing to lose on close
-	return Load(catalog, bufio.NewReaderSize(f, 1<<15))
+	return Load(catalog, f)
 }
 
 // BootReport is the structured one-line recovery summary a server

@@ -5,8 +5,10 @@
 // epochs above the newest checkpoint's watermark — is all a restart
 // has to replay.
 //
-// On disk a checkpoint is a sequence of CRC32C frames, reusing the
-// WAL's frame layout ([len u32 LE][crc32c u32 LE][payload]):
+// On disk a checkpoint is a sequence of the WAL's CRC32C frames
+// ([len u32 LE][crc32c u32 LE][payload]), written with wal.AppendFrame
+// and read with wal.FrameReader under a 64 MiB payload bound; slot and
+// footer payloads decode with storage.Decoder, like log entries:
 //
 //	header  magic, format version, schema digest, sealed-epoch
 //	        watermark, table count, slot capacity
@@ -26,15 +28,15 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/crc64"
 	"io"
 	"sort"
 
 	"thedb/internal/storage"
+	"thedb/internal/wal"
 )
 
 // Frame payload kinds.
@@ -55,7 +57,6 @@ const Version uint32 = 1
 // buffers stay small.
 const slotRows = 512
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var ecma = crc64.MakeTable(crc64.ECMA)
 
 // Header is a checkpoint file's decoded header frame.
@@ -116,45 +117,6 @@ type tableImage struct {
 	rows []row
 }
 
-// writeFrame wraps payload in a length-prefixed CRC32C frame (the
-// WAL's frame layout) and writes it.
-func writeFrame(w io.Writer, scratch, payload []byte) ([]byte, error) {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	scratch = append(scratch[:0], hdr[:]...)
-	scratch = append(scratch, payload...)
-	_, err := w.Write(scratch)
-	return scratch, err
-}
-
-// readFrame reads one frame, verifying its checksum.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF means a clean end for the caller to judge
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if length > 1<<26 {
-		return nil, fmt.Errorf("checkpoint: implausible frame length %d", length)
-	}
-	if cap(buf) < int(length) {
-		buf = make([]byte, length)
-	}
-	buf = buf[:length]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("checkpoint: truncated frame body")
-		}
-		return nil, err
-	}
-	if got := crc32.Checksum(buf, castagnoli); got != want {
-		return nil, fmt.Errorf("checkpoint: frame checksum mismatch (stored %08x, computed %08x)", want, got)
-	}
-	return buf, nil
-}
-
 // encodeHeader builds the header frame payload.
 func encodeHeader(h Header) []byte {
 	b := make([]byte, 0, 1+8+4+8+4+4+4)
@@ -183,35 +145,25 @@ func decodeHeader(payload []byte) (Header, error) {
 }
 
 // Write serializes images into w as a slot-framed checkpoint with the
-// given watermark. It returns the row count, byte count and maximum
-// row epoch written. midSlot, when non-nil, is called once after the
-// first slot frame (crash-point injection for the torture harness).
-func Write(w io.Writer, catalog *storage.Catalog, watermark uint32, images []tableImage, midSlot func() error) (rows int64, bytes_ int64, maxRowEpoch uint32, err error) {
-	count := func(b []byte, e error) error {
-		bytes_ += int64(len(b))
-		return e
-	}
-	var scratch, payload []byte
-	hdr := encodeHeader(Header{
+// given watermark: one w.Write per slot and one for the footer, the
+// header riding with the first of them. It returns the row count,
+// byte count and maximum row epoch written. midSlot, when non-nil, is
+// called once after the first slot frame (crash-point injection for
+// the torture harness).
+func Write(w io.Writer, catalog *storage.Catalog, watermark uint32, images []tableImage, midSlot func() error) (rows int64, n int64, maxRowEpoch uint32, err error) {
+	frames := wal.AppendFrame(nil, encodeHeader(Header{
 		Magic: Magic, Version: Version,
 		SchemaDigest: SchemaDigest(catalog),
 		Watermark:    watermark,
 		Tables:       uint32(len(catalog.Tables())),
 		SlotRows:     slotRows,
-	})
-	if scratch, err = writeFrame(w, scratch, hdr); err != nil {
-		return 0, 0, 0, err
-	}
-	_ = count(scratch, nil)
+	}))
+	var payload []byte
 	slots := 0
 	for _, img := range images {
 		for lo := 0; lo < len(img.rows); lo += slotRows {
-			hi := lo + slotRows
-			if hi > len(img.rows) {
-				hi = len(img.rows)
-			}
-			payload = payload[:0]
-			payload = append(payload, kindSlot)
+			hi := min(lo+slotRows, len(img.rows))
+			payload = append(payload[:0], kindSlot)
 			payload = binary.AppendUvarint(payload, uint64(img.id))
 			payload = binary.AppendUvarint(payload, uint64(hi-lo))
 			for _, r := range img.rows[lo:hi] {
@@ -226,43 +178,45 @@ func Write(w io.Writer, catalog *storage.Catalog, watermark uint32, images []tab
 				}
 				rows++
 			}
-			if scratch, err = writeFrame(w, scratch, payload); err != nil {
-				return rows, bytes_, maxRowEpoch, err
+			frames = wal.AppendFrame(frames, payload)
+			if _, err = w.Write(frames); err != nil {
+				return rows, n, maxRowEpoch, err
 			}
-			_ = count(scratch, nil)
-			slots++
-			if slots == 1 && midSlot != nil {
+			n += int64(len(frames))
+			frames = frames[:0]
+			if slots++; slots == 1 && midSlot != nil {
 				if err := midSlot(); err != nil {
-					return rows, bytes_, maxRowEpoch, err
+					return rows, n, maxRowEpoch, err
 				}
 			}
 		}
 	}
-	payload = payload[:0]
-	payload = append(payload, kindFooter)
+	payload = append(payload[:0], kindFooter)
 	payload = binary.AppendUvarint(payload, uint64(slots))
 	payload = binary.AppendUvarint(payload, uint64(rows))
 	payload = binary.AppendUvarint(payload, uint64(maxRowEpoch))
-	if scratch, err = writeFrame(w, scratch, payload); err != nil {
-		return rows, bytes_, maxRowEpoch, err
-	}
-	_ = count(scratch, nil)
-	return rows, bytes_, maxRowEpoch, nil
+	frames = wal.AppendFrame(frames, payload)
+	_, err = w.Write(frames)
+	return rows, n + int64(len(frames)), maxRowEpoch, err
 }
 
+// maxFrame bounds an image frame's payload: a slot of slotRows wide
+// rows is far larger than a log entry, so the bound is the WAL's ×4.
+const maxFrame = 1 << 26
+
 // Load decodes and validates a checkpoint stream end to end — header,
-// every slot's checksum, footer totals, clean EOF — and only then
-// applies the rows to the catalog (tab.Put bulk loads, bypassing
-// concurrency control). The catalog must hold the schema the image
-// was written from (checked via the digest) and should hold no data.
-// On any error the catalog is untouched.
+// every slot's checksum, row count and column count, footer totals,
+// clean EOF — and only then applies the rows to the catalog (tab.Put
+// bulk loads, bypassing concurrency control). The catalog must hold
+// the schema the image was written from (checked via the digest) and
+// should hold no data. On any error the catalog is untouched.
 func Load(catalog *storage.Catalog, r io.Reader) (*Info, error) {
-	var buf []byte
-	frame, err := readFrame(r, buf)
+	fr := wal.NewFrameReader(r, maxFrame)
+	frame, err := nextFrame(fr)
+	if err == io.EOF {
+		return nil, fmt.Errorf("checkpoint: empty stream")
+	}
 	if err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("checkpoint: empty stream")
-		}
 		return nil, err
 	}
 	h, err := decodeHeader(frame)
@@ -282,67 +236,38 @@ func Load(catalog *storage.Catalog, r io.Reader) (*Info, error) {
 		return nil, fmt.Errorf("checkpoint: image has %d tables, catalog has %d", h.Tables, len(catalog.Tables()))
 	}
 
-	info := &Info{Watermark: h.Watermark, Tables: int(h.Tables)}
-	type slotRowsDecoded struct {
-		table int
-		rows  []row
-	}
-	var slots []slotRowsDecoded
+	var slots []tableImage
 	var rows int64
 	var maxRowEpoch uint32
-	footerSeen := false
-	var footSlots, footRows, footMax uint64
+	var footer *[3]uint64 // slots, rows, max row epoch
 	for {
-		frame, err = readFrame(r, frame)
-		if err == io.EOF {
+		if frame, err = nextFrame(fr); err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		if footerSeen {
+		if footer != nil {
 			return nil, fmt.Errorf("checkpoint: frame after footer")
 		}
-		if len(frame) == 0 {
-			return nil, fmt.Errorf("checkpoint: empty frame payload")
-		}
-		switch frame[0] {
+		d := storage.NewDecoder(frame)
+		kind := d.Byte()
+		switch kind {
 		case kindSlot:
-			rd := bytes.NewReader(frame[1:])
-			tid, err := binary.ReadUvarint(rd)
-			if err != nil {
-				return nil, err
-			}
-			if int(tid) >= len(catalog.Tables()) {
-				return nil, fmt.Errorf("checkpoint: slot references table %d, catalog has %d tables", tid, len(catalog.Tables()))
-			}
-			n, err := binary.ReadUvarint(rd)
-			if err != nil {
-				return nil, err
+			tid, n := d.Uvarint(), d.Count()
+			if tid >= uint64(h.Tables) || n > int(h.SlotRows) {
+				return nil, fmt.Errorf("checkpoint: slot of %d rows in table %d; the image has %d tables of %d-row slots", n, tid, h.Tables, h.SlotRows)
 			}
 			ncols := len(catalog.TableByID(int(tid)).Schema().Columns)
-			sl := slotRowsDecoded{table: int(tid), rows: make([]row, 0, n)}
-			for j := uint64(0); j < n; j++ {
-				key, err := binary.ReadUvarint(rd)
-				if err != nil {
-					return nil, err
-				}
-				ts, err := binary.ReadUvarint(rd)
-				if err != nil {
-					return nil, err
-				}
-				nc, err := binary.ReadUvarint(rd)
-				if err != nil {
-					return nil, err
-				}
-				if int(nc) != ncols {
+			sl := tableImage{id: int(tid), rows: make([]row, 0, n)}
+			for range n {
+				key, ts, nc := d.Uvarint(), d.Uvarint(), d.Count()
+				if d.Err() == nil && nc != ncols {
 					return nil, fmt.Errorf("checkpoint: row of table %d has %d columns, schema has %d", tid, nc, ncols)
 				}
 				t := make(storage.Tuple, nc)
 				for c := range t {
-					if t[c], err = storage.ReadValue(rd); err != nil {
-						return nil, err
-					}
+					t[c] = d.Value()
 				}
 				sl.rows = append(sl.rows, row{key: storage.Key(key), ts: ts, t: t})
 				if e, _ := storage.SplitTS(ts); e > maxRowEpoch {
@@ -350,43 +275,42 @@ func Load(catalog *storage.Catalog, r io.Reader) (*Info, error) {
 				}
 				rows++
 			}
-			if rd.Len() != 0 {
-				return nil, fmt.Errorf("checkpoint: %d trailing bytes in slot", rd.Len())
-			}
 			slots = append(slots, sl)
 		case kindFooter:
-			rd := bytes.NewReader(frame[1:])
-			if footSlots, err = binary.ReadUvarint(rd); err != nil {
-				return nil, err
-			}
-			if footRows, err = binary.ReadUvarint(rd); err != nil {
-				return nil, err
-			}
-			if footMax, err = binary.ReadUvarint(rd); err != nil {
-				return nil, err
-			}
-			footerSeen = true
+			footer = &[3]uint64{d.Uvarint(), d.Uvarint(), d.Uvarint()}
 		default:
-			return nil, fmt.Errorf("checkpoint: bad frame kind %d", frame[0])
+			return nil, fmt.Errorf("checkpoint: bad frame kind %d", kind)
+		}
+		if err := d.Done(); err != nil {
+			return nil, fmt.Errorf("checkpoint: frame of kind %d: %w", kind, err)
 		}
 	}
-	if !footerSeen {
+	if footer == nil {
 		return nil, fmt.Errorf("checkpoint: missing footer (truncated image)")
 	}
-	if footSlots != uint64(len(slots)) || footRows != uint64(rows) || uint32(footMax) != maxRowEpoch {
-		return nil, fmt.Errorf("checkpoint: footer mismatch (slots %d/%d, rows %d/%d, max epoch %d/%d)",
-			footSlots, len(slots), footRows, rows, footMax, maxRowEpoch)
+	if *footer != [3]uint64{uint64(len(slots)), uint64(rows), uint64(maxRowEpoch)} {
+		return nil, fmt.Errorf("checkpoint: footer (slots, rows, max epoch) %v, image has (%d, %d, %d)",
+			*footer, len(slots), rows, maxRowEpoch)
 	}
 
 	for _, sl := range slots {
-		tab := catalog.TableByID(sl.table)
+		tab := catalog.TableByID(sl.id)
 		for _, r := range sl.rows {
 			tab.Put(r.key, r.t, r.ts)
 		}
 	}
-	info.Rows = rows
-	info.MaxRowEpoch = maxRowEpoch
-	return info, nil
+	return &Info{Watermark: h.Watermark, Tables: int(h.Tables), Rows: rows, MaxRowEpoch: maxRowEpoch}, nil
+}
+
+// nextFrame reads one image frame; damage is reported in image terms
+// (a byte offset), not as a log stream's CorruptionError.
+func nextFrame(fr *wal.FrameReader) ([]byte, error) {
+	payload, _, err := fr.Next()
+	var ce *wal.CorruptionError
+	if errors.As(err, &ce) {
+		return nil, fmt.Errorf("checkpoint: frame at byte %d: %s", ce.Offset, ce.Reason)
+	}
+	return payload, err
 }
 
 // Scan snapshots every table of a live catalog without stalling

@@ -2,27 +2,19 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 )
 
-// Wire codec for Values, shared by the WAL entry format and the
+// Disk codec for Values, shared by the WAL entry format and the
 // checkpoint slot format: one kind byte followed by the payload
 // (varint for ints, uvarint float bits for floats, length-prefixed
 // bytes for strings). The encoding is stable — both on-disk formats
 // depend on it.
 
-// ByteReader is what the value decoder needs: checkpoint slots read
-// from a bytes.Reader, WAL frame payloads too. Len is the bytes left,
-// which bounds a string's length prefix before anything is allocated.
-type ByteReader interface {
-	io.Reader
-	io.ByteReader
-	Len() int
-}
-
-// AppendValue appends v's wire encoding to b.
+// AppendValue appends v's disk encoding to b.
 func AppendValue(b []byte, v Value) []byte {
 	b = append(b, byte(v.Kind()))
 	switch v.Kind() {
@@ -43,41 +35,104 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// ReadValue decodes one Value from r.
-func ReadValue(r ByteReader) (Value, error) {
-	k, err := r.ReadByte()
-	if err != nil {
-		return Null, err
-	}
-	switch ValueKind(k) {
-	case KindNull:
-		return Null, nil
-	case KindInt:
-		n, err := binary.ReadVarint(r)
-		return Int(n), err
-	case KindFloat:
-		n, err := binary.ReadUvarint(r)
-		return Float(math.Float64frombits(n)), err
-	case KindString:
-		s, err := ReadString(r)
-		return Str(s), err
-	default:
-		return Null, fmt.Errorf("storage: bad value kind %d", k)
-	}
+// Decoder reads what the Append functions and binary.AppendUvarint
+// wrote, from one byte slice (a frame payload). The first error
+// sticks: every later read returns a zero value, so a caller reads a
+// whole record and checks Err or Done once. Counts and lengths are
+// checked against the bytes left before anything is allocated, so a
+// hostile count is an error, not an allocation request. Varints must
+// be minimally encoded, as the encoders write them: a payload that
+// decodes re-encodes to the same bytes.
+type Decoder struct {
+	b   []byte
+	err error
 }
 
-// ReadString decodes one length-prefixed string from r.
-func ReadString(r ByteReader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", err
+// NewDecoder returns a Decoder over b.
+func NewDecoder(b []byte) Decoder { return Decoder{b: b} }
+
+// Err returns the first error met, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+// Done returns the first error met, or an error if bytes are left.
+func (d *Decoder) Done() error {
+	if d.err == nil && len(d.b) > 0 {
+		d.fail(fmt.Errorf("storage: %d trailing bytes", len(d.b)))
 	}
-	if n > uint64(r.Len()) {
-		return "", io.ErrUnexpectedEOF
+	return d.err
+}
+
+func (d *Decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
+	d.b = nil
+}
+
+// Byte reads one byte.
+func (d *Decoder) Byte() byte {
+	if len(d.b) == 0 {
+		d.fail(io.ErrUnexpectedEOF)
+		return 0
 	}
-	return string(b), nil
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
+}
+
+// Uvarint reads an unsigned varint.
+func (d *Decoder) Uvarint() uint64 {
+	x, n := binary.Uvarint(d.b)
+	switch {
+	case n == 0:
+		d.fail(io.ErrUnexpectedEOF)
+	case n < 0 || n > 1 && d.b[n-1] == 0:
+		d.fail(errors.New("storage: varint overflows 64 bits or is not minimally encoded"))
+	default:
+		d.b = d.b[n:]
+		return x
+	}
+	return 0
+}
+
+// Varint reads a zig-zag signed varint.
+func (d *Decoder) Varint() int64 {
+	u := d.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// Count reads an element count. Every element takes at least one
+// byte, so a count above the bytes left is an error.
+func (d *Decoder) Count() int {
+	n := d.Uvarint()
+	if n > uint64(len(d.b)) {
+		d.fail(fmt.Errorf("storage: count %d exceeds the %d bytes left", n, len(d.b)))
+		return 0
+	}
+	return int(n)
+}
+
+// Str reads a length-prefixed string.
+func (d *Decoder) Str() string {
+	n := d.Count()
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
+}
+
+// Value reads one Value.
+func (d *Decoder) Value() Value {
+	switch k := ValueKind(d.Byte()); k {
+	case KindNull:
+		return Null
+	case KindInt:
+		return Int(d.Varint())
+	case KindFloat:
+		return Float(math.Float64frombits(d.Uvarint()))
+	case KindString:
+		return Str(d.Str())
+	default:
+		d.fail(fmt.Errorf("storage: bad value kind %d", k))
+		return Null
+	}
 }

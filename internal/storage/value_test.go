@@ -79,8 +79,8 @@ func TestValueEqual(t *testing.T) {
 	}
 }
 
-// TestValueCodecRoundTrip: each kind survives AppendValue/ReadValue,
-// and the bytes are the documented kind byte + payload.
+// TestValueCodecRoundTrip: each kind survives AppendValue and
+// Decoder.Value, and the bytes are the documented kind byte + payload.
 func TestValueCodecRoundTrip(t *testing.T) {
 	cases := []struct {
 		v    Value
@@ -97,11 +97,40 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		if !bytes.Equal(b, c.wire) {
 			t.Errorf("%v encodes to %x, want %x", c.v, b, c.wire)
 		}
-		got, err := ReadValue(bytes.NewReader(b))
+		got, err := decodeValue(b)
 		if err != nil || got.Kind() != c.v.Kind() || !got.Equal(c.v) {
 			t.Errorf("%v decodes to %v (kind %d, err %v)", c.v, got, got.Kind(), err)
 		}
 	}
+}
+
+// TestDecoderRefusesHostileBytes: a count above the bytes left, a
+// non-minimal varint and a trailing byte are errors; the first error
+// sticks and every later read returns a zero value.
+func TestDecoderRefusesHostileBytes(t *testing.T) {
+	cases := map[string][]byte{
+		"count beyond the slice": {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'a'},
+		"non-minimal varint":     {0x81, 0x00},
+		"overlong varint":        bytes.Repeat([]byte{0xff}, 11),
+		"truncated":              {},
+		"trailing byte":          {0, 'a'},
+	}
+	for name, b := range cases {
+		d := NewDecoder(b)
+		if n := d.Count(); d.Done() == nil {
+			t.Errorf("%s: decoded count %d without an error", name, n)
+		}
+		if v, s := d.Uvarint(), d.Str(); v != 0 || s != "" || d.Err() == nil {
+			t.Errorf("%s: reads after an error returned (%d, %q, %v)", name, v, s, d.Err())
+		}
+	}
+}
+
+// decodeValue decodes b as exactly one Value.
+func decodeValue(b []byte) (Value, error) {
+	d := NewDecoder(b)
+	v := d.Value()
+	return v, d.Done()
 }
 
 // FuzzValueCodec: hostile bytes never panic the decoder, and whatever
@@ -112,11 +141,12 @@ func FuzzValueCodec(f *testing.F) {
 	}
 	f.Add([]byte{3, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // length 2^64-1
 	f.Fuzz(func(t *testing.T, b []byte) {
-		v, err := ReadValue(bytes.NewReader(b))
-		if err != nil {
+		d := NewDecoder(b)
+		v := d.Value()
+		if d.Err() != nil {
 			return
 		}
-		v2, err := ReadValue(bytes.NewReader(AppendValue(nil, v)))
+		v2, err := decodeValue(AppendValue(nil, v))
 		if err != nil || v2.Kind() != v.Kind() || !v2.Equal(v) {
 			t.Fatalf("%v re-decodes to %v (err %v)", v, v2, err)
 		}

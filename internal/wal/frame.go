@@ -2,12 +2,13 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"thedb/internal/storage"
 )
 
 // Every log entry travels inside a checksummed frame so recovery can
@@ -21,8 +22,9 @@ import (
 // recovery needs.
 const frameHeaderSize = 8
 
-// MaxFrameSize bounds a frame's payload. A length field above this is
-// treated as corruption rather than an allocation request.
+// MaxFrameSize bounds a log frame's payload (a checkpoint image, read
+// through the same FrameReader, passes its own bound). A length field
+// above it is corruption, not an allocation request.
 const MaxFrameSize = 1 << 24
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -48,8 +50,9 @@ func (e *CorruptionError) Error() string {
 	return fmt.Sprintf("wal: %s in stream %d at byte %d: %s", kind, e.Stream, e.Offset, e.Reason)
 }
 
-// appendFrame wraps payload in a length-prefixed CRC32C frame.
-func appendFrame(dst, payload []byte) []byte {
+// AppendFrame wraps payload in a length-prefixed CRC32C frame. The
+// checkpoint image is framed the same way.
+func AppendFrame(dst, payload []byte) []byte {
 	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
@@ -57,23 +60,26 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// frameReader pulls checksummed frames off a stream, tracking byte
+// FrameReader pulls checksummed frames off a stream, tracking byte
 // offsets. Parse failures come back as *CorruptionError (with Stream
 // left for the caller to fill); only genuine I/O errors from the
 // underlying reader surface as themselves.
-type frameReader struct {
+type FrameReader struct {
 	br  *bufio.Reader
-	off int64 // offset of the next unread byte
+	max uint32 // payload bound: a longer length field is corruption
+	off int64  // offset of the next unread byte
 	buf []byte
 }
 
-func newFrameReader(r io.Reader) *frameReader {
-	return &frameReader{br: bufio.NewReaderSize(r, 1<<16)}
+// NewFrameReader reads frames from r whose payloads are at most
+// maxPayload bytes (MaxFrameSize for log streams).
+func NewFrameReader(r io.Reader, maxPayload uint32) *FrameReader {
+	return &FrameReader{br: bufio.NewReaderSize(r, 1<<16), max: maxPayload}
 }
 
-// next returns the next frame's payload (valid until the following
+// Next returns the next frame's payload (valid until the following
 // call) and the byte offset of its header. io.EOF means a clean end.
-func (fr *frameReader) next() (payload []byte, frameOff int64, err error) {
+func (fr *FrameReader) Next() (payload []byte, frameOff int64, err error) {
 	frameOff = fr.off
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
@@ -87,7 +93,7 @@ func (fr *frameReader) next() (payload []byte, frameOff int64, err error) {
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if length > MaxFrameSize {
+	if length > fr.max {
 		return nil, frameOff, &CorruptionError{Offset: frameOff, Tail: fr.atEOF(),
 			Reason: fmt.Sprintf("implausible frame length %d", length)}
 	}
@@ -111,7 +117,7 @@ func (fr *frameReader) next() (payload []byte, frameOff int64, err error) {
 
 // atEOF reports whether no bytes follow the current read position —
 // the discriminator between tail damage and mid-stream corruption.
-func (fr *frameReader) atEOF() bool {
+func (fr *FrameReader) atEOF() bool {
 	_, err := fr.br.Peek(1)
 	return err != nil
 }
@@ -132,10 +138,10 @@ type FrameInfo struct {
 // terminated the walk (nil after a clean EOF). The error return is
 // reserved for I/O failures of the reader itself.
 func InspectStream(r io.Reader) ([]FrameInfo, *CorruptionError, error) {
-	fr := newFrameReader(r)
+	fr := NewFrameReader(r, MaxFrameSize)
 	var frames []FrameInfo
 	for {
-		payload, off, err := fr.next()
+		payload, off, err := fr.Next()
 		if err == io.EOF {
 			return frames, nil, nil
 		}
@@ -146,16 +152,12 @@ func InspectStream(r io.Reader) ([]FrameInfo, *CorruptionError, error) {
 		if err != nil {
 			return frames, nil, err
 		}
-		fi := FrameInfo{Offset: off, End: fr.off}
-		if len(payload) > 0 {
-			fi.Kind = payload[0]
-			if n, err := binary.ReadUvarint(bytes.NewReader(payload[1:])); err == nil {
-				if fi.Kind == KindSeal {
-					fi.SealEpoch = uint32(n)
-				} else {
-					fi.TS = n
-				}
-			}
+		d := storage.NewDecoder(payload)
+		fi := FrameInfo{Offset: off, End: fr.off, Kind: d.Byte()}
+		if n := d.Uvarint(); fi.Kind == KindSeal {
+			fi.SealEpoch = uint32(n)
+		} else {
+			fi.TS = n
 		}
 		frames = append(frames, fi)
 	}

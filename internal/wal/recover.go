@@ -1,10 +1,10 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"thedb/internal/storage"
 )
@@ -122,13 +122,13 @@ type streamScan struct {
 // Only genuine I/O errors of the reader surface as errors; damage is
 // recorded in the scan.
 func scanStream(idx int, r io.Reader) (*streamScan, error) {
-	fr := newFrameReader(r)
+	fr := NewFrameReader(r, MaxFrameSize)
 	sc := &streamScan{}
 	var pending []logEntry
 	pendingOff := int64(-1)
 	sawFrame := false
 	for {
-		payload, off, err := fr.next()
+		payload, off, err := fr.Next()
 		if err == io.EOF {
 			break
 		}
@@ -144,36 +144,28 @@ func scanStream(idx int, r io.Reader) (*streamScan, error) {
 		sawFrame = true
 		e, derr := decodeEntry(payload)
 		if derr != nil {
-			// A CRC-valid frame that fails to decode is a writer bug
-			// or format mismatch, not crash damage — but for salvage
-			// purposes it truncates the stream the same way.
+			// A CRC-valid frame that fails to decode is a writer bug,
+			// a format mismatch or hostile bytes, not crash damage —
+			// but for salvage it truncates the stream the same way.
 			sc.damage = &CorruptionError{Stream: idx, Offset: off, Tail: fr.atEOF(), Reason: derr.Error()}
 			break
 		}
+		epoch, _ := storage.SplitTS(e.ts)
 		switch e.kind {
 		case KindSeal:
-			if epoch := uint32(e.ts); epoch > sc.maxSeal {
-				sc.maxSeal = epoch
-			}
-			if epoch := uint32(e.ts); epoch > sc.maxEpoch {
-				sc.maxEpoch = epoch
-			}
+			epoch = uint32(e.ts)
+			sc.maxSeal = max(sc.maxSeal, epoch)
 		case KindCommit:
-			if epoch, _ := storage.SplitTS(e.ts); epoch > sc.maxEpoch {
-				sc.maxEpoch = epoch
-			}
 			sc.groups = append(sc.groups, commitGroup{ts: e.ts, entries: pending})
 			pending = nil
 			pendingOff = -1
 		default:
-			if epoch, _ := storage.SplitTS(e.ts); epoch > sc.maxEpoch {
-				sc.maxEpoch = epoch
-			}
 			if pendingOff < 0 {
 				pendingOff = off
 			}
 			pending = append(pending, e)
 		}
+		sc.maxEpoch = max(sc.maxEpoch, epoch)
 	}
 	sc.torn = len(pending)
 	sc.tornOff = pendingOff
@@ -181,101 +173,45 @@ func scanStream(idx int, r io.Reader) (*streamScan, error) {
 	return sc, nil
 }
 
-// decodeEntry parses one frame payload into a logEntry.
+// decodeEntry parses one frame payload into a logEntry. The payload
+// must hold exactly one entry: a hostile count or a trailing byte is
+// an error, never an allocation request or a silent skip.
 func decodeEntry(payload []byte) (logEntry, error) {
-	if len(payload) == 0 {
-		return logEntry{}, errors.New("empty frame payload")
-	}
-	rd := &reader{r: bytes.NewReader(payload[1:])}
-	e := logEntry{kind: payload[0]}
-	var err error
+	d := storage.NewDecoder(payload)
+	e := logEntry{kind: d.Byte(), ts: d.Uvarint()}
 	switch e.kind {
 	case KindWrite:
-		if e.ts, err = rd.uvarint(); err != nil {
-			return e, err
-		}
-		var tid, key, n uint64
-		if tid, err = rd.uvarint(); err != nil {
-			return e, err
-		}
-		if key, err = rd.uvarint(); err != nil {
-			return e, err
-		}
-		if n, err = rd.uvarint(); err != nil {
-			return e, err
-		}
-		e.table, e.key = int(tid), storage.Key(key)
-		e.cols = make([]int, n)
-		e.vals = make([]storage.Value, n)
+		e.table, e.key = int(d.Uvarint()), storage.Key(d.Uvarint())
+		e.cols = make([]int, d.Count())
+		e.vals = make([]storage.Value, len(e.cols))
 		for i := range e.cols {
-			c, err := rd.uvarint()
-			if err != nil {
-				return e, err
-			}
-			v, err := rd.value()
-			if err != nil {
-				return e, err
-			}
-			e.cols[i], e.vals[i] = int(c), v
+			e.cols[i], e.vals[i] = int(d.Uvarint()), d.Value()
 		}
 	case KindInsert:
-		if e.ts, err = rd.uvarint(); err != nil {
-			return e, err
-		}
-		var tid, key, n uint64
-		if tid, err = rd.uvarint(); err != nil {
-			return e, err
-		}
-		if key, err = rd.uvarint(); err != nil {
-			return e, err
-		}
-		if n, err = rd.uvarint(); err != nil {
-			return e, err
-		}
-		e.table, e.key = int(tid), storage.Key(key)
-		e.tuple = make(storage.Tuple, n)
-		for i := range e.tuple {
-			if e.tuple[i], err = rd.value(); err != nil {
-				return e, err
-			}
-		}
+		e.table, e.key = int(d.Uvarint()), storage.Key(d.Uvarint())
+		e.tuple = decodeValues(&d)
 	case KindDelete:
-		if e.ts, err = rd.uvarint(); err != nil {
-			return e, err
-		}
-		var tid, key uint64
-		if tid, err = rd.uvarint(); err != nil {
-			return e, err
-		}
-		if key, err = rd.uvarint(); err != nil {
-			return e, err
-		}
-		e.table, e.key = int(tid), storage.Key(key)
+		e.table, e.key = int(d.Uvarint()), storage.Key(d.Uvarint())
 	case KindCommand:
-		if e.ts, err = rd.uvarint(); err != nil {
-			return e, err
-		}
-		if e.proc, err = rd.str(); err != nil {
-			return e, err
-		}
-		var n uint64
-		if n, err = rd.uvarint(); err != nil {
-			return e, err
-		}
-		e.args = make([]storage.Value, n)
-		for i := range e.args {
-			if e.args[i], err = rd.value(); err != nil {
-				return e, err
-			}
-		}
-	case KindCommit, KindSeal:
-		if e.ts, err = rd.uvarint(); err != nil {
-			return e, err
+		e.proc, e.args = d.Str(), decodeValues(&d)
+	case KindCommit:
+	case KindSeal:
+		if e.ts == 0 || e.ts > math.MaxUint32 {
+			return e, fmt.Errorf("bad seal epoch %d", e.ts)
 		}
 	default:
 		return e, fmt.Errorf("bad entry kind %d", e.kind)
 	}
-	return e, nil
+	return e, d.Done()
+}
+
+// decodeValues reads a counted value vector.
+func decodeValues(d *storage.Decoder) []storage.Value {
+	vals := make([]storage.Value, d.Count())
+	for i := range vals {
+		vals[i] = d.Value()
+	}
+	return vals
 }
 
 // validateAgainst checks decoded groups against the catalog's schema
@@ -363,9 +299,7 @@ func RecoverStreams(catalog *storage.Catalog, streams []io.Reader, opts RecoverO
 		if sc.torn > 0 {
 			res.TornGroups++
 		}
-		if sc.maxEpoch > res.MaxEpoch {
-			res.MaxEpoch = sc.maxEpoch
-		}
+		res.MaxEpoch = max(res.MaxEpoch, sc.maxEpoch)
 		for _, g := range sc.groups {
 			epoch, _ := storage.SplitTS(g.ts)
 			if opts.FromEpoch > 0 && epoch <= opts.FromEpoch {

@@ -284,7 +284,7 @@ func (wl *WorkerLog) LogWrite(ts uint64, table int, key storage.Key, cols []int,
 	wl.buf = binary.AppendUvarint(wl.buf, uint64(len(cols)))
 	for i, c := range cols {
 		wl.buf = binary.AppendUvarint(wl.buf, uint64(c))
-		wl.buf = appendValue(wl.buf, vals[i])
+		wl.buf = storage.AppendValue(wl.buf, vals[i])
 	}
 	return wl.writeFrameLocked(wl.buf)
 }
@@ -300,7 +300,7 @@ func (wl *WorkerLog) LogInsert(ts uint64, table int, key storage.Key, tuple stor
 	wl.buf = binary.AppendUvarint(wl.buf, uint64(key))
 	wl.buf = binary.AppendUvarint(wl.buf, uint64(len(tuple)))
 	for _, v := range tuple {
-		wl.buf = appendValue(wl.buf, v)
+		wl.buf = storage.AppendValue(wl.buf, v)
 	}
 	return wl.writeFrameLocked(wl.buf)
 }
@@ -325,10 +325,10 @@ func (wl *WorkerLog) LogCommand(ts uint64, procName string, args []storage.Value
 	wl.buf = wl.buf[:0]
 	wl.buf = append(wl.buf, KindCommand)
 	wl.buf = binary.AppendUvarint(wl.buf, ts)
-	wl.buf = appendString(wl.buf, procName)
+	wl.buf = storage.AppendString(wl.buf, procName)
 	wl.buf = binary.AppendUvarint(wl.buf, uint64(len(args)))
 	for _, v := range args {
-		wl.buf = appendValue(wl.buf, v)
+		wl.buf = storage.AppendValue(wl.buf, v)
 	}
 	return wl.writeFrameLocked(wl.buf)
 }
@@ -357,7 +357,7 @@ func (wl *WorkerLog) Flush() error {
 // writeFrameLocked wraps payload in a checksummed frame and appends
 // it to the stream buffer. Caller holds wl.mu.
 func (wl *WorkerLog) writeFrameLocked(payload []byte) error {
-	wl.frame = appendFrame(wl.frame[:0], payload)
+	wl.frame = AppendFrame(wl.frame[:0], payload)
 	wl.hasEntries = true
 	wl.frames++
 	wl.bytes += int64(len(wl.frame))
@@ -412,17 +412,3 @@ func (wl *WorkerLog) closeAt(epoch uint32) error {
 	}
 	return wl.w.Flush()
 }
-
-// appendValue and appendString delegate to the shared storage codec
-// (the checkpoint slot format uses the same encoding).
-func appendValue(b []byte, v storage.Value) []byte { return storage.AppendValue(b, v) }
-
-func appendString(b []byte, s string) []byte { return storage.AppendString(b, s) }
-
-type reader struct{ r storage.ByteReader }
-
-func (rd *reader) uvarint() (uint64, error) { return binary.ReadUvarint(rd.r) }
-
-func (rd *reader) value() (storage.Value, error) { return storage.ReadValue(rd.r) }
-
-func (rd *reader) str() (string, error) { return storage.ReadString(rd.r) }

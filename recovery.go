@@ -62,9 +62,8 @@ func (db *DB) ReplayCommands(cmds []Command) error {
 // and is not processing transactions. Value-log entries are applied
 // with the Thomas write rule, command-log entries are re-executed in
 // timestamp order (Appendix C). To restart from a WAL directory call
-// Boot instead — it picks the image, bounds the tail by the image's
-// watermark and seeds the epoch past the image's rows, none of which a
-// caller who restored an image separately gets from this method.
+// Boot instead — it picks the image and bounds the tail by the image's
+// watermark.
 //
 // image, when non-nil, is a checkpoint image (the format Checkpoint
 // publishes) loaded first; commit groups at or below its watermark are
@@ -75,30 +74,42 @@ func (db *DB) ReplayCommands(cmds []Command) error {
 // RecoverOptions); the returned report carries the cut and per-stream
 // damage.
 //
-// The global epoch is seeded past the highest epoch in the image and
-// the streams (see SeedEpoch), so new commits land above everything
-// recovered.
+// Before any command replays, the global epoch is seeded past
+// opts.FromEpoch and every epoch in the image and the streams, so new
+// commits land above everything recovered.
 //
 // If command replay fails partway the store holds an undefined mix of
 // replayed and missing effects: the engine is stopped and the database
 // poisoned — every subsequent transaction returns ErrRecoveryFailed
 // (which the returned error wraps). Restore from scratch.
 func (db *DB) RecoverFromWith(image io.Reader, logs []io.Reader, opts RecoverOptions) (*RecoveryReport, error) {
-	var seed uint32
+	var info *CheckpointInfo
 	if image != nil {
-		info, err := checkpoint.Load(db.catalog, image)
-		if err != nil {
+		var err error
+		if info, err = checkpoint.Load(db.catalog, image); err != nil {
 			return nil, err
 		}
+	}
+	rep, _, err := db.recoverLogs(info, logs, opts)
+	return rep, err
+}
+
+// recoverLogs is the one replay under RecoverFromWith and Boot, over a
+// catalog holding image info's rows (nil: none). It seeds the epoch
+// once, past seed = max(opts.FromEpoch, watermark, max row epoch, the
+// tail's MaxEpoch), before replaying commands: a commit inheriting a
+// recovered record's higher epoch would otherwise sit above every seal
+// the advancer writes and be dropped by the next salvage.
+func (db *DB) recoverLogs(info *CheckpointInfo, logs []io.Reader, opts RecoverOptions) (rep *RecoveryReport, seed uint32, err error) {
+	if info != nil {
 		opts.FromEpoch = max(opts.FromEpoch, info.Watermark)
-		seed = max(info.Watermark, info.MaxRowEpoch)
+		seed = info.MaxRowEpoch
 	}
-	rep, err := wal.RecoverStreams(db.catalog, logs, opts)
-	if err != nil {
-		return nil, err
+	if rep, err = wal.RecoverStreams(db.catalog, logs, opts); err != nil {
+		return nil, 0, err
 	}
-	if seed = max(seed, rep.MaxEpoch); seed > 0 {
-		db.SeedEpoch(seed + 1)
+	if seed = max(seed, opts.FromEpoch, rep.MaxEpoch); seed > 0 {
+		db.engine().SeedEpoch(seed + 1)
 	}
 	if len(rep.Commands) > 0 {
 		db.Start() // command replay needs a running engine
@@ -107,10 +118,10 @@ func (db *DB) RecoverFromWith(image io.Reader, logs []io.Reader, opts RecoverOpt
 			if cerr := db.Close(); cerr != nil {
 				err = errors.Join(err, cerr)
 			}
-			return rep, fmt.Errorf("%w: %w", ErrRecoveryFailed, err)
+			return rep, seed, fmt.Errorf("%w: %w", ErrRecoveryFailed, err)
 		}
 	}
-	return rep, nil
+	return rep, seed, nil
 }
 
 // Boot restarts the database from the WAL directory fs manages — the
@@ -133,15 +144,12 @@ func (db *DB) Boot(fs *WALSet, opts RecoverOptions) (*BootReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	var seed uint32
 	opts.FromEpoch = 0 // the tail bound is the image's watermark, not the caller's
 	if info != nil {
 		report.CheckpointPath = info.Path
 		report.CheckpointSeq = info.Seq
 		report.Watermark = info.Watermark
 		report.CheckpointRows = info.Rows
-		opts.FromEpoch = info.Watermark
-		seed = max(info.Watermark, info.MaxRowEpoch)
 	}
 
 	streams, closeAll, err := fs.BootStreams()
@@ -149,7 +157,7 @@ func (db *DB) Boot(fs *WALSet, opts RecoverOptions) (*BootReport, error) {
 		return nil, err
 	}
 	report.Streams = len(streams)
-	rep, err := db.RecoverFromWith(nil, streams, opts)
+	rep, seed, err := db.recoverLogs(info, streams, opts)
 	if cerr := closeAll(); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -170,8 +178,7 @@ func (db *DB) Boot(fs *WALSet, opts RecoverOptions) (*BootReport, error) {
 		report.Damage = append(report.Damage, rep.Damage[i].Error())
 	}
 
-	if seed = max(seed, rep.MaxEpoch); seed > 0 {
-		db.SeedEpoch(seed + 1)
+	if seed > 0 {
 		report.SeededEpoch = seed + 1
 	}
 	// The adopted generations' groups all sit at or below seed: a
