@@ -10,11 +10,15 @@ import (
 // TestSessionRunAllocations pins the fixed allocation cost of a
 // transaction: what Session.Run spends before and after the operation
 // bodies run. The program is compiled once, and the transaction frame
-// (Txn, read/write set, access cache) and the variables' slot vector
+// (Txn, read/write set, access cache, the first 16 elements and their
+// bookmark, read-copy and write buffers) and the variables' slot vector
 // (proc.Env) belong to the worker, so a null procedure with two integer
 // arguments allocates nothing. YCSBRead adds what one point read costs:
-// its Element, the read copy and its column mask, and the bookmark and
-// access-cache slices.
+// its access-cache entry. YCSBUpdate adds its body's column and value
+// slices and the row image commit installs. Read17 reads 17 records, one
+// past the frame: the 17th element and its read copy come from the heap,
+// the set promotes to its map (kept, cleared, across attempts) and the
+// access cache grows by doubling.
 //
 // `make pins` runs this without the race detector, whose runtime may
 // add allocations of its own to the count.
@@ -36,6 +40,19 @@ func TestSessionRunAllocations(t *testing.T) {
 			b.Op(thedb.Op{Name: "null", Body: func(thedb.OpCtx) error { return nil }})
 		},
 	})
+	db.MustRegister(&thedb.Spec{
+		Name: "Read17",
+		Plan: func(b *thedb.Builder, _ *thedb.Env) {
+			b.Op(thedb.Op{Name: "read", Body: func(ctx thedb.OpCtx) error {
+				for k := thedb.Key(0); k < 17; k++ {
+					if _, _, err := ctx.Read(ycsb.TabUser, k, nil); err != nil {
+						return err
+					}
+				}
+				return nil
+			}})
+		},
+	})
 	db.Start()
 	defer db.Close()
 	sess := db.Session(0)
@@ -46,7 +63,9 @@ func TestSessionRunAllocations(t *testing.T) {
 		max  float64
 	}{
 		{"Null", []thedb.Value{thedb.Int(1), thedb.Int(2)}, 0},
-		{ycsb.ProcRead, []thedb.Value{thedb.Int(7)}, 6},
+		{ycsb.ProcRead, []thedb.Value{thedb.Int(7)}, 1},
+		{ycsb.ProcUpdate, []thedb.Value{thedb.Int(7), thedb.Int(3), thedb.Str("v")}, 4},
+		{"Read17", nil, 9},
 	} {
 		got := testing.AllocsPerRun(500, func() {
 			if _, err := sess.Run(c.proc, c.args...); err != nil {

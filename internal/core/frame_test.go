@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -251,10 +253,11 @@ func TestShapedPlanRunsOncePerTransaction(t *testing.T) {
 }
 
 // bigSpec is a transaction with a footprint of size+3 records: a scan
-// of [0, size), a delete, a pointer read whose target a write then
-// follows (key-dependent, so a change to the pointer heals with a
-// membership update), a read of a missing key (a dummy) and, on
-// demand, an application abort at the very end.
+// of [0, size), a delete, an insert or delete of victim+1 (whichever
+// flips it), a pointer read whose target a write then follows
+// (key-dependent, so a change to the pointer heals with a membership
+// update), a read of a missing key (a dummy) and, on demand, an
+// application abort at the very end.
 func bigSpec(size int, victim storage.Key) *proc.Spec {
 	return &proc.Spec{
 		Name:   "Big",
@@ -274,6 +277,12 @@ func bigSpec(size int, victim storage.Key) *proc.Spec {
 					return nil
 				}
 				return ctx.Delete("KV", victim)
+			}})
+			b.Op(proc.Op{Name: "flip", Body: func(ctx proc.OpCtx) error {
+				if _, ok, _ := ctx.Read("KV", victim+1, nil); ok {
+					return ctx.Delete("KV", victim+1)
+				}
+				return ctx.Insert("KV", victim+1, storage.Tuple{storage.Int(1)})
 			}})
 			b.Op(proc.Op{Name: "pointer", Writes: []string{"p"}, Body: func(ctx proc.OpCtx) error {
 				row, _, err := ctx.Read("KV", 0, nil)
@@ -306,9 +315,12 @@ func bigSpec(size int, victim storage.Key) *proc.Spec {
 // second's footprint as the oracle saw it, every worker-owned slice
 // across its whole capacity, every record's pin count, and that the
 // record GC reclaims what the first deleted while the worker idles.
-// Runs below and above keepElems, the two reset paths.
+// Runs at footprints within the frame's smallSet elements, one past
+// them, and below and above keepElems, the two reset paths; every frame
+// element and every buffer it keeps is walked across its capacity.
 func TestWorkerFrameReuse(t *testing.T) {
-	for _, size := range []int{keepElems / 2, 4 * keepElems} {
+	for _, size := range []int{smallSet / 2, smallSet - 2, keepElems / 2, 4 * keepElems} {
+		// The subtest names the scan's size; the footprint is size+3.
 		t.Run(fmt.Sprintf("footprint=%d", size), func(t *testing.T) {
 			const victim = 5000
 			sched := fault.NewSchedule(1, 1)
@@ -337,6 +349,9 @@ func TestWorkerFrameReuse(t *testing.T) {
 			txn := newTxn(w, prog, env, firstRung(w, false))
 			if err := txn.readPhase(); err != nil {
 				t.Fatal(err)
+			}
+			if len(txn.rw.elems) != size+3 {
+				t.Fatalf("footprint %d, want %d", len(txn.rw.elems), size+3)
 			}
 			externalCommit(t, e, "KV", 0, 0, storage.Int(2), storage.MakeTS(1, 1))
 			if err := txn.validateAndCommit(); err != nil {
@@ -394,6 +409,32 @@ func TestWorkerFrameReuse(t *testing.T) {
 			for i, run := range f.runs[:cap(f.runs)] {
 				if run.op != nil || run.accesses != nil {
 					t.Fatalf("runs[%d] of %d still holds an access cache", i, cap(f.runs))
+				}
+			}
+			for i := range f.frame {
+				el := &f.frame[i]
+				for _, op := range el.bookmarks[:cap(el.bookmarks)] {
+					if op != nil {
+						t.Fatalf("frame[%d] still bookmarks an operation", i)
+					}
+				}
+				for _, w := range el.writes[:cap(el.writes)] {
+					if w.cols != nil || w.vals != nil {
+						t.Fatalf("frame[%d] still holds a buffered write", i)
+					}
+				}
+				for _, v := range el.readCopy[:cap(el.readCopy)] {
+					if !v.IsNull() {
+						t.Fatalf("frame[%d] still holds a read copy %v", i, v)
+					}
+				}
+				if slices.Contains(el.copied[:cap(el.copied)], true) {
+					t.Fatalf("frame[%d] still marks a column copied", i)
+				}
+				rest := *el
+				rest.bookmarks, rest.writes, rest.readCopy, rest.copied = nil, nil, nil, nil
+				if !reflect.DeepEqual(rest, Element{}) {
+					t.Fatalf("frame[%d] not recycled: %+v", i, rest)
 				}
 			}
 			if size > keepElems && cap(f.rw.elems) > keepElems {

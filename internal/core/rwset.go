@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"thedb/internal/btree"
 	"thedb/internal/proc"
@@ -54,7 +53,8 @@ type Element struct {
 	bookmarks []*OpRun
 
 	// readCols is the union of columns read (nil = all columns);
-	// readCopy/copied hold local copies of those columns.
+	// readCopy/copied hold local copies of those columns (empty = no
+	// copy kept; a frame element keeps their zeroed arrays).
 	readCols []int
 	allCols  bool
 	readCopy storage.Tuple
@@ -111,9 +111,11 @@ func (el *Element) noteRead(op *OpRun, cols []int, cur storage.Tuple, keepCopy b
 		el.readCols = nil
 		return
 	}
-	if el.readCopy == nil {
-		el.readCopy = make(storage.Tuple, len(cur))
-		el.copied = make([]bool, len(cur))
+	if len(el.readCopy) == 0 {
+		if cap(el.readCopy) < len(cur) {
+			el.readCopy, el.copied = make(storage.Tuple, len(cur)), make([]bool, len(cur))
+		}
+		el.readCopy, el.copied = el.readCopy[:len(cur)], el.copied[:len(cur)]
 	}
 	if cols == nil {
 		el.allCols = true
@@ -142,7 +144,7 @@ func (el *Element) noteRead(op *OpRun, cols []int, cur storage.Tuple, keepCopy b
 // §4.5 check dismissing timestamp mismatches caused by writes to
 // unrelated columns. It requires read copies to be maintained.
 func (el *Element) falseInvalidation(cur storage.Tuple) bool {
-	if el.readCopy == nil {
+	if len(el.readCopy) == 0 {
 		return false
 	}
 	if el.allCols {
@@ -164,7 +166,7 @@ func (el *Element) falseInvalidation(cur storage.Tuple) bool {
 // refreshCopies reloads the local read copies from cur after healing
 // restored the element.
 func (el *Element) refreshCopies(cur storage.Tuple) {
-	if el.readCopy == nil {
+	if len(el.readCopy) == 0 {
 		return
 	}
 	for i := range el.copied {
@@ -214,7 +216,7 @@ func (el *Element) applyWritesBefore(base storage.Tuple, beforeSeq int) storage.
 	if len(el.writes) == 0 {
 		return base
 	}
-	sort.SliceStable(el.writes, func(i, j int) bool { return el.writes[i].seq < el.writes[j].seq })
+	slices.SortStableFunc(el.writes, bySeq)
 	var t storage.Tuple
 	for _, w := range el.writes {
 		if w.seq >= beforeSeq {
@@ -236,20 +238,36 @@ func (el *Element) applyWritesBefore(base storage.Tuple, beforeSeq int) storage.
 // writeColumns returns the distinct columns written, in fold order,
 // with their final values (for value logging).
 func (el *Element) writeColumns() (cols []int, vals []storage.Value) {
-	sort.SliceStable(el.writes, func(i, j int) bool { return el.writes[i].seq < el.writes[j].seq })
-	pos := map[int]int{}
+	slices.SortStableFunc(el.writes, bySeq)
 	for _, w := range el.writes {
 		for i, c := range w.cols {
-			if p, ok := pos[c]; ok {
+			if p := slices.Index(cols, c); p >= 0 {
 				vals[p] = w.vals[i]
 			} else {
-				pos[c] = len(cols)
 				cols = append(cols, c)
 				vals = append(vals, w.vals[i])
 			}
 		}
 	}
 	return cols, vals
+}
+
+func bySeq(a, b writeRec) int { return cmp.Compare(a.seq, b.seq) }
+
+// recycle empties a frame element for the next attempt. It keeps the
+// backing arrays of its buffers, cleared across their whole capacity so
+// that they pin no operation, row image or buffered write, and nothing
+// else.
+//
+//thedb:noalloc
+func (el *Element) recycle() {
+	bm, ws := el.bookmarks[:cap(el.bookmarks)], el.writes[:cap(el.writes)]
+	rc, cp := el.readCopy[:cap(el.readCopy)], el.copied[:cap(el.copied)]
+	clear(bm)
+	clear(ws)
+	clear(rc)
+	clear(cp)
+	*el = Element{bookmarks: bm[:0], writes: ws[:0], readCopy: rc[:0], copied: cp[:0]}
 }
 
 func containsOp(ops []*OpRun, op *OpRun) bool {
@@ -366,15 +384,39 @@ func (s *RWSet) reset() {
 	s.sorted = false
 }
 
+// smallSet is the footprint that lives in the worker's frame: the
+// elements of a set this small come from Txn.frame, and lookup scans
+// them instead of hashing. The 17th element promotes the set to byRec.
+const smallSet = 16
+
 // lookup returns the element for rec, if any.
-func (s *RWSet) lookup(rec *storage.Record) *Element { return s.byRec[rec] }
+//
+//thedb:noalloc
+func (s *RWSet) lookup(rec *storage.Record) *Element {
+	if len(s.elems) > smallSet {
+		return s.byRec[rec]
+	}
+	for _, el := range s.elems {
+		if el.rec == rec {
+			return el
+		}
+	}
+	return nil
+}
 
 // add registers a new element.
 func (s *RWSet) add(el *Element) {
-	if s.byRec == nil {
-		s.byRec = make(map[*storage.Record]*Element)
+	if n := len(s.elems); n >= smallSet {
+		if n == smallSet {
+			if s.byRec == nil {
+				s.byRec = make(map[*storage.Record]*Element)
+			}
+			for _, e := range s.elems {
+				s.byRec[e.rec] = e
+			}
+		}
+		s.byRec[el.rec] = el
 	}
-	s.byRec[el.rec] = el
 	if !s.sorted {
 		s.elems = append(s.elems, el)
 		return

@@ -45,6 +45,9 @@ type Txn struct {
 	env  *proc.Env
 	rw   RWSet
 	runs []OpRun // access cache, one per op of prog; the slab is reused, no entry's accesses are
+	// frame holds the first smallSet elements of every attempt (take);
+	// the worker allocates it once, and reset recycles what was used.
+	frame *[smallSet]Element
 
 	mode   execMode
 	cur    *OpRun
@@ -84,7 +87,7 @@ func newTxn(w *Worker, prog *proc.Program, env *proc.Env, pol *policy) *Txn {
 	t := &w.txn
 	t.reset()
 	env.Start(prog)
-	*t = Txn{w: w, e: w.e, prog: prog, env: env, rw: t.rw, runs: t.runs, locked: t.locked,
+	*t = Txn{w: w, e: w.e, prog: prog, env: env, rw: t.rw, runs: t.runs, locked: t.locked, frame: t.frame,
 		frontier: -1, pol: *pol, timed: w.e.opts.DetailedMetrics || w.traceOn}
 	if t.timed {
 		t.start = time.Now()
@@ -106,6 +109,9 @@ func newTxn(w *Worker, prog *proc.Program, env *proc.Env, pol *policy) *Txn {
 //
 //thedb:noalloc
 func (t *Txn) reset() {
+	for i := range min(len(t.rw.elems), smallSet) {
+		t.frame[i].recycle()
+	}
 	t.rw.reset()
 	clear(t.locked)
 	t.locked = t.locked[:0]
@@ -208,7 +214,10 @@ func (t *Txn) join(tab *storage.Table, rec *storage.Record, pinned, created, wri
 		if !pinned {
 			rec.Pin()
 		}
-		el = &Element{rec: rec, tab: tab, rank: tab.Rank(), createdDummy: created}
+		if el = t.take(); el == nil {
+			el = new(Element)
+		}
+		el.rec, el.tab, el.rank, el.createdDummy = rec, tab, tab.Rank(), created
 		el.rts, _, el.seenVisible = rec.Meta()
 		t.rw.add(el)
 		if t.mode == modeReexec && t.rw.sorted {
@@ -236,6 +245,18 @@ func (t *Txn) join(tab *storage.Table, rec *storage.Record, pinned, created, wri
 		el.rts, _, el.seenVisible = rec.Meta()
 	}
 	return el, nil
+}
+
+// take returns the frame's element for the attempt's next record, or
+// nil once the footprint outgrows the frame. The n-th element joined is
+// frame[n], so an attempt uses frame[:min(len(rw.elems), smallSet)].
+//
+//thedb:noalloc
+func (t *Txn) take() *Element {
+	if n := len(t.rw.elems); n < smallSet {
+		return &t.frame[n]
+	}
+	return nil
 }
 
 // tryLockBounded attempts the no-wait lock acquisition of the healing

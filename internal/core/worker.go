@@ -64,6 +64,7 @@ func newWorker(e *Engine, id int) *Worker {
 	w := &Worker{e: e, id: id, rngState: uint64(id)*2685821657736338717 + 88172645463325252,
 		lastTraceSlot: -1}
 	w.txn.rw.order = e.opts.Order
+	w.txn.frame = new([smallSet]Element)
 	w.snap = snapTxn{w: w, e: e}
 	if e.opts.Logger != nil {
 		w.wlog = e.opts.Logger.Worker(id)
