@@ -161,6 +161,7 @@ loc:
 	@echo "go lines, non-test, outside benchmark/: $$($(call lines,. -path ./benchmark -prune -o ! -name '*_test.go'))"
 	@echo "go lines, non-test, internal/core:      $$($(call lines,internal/core ! -name '*_test.go')) (internal/proc: $$($(call lines,internal/proc ! -name '*_test.go')))"
 	@echo "go lines, non-test, root package:       $$($(call lines,. -maxdepth 1 ! -name '*_test.go'))"
+	@echo "go lines, non-test, internal/storage:   $$($(call lines,internal/storage ! -name '*_test.go'))"
 	@echo "go lines, non-test, serving plane:      $$($(call lines,client internal/server internal/wire ! -name '*_test.go')) (client + internal/server: $$($(call lines,client internal/server ! -name '*_test.go')))"
 	@echo "go lines, internal/analysis (all .go):  $$($(call lines,internal/analysis))"
 	@echo "go lines, tests, outside benchmark/:    $$($(call lines,. -path ./benchmark -prune -o -name '*_test.go'))"

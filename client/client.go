@@ -540,6 +540,11 @@ type clientConn struct {
 	traceBase uint64
 }
 
+// maxWindow caps a connection's slots, whatever MaxInFlight a peer
+// advertises: the table is sized from the WELCOME, and a server sheds
+// above its own bound, so using fewer slots than it allows is safe.
+const maxWindow = 4096
+
 // slot is one in-flight call. gen is bumped on every release, so the
 // late response to an abandoned call carries a generation the slot has
 // left behind and is dropped, never handed to the slot's next occupant.
@@ -629,7 +634,7 @@ func (cc *clientConn) handshake(opts Options, session uint64) error {
 		return fmt.Errorf("client: clearing deadline: %w", err)
 	}
 	cc.welcome = w
-	window := max(int(w.MaxInFlight), 1)
+	window := min(max(int(w.MaxInFlight), 1), maxWindow)
 	cc.slots = make([]slot, window)
 	cc.free = make([]uint32, window)
 	for i := range cc.slots {

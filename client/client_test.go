@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -677,6 +678,28 @@ func TestOneReaderPerConnection(t *testing.T) {
 	}
 	if got := res.Val("v").Int(); got != 7 {
 		t.Fatalf("v = %d, want 7", got)
+	}
+}
+
+// TestDialClampsAdvertisedWindow: a WELCOME advertising MaxInFlight
+// 2^32-1 sizes the connection's slot table at maxWindow, not at what
+// the peer asked for, and the connection still serves calls.
+func TestDialClampsAdvertisedWindow(t *testing.T) {
+	fs := newFakeServerW(t, func(wire.Hello, int64) wire.Welcome {
+		return wire.Welcome{MaxFrame: wire.DefaultMaxFrame, MaxInFlight: math.MaxUint32, Server: "greedy"}
+	}, func(f wire.Frame, c wire.Call) []byte {
+		return resultFrame(f.ID, wire.Output{Name: "v", Vals: []storage.Value{storage.Int(1)}})
+	})
+	cl, err := Dial(fs.addr(), Options{RetryAttempts: -1})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer func() { _ = cl.Close() }()
+	if cc := cl.pool[0]; len(cc.slots) != maxWindow || len(cc.free) != maxWindow || cc.nfree != maxWindow {
+		t.Fatalf("window = %d slots, %d free (nfree %d), want %d", len(cc.slots), len(cc.free), cc.nfree, maxWindow)
+	}
+	if res, err := cl.Call(context.Background(), "P"); err != nil || res.Val("v").Int() != 1 {
+		t.Fatalf("call through the clamped window: %v, %v", res, err)
 	}
 }
 

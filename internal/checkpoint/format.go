@@ -169,10 +169,7 @@ func Write(w io.Writer, catalog *storage.Catalog, watermark uint32, images []tab
 			for _, r := range img.rows[lo:hi] {
 				payload = binary.AppendUvarint(payload, uint64(r.key))
 				payload = binary.AppendUvarint(payload, r.ts)
-				payload = binary.AppendUvarint(payload, uint64(len(r.t)))
-				for _, v := range r.t {
-					payload = storage.AppendValue(payload, v)
-				}
+				payload = storage.AppendValues(payload, r.t)
 				if e, _ := storage.SplitTS(r.ts); e > maxRowEpoch {
 					maxRowEpoch = e
 				}
@@ -261,14 +258,12 @@ func Load(catalog *storage.Catalog, r io.Reader) (*Info, error) {
 			ncols := len(catalog.TableByID(int(tid)).Schema().Columns)
 			sl := tableImage{id: int(tid), rows: make([]row, 0, n)}
 			for range n {
-				key, ts, nc := d.Uvarint(), d.Uvarint(), d.Count()
-				if d.Err() == nil && nc != ncols {
+				key, ts := d.Uvarint(), d.Uvarint()
+				ahead := d // the column count, checked before Values sizes the tuple
+				if nc := ahead.Count(); ahead.Err() == nil && nc != ncols {
 					return nil, fmt.Errorf("checkpoint: row of table %d has %d columns, schema has %d", tid, nc, ncols)
 				}
-				t := make(storage.Tuple, nc)
-				for c := range t {
-					t[c] = d.Value()
-				}
+				t := d.Values(nil)
 				sl.rows = append(sl.rows, row{key: storage.Key(key), ts: ts, t: t})
 				if e, _ := storage.SplitTS(ts); e > maxRowEpoch {
 					maxRowEpoch = e

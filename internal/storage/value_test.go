@@ -126,6 +126,33 @@ func TestDecoderRefusesHostileBytes(t *testing.T) {
 	}
 }
 
+// TestDecoderVectorsAndSharedStrings: a counted vector round-trips
+// through AppendValues and Values, growing dst keeps its spare room,
+// and Share cuts every string from one copy of the input.
+func TestDecoderVectorsAndSharedStrings(t *testing.T) {
+	vals := []Value{Int(-3), Str("ab"), Null, Float(1), Str("cd")}
+	b := AppendString(AppendValues(nil, vals), "tail")
+	for _, share := range []bool{false, true} {
+		d := NewDecoder(b)
+		if share {
+			d.Share()
+		}
+		got := d.Values(make([]Value, 1, 3)) // one value held, room for two more
+		tail := d.Str()
+		if err := d.Done(); err != nil || !Tuple(got[1:]).Equal(vals) || tail != "tail" {
+			t.Fatalf("share=%v: decoded %v, %q (err %v)", share, got, tail, err)
+		}
+		if cap(got)-len(got) < 2 {
+			t.Errorf("share=%v: growing dst kept %d spare slots, want >= 2", share, cap(got)-len(got))
+		}
+		// Shared strings sit in one copy as far apart as in the input.
+		apart := uintptr(unsafe.Pointer(unsafe.StringData(got[5].Str()))) - uintptr(unsafe.Pointer(unsafe.StringData(got[2].Str())))
+		if want := uintptr(bytes.Index(b, []byte("cd")) - bytes.Index(b, []byte("ab"))); share && apart != want {
+			t.Errorf("shared strings %d bytes apart, want %d", apart, want)
+		}
+	}
+}
+
 // decodeValue decodes b as exactly one Value.
 func decodeValue(b []byte) (Value, error) {
 	d := NewDecoder(b)

@@ -189,11 +189,11 @@ func decodeEntry(payload []byte) (logEntry, error) {
 		}
 	case KindInsert:
 		e.table, e.key = int(d.Uvarint()), storage.Key(d.Uvarint())
-		e.tuple = decodeValues(&d)
+		e.tuple = d.Values(nil)
 	case KindDelete:
 		e.table, e.key = int(d.Uvarint()), storage.Key(d.Uvarint())
 	case KindCommand:
-		e.proc, e.args = d.Str(), decodeValues(&d)
+		e.proc, e.args = d.Str(), d.Values(nil)
 	case KindCommit:
 	case KindSeal:
 		if e.ts == 0 || e.ts > math.MaxUint32 {
@@ -203,15 +203,6 @@ func decodeEntry(payload []byte) (logEntry, error) {
 		return e, fmt.Errorf("bad entry kind %d", e.kind)
 	}
 	return e, d.Done()
-}
-
-// decodeValues reads a counted value vector.
-func decodeValues(d *storage.Decoder) []storage.Value {
-	vals := make([]storage.Value, d.Count())
-	for i := range vals {
-		vals[i] = d.Value()
-	}
-	return vals
 }
 
 // validateAgainst checks decoded groups against the catalog's schema

@@ -298,10 +298,7 @@ func (wl *WorkerLog) LogInsert(ts uint64, table int, key storage.Key, tuple stor
 	wl.buf = binary.AppendUvarint(wl.buf, ts)
 	wl.buf = binary.AppendUvarint(wl.buf, uint64(table))
 	wl.buf = binary.AppendUvarint(wl.buf, uint64(key))
-	wl.buf = binary.AppendUvarint(wl.buf, uint64(len(tuple)))
-	for _, v := range tuple {
-		wl.buf = storage.AppendValue(wl.buf, v)
-	}
+	wl.buf = storage.AppendValues(wl.buf, tuple)
 	return wl.writeFrameLocked(wl.buf)
 }
 
@@ -326,10 +323,7 @@ func (wl *WorkerLog) LogCommand(ts uint64, procName string, args []storage.Value
 	wl.buf = append(wl.buf, KindCommand)
 	wl.buf = binary.AppendUvarint(wl.buf, ts)
 	wl.buf = storage.AppendString(wl.buf, procName)
-	wl.buf = binary.AppendUvarint(wl.buf, uint64(len(args)))
-	for _, v := range args {
-		wl.buf = storage.AppendValue(wl.buf, v)
-	}
+	wl.buf = storage.AppendValues(wl.buf, args)
 	return wl.writeFrameLocked(wl.buf)
 }
 

@@ -65,11 +65,21 @@
 //     does not understand rather than silently dropping their
 //     semantics.
 //
+// # Payloads
+//
+// This is version 5. Payloads are written with the value codec of the
+// WAL and the checkpoint (storage.AppendValue and friends: uvarints,
+// zig-zag ints, a float as the uvarint of its bits, length-prefixed
+// strings, counted value vectors) and read through the same
+// storage.Decoder. A payload that decodes is one that re-encodes to
+// exactly itself: varints are minimal, counts never exceed the bytes
+// left, and no byte may trail the message.
+//
 // # Errors and load shedding
 //
-// Failures travel as OpError payloads carrying a typed code, a
-// retryable flag, an optional server-suggested backoff hint, and a
-// message. Admission-control rejections (CodeShed, CodeDraining) and
+// Failures travel as OpError payloads carrying a typed code, an
+// optional server-suggested backoff hint, and a message; whether a
+// code is retryable is a property of the code (Retryable). Admission-control rejections (CodeShed, CodeDraining) and
 // retry-budget exhaustion inside the engine (CodeContended) are
 // retryable: a well-behaved client backs off — honoring the hint —
 // and retries, rather than treating shedding as failure.
@@ -86,7 +96,7 @@ const Magic uint16 = 0x7DB1
 
 // Version is the one protocol version this package speaks. The
 // handshake pins it: both sides reject frames carrying any other.
-const Version uint8 = 4
+const Version uint8 = 5
 
 // HeaderSize is the fixed frame header length in bytes.
 const HeaderSize = 16

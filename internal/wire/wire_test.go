@@ -303,27 +303,41 @@ func TestErrorRoundTrip(t *testing.T) {
 }
 
 func TestDecodeCallRejectsHostileCounts(t *testing.T) {
-	// A declared argument count far beyond the payload must fail
-	// without allocating a huge slice.
-	p := appendString(nil, "P")
-	p = append(p, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01) // uvarint ~1<<63
-	if _, err := DecodeCall(p); err == nil {
-		t.Fatal("hostile argc decoded successfully")
+	// Seq, budget, trace id and flags, all zero, then the name "P": a
+	// well-formed prefix, so each case below reaches the field it names.
+	prefix := []byte{0, 0, 0, 0, 1, 'P'}
+	if c, err := DecodeCall(append(prefix, 0)); err != nil || c.Proc != "P" || len(c.Args) != 0 {
+		t.Fatalf("well-formed prefix: %+v, %v", c, err)
 	}
-
-	// A string length beyond the payload must fail too.
-	p = []byte{0xff, 0xff, 0x03} // name length 65535, no body
-	if _, err := DecodeCall(p); err == nil {
-		t.Fatal("hostile string length decoded successfully")
+	cases := map[string][]byte{
+		// A declared argument count far beyond the payload must fail
+		// without allocating a huge slice.
+		"argc ~2^63": append(prefix, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+		// Nine bytes declaring 65,535 arguments once sized a 1 MiB
+		// argument array that the reused Call kept.
+		"argc 65535, no arguments": append(prefix, 0xff, 0xff, 0x03),
+		// A string length beyond the payload.
+		"name length 65535, no body": {0, 0, 0, 0, 0xff, 0xff, 0x03},
+		// A non-minimal varint: the sequence number 0 written in two bytes.
+		"non-minimal seq": {0x80, 0x00, 0, 0, 0, 1, 'P', 0},
+	}
+	for name, p := range cases {
+		var c Call
+		if _, err := DecodeCallInto(&c, p); err == nil {
+			t.Errorf("%s: decoded successfully", name)
+		}
+		if cap(c.Args) > len(p) {
+			t.Errorf("%s: the reused Call kept %d argument slots for a %d-byte payload", name, cap(c.Args), len(p))
+		}
 	}
 }
 
 // TestGoldenCallAndResultBytes pins one CALL and one RESULT frame
-// carrying every value kind to the bytes the 32-byte-Value
-// representation sent: the wire must not notice the in-memory row
-// changing.
+// carrying every value kind to exact bytes: neither the in-memory row
+// nor a change to storage's value codec may move the wire unnoticed
+// (a change that means to bumps Version).
 func TestGoldenCallAndResultBytes(t *testing.T) {
-	const wantCall, wantResult = "b17d040305000000000000002300000009dc0bef9baf050103506179050153020000000000000440030668c3a96c6c6f030000", "b17d04040500000000000000220000000203726f7701050153020000000000000440030668c3a96c6c6f030000016e000153"
+	const wantCall, wantResult = "b17d050305000000000000002400000009dc0bef9baf05010350617905015302808080808080808240030668c3a96c6c6f030000", "b17d05040500000000000000230000000203726f770105015302808080808080808240030668c3a96c6c6f030000016e000153"
 	vals := []storage.Value{storage.Int(-42), storage.Float(2.5), storage.Str("héllo"), storage.Str(""), storage.Null}
 	call := AppendCall(nil, 5, Call{Proc: "Pay", Args: vals, Seq: 9, BudgetUS: 1500, TraceID: 0xabcdef, ReadOnly: true})
 	if got := hex.EncodeToString(call); got != wantCall {
