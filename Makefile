@@ -150,7 +150,8 @@ pins:
 
 # loc prints the size metrics ROADMAP.md tracks and CHANGES.md entries
 # quote: Go lines (non-test outside benchmark/, the serving plane —
-# client + internal/server + internal/wire — internal/analysis with its
+# client + internal/server + internal/wire — the observability plane —
+# internal/metrics + internal/obs — internal/analysis with its
 # tests and fixtures, test, benchmark/) and the
 # option counts — exported fields of the three configuration
 # structs. CI runs it at the end of the verify job, so every PR's log
@@ -162,6 +163,7 @@ loc:
 	@echo "go lines, non-test, internal/core:      $$($(call lines,internal/core ! -name '*_test.go')) (internal/proc: $$($(call lines,internal/proc ! -name '*_test.go')))"
 	@echo "go lines, non-test, root package:       $$($(call lines,. -maxdepth 1 ! -name '*_test.go'))"
 	@echo "go lines, non-test, internal/storage:   $$($(call lines,internal/storage ! -name '*_test.go'))"
+	@echo "go lines, non-test, observability:      $$($(call lines,internal/metrics internal/obs ! -name '*_test.go')) (internal/metrics: $$($(call lines,internal/metrics ! -name '*_test.go')))"
 	@echo "go lines, non-test, serving plane:      $$($(call lines,client internal/server internal/wire ! -name '*_test.go')) (client + internal/server: $$($(call lines,client internal/server ! -name '*_test.go')))"
 	@echo "go lines, internal/analysis (all .go):  $$($(call lines,internal/analysis))"
 	@echo "go lines, tests, outside benchmark/:    $$($(call lines,. -path ./benchmark -prune -o -name '*_test.go'))"

@@ -288,3 +288,109 @@ func TestBootTornTailStrictAndSalvage(t *testing.T) {
 		t.Fatalf("salvage boot state differs from stream recovery\n got: %s\nwant: %s", got, want)
 	}
 }
+
+// A checkpoint must land where Boot looks for it. A round published in
+// another directory still rotated and truncated the WAL set, so the
+// set lost generations that no image Boot would find covered: a strict
+// Boot then restored a fraction of the acknowledged commits and
+// reported nothing wrong. Both entry points now refuse such a
+// directory before touching anything.
+func TestCheckpointOutsideWALDirRefused(t *testing.T) {
+	dir, other := t.TempDir(), t.TempDir()
+	fs, err := OpenWALSet(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	db, err := Open(Config{
+		Protocol: Healing, Workers: 1,
+		WALSet: fs, LogMode: ValueLogging, EpochInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bootSchema(db)
+	db.Start()
+	const rows = 60
+	for i := 0; i < rows; i++ {
+		if _, err := db.Session(0).Run("RPut", Int(int64(i)), Int(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 9 {
+			time.Sleep(3 * time.Millisecond)
+		}
+	}
+	gens := walFiles(t, dir)
+	for round := 0; round < 2; round++ {
+		if _, err := db.Checkpoint(other); !errors.Is(err, ErrCheckpointDir) {
+			t.Fatalf("round %d: Checkpoint(%q) = %v, want ErrCheckpointDir", round, other, err)
+		}
+		time.Sleep(3 * time.Millisecond)
+	}
+	if err := db.CheckpointEvery(other, time.Millisecond); !errors.Is(err, ErrCheckpointDir) {
+		t.Fatalf("CheckpointEvery(%q) = %v, want ErrCheckpointDir", other, err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(other, "*")); len(left) != 0 {
+		t.Fatalf("refused checkpoint wrote %v", left)
+	}
+	if now := walFiles(t, dir); strings.Join(now, ",") != strings.Join(gens, ",") {
+		t.Fatalf("refused checkpoint changed the WAL set: %v -> %v", gens, now)
+	}
+	// The same directory spelled differently is the WAL set's own.
+	if _, err := db.Checkpoint(filepath.Join(dir, "sub", "..")); err != nil {
+		t.Fatalf("Checkpoint of the WAL directory: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, fs2 := bootLife(t, dir)
+	report, err := db2.Boot(fs2, RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.CheckpointPath == "" {
+		t.Fatalf("boot named no checkpoint: %+v", report)
+	}
+	if got, want := statecheck.VisibleRows(db2.catalog), statecheck.VisibleRows(db.catalog); got != want {
+		t.Fatalf("restored rows differ\n got: %s\nwant: %s", got, want)
+	}
+	tab, _ := db2.Table("KV")
+	n := 0
+	tab.ForEach(func(Key, *storage.Record) bool { n++; return true })
+	if n != rows {
+		t.Fatalf("boot restored %d of %d rows", n, rows)
+	}
+}
+
+// A WAL set holds one live stream per worker; a database with more
+// workers than streams used to panic at its first Register.
+func TestOpenRefusesWALSetWorkerMismatch(t *testing.T) {
+	fs, err := OpenWALSet(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if fs.Workers() != 1 {
+		t.Fatalf("FileSet.Workers() = %d, want 1", fs.Workers())
+	}
+	if _, err := Open(Config{Workers: 2, WALSet: fs}); err == nil {
+		t.Fatal("Open with 2 workers over a 1-worker WAL set succeeded")
+	}
+	two, err := OpenWALSet(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer two.Close()
+	if _, err := Open(Config{WALSet: two}); err == nil {
+		t.Fatal("Open with the default 1 worker over a 2-worker WAL set succeeded")
+	}
+	db, err := Open(Config{WALSet: fs})
+	if err != nil {
+		t.Fatalf("Open with the default 1 worker over a 1-worker WAL set: %v", err)
+	}
+	bootSchema(db)
+}

@@ -1,7 +1,9 @@
 package thedb
 
 import (
+	"errors"
 	"fmt"
+	"path/filepath"
 	"time"
 
 	"thedb/internal/checkpoint"
@@ -55,6 +57,31 @@ func (db *DB) checkpointSource() (checkpoint.Source, error) {
 	return src, nil
 }
 
+// ErrCheckpointDir reports a checkpoint directory other than the WAL
+// set's. A round rotates and truncates the set's generations, and Boot
+// looks for the image that covers them only in the set's directory.
+var ErrCheckpointDir = errors.New("thedb: checkpoints of a database with a WAL set go in the set's directory")
+
+// checkDir refuses a checkpoint directory that is not the WAL set's,
+// comparing absolute, cleaned paths.
+func (db *DB) checkDir(dir string) error {
+	if db.cfg.WALSet == nil {
+		return nil
+	}
+	want, err := filepath.Abs(db.cfg.WALSet.Dir())
+	if err != nil {
+		return err
+	}
+	got, err := filepath.Abs(dir)
+	if err != nil {
+		return err
+	}
+	if got != want {
+		return fmt.Errorf("%w: %s is not %s", ErrCheckpointDir, got, want)
+	}
+	return nil
+}
+
 // checkpointOptions wires the WAL set (rotation + truncation) into a
 // round when the logger is live to rotate.
 func (db *DB) checkpointOptions(dir string) checkpoint.Options {
@@ -76,8 +103,11 @@ func (db *DB) checkpointOptions(dir string) checkpoint.Options {
 // snapshots) and the image is published only once every epoch it may
 // contain is durable in the WAL. Stopped or not-yet-started engine:
 // the scan is trivially consistent and the watermark is the current
-// epoch.
+// epoch. With a WALSet, dir must be the set's directory.
 func (db *DB) Checkpoint(dir string) (*CheckpointInfo, error) {
+	if err := db.checkDir(dir); err != nil {
+		return nil, err
+	}
 	src, err := db.checkpointSource()
 	if err != nil {
 		return nil, err
@@ -106,6 +136,9 @@ func (db *DB) Checkpoint(dir string) (*CheckpointInfo, error) {
 // Close. Round failures are counted in CheckpointStats and retried
 // next tick.
 func (db *DB) CheckpointEvery(dir string, interval time.Duration) error {
+	if err := db.checkDir(dir); err != nil {
+		return err
+	}
 	if !db.started {
 		return fmt.Errorf("thedb: CheckpointEvery requires a started database")
 	}

@@ -129,6 +129,9 @@ func OpenFileSet(dir string, workers int, wrapSink func(worker int, f *os.File) 
 // Dir returns the directory the set lives in.
 func (fs *FileSet) Dir() string { return fs.dir }
 
+// Workers returns the number of per-worker streams the set keeps.
+func (fs *FileSet) Workers() int { return fs.workers }
+
 // Sink returns worker i's active log sink, suitable for Config.LogSink.
 func (fs *FileSet) Sink(i int) io.Writer {
 	fs.mu.Lock()

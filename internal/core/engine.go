@@ -466,59 +466,45 @@ func (e *Engine) Worker(i int) *Worker { return e.workers[i] }
 // Workers returns the number of workers.
 func (e *Engine) Workers() int { return len(e.workers) }
 
-// Metrics merges all workers' collectors, attributing the given wall
-// time. It copies the collectors with plain loads, so it must only be
-// called once workers are quiescent (between runs, after Stop); use
-// LiveMetrics to observe a running engine.
+// Metrics takes an epoch-consistent snapshot of every worker's
+// counters, attributing the given wall time, without stopping the
+// workers: each collector is read with atomic loads, and the whole
+// scan retries (bounded) when the global epoch advances mid-scan, so
+// the snapshot's counters all belong to the same epoch window.
 func (e *Engine) Metrics(wall time.Duration) *metrics.Aggregate {
 	ws := make([]*metrics.Worker, len(e.workers))
 	for i, w := range e.workers {
 		ws[i] = &w.m
 	}
-	a := metrics.Merge(wall, ws)
-	// Watchdog trips are counted by the epoch advancer, not the
-	// worker (the worker is by definition stuck when one fires); fold
-	// them into the aggregate here.
-	for i := range e.workers {
-		a.WatchdogTrips += e.epoch.Trips(i)
+	for attempt := 0; ; attempt++ {
+		ep := e.epoch.Current()
+		a := metrics.Merge(wall, ws)
+		// Watchdog trips are counted by the epoch advancer, not the
+		// worker (the worker is by definition stuck when one fires).
+		for i := range e.workers {
+			a.WatchdogTrips += e.epoch.Trips(i)
+		}
+		// A scan spanning an epoch advance mixes pre- and post-advance
+		// counters; retry a few times, then accept (the advance period
+		// is orders of magnitude longer than a scan, so a second
+		// collision is pathological).
+		if e.epoch.Current() != ep && attempt < 3 {
+			continue
+		}
+		a.Epoch = ep
+		e.fillEngineMetrics(a)
+		return a
 	}
-	a.Epoch = e.epoch.Current()
-	e.fillEngineMetrics(a)
-	return a
 }
 
-// LiveMetrics takes an epoch-consistent snapshot of every worker's
-// counters without stopping the workers: each collector is read with
-// atomic loads, and the whole scan retries (bounded) when the global
-// epoch advances mid-scan, so the snapshot's counters all belong to
-// the same epoch window. Raw latency samples are excluded — live
-// percentiles come from the histogram buckets. Wall time is measured
-// from Start, so TPS() is the lifetime average.
+// LiveMetrics is Metrics over the wall time since Start, so TPS() is
+// the lifetime average.
 func (e *Engine) LiveMetrics() *metrics.Aggregate {
 	var wall time.Duration
 	if s := e.startNS.Load(); s != 0 {
 		wall = time.Duration(time.Now().UnixNano() - s)
 	}
-	snaps := make([]metrics.Counters, len(e.workers))
-	for attempt := 0; ; attempt++ {
-		ep := e.epoch.Current()
-		for i, w := range e.workers {
-			c := w.m.Snapshot()
-			c.WatchdogTrips += e.epoch.Trips(i)
-			snaps[i] = c
-		}
-		// Epoch consistency: a snapshot spanning an epoch advance
-		// mixes pre- and post-advance counters; retry a few times,
-		// then accept (the advance period is orders of magnitude
-		// longer than a scan, so a second collision is pathological).
-		if e.epoch.Current() != ep && attempt < 3 {
-			continue
-		}
-		a := metrics.MergeSnapshots(wall, snaps)
-		a.Epoch = ep
-		e.fillEngineMetrics(a)
-		return a
-	}
+	return e.Metrics(wall)
 }
 
 // fillEngineMetrics adds the engine-owned (non-per-worker) state to

@@ -1,19 +1,19 @@
-// Package metrics collects the measurements the paper reports:
-// per-phase time breakdown (Fig. 19), latency histograms with the
-// paper's doubling bucket layout (Tables 1, 3, 5), throughput, abort
-// and restart counts (Fig. 9, Tables 2, 6).
+// Package metrics collects the engine's counters: per-phase time
+// breakdown (Fig. 19), throughput, abort and restart counts (Fig. 9,
+// Tables 2, 6) and a doubling-bucket latency histogram for exposition.
+// The paper's per-transaction latency distributions (Tables 1, 3, 5)
+// are recorded by the harness, internal/bench, not here.
 //
 // Each worker owns a private Worker collector; the counter fields are
 // updated with atomic adds (no locks, no sharing of cachelines
-// between workers) so a live snapshot can read them mid-run without
-// stopping the worker — see Snapshot. Aggregate folds workers
-// together after a run or at a snapshot instant.
+// between workers) so a snapshot can read them mid-run without
+// stopping the worker — see Snapshot. Merge folds workers together.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -129,8 +129,7 @@ func (c *Counters) accumulate(o *Counters) {
 // worker and read by everyone, including the owner: use Snapshot,
 // which returns a plain Counters value. A plain read or write of a
 // field does not compile, and `go vet`'s copylocks check flags any
-// copy of a Worker. The raw percentile samples are worker-private
-// until the run ends and are never part of a live snapshot.
+// copy of a Worker.
 type Worker struct {
 	Committed  atomic.Int64
 	Aborted    atomic.Int64 // transactions given up permanently (user abort, deadlock prevention)
@@ -158,17 +157,7 @@ type Worker struct {
 	PhaseNS [numPhases]atomic.Int64
 
 	latency [numBuckets]atomic.Int64 // committed-transaction latency, bucket i: [2^i, 2^(i+1)) µs
-	samples []float64                // raw latency samples (µs), capped, for percentiles
 }
-
-// maxSamples caps raw percentile samples per worker.
-const maxSamples = 1 << 17
-
-// MaxMergedSamples is the documented global bound on raw latency
-// samples an Aggregate retains: Merge reservoir-downsamples past it,
-// so many-worker runs never hold unbounded float64 slices (each
-// worker alone may contribute up to maxSamples = 1<<17).
-const MaxMergedSamples = 1 << 18
 
 // AddPhase accrues d into the phase's total.
 //
@@ -177,28 +166,21 @@ func (w *Worker) AddPhase(p Phase, d time.Duration) {
 	w.PhaseNS[p].Add(int64(d))
 }
 
-// ObserveLatency records one committed transaction's latency.
+// ObserveLatency records one committed transaction's latency in the
+// histogram and the sum: bucket ⌊log2(µs)⌋, clamped to [0, 23].
+//
+//thedb:noalloc
 func (w *Worker) ObserveLatency(d time.Duration) {
 	w.LatencySumNS.Add(int64(d))
-	us := float64(d) / float64(time.Microsecond)
 	b := 0
-	if us >= 1 {
-		b = int(math.Log2(us))
-	}
-	if b >= numBuckets {
-		b = numBuckets - 1
+	if d >= time.Microsecond {
+		b = min(bits.Len64(uint64(d/time.Microsecond))-1, numBuckets-1)
 	}
 	w.latency[b].Add(1)
-	if len(w.samples) < maxSamples {
-		w.samples = append(w.samples, us)
-	}
 }
 
 // Snapshot returns an atomically-read copy of the worker's counters,
-// safe to take while the worker keeps committing. The raw percentile
-// samples are deliberately excluded (they are append-only
-// worker-private state, merged only after a run); histogram buckets,
-// phase times and all counters are included.
+// safe to take while the worker keeps committing.
 func (w *Worker) Snapshot() Counters {
 	var s Counters
 	s.Committed = w.Committed.Load()
@@ -230,10 +212,8 @@ type Aggregate struct {
 	Wall    time.Duration
 	Workers int
 
-	samples []float64 // merged raw latency samples (µs), bounded by MaxMergedSamples
-
-	// Epoch is the global epoch at snapshot time (live snapshots
-	// only; zero on post-run merges).
+	// Epoch is the global epoch the engine's snapshot scan read its
+	// counters in (zero on a Merge outside the engine).
 	Epoch uint32
 
 	// Durability state, filled by the engine (not per-worker; zero
@@ -254,45 +234,13 @@ type Aggregate struct {
 	SnapshotEpochLag      uint32 // epochs the oldest pinned snapshot trails the current epoch
 }
 
-// Merge folds per-worker collectors into one aggregate. The
-// concatenated raw-sample set is bounded by MaxMergedSamples via
-// deterministic reservoir downsampling (algorithm R with a fixed-seed
-// splitmix64 stream), so percentiles stay representative of the whole
-// population without the aggregate holding every sample.
+// Merge folds per-worker collectors into one aggregate, reading each
+// through Snapshot: it is safe while the workers keep committing.
 func Merge(wall time.Duration, workers []*Worker) *Aggregate {
 	a := &Aggregate{Wall: wall, Workers: len(workers)}
-	rng := uint64(0x9e3779b97f4a7c15) // fixed seed: merges are reproducible
-	seen := 0
 	for _, w := range workers {
 		c := w.Snapshot()
 		a.Counters.accumulate(&c)
-		for _, s := range w.samples {
-			if len(a.samples) < MaxMergedSamples {
-				a.samples = append(a.samples, s)
-			} else {
-				rng += 0x9e3779b97f4a7c15
-				z := rng
-				z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-				z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-				z ^= z >> 31
-				if j := z % uint64(seen+1); j < MaxMergedSamples {
-					a.samples[j] = s
-				}
-			}
-			seen++
-		}
-	}
-	return a
-}
-
-// MergeSnapshots folds already-taken Counters snapshots into an
-// aggregate — the live-snapshot path, where the caller reads each
-// worker under its own consistency protocol (epoch-stable scans) and
-// no raw samples exist.
-func MergeSnapshots(wall time.Duration, snaps []Counters) *Aggregate {
-	a := &Aggregate{Wall: wall, Workers: len(snaps)}
-	for i := range snaps {
-		a.Counters.accumulate(&snaps[i])
 	}
 	return a
 }
@@ -334,54 +282,6 @@ func (a *Aggregate) PhaseFraction(p Phase) float64 {
 	}
 	return float64(a.PhaseNS[p]) / float64(total)
 }
-
-// LatencyShare returns the fraction of committed transactions whose
-// latency fell in [lo, hi) microseconds, computed from the raw
-// samples (paper Tables 1 and 5 use irregular bucket edges).
-func (a *Aggregate) LatencyShare(loUS, hiUS float64) float64 {
-	if len(a.samples) == 0 {
-		return 0
-	}
-	n := 0
-	for _, s := range a.samples {
-		if s >= loUS && s < hiUS {
-			n++
-		}
-	}
-	return float64(n) / float64(len(a.samples))
-}
-
-// Percentile returns the p-th latency percentile in microseconds
-// (p in [0, 100]), linearly interpolating between adjacent order
-// statistics: rank = p/100·(n−1), value = s[⌊rank⌋] weighted toward
-// s[⌊rank⌋+1] by the fractional part. A truncating index would
-// under-report high percentiles on small sample sets (p99 of 10
-// samples must sit between the two largest, not on the second
-// largest).
-func (a *Aggregate) Percentile(p float64) float64 {
-	if len(a.samples) == 0 {
-		return 0
-	}
-	s := make([]float64, len(a.samples))
-	copy(s, a.samples)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo] + frac*(s[lo+1]-s[lo])
-}
-
-// Samples returns the number of raw latency samples retained.
-func (a *Aggregate) Samples() int { return len(a.samples) }
 
 // LatencyBuckets returns the doubling-bucket latency histogram:
 // uppers[i] is bucket i's exclusive upper edge in microseconds

@@ -72,9 +72,6 @@ func TestZeroDivisionSafety(t *testing.T) {
 	if a.PhaseFraction(PhaseRead) != 0 {
 		t.Fatal("phase fraction of empty aggregate")
 	}
-	if a.Percentile(95) != 0 || a.LatencyShare(0, 100) != 0 {
-		t.Fatal("latency stats of empty aggregate")
-	}
 }
 
 func TestPhaseAccounting(t *testing.T) {
@@ -96,97 +93,9 @@ func TestPhaseAccounting(t *testing.T) {
 	}
 }
 
-func TestLatencyPercentilesAndShares(t *testing.T) {
-	w := &Worker{}
-	for i := 1; i <= 100; i++ {
-		w.ObserveLatency(time.Duration(i) * time.Microsecond)
-	}
-	a := Merge(time.Second, []*Worker{w})
-	if a.Samples() != 100 {
-		t.Fatalf("samples = %d", a.Samples())
-	}
-	if p := a.Percentile(50); p < 45 || p > 55 {
-		t.Fatalf("p50 = %f", p)
-	}
-	if p := a.Percentile(100); p != 100 {
-		t.Fatalf("p100 = %f", p)
-	}
-	if s := a.LatencyShare(1, 51); math.Abs(s-0.5) > 0.02 {
-		t.Fatalf("share [1,51) = %f", s)
-	}
-	if s := a.LatencyShare(1000, 2000); s != 0 {
-		t.Fatalf("share of empty range = %f", s)
-	}
-}
-
-// TestPercentileInterpolation pins the linear-interpolation contract
-// on a known distribution: ten samples 10,20,...,100µs. rank =
-// p/100·(n−1), interpolating between adjacent order statistics — a
-// truncating index would report p50=50 and p99=90 here.
-func TestPercentileInterpolation(t *testing.T) {
-	w := &Worker{}
-	for i := 1; i <= 10; i++ {
-		w.ObserveLatency(time.Duration(10*i) * time.Microsecond)
-	}
-	a := Merge(time.Second, []*Worker{w})
-	cases := []struct{ p, want float64 }{
-		{0, 10},    // floor clamp
-		{100, 100}, // ceiling clamp
-		{50, 55},   // rank 4.5: halfway between 50 and 60
-		{25, 32.5}, // rank 2.25
-		{99, 99.1}, // rank 8.91: between the two largest
-		{90, 91},   // rank 8.1
-	}
-	for _, c := range cases {
-		if got := a.Percentile(c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Percentile(%g) = %g, want %g", c.p, got, c.want)
-		}
-	}
-}
-
-// TestMergeCapsSamples: concatenating more than MaxMergedSamples raw
-// samples must reservoir-downsample to exactly the cap, keep the
-// result deterministic across merges, and retain samples from every
-// contributing worker (representativeness, not truncation).
-func TestMergeCapsSamples(t *testing.T) {
-	mkWorker := func(v float64) *Worker {
-		w := &Worker{}
-		w.samples = make([]float64, maxSamples)
-		for i := range w.samples {
-			w.samples[i] = v
-		}
-		return w
-	}
-	workers := []*Worker{mkWorker(1), mkWorker(2), mkWorker(3)}
-	a := Merge(time.Second, workers)
-	if a.Samples() != MaxMergedSamples {
-		t.Fatalf("merged samples = %d, want cap %d", a.Samples(), MaxMergedSamples)
-	}
-	counts := map[float64]int{}
-	for _, s := range a.samples {
-		counts[s]++
-	}
-	for v := 1.0; v <= 3; v++ {
-		if counts[v] == 0 {
-			t.Errorf("reservoir lost every sample of worker %g — truncation, not downsampling", v)
-		}
-	}
-	// A tail-truncating cap would keep zero samples from the last
-	// worker's overflow; algorithm R keeps roughly its fair share.
-	if frac := float64(counts[3]) / float64(a.Samples()); frac < 0.15 {
-		t.Errorf("last worker's share = %.3f, want ≈ 1/3", frac)
-	}
-	b := Merge(time.Second, workers)
-	for i := range a.samples {
-		if a.samples[i] != b.samples[i] {
-			t.Fatalf("merge is nondeterministic at sample %d: %g vs %g", i, a.samples[i], b.samples[i])
-		}
-	}
-}
-
 // TestSnapshotCopiesCountersExcludesSamples: Snapshot must carry
-// every counter, phase total and histogram bucket, but never the
-// worker-private raw sample slice.
+// every counter, phase total and histogram bucket, and Merge must fold
+// the snapshot it takes.
 func TestSnapshotCopiesCountersExcludesSamples(t *testing.T) {
 	w := &Worker{}
 	w.Committed.Add(1)
@@ -206,10 +115,42 @@ func TestSnapshotCopiesCountersExcludesSamples(t *testing.T) {
 	if s.LatencySumNS != int64(3*time.Microsecond) {
 		t.Fatalf("snapshot latency sum = %d", s.LatencySumNS)
 	}
-	// Counters carries no sample slice by construction; merging one
-	// snapshot must leave the aggregate without raw samples either.
-	if MergeSnapshots(time.Second, []Counters{s}).Samples() != 0 {
-		t.Fatal("snapshot must not carry raw samples into an aggregate")
+	if a := Merge(time.Second, []*Worker{w}); a.Counters != s {
+		t.Fatalf("merged = %+v, want the snapshot %+v", a.Counters, s)
+	}
+}
+
+// TestLatencyBucketEdges pins the doubling histogram's layout: bucket
+// i holds [2^i, 2^(i+1)) µs, bucket 0 also everything below 1µs, and
+// the last bucket everything from 2^23 µs up.
+func TestLatencyBucketEdges(t *testing.T) {
+	cases := []struct {
+		d    time.Duration
+		want int
+	}{
+		{-time.Nanosecond, 0},
+		{0, 0},
+		{999 * time.Nanosecond, 0},
+		{time.Microsecond, 0},
+		{2*time.Microsecond - time.Nanosecond, 0},
+		{2 * time.Microsecond, 1},
+		{3 * time.Microsecond, 1},
+		{(1<<23 - 1) * time.Microsecond, 22},
+		{(1 << 23) * time.Microsecond, 23},
+		{10 * time.Second, 23},
+	}
+	for _, c := range cases {
+		w := &Worker{}
+		w.ObserveLatency(c.d)
+		s := w.Snapshot()
+		var want [numBuckets]int64
+		want[c.want] = 1
+		if s.latency != want {
+			t.Errorf("ObserveLatency(%v) buckets = %v, want bucket %d", c.d, s.latency, c.want)
+		}
+		if s.LatencySumNS != int64(c.d) {
+			t.Errorf("ObserveLatency(%v) sum = %d", c.d, s.LatencySumNS)
+		}
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 )
 
 // TestLiveMetricsWhileCommitting pins the acceptance contract for live
-// snapshots: DB.LiveMetrics() is readable mid-run — under the race
-// detector, while workers keep committing — and every snapshot is
-// internally consistent: the committed counter never goes backwards and
-// the epoch is populated once the advancer has run.
+// snapshots: DB.LiveMetrics() and DB.Metrics(wall) are readable mid-run
+// — under the race detector, while workers keep committing — and every
+// snapshot is internally consistent: the committed counter never goes
+// backwards and the epoch is populated once the advancer has run.
 func TestLiveMetricsWhileCommitting(t *testing.T) {
 	db := counterDB(t, thedb.Config{
 		Protocol:      thedb.Healing,
@@ -65,6 +65,14 @@ func TestLiveMetricsWhileCommitting(t *testing.T) {
 		if a.Epoch > 0 {
 			sawEpoch = true
 		}
+		// Metrics takes the same scan with a caller's wall time; it
+		// has no quiescence rule.
+		m := db.Metrics(time.Second)
+		if m.Wall != time.Second || m.Workers != 2 || m.Committed < lastCommitted {
+			t.Fatalf("Metrics mid-run = wall %v, %d workers, %d committed; want 1s, 2, at least %d",
+				m.Wall, m.Workers, m.Committed, lastCommitted)
+		}
+		lastCommitted = m.Committed
 	}
 	close(stop)
 	wg.Wait()

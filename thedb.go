@@ -196,7 +196,8 @@ type Config struct {
 	// WALSet, when non-nil, logs each worker into the set's rotating
 	// generation files (see OpenWALSet) instead of a fixed LogSink —
 	// the layout checkpoints can truncate. Ignored if LogSink is also
-	// set.
+	// set. The set's worker count must equal Workers, and checkpoints
+	// go in the set's directory (ErrCheckpointDir).
 	WALSet *WALSet
 
 	// SyncRetries bounds retries of a failed epoch log sync before
@@ -278,10 +279,15 @@ type DB struct {
 }
 
 // Open creates an empty database. Create tables and register
-// procedures, then call Start.
+// procedures, then call Start. It refuses a WALSet kept for a worker
+// count other than Config.Workers.
 func Open(cfg Config) (*DB, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
+	}
+	if cfg.WALSet != nil && cfg.WALSet.Workers() != cfg.Workers {
+		return nil, fmt.Errorf("thedb: WAL set in %s holds %d worker streams, Config.Workers is %d",
+			cfg.WALSet.Dir(), cfg.WALSet.Workers(), cfg.Workers)
 	}
 	db := &DB{cfg: cfg, catalog: storage.NewCatalog()}
 	return db, nil
@@ -413,17 +419,16 @@ func (db *DB) HasProcedure(name string) bool {
 	return ok
 }
 
-// Metrics aggregates all sessions' counters over the given wall-clock
-// duration.
+// Metrics snapshots all sessions' counters, attributing the given
+// wall-clock duration. It is safe while transactions are in flight:
+// counters are read atomically and the scan retries if the global
+// epoch advances mid-read, so the snapshot is epoch-consistent.
 func (db *DB) Metrics(wall time.Duration) *metrics.Aggregate {
 	return db.engine().Metrics(wall)
 }
 
-// LiveMetrics snapshots all sessions' counters while transactions are
-// in flight — unlike Metrics, which requires quiescence. The snapshot
-// is epoch-consistent: counters are read atomically and the scan
-// retries if the global epoch advances mid-read. Wall time (for TPS)
-// runs from Start.
+// LiveMetrics is Metrics with the wall time (for TPS) running from
+// Start.
 func (db *DB) LiveMetrics() *metrics.Aggregate {
 	return db.engine().LiveMetrics()
 }
