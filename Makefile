@@ -154,7 +154,8 @@ pins:
 # internal/metrics + internal/obs — internal/analysis with its
 # tests and fixtures, test, benchmark/) and the
 # option counts — exported fields of the three configuration
-# structs. CI runs it at the end of the verify job, so every PR's log
+# structs (thedb.Config, core.Options, server.Config) and of the
+# checkpointer's checkpoint.Options and checkpoint.Source. CI runs it at the end of the verify job, so every PR's log
 # carries its numbers.
 lines = find $(1) -name '*.go' -print | xargs cat | wc -l
 fields = awk '/^type $(2) struct/{on=1;next} on&&/^}/{exit} on&&/^\t[A-Z][A-Za-z0-9]*[ \t]/{n++} END{print n+0}' $(1)
@@ -171,6 +172,8 @@ loc:
 	@echo "fields, thedb.Config:                   $$($(call fields,thedb.go,Config))"
 	@echo "fields, core.Options:                   $$($(call fields,internal/core/engine.go,Options))"
 	@echo "fields, server.Config:                  $$($(call fields,internal/server/server.go,Config))"
+	@echo "fields, checkpoint.Options:             $$($(call fields,internal/checkpoint/checkpointer.go,Options))"
+	@echo "fields, checkpoint.Source:              $$($(call fields,internal/checkpoint/checkpointer.go,Source))"
 
 # pairs is the evidence for a claimed gain (choosing-metrics §8): N
 # alternating runs of the parent commit and of the working tree on one

@@ -394,3 +394,68 @@ func TestOpenRefusesWALSetWorkerMismatch(t *testing.T) {
 	}
 	bootSchema(db)
 }
+
+// LogSink and WALSet are exclusive. With both set, the first checkpoint
+// round would rotate every stream off its LogSink writer into the
+// set's files: the LogSink stream would stop without an error, and the
+// set's directory would lack every group logged before that rotation.
+func TestOpenRefusesLogSinkWithWALSet(t *testing.T) {
+	fs, err := OpenWALSet(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	sink := func(int) io.Writer { return io.Discard }
+	if _, err := Open(Config{LogSink: sink, WALSet: fs}); !errors.Is(err, ErrLogSinkAndWALSet) {
+		t.Fatalf("Open(LogSink and WALSet) = %v, want ErrLogSinkAndWALSet", err)
+	}
+}
+
+// A database that was never started has no writer for a round to wait
+// on: Checkpoint publishes at the current epoch at once, although the
+// durable frontier an online round gates on is still 0, and then drops
+// the WAL generations that epoch covers.
+func TestCheckpointBeforeStartPublishesAtCurrentEpoch(t *testing.T) {
+	dir := t.TempDir()
+	bootHistory(t, dir, 6, 4)
+	gens := walFiles(t, dir)
+	db, fs := bootLife(t, dir)
+	if _, err := db.Boot(fs, RecoverOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	cur := db.eng.Epoch().Current()
+	if durable := db.eng.DurableEpoch(); durable >= cur {
+		t.Fatalf("durable epoch %d already at current %d: the gate would be open anyway", durable, cur)
+	}
+	start := time.Now()
+	info, err := db.Checkpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("Checkpoint before Start took %v: it waited on the publication gate", elapsed)
+	}
+	if info.Watermark != cur {
+		t.Fatalf("watermark = %d, want the current epoch %d", info.Watermark, cur)
+	}
+	for _, g := range gens {
+		if _, err := os.Stat(g); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("generation %s of the first life survived the round (stat: %v)", g, err)
+		}
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, fs2 := bootLife(t, dir)
+	report, err := db2.Boot(fs2, RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.CheckpointPath != info.Path {
+		t.Fatalf("boot used checkpoint %q, want %q", report.CheckpointPath, info.Path)
+	}
+	if got, want := statecheck.VisibleRows(db2.catalog), statecheck.VisibleRows(db.catalog); got != want {
+		t.Fatalf("restored rows differ\n got: %s\nwant: %s", got, want)
+	}
+}

@@ -38,12 +38,15 @@ func (db *DB) CheckpointStats() *metrics.Checkpoint { return &db.ckstats }
 // snapshots, validating that an online checkpoint is safe: value
 // logging only (a fuzzy image plus command replay double-executes
 // procedures; value replay is idempotent under the Thomas write rule)
-// and a live durability frontier to gate publication on.
+// and a live durability frontier to gate publication on. A database
+// that is not running has no concurrent writer: its frontier is the
+// current epoch, so the round's watermark is that epoch and its gate
+// is already open.
 func (db *DB) checkpointSource() (checkpoint.Source, error) {
 	eng := db.engine()
 	src := checkpoint.Source{Catalog: db.catalog, CurrentEpoch: eng.Epoch().Current}
 	if !db.started {
-		src.Quiesced = true
+		src.DurableEpoch = src.CurrentEpoch
 		return src, nil
 	}
 	if db.logger == nil {
@@ -86,7 +89,7 @@ func (db *DB) checkDir(dir string) error {
 // round when the logger is live to rotate.
 func (db *DB) checkpointOptions(dir string) checkpoint.Options {
 	opt := checkpoint.Options{Dir: dir, Stats: &db.ckstats}
-	if db.started && db.cfg.WALSet != nil && db.logger != nil {
+	if db.started && db.cfg.WALSet != nil {
 		opt.Files = db.cfg.WALSet
 		opt.Log = db.logger
 	}
@@ -120,9 +123,10 @@ func (db *DB) Checkpoint(dir string) (*CheckpointInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A quiesced round cannot rotate a stopped logger; closed
-	// generations below the watermark are still safe to drop.
-	if src.Quiesced && db.cfg.WALSet != nil {
+	// A round on a database that is not running cannot rotate a
+	// stopped logger; closed generations below the watermark are still
+	// safe to drop.
+	if !db.started && db.cfg.WALSet != nil {
 		if _, terr := db.cfg.WALSet.Truncate(info.Watermark, nil); terr != nil {
 			return info, terr
 		}

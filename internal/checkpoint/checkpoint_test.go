@@ -176,19 +176,18 @@ func TestLoadRejectsSchemaDrift(t *testing.T) {
 	}
 }
 
+// quiescedSource is a source with no concurrent writer: its durable
+// frontier is its current epoch, so a round's gate is already open.
 func quiescedSource(cat *storage.Catalog, epoch uint32) Source {
-	return Source{
-		Catalog:      cat,
-		CurrentEpoch: func() uint32 { return epoch },
-		Quiesced:     true,
-	}
+	current := func() uint32 { return epoch }
+	return Source{Catalog: cat, CurrentEpoch: current, DurableEpoch: current}
 }
 
 func TestRunOncePublishesAndPrunes(t *testing.T) {
 	dir := t.TempDir()
 	cat := newCatalog()
 	fill(cat, 100)
-	c, err := New(quiescedSource(cat, 7), Options{Dir: dir, Keep: 2})
+	c, err := New(quiescedSource(cat, 7), Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +200,12 @@ func TestRunOncePublishesAndPrunes(t *testing.T) {
 			t.Fatalf("watermark = %d, want 7", info.Watermark)
 		}
 	}
-	_, paths := listCheckpoints(dir)
-	if len(paths) != 2 {
-		t.Fatalf("retained %d images, want 2 (prune failed): %v", len(paths), paths)
+	_, paths, err := listCheckpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != keepImages {
+		t.Fatalf("retained %d images, want %d (prune failed): %v", len(paths), keepImages, paths)
 	}
 	if filepath.Base(paths[0]) != "checkpoint-000004.ckpt" {
 		t.Fatalf("newest = %s, want checkpoint-000004.ckpt", paths[0])
@@ -260,9 +262,25 @@ func TestLoadNewestFallsBackPastCorruptImage(t *testing.T) {
 }
 
 func TestLoadNewestEmptyDirIsNotAnError(t *testing.T) {
-	info, err := LoadNewest(newCatalog(), t.TempDir())
-	if err != nil || info != nil {
-		t.Fatalf("LoadNewest(empty) = (%v, %v), want (nil, nil)", info, err)
+	dir := t.TempDir()
+	for _, d := range []string{dir, filepath.Join(dir, "missing")} {
+		info, err := LoadNewest(newCatalog(), d)
+		if err != nil || info != nil {
+			t.Fatalf("LoadNewest(%s) = (%v, %v), want (nil, nil)", d, info, err)
+		}
+	}
+}
+
+// A directory that cannot be read is not an empty one: reporting "no
+// image" would let Boot start fresh over WAL generations an unseen
+// image let truncation delete.
+func TestLoadNewestUnreadableDirFails(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := LoadNewest(newCatalog(), file); err == nil {
+		t.Fatalf("LoadNewest(regular file) = (%v, nil), want an error", info)
 	}
 }
 
@@ -287,8 +305,8 @@ func TestCrashPointsNeverPublishTornImages(t *testing.T) {
 		if _, err := c.RunOnce(); !errors.Is(err, boom) {
 			t.Fatalf("%v: RunOnce error = %v, want injected crash", point, err)
 		}
-		if _, paths := listCheckpoints(dir); len(paths) != 0 {
-			t.Fatalf("%v: crash before publish left visible images: %v", point, paths)
+		if _, paths, err := listCheckpoints(dir); err != nil || len(paths) != 0 {
+			t.Fatalf("%v: crash before publish left visible images: %v (%v)", point, paths, err)
 		}
 		// Recovery sees no checkpoint at all — full-WAL replay territory.
 		if info, err := LoadNewest(newCatalog(), dir); err != nil || info != nil {

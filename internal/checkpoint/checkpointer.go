@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -78,17 +79,27 @@ type Source struct {
 	Catalog *storage.Catalog
 	// CurrentEpoch returns the global epoch.
 	CurrentEpoch func() uint32
-	// DurableEpoch returns the group-commit durability frontier.
-	// Required unless Quiesced.
+	// DurableEpoch returns the group-commit durability frontier. A
+	// source with no concurrent writer (engine not started, or
+	// stopped) passes CurrentEpoch: the watermark is then the current
+	// epoch and the publication gate is already open.
 	DurableEpoch func() uint32
 	// DurabilityLost reports whether group commit gave up on syncing
 	// (the frontier will never advance). Optional.
 	DurabilityLost func() bool
-	// Quiesced asserts no writer is concurrent with the scan (engine
-	// not started, or stopped). The watermark is then the current
-	// epoch and no publication gate is needed.
-	Quiesced bool
 }
+
+const (
+	// keepImages is how many published images a round retains: the
+	// newest plus one fallback should the newest be corrupt.
+	keepImages = 2
+	// gatePoll is the publication-gate polling interval; gateTimeout
+	// bounds the wait. An advancer that never reaches the gate epoch
+	// means group commit is wedged, and the round aborts rather than
+	// hangs.
+	gatePoll    = time.Millisecond
+	gateTimeout = 30 * time.Second
+)
 
 // Options configures a Checkpointer.
 type Options struct {
@@ -97,9 +108,6 @@ type Options struct {
 	// Interval is the cadence of the background loop (Start). Zero
 	// with Start is an error; RunOnce ignores it.
 	Interval time.Duration
-	// Keep is how many published images to retain (default 2: the
-	// newest plus one fallback should the newest be corrupt).
-	Keep int
 	// Files, when set, is rotated and truncated after each publish so
 	// the WAL tail stays bounded. Requires Log.
 	Files *FileSet
@@ -109,12 +117,6 @@ type Options struct {
 	Stats *metrics.Checkpoint
 	// Hooks injects crash points (tests only).
 	Hooks Hooks
-	// GatePoll is the publication-gate polling interval (default 1ms).
-	GatePoll time.Duration
-	// GateTimeout bounds the publication-gate wait (default 30s); an
-	// advancer that never reaches the gate epoch means group commit is
-	// wedged and the round aborts rather than hangs.
-	GateTimeout time.Duration
 }
 
 // Checkpointer takes checkpoints of a Source, either on demand
@@ -143,26 +145,14 @@ type Checkpointer struct {
 
 // New validates the wiring and builds a Checkpointer.
 func New(src Source, opt Options) (*Checkpointer, error) {
-	if src.Catalog == nil || src.CurrentEpoch == nil {
-		return nil, fmt.Errorf("checkpoint: source needs Catalog and CurrentEpoch")
-	}
-	if !src.Quiesced && src.DurableEpoch == nil {
-		return nil, fmt.Errorf("checkpoint: online source needs DurableEpoch")
+	if src.Catalog == nil || src.CurrentEpoch == nil || src.DurableEpoch == nil {
+		return nil, fmt.Errorf("checkpoint: source needs Catalog, CurrentEpoch and DurableEpoch")
 	}
 	if opt.Dir == "" {
 		return nil, fmt.Errorf("checkpoint: options need Dir")
 	}
 	if opt.Files != nil && opt.Log == nil {
 		return nil, fmt.Errorf("checkpoint: Files requires Log to rotate")
-	}
-	if opt.Keep <= 0 {
-		opt.Keep = 2
-	}
-	if opt.GatePoll <= 0 {
-		opt.GatePoll = time.Millisecond
-	}
-	if opt.GateTimeout <= 0 {
-		opt.GateTimeout = 30 * time.Second
 	}
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, err
@@ -244,13 +234,7 @@ func (c *Checkpointer) RunOnce() (*Info, error) {
 }
 
 func (c *Checkpointer) runOnce() (*Info, error) {
-	var watermark uint32
-	if c.src.Quiesced {
-		watermark = c.src.CurrentEpoch()
-	} else {
-		watermark = c.src.DurableEpoch()
-	}
-
+	watermark := c.src.DurableEpoch()
 	images := Scan(c.src.Catalog)
 
 	tmp := filepath.Join(c.opt.Dir, "checkpoint.tmp")
@@ -273,11 +257,8 @@ func (c *Checkpointer) runOnce() (*Info, error) {
 	// epochs up to the current one. Wait until every epoch the image
 	// can contain is durable in the WAL, so a restart from this image
 	// always finds the full groups in the tail.
-	gate := c.src.CurrentEpoch()
-	if !c.src.Quiesced {
-		if err := c.waitGate(gate); err != nil {
-			return nil, err
-		}
+	if err := c.waitGate(c.src.CurrentEpoch()); err != nil {
+		return nil, err
 	}
 
 	if err := f.Sync(); err != nil {
@@ -293,7 +274,10 @@ func (c *Checkpointer) runOnce() (*Info, error) {
 		return nil, err
 	}
 
-	seq := nextSeq(c.opt.Dir)
+	seq, err := nextSeq(c.opt.Dir)
+	if err != nil {
+		return nil, err
+	}
 	final := ckptPath(c.opt.Dir, seq)
 	if err := os.Rename(tmp, final); err != nil {
 		return nil, err
@@ -311,7 +295,7 @@ func (c *Checkpointer) runOnce() (*Info, error) {
 		return info, err
 	}
 
-	if err := pruneCheckpoints(c.opt.Dir, c.opt.Keep); err != nil {
+	if err := pruneCheckpoints(c.opt.Dir); err != nil {
 		return info, err
 	}
 
@@ -333,7 +317,7 @@ func (c *Checkpointer) runOnce() (*Info, error) {
 
 // waitGate polls until the durable frontier reaches gate.
 func (c *Checkpointer) waitGate(gate uint32) error {
-	deadline := time.Now().Add(c.opt.GateTimeout)
+	deadline := time.Now().Add(gateTimeout)
 	stop := c.stopped()
 	for {
 		if c.src.DurabilityLost != nil && c.src.DurabilityLost() {
@@ -352,7 +336,7 @@ func (c *Checkpointer) waitGate(gate uint32) error {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("checkpoint: publication gate timed out (durable %d, need %d)", c.src.DurableEpoch(), gate)
 		}
-		time.Sleep(c.opt.GatePoll)
+		time.Sleep(gatePoll)
 	}
 }
 
@@ -362,11 +346,16 @@ func ckptPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("checkpoint-%06d.ckpt", seq))
 }
 
-// listCheckpoints returns published images sorted newest first.
-func listCheckpoints(dir string) (seqs []uint64, paths []string) {
+// listCheckpoints returns published images sorted newest first. A
+// missing directory holds none; any other read error is returned, so
+// an unreadable directory is never taken for an empty one.
+func listCheckpoints(dir string) (seqs []uint64, paths []string, err error) {
 	entries, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, nil
+	}
 	if err != nil {
-		return nil, nil
+		return nil, nil, fmt.Errorf("checkpoint: list %s: %w", dir, err)
 	}
 	for _, e := range entries {
 		m := ckptFileRE.FindStringSubmatch(e.Name())
@@ -380,24 +369,24 @@ func listCheckpoints(dir string) (seqs []uint64, paths []string) {
 	for _, s := range seqs {
 		paths = append(paths, ckptPath(dir, s))
 	}
-	return seqs, paths
+	return seqs, paths, nil
 }
 
-func nextSeq(dir string) uint64 {
-	seqs, _ := listCheckpoints(dir)
-	if len(seqs) == 0 {
-		return 1
+func nextSeq(dir string) (uint64, error) {
+	seqs, _, err := listCheckpoints(dir)
+	if err != nil || len(seqs) == 0 {
+		return 1, err
 	}
-	return seqs[0] + 1
+	return seqs[0] + 1, nil
 }
 
-// pruneCheckpoints deletes all but the keep newest images.
-func pruneCheckpoints(dir string, keep int) error {
-	_, paths := listCheckpoints(dir)
-	if len(paths) <= keep {
-		return nil
+// pruneCheckpoints deletes all but the keepImages newest images.
+func pruneCheckpoints(dir string) error {
+	_, paths, err := listCheckpoints(dir)
+	if err != nil || len(paths) <= keepImages {
+		return err
 	}
-	for _, p := range paths[keep:] {
+	for _, p := range paths[keepImages:] {
 		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
 			return err
 		}
@@ -411,12 +400,12 @@ func pruneCheckpoints(dir string, keep int) error {
 // schema drift) is skipped in favor of the next — a checkpoint is an
 // optimization over replaying the full WAL, so falling back to an
 // older image is always safe for value logs. Returns (nil, nil) if
-// dir holds no images at all; an error only if images exist and none
-// validates.
+// dir holds no images at all or does not exist; an error if dir cannot
+// be read, or if images exist and none validates.
 func LoadNewest(catalog *storage.Catalog, dir string) (*Info, error) {
-	seqs, paths := listCheckpoints(dir)
-	if len(paths) == 0 {
-		return nil, nil
+	seqs, paths, err := listCheckpoints(dir)
+	if err != nil || len(paths) == 0 {
+		return nil, err
 	}
 	var firstErr error
 	for i, p := range paths {

@@ -310,15 +310,16 @@ func TestChaosForcedStallTripsWatchdog(t *testing.T) {
 	tab, _ := cat.Table("BALANCE")
 	tab.Put(1, storage.Tuple{storage.Int(7)}, 0)
 
+	// The stall spans eight times the watchdog's lag in epochs.
+	const epoch = time.Millisecond
 	sched := fault.NewSchedule(1, 2)
-	sched.SetStall(100 * time.Millisecond)
+	sched.SetStall(8 * watchdogLag * epoch)
 	sched.StallAt(1, fault.PreValidation, 0)
 
 	e := NewEngine(cat, Options{
 		Protocol:      Healing,
 		Workers:       2,
-		EpochInterval: time.Millisecond,
-		WatchdogLag:   5,
+		EpochInterval: epoch,
 		Chaos:         sched,
 	})
 	e.Start()

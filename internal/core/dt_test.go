@@ -252,7 +252,6 @@ func TestDTDuplicateHomeLockedOnce(t *testing.T) {
 // meanwhile, and the blocked one commits once the stripe is free.
 func TestDTStripeWaitDoesNotPinEpoch(t *testing.T) {
 	e := dtEngine(t, 2, 8)
-	lag := uint32(e.opts.WatchdogLag)
 	e.stripes[3].Lock()
 	blocked := make(chan error, 1)
 	go func() {
@@ -260,7 +259,7 @@ func TestDTStripeWaitDoesNotPinEpoch(t *testing.T) {
 		blocked <- err
 	}()
 	from := e.Epoch().Current()
-	for e.Epoch().Current() < from+2*lag {
+	for e.Epoch().Current() < from+2*watchdogLag {
 		if _, err := e.Worker(0).Run("Incr", storage.Int(4)); err != nil {
 			t.Fatal(err)
 		}

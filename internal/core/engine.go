@@ -146,15 +146,6 @@ type Options struct {
 	// Logger, when non-nil, receives the commit log (Appendix C).
 	Logger *wal.Logger
 
-	// SyncRetries bounds how often a failed epoch log sync is
-	// retried before the engine degrades to durability-lost
-	// (default 3 retries after the first attempt).
-	SyncRetries int
-
-	// SyncBackoff is the initial delay between sync retries; it
-	// doubles per retry (default 1ms).
-	SyncBackoff time.Duration
-
 	// Chaos, when non-nil, is the protocol-level fault injector: the
 	// engine consults it at named checkpoints (pre-validation,
 	// mid-healing, around the epoch advance, commit apply) and obeys
@@ -198,14 +189,21 @@ type Options struct {
 	// default) disables the ladder and keeps the legacy retry-forever
 	// behavior.
 	RetryBudget int
+}
 
-	// WatchdogLag is how many epochs a worker may go without
+const (
+	// syncRetries bounds how often a failed epoch log sync is retried
+	// before the engine degrades to durability-lost; syncBackoff is
+	// the first retry's delay, doubling per retry.
+	syncRetries = 3
+	syncBackoff = time.Millisecond
+
+	// watchdogLag is how many epochs a worker may go without
 	// refreshing its epoch registration, while executing a
 	// transaction, before the stuck-epoch watchdog trips (surfaced as
-	// WatchdogTrips in Metrics). Default 16; negative disables the
-	// watchdog.
-	WatchdogLag int
-}
+	// WatchdogTrips in Metrics).
+	watchdogLag = 16
+)
 
 // defaults fills unset fields.
 func (o *Options) defaults() {
@@ -217,15 +215,6 @@ func (o *Options) defaults() {
 	}
 	if o.MaxLockAttempts <= 0 {
 		o.MaxLockAttempts = 4
-	}
-	if o.SyncRetries <= 0 {
-		o.SyncRetries = 3
-	}
-	if o.SyncBackoff <= 0 {
-		o.SyncBackoff = time.Millisecond
-	}
-	if o.WatchdogLag == 0 {
-		o.WatchdogLag = 16
 	}
 	if o.Order == 0 {
 		if o.Protocol == Healing {
@@ -309,13 +298,8 @@ func NewEngine(catalog *storage.Catalog, opts Options) *Engine {
 	e.epoch.chaos = opts.Chaos
 	e.epoch.rec = opts.Recorder
 	// Registration is always armed — VisibleFloor (snapshot reads)
-	// scans it; lag 0 keeps the stall checks off when the watchdog is
-	// disabled.
-	lag := uint32(0)
-	if opts.WatchdogLag > 0 {
-		lag = uint32(opts.WatchdogLag)
-	}
-	e.epoch.Watch(opts.Workers, lag, nil)
+	// scans it.
+	e.epoch.Watch(opts.Workers)
 	e.snap = mvcc.NewPinSet(opts.Workers)
 	e.gc.SetWatermark(e.versionWatermark)
 	for i := 0; i < opts.Workers; i++ {
@@ -344,10 +328,11 @@ func (e *Engine) Start() {
 // The two-epoch lag keeps the seal behind any commit that computed
 // its timestamp just before the previous advance (see DESIGN.md,
 // "Durability & crash recovery"). Transient sink errors are retried
-// with exponential backoff; after SyncRetries failures the engine
+// with exponential backoff; after syncRetries failures the engine
 // degrades gracefully — transactions keep committing in memory, and
 // the latched durability-lost state is surfaced via Metrics instead
-// of wedging the advancer.
+// of wedging the advancer. Stop cuts a backoff short: its Logger.Close
+// makes the last attempt.
 func (e *Engine) syncToStable(cur uint32) {
 	if e.opts.Logger == nil || cur < 3 {
 		return
@@ -366,11 +351,29 @@ func (e *Engine) syncToStable(cur uint32) {
 		}
 		e.logSyncFails.Add(1)
 		e.advancerEvent(obs.KWALSync, cur, 0, uint64(attempt))
-		if attempt >= e.opts.SyncRetries {
+		if attempt >= syncRetries {
 			e.durabilityLost.Store(true)
 			return
 		}
-		time.Sleep(e.opts.SyncBackoff << attempt)
+		if e.sleepOrStop(syncBackoff << attempt) {
+			return // Stop's Logger.Close makes the last attempt
+		}
+	}
+}
+
+// sleepOrStop sleeps for d or until the engine stops, whichever comes
+// first, and reports whether the engine stopped.
+func (e *Engine) sleepOrStop(d time.Duration) bool {
+	if d <= 0 {
+		return false
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return false
+	case <-e.stopC:
+		return true
 	}
 }
 

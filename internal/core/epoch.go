@@ -19,7 +19,7 @@ import (
 // The manager doubles as the stuck-epoch watchdog: workers register
 // their current epoch at each transaction attempt (Refresh) and
 // deregister between transactions (Idle); each advance checks for a
-// worker whose registration has fallen more than the configured lag
+// worker whose registration has fallen more than watchdogLag epochs
 // behind and latches a trip for it. A tripped worker cannot advance
 // the durability frontier or drain healing work, so surfacing it
 // beats silently stalling group commit.
@@ -41,10 +41,8 @@ type EpochManager struct {
 	// Watchdog state, armed by Watch. wd[i] packs a worker's
 	// registration into one word: bit 63 = executing a transaction,
 	// bit 62 = trip latched, low 32 bits = epoch at last Refresh.
-	wdLag  uint32
-	wd     []atomic.Uint64
-	trips  []atomic.Int64
-	onTrip func(worker int)
+	wd    []atomic.Uint64
+	trips []atomic.Int64
 }
 
 const (
@@ -90,21 +88,18 @@ func (m *EpochManager) Advance() uint32 {
 	return e
 }
 
-// Watch arms worker epoch registration and, when lag > 0, the
-// stuck-epoch watchdog: a worker that stays registered (Refresh
-// without a matching Idle) for more than lag epochs trips once,
-// counted per worker and reported to onTrip (optional). lag == 0 keeps
-// registration armed without stall checks — the registration table
-// also feeds VisibleFloor, which snapshot reads depend on, so the
-// engine always arms it. Call before any worker runs.
-func (m *EpochManager) Watch(workers int, lag uint32, onTrip func(worker int)) {
+// Watch arms worker epoch registration and the stuck-epoch watchdog:
+// a worker that stays registered (Refresh without a matching Idle) for
+// more than watchdogLag epochs trips once, counted per worker. The
+// registration table also feeds VisibleFloor, which snapshot reads
+// depend on, so the engine always arms it. Call before any worker
+// runs.
+func (m *EpochManager) Watch(workers int) {
 	if workers <= 0 {
 		return
 	}
-	m.wdLag = lag
 	m.wd = make([]atomic.Uint64, workers)
 	m.trips = make([]atomic.Int64, workers)
-	m.onTrip = onTrip
 }
 
 // Refresh registers the worker as executing in the current epoch and
@@ -159,11 +154,11 @@ func (m *EpochManager) Trips(worker int) int64 {
 }
 
 // checkStalls trips the watchdog for every registered worker whose
-// last refresh is more than wdLag epochs behind cur. The trip is
+// last refresh is more than watchdogLag epochs behind cur. The trip is
 // latched per registration: one firing per stall, re-armed by the
 // next Refresh.
 func (m *EpochManager) checkStalls(cur uint32) {
-	if m.wd == nil || m.wdLag == 0 {
+	if m.wd == nil {
 		return
 	}
 	for i := range m.wd {
@@ -171,7 +166,7 @@ func (m *EpochManager) checkStalls(cur uint32) {
 		if v&wdActive == 0 || v&wdTripped != 0 {
 			continue
 		}
-		if cur-uint32(v) <= m.wdLag {
+		if cur-uint32(v) <= watchdogLag {
 			continue
 		}
 		// CAS so a concurrent Refresh/Idle wins over the latch.
@@ -179,9 +174,6 @@ func (m *EpochManager) checkStalls(cur uint32) {
 			m.trips[i].Add(1)
 			if m.rec != nil {
 				m.rec.Record(obs.EpochActor, obs.KWatchdogTrip, cur, uint64(i), uint64(uint32(v)))
-			}
-			if m.onTrip != nil {
-				m.onTrip(i)
 			}
 		}
 	}

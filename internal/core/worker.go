@@ -346,21 +346,7 @@ func (w *Worker) backoff(attempt int) {
 	// 1-2^shift µs of jitter from a cheap worker-local xorshift.
 	w.rngState = w.rngState*6364136223846793005 + 1442695040888963407
 	jitter := (w.rngState >> 33) % (uint64(1) << shift)
-	w.sleepOrStop(time.Duration(1+jitter) * time.Microsecond)
-}
-
-// sleepOrStop sleeps for d or until the engine stops, whichever comes
-// first.
-func (w *Worker) sleepOrStop(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-w.e.stopC:
-	}
+	w.e.sleepOrStop(time.Duration(1+jitter) * time.Microsecond)
 }
 
 // chaosPoint consults the chaos schedule (when configured) at a
@@ -377,7 +363,7 @@ func (w *Worker) chaosPoint(cp fault.Checkpoint) error {
 	case fault.ActYield:
 		runtime.Gosched()
 	case fault.ActDelay, fault.ActStall:
-		w.sleepOrStop(d)
+		w.e.sleepOrStop(d)
 	case fault.ActRestart:
 		return errRestart
 	}

@@ -159,8 +159,6 @@ func tortureSeed(t *testing.T, seed int64) {
 		WALSet:        fs,
 		LogMode:       ValueLogging,
 		EpochInterval: time.Millisecond,
-		SyncRetries:   1,
-		SyncBackoff:   10 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -187,12 +185,11 @@ func tortureSeed(t *testing.T, seed int64) {
 		DurableEpoch:   db.eng.DurableEpoch,
 		DurabilityLost: db.eng.DurabilityLost,
 	}, checkpoint.Options{
-		Dir:         dir,
-		Files:       fs,
-		Log:         db.logger,
-		Stats:       &db.ckstats,
-		Hooks:       hooks,
-		GateTimeout: 2 * time.Second,
+		Dir:   dir,
+		Files: fs,
+		Log:   db.logger,
+		Stats: &db.ckstats,
+		Hooks: hooks,
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)

@@ -195,18 +195,11 @@ type Config struct {
 
 	// WALSet, when non-nil, logs each worker into the set's rotating
 	// generation files (see OpenWALSet) instead of a fixed LogSink —
-	// the layout checkpoints can truncate. Ignored if LogSink is also
-	// set. The set's worker count must equal Workers, and checkpoints
-	// go in the set's directory (ErrCheckpointDir).
+	// the layout checkpoints can truncate. LogSink and WALSet are
+	// exclusive (ErrLogSinkAndWALSet). The set's worker count must
+	// equal Workers, and checkpoints go in the set's directory
+	// (ErrCheckpointDir).
 	WALSet *WALSet
-
-	// SyncRetries bounds retries of a failed epoch log sync before
-	// the engine degrades to a durability-lost state (default 3).
-	SyncRetries int
-
-	// SyncBackoff is the initial delay between sync retries,
-	// doubling per retry (default 1ms).
-	SyncBackoff time.Duration
 
 	// RetryBudget bounds failed attempts per rung of the contention
 	// degradation ladder: a transaction escalates Healing → OCC → 2PL
@@ -278,12 +271,22 @@ type DB struct {
 	poisoned atomic.Bool
 }
 
+// ErrLogSinkAndWALSet reports a Config that sets both LogSink and
+// WALSet. A checkpoint round rotates every stream into the set's
+// files, so the LogSink streams would stop mid-run and the set would
+// lack the groups logged before the first rotation.
+var ErrLogSinkAndWALSet = errors.New("thedb: Config.LogSink and Config.WALSet are exclusive")
+
 // Open creates an empty database. Create tables and register
-// procedures, then call Start. It refuses a WALSet kept for a worker
-// count other than Config.Workers.
+// procedures, then call Start. It refuses a Config that sets both
+// LogSink and WALSet, and a WALSet kept for a worker count other than
+// Config.Workers.
 func Open(cfg Config) (*DB, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
+	}
+	if cfg.LogSink != nil && cfg.WALSet != nil {
+		return nil, ErrLogSinkAndWALSet
 	}
 	if cfg.WALSet != nil && cfg.WALSet.Workers() != cfg.Workers {
 		return nil, fmt.Errorf("thedb: WAL set in %s holds %d worker streams, Config.Workers is %d",
@@ -326,11 +329,12 @@ func (db *DB) engine() *core.Engine {
 	if db.eng != nil {
 		return db.eng
 	}
-	if db.cfg.LogSink == nil && db.cfg.WALSet != nil {
-		db.cfg.LogSink = db.cfg.WALSet.Sink
+	sink := db.cfg.LogSink
+	if db.cfg.WALSet != nil {
+		sink = db.cfg.WALSet.Sink
 	}
-	if db.cfg.LogSink != nil {
-		db.logger = wal.NewLogger(db.cfg.LogMode, db.cfg.Workers, db.cfg.LogSink)
+	if sink != nil {
+		db.logger = wal.NewLogger(db.cfg.LogMode, db.cfg.Workers, sink)
 	}
 	if db.cfg.EventBuffer > 0 {
 		db.rec = obs.NewRecorder(db.cfg.Workers, db.cfg.EventBuffer)
@@ -347,8 +351,6 @@ func (db *DB) engine() *core.Engine {
 		EpochInterval:   db.cfg.EpochInterval,
 		DetailedMetrics: db.cfg.DetailedMetrics,
 		RetryBudget:     db.cfg.RetryBudget,
-		SyncRetries:     db.cfg.SyncRetries,
-		SyncBackoff:     db.cfg.SyncBackoff,
 		Logger:          db.logger,
 		Recorder:        db.rec,
 		Tracer:          db.tracer,
