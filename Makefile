@@ -28,12 +28,12 @@ race:
 
 # chaos is the protocol-robustness smoke: the seeded fault-injection
 # torture (with the serializability oracle), the stuck-epoch watchdog,
-# and the degradation-ladder tests, under -race with -short trimming
-# the torture to a handful of seeds (see DESIGN.md §10). Drop -short
-# for the full 64-seed sweep.
+# and the rung tests (HYBRID's OCC → 2PL hop), under -race with -short
+# trimming the torture to a handful of seeds (see DESIGN.md §10). Drop
+# -short for the full 64-seed sweep.
 chaos:
 	$(GO) test -race ./internal/fault/ ./internal/oracle/ ./internal/obs/
-	$(GO) test -race -short -run 'Chaos|Watchdog|Ladder|Backoff|Epoch|Event|Contended' ./internal/core/
+	$(GO) test -race -short -run 'Chaos|Watchdog|Ladder|Backoff|Epoch|Event' ./internal/core/
 
 # fuzz gives every decoder of untrusted bytes a short adversarial
 # workout beyond the checked-in seeds: the wire-protocol frame decoder

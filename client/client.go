@@ -8,9 +8,8 @@
 // responses to requests by id, so responses may return out of order
 // and a slow transaction never blocks the wire behind it.
 //
-// When the server sheds (wire.CodeShed), reports engine contention
-// (wire.CodeContended) or drains (wire.CodeDraining), the error
-// carries a backoff hint; Call retries with jittered exponential
+// When the server sheds (wire.CodeShed) or drains
+// (wire.CodeDraining), the error carries a backoff hint; Call retries with jittered exponential
 // backoff floored at that hint, up to Options.RetryAttempts. All
 // other errors — user aborts, unknown procedures, protocol faults —
 // return immediately.
@@ -261,7 +260,7 @@ func (c *Client) Close() error {
 }
 
 // Call invokes a stored procedure and waits for its outputs, retrying
-// shed/contended/draining responses and connection failures with
+// shed/draining responses and connection failures with
 // jittered backoff. A nil error means the transaction committed on
 // the server exactly once; a MaybeCommittedError means the outcome is
 // unknown and the caller must reconcile.

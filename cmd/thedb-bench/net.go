@@ -49,7 +49,7 @@ type netCounts struct {
 // netBench drives a YCSB mix against a running thedb-server over the
 // wire protocol: each client goroutine pipelines batches of calls and
 // the counts separate commits from aborts, ambiguous outcomes and
-// failures — shed/contended work is retried by the client library, so
+// failures — shed/draining work is retried by the client library, so
 // a shed under this load is not an error.
 func netBench(o netOpts) (netCounts, error) {
 	mix, ok := map[string]ycsb.Mix{

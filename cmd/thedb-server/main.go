@@ -23,7 +23,7 @@
 //	                    thedb_server_*), /debug/events, /debug/recovery
 //	                    and /debug/pprof on A
 //	-trace.buffer N     retain the last N interesting transaction traces
-//	                    (slow, aborted, healed, contended) at /debug/trace
+//	                    (slow, aborted, healed) at /debug/trace
 //	                    (default 0 = tracing off)
 //	-trace.slow D       latency above which a committed transaction counts
 //	                    as slow for trace retention and exemplars

@@ -377,7 +377,7 @@ func dumpTraces(tr *obs.Tracer) {
 		return
 	}
 	total, kept := tr.Stats()
-	fmt.Printf("traces: %d retained of %d transactions (slow/aborted/healed/contended kept)\n", kept, total)
+	fmt.Printf("traces: %d retained of %d transactions (slow/aborted/healed kept)\n", kept, total)
 	us := func(v int64) time.Duration { return time.Duration(v) * time.Microsecond }
 	for _, t := range tr.Snapshot() {
 		fmt.Printf("%016x %-10s w%-2d %-9s proto=%d total=%v queue=%v exec=%v validate=%v heal=%v commit=%v wal=%v resp=%v attempts=%d escalations=%d epoch=%d\n",

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -161,10 +160,6 @@ func runChaosSeed(t *testing.T, seed uint64, proto Protocol) {
 		Chaos:         sched,
 		Oracle:        orc,
 		Recorder:      rec,
-		// Generous per-rung budget: the ladder engages under the
-		// injected restart storms without normally exhausting; a
-		// transaction that does exhaust is shed, not a failure.
-		RetryBudget: 64,
 	})
 	e.MustRegister(transferSpec())
 	e.MustRegister(auditSpec(accounts))
@@ -204,7 +199,7 @@ func runChaosSeed(t *testing.T, seed uint64, proto Protocol) {
 					amt := storage.Int(next(50))
 					_, err = w.Run("Transfer", src, amt)
 				}
-				if err != nil && !errors.Is(err, ErrContended) {
+				if err != nil {
 					errCh <- fmt.Errorf("worker %d txn %d: %w", wi, i, err)
 					return
 				}
@@ -349,11 +344,11 @@ func TestChaosForcedStallTripsWatchdog(t *testing.T) {
 	}
 }
 
-// TestDegradationLadderRecoversMidway scripts exactly one rung's
-// worth of restarts: the transaction must escalate once, then commit
-// on the OCC rung instead of exhausting.
+// TestDegradationLadderRecoversMidway scripts a restart storm at a
+// THEDB-HYBRID transaction: its one OCC attempt restarts, it hops to
+// 2PL once, and it commits on 2PL once the storm has passed.
 func TestDegradationLadderRecoversMidway(t *testing.T) {
-	const budget = 4
+	const restarts = 4
 	cat := storage.NewCatalog()
 	cat.MustCreateTable(storage.Schema{
 		Name:    "BALANCE",
@@ -363,15 +358,16 @@ func TestDegradationLadderRecoversMidway(t *testing.T) {
 	tab.Put(1, storage.Tuple{storage.Int(0)}, 0)
 
 	sched := fault.NewSchedule(4, 1)
-	for visit := 0; visit < budget; visit++ {
+	for visit := 0; visit < restarts; visit++ {
 		sched.ScriptAt(0, fault.PreValidation, visit, fault.ActRestart)
 	}
 
+	rec := obs.NewRecorder(1, 256)
 	e := NewEngine(cat, Options{
-		Protocol:    Healing,
-		Workers:     1,
-		Chaos:       sched,
-		RetryBudget: budget,
+		Protocol: Hybrid,
+		Workers:  1,
+		Chaos:    sched,
+		Recorder: rec,
 	})
 	e.MustRegister(&proc.Spec{
 		Name: "Incr",
@@ -393,18 +389,24 @@ func TestDegradationLadderRecoversMidway(t *testing.T) {
 	if m.Committed.Load() != 1 {
 		t.Errorf("committed = %d, want 1", m.Committed.Load())
 	}
-	if m.Restarts.Load() != budget {
-		t.Errorf("restarts = %d, want %d", m.Restarts.Load(), budget)
+	if m.Restarts.Load() != restarts {
+		t.Errorf("restarts = %d, want %d", m.Restarts.Load(), restarts)
 	}
 	if m.HealingFallbacks.Load() != 1 {
-		t.Errorf("fallbacks = %d, want 1 (Healing→OCC only)", m.HealingFallbacks.Load())
+		t.Errorf("fallbacks = %d, want 1 (OCC→2PL only)", m.HealingFallbacks.Load())
 	}
-	if m.BudgetExhausted.Load() != 0 {
-		t.Errorf("budget exhaustions = %d, want 0", m.BudgetExhausted.Load())
+	var hops []obs.Event
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KLadderEscalate {
+			hops = append(hops, ev)
+		}
 	}
-	rec, _ := tab.Peek(1)
-	if got := rec.Tuple()[0].Int(); got != 1 {
-		t.Errorf("balance = %d, want 1 (the OCC-rung attempt must have applied)", got)
+	if len(hops) != 1 || Protocol(hops[0].A) != OCC || Protocol(hops[0].B) != TPL {
+		t.Errorf("escalation events = %+v, want one OCC -> 2PL", hops)
+	}
+	row, _ := tab.Peek(1)
+	if got := row.Tuple()[0].Int(); got != 1 {
+		t.Errorf("balance = %d, want 1 (the 2PL-rung attempt must have applied)", got)
 	}
 }
 

@@ -160,7 +160,7 @@ type Options struct {
 
 	// Recorder, when non-nil, is the flight recorder: workers and the
 	// epoch advancer record typed protocol events (validation
-	// failures, heal passes, ladder escalations, epoch seals, WAL
+	// failures, heal passes, HYBRID's 2PL hops, epoch seals, WAL
 	// sync outcomes, watchdog trips, commits/aborts) into per-worker
 	// lock-free rings. Nil (the default) keeps every event site at a
 	// single pointer check, mirroring Chaos.
@@ -181,14 +181,6 @@ type Options struct {
 	// check; the sites sit on failure paths, never on the clean commit
 	// path.
 	Contention *obs.Contention
-
-	// RetryBudget bounds failed attempts per rung of the degradation
-	// ladder (DESIGN.md §10): a transaction escalates
-	// Healing → OCC → 2PL as each rung's budget is spent and fails
-	// with ErrContended past the last rung. Zero or negative (the
-	// default) disables the ladder and keeps the legacy retry-forever
-	// behavior.
-	RetryBudget int
 }
 
 const (
@@ -235,9 +227,10 @@ type Engine struct {
 	specs   map[string]*proc.Spec
 	workers []*Worker
 
-	// rungs and adhocRungs are the degradation ladders of stored
-	// procedures and of ad-hoc transactions, computed once from opts.
-	rungs, adhocRungs []rung
+	// rungs and adhocRungs are the policies the attempts of stored
+	// procedures and of ad-hoc transactions run under (newRungs),
+	// computed once from opts.
+	rungs, adhocRungs []policy
 
 	// stripes are DT's partition locks (see Worker.lockStripes).
 	stripes [stripeCount]sync.Mutex
@@ -550,12 +543,6 @@ var (
 
 	// ErrNoSuchProc reports an unregistered procedure name.
 	ErrNoSuchProc = errors.New("no such procedure")
-
-	// ErrContended reports that a transaction spent its retry budget
-	// on every rung of the degradation ladder (Options.RetryBudget)
-	// without committing. The caller decides whether to shed the
-	// request or resubmit later; the engine will not retry forever.
-	ErrContended = errors.New("transaction contended")
 
 	// errRestart is the internal signal that the current attempt
 	// must be retried from scratch.

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"thedb/internal/metrics"
-)
+import "fmt"
 
 // policy is everything that distinguishes one protocol from another.
 // Every attempt runs the same pipeline — execute → lock/validate →
@@ -51,14 +47,6 @@ type policy struct {
 	yield bool
 }
 
-// rung is one step of the degradation ladder: a policy and how many
-// failed attempts it absorbs before the ladder escalates (0 = no
-// bound).
-type rung struct {
-	policy
-	budget int
-}
-
 // policyFor derives the policy of a rung running proto on an engine
 // configured by opts.
 func policyFor(opts *Options, proto Protocol) policy {
@@ -80,76 +68,28 @@ func policyFor(opts *Options, proto Protocol) policy {
 	case OCCNoValidate:
 		// Lock everything, check nothing.
 	default:
-		// Hybrid is a ladder of OCC and TPL rungs, never a rung itself;
+		// Hybrid is an OCC rung then a TPL rung, never a rung itself;
 		// anything else is not a Protocol constant.
 		panic(fmt.Sprintf("core: no policy for protocol %v", proto))
 	}
 	return p
 }
 
-// newRungs builds the ladder a transaction descends on an engine
-// configured by opts (DESIGN.md §10): healing stops paying off once
-// the same transaction keeps invalidating, plain OCC restarts stop
-// paying off under sustained conflict, and 2PL is the rung that
-// cannot livelock. With no retry budget the ladder is a single
-// unbounded rung, or OCC-then-2PL for THEDB-HYBRID (references
-// [28, 52, 60]). Ad-hoc transactions carry no dependency information
-// (§4.8), so where a stored procedure would heal they start at OCC.
-func newRungs(opts *Options, adhoc bool) []rung {
-	base := opts.Protocol
-	if adhoc && (base == Healing || base == Hybrid) {
-		base = OCC
-	}
-	mk := func(budget int, protos ...Protocol) []rung {
-		rungs := make([]rung, len(protos))
-		for i, p := range protos {
-			rungs[i] = rung{policy: policyFor(opts, p), budget: budget}
-		}
-		return rungs
-	}
-	budget := opts.RetryBudget
+// newRungs builds the policies a transaction's attempts run under on
+// an engine configured by opts (DESIGN.md §10): attempt n runs under
+// rungs[min(n, len(rungs)-1)]. Every protocol is one rung that
+// retries until it commits, except THEDB-HYBRID: one OCC attempt,
+// then 2PL until it commits (references [28, 52, 60]). Ad-hoc
+// transactions carry no dependency information (§4.8), so where a
+// stored procedure would heal, or start HYBRID's OCC attempt, they
+// run plain OCC.
+func newRungs(opts *Options, adhoc bool) []policy {
 	switch {
-	case budget <= 0 && base == Hybrid:
-		// One OCC attempt, then 2PL until it commits.
-		rungs := mk(0, OCC, TPL)
-		rungs[0].budget = 1
-		return rungs
-	case budget <= 0 || base == OCCNoValidate || base == SiloNoValidate || base == DT:
-		// The no-validate protocols never restart; a budget is moot.
-		return mk(0, base)
-	case base == Healing:
-		return mk(budget, Healing, OCC, TPL)
-	case base == Hybrid:
-		return mk(budget, OCC, TPL)
-	case base == TPL:
-		return mk(budget, TPL)
-	default: // OCC, Silo
-		return mk(budget, base, TPL)
+	case adhoc && (opts.Protocol == Healing || opts.Protocol == Hybrid):
+		return []policy{policyFor(opts, OCC)}
+	case opts.Protocol == Hybrid:
+		return []policy{policyFor(opts, OCC), policyFor(opts, TPL)}
+	default:
+		return []policy{policyFor(opts, opts.Protocol)}
 	}
-}
-
-// ladder tracks one transaction's descent down its engine's rungs.
-type ladder struct {
-	rungs []rung
-	idx   int
-	spent int // failed attempts on the current rung
-	total int // failed attempts overall
-}
-
-// next consumes one failed attempt and reports whether another may
-// run, escalating to the next rung — and resetting the per-rung
-// attempt counter, so backoff jitter restarts from its shortest
-// window — when the current budget is spent.
-func (l *ladder) next(m *metrics.Worker) bool {
-	l.total++
-	l.spent++
-	if b := l.rungs[l.idx].budget; b > 0 && l.spent >= b {
-		l.idx++
-		l.spent = 0
-		if l.idx >= len(l.rungs) {
-			return false
-		}
-		m.HealingFallbacks.Add(1)
-	}
-	return true
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -18,20 +17,19 @@ import (
 // under on w's engine, for tests that drive newTxn by hand.
 func firstRung(w *Worker, adhoc bool) *policy {
 	if adhoc {
-		return &w.e.adhocRungs[0].policy
+		return &w.e.adhocRungs[0]
 	}
-	return &w.e.rungs[0].policy
+	return &w.e.rungs[0]
 }
 
 // TestLadderPolicies pins the protocol table: for every engine
-// protocol, stored-procedure and ad-hoc, with and without a retry
-// budget, the rung sequence and every policy field of every rung.
-// Budgeted ladders are then driven to exhaustion under an
-// all-restarts chaos schedule, so the sequence the engine actually
-// descends — escalation events, fallback and exhaustion counters, the
-// typed ErrContended — is checked against the same table.
+// protocol, stored-procedure and ad-hoc, the rung sequence and every
+// policy field of every rung. Each engine then runs one transaction
+// through a scripted restart storm, so the sequence the engine actually
+// descends — escalation events, the fallback counter, the policy the
+// committing attempt ran under — is checked against the same table.
 func TestLadderPolicies(t *testing.T) {
-	const n = 3
+	const restarts = 3
 	var (
 		heal    = policy{proto: Healing, validate: true, heal: true, readCopies: true}
 		occ     = policy{proto: OCC, validate: true}
@@ -43,66 +41,48 @@ func TestLadderPolicies(t *testing.T) {
 		dt      = policy{proto: DT, writeSetOnly: true, stripes: true} // siloNV under partition stripes
 	)
 	with := func(p policy, f func(*policy)) policy { f(&p); return p }
-	ladder := func(budget int, ps ...policy) []rung {
-		rungs := make([]rung, len(ps))
-		for i, p := range ps {
-			rungs[i] = rung{policy: p, budget: budget}
-		}
-		return rungs
-	}
+	yield := func(p *policy) { p.yield = true }
 	cases := []struct {
 		opts  Options
 		adhoc bool
-		want  []rung
+		want  []policy
 	}{
-		{Options{Protocol: Healing}, false, ladder(0, heal)},
-		{Options{Protocol: Healing, RetryBudget: n}, false, ladder(n, heal, occ, tplMeta)},
-		{Options{Protocol: Healing}, true, ladder(0, occ)},
-		{Options{Protocol: Healing, RetryBudget: n}, true, ladder(n, occ, tplMeta)},
-		{Options{Protocol: OCC}, false, ladder(0, occ)},
-		{Options{Protocol: OCC, RetryBudget: n}, false, ladder(n, occ, tplMeta)},
-		{Options{Protocol: OCC}, true, ladder(0, occ)},
-		{Options{Protocol: OCC, RetryBudget: n}, true, ladder(n, occ, tplMeta)},
-		{Options{Protocol: Silo}, false, ladder(0, silo)},
-		{Options{Protocol: Silo, RetryBudget: n}, false, ladder(n, silo, tplMeta)},
-		{Options{Protocol: Silo}, true, ladder(0, silo)},
-		{Options{Protocol: Silo, RetryBudget: n}, true, ladder(n, silo, tplMeta)},
-		{Options{Protocol: TPL}, false, ladder(0, tplRW)},
-		{Options{Protocol: TPL, RetryBudget: n}, false, ladder(n, tplRW)},
-		{Options{Protocol: TPL}, true, ladder(0, tplRW)},
-		{Options{Protocol: TPL, RetryBudget: n}, true, ladder(n, tplRW)},
-		// Unbudgeted hybrid: one OCC attempt, then 2PL until commit.
-		{Options{Protocol: Hybrid}, false, []rung{{occ, 1}, {tplMeta, 0}}},
-		{Options{Protocol: Hybrid, RetryBudget: n}, false, ladder(n, occ, tplMeta)},
-		{Options{Protocol: Hybrid}, true, ladder(0, occ)},
-		{Options{Protocol: Hybrid, RetryBudget: n}, true, ladder(n, occ, tplMeta)},
-		// The no-validate probes never restart: one unbounded rung.
-		{Options{Protocol: OCCNoValidate}, false, ladder(0, occNV)},
-		{Options{Protocol: OCCNoValidate, RetryBudget: n}, false, ladder(0, occNV)},
-		{Options{Protocol: OCCNoValidate, RetryBudget: n}, true, ladder(0, occNV)},
-		{Options{Protocol: SiloNoValidate}, false, ladder(0, siloNV)},
-		{Options{Protocol: SiloNoValidate, RetryBudget: n}, false, ladder(0, siloNV)},
-		{Options{Protocol: SiloNoValidate, RetryBudget: n}, true, ladder(0, siloNV)},
-		{Options{Protocol: DT}, false, ladder(0, dt)},
-		{Options{Protocol: DT, RetryBudget: n}, false, ladder(0, dt)},
-		{Options{Protocol: DT}, true, ladder(0, dt)},
-		{Options{Protocol: DT, RetryBudget: n}, true, ladder(0, dt)},
+		{Options{Protocol: Healing}, false, []policy{heal}},
+		{Options{Protocol: Healing}, true, []policy{occ}},
+		{Options{Protocol: OCC}, false, []policy{occ}},
+		{Options{Protocol: OCC}, true, []policy{occ}},
+		{Options{Protocol: Silo}, false, []policy{silo}},
+		{Options{Protocol: Silo}, true, []policy{silo}},
+		{Options{Protocol: TPL}, false, []policy{tplRW}},
+		{Options{Protocol: TPL}, true, []policy{tplRW}},
+		// Hybrid: one OCC attempt, then 2PL until commit.
+		{Options{Protocol: Hybrid}, false, []policy{occ, tplMeta}},
+		{Options{Protocol: Hybrid}, true, []policy{occ}},
+		{Options{Protocol: OCCNoValidate}, false, []policy{occNV}},
+		{Options{Protocol: OCCNoValidate}, true, []policy{occNV}},
+		{Options{Protocol: SiloNoValidate}, false, []policy{siloNV}},
+		{Options{Protocol: SiloNoValidate}, true, []policy{siloNV}},
+		{Options{Protocol: DT}, false, []policy{dt}},
+		{Options{Protocol: DT}, true, []policy{dt}},
 		// Table 4 ablations and the interleaving emulation touch one
 		// field each, on the rungs that have it.
 		{Options{Protocol: Healing, NoAccessCache: true}, false,
-			ladder(0, with(heal, func(p *policy) { p.heal = false }))},
+			[]policy{with(heal, func(p *policy) { p.heal = false })}},
 		{Options{Protocol: Healing, NoReadCopies: true}, false,
-			ladder(0, with(heal, func(p *policy) { p.readCopies = false }))},
-		{Options{Protocol: Healing, NoAccessCache: true, NoReadCopies: true, RetryBudget: n}, true, ladder(n, occ, tplMeta)},
-		{Options{Protocol: Healing, RetryBudget: n, Interleave: true}, false, ladder(n,
-			with(heal, func(p *policy) { p.yield = true }),
-			with(occ, func(p *policy) { p.yield = true }),
-			with(tplMeta, func(p *policy) { p.yield = true }))},
+			[]policy{with(heal, func(p *policy) { p.readCopies = false })}},
+		{Options{Protocol: Healing, NoAccessCache: true, NoReadCopies: true}, true, []policy{occ}},
+		{Options{Protocol: Healing, Interleave: true}, false, []policy{with(heal, yield)}},
+		{Options{Protocol: Hybrid, Interleave: true}, false, []policy{with(occ, yield), with(tplMeta, yield)}},
 	}
 	for _, tc := range cases {
-		name := fmt.Sprintf("%v/adhoc=%v/budget=%d", tc.opts.Protocol, tc.adhoc, tc.opts.RetryBudget)
-		if tc.opts.NoAccessCache || tc.opts.NoReadCopies || tc.opts.Interleave {
-			name += fmt.Sprintf("/nocache=%v,nocopies=%v,interleave=%v", tc.opts.NoAccessCache, tc.opts.NoReadCopies, tc.opts.Interleave)
+		name := fmt.Sprintf("%v/adhoc=%v", tc.opts.Protocol, tc.adhoc)
+		for _, f := range []struct {
+			name string
+			on   bool
+		}{{"nocache", tc.opts.NoAccessCache}, {"nocopies", tc.opts.NoReadCopies}, {"interleave", tc.opts.Interleave}} {
+			if f.on {
+				name += "/" + f.name
+			}
 		}
 		t.Run(name, func(t *testing.T) {
 			cat := storage.NewCatalog()
@@ -114,7 +94,9 @@ func TestLadderPolicies(t *testing.T) {
 			tab.Put(1, storage.Tuple{storage.Int(0)}, 0)
 
 			sched := fault.NewSchedule(3, 1)
-			sched.Inject(fault.PreValidation, fault.ActRestart, 1.0)
+			for visit := 0; visit < restarts; visit++ {
+				sched.ScriptAt(0, fault.PreValidation, visit, fault.ActRestart)
+			}
 			rec := obs.NewRecorder(1, 256)
 			opts := tc.opts
 			opts.Workers, opts.Chaos, opts.Recorder = 1, sched, rec
@@ -125,19 +107,16 @@ func TestLadderPolicies(t *testing.T) {
 				got = e.adhocRungs
 			}
 			if len(got) != len(tc.want) {
-				t.Fatalf("ladder = %+v, want %+v", got, tc.want)
+				t.Fatalf("rungs = %+v, want %+v", got, tc.want)
 			}
 			for i := range got {
 				if got[i] != tc.want[i] {
 					t.Errorf("rung %d = %+v, want %+v", i, got[i], tc.want[i])
 				}
 			}
-			if last := tc.want[len(tc.want)-1]; last.budget == 0 {
-				return // the last rung retries forever: nothing to exhaust
-			}
 
-			// Every attempt restarts, so the transaction spends each
-			// rung's budget, escalates rung by rung, and is shed.
+			// The first attempts restart, so the transaction takes
+			// every hop its rungs have and commits on the last one.
 			readOne := func(ctx proc.OpCtx) error {
 				_, _, err := ctx.Read("BALANCE", 1, nil)
 				return err
@@ -152,25 +131,22 @@ func TestLadderPolicies(t *testing.T) {
 			} else {
 				_, err = w.Run("ReadOne")
 			}
-			if !errors.Is(err, ErrContended) {
-				t.Fatalf("err = %v, want ErrContended", err)
-			}
-			attempts := 0
-			for _, r := range tc.want {
-				attempts += r.budget
+			if err != nil {
+				t.Fatalf("err = %v, want commit", err)
 			}
 			m := w.Metrics()
-			if int(m.Restarts.Load()) != attempts {
-				t.Errorf("restarts = %d, want %d (every rung's budget)", m.Restarts.Load(), attempts)
+			if m.Restarts.Load() != restarts || m.Committed.Load() != 1 || m.Aborted.Load() != 0 {
+				t.Errorf("restarts/committed/aborted = %d/%d/%d, want %d/1/0",
+					m.Restarts.Load(), m.Committed.Load(), m.Aborted.Load(), restarts)
 			}
 			if int(m.HealingFallbacks.Load()) != len(tc.want)-1 {
 				t.Errorf("fallbacks = %d, want %d", m.HealingFallbacks.Load(), len(tc.want)-1)
 			}
-			if m.BudgetExhausted.Load() != 1 || m.Aborted.Load() != 1 || m.Committed.Load() != 0 {
-				t.Errorf("exhausted/aborted/committed = %d/%d/%d, want 1/1/0", m.BudgetExhausted.Load(), m.Aborted.Load(), m.Committed.Load())
+			if got := sched.Count(fault.PreValidation, fault.ActRestart); got != restarts {
+				t.Errorf("injected restarts = %d, want %d", got, restarts)
 			}
-			if got := sched.Count(fault.PreValidation, fault.ActRestart); int(got) != attempts {
-				t.Errorf("injected restarts = %d, want %d", got, attempts)
+			if last := tc.want[len(tc.want)-1]; w.txn.pol != last {
+				t.Errorf("committing attempt ran under %+v, want %+v", w.txn.pol, last)
 			}
 			var hops [][2]Protocol
 			for _, ev := range rec.Events() {
@@ -192,8 +168,8 @@ func TestLadderPolicies(t *testing.T) {
 
 // TestLadderRungsShareOneLockOrder: rungs of different protocols run
 // side by side on one engine — a stored procedure healing beside an
-// ad-hoc OCC transaction (§4.8), or beside a transaction the ladder
-// escalated — and all of them take their validation locks blocking.
+// ad-hoc OCC transaction (§4.8) — and both take their validation locks
+// blocking.
 // That is only deadlock-free because all of them sort by the engine's
 // one order. The two tables below make a second order visible: the
 // schema ranks say EARLY validates before LATE, creation (address)
@@ -212,7 +188,7 @@ func TestLadderRungsShareOneLockOrder(t *testing.T) {
 		}
 		return nil
 	}
-	run := func(t *testing.T, opts Options, txns int, second func(w *Worker) error) {
+	run := func(t *testing.T, txns int, second func(w *Worker) error) {
 		cat := storage.NewCatalog()
 		for _, s := range []storage.Schema{{Name: "LATE", Rank: 1}, {Name: "EARLY", Rank: 0}} {
 			s.Columns = []storage.ColumnDef{{Name: "v", Kind: storage.KindInt}}
@@ -222,8 +198,7 @@ func TestLadderRungsShareOneLockOrder(t *testing.T) {
 		}
 		// Interleave yields between execution and validation, so the two
 		// workers' lock windows overlap from the first transactions on.
-		opts.Protocol, opts.Workers, opts.Interleave = Healing, 2, true
-		e := NewEngine(cat, opts)
+		e := NewEngine(cat, Options{Protocol: Healing, Workers: 2, Interleave: true})
 		e.MustRegister(&proc.Spec{Name: "Bump", Plan: func(b *proc.Builder, _ *proc.Env) {
 			b.Op(proc.Op{Name: "bump", Body: bump})
 		}})
@@ -242,8 +217,7 @@ func TestLadderRungsShareOneLockOrder(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for n := 0; n < txns; n++ {
-					// A shed transaction is the ladder working, not a failure.
-					if err := drive(e.Worker(i)); err != nil && !errors.Is(err, ErrContended) {
+					if err := drive(e.Worker(i)); err != nil {
 						errs <- fmt.Errorf("worker %d txn %d: %w", i, n, err)
 						return
 					}
@@ -277,20 +251,6 @@ func TestLadderRungsShareOneLockOrder(t *testing.T) {
 	}
 
 	t.Run("adhoc", func(t *testing.T) {
-		run(t, Options{}, 5000, func(w *Worker) error { return w.Transact(bump) })
-	})
-	t.Run("escalated", func(t *testing.T) {
-		// A budget of one attempt per rung plus a scripted restart on
-		// every other validation of worker 1 puts its transactions on
-		// the OCC rung while worker 0's stay on Healing.
-		const txns = 2000
-		sched := fault.NewSchedule(11, 2)
-		for visit := 0; visit < 2*txns; visit += 2 {
-			sched.ScriptAt(1, fault.PreValidation, visit, fault.ActRestart)
-		}
-		run(t, Options{RetryBudget: 1, Chaos: sched}, txns, func(w *Worker) error {
-			_, err := w.Run("Bump")
-			return err
-		})
+		run(t, 5000, func(w *Worker) error { return w.Transact(bump) })
 	})
 }

@@ -15,8 +15,8 @@ const (
 // the most scalable deadlock-prevention policy per the paper's
 // reference [61] — so any failure signals abort-and-restart.
 //
-// A 2PL rung under an optimistic engine (THEDB-HYBRID's second leg,
-// the ladder's last rung) runs beside optimistic transactions, which
+// A 2PL rung under an optimistic engine (THEDB-HYBRID's second rung)
+// runs beside optimistic transactions, which
 // only respect the record meta lock; it therefore locks through the
 // meta word (exclusive only) so the two serialize against each other.
 func (t *Txn) tplLock(el *Element, write bool) error {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 // trace-record commit path: arming the scratch trace and offering the
 // finished record to the Tracer must not allocate, whether the trace
 // is dropped as boring (committed, fast) or copied into the ring
-// (contended). This is the runtime counterpart of the //thedb:noalloc
+// (aborted). This is the runtime counterpart of the //thedb:noalloc
 // annotation on finishTrace/Keep.
 func TestTraceRecordZeroAllocs(t *testing.T) {
 	e := NewEngine(storage.NewCatalog(), Options{
@@ -32,7 +31,7 @@ func TestTraceRecordZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		w.beginTrace(start, "T")
-		w.finishTrace(obs.TraceContended, time.Microsecond, 9)
+		w.finishTrace(obs.TraceAborted, time.Microsecond, 9)
 	}); allocs != 0 {
 		t.Errorf("retained-trace path allocates %.1f per txn, want 0", allocs)
 	}
@@ -151,14 +150,14 @@ func TestTraceHealPassCaptured(t *testing.T) {
 	}
 }
 
-// TestTraceContendedCorrelatesWithRecorder exhausts the degradation
-// ladder under chaos restarts with both the tracer and the flight
-// recorder on, and pins the correlation contract: the retained trace
-// reports the contended outcome with the ladder's attempt and
-// escalation counts, and the recorder's escalation/abort events carry
-// the same trace ID.
-func TestTraceContendedCorrelatesWithRecorder(t *testing.T) {
-	const budget = 3
+// TestTraceLadderEscalateCorrelatesWithRecorder drives a THEDB-HYBRID
+// transaction through a scripted restart storm with both the tracer
+// and the flight recorder on, and pins the correlation contract: the
+// retained trace reports the commit with its attempt and escalation
+// counts, and the recorder's escalation and commit events carry the
+// same trace ID.
+func TestTraceLadderEscalateCorrelatesWithRecorder(t *testing.T) {
+	const restarts = 3
 	cat := storage.NewCatalog()
 	cat.MustCreateTable(storage.Schema{
 		Name:    "BALANCE",
@@ -168,17 +167,22 @@ func TestTraceContendedCorrelatesWithRecorder(t *testing.T) {
 	tab.Put(1, storage.Tuple{storage.Int(0)}, 0)
 
 	sched := fault.NewSchedule(7, 1)
-	sched.Inject(fault.PreValidation, fault.ActRestart, 1.0)
+	for visit := 0; visit < restarts; visit++ {
+		sched.ScriptAt(0, fault.PreValidation, visit, fault.ActRestart)
+	}
+	// The committing attempt sleeps past the slow threshold, so the
+	// trace is retained.
+	sched.SetDelay(100 * time.Microsecond)
+	sched.ScriptAt(0, fault.PreValidation, restarts, fault.ActDelay)
 
 	rec := obs.NewRecorder(1, 256)
-	tr := obs.NewTracer(8, time.Second)
+	tr := obs.NewTracer(8, 50*time.Microsecond)
 	e := NewEngine(cat, Options{
-		Protocol:    Healing,
-		Workers:     1,
-		Chaos:       sched,
-		RetryBudget: budget,
-		Recorder:    rec,
-		Tracer:      tr,
+		Protocol: Hybrid,
+		Workers:  1,
+		Chaos:    sched,
+		Recorder: rec,
+		Tracer:   tr,
 	})
 	e.MustRegister(&proc.Spec{
 		Name: "ReadOne",
@@ -191,8 +195,11 @@ func TestTraceContendedCorrelatesWithRecorder(t *testing.T) {
 	})
 	w := e.Worker(0)
 	w.SetTraceContext(0xabcdef01, 37, 1234567890)
-	if _, err := w.Run("ReadOne"); !errors.Is(err, ErrContended) {
-		t.Fatalf("err = %v, want ErrContended", err)
+	if _, err := w.Run("ReadOne"); err != nil {
+		t.Fatalf("err = %v, want commit", err)
+	}
+	if got := w.Metrics().HealingFallbacks.Load(); got != 1 {
+		t.Errorf("fallbacks = %d, want 1", got)
 	}
 
 	traces := tr.Snapshot()
@@ -207,12 +214,12 @@ func TestTraceContendedCorrelatesWithRecorder(t *testing.T) {
 		t.Errorf("queue/start = (%d, %d), want caller-supplied (37, 1234567890)",
 			trc.QueueUS, trc.StartNS)
 	}
-	if trc.Outcome != obs.TraceContended {
-		t.Errorf("outcome = %v, want contended", trc.Outcome)
+	if trc.Outcome != obs.TraceCommitted || Protocol(trc.Proto) != TPL {
+		t.Errorf("outcome/proto = %v/%v, want committed/%v", trc.Outcome, Protocol(trc.Proto), TPL)
 	}
-	if trc.Attempts != 9 || trc.Escalations != 2 {
-		t.Errorf("attempts/escalations = (%d, %d), want (9, 2): 3 rungs x budget 3",
-			trc.Attempts, trc.Escalations)
+	if trc.Attempts != restarts+1 || trc.Escalations != 1 {
+		t.Errorf("attempts/escalations = (%d, %d), want (%d, 1): one OCC attempt, then 2PL",
+			trc.Attempts, trc.Escalations, restarts+1)
 	}
 
 	slot, id := w.LastTrace()
@@ -220,23 +227,25 @@ func TestTraceContendedCorrelatesWithRecorder(t *testing.T) {
 		t.Errorf("LastTrace = (%d, %#x), want (0, 0xabcdef01)", slot, id)
 	}
 
-	var escalates, aborts int
+	var escalates, commits int
 	for _, ev := range rec.Events() {
 		switch ev.Kind {
 		case obs.KLadderEscalate:
 			escalates++
-			if ev.Trace != trc.ID {
-				t.Errorf("escalation event trace = %#x, want %#x", ev.Trace, trc.ID)
+			if Protocol(ev.A) != OCC || Protocol(ev.B) != TPL {
+				t.Errorf("escalation %v -> %v, want %v -> %v", Protocol(ev.A), Protocol(ev.B), OCC, TPL)
 			}
-		case obs.KAbort:
-			aborts++
-			if ev.Trace != trc.ID {
-				t.Errorf("abort event trace = %#x, want %#x", ev.Trace, trc.ID)
-			}
+		case obs.KCommit:
+			commits++
+		default:
+			continue
+		}
+		if ev.Trace != trc.ID {
+			t.Errorf("%v event trace = %#x, want %#x", ev.Kind, ev.Trace, trc.ID)
 		}
 	}
-	if escalates != 2 || aborts == 0 {
-		t.Errorf("recorder saw %d escalations, %d aborts; want 2, >=1", escalates, aborts)
+	if escalates != 1 || commits != 1 {
+		t.Errorf("recorder saw %d escalations, %d commits; want 1, 1", escalates, commits)
 	}
 }
 

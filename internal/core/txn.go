@@ -62,7 +62,7 @@ type Txn struct {
 	locked []*Element // elements whose record meta-lock we hold
 
 	// pol is this attempt's rung policy, copied from the engine's
-	// precomputed ladder at attempt start: every place the protocols
+	// precomputed rungs at attempt start: every place the protocols
 	// differ reads one of its fields.
 	pol policy
 

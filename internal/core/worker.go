@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math/bits"
 	"runtime"
 	"time"
@@ -173,10 +172,10 @@ func (w *Worker) tracePass(start, end time.Duration, restored, frontier int) {
 }
 
 // Run executes the named stored procedure to completion under the
-// engine's protocol, retrying aborted attempts (down the degradation
-// ladder when Options.RetryBudget is set). It returns the final
-// variable environment (query results), which the worker reuses for
-// its next transaction, or the application abort error.
+// engine's protocol, retrying aborted attempts until one commits. It
+// returns the final variable environment (query results), which the
+// worker reuses for its next transaction, or the application abort
+// error.
 func (w *Worker) Run(procName string, args ...storage.Value) (*proc.Env, error) {
 	return w.run(procName, args, w.e.rungs)
 }
@@ -209,7 +208,7 @@ func closureSpec(name string, fn func(ctx proc.OpCtx) error) *proc.Spec {
 	}
 }
 
-func (w *Worker) run(procName string, args []storage.Value, rungs []rung) (*proc.Env, error) {
+func (w *Worker) run(procName string, args []storage.Value, rungs []policy) (*proc.Env, error) {
 	spec, err := w.e.lookup(procName)
 	if err != nil {
 		return nil, err
@@ -226,10 +225,10 @@ func (w *Worker) compile(spec *proc.Spec, env *proc.Env) (*proc.Program, error) 
 	return prog, err
 }
 
-// runLoop drives one transaction to commit or permanent failure down
-// the given degradation ladder: each rung retries under one policy until
-// its budget is spent, then the ladder escalates to a less optimistic
-// rung; past the last rung the transaction fails with ErrContended.
+// runLoop drives one transaction to commit or permanent failure. Each
+// attempt runs under rungs[min(failed, len(rungs)-1)], where failed
+// counts the attempts that restarted: one unbounded rung, or HYBRID's
+// OCC attempt and then 2PL until it commits (newRungs).
 // The program is compiled once, ahead of the loop (a malformed one is
 // refused like an unknown name, before a transaction exists); every
 // attempt starts from the arguments alone (newTxn). Under DT the
@@ -237,7 +236,7 @@ func (w *Worker) compile(spec *proc.Spec, env *proc.Env) (*proc.Program, error) 
 // loop also keeps the worker's epoch registration fresh, so the
 // stuck-epoch watchdog can tell a worker wedged inside an attempt from
 // one that is merely between transactions — or waiting on a stripe.
-func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []rung) (*proc.Env, error) {
+func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []policy) (*proc.Env, error) {
 	start := time.Now()
 	env := &w.env
 	env.Reset(spec, args)
@@ -248,52 +247,47 @@ func (w *Worker) runLoop(spec *proc.Spec, args []storage.Value, rungs []rung) (*
 	if rungs[0].stripes {
 		defer w.unlockStripes(w.lockStripes(spec.Home, args))
 	}
-	procName := spec.Name
 	w.curArgs = args
-	lad := ladder{rungs: rungs}
 	if w.e.tracer != nil {
-		w.beginTrace(start, procName)
+		w.beginTrace(start, spec.Name)
 	}
 	defer w.e.epoch.Idle(w.id)
-	for {
+	last := len(rungs) - 1
+	for failed := 0; ; {
 		w.e.epoch.Refresh(w.id)
-		err := w.attempt(prog, env, &lad)
+		rung := min(failed, last)
+		err := w.attempt(prog, env, &rungs[rung], failed)
 		if err == nil {
 			lat := time.Since(start)
 			w.m.Committed.Add(1)
 			w.m.ObserveLatency(lat)
 			w.event(obs.KCommit, w.lastTS, uint64(lat/time.Microsecond))
 			if w.traceOn {
-				w.finishTrace(obs.TraceCommitted, lat, lad.total+1)
+				w.finishTrace(obs.TraceCommitted, lat, failed+1)
 			}
 			return env, nil
 		}
 		if errors.Is(err, errRestart) {
 			w.m.Restarts.Add(1)
-			prev := lad.idx
-			if !lad.next(&w.m) {
-				w.m.BudgetExhausted.Add(1)
-				w.m.Aborted.Add(1)
-				w.event(obs.KAbort, uint64(obs.AbortContended), uint64(lad.total))
-				if w.traceOn {
-					w.finishTrace(obs.TraceContended, time.Since(start), lad.total)
-				}
-				return env, fmt.Errorf("%w: %q gave up after %d attempts", ErrContended, procName, lad.total)
-			}
-			if lad.idx != prev {
-				w.event(obs.KLadderEscalate, uint64(lad.rungs[prev].proto), uint64(lad.rungs[lad.idx].proto))
+			failed++
+			next := min(failed, last)
+			if next != rung {
+				w.m.HealingFallbacks.Add(1)
+				w.event(obs.KLadderEscalate, uint64(rungs[rung].proto), uint64(rungs[next].proto))
 				if w.traceOn {
 					w.trace.Escalations++
 				}
 			}
-			w.backoff(lad.spent)
+			// Backoff counts the failures on the current rung, so its
+			// jitter restarts from the shortest window after the hop.
+			w.backoff(failed - next)
 			continue
 		}
 		// Application abort: permanent.
 		w.m.Aborted.Add(1)
-		w.event(obs.KAbort, uint64(obs.AbortUser), uint64(lad.total))
+		w.event(obs.KAbort, uint64(obs.AbortUser), uint64(failed))
 		if w.traceOn {
-			w.finishTrace(obs.TraceAborted, time.Since(start), lad.total+1)
+			w.finishTrace(obs.TraceAborted, time.Since(start), failed+1)
 		}
 		return env, err
 	}
@@ -370,19 +364,19 @@ func (w *Worker) chaosPoint(cp fault.Checkpoint) error {
 	return nil
 }
 
-// attempt executes one try of the transaction under the ladder's
-// current rung: execute, lock and validate, commit. It returns nil on
-// commit, errRestart when the attempt must be retried, or a permanent
-// application error.
-func (w *Worker) attempt(prog *proc.Program, env *proc.Env, lad *ladder) error {
-	t := newTxn(w, prog, env, &lad.rungs[lad.idx].policy)
+// attempt executes one try of the transaction under pol, after failed
+// restarted tries: execute, lock and validate, commit. It returns nil
+// on commit, errRestart when the attempt must be retried, or a
+// permanent application error.
+func (w *Worker) attempt(prog *proc.Program, env *proc.Env, pol *policy, failed int) error {
+	t := newTxn(w, prog, env, pol)
 	// Liveness guard for the multicore-interleaving emulation: after
 	// repeated restarts, run an attempt without yielding so its
 	// conflict window collapses and it commits (a long transaction
 	// such as TPC-C Delivery could otherwise starve forever under
 	// stretched windows; real multicores do not stretch windows by
 	// the worker count).
-	if lad.total > 8 {
+	if failed > 8 {
 		t.pol.yield = false
 	}
 	err := t.readPhase()

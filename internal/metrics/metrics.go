@@ -71,9 +71,9 @@ type Counters struct {
 	HealedOps  int64 // operations restored by healing
 	FalseInval int64 // validation failures dismissed as false invalidations
 
-	// Degradation-ladder and watchdog counters (DESIGN.md §10).
-	HealingFallbacks int64 // escalations to a less optimistic rung (Healing→OCC, OCC→2PL)
-	BudgetExhausted  int64 // transactions that ran out of retry budget (ErrContended)
+	// Escalation and watchdog counters (DESIGN.md §10).
+	HealingFallbacks int64 // THEDB-HYBRID's hops from its OCC attempt to 2PL
+	BudgetExhausted  int64 // always 0: no transaction is shed; kept only for benchmark/, which reads it
 	WatchdogTrips    int64 // stuck-epoch watchdog firings attributed to this worker
 
 	// Snapshot-read counters (DESIGN.md §15). SnapshotReads counts
@@ -109,7 +109,6 @@ func (c *Counters) accumulate(o *Counters) {
 	c.HealedOps += o.HealedOps
 	c.FalseInval += o.FalseInval
 	c.HealingFallbacks += o.HealingFallbacks
-	c.BudgetExhausted += o.BudgetExhausted
 	c.WatchdogTrips += o.WatchdogTrips
 	c.SnapshotReads += o.SnapshotReads
 	c.VersionsInstalled += o.VersionsInstalled
@@ -138,9 +137,8 @@ type Worker struct {
 	HealedOps  atomic.Int64 // operations restored by healing
 	FalseInval atomic.Int64 // validation failures dismissed as false invalidations
 
-	// Degradation-ladder and watchdog counters (DESIGN.md §10).
-	HealingFallbacks atomic.Int64 // escalations to a less optimistic rung (Healing→OCC, OCC→2PL)
-	BudgetExhausted  atomic.Int64 // transactions that ran out of retry budget (ErrContended)
+	// Escalation and watchdog counters (DESIGN.md §10).
+	HealingFallbacks atomic.Int64 // THEDB-HYBRID's hops from its OCC attempt to 2PL
 	WatchdogTrips    atomic.Int64 // stuck-epoch watchdog firings attributed to this worker
 
 	// Snapshot-read counters (DESIGN.md §15).
@@ -190,7 +188,6 @@ func (w *Worker) Snapshot() Counters {
 	s.HealedOps = w.HealedOps.Load()
 	s.FalseInval = w.FalseInval.Load()
 	s.HealingFallbacks = w.HealingFallbacks.Load()
-	s.BudgetExhausted = w.BudgetExhausted.Load()
 	s.WatchdogTrips = w.WatchdogTrips.Load()
 	s.SnapshotReads = w.SnapshotReads.Load()
 	s.VersionsInstalled = w.VersionsInstalled.Load()
@@ -302,16 +299,16 @@ func (a *Aggregate) LatencyBuckets() (uppers []float64, counts []int64) {
 }
 
 // BreakdownString renders the phase breakdown as percentages,
-// followed by the degradation-ladder counters when any are nonzero.
+// followed by the escalation and watchdog counters when either is
+// nonzero.
 func (a *Aggregate) BreakdownString() string {
 	var parts []string
 	for p := Phase(0); p < numPhases; p++ {
 		parts = append(parts, fmt.Sprintf("%s=%.1f%%", p, 100*a.PhaseFraction(p)))
 	}
-	if a.HealingFallbacks != 0 || a.BudgetExhausted != 0 || a.WatchdogTrips != 0 {
+	if a.HealingFallbacks != 0 || a.WatchdogTrips != 0 {
 		parts = append(parts,
 			fmt.Sprintf("fallbacks=%d", a.HealingFallbacks),
-			fmt.Sprintf("budget_exhausted=%d", a.BudgetExhausted),
 			fmt.Sprintf("watchdog_trips=%d", a.WatchdogTrips))
 	}
 	return strings.Join(parts, " ")

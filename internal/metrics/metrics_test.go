@@ -17,7 +17,6 @@ func workerWith(c Counters) *Worker {
 	w.Heals.Store(c.Heals)
 	w.FalseInval.Store(c.FalseInval)
 	w.HealingFallbacks.Store(c.HealingFallbacks)
-	w.BudgetExhausted.Store(c.BudgetExhausted)
 	w.WatchdogTrips.Store(c.WatchdogTrips)
 	return w
 }
@@ -43,17 +42,17 @@ func TestMergeAndTPS(t *testing.T) {
 	}
 }
 
-// The degradation-ladder counters must survive aggregation and show
-// up in the breakdown only when nonzero.
+// The escalation and watchdog counters must survive aggregation and
+// show up in the breakdown only when nonzero.
 func TestLadderCountersSurviveMerge(t *testing.T) {
-	w1 := workerWith(Counters{Committed: 10, HealingFallbacks: 3, BudgetExhausted: 1})
+	w1 := workerWith(Counters{Committed: 10, HealingFallbacks: 3})
 	w2 := workerWith(Counters{Committed: 20, HealingFallbacks: 4, WatchdogTrips: 2})
 	a := Merge(time.Second, []*Worker{w1, w2})
-	if a.HealingFallbacks != 7 || a.BudgetExhausted != 1 || a.WatchdogTrips != 2 {
+	if a.HealingFallbacks != 7 || a.WatchdogTrips != 2 {
 		t.Fatalf("ladder counters lost in merge: %+v", a.Counters)
 	}
 	s := a.BreakdownString()
-	for _, want := range []string{"fallbacks=7", "budget_exhausted=1", "watchdog_trips=2"} {
+	for _, want := range []string{"fallbacks=7", "watchdog_trips=2"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("breakdown %q missing %q", s, want)
 		}

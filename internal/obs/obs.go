@@ -5,7 +5,7 @@
 // The flight recorder answers the question end-of-run aggregates
 // cannot: *why* did the engine make a protocol decision — which key
 // invalidated a read set, how much work a healing pass restored,
-// when the degradation ladder escalated, whether a WAL sync failed
+// when a THEDB-HYBRID transaction hopped to 2PL, whether a WAL sync failed
 // before the watchdog tripped. Each worker owns a fixed-size ring of
 // events; recording is wait-free for the (single) writer and costs
 // nothing when disabled (callers gate every site on a nil *Recorder,
@@ -46,8 +46,8 @@ const (
 	// KHealEnd completes a healing pass. A = operations restored by
 	// the pass, B = validation-frontier index where it ran.
 	KHealEnd
-	// KLadderEscalate is a degradation-ladder escalation.
-	// A = protocol escaped from, B = protocol escalated to
+	// KLadderEscalate is THEDB-HYBRID's hop from its OCC attempt to
+	// 2PL. A = protocol escaped from, B = protocol escalated to
 	// (core.Protocol values).
 	KLadderEscalate
 	// KEpochAdvance is a global epoch bump. A = new epoch.
@@ -107,8 +107,6 @@ type AbortReason uint64
 const (
 	// AbortUser is an application-initiated abort.
 	AbortUser AbortReason = iota
-	// AbortContended is retry-budget exhaustion (ErrContended).
-	AbortContended
 )
 
 // String names the reason.
@@ -116,8 +114,6 @@ func (r AbortReason) String() string {
 	switch r {
 	case AbortUser:
 		return "user"
-	case AbortContended:
-		return "contended"
 	default:
 		return fmt.Sprintf("reason(%d)", uint64(r))
 	}

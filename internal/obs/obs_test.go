@@ -125,7 +125,7 @@ func TestDumpNamesActorsEpochsAndCheckpoints(t *testing.T) {
 	r.Record(0, KHealEnd, 5, 3, 2)
 	r.Record(1, KLadderEscalate, 6, 0, 1)
 	r.Record(EpochActor, KEpochSeal, 6, 5, 0)
-	r.Record(1, KAbort, 6, uint64(AbortContended), 12)
+	r.Record(1, KAbort, 6, uint64(AbortUser), 12)
 
 	var sb strings.Builder
 	r.DumpWith(&sb, func(id int) string {
@@ -143,7 +143,7 @@ func TestDumpNamesActorsEpochsAndCheckpoints(t *testing.T) {
 		"heal-end ops-restored=3 frontier=2",
 		"ladder-escalate proto 0 -> 1",
 		"epoch-seal to=5",
-		"abort reason=contended attempts=12",
+		"abort reason=user attempts=12",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)

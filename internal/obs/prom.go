@@ -55,8 +55,7 @@ func WritePromWith(w io.Writer, a *metrics.Aggregate, ex *Exemplar) {
 	counter("thedb_heals_total", "Healing-phase invocations.", a.Heals)
 	counter("thedb_healed_ops_total", "Operations restored by healing.", a.HealedOps)
 	counter("thedb_false_invalidations_total", "Validation failures dismissed as false invalidations.", a.FalseInval)
-	counter("thedb_ladder_fallbacks_total", "Degradation-ladder escalations to a less optimistic rung.", a.HealingFallbacks)
-	counter("thedb_budget_exhausted_total", "Transactions that spent their retry budget (ErrContended).", a.BudgetExhausted)
+	counter("thedb_ladder_fallbacks_total", "THEDB-HYBRID transactions rerun under 2PL after their OCC attempt aborted.", a.HealingFallbacks)
 	counter("thedb_watchdog_trips_total", "Stuck-epoch watchdog firings.", a.WatchdogTrips)
 	counter("thedb_log_syncs_total", "Successful epoch log syncs.", a.LogSyncs)
 	counter("thedb_log_sync_failures_total", "Failed epoch log sync attempts.", a.LogSyncFailures)

@@ -2,7 +2,7 @@
 // monotonic per-phase timings while it runs, and at completion the
 // worker offers the finished trace to a Tracer — a bounded ring with
 // tail-based retention that always keeps the interesting traces
-// (slow, aborted, contended, healed, dedup-answered) and lets the
+// (slow, aborted, healed, dedup-answered) and lets the
 // boring fast commits fall through. The ring is the backing store for
 // /debug/trace, the shell's \trace view, and the histogram exemplars.
 //
@@ -28,9 +28,8 @@ const (
 	TraceCommitted TraceOutcome = iota
 	// TraceAborted: an application (user) abort.
 	TraceAborted
-	// TraceContended: the degradation ladder exhausted its retry
-	// budget (ErrContended).
-	TraceContended
+	// 2 is retired: /debug/trace encodes the outcome as its number.
+	_
 	// TraceDedupHit: the server answered the call from its per-session
 	// dedup window; the transaction did not run again.
 	TraceDedupHit
@@ -43,8 +42,6 @@ func (o TraceOutcome) String() string {
 		return "committed"
 	case TraceAborted:
 		return "aborted"
-	case TraceContended:
-		return "contended"
 	case TraceDedupHit:
 		return "dedup-hit"
 	default:
@@ -93,7 +90,8 @@ type Trace struct {
 	Proto uint8 `json:"proto"`
 	// Attempts counts executions, 1 = no restart.
 	Attempts uint32 `json:"attempts"`
-	// Escalations counts degradation-ladder rung changes.
+	// Escalations counts rung changes: 1 when a THEDB-HYBRID
+	// transaction hopped from OCC to 2PL, else 0.
 	Escalations uint32 `json:"escalations"`
 	// Epoch is the global epoch at completion.
 	Epoch uint32 `json:"epoch"`
@@ -158,7 +156,7 @@ type Tracer struct {
 
 // NewTracer builds a tracer retaining up to capacity traces and
 // treating transactions at or above slow as slow (slow <= 0 disables
-// the latency criterion; aborted/contended/healed/dedup traces are
+// the latency criterion; aborted/healed/dedup traces are
 // kept regardless).
 func NewTracer(capacity int, slow time.Duration) *Tracer {
 	if capacity < 8 {
@@ -172,7 +170,7 @@ func (t *Tracer) SlowThreshold() time.Duration { return time.Duration(t.slowNS) 
 
 // Keep offers a completed trace. Tail-based retention: the trace is
 // copied into the ring iff it is interesting — any non-committed
-// outcome (abort, contended, dedup-hit), any healing pass, or total
+// outcome (abort, dedup-hit), any healing pass, or total
 // latency at or past the slow threshold. Returns the ring slot the
 // trace landed in, or -1 when it was dropped as boring. The slot plus
 // tr.ID lets the server amend RespUS after the response goes out.

@@ -11,8 +11,9 @@ import (
 )
 
 // TestTracerTailRetention pins the tail-sampling policy: boring fast
-// commits are counted but dropped; aborted, contended, dedup-hit,
-// healed, and slow traces are retained.
+// commits are counted but dropped; aborted, dedup-hit, healed, and
+// slow traces are retained. The outcomes keep their numbers, which
+// /debug/trace serves: 2 is retired, and a dedup hit stays 3.
 func TestTracerTailRetention(t *testing.T) {
 	tr := NewTracer(8, 100*time.Microsecond)
 	cases := []struct {
@@ -23,9 +24,11 @@ func TestTracerTailRetention(t *testing.T) {
 		{"fast commit", Trace{ID: 1, Outcome: TraceCommitted, TotalUS: 10}, false},
 		{"slow commit", Trace{ID: 2, Outcome: TraceCommitted, TotalUS: 100}, true},
 		{"aborted", Trace{ID: 3, Outcome: TraceAborted, TotalUS: 1}, true},
-		{"contended", Trace{ID: 4, Outcome: TraceContended, TotalUS: 1}, true},
-		{"dedup hit", Trace{ID: 5, Outcome: TraceDedupHit, TotalUS: 1}, true},
-		{"healed commit", Trace{ID: 6, Outcome: TraceCommitted, TotalUS: 1, NPasses: 1}, true},
+		{"dedup hit", Trace{ID: 4, Outcome: TraceDedupHit, TotalUS: 1}, true},
+		{"healed commit", Trace{ID: 5, Outcome: TraceCommitted, TotalUS: 1, NPasses: 1}, true},
+	}
+	if TraceCommitted != 0 || TraceAborted != 1 || TraceDedupHit != 3 {
+		t.Errorf("outcome numbers = %d/%d/%d, want 0/1/3", TraceCommitted, TraceAborted, TraceDedupHit)
 	}
 	for _, c := range cases {
 		slot := tr.Keep(&c.tr)
@@ -34,15 +37,15 @@ func TestTracerTailRetention(t *testing.T) {
 		}
 	}
 	total, kept := tr.Stats()
-	if total != 6 || kept != 5 {
-		t.Errorf("stats = (%d, %d), want (6, 5)", total, kept)
+	if total != 5 || kept != 4 {
+		t.Errorf("stats = (%d, %d), want (5, 4)", total, kept)
 	}
 	snap := tr.Snapshot()
-	if len(snap) != 5 {
-		t.Fatalf("snapshot has %d traces, want 5", len(snap))
+	if len(snap) != 4 {
+		t.Fatalf("snapshot has %d traces, want 4", len(snap))
 	}
 	// Newest first.
-	for i, want := range []uint64{6, 5, 4, 3, 2} {
+	for i, want := range []uint64{5, 4, 3, 2} {
 		if snap[i].ID != want {
 			t.Errorf("snapshot[%d].ID = %d, want %d (newest first)", i, snap[i].ID, want)
 		}
@@ -213,7 +216,7 @@ func TestPlaneTraceEndpoints(t *testing.T) {
 	}
 
 	tr := NewTracer(8, 250*time.Microsecond)
-	tr.Keep(&Trace{ID: 0xbeef, Proc: "Pay", Outcome: TraceContended, TotalUS: 9,
+	tr.Keep(&Trace{ID: 0xbeef, Proc: "Pay", Outcome: TraceAborted, TotalUS: 9,
 		NPasses: 1, Passes: [MaxHealPasses]HealPass{{StartUS: 3, EndUS: 5, Restored: 2}}})
 	cont := NewContention(8)
 	cont.Touch(4, 17, TouchValidationFail)

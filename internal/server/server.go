@@ -24,9 +24,7 @@
 // the per-connection or global in-flight bound is answered immediately
 // with a typed retryable error carrying a backoff hint (wire.CodeShed),
 // so overload degrades into client-side backoff instead of unbounded
-// server-side memory growth. Engine-level contention surfaces the
-// same way (wire.CodeContended, from the degradation ladder's
-// ErrContended).
+// server-side memory growth.
 //
 // Shutdown drains: stop accepting, answer new calls with
 // wire.CodeDraining, finish every admitted transaction, flush every
@@ -87,12 +85,11 @@ const (
 	writeTimeout = 10 * time.Second
 	// handshakeTimeout bounds the wait for the client's hello.
 	handshakeTimeout = 5 * time.Second
-	// contendedHint, shedHint and drainHint are the backoff hints
-	// attached to the three retryable error codes. Clients treat them
-	// as a floor for their own jittered backoff.
-	contendedHint = 2 * time.Millisecond
-	shedHint      = time.Millisecond
-	drainHint     = 10 * time.Millisecond
+	// shedHint and drainHint are the backoff hints attached to the
+	// two retryable error codes. Clients treat them as a floor for
+	// their own jittered backoff.
+	shedHint  = time.Millisecond
+	drainHint = 10 * time.Millisecond
 	// maxSessions caps the session registry. At the cap, an idle
 	// session — no bound connections, nothing executing — is evicted to
 	// make room for a new one.
@@ -342,7 +339,7 @@ func (s *Server) serveOne(d *dispatcher, req *request) {
 		re := s.mapError(err)
 		d.frame = wire.AppendError(d.frame[:0], req.id, re)
 		// Cache only settled outcomes. A retryable rejection (shed,
-		// contended, draining) must re-execute on retry, not replay
+		// draining) must re-execute on retry, not replay
 		// the rejection from the window.
 		s.respond(req, d.frame, !re.Retryable())
 	} else {
@@ -426,10 +423,7 @@ func (s *Server) finish(c *conn, n int) {
 // retryable condition carries a backoff hint; nothing is dropped
 // silently.
 func (s *Server) mapError(err error) wire.RemoteError {
-	switch {
-	case errors.Is(err, thedb.ErrContended):
-		return wire.RemoteError{Code: wire.CodeContended, Backoff: contendedHint, Msg: err.Error()}
-	case errors.Is(err, thedb.ErrNoSuchProc):
+	if errors.Is(err, thedb.ErrNoSuchProc) {
 		return wire.RemoteError{Code: wire.CodeUnknownProc, Msg: err.Error()}
 	}
 	var abort *proc.AbortError

@@ -79,10 +79,10 @@
 //
 // Failures travel as OpError payloads carrying a typed code, an
 // optional server-suggested backoff hint, and a message; whether a
-// code is retryable is a property of the code (Retryable). Admission-control rejections (CodeShed, CodeDraining) and
-// retry-budget exhaustion inside the engine (CodeContended) are
-// retryable: a well-behaved client backs off — honoring the hint —
-// and retries, rather than treating shedding as failure.
+// code is retryable is a property of the code (Retryable).
+// Admission-control rejections (CodeShed, CodeDraining) are retryable:
+// a well-behaved client backs off — honoring the hint — and retries,
+// rather than treating shedding as failure.
 package wire
 
 import (
@@ -172,9 +172,8 @@ const (
 	// CodeAbort is an application abort (thedb.UserAbort): the
 	// transaction ran and rolled back for business-logic reasons.
 	CodeAbort uint8 = 4
-	// CodeContended reports retry-budget exhaustion inside the
-	// engine's degradation ladder (thedb.ErrContended). Retryable.
-	CodeContended uint8 = 5
+	// Code 5 is retired (it reported retry-budget exhaustion, and the
+	// engine no longer gives up on a transaction); never reuse it.
 	// CodeShed reports an admission-control rejection: the request
 	// was never admitted because a per-connection or global in-flight
 	// bound was hit. Retryable.
@@ -204,8 +203,6 @@ func CodeName(c uint8) string {
 		return "unknown-procedure"
 	case CodeAbort:
 		return "abort"
-	case CodeContended:
-		return "contended"
 	case CodeShed:
 		return "shed"
 	case CodeDraining:
@@ -222,12 +219,12 @@ func CodeName(c uint8) string {
 // Retryable reports whether an error code marks a transient condition
 // the client should back off and retry.
 func Retryable(c uint8) bool {
-	return c == CodeContended || c == CodeShed || c == CodeDraining
+	return c == CodeShed || c == CodeDraining
 }
 
 // RemoteError is a server-reported failure decoded from an OpError
 // payload. It is the error type the client package surfaces: shed
-// requests arrive as typed contended/shed errors with backoff hints,
+// requests arrive as typed shed/draining errors with backoff hints,
 // never as silent drops.
 type RemoteError struct {
 	// Code is one of the Code constants.

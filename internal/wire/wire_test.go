@@ -276,7 +276,6 @@ func TestResultRoundTrip(t *testing.T) {
 
 func TestErrorRoundTrip(t *testing.T) {
 	es := []RemoteError{
-		{Code: CodeContended, Backoff: 2 * time.Millisecond, Msg: "retry budget spent"},
 		{Code: CodeShed, Backoff: 500 * time.Microsecond, Msg: "in-flight bound hit"},
 		{Code: CodeAbort, Msg: "insufficient funds"},
 		{Code: CodeDraining, Backoff: 10 * time.Millisecond, Msg: "server draining"},
@@ -295,7 +294,7 @@ func TestErrorRoundTrip(t *testing.T) {
 		if got != e {
 			t.Fatalf("decoded %+v, want %+v", got, e)
 		}
-		wantRetry := e.Code == CodeContended || e.Code == CodeShed || e.Code == CodeDraining
+		wantRetry := e.Code == CodeShed || e.Code == CodeDraining
 		if got.Retryable() != wantRetry {
 			t.Fatalf("%s: Retryable = %v, want %v", CodeName(e.Code), got.Retryable(), wantRetry)
 		}

@@ -129,6 +129,13 @@ func (g *Gen) customerID() int64 {
 	return nuRand(g.rng, 1023, 1, int64(g.cfg.CustomersPerDistrict))
 }
 
+// lastName draws the name a by-name Payment or OrderStatus selects
+// its customer by: NURand(255, 0, 999), narrowed to the names 0 … C−1
+// that Populate gives a district of fewer than 1,000 customers.
+func (g *Gen) lastName() string {
+	return LastName(int(nuRand(g.rng, 255, 0, int64(min(999, g.cfg.CustomersPerDistrict-1)))))
+}
+
 func (g *Gen) itemID() int64 {
 	return nuRand(g.rng, 8191, 1, int64(g.cfg.Items))
 }
@@ -198,7 +205,7 @@ func (g *Gen) Payment() Request {
 	c := int64(0)
 	last := ""
 	if g.rng.Intn(100) < g.mix.PaymentByNamePct {
-		last = LastName(int(nuRand(g.rng, 255, 0, 999)))
+		last = g.lastName()
 	} else {
 		c = g.customerID()
 	}
@@ -224,7 +231,7 @@ func (g *Gen) OrderStatus() Request {
 	c := int64(0)
 	last := ""
 	if g.rng.Intn(100) < 60 {
-		last = LastName(int(nuRand(g.rng, 255, 0, 999)))
+		last = g.lastName()
 	} else {
 		c = g.customerID()
 	}

@@ -109,10 +109,6 @@ const (
 // Typed engine failures, re-exported for callers (and the network
 // serving plane) to classify with errors.Is.
 var (
-	// ErrContended reports that a transaction spent its retry budget
-	// on every rung of the contention degradation ladder. Retryable
-	// after backoff.
-	ErrContended = core.ErrContended
 	// ErrNoSuchProc reports an unregistered procedure name.
 	ErrNoSuchProc = core.ErrNoSuchProc
 	// ErrMalformedProc reports a registered procedure whose expansion
@@ -201,13 +197,6 @@ type Config struct {
 	// (ErrCheckpointDir).
 	WALSet *WALSet
 
-	// RetryBudget bounds failed attempts per rung of the contention
-	// degradation ladder: a transaction escalates Healing → OCC → 2PL
-	// as each rung's budget is spent and fails with a typed
-	// contention error past the last rung, instead of retrying
-	// forever. Zero (the default) disables the ladder.
-	RetryBudget int
-
 	// EventBuffer enables the flight recorder: each worker (plus the
 	// epoch advancer) gets a lock-free ring holding the last
 	// EventBuffer protocol events, dumped via DumpEvents or served at
@@ -220,15 +209,15 @@ type Config struct {
 	// accumulates phase timings (queue wait, execute, validate, each
 	// heal pass with restored-op counts, commit, WAL append) and the
 	// completed trace passes a tail-sampling filter into a bounded ring
-	// of the last TraceBuffer retained traces — slow, aborted, healed
-	// and contended transactions always kept, clean fast commits
+	// of the last TraceBuffer retained traces — slow, aborted and
+	// healed transactions always kept, clean fast commits
 	// dropped. Served at /debug/trace by ObsHandler. Zero (the default)
 	// disables tracing; the per-transaction cost is then one nil check.
 	TraceBuffer int
 
 	// TraceSlow is the latency threshold above which a committed
 	// transaction counts as slow for tail sampling and histogram
-	// exemplars (default 0 = only aborted/healed/contended transactions
+	// exemplars (default 0 = only aborted/healed transactions
 	// are retained).
 	TraceSlow time.Duration
 
@@ -350,7 +339,6 @@ func (db *DB) engine() *core.Engine {
 		Workers:         db.cfg.Workers,
 		EpochInterval:   db.cfg.EpochInterval,
 		DetailedMetrics: db.cfg.DetailedMetrics,
-		RetryBudget:     db.cfg.RetryBudget,
 		Logger:          db.logger,
 		Recorder:        db.rec,
 		Tracer:          db.tracer,
