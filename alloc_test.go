@@ -23,17 +23,7 @@ import (
 // `make pins` runs this without the race detector, whose runtime may
 // add allocations of its own to the count.
 func TestSessionRunAllocations(t *testing.T) {
-	db, err := thedb.Open(thedb.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.MustCreateTable(ycsb.Schema())
-	if err := ycsb.Populate(db.Catalog(), 64, 8); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range ycsb.Specs() {
-		db.MustRegister(s)
-	}
+	db := ycsbDB(t, 64)
 	db.MustRegister(&thedb.Spec{
 		Name: "Null",
 		Plan: func(b *thedb.Builder, _ *thedb.Env) {
@@ -77,4 +67,54 @@ func TestSessionRunAllocations(t *testing.T) {
 			t.Errorf("%s: %v allocations per Run, want <= %v", c.proc, got, c.max)
 		}
 	}
+}
+
+// TestSessionRunSnapshotAllocations pins the cost of a snapshot scan:
+// it walks the index a leaf at a time and records no leaf observations,
+// so YCSBSnapshotScan allocates the same small count whether it reads
+// 64 rows or 4,000.
+func TestSessionRunSnapshotAllocations(t *testing.T) {
+	db := ycsbDB(t, 4000)
+	db.Start()
+	defer db.Close()
+	sess := db.Session(0)
+
+	var counts []float64
+	for _, rows := range []int64{64, 1000, 4000} {
+		got := testing.AllocsPerRun(100, func() {
+			env, err := sess.RunSnapshot(ycsb.ProcSnapScan, thedb.Int(0), thedb.Int(rows))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := env.Int("rows"); n != rows {
+				t.Fatalf("%d-row scan read %d rows", rows, n)
+			}
+		})
+		t.Logf("%d rows: %v allocations per RunSnapshot", rows, got)
+		if got > 3 {
+			t.Errorf("%d rows: %v allocations per RunSnapshot, want <= 3", rows, got)
+		}
+		counts = append(counts, got)
+	}
+	if counts[0] != counts[1] || counts[1] != counts[2] {
+		t.Errorf("allocations grow with the rows scanned: %v for 64 / 1,000 / 4,000 rows", counts)
+	}
+}
+
+// ycsbDB opens a one-worker database holding the YCSB table with rows
+// records and the YCSB procedures registered, not yet started.
+func ycsbDB(t *testing.T, rows int) *thedb.DB {
+	t.Helper()
+	db, err := thedb.Open(thedb.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustCreateTable(ycsb.Schema())
+	if err := ycsb.Populate(db.Catalog(), rows, 8); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range ycsb.Specs() {
+		db.MustRegister(s)
+	}
+	return db
 }

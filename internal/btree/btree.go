@@ -145,45 +145,52 @@ type ScanRef[K cmp.Ordered, V any] struct {
 // since the scan observed it.
 func (r ScanRef[K, V]) Changed() bool { return r.Leaf.Version() != r.Version }
 
-// Scan visits all pairs with lo <= key <= hi in ascending order,
-// calling fn for each; fn returning false stops the scan. It returns
-// the leaf/version observations covering the scanned range, including
-// boundary leaves, so a later insert into the range is detectable.
-func (t *Tree[K, V]) Scan(lo, hi K, fn func(k K, v V) bool) []ScanRef[K, V] {
+// Walk visits the pairs with lo <= key <= hi one leaf at a time, in
+// ascending order: fn gets each leaf on the way together with its
+// in-range run keys[i:j] / vals[i:j], cut by binary search (empty at a
+// boundary or emptied leaf). fn returning false stops the walk, and
+// Walk reports whether it ran to the end. The tree read lock is held
+// throughout, so fn must not retain the slices or mutate the tree;
+// Walk itself records nothing.
+func (t *Tree[K, V]) Walk(lo, hi K, fn func(l *Leaf[K, V], keys []K, vals []V) bool) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var refs []ScanRef[K, V]
-	l := t.leafFor(lo)
-	for l != nil {
-		refs = append(refs, ScanRef[K, V]{Leaf: l, Version: l.version.Load()})
-		for i, k := range l.keys {
-			if k < lo {
-				continue
-			}
-			if k > hi {
-				return refs
-			}
-			if !fn(k, l.vals[i]) {
-				return refs
-			}
+	for l := t.leafFor(lo); l != nil; l = l.next {
+		n := len(l.keys)
+		i, _ := search(l.keys, lo)
+		j := i + sort.Search(n-i, func(x int) bool { return l.keys[i+x] > hi })
+		if !fn(l, l.keys[i:j], l.vals[i:j]) {
+			return false
 		}
-		if n := len(l.keys); n > 0 && l.keys[n-1] > hi {
-			return refs
+		if n > 0 && l.keys[n-1] > hi {
+			break
 		}
-		l = l.next
 	}
+	return true
+}
+
+// Scan visits all pairs with lo <= key <= hi in ascending order,
+// calling fn for each; fn returning false stops the scan. It returns
+// one leaf/version observation per leaf walked, boundary leaves
+// included, so a later insert into the range is detectable.
+func (t *Tree[K, V]) Scan(lo, hi K, fn func(k K, v V) bool) []ScanRef[K, V] {
+	var refs []ScanRef[K, V]
+	t.Walk(lo, hi, observe(&refs, fn))
 	return refs
 }
 
-// Min returns the smallest key/value at or above lo, if any, plus the
-// observation of the leaf examined (for phantom-safe "oldest entry"
-// lookups such as TPC-C Delivery's NEW-ORDER probe).
-func (t *Tree[K, V]) Min(lo, hi K) (k K, v V, ok bool, refs []ScanRef[K, V]) {
-	refs = t.Scan(lo, hi, func(fk K, fv V) bool {
-		k, v, ok = fk, fv, true
-		return false
-	})
-	return k, v, ok, refs
+// observe returns the per-leaf step of Scan: record the leaf's
+// version in refs, then hand fn the leaf's run pair by pair.
+func observe[K cmp.Ordered, V any](refs *[]ScanRef[K, V], fn func(K, V) bool) func(*Leaf[K, V], []K, []V) bool {
+	return func(l *Leaf[K, V], keys []K, vals []V) bool {
+		*refs = append(*refs, ScanRef[K, V]{Leaf: l, Version: l.version.Load()})
+		for i, k := range keys {
+			if !fn(k, vals[i]) {
+				return false
+			}
+		}
+		return true
+	}
 }
 
 func (t *Tree[K, V]) leafFor(k K) *Leaf[K, V] {

@@ -183,18 +183,27 @@ func TestDeleteIf(t *testing.T) {
 	}
 }
 
+// scanFirst is the oldest-entry probe (TPC-C Delivery's NEW-ORDER
+// lookup): a scan stopped after its first pair.
+func scanFirst(scan func(lo, hi uint64, fn func(uint64, int) bool) []ScanRef[uint64, int], lo, hi uint64) (k uint64, v int, ok bool) {
+	scan(lo, hi, func(fk uint64, fv int) bool {
+		k, v, ok = fk, fv, true
+		return false
+	})
+	return k, v, ok
+}
+
 func TestMin(t *testing.T) {
 	tr := New[uint64, int]()
 	for _, k := range []uint64{50, 10, 90, 30} {
 		tr.Insert(k, int(k))
 	}
-	k, v, ok, _ := tr.Min(20, 80)
+	k, v, ok := scanFirst(tr.Scan, 20, 80)
 	if !ok || k != 30 || v != 30 {
-		t.Fatalf("Min(20,80) = %d,%d,%v", k, v, ok)
+		t.Fatalf("first of [20,80] = %d,%d,%v", k, v, ok)
 	}
-	_, _, ok, _ = tr.Min(91, 100)
-	if ok {
-		t.Fatal("Min found a key in an empty range")
+	if _, _, ok = scanFirst(tr.Scan, 91, 100); ok {
+		t.Fatal("found a key in an empty range")
 	}
 }
 
@@ -319,16 +328,16 @@ func TestShardedMinAndDelete(t *testing.T) {
 	for _, k := range []uint64{100, 17, 63, 900} {
 		s.Insert(k, int(k))
 	}
-	k, _, ok, _ := s.Min(18, 1000)
+	k, _, ok := scanFirst(s.Scan, 18, 1000)
 	if !ok || k != 63 {
-		t.Fatalf("Min = %d, %v", k, ok)
+		t.Fatalf("first of [18,1000] = %d, %v", k, ok)
 	}
 	if !s.Delete(63) {
 		t.Fatal("delete failed")
 	}
-	k, _, ok, _ = s.Min(18, 1000)
+	k, _, ok = scanFirst(s.Scan, 18, 1000)
 	if !ok || k != 100 {
-		t.Fatalf("Min after delete = %d, %v", k, ok)
+		t.Fatalf("first of [18,1000] after delete = %d, %v", k, ok)
 	}
 	if v, ok := s.Get(17); !ok || v != 17 {
 		t.Fatal("Get(17) failed")

@@ -73,6 +73,20 @@ func (s *Sharded[V]) Get(k uint64) (V, bool) {
 	return t.Get(k)
 }
 
+// Walk is Tree.Walk across the shards covering [lo, hi], in key
+// order. Shards that do not exist are skipped.
+func (s *Sharded[V]) Walk(lo, hi uint64, fn func(l *Leaf[uint64, V], keys []uint64, vals []V) bool) bool {
+	for p := s.prefix(lo); p <= s.prefix(hi); p++ {
+		if t := s.shard(p, false); t != nil && !t.Walk(lo, hi, fn) {
+			return false
+		}
+		if p == s.prefix(hi) { // avoid wraparound when prefix(hi) is MaxUint
+			break
+		}
+	}
+	return true
+}
+
 // Scan visits all pairs with lo <= key <= hi in ascending order and
 // returns the leaf observations for phantom validation. Shards that
 // do not exist yet contribute no observations; a subsequent insert
@@ -81,31 +95,8 @@ func (s *Sharded[V]) Get(k uint64) (V, bool) {
 // a higher level (THEDB does so with dummy records, §4.7.1).
 func (s *Sharded[V]) Scan(lo, hi uint64, fn func(k uint64, v V) bool) []ScanRef[uint64, V] {
 	var refs []ScanRef[uint64, V]
-	stop := false
-	for p := s.prefix(lo); p <= s.prefix(hi) && !stop; p++ {
-		if t := s.shard(p, false); t != nil {
-			r := t.Scan(lo, hi, func(k uint64, v V) bool {
-				ok := fn(k, v)
-				stop = !ok
-				return ok
-			})
-			refs = append(refs, r...)
-		}
-		if p == s.prefix(hi) { // avoid wraparound when prefix(hi) is MaxUint
-			break
-		}
-	}
+	s.Walk(lo, hi, observe(&refs, fn))
 	return refs
-}
-
-// Min returns the smallest pair within [lo, hi], plus the leaf
-// observations examined.
-func (s *Sharded[V]) Min(lo, hi uint64) (k uint64, v V, ok bool, refs []ScanRef[uint64, V]) {
-	refs = s.Scan(lo, hi, func(fk uint64, fv V) bool {
-		k, v, ok = fk, fv, true
-		return false
-	})
-	return k, v, ok, refs
 }
 
 // Len returns the total number of keys across shards.

@@ -10,7 +10,7 @@ import (
 
 // kvEngine builds a single ordered table KV(v) engine for the §4.7
 // scenarios.
-func kvEngine(t *testing.T, opts Options) *Engine {
+func kvEngine(t testing.TB, opts Options) *Engine {
 	t.Helper()
 	cat := storage.NewCatalog()
 	cat.MustCreateTable(storage.Schema{

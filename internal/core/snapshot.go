@@ -18,6 +18,11 @@ import (
 // because they cannot have written anything.
 var ErrReadOnlyTxn = errors.New("core: snapshot transaction is read-only")
 
+// ErrSnapshotSecondaryScan reports a secondary-index scan attempted
+// inside a snapshot transaction. Secondary entries are not versioned,
+// so the index cannot answer as of the snapshot (DESIGN.md §15).
+var ErrSnapshotSecondaryScan = errors.New("core: snapshot transaction cannot scan a secondary index")
+
 // snapshotTS computes a snapshot timestamp: the boundary MakeTS(F,0)-1
 // under the worker-registration epoch floor, ratcheted through the
 // monotone snapshot floor. Every commit stamped at or below the result
@@ -196,12 +201,12 @@ func (t *snapTxn) Delete(table string, key storage.Key) error {
 	return fmt.Errorf("%w: delete from %s[%d]", ErrReadOnlyTxn, table, key)
 }
 
-// Scan implements proc.OpCtx: it walks the current ordered index and
-// resolves each record against the snapshot. Records inserted after
-// the snapshot resolve to absent and are skipped; records deleted
-// since stay reachable (the GC's unlink gate) and resolve to their
-// pre-delete image. No leaf versions are recorded — snapshot scans
-// need no phantom validation because they never validate.
+// Scan implements proc.OpCtx: it walks the current ordered index, a
+// leaf's run at a time, and resolves each record against the snapshot.
+// Records inserted after the snapshot resolve to absent and are
+// skipped; records deleted since stay reachable (the GC's unlink gate)
+// and resolve to their pre-delete image. No leaf versions are recorded
+// — snapshot scans never validate, so they need no phantom check.
 func (t *snapTxn) Scan(table string, lo, hi storage.Key, limit int, fn func(key storage.Key, row storage.Tuple) bool) error {
 	tab, err := t.table(table)
 	if err != nil {
@@ -210,48 +215,34 @@ func (t *snapTxn) Scan(table string, lo, hi storage.Key, limit int, fn func(key 
 	if tab.Schema() == nil || !tab.Schema().Ordered {
 		return fmt.Errorf("core: table %s has no ordered index", table)
 	}
-	visit := t.visitor(limit, fn, nil)
-	tab.RangeScan(lo, hi, func(_ storage.Key, rec *storage.Record) bool { return visit(rec) })
+	seen := 0
+	tab.RangeWalk(lo, hi, func(recs []*storage.Record) bool {
+		for _, rec := range recs {
+			img, vis := rec.SnapshotAt(t.at)
+			if !vis {
+				continue
+			}
+			seen++
+			if !fn(rec.Key(), img) || seen == limit {
+				return false
+			}
+		}
+		return true
+	})
 	return nil
 }
 
-// ScanSec implements proc.OpCtx. Secondary entries track the CURRENT
-// tuple image (updates re-key them at commit), so the index is walked
-// as of now and each hit is re-checked against the snapshot image's
-// secondary key: rows whose snapshot image keys outside [lo, hi] are
-// suppressed. A row whose old image was in range but whose current one
-// is not has been re-keyed out of the walk and is missed — snapshot
-// secondary scans are as-of-now on index membership, as-of-snapshot on
-// row contents (documented in DESIGN.md §15).
+// ScanSec implements proc.OpCtx by refusing: secondary entries track
+// the current tuple image (updates re-key them at commit), so a row
+// re-keyed out of [lo, hi] after the snapshot is no longer reachable
+// from the range, and a walk would silently miss it.
 func (t *snapTxn) ScanSec(table, index string, lo, hi string, limit int, fn func(pk storage.Key, row storage.Tuple) bool) error {
 	tab, err := t.table(table)
 	if err != nil {
 		return err
 	}
-	idx := tab.SecondaryIndexID(index)
-	if idx < 0 {
+	if tab.SecondaryIndexID(index) < 0 {
 		return fmt.Errorf("core: table %s has no index %q", table, index)
 	}
-	def := tab.Schema().Secondaries[idx]
-	visit := t.visitor(limit, fn, func(k storage.Key, img storage.Tuple) bool {
-		sk := def.Key(k, img)
-		return lo <= sk && sk <= hi
-	})
-	tab.SecondaryScan(idx, lo, hi, func(_ string, rec *storage.Record) bool { return visit(rec) })
-	return nil
-}
-
-// visitor builds the per-record step Scan and ScanSec share: resolve
-// the record at the snapshot, skip it when absent there (or rejected
-// by keep, when given), hand it to fn, and stop at limit rows.
-func (t *snapTxn) visitor(limit int, fn func(storage.Key, storage.Tuple) bool, keep func(storage.Key, storage.Tuple) bool) func(*storage.Record) bool {
-	seen := 0
-	return func(rec *storage.Record) bool {
-		img, vis := rec.SnapshotAt(t.at)
-		if !vis || (keep != nil && !keep(rec.Key(), img)) {
-			return true
-		}
-		seen++
-		return fn(rec.Key(), img) && (limit <= 0 || seen < limit)
-	}
+	return fmt.Errorf("%w: %s.%s", ErrSnapshotSecondaryScan, table, index)
 }

@@ -129,11 +129,12 @@ type OpCtx interface {
 	// Scan visits visible records with lo <= key <= hi in key order;
 	// fn returning false stops early. limit > 0 caps the rows
 	// visited. The scanned leaf versions are recorded for phantom
-	// validation (§4.7.2).
+	// validation (§4.7.2); a snapshot transaction records none.
 	Scan(table string, lo, hi storage.Key, limit int, fn func(key storage.Key, row storage.Tuple) bool) error
 
 	// ScanSec visits visible records via a secondary index in
-	// secondary-key order over [lo, hi].
+	// secondary-key order over [lo, hi]. A snapshot transaction
+	// refuses it (core.ErrSnapshotSecondaryScan).
 	ScanSec(table, index string, lo, hi string, limit int, fn func(pk storage.Key, row storage.Tuple) bool) error
 }
 

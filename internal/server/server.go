@@ -421,7 +421,9 @@ func (s *Server) finish(c *conn, n int) {
 
 // mapError classifies an engine failure into a wire error. Every
 // retryable condition carries a backoff hint; nothing is dropped
-// silently.
+// silently. What a snapshot transaction refuses (thedb.ErrReadOnlyTxn,
+// thedb.ErrSnapshotSecondaryScan) is a settled CodeInternal error that
+// carries the engine's message.
 func (s *Server) mapError(err error) wire.RemoteError {
 	if errors.Is(err, thedb.ErrNoSuchProc) {
 		return wire.RemoteError{Code: wire.CodeUnknownProc, Msg: err.Error()}

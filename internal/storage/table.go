@@ -126,6 +126,15 @@ func (t *Table) RangeScan(lo, hi Key, fn func(k Key, r *Record) bool) ScanRefs {
 	})
 }
 
+// RangeWalk is RangeScan a leaf's run at a time, for readers that
+// never validate: it records no leaf observations. fn must not retain
+// recs.
+func (t *Table) RangeWalk(lo, hi Key, fn func(recs []*Record) bool) {
+	t.ordered.Walk(uint64(lo), uint64(hi), func(_ *btree.Leaf[uint64, *Record], _ []uint64, recs []*Record) bool {
+		return fn(recs)
+	})
+}
+
 // SecondaryScan visits records whose secondary key is in [lo, hi] on
 // the named index, in secondary-key order.
 func (t *Table) SecondaryScan(idx int, lo, hi string, fn func(sk string, r *Record) bool) []btree.ScanRef[string, *Record] {

@@ -19,6 +19,7 @@ import (
 	"thedb"
 	"thedb/client"
 	"thedb/internal/server"
+	"thedb/internal/wire"
 )
 
 const (
@@ -247,10 +248,26 @@ func TestSnapshotScanUnderWriteChurn(t *testing.T) {
 
 // TestCallSnapshotOverLoopback exercises the read-only wire path end
 // to end: a CallSnapshot is dispatched to Session.RunSnapshot (zero
-// validation, dedup window skipped) and a write attempted through it
-// fails with the read-only error rather than committing.
+// validation, dedup window skipped), a write attempted through it
+// fails with the read-only error rather than committing, and a
+// secondary-index scan comes back refused the same way.
 func TestCallSnapshotOverLoopback(t *testing.T) {
 	db := transferDB(t, thedb.Config{Protocol: thedb.Healing, Workers: 2})
+	db.MustCreateTable(thedb.Schema{
+		Name:    "TAG",
+		Columns: []thedb.ColumnDef{{Name: "tag", Kind: thedb.KindString}},
+		Secondaries: []thedb.SecondaryDef{{Name: "by_tag", Key: func(_ thedb.Key, t thedb.Tuple) string {
+			return t[0].Str()
+		}}},
+	})
+	db.MustRegister(&thedb.Spec{
+		Name: "TagScan",
+		Plan: func(b *thedb.Builder, _ *thedb.Env) {
+			b.Op(thedb.Op{Name: "scan", Body: func(ctx thedb.OpCtx) error {
+				return ctx.ScanSec("TAG", "by_tag", "", "\xff", 0, func(thedb.Key, thedb.Tuple) bool { return true })
+			}})
+		},
+	})
 	db.Start()
 	srv := server.New(db, server.Config{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -279,9 +296,15 @@ func TestCallSnapshotOverLoopback(t *testing.T) {
 
 	// A writing procedure on the read-only path must be rejected by the
 	// snapshot OpCtx, not silently committed.
-	if _, err := cl.CallSnapshot(ctx, "Transfer", thedb.Int(0), thedb.Int(1)); err == nil ||
+	var readOnly, secScan *wire.RemoteError
+	if _, err := cl.CallSnapshot(ctx, "Transfer", thedb.Int(0), thedb.Int(1)); !errors.As(err, &readOnly) ||
 		!strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("CallSnapshot of a writing proc: err = %v, want read-only rejection", err)
+	}
+	_, err = cl.CallSnapshot(ctx, "TagScan")
+	if !errors.As(err, &secScan) || secScan.Code != readOnly.Code || secScan.Retryable() ||
+		!strings.Contains(err.Error(), thedb.ErrSnapshotSecondaryScan.Error()) {
+		t.Fatalf("CallSnapshot of a secondary scan: err = %v, want the refusal under the read-only code (%v)", err, readOnly)
 	}
 
 	if got := db.LiveMetrics().SnapshotReads; got != 1 {

@@ -125,6 +125,10 @@ var (
 	// ErrReadOnlyTxn reports a write attempted inside a snapshot
 	// transaction (RunSnapshot / SnapshotRead).
 	ErrReadOnlyTxn = core.ErrReadOnlyTxn
+	// ErrSnapshotSecondaryScan reports a secondary-index scan inside a
+	// snapshot transaction, refused because secondary entries are not
+	// versioned: scan the primary key range instead.
+	ErrSnapshotSecondaryScan = core.ErrSnapshotSecondaryScan
 )
 
 // Protocol selects the concurrency-control mechanism; its String
@@ -549,7 +553,8 @@ func (s *Session) Transact(fn func(ctx OpCtx) error) error {
 // that snapshot, and commits with zero validation — no read-set
 // tracking, no healing, no aborts, and no interference with concurrent
 // writers. Any write primitive inside the procedure fails with
-// ErrReadOnlyTxn. Long analytical scans run at a stable snapshot
+// ErrReadOnlyTxn, and a secondary-index scan with
+// ErrSnapshotSecondaryScan. Long analytical scans run at a stable snapshot
 // without ever invalidating or being invalidated.
 func (s *Session) RunSnapshot(procName string, args ...Value) (*Env, error) {
 	if err := s.usable(); err != nil {
@@ -560,7 +565,8 @@ func (s *Session) RunSnapshot(procName string, args ...Value) (*Env, error) {
 
 // SnapshotRead runs fn as an anonymous read-only snapshot transaction:
 // fn's reads go through the usual OpCtx primitives against one
-// epoch-consistent snapshot; writes fail with ErrReadOnlyTxn. fn runs
+// epoch-consistent snapshot; writes fail with ErrReadOnlyTxn and
+// secondary-index scans with ErrSnapshotSecondaryScan. fn runs
 // exactly once — snapshot transactions never restart.
 func (s *Session) SnapshotRead(fn func(ctx OpCtx) error) error {
 	if err := s.usable(); err != nil {
