@@ -160,14 +160,14 @@ pins:
 lines = find $(1) -name '*.go' -print | xargs cat | wc -l
 fields = awk '/^type $(2) struct/{on=1;next} on&&/^}/{exit} on&&/^\t[A-Z][A-Za-z0-9]*[ \t]/{n++} END{print n+0}' $(1)
 loc:
-	@echo "go lines, non-test, outside benchmark/: $$($(call lines,. -path ./benchmark -prune -o ! -name '*_test.go'))"
+	@echo "go lines, non-test, outside benchmark/: $$($(call lines,. -path ./benchmark -prune -o -path ./.bench_build -prune -o ! -name '*_test.go'))"
 	@echo "go lines, non-test, internal/core:      $$($(call lines,internal/core ! -name '*_test.go')) (internal/proc: $$($(call lines,internal/proc ! -name '*_test.go')))"
 	@echo "go lines, non-test, root package:       $$($(call lines,. -maxdepth 1 ! -name '*_test.go'))"
 	@echo "go lines, non-test, internal/storage:   $$($(call lines,internal/storage ! -name '*_test.go'))"
 	@echo "go lines, non-test, observability:      $$($(call lines,internal/metrics internal/obs ! -name '*_test.go')) (internal/metrics: $$($(call lines,internal/metrics ! -name '*_test.go')))"
 	@echo "go lines, non-test, serving plane:      $$($(call lines,client internal/server internal/wire ! -name '*_test.go')) (client + internal/server: $$($(call lines,client internal/server ! -name '*_test.go')))"
 	@echo "go lines, internal/analysis (all .go):  $$($(call lines,internal/analysis))"
-	@echo "go lines, tests, outside benchmark/:    $$($(call lines,. -path ./benchmark -prune -o -name '*_test.go'))"
+	@echo "go lines, tests, outside benchmark/:    $$($(call lines,. -path ./benchmark -prune -o -path ./.bench_build -prune -o -name '*_test.go'))"
 	@echo "go lines, benchmark/:                   $$($(call lines,benchmark))"
 	@echo "fields, thedb.Config:                   $$($(call fields,thedb.go,Config))"
 	@echo "fields, core.Options:                   $$($(call fields,internal/core/engine.go,Options))"

@@ -4,10 +4,13 @@
 // Phantom protection (paper §4.7.2, following Silo): every structural
 // modification of a leaf — key insertion, key removal, or a split
 // that redistributes keys — increments that leaf's version counter.
-// A range scan reports the set of leaves it visited together with the
-// versions observed; the validation phase re-reads the versions and
-// treats any mismatch as a possible phantom, which the healing phase
-// resolves by re-executing the scan.
+// Walk hands the caller every leaf it visits; a validating reader
+// records each leaf's Ref, and the validation phase re-reads the
+// versions and treats any mismatch as a possible phantom, which the
+// healing phase resolves by re-executing the scan. A Sharded walk
+// hands out one more leaf for a key prefix in range that has no shard
+// yet, whose version counts shard creations: the node set then covers
+// the leaves that do not exist yet too.
 package btree
 
 import (
@@ -46,9 +49,10 @@ func (l *Leaf[K, V]) put(i int, k K, v V) {
 	l.version.Add(1)
 }
 
-// Version returns the leaf's current structural version. It may be
-// called without holding any tree lock.
-func (l *Leaf[K, V]) Version() uint64 { return l.version.Load() }
+// Ref observes the leaf's structural version. Taken under the read
+// lock of the walk that handed out l, it matches the keys the walk
+// saw; Changed may be asked later without any lock.
+func (l *Leaf[K, V]) Ref() ScanRef { return ScanRef{&l.version, l.version.Load()} }
 
 type inner[K cmp.Ordered, V any] struct {
 	// keys[i] is the smallest key reachable via children[i+1].
@@ -134,16 +138,16 @@ func (t *Tree[K, V]) DeleteIf(k K, pred func(V) bool) bool {
 	return true
 }
 
-// ScanRef is one (leaf, version) observation made by a range scan,
+// ScanRef is one leaf-version observation made by a range scan,
 // recorded in the caller's read set for phantom validation.
-type ScanRef[K cmp.Ordered, V any] struct {
-	Leaf    *Leaf[K, V]
-	Version uint64
+type ScanRef struct {
+	word    *atomic.Uint64
+	version uint64
 }
 
 // Changed reports whether the leaf has been structurally modified
 // since the scan observed it.
-func (r ScanRef[K, V]) Changed() bool { return r.Leaf.Version() != r.Version }
+func (r ScanRef) Changed() bool { return r.word.Load() != r.version }
 
 // Walk visits the pairs with lo <= key <= hi one leaf at a time, in
 // ascending order: fn gets each leaf on the way together with its
@@ -151,7 +155,8 @@ func (r ScanRef[K, V]) Changed() bool { return r.Leaf.Version() != r.Version }
 // boundary or emptied leaf). fn returning false stops the walk, and
 // Walk reports whether it ran to the end. The tree read lock is held
 // throughout, so fn must not retain the slices or mutate the tree;
-// Walk itself records nothing.
+// Walk itself records nothing, and a validating caller takes each
+// leaf's Ref inside fn.
 func (t *Tree[K, V]) Walk(lo, hi K, fn func(l *Leaf[K, V], keys []K, vals []V) bool) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -167,30 +172,6 @@ func (t *Tree[K, V]) Walk(lo, hi K, fn func(l *Leaf[K, V], keys []K, vals []V) b
 		}
 	}
 	return true
-}
-
-// Scan visits all pairs with lo <= key <= hi in ascending order,
-// calling fn for each; fn returning false stops the scan. It returns
-// one leaf/version observation per leaf walked, boundary leaves
-// included, so a later insert into the range is detectable.
-func (t *Tree[K, V]) Scan(lo, hi K, fn func(k K, v V) bool) []ScanRef[K, V] {
-	var refs []ScanRef[K, V]
-	t.Walk(lo, hi, observe(&refs, fn))
-	return refs
-}
-
-// observe returns the per-leaf step of Scan: record the leaf's
-// version in refs, then hand fn the leaf's run pair by pair.
-func observe[K cmp.Ordered, V any](refs *[]ScanRef[K, V], fn func(K, V) bool) func(*Leaf[K, V], []K, []V) bool {
-	return func(l *Leaf[K, V], keys []K, vals []V) bool {
-		*refs = append(*refs, ScanRef[K, V]{Leaf: l, Version: l.version.Load()})
-		for i, k := range keys {
-			if !fn(k, vals[i]) {
-				return false
-			}
-		}
-		return true
-	}
 }
 
 func (t *Tree[K, V]) leafFor(k K) *Leaf[K, V] {

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -68,7 +69,7 @@ func TestScanOrderAndBounds(t *testing.T) {
 		tr.Insert(uint64(k*3), k)
 	}
 	var got []uint64
-	tr.Scan(300, 2400, func(k uint64, _ int) bool {
+	scan(tr.Walk, 300, 2400, func(k uint64, _ int) bool {
 		got = append(got, k)
 		return true
 	})
@@ -97,7 +98,7 @@ func TestScanEarlyStop(t *testing.T) {
 		tr.Insert(uint64(i), i)
 	}
 	n := 0
-	tr.Scan(0, 99, func(uint64, int) bool {
+	scan(tr.Walk, 0, 99, func(uint64, int) bool {
 		n++
 		return n < 5
 	})
@@ -111,7 +112,7 @@ func TestLeafVersionBumpsOnInsert(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Insert(uint64(i*10), i)
 	}
-	refs := tr.Scan(0, 1000, func(uint64, int) bool { return true })
+	refs := scan(tr.Walk, 0, 1000, func(uint64, int) bool { return true })
 	if len(refs) == 0 {
 		t.Fatal("no leaf refs")
 	}
@@ -137,7 +138,7 @@ func TestLeafVersionBumpsOnDelete(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Insert(uint64(i), i)
 	}
-	refs := tr.Scan(0, 9, func(uint64, int) bool { return true })
+	refs := scan(tr.Walk, 0, 9, func(uint64, int) bool { return true })
 	tr.Delete(5)
 	changed := false
 	for _, r := range refs {
@@ -157,7 +158,7 @@ func TestVersionStableOutsideRange(t *testing.T) {
 		tr.Insert(uint64(i), i)
 		tr.Insert(uint64(100000+i), i)
 	}
-	refs := tr.Scan(0, 199, func(uint64, int) bool { return true })
+	refs := scan(tr.Walk, 0, 199, func(uint64, int) bool { return true })
 	tr.Insert(150000, 1) // far outside the scanned range
 	for _, r := range refs {
 		if r.Changed() {
@@ -185,8 +186,8 @@ func TestDeleteIf(t *testing.T) {
 
 // scanFirst is the oldest-entry probe (TPC-C Delivery's NEW-ORDER
 // lookup): a scan stopped after its first pair.
-func scanFirst(scan func(lo, hi uint64, fn func(uint64, int) bool) []ScanRef[uint64, int], lo, hi uint64) (k uint64, v int, ok bool) {
-	scan(lo, hi, func(fk uint64, fv int) bool {
+func scanFirst(walk func(lo, hi uint64, fn func(*Leaf[uint64, int], []uint64, []int) bool) bool, lo, hi uint64) (k uint64, v int, ok bool) {
+	scan(walk, lo, hi, func(fk uint64, fv int) bool {
 		k, v, ok = fk, fv, true
 		return false
 	})
@@ -198,11 +199,11 @@ func TestMin(t *testing.T) {
 	for _, k := range []uint64{50, 10, 90, 30} {
 		tr.Insert(k, int(k))
 	}
-	k, v, ok := scanFirst(tr.Scan, 20, 80)
+	k, v, ok := scanFirst(tr.Walk, 20, 80)
 	if !ok || k != 30 || v != 30 {
 		t.Fatalf("first of [20,80] = %d,%d,%v", k, v, ok)
 	}
-	if _, _, ok = scanFirst(tr.Scan, 91, 100); ok {
+	if _, _, ok = scanFirst(tr.Walk, 91, 100); ok {
 		t.Fatal("found a key in an empty range")
 	}
 }
@@ -245,7 +246,7 @@ func TestQuickAgainstMap(t *testing.T) {
 		// Full scan must enumerate exactly the reference contents in
 		// order.
 		var keys []uint64
-		tr.Scan(0, 1<<63, func(k uint64, v int) bool {
+		scan(tr.Walk, 0, 1<<63, func(k uint64, v int) bool {
 			if rv, ok := ref[k]; !ok || rv != v {
 				t.Logf("scan mismatch at %d", k)
 				return false
@@ -280,7 +281,7 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 				}
 				lo := uint64(rng.Intn(1500))
 				prev := uint64(0)
-				tr.Scan(lo, lo+100, func(k uint64, _ int) bool {
+				scan(tr.Walk, lo, lo+100, func(k uint64, _ int) bool {
 					if k < prev {
 						t.Error("scan went backwards under concurrency")
 						return false
@@ -311,7 +312,7 @@ func TestShardedOrderedAcrossShards(t *testing.T) {
 		t.Fatalf("len = %d", s.Len())
 	}
 	var got []uint64
-	s.Scan(100, 3000, func(k uint64, _ int) bool {
+	scan(s.Walk, 100, 3000, func(k uint64, _ int) bool {
 		got = append(got, k)
 		return true
 	})
@@ -328,19 +329,51 @@ func TestShardedMinAndDelete(t *testing.T) {
 	for _, k := range []uint64{100, 17, 63, 900} {
 		s.Insert(k, int(k))
 	}
-	k, _, ok := scanFirst(s.Scan, 18, 1000)
+	k, _, ok := scanFirst(s.Walk, 18, 1000)
 	if !ok || k != 63 {
 		t.Fatalf("first of [18,1000] = %d, %v", k, ok)
 	}
 	if !s.Delete(63) {
 		t.Fatal("delete failed")
 	}
-	k, _, ok = scanFirst(s.Scan, 18, 1000)
+	k, _, ok = scanFirst(s.Walk, 18, 1000)
 	if !ok || k != 100 {
 		t.Fatalf("first of [18,1000] after delete = %d, %v", k, ok)
 	}
 	if v, ok := s.Get(17); !ok || v != 17 {
 		t.Fatal("Get(17) failed")
+	}
+}
+
+// TestShardedWalkObservesMissingShard: a validating scan over a range
+// whose shards do not all exist yet records the absent leaf once, and
+// the creation of a shard in the range, or anywhere, changes it; a
+// range whose shards all exist records only leaves.
+func TestShardedWalkObservesMissingShard(t *testing.T) {
+	s := NewSharded[int](8) // shards cover 256-key ranges
+	s.Insert(1, 1)
+	all := func(uint64, int) bool { return true }
+	refs := scan(s.Walk, 1, 1000, all)
+	if len(refs) != 2 || refs[1] != s.absent.Ref() {
+		t.Fatalf("scan over shard 0 and missing shards 1-3: %d observations, want the leaf and the absent leaf", len(refs))
+	}
+	inShard := scan(s.Walk, 0, 255, all)
+	s.Insert(2, 2) // shard 0 exists: the absent leaf stays put
+	if refs[1].Changed() || !refs[0].Changed() || !inShard[0].Changed() || len(inShard) != 1 {
+		t.Fatal("insert into an existing shard: wrong observations changed")
+	}
+	refs = scan(s.Walk, 1, 1000, all)
+	s.Insert(300, 300) // creates shard 1: the phantom
+	if !refs[1].Changed() {
+		t.Fatal("shard created inside the scanned range not detected (phantom!)")
+	}
+	var keys []uint64
+	scan(s.Walk, 1, 1000, func(k uint64, _ int) bool {
+		keys = append(keys, k)
+		return true
+	})
+	if !slices.Equal(keys, []uint64{1, 2, 300}) {
+		t.Fatalf("rescan: keys %v", keys)
 	}
 }
 
@@ -385,7 +418,7 @@ func TestLeafFill(t *testing.T) {
 			t.Errorf("%s inserts: mean leaf fill %.2f, want >= %.2f", c.name, fill, c.min)
 		}
 		prev, first := uint64(0), true
-		tr.Scan(0, ^uint64(0), func(k uint64, _ int) bool {
+		scan(tr.Walk, 0, ^uint64(0), func(k uint64, _ int) bool {
 			if !first && k <= prev {
 				t.Fatalf("%s inserts: scan out of order at %d after %d", c.name, k, prev)
 			}
@@ -404,14 +437,14 @@ func TestScanStraddlesTailSplit(t *testing.T) {
 	for i := 0; i < maxKeys; i++ {
 		tr.Insert(uint64(i), i)
 	}
-	scan := func() (keys []uint64, refs []ScanRef[uint64, int]) {
-		refs = tr.Scan(maxKeys-3, maxKeys+3, func(k uint64, _ int) bool {
+	rescan := func() (keys []uint64, refs []ScanRef) {
+		refs = scan(tr.Walk, maxKeys-3, maxKeys+3, func(k uint64, _ int) bool {
 			keys = append(keys, k)
 			return true
 		})
 		return keys, refs
 	}
-	keys, refs := scan()
+	keys, refs := rescan()
 	if len(keys) != 3 || len(refs) != 1 {
 		t.Fatalf("before the split: keys %v over %d leaves", keys, len(refs))
 	}
@@ -419,10 +452,10 @@ func TestScanStraddlesTailSplit(t *testing.T) {
 	if !refs[0].Changed() {
 		t.Fatal("tail split not visible to a scan that ran past the leaf's last key (phantom!)")
 	}
-	if l := refs[0].Leaf; len(l.keys) != maxKeys || l.next == nil || len(l.next.keys) != 1 {
+	if l := tr.leafFor(0); refs[0].word != &l.version || len(l.keys) != maxKeys || l.next == nil || len(l.next.keys) != 1 {
 		t.Fatalf("tail split left %d keys behind and moved %d", len(l.keys), len(l.next.keys))
 	}
-	keys, refs = scan()
+	keys, refs = rescan()
 	if len(keys) != 4 || keys[3] != maxKeys || len(refs) != 2 {
 		t.Fatalf("after the split: keys %v over %d leaves", keys, len(refs))
 	}

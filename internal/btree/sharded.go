@@ -12,6 +12,9 @@ type Sharded[V any] struct {
 	shift  uint
 	mu     sync.RWMutex
 	shards map[uint64]*Tree[uint64, V]
+	// absent is the empty leaf Walk hands out for a prefix with no
+	// shard; its version goes up, under mu, whenever a shard is made.
+	absent Leaf[uint64, V]
 }
 
 // NewSharded returns a sharded tree that groups keys by their top
@@ -42,6 +45,7 @@ func (s *Sharded[V]) shard(p uint64, create bool) *Tree[uint64, V] {
 	if t = s.shards[p]; t == nil {
 		t = New[uint64, V]()
 		s.shards[p] = t
+		s.absent.version.Add(1)
 	}
 	return t
 }
@@ -74,10 +78,21 @@ func (s *Sharded[V]) Get(k uint64) (V, bool) {
 }
 
 // Walk is Tree.Walk across the shards covering [lo, hi], in key
-// order. Shards that do not exist are skipped.
+// order. At the first prefix in range with no shard, fn gets the
+// absent leaf with no keys instead, under the shard-map read lock of
+// the lookup that found the shard missing: a Ref taken there detects
+// the creation of any shard after it, so a scan's node set covers
+// leaves that do not exist yet. A range whose shards all exist never
+// sees it.
 func (s *Sharded[V]) Walk(lo, hi uint64, fn func(l *Leaf[uint64, V], keys []uint64, vals []V) bool) bool {
+	missed := false
 	for p := s.prefix(lo); p <= s.prefix(hi); p++ {
-		if t := s.shard(p, false); t != nil && !t.Walk(lo, hi, fn) {
+		s.mu.RLock()
+		t := s.shards[p]
+		ok := t != nil || missed || fn(&s.absent, nil, nil)
+		missed = missed || t == nil
+		s.mu.RUnlock()
+		if !ok || t != nil && !t.Walk(lo, hi, fn) {
 			return false
 		}
 		if p == s.prefix(hi) { // avoid wraparound when prefix(hi) is MaxUint
@@ -85,18 +100,6 @@ func (s *Sharded[V]) Walk(lo, hi uint64, fn func(l *Leaf[uint64, V], keys []uint
 		}
 	}
 	return true
-}
-
-// Scan visits all pairs with lo <= key <= hi in ascending order and
-// returns the leaf observations for phantom validation. Shards that
-// do not exist yet contribute no observations; a subsequent insert
-// creates keys in a fresh leaf whose version starts above zero only
-// after modification, so the caller must also guard creation races at
-// a higher level (THEDB does so with dummy records, §4.7.1).
-func (s *Sharded[V]) Scan(lo, hi uint64, fn func(k uint64, v V) bool) []ScanRef[uint64, V] {
-	var refs []ScanRef[uint64, V]
-	s.Walk(lo, hi, observe(&refs, fn))
-	return refs
 }
 
 // Len returns the total number of keys across shards.

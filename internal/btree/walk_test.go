@@ -1,25 +1,25 @@
 package btree
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
 )
 
 // parentTreeScan is the leaf loop Tree.Scan ran before Walk existed,
-// kept verbatim as the reference for the observations Scan must still
-// return: one (leaf, version) per leaf visited, boundary leaves
-// included.
-func parentTreeScan[K ~uint64, V any](t *Tree[K, V], lo, hi K, fn func(k K, v V) bool) []ScanRef[K, V] {
+// kept as the reference for the observations a validating scan over
+// Walk must still make: one (leaf, version) per leaf visited, boundary
+// leaves included.
+func parentTreeScan[K ~uint64, V any](t *Tree[K, V], lo, hi K, fn func(k K, v V) bool) []ScanRef {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var refs []ScanRef[K, V]
+	var refs []ScanRef
 	l := t.leafFor(lo)
 	for l != nil {
-		refs = append(refs, ScanRef[K, V]{Leaf: l, Version: l.version.Load()})
+		refs = append(refs, ScanRef{&l.version, l.version.Load()})
 		for i, k := range l.keys {
 			if k < lo {
 				continue
@@ -39,9 +39,10 @@ func parentTreeScan[K ~uint64, V any](t *Tree[K, V], lo, hi K, fn func(k K, v V)
 	return refs
 }
 
-// parentShardedScan is Sharded.Scan as it was over parentTreeScan.
-func parentShardedScan[V any](s *Sharded[V], lo, hi uint64, fn func(k uint64, v V) bool) []ScanRef[uint64, V] {
-	var refs []ScanRef[uint64, V]
+// parentShardedScan is Sharded.Scan as it was over parentTreeScan,
+// which recorded nothing for a missing shard.
+func parentShardedScan[V any](s *Sharded[V], lo, hi uint64, fn func(k uint64, v V) bool) []ScanRef {
+	var refs []ScanRef
 	stop := false
 	for p := s.prefix(lo); p <= s.prefix(hi) && !stop; p++ {
 		if t := s.shard(p, false); t != nil {
@@ -75,15 +76,31 @@ func (m model) between(lo, hi uint64) (keys []uint64) {
 // walker is the surface Tree and Sharded share.
 type walker interface {
 	Walk(lo, hi uint64, fn func(l *Leaf[uint64, int], keys []uint64, vals []int) bool) bool
-	Scan(lo, hi uint64, fn func(k uint64, v int) bool) []ScanRef[uint64, int]
+}
+
+// scan is a validating range scan over Walk, as the engine runs one:
+// the Ref of every leaf handed out, then fn pair by pair.
+func scan[K cmp.Ordered, V any](walk func(K, K, func(*Leaf[K, V], []K, []V) bool) bool, lo, hi K, fn func(K, V) bool) (refs []ScanRef) {
+	walk(lo, hi, func(l *Leaf[K, V], keys []K, vals []V) bool {
+		refs = append(refs, l.Ref())
+		for i, k := range keys {
+			if !fn(k, vals[i]) {
+				return false
+			}
+		}
+		return true
+	})
+	return refs
 }
 
 // TestWalkAgainstModel drives a Tree and a Sharded (shift 60, so
 // ranges cross shards, and only some prefixes are ever populated)
 // through random inserts, replacements, deletes and splits, and checks
-// Walk and Scan against a sorted model over ranges that include lo > hi,
-// emptied leaves, missing shards and hi = MaxUint64, stopping early at
-// every position. Scan's observations must equal the pre-Walk loop's.
+// Walk and a scan over it against a sorted model over ranges that
+// include lo > hi, emptied leaves, missing shards and hi = MaxUint64,
+// stopping early at every position. The scan's observations must equal
+// the pre-Walk loop's, plus the absent leaf's exactly when the walk
+// passed a missing shard.
 func TestWalkAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	prefixes := []uint64{0, 1, 3, 7, 8, 15} // 2, 4–6 and 9–14 stay missing
@@ -126,13 +143,23 @@ func TestWalkAgainstModel(t *testing.T) {
 	cases := []struct {
 		name   string
 		w      walker
-		parent func(lo, hi uint64, fn func(uint64, int) bool) []ScanRef[uint64, int]
+		parent func(lo, hi uint64, fn func(uint64, int) bool) []ScanRef
+		// missed reports whether a walk from lo passes a missing
+		// shard up to the prefix of last.
+		missed func(lo, last uint64) bool
 	}{
-		{"tree", tr, func(lo, hi uint64, fn func(uint64, int) bool) []ScanRef[uint64, int] {
+		{"tree", tr, func(lo, hi uint64, fn func(uint64, int) bool) []ScanRef {
 			return parentTreeScan(tr, lo, hi, fn)
-		}},
-		{"sharded", sh, func(lo, hi uint64, fn func(uint64, int) bool) []ScanRef[uint64, int] {
+		}, func(uint64, uint64) bool { return false }},
+		{"sharded", sh, func(lo, hi uint64, fn func(uint64, int) bool) []ScanRef {
 			return parentShardedScan(sh, lo, hi, fn)
+		}, func(lo, last uint64) bool {
+			for p := lo >> 60; p <= last>>60; p++ {
+				if sh.shards[p] == nil {
+					return true
+				}
+			}
+			return false
 		}},
 	}
 	for round := 0; round < 12; round++ {
@@ -160,12 +187,13 @@ func TestWalkAgainstModel(t *testing.T) {
 			for _, c := range cases {
 				checkWalk(t, c.name, c.w, m, lo, hi, want)
 				all := func(uint64, int) bool { return true }
-				checkScan(t, c.name, c.w, m, lo, hi, want, -1, c.parent(lo, hi, all))
+				absent := sh.absent.Ref()
+				checkScan(t, c.name, c.w, m, lo, hi, want, -1, c.parent(lo, hi, all), absent, c.missed(lo, hi))
 				if len(want) > 300 {
 					continue
 				}
 				for stop := range want {
-					checkScan(t, c.name, c.w, m, lo, hi, want, stop, c.parent(lo, hi, stopAt(stop)))
+					checkScan(t, c.name, c.w, m, lo, hi, want, stop, c.parent(lo, hi, stopAt(stop)), absent, c.missed(lo, want[stop]))
 				}
 			}
 		}
@@ -213,13 +241,14 @@ func checkWalk(t *testing.T, name string, w walker, m model, lo, hi uint64, want
 	}
 }
 
-// checkScan runs Scan, stopping on the stop-th pair (never when stop
+// checkScan runs scan, stopping on the stop-th pair (never when stop
 // is negative), and compares its pairs with the model and its
-// observations with parent's.
-func checkScan(t *testing.T, name string, w walker, m model, lo, hi uint64, want []uint64, stop int, parent []ScanRef[uint64, int]) {
+// observations with parent's: the same leaves and versions in order,
+// once the absent leaf's observation, made iff missed, is taken out.
+func checkScan(t *testing.T, name string, w walker, m model, lo, hi uint64, want []uint64, stop int, parent []ScanRef, absent ScanRef, missed bool) {
 	t.Helper()
 	var got []uint64
-	refs := w.Scan(lo, hi, func(k uint64, v int) bool {
+	refs := scan(w.Walk, lo, hi, func(k uint64, v int) bool {
 		if v != m[k] {
 			t.Fatalf("%s scan [%#x, %#x]: key %#x carries %d, want %d", name, lo, hi, k, v, m[k])
 		}
@@ -232,7 +261,11 @@ func checkScan(t *testing.T, name string, w walker, m model, lo, hi uint64, want
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s scan [%#x, %#x] stop %d: %d keys, want %d", name, lo, hi, stop, len(got), len(want))
 	}
-	if !reflect.DeepEqual(refs, parent) {
-		t.Fatalf("%s scan [%#x, %#x] stop %d: %d observations, the pre-Walk loop made %d", name, lo, hi, stop, len(refs), len(parent))
+	leaves := slices.DeleteFunc(slices.Clone(refs), func(r ScanRef) bool { return r == absent })
+	if n := len(refs) - len(leaves); (n == 1) != missed || n > 1 {
+		t.Fatalf("%s scan [%#x, %#x] stop %d: %d absent-shard observations, passed a missing shard: %v", name, lo, hi, stop, n, missed)
+	}
+	if !slices.Equal(leaves, parent) {
+		t.Fatalf("%s scan [%#x, %#x] stop %d: %d leaf observations, the pre-Walk loop made %d", name, lo, hi, stop, len(leaves), len(parent))
 	}
 }

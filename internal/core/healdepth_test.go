@@ -151,10 +151,12 @@ func TestHealMidChain(t *testing.T) {
 	}
 }
 
-// TestSecondaryScanPhantomHealing exercises §4.7.2 through a
-// secondary index: a concurrent insert matching the scanned name
-// range must be healed into the scan's aggregate.
-func TestSecondaryScanPhantomHealing(t *testing.T) {
+// peopleEngine builds PEOPLE(name, age) with the secondary index
+// by_name ("name|pk"), rows 1 and 2 named smith and 3 named jones, and
+// the procedures CountName(name) → n, a ScanSec over one name, and
+// AddPerson(k, name).
+func peopleEngine(t testing.TB, opts Options) *Engine {
+	t.Helper()
 	cat := storage.NewCatalog()
 	cat.MustCreateTable(storage.Schema{
 		Name: "PEOPLE",
@@ -174,7 +176,7 @@ func TestSecondaryScanPhantomHealing(t *testing.T) {
 	people.Put(2, storage.Tuple{storage.Str("smith"), storage.Int(40)}, 0)
 	people.Put(3, storage.Tuple{storage.Str("jones"), storage.Int(50)}, 0)
 
-	e := NewEngine(cat, Options{Protocol: Healing, Workers: 2})
+	e := NewEngine(cat, opts)
 	e.MustRegister(&proc.Spec{
 		Name:   "CountName",
 		Params: []string{"name"},
@@ -217,6 +219,14 @@ func TestSecondaryScanPhantomHealing(t *testing.T) {
 			})
 		},
 	})
+	return e
+}
+
+// TestSecondaryScanPhantomHealing exercises §4.7.2 through a
+// secondary index: a concurrent insert matching the scanned name
+// range must be healed into the scan's aggregate.
+func TestSecondaryScanPhantomHealing(t *testing.T) {
+	e := peopleEngine(t, Options{Protocol: Healing, Workers: 2})
 	w1, w2 := e.Worker(0), e.Worker(1)
 
 	spec, _ := e.Spec("CountName")

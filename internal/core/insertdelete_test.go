@@ -12,11 +12,19 @@ import (
 // scenarios.
 func kvEngine(t testing.TB, opts Options) *Engine {
 	t.Helper()
+	return shardedKVEngine(t, opts, 0)
+}
+
+// shardedKVEngine is kvEngine with KV's ordered index sharded at
+// shift (0: one shard).
+func shardedKVEngine(t testing.TB, opts Options, shift uint) *Engine {
+	t.Helper()
 	cat := storage.NewCatalog()
 	cat.MustCreateTable(storage.Schema{
-		Name:    "KV",
-		Columns: []storage.ColumnDef{{Name: "v", Kind: storage.KindInt}},
-		Ordered: true,
+		Name:       "KV",
+		Columns:    []storage.ColumnDef{{Name: "v", Kind: storage.KindInt}},
+		Ordered:    true,
+		ShardShift: shift,
 	})
 	e := NewEngine(cat, opts)
 	e.MustRegister(&proc.Spec{
@@ -288,29 +296,82 @@ func TestPhantomHealing(t *testing.T) {
 	}
 }
 
-// TestPhantomAbortsOCC: the same phantom under conventional OCC must
-// restart instead.
+// TestPhantomAbortsOCC: the same phantom, through the ordered index
+// or a secondary one, must restart a validate-abort protocol instead.
 func TestPhantomAbortsOCC(t *testing.T) {
-	e := kvEngine(t, Options{Protocol: OCC, Workers: 2})
-	w1, w2 := e.Worker(0), e.Worker(1)
-	for k := int64(1); k <= 3; k++ {
-		if _, err := w1.Run("Put", storage.Int(k), storage.Int(1)); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name         string
+		engine       func(testing.TB, Options) *Engine
+		scan, insert string
+		rows         [][]storage.Value // inserted before the scan
+		args, row    []storage.Value   // the scan's, the phantom's
+	}{
+		{"Scan", kvEngine, "GetSum", "Put",
+			[][]storage.Value{{storage.Int(1), storage.Int(1)}, {storage.Int(2), storage.Int(1)}, {storage.Int(3), storage.Int(1)}},
+			[]storage.Value{storage.Int(1), storage.Int(100)}, []storage.Value{storage.Int(4), storage.Int(1)}},
+		{"ScanSec", peopleEngine, "CountName", "AddPerson", nil,
+			[]storage.Value{storage.Str("smith")}, []storage.Value{storage.Int(4), storage.Str("smith")}},
+	} {
+		for _, p := range []Protocol{OCC, Silo} {
+			t.Run(c.name+"/"+p.String(), func(t *testing.T) {
+				e := c.engine(t, Options{Protocol: p, Workers: 2})
+				w1, w2 := e.Worker(0), e.Worker(1)
+				for _, row := range c.rows {
+					if _, err := w1.Run(c.insert, row...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				spec, _ := e.Spec(c.scan)
+				env := spec.Bind(c.args)
+				txn := newTxn(w1, spec.Instantiate(env), env, firstRung(w1, false))
+				if err := txn.readPhase(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := w2.Run(c.insert, c.row...); err != nil {
+					t.Fatal(err)
+				}
+				if err := txn.validateAndCommit(); err != errRestart {
+					t.Fatalf("validateAndCommit = %v, want errRestart", err)
+				}
+				txn.finish(false)
+			})
 		}
 	}
-	spec, _ := e.Spec("GetSum")
-	env := spec.Bind([]storage.Value{storage.Int(1), storage.Int(100)})
-	txn := newTxn(w1, spec.Instantiate(env), env, firstRung(w1, false))
-	if err := txn.readPhase(); err != nil {
-		t.Fatal(err)
+}
+
+// TestMissingShardPhantom: a scan over a range of a sharded index whose
+// shards do not all exist yet must see a concurrent insert that creates
+// one. OCC and Silo restart; Healing heals the row into the count.
+func TestMissingShardPhantom(t *testing.T) {
+	for _, p := range []Protocol{OCC, Silo, Healing} {
+		t.Run(p.String(), func(t *testing.T) {
+			e := shardedKVEngine(t, Options{Protocol: p, Workers: 2}, 8) // shards of 256 keys
+			w1, w2 := e.Worker(0), e.Worker(1)
+			if _, err := w1.Run("Put", storage.Int(1), storage.Int(10)); err != nil {
+				t.Fatal(err)
+			}
+			spec, _ := e.Spec("GetSum")
+			env := spec.Bind([]storage.Value{storage.Int(1), storage.Int(1000)})
+			txn := newTxn(w1, spec.Instantiate(env), env, firstRung(w1, false))
+			if err := txn.readPhase(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w2.Run("Put", storage.Int(300), storage.Int(30)); err != nil { // creates shard 1
+				t.Fatal(err)
+			}
+			err := txn.validateAndCommit()
+			if p != Healing {
+				if err != errRestart {
+					t.Fatalf("validateAndCommit = %v, count=%d; want errRestart", err, env.Int("count"))
+				}
+				txn.finish(false)
+				return
+			}
+			if err != nil || env.Int("count") != 2 || env.Int("sum") != 40 {
+				t.Fatalf("validateAndCommit = %v, count=%d sum=%d; want nil, 2, 40", err, env.Int("count"), env.Int("sum"))
+			}
+		})
 	}
-	if _, err := w2.Run("Put", storage.Int(4), storage.Int(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.validateAndCommit(); err != errRestart {
-		t.Fatalf("validateAndCommit = %v, want errRestart", err)
-	}
-	txn.finish(false)
 }
 
 // TestDeleteDetectedByConcurrentReader: a committed delete bumps the

@@ -293,9 +293,8 @@ func appendUnique(s []int, v int) []int {
 // ordinary read elements; the leaf versions detect structural change
 // (inserts, deletes, splits) within the scanned range.
 type ScanAccess struct {
-	op        *OpRun
-	primary   storage.ScanRefs
-	secondary []btree.ScanRef[string, *storage.Record]
+	op   *OpRun
+	refs []btree.ScanRef
 	// removed marks observations retracted by a key-dependent
 	// re-execution of the owning operation.
 	removed bool
@@ -304,12 +303,7 @@ type ScanAccess struct {
 // changed reports whether any observed leaf was structurally modified
 // since the scan.
 func (s *ScanAccess) changed() bool {
-	for _, r := range s.primary {
-		if r.Changed() {
-			return true
-		}
-	}
-	for _, r := range s.secondary {
+	for _, r := range s.refs {
 		if r.Changed() {
 			return true
 		}

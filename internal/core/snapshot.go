@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"thedb/internal/btree"
 	"thedb/internal/mvcc"
 	"thedb/internal/obs"
 	"thedb/internal/proc"
@@ -216,7 +217,7 @@ func (t *snapTxn) Scan(table string, lo, hi storage.Key, limit int, fn func(key 
 		return fmt.Errorf("core: table %s has no ordered index", table)
 	}
 	seen := 0
-	tab.RangeWalk(lo, hi, func(recs []*storage.Record) bool {
+	tab.RangeWalk(lo, hi, func(_ *btree.Leaf[uint64, *storage.Record], recs []*storage.Record) bool {
 		for _, rec := range recs {
 			img, vis := rec.SnapshotAt(t.at)
 			if !vis {

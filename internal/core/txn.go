@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"thedb/internal/btree"
 	"thedb/internal/fault"
 	"thedb/internal/metrics"
 	"thedb/internal/proc"
@@ -473,33 +474,21 @@ func (t *Txn) Delete(table string, key storage.Key) error {
 
 // Scan implements proc.OpCtx.
 func (t *Txn) Scan(table string, lo, hi storage.Key, limit int, fn func(key storage.Key, row storage.Tuple) bool) error {
-	return t.scan(table, limit, fn, func(tab *storage.Table, sa *ScanAccess, visit func(*storage.Record) bool) error {
-		if tab.Schema() == nil || !tab.Schema().Ordered {
-			return fmt.Errorf("core: table %s has no ordered index", table)
-		}
-		sa.primary = tab.RangeScan(lo, hi, func(_ storage.Key, rec *storage.Record) bool { return visit(rec) })
-		return nil
-	})
+	return t.scan(table, "", lo, hi, "", "", limit, fn)
 }
 
 // ScanSec implements proc.OpCtx.
 func (t *Txn) ScanSec(table, index string, lo, hi string, limit int, fn func(pk storage.Key, row storage.Tuple) bool) error {
-	return t.scan(table, limit, fn, func(tab *storage.Table, sa *ScanAccess, visit func(*storage.Record) bool) error {
-		idx := tab.SecondaryIndexID(index)
-		if idx < 0 {
-			return fmt.Errorf("core: table %s has no index %q", table, index)
-		}
-		sa.secondary = tab.SecondaryScan(idx, lo, hi, func(_ string, rec *storage.Record) bool { return visit(rec) })
-		return nil
-	})
+	return t.scan(table, index, 0, 0, lo, hi, limit, fn)
 }
 
-// scan is the body Scan and ScanSec share. A replay feeds fn the
-// cached elements; otherwise walk drives visit over the index in
-// order and stores the leaf observations it collected in sa for
-// phantom validation (§4.7.2).
-func (t *Txn) scan(table string, limit int, fn func(storage.Key, storage.Tuple) bool,
-	walk func(tab *storage.Table, sa *ScanAccess, visit func(*storage.Record) bool) error) error {
+// scan is the body Scan and ScanSec share: the ordered index over
+// [lo, hi] when index is "", else the named secondary over [slo, shi].
+// A replay feeds fn the cached elements. Otherwise the walk hands the
+// scan one leaf at a time: the leaf's Ref joins the observations
+// phantom validation re-checks (§4.7.2), then its records join the
+// read set in order.
+func (t *Txn) scan(table, index string, lo, hi storage.Key, slo, shi string, limit int, fn func(storage.Key, storage.Tuple) bool) error {
 	if t.mode == modeReplay {
 		entry, err := t.nextEntry(accessScan, false)
 		if err != nil {
@@ -516,35 +505,43 @@ func (t *Txn) scan(table string, limit int, fn func(storage.Key, storage.Tuple) 
 	if err != nil {
 		return err
 	}
-	seq := seqFor(t.cur.op.ID, t.nacc)
-	sa := &ScanAccess{op: t.cur}
-	var scanErr error
+	seq, sa := seqFor(t.cur.op.ID, t.nacc), &ScanAccess{op: t.cur}
 	var elems []*Element
 	seen := 0
-	err = walk(tab, sa, func(rec *storage.Record) bool {
-		el, aerr := t.join(tab, rec, false, false, false) // captures rts before the data load
-		if aerr != nil {
-			scanErr = aerr
-			return false
+	leaf := func(ref btree.ScanRef, recs []*storage.Record) bool {
+		sa.refs = append(sa.refs, ref)
+		for _, rec := range recs {
+			el, aerr := t.join(tab, rec, false, false, false) // captures rts before the data load
+			if aerr != nil {
+				err = aerr
+				return false
+			}
+			cur := rec.Tuple() // single load: consumed, copied, validated together
+			el.noteRead(t.bookmark(), nil, cur, t.pol.readCopies)
+			elems = append(elems, el)
+			img, vis := t.viewOn(el, seq, cur, rec.Visible())
+			if !vis {
+				// Invisible records join the read set (their visibility
+				// flip at a concurrent commit changes their timestamp,
+				// which validation detects) but are not exposed.
+				continue
+			}
+			seen++
+			if !fn(rec.Key(), img) || seen == limit {
+				return false
+			}
 		}
-		cur := rec.Tuple() // single load: consumed, copied, validated together
-		el.noteRead(t.bookmark(), nil, cur, t.pol.readCopies)
-		elems = append(elems, el)
-		img, vis := t.viewOn(el, seq, cur, rec.Visible())
-		if !vis {
-			// Invisible records join the read set (their visibility
-			// flip at a concurrent commit changes their timestamp,
-			// which validation detects) but are not exposed.
-			return true
+		return true
+	}
+	if index == "" {
+		if !tab.Schema().Ordered {
+			return fmt.Errorf("core: table %s has no ordered index", table)
 		}
-		seen++
-		if !fn(rec.Key(), img) {
-			return false
-		}
-		return limit <= 0 || seen < limit
-	})
-	if err == nil {
-		err = scanErr
+		tab.RangeWalk(lo, hi, func(l *btree.Leaf[uint64, *storage.Record], recs []*storage.Record) bool { return leaf(l.Ref(), recs) })
+	} else if idx := tab.SecondaryIndexID(index); idx >= 0 {
+		tab.SecondaryWalk(idx, slo, shi, func(l *btree.Leaf[string, *storage.Record], recs []*storage.Record) bool { return leaf(l.Ref(), recs) })
+	} else {
+		return fmt.Errorf("core: table %s has no index %q", table, index)
 	}
 	if err != nil {
 		return err

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"thedb/internal/btree"
 )
 
 func TestMetaWordPacking(t *testing.T) {
@@ -182,9 +184,9 @@ func TestTableGetOrCreateDummy(t *testing.T) {
 	// The dummy must be in the ordered index so later scans can
 	// observe its visibility flip.
 	found := false
-	tab.RangeScan(0, 100, func(k Key, r *Record) bool {
-		if k == 42 && r == rec {
-			found = true
+	tab.RangeWalk(0, 100, func(_ *btree.Leaf[uint64, *Record], recs []*Record) bool {
+		for _, r := range recs {
+			found = found || r.Key() == 42 && r == rec
 		}
 		return true
 	})
@@ -257,13 +259,20 @@ func TestSecondaryReindexOnUpdate(t *testing.T) {
 	rec.SetTuple(newT)
 	tab.ReindexSecondaries(rec, old, newT)
 
-	var hits []string
-	tab.SecondaryScan(0, "", "\xff", func(sk string, _ *Record) bool {
-		hits = append(hits, sk)
-		return true
-	})
-	if len(hits) != 1 || hits[0] != "bob" {
-		t.Fatalf("secondary entries = %v", hits)
+	entries := func(lo, hi string) (n int) {
+		tab.SecondaryWalk(0, lo, hi, func(_ *btree.Leaf[string, *Record], recs []*Record) bool {
+			for _, r := range recs {
+				if r != rec {
+					t.Fatalf("secondary [%q, %q] holds a stranger", lo, hi)
+				}
+			}
+			n += len(recs)
+			return true
+		})
+		return n
+	}
+	if entries("", "\xff") != 1 || entries("bob", "bob") != 1 || entries("alice", "alice") != 0 {
+		t.Fatalf("secondary entries: %d in all, %d under bob, %d under alice", entries("", "\xff"), entries("bob", "bob"), entries("alice", "alice"))
 	}
 }
 

@@ -20,10 +20,6 @@ type Table struct {
 	secondaries []*btree.Tree[string, *Record]
 }
 
-// ScanRefs is the set of leaf observations returned by a range scan,
-// stored in the read set for validation.
-type ScanRefs = []btree.ScanRef[uint64, *Record]
-
 // NewTable builds a table from its schema. id must be unique within
 // the catalog.
 func NewTable(id int, schema Schema) *Table {
@@ -116,29 +112,24 @@ func (t *Table) ReindexSecondaries(rec *Record, old, new_ Tuple) {
 	}
 }
 
-// RangeScan visits records with lo <= key <= hi in key order,
-// including invisible records (callers filter on visibility), and
-// returns the leaf observations for phantom validation. The table
-// must have an ordered index.
-func (t *Table) RangeScan(lo, hi Key, fn func(k Key, r *Record) bool) ScanRefs {
-	return t.ordered.Scan(uint64(lo), uint64(hi), func(k uint64, r *Record) bool {
-		return fn(Key(k), r)
+// RangeWalk visits the records with lo <= key <= hi in key order, a
+// leaf at a time, invisible ones included (callers filter on
+// visibility): fn gets each leaf, whose Ref is the observation
+// phantom validation re-checks (§4.7.2), and its in-range records.
+// fn runs under the index read lock and must not retain recs. The
+// table must have an ordered index.
+func (t *Table) RangeWalk(lo, hi Key, fn func(l *btree.Leaf[uint64, *Record], recs []*Record) bool) {
+	t.ordered.Walk(uint64(lo), uint64(hi), func(l *btree.Leaf[uint64, *Record], _ []uint64, recs []*Record) bool {
+		return fn(l, recs)
 	})
 }
 
-// RangeWalk is RangeScan a leaf's run at a time, for readers that
-// never validate: it records no leaf observations. fn must not retain
-// recs.
-func (t *Table) RangeWalk(lo, hi Key, fn func(recs []*Record) bool) {
-	t.ordered.Walk(uint64(lo), uint64(hi), func(_ *btree.Leaf[uint64, *Record], _ []uint64, recs []*Record) bool {
-		return fn(recs)
+// SecondaryWalk is RangeWalk over the secondary index idx, for
+// secondary keys in [lo, hi], in secondary-key order.
+func (t *Table) SecondaryWalk(idx int, lo, hi string, fn func(l *btree.Leaf[string, *Record], recs []*Record) bool) {
+	t.secondaries[idx].Walk(lo, hi, func(l *btree.Leaf[string, *Record], _ []string, recs []*Record) bool {
+		return fn(l, recs)
 	})
-}
-
-// SecondaryScan visits records whose secondary key is in [lo, hi] on
-// the named index, in secondary-key order.
-func (t *Table) SecondaryScan(idx int, lo, hi string, fn func(sk string, r *Record) bool) []btree.ScanRef[string, *Record] {
-	return t.secondaries[idx].Scan(lo, hi, fn)
 }
 
 // SecondaryIndexID returns the position of the named secondary index,

@@ -3,6 +3,7 @@ package tpcc
 import (
 	"fmt"
 
+	"thedb/internal/btree"
 	"thedb/internal/storage"
 )
 
@@ -42,17 +43,19 @@ func CheckConsistency(cat *storage.Catalog, cfg Config) error {
 
 			// Condition 2 & 4: scan this district's orders.
 			var maxOID, olCntSum, orderCount int64
-			orders.RangeScan(OrderKey(w, d, 0), OrderKey(w, d, (1<<24)-1),
-				func(k storage.Key, r *storage.Record) bool {
-					if !r.Visible() {
-						return true
+			orders.RangeWalk(OrderKey(w, d, 0), OrderKey(w, d, (1<<24)-1),
+				func(_ *btree.Leaf[uint64, *storage.Record], recs []*storage.Record) bool {
+					for _, r := range recs {
+						if !r.Visible() {
+							continue
+						}
+						_, _, o := SplitOrderKey(r.Key())
+						if o > maxOID {
+							maxOID = o
+						}
+						olCntSum += r.Tuple()[OOLCnt].Int()
+						orderCount++
 					}
-					_, _, o := SplitOrderKey(k)
-					if o > maxOID {
-						maxOID = o
-					}
-					olCntSum += r.Tuple()[OOLCnt].Int()
-					orderCount++
 					return true
 				})
 			if orderCount > 0 && maxOID != nextOID-1 {
@@ -62,19 +65,16 @@ func CheckConsistency(cat *storage.Catalog, cfg Config) error {
 			// Condition 3: NEW_ORDER ids contiguous, max matches.
 			var noCount, noMin, noMax int64
 			noMin = 1 << 62
-			newOrder.RangeScan(NewOrderKey(w, d, 0), NewOrderKey(w, d, (1<<24)-1),
-				func(k storage.Key, r *storage.Record) bool {
-					if !r.Visible() {
-						return true
+			newOrder.RangeWalk(NewOrderKey(w, d, 0), NewOrderKey(w, d, (1<<24)-1),
+				func(_ *btree.Leaf[uint64, *storage.Record], recs []*storage.Record) bool {
+					for _, r := range recs {
+						if !r.Visible() {
+							continue
+						}
+						_, _, o := SplitOrderKey(r.Key())
+						noMin, noMax = min(noMin, o), max(noMax, o)
+						noCount++
 					}
-					_, _, o := SplitOrderKey(k)
-					if o < noMin {
-						noMin = o
-					}
-					if o > noMax {
-						noMax = o
-					}
-					noCount++
 					return true
 				})
 			if noCount > 0 {
@@ -88,10 +88,12 @@ func CheckConsistency(cat *storage.Catalog, cfg Config) error {
 			}
 
 			var olCount int64
-			orderLine.RangeScan(OrderLineKey(w, d, 0, 0), OrderLineKey(w, d, (1<<24)-1, 255),
-				func(_ storage.Key, r *storage.Record) bool {
-					if r.Visible() {
-						olCount++
+			orderLine.RangeWalk(OrderLineKey(w, d, 0, 0), OrderLineKey(w, d, (1<<24)-1, 255),
+				func(_ *btree.Leaf[uint64, *storage.Record], recs []*storage.Record) bool {
+					for _, r := range recs {
+						if r.Visible() {
+							olCount++
+						}
 					}
 					return true
 				})

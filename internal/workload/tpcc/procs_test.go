@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"thedb/internal/btree"
 	"thedb/internal/core"
 	"thedb/internal/storage"
 )
@@ -187,11 +188,13 @@ func TestDeliveryEffects(t *testing.T) {
 	newOrder, _ := e.Catalog().Table(TabNewOrder)
 	// Find the oldest undelivered order of district 1 before.
 	var oldest int64 = -1
-	newOrder.RangeScan(NewOrderKey(1, 1, 0), NewOrderKey(1, 1, (1<<24)-1),
-		func(k storage.Key, r *storage.Record) bool {
-			if r.Visible() {
-				_, _, oldest = SplitOrderKey(k)
-				return false
+	newOrder.RangeWalk(NewOrderKey(1, 1, 0), NewOrderKey(1, 1, (1<<24)-1),
+		func(_ *btree.Leaf[uint64, *storage.Record], recs []*storage.Record) bool {
+			for _, r := range recs {
+				if r.Visible() {
+					_, _, oldest = SplitOrderKey(r.Key())
+					return false
+				}
 			}
 			return true
 		})
