@@ -60,39 +60,15 @@ type Options struct {
 	// across the pool.
 	Conns int
 
-	// MaxFrame bounds response-frame payloads this client will accept
-	// (default wire.DefaultMaxFrame).
-	MaxFrame int
-
-	// DialTimeout bounds connection establishment including the
-	// handshake (default 5s).
-	DialTimeout time.Duration
-
 	// RetryAttempts is the number of retries after a retryable server
 	// error before giving up (default 8). Zero keeps the default; use
 	// -1 to disable retries.
 	RetryAttempts int
-
-	// RetryBase and RetryMax shape the jittered exponential backoff
-	// between retries (defaults 500µs and 100ms). The server's hint
-	// acts as a floor for each sleep.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-
-	// Name identifies this client in the handshake (default
-	// "thedb-go").
-	Name string
 }
 
 func (o *Options) fill() {
 	if o.Conns <= 0 {
 		o.Conns = 1
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = wire.DefaultMaxFrame
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
 	}
 	if o.RetryAttempts == 0 {
 		o.RetryAttempts = 8
@@ -100,23 +76,35 @@ func (o *Options) fill() {
 	if o.RetryAttempts < 0 {
 		o.RetryAttempts = 0
 	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 500 * time.Microsecond
-	}
-	if o.RetryMax <= 0 {
-		o.RetryMax = 100 * time.Millisecond
-	}
-	if o.Name == "" {
-		o.Name = "thedb-go"
-	}
 }
+
+// Fixed client parameters.
+const (
+	// maxFrame bounds the response-frame payloads this client accepts.
+	maxFrame = wire.DefaultMaxFrame
+	// dialTimeout bounds connection establishment, handshake included.
+	dialTimeout = 5 * time.Second
+	// retryBase and retryMax shape the jittered exponential backoff
+	// between retries. The server's hint acts as a floor for each sleep.
+	retryBase = 500 * time.Microsecond
+	retryMax  = 100 * time.Millisecond
+	// clientName identifies this client in the handshake.
+	clientName = "thedb-go"
+)
 
 // ErrClosed is returned by calls on a closed client.
 var ErrClosed = errors.New("client: closed")
 
+// ErrNoSession is returned by a dial whose WELCOME grants no
+// exactly-once session or names no server incarnation. A THEDB server
+// binds a session on every connection, and every sent call records the
+// incarnation that holds it, so such a peer is not a server this client
+// can call safely; the socket is closed.
+var ErrNoSession = errors.New("client: server granted no exactly-once session")
+
 // ErrMaybeCommitted marks an ambiguous outcome: the call was sent, no
 // response arrived, and the exactly-once machinery could not settle it
-// (server restart, dedup disabled, or the caller's context died).
+// (server restart, or the caller's context died).
 // Match with errors.Is; the concrete error is a *MaybeCommittedError
 // carrying the cause.
 var ErrMaybeCommitted = errors.New("client: call may have committed")
@@ -311,7 +299,7 @@ func (c *Client) callSeq(ctx context.Context, seq, sentInc uint64, procName stri
 			lastErr = err
 			continue
 		}
-		if sentInc != 0 && (cc.welcome.Session == 0 || cc.welcome.Incarnation != sentInc) {
+		if sentInc != 0 && cc.welcome.Incarnation != sentInc {
 			// An attempt is unanswered and the server that held its
 			// dedup entry is gone (restart = new incarnation). A
 			// re-send could double-apply; surface the ambiguity.
@@ -340,9 +328,6 @@ func (c *Client) callSeq(ctx context.Context, seq, sentInc uint64, procName stri
 		// read-only snapshot call has no ambiguity to track:
 		// re-executing it is always safe.
 		if sent && !readOnly {
-			if cc.welcome.Session == 0 {
-				return nil, &MaybeCommittedError{Cause: err}
-			}
 			sentInc = cc.welcome.Incarnation
 		}
 		if ctx.Err() != nil {
@@ -401,18 +386,13 @@ func (c *Client) CallBatch(ctx context.Context, calls []Invocation) []Reply {
 			}
 			a.sentInc = 0 // rejection: the seq did not execute
 		case ctx.Err() != nil:
-			switch {
-			case a.sentInc != 0:
+			if a.sentInc != 0 {
 				replies[i].Err = &MaybeCommittedError{Cause: a.err}
-			case !a.sent:
+			} else {
 				// Never written, and no time left to write it: only the
 				// caller's clock ran out, whatever stopped the window.
 				replies[i].Err = fmt.Errorf("%w before the call was sent (%v)", ctx.Err(), a.err)
 			}
-			continue
-		case a.sent && a.sentInc == 0:
-			// Sent without a dedup-capable session: no safe retry.
-			replies[i].Err = &MaybeCommittedError{Cause: a.err}
 			continue
 		}
 		replies[i].Result, replies[i].Err = c.callSeq(ctx, a.seq, a.sentInc, calls[i].Proc, calls[i].Args, false)
@@ -421,14 +401,14 @@ func (c *Client) CallBatch(ctx context.Context, calls []Invocation) []Reply {
 }
 
 // backoff sleeps before retry attempt n: jittered exponential from
-// RetryBase, capped at RetryMax, floored at the server's hint.
+// retryBase, capped at retryMax, floored at the server's hint.
 func (c *Client) backoff(ctx context.Context, attempt int, cause error) error {
 	var hint time.Duration
 	var re *wire.RemoteError
 	if errors.As(cause, &re) {
 		hint = re.Backoff
 	}
-	d := retryDelay(c.opts.RetryBase, c.opts.RetryMax, hint, attempt, rand.Int63n)
+	d := retryDelay(retryBase, retryMax, hint, attempt, rand.Int63n)
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -555,15 +535,14 @@ type slot struct {
 
 // attempt is one call's state on a connection: its pre-assigned
 // sequence number going in; coming out, its outcome (res is handed to
-// the caller when err is nil), whether its frame may have reached the
-// wire (a failed write can still have delivered it) and under which
-// server incarnation.
+// the caller when err is nil) and, once its frame may have reached the
+// wire (a failed write can still have delivered it), the incarnation of
+// the server it was sent to — never 0, which handshake refuses.
 type attempt struct {
 	res     Result
 	err     error
 	seq     uint64
-	sent    bool
-	sentInc uint64 // incarnation if sent with a dedup-capable session
+	sentInc uint64 // 0 while the frame is provably unsent
 }
 
 // waiter is what one window of calls blocks on: n (guarded by
@@ -577,17 +556,17 @@ type waiter struct {
 var waiterPool = sync.Pool{New: func() any { return &waiter{ch: make(chan struct{}, 1)} }}
 
 func (c *Client) dialConn() (*clientConn, error) {
-	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", c.addr, err)
 	}
 	cc := &clientConn{
 		nc:        nc,
-		fr:        wire.NewReader(nc, c.opts.MaxFrame),
+		fr:        wire.NewReader(nc, maxFrame),
 		done:      make(chan struct{}),
 		traceBase: rand.Uint64(),
 	}
-	if err := cc.handshake(c.opts, c.session.Load()); err != nil {
+	if err := cc.handshake(c.session.Load()); err != nil {
 		cerr := nc.Close()
 		_ = cerr // handshake failure already reported; socket is dead
 		return nil, err
@@ -601,12 +580,13 @@ func (c *Client) dialConn() (*clientConn, error) {
 
 // handshake sends hello (presenting the client's session token, 0 to
 // mint) and waits for the server's welcome (or a version error),
-// synchronously, before the reader starts.
-func (cc *clientConn) handshake(opts Options, session uint64) error {
-	if err := cc.nc.SetDeadline(time.Now().Add(opts.DialTimeout)); err != nil {
+// synchronously, before the reader starts. A welcome without a session
+// or an incarnation is refused with ErrNoSession.
+func (cc *clientConn) handshake(session uint64) error {
+	if err := cc.nc.SetDeadline(time.Now().Add(dialTimeout)); err != nil {
 		return fmt.Errorf("client: handshake deadline: %w", err)
 	}
-	buf := wire.AppendHello(nil, wire.Hello{Client: opts.Name, Session: session})
+	buf := wire.AppendHello(nil, wire.Hello{Client: clientName, Session: session})
 	if _, err := cc.nc.Write(buf); err != nil {
 		return fmt.Errorf("client: sending hello: %w", err)
 	}
@@ -628,6 +608,9 @@ func (cc *clientConn) handshake(opts Options, session uint64) error {
 	w, err := wire.DecodeWelcome(f.Payload)
 	if err != nil {
 		return fmt.Errorf("client: malformed welcome: %w", err)
+	}
+	if w.Session == 0 || w.Incarnation == 0 {
+		return fmt.Errorf("%w (server %q)", ErrNoSession, w.Server)
 	}
 	if err := cc.nc.SetDeadline(time.Time{}); err != nil {
 		return fmt.Errorf("client: clearing deadline: %w", err)
@@ -652,7 +635,7 @@ func (cc *clientConn) call(ctx context.Context, seq uint64, procName string, arg
 	att := []attempt{{seq: seq}}
 	cc.sendWindow(ctx, inv[:], att, readOnly)
 	if err := att[0].err; err != nil {
-		return nil, att[0].sent, err
+		return nil, att[0].sentInc != 0, err
 	}
 	return &att[0].res, true, nil
 }
@@ -688,10 +671,7 @@ func (cc *clientConn) sendWindow(ctx context.Context, calls []Invocation, atts [
 				Proc: calls[i].Proc, Args: calls[i].Args, Seq: a.seq, BudgetUS: budgetUS,
 				TraceID: wire.MintTraceID(cc.traceBase + id), ReadOnly: readOnly,
 			})
-			a.sent = true
-			if cc.welcome.Session != 0 {
-				a.sentInc = cc.welcome.Incarnation
-			}
+			a.sentInc = cc.welcome.Incarnation
 		}
 		if err = cc.err; err == nil && i < len(calls) {
 			if cc.space == nil {

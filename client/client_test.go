@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,9 +24,8 @@ type fakeServer struct {
 	t       *testing.T
 	l       net.Listener
 	handler func(f wire.Frame, c wire.Call) []byte
-	// welcome shapes the handshake reply per connection (nil = a
-	// legacy v1-style welcome with no session fields). The conn number
-	// is 1-based in accept order.
+	// welcome shapes the handshake reply per connection (nil =
+	// sessionWelcome(1)). The conn number is 1-based in accept order.
 	welcome func(h wire.Hello, connNo int64) wire.Welcome
 	conns   atomic.Int64
 }
@@ -81,10 +81,11 @@ func (fs *fakeServer) serve(nc net.Conn, connNo int64) {
 	if err != nil {
 		return
 	}
-	w := wire.Welcome{MaxFrame: wire.DefaultMaxFrame, MaxInFlight: 4, Server: "fake"}
-	if fs.welcome != nil {
-		w = fs.welcome(h, connNo)
+	welcome := fs.welcome
+	if welcome == nil {
+		welcome = sessionWelcome(1)
 	}
+	w := welcome(h, connNo)
 	if _, err := nc.Write(wire.AppendWelcome(nil, w)); err != nil {
 		return
 	}
@@ -140,7 +141,7 @@ func TestRetryOnShed(t *testing.T) {
 		}
 		return resultFrame(f.ID, wire.Output{Name: "x", Vals: []storage.Value{storage.Int(99)}})
 	})
-	cl, err := Dial(fs.addr(), Options{RetryBase: time.Microsecond})
+	cl, err := Dial(fs.addr(), Options{})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -167,7 +168,7 @@ func TestRetriesExhausted(t *testing.T) {
 	fs := newFakeServer(t, func(f wire.Frame, c wire.Call) []byte {
 		return wire.AppendError(nil, f.ID, wire.RemoteError{Code: wire.CodeShed, Msg: "always busy"})
 	})
-	cl, err := Dial(fs.addr(), Options{RetryAttempts: 2, RetryBase: time.Microsecond})
+	cl, err := Dial(fs.addr(), Options{RetryAttempts: 2})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -406,7 +407,7 @@ func TestTransparentRetrySameSeq(t *testing.T) {
 		}
 		return resultFrame(f.ID, wire.Output{Name: "x", Vals: []storage.Value{storage.Int(7)}})
 	})
-	cl, err := Dial(fs.addr(), Options{RetryBase: time.Microsecond})
+	cl, err := Dial(fs.addr(), Options{})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -450,7 +451,7 @@ func TestBatchNeverSentAtDeadline(t *testing.T) {
 		}
 		return nil // the retry is never answered
 	})
-	cl, err := Dial(fs.addr(), Options{RetryBase: time.Microsecond})
+	cl, err := Dial(fs.addr(), Options{})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -494,7 +495,7 @@ func TestIncarnationChangeSurfacesMaybeCommitted(t *testing.T) {
 		calls.Add(1)
 		return killConn
 	})
-	cl, err := Dial(fs.addr(), Options{RetryBase: time.Microsecond})
+	cl, err := Dial(fs.addr(), Options{})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -516,30 +517,44 @@ func TestIncarnationChangeSurfacesMaybeCommitted(t *testing.T) {
 	}
 }
 
-// TestDedupDisabledAmbiguityImmediate: with no session granted, a
-// sent-but-unanswered call has no safe retry and must surface the
-// ambiguity without re-dialing.
-func TestDedupDisabledAmbiguityImmediate(t *testing.T) {
-	var calls atomic.Int64
-	fs := newFakeServer(t, func(f wire.Frame, c wire.Call) []byte {
-		calls.Add(1)
-		return killConn
-	})
-	cl, err := Dial(fs.addr(), Options{RetryBase: time.Microsecond})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer func() {
-		if err := cl.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	}()
-	_, err = cl.Call(context.Background(), "P")
-	if !errors.Is(err, ErrMaybeCommitted) {
-		t.Fatalf("err = %v, want ErrMaybeCommitted", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("server saw %d sends, want 1", got)
+// TestDialRefusesSessionlessWelcome: a WELCOME that grants no session,
+// or names no incarnation, comes from a peer that is not a THEDB server
+// of this protocol. Dial fails with ErrNoSession, sends no call, closes
+// the socket (the fake server's connection goroutine sees it end) and
+// leaves no goroutine of its own behind.
+func TestDialRefusesSessionlessWelcome(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		w    wire.Welcome
+	}{
+		{"no session", wire.Welcome{MaxFrame: wire.DefaultMaxFrame, MaxInFlight: 4, Server: "sessionless", Incarnation: 1}},
+		{"no incarnation", wire.Welcome{MaxFrame: wire.DefaultMaxFrame, MaxInFlight: 4, Server: "timeless", Session: 0xAB, DedupWindow: 64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			fs := newFakeServerW(t, func(wire.Hello, int64) wire.Welcome { return tc.w }, func(f wire.Frame, c wire.Call) []byte {
+				calls.Add(1)
+				return resultFrame(f.ID)
+			})
+			base := runtime.NumGoroutine()
+			cl, err := Dial(fs.addr(), Options{})
+			if err == nil {
+				_ = cl.Close()
+				t.Fatalf("Dial succeeded against a welcome without a session or incarnation")
+			}
+			if !errors.Is(err, ErrNoSession) {
+				t.Fatalf("err = %v, want ErrNoSession", err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines, want the %d before Dial: the socket stayed open or a goroutine leaked",
+						runtime.NumGoroutine(), base)
+				}
+			}
+			if n := calls.Load(); n != 0 {
+				t.Fatalf("server saw %d calls, want 0", n)
+			}
+		})
 	}
 }
 
@@ -654,7 +669,10 @@ func TestOneReaderPerConnection(t *testing.T) {
 			return
 		}
 		resp := resultFrame(0, wire.Output{Name: "v", Vals: []storage.Value{storage.Int(7)}})
-		first := wire.AppendWelcome(nil, wire.Welcome{MaxFrame: wire.DefaultMaxFrame, MaxInFlight: 4, Server: "eager"})
+		first := wire.AppendWelcome(nil, wire.Welcome{
+			MaxFrame: wire.DefaultMaxFrame, MaxInFlight: 4, Server: "eager",
+			Session: 0xAB, Incarnation: 1, DedupWindow: 64,
+		})
 		first = append(first, resp[:4]...) // magic, version, opcode: no request id needed yet
 		if _, err := nc.Write(first); err != nil {
 			return
@@ -685,8 +703,10 @@ func TestOneReaderPerConnection(t *testing.T) {
 // 2^32-1 sizes the connection's slot table at maxWindow, not at what
 // the peer asked for, and the connection still serves calls.
 func TestDialClampsAdvertisedWindow(t *testing.T) {
-	fs := newFakeServerW(t, func(wire.Hello, int64) wire.Welcome {
-		return wire.Welcome{MaxFrame: wire.DefaultMaxFrame, MaxInFlight: math.MaxUint32, Server: "greedy"}
+	fs := newFakeServerW(t, func(h wire.Hello, connNo int64) wire.Welcome {
+		w := sessionWelcome(1)(h, connNo)
+		w.MaxInFlight, w.Server = math.MaxUint32, "greedy"
+		return w
 	}, func(f wire.Frame, c wire.Call) []byte {
 		return resultFrame(f.ID, wire.Output{Name: "v", Vals: []storage.Value{storage.Int(1)}})
 	})
@@ -717,8 +737,10 @@ func TestSlotReuseDropsLateResponse(t *testing.T) {
 		arg storage.Value
 	}
 	var pending []pendingCall
-	fs := newFakeServerW(t, func(wire.Hello, int64) wire.Welcome {
-		return wire.Welcome{MaxFrame: wire.DefaultMaxFrame, MaxInFlight: 2, Server: "late"}
+	fs := newFakeServerW(t, func(h wire.Hello, connNo int64) wire.Welcome {
+		w := sessionWelcome(1)(h, connNo)
+		w.MaxInFlight, w.Server = 2, "late"
+		return w
 	}, func(f wire.Frame, c wire.Call) []byte { // one conn: the handler runs serially
 		switch c.Proc {
 		case "Hang":
@@ -808,7 +830,10 @@ func TestSteadyStateAllocations(t *testing.T) {
 		if f, err := fr.Next(); err != nil || f.Op != wire.OpHello {
 			return
 		}
-		if _, err := nc.Write(wire.AppendWelcome(nil, wire.Welcome{MaxFrame: wire.DefaultMaxFrame, MaxInFlight: 64, Server: "quiet"})); err != nil {
+		if _, err := nc.Write(wire.AppendWelcome(nil, wire.Welcome{
+			MaxFrame: wire.DefaultMaxFrame, MaxInFlight: 64, Server: "quiet",
+			Session: 0xAB, Incarnation: 1, DedupWindow: 64,
+		})); err != nil {
 			return
 		}
 		resp := resultFrame(0, wire.Output{Name: "v", Vals: []storage.Value{storage.Int(7)}},

@@ -91,7 +91,6 @@ func main() {
 	contentionK := flag.Int("contention.k", 0, "track the K hottest contended keys at /debug/contention (0 disables)")
 	ycsbRecords := flag.Int("ycsb.records", 100000, "YCSB table size")
 	sbAccounts := flag.Int("sb.accounts", 10000, "Smallbank account count")
-	dedupWindow := flag.Int("dedup.window", 0, "per-session cache of completed responses for exactly-once retries (0 = default 256, negative disables)")
 	flag.Parse()
 
 	cfg := thedb.Config{
@@ -151,7 +150,7 @@ func main() {
 		}
 	}
 
-	srv := server.New(db, server.Config{DedupWindow: *dedupWindow})
+	srv := server.New(db, server.Config{})
 
 	if *obsAddr != "" {
 		plane := db.ObsPlane()

@@ -1,12 +1,15 @@
 package btree
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestInsertGetDelete(t *testing.T) {
@@ -375,6 +378,91 @@ func TestShardedWalkObservesMissingShard(t *testing.T) {
 	if !slices.Equal(keys, []uint64{1, 2, 300}) {
 		t.Fatalf("rescan: keys %v", keys)
 	}
+}
+
+// TestShardedWalkSkipsMissingShards: a walk over the whole key space at
+// shift 8 — 2^56 prefixes — with keys in three non-adjacent shards
+// returns every key and hands out the absent leaf exactly once. It runs
+// under a 5 s guard: a walk that stepped through every prefix would not
+// end.
+func TestShardedWalkSkipsMissingShards(t *testing.T) {
+	// Shards cover 256-key ranges; the keys lie in prefixes 5, 1000 and
+	// 2^40, and none after.
+	s := NewSharded[int](8)
+	want := []uint64{5 << 8, 5<<8 | 7, 1000<<8 | 1, 1<<48 | 3}
+	for i, k := range want {
+		s.Insert(k, i)
+	}
+	var keys []uint64
+	done := make(chan []ScanRef, 1)
+	go func() {
+		done <- scan(s.Walk, 0, math.MaxUint64, func(k uint64, _ int) bool {
+			keys = append(keys, k)
+			return true
+		})
+	}()
+	select {
+	case refs := <-done:
+		if !slices.Equal(keys, want) {
+			t.Fatalf("Walk(0, MaxUint64): keys %#x, want %#x", keys, want)
+		}
+		absent := 0
+		for _, r := range refs {
+			if r == s.absent.Ref() {
+				absent++
+			}
+		}
+		if absent != 1 || len(refs) != 4 {
+			t.Fatalf("Walk(0, MaxUint64): %d observations, %d of the absent leaf; want one leaf per shard and the absent leaf once", len(refs), absent)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Walk(0, MaxUint64) at shift 8 did not finish in 5s: it steps through prefixes with no shard")
+	}
+}
+
+// TestShardedWalkBesideShardCreation walks the whole key space while
+// another goroutine creates shards out of order: every walk sees keys
+// in ascending order, each with its own value, and at least the shards
+// created before it started.
+func TestShardedWalkBesideShardCreation(t *testing.T) {
+	s := NewSharded[int](8)
+	const shards = 400
+	order := rand.New(rand.NewSource(49)).Perm(shards)
+	var created atomic.Int64
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				before := created.Load()
+				var keys []uint64
+				scan(s.Walk, 0, math.MaxUint64, func(k uint64, v int) bool {
+					if v != int(k>>8) {
+						t.Errorf("key %#x carries %d", k, v)
+					}
+					keys = append(keys, k)
+					return true
+				})
+				if !slices.IsSorted(keys) || int64(len(keys)) < before {
+					t.Errorf("walk of %d keys (%d created before it): sorted %v", len(keys), before, slices.IsSorted(keys))
+					return
+				}
+			}
+		}()
+	}
+	for _, p := range order {
+		s.Insert(uint64(p)<<20, p<<12)
+		created.Add(1)
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // leafFill walks the leaf chain and returns the mean fill, failing on

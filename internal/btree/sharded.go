@@ -1,6 +1,9 @@
 package btree
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Sharded partitions a uint64-keyed tree by key prefix: all keys
 // sharing their top (64-shift) bits live in one sub-tree. Because the
@@ -12,6 +15,9 @@ type Sharded[V any] struct {
 	shift  uint
 	mu     sync.RWMutex
 	shards map[uint64]*Tree[uint64, V]
+	// prefixes holds the keys of shards in ascending order, so Walk
+	// steps from one shard that exists to the next.
+	prefixes []uint64
 	// absent is the empty leaf Walk hands out for a prefix with no
 	// shard; its version goes up, under mu, whenever a shard is made.
 	absent Leaf[uint64, V]
@@ -45,6 +51,8 @@ func (s *Sharded[V]) shard(p uint64, create bool) *Tree[uint64, V] {
 	if t = s.shards[p]; t == nil {
 		t = New[uint64, V]()
 		s.shards[p] = t
+		i, _ := slices.BinarySearch(s.prefixes, p)
+		s.prefixes = slices.Insert(s.prefixes, i, p)
 		s.absent.version.Add(1)
 	}
 	return t
@@ -78,24 +86,32 @@ func (s *Sharded[V]) Get(k uint64) (V, bool) {
 }
 
 // Walk is Tree.Walk across the shards covering [lo, hi], in key
-// order. At the first prefix in range with no shard, fn gets the
-// absent leaf with no keys instead, under the shard-map read lock of
-// the lookup that found the shard missing: a Ref taken there detects
-// the creation of any shard after it, so a scan's node set covers
-// leaves that do not exist yet. A range whose shards all exist never
-// sees it.
+// order, visiting only shards that exist: it costs a lookup per shard
+// walked and per run of missing prefixes, never one per prefix. At the
+// first prefix in range with no shard, fn gets the absent leaf with no
+// keys, under the shard-map read lock of the lookup that found the
+// shard missing: a Ref taken there detects the creation of any shard
+// after it, so a scan's node set covers leaves that do not exist yet,
+// including the shards this walk then steps over. A range whose shards
+// all exist never sees it.
 func (s *Sharded[V]) Walk(lo, hi uint64, fn func(l *Leaf[uint64, V], keys []uint64, vals []V) bool) bool {
 	missed := false
-	for p := s.prefix(lo); p <= s.prefix(hi); p++ {
+	for p, last := s.prefix(lo), s.prefix(hi); p <= last; p++ {
 		s.mu.RLock()
-		t := s.shards[p]
-		ok := t != nil || missed || fn(&s.absent, nil, nil)
-		missed = missed || t == nil
+		t, ok := s.shards[p], true
+		if t == nil {
+			ok = missed || fn(&s.absent, nil, nil)
+			missed = true
+			if i, _ := slices.BinarySearch(s.prefixes, p); i < len(s.prefixes) && s.prefixes[i] <= last {
+				p = s.prefixes[i]
+				t = s.shards[p]
+			}
+		}
 		s.mu.RUnlock()
 		if !ok || t != nil && !t.Walk(lo, hi, fn) {
 			return false
 		}
-		if p == s.prefix(hi) { // avoid wraparound when prefix(hi) is MaxUint
+		if t == nil || p == last { // no shard left in range; p == last also avoids wraparound at MaxUint64
 			break
 		}
 	}

@@ -28,7 +28,7 @@ func TestServingAllocations(t *testing.T) {
 			b.Op(thedb.Op{Name: "null", Body: func(thedb.OpCtx) error { return nil }})
 		},
 	})
-	_, addr := startServer(t, db, server.Config{DedupWindow: 8})
+	_, addr := startServer(t, db, server.Config{})
 	args := []thedb.Value{thedb.Int(1), thedb.Int(2)}
 
 	sess := db.Session(0) // the one dispatcher is idle while this runs
@@ -51,7 +51,7 @@ func TestServingAllocations(t *testing.T) {
 			t.Fatalf("seq %d: frame %+v, err %v", seq, f, err)
 		}
 	}
-	for i := 0; i < 32; i++ {
+	for i := 0; i < server.DedupWindow+32; i++ {
 		call() // wrap the ring, grow every buffer on the path
 	}
 	const serving = 1

@@ -1,6 +1,8 @@
 package server_test
 
 import (
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,67 +83,120 @@ func countShed(t *testing.T, fr *wire.Reader, n int, msg string) (ok, shed int) 
 	return ok, shed
 }
 
-// TestSheddingBurstOverflow sends three windows' worth of calls in one
-// write: the slots are the bound, so exactly the overflow is shed, and
-// the window is whole again once its calls are answered.
-func TestSheddingBurstOverflow(t *testing.T) {
-	const window = 4
-	db := newKVDB(t, 1, nil)
-	registerSlowInc(db)
-	srv, addr := startServer(t, db, server.Config{PerConnInFlight: window})
+// registerBlock adds Block, a procedure whose calls wait until open is
+// called: admitted calls hold their slots and their share of the global
+// bound for as long as a test needs. open is idempotent; a test calls
+// it, or registers it with t.Cleanup after startServer so that it runs
+// before the server drains.
+func registerBlock(db *thedb.DB) (open func()) {
+	gate := make(chan struct{})
+	db.MustRegister(&thedb.Spec{
+		Name: "Block",
+		Plan: func(b *thedb.Builder, _ *thedb.Env) {
+			b.Op(thedb.Op{Name: "wait", Body: func(thedb.OpCtx) error { <-gate; return nil }})
+		},
+	})
+	var once sync.Once
+	return func() { once.Do(func() { close(gate) }) }
+}
 
-	nc, fr, _ := rawDialSession(t, addr, 0)
-	writeFrames(t, nc, slowIncBurst(0, 3*window, 40))
-	if ok, shed := countShed(t, fr, 3*window, "connection pipeline full"); ok != window || shed != 2*window {
-		t.Fatalf("3x%d calls in one write: %d executed, %d shed, want %d and %d", window, ok, shed, window, 2*window)
+// blockBurst encodes n pipelined Block calls, ids and sequence numbers
+// first+1 .. first+n.
+func blockBurst(first uint64, n int) []byte {
+	var buf []byte
+	for i := uint64(1); i <= uint64(n); i++ {
+		buf = wire.AppendCall(buf, first+i, wire.Call{Proc: "Block", Seq: first + i})
 	}
-	writeFrames(t, nc, slowIncBurst(100, window, 1))
+	return buf
+}
+
+// TestSheddingBurstOverflow sends one call more than the connection has
+// slots in one write: the slots are the bound, so exactly the overflow
+// is shed — at once, while the window's calls are still executing —
+// and the window is whole again once its calls are answered.
+func TestSheddingBurstOverflow(t *testing.T) {
+	const window = server.PerConnInFlight
+	db := newKVDB(t, 1, nil)
+	open := registerBlock(db)
+	srv, addr := startServer(t, db, server.Config{})
+	t.Cleanup(open)
+
+	nc, fr, w := rawDialSession(t, addr, 0)
+	if w.MaxInFlight != window {
+		t.Fatalf("advertised window = %d, want %d", w.MaxInFlight, window)
+	}
+	writeFrames(t, nc, blockBurst(0, window+1))
+	if ok, shed := countShed(t, fr, 1, "connection pipeline full"); ok != 0 || shed != 1 {
+		t.Fatalf("%d+1 calls in one write: the first answer was not the overflow's refusal", window)
+	}
+	open()
+	if ok, shed := countShed(t, fr, window, ""); ok != window || shed != 0 {
+		t.Fatalf("the window's calls: %d executed, %d shed, want %d and 0", ok, shed, window)
+	}
+	writeFrames(t, nc, blockBurst(1000, window))
 	if ok, shed := countShed(t, fr, window, "connection pipeline full"); ok != window || shed != 0 {
 		t.Fatalf("a full window after the overflow: %d executed, %d shed", ok, shed)
 	}
-	if got := srv.Stats().Snapshot().Shed; got != 2*window {
-		t.Fatalf("stats.Shed = %d, want %d", got, 2*window)
+	if got := srv.Stats().Snapshot().Shed; got != 1 {
+		t.Fatalf("stats.Shed = %d, want 1", got)
 	}
 }
 
-// TestSheddingGlobalBound fills GlobalInFlight from one connection and
-// checks that a second connection's burst is refused by the counter —
-// at once, while the first connection's calls are still executing, so
-// no read loop ever waits for queue space — and admitted again once the
-// first connection's run has been answered.
+// TestSheddingGlobalBound fills the global bound (128 × workers) but one
+// from full connections, then sends two calls on another: the first is
+// admitted and the second — one over the bound — is refused by the
+// counter, as is the next call, at once, while the admitted calls are
+// still executing, so no read loop ever waits for queue space. Once
+// those calls have been answered, the server admits again.
 func TestSheddingGlobalBound(t *testing.T) {
-	const global, ms = 4, 150
+	const global = server.GlobalInFlightPerWorker // one worker
 	db := newKVDB(t, 1, nil)
-	registerSlowInc(db)
-	srv, addr := startServer(t, db, server.Config{PerConnInFlight: 8, GlobalInFlight: global})
+	open := registerBlock(db)
+	srv, addr := startServer(t, db, server.Config{})
+	t.Cleanup(open)
 
-	ncA, frA, _ := rawDialSession(t, addr, 0)
-	ncB, frB, _ := rawDialSession(t, addr, 0)
-	writeFrames(t, ncA, slowIncBurst(0, global, ms))
-	for srv.Stats().Snapshot().InFlight != global {
+	type filler struct {
+		nc    net.Conn
+		fr    *wire.Reader
+		calls int
+	}
+	var fill []filler
+	for left := global - 1; left > 0; left -= server.PerConnInFlight {
+		nc, fr, _ := rawDialSession(t, addr, 0)
+		n := min(left, server.PerConnInFlight)
+		writeFrames(t, nc, blockBurst(0, n))
+		fill = append(fill, filler{nc, fr, n})
+	}
+	for srv.Stats().Snapshot().InFlight != global-1 {
 		time.Sleep(time.Millisecond)
 	}
-	start := time.Now()
-	writeFrames(t, ncB, slowIncBurst(100, global+1, 1))
-	if ok, shed := countShed(t, frB, global+1, "server at capacity"); ok != 0 || shed != global+1 {
-		t.Fatalf("burst against a full server: %d executed, %d shed, want 0 and %d", ok, shed, global+1)
+	ncB, frB, _ := rawDialSession(t, addr, 0)
+	writeFrames(t, ncB, blockBurst(0, 2))
+	if ok, shed := countShed(t, frB, 1, "server at capacity"); ok != 0 || shed != 1 {
+		t.Fatalf("two calls at one below the bound: the first answer was not the second call's refusal")
 	}
-	if took := time.Since(start); took >= ms*time.Millisecond {
-		t.Fatalf("the refusals took %v: they waited behind the executing calls (%dms each)", took, ms)
+	writeFrames(t, ncB, blockBurst(10, 1))
+	if ok, shed := countShed(t, frB, 1, "server at capacity"); ok != 0 || shed != 1 {
+		t.Fatalf("a call against a full server was not refused")
 	}
-	if ok, _ := countShed(t, frA, global, ""); ok != global {
-		t.Fatalf("first connection: %d of %d executed", ok, global)
+	open()
+	for i, f := range fill {
+		if ok, _ := countShed(t, f.fr, f.calls, ""); ok != f.calls {
+			t.Fatalf("filling connection %d: %d of %d executed", i, ok, f.calls)
+		}
 	}
-	// A's run is answered; its accounting follows at once.
+	if ok, _ := countShed(t, frB, 1, ""); ok != 1 {
+		t.Fatalf("the admitted call of the pair was not answered")
+	}
+	// The answered runs give their accounting back at once.
 	for srv.Stats().Snapshot().InFlight != 0 {
 		time.Sleep(time.Millisecond)
 	}
-	// One call over the bound in one burst: exactly the tail is shed.
-	writeFrames(t, ncB, slowIncBurst(200, global+1, 20))
-	if ok, shed := countShed(t, frB, global+1, "server at capacity"); ok != global || shed != 1 {
-		t.Fatalf("burst one over the bound: %d executed, %d shed, want %d and 1", ok, shed, global)
+	writeFrames(t, ncB, blockBurst(20, 1))
+	if ok, _ := countShed(t, frB, 1, ""); ok != 1 {
+		t.Fatalf("a call after the bound emptied was not admitted")
 	}
-	if got := srv.Stats().Snapshot().Shed; got != global+2 {
-		t.Fatalf("stats.Shed = %d, want %d", got, global+2)
+	if got := srv.Stats().Snapshot().Shed; got != 2 {
+		t.Fatalf("stats.Shed = %d, want 2", got)
 	}
 }

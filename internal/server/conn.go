@@ -18,7 +18,7 @@ import (
 // (handshake, frame decode, admission) and a writer draining out.
 // Responses are queued on out by dispatch goroutines in completion
 // order, which is what gives the protocol out-of-order pipelining. A
-// call lives in one of the connection's PerConnInFlight slots from
+// call lives in one of the connection's perConnInFlight slots from
 // admission to its response; the free slots are the admission window.
 //
 // The read loop's unit of work is the burst: the complete frames
@@ -37,9 +37,9 @@ type conn struct {
 	nc  net.Conn
 	out outQueue
 
-	// sess is the exactly-once session bound in the handshake (nil
-	// when dedup is disabled). Written once before the first call is
-	// admitted, read by the same read loop thereafter.
+	// sess is the exactly-once session bound in the handshake: nil only
+	// when the handshake failed. Written once before the first call is
+	// admitted, read by the same read loop and by respond thereafter.
 	sess *session
 
 	reqs sync.WaitGroup // this connection's admitted, unanswered requests
@@ -65,7 +65,7 @@ type conn struct {
 // acquire takes a free slot for an arriving call, swapping the loop's
 // empty stack for the slots freed since the last swap when it has run
 // dry; nil means the connection's pipeline is full. A slot is free from
-// the moment its response is queued: PerConnInFlight is an exact bound.
+// the moment its response is queued: perConnInFlight is an exact bound.
 //
 //thedb:noalloc
 func (c *conn) acquire() *request {
@@ -80,7 +80,7 @@ func (c *conn) acquire() *request {
 	}
 	req := c.free[len(c.free)-1]
 	c.free = c.free[:len(c.free)-1]
-	req.sess, req.entry, req.verdict, req.next = nil, nil, dedupNew, nil
+	req.entry, req.verdict, req.next = nil, dedupNew, nil
 	return req
 }
 
@@ -181,7 +181,7 @@ func (c countConn) Write(p []byte) (int, error) {
 // pair.
 func (s *Server) startConn(raw net.Conn) {
 	nc := countConn{Conn: raw, stats: s.stats}
-	n := s.cfg.PerConnInFlight
+	const n = perConnInFlight
 	c := &conn{srv: s, nc: nc, procs: map[string]string{}}
 	slots := make([]request, n)
 	c.free, c.burst, c.out.back = make([]*request, n), make([]*request, 0, n), make([]*request, 0, n)
@@ -258,7 +258,7 @@ func (c *conn) readLoop() {
 		// writer for the final write + socket close.
 		c.reqs.Wait()
 		c.out.close()
-		if c.sess != nil {
+		if c.sess != nil { // nil: the handshake failed before binding one
 			c.sess.release()
 		}
 		s.mu.Lock()
@@ -266,7 +266,7 @@ func (c *conn) readLoop() {
 		s.mu.Unlock()
 	}()
 
-	fr := wire.NewReader(c.nc, s.cfg.MaxFrame)
+	fr := wire.NewReader(c.nc, maxFrame)
 	if !c.handshake(fr) {
 		return
 	}
@@ -355,9 +355,9 @@ func (c *conn) admit() {
 	}
 	// Account before offering: a dispatcher may pick a run up and finish
 	// it the instant it lands in the channel. over is how far this burst
-	// took pending past GlobalInFlight; done counts what this loop
+	// took pending past the global bound; done counts what this loop
 	// answers itself and gives back at the end.
-	over := int(s.pending.Add(int64(n))) - s.cfg.GlobalInFlight
+	over := int(s.pending.Add(int64(n))) - cap(s.work)
 	c.reqs.Add(n)
 	s.stats.InFlight.Add(int64(n))
 	done := 0
@@ -366,9 +366,7 @@ func (c *conn) admit() {
 	// response is in scratch, in burst order), parked on the execution it
 	// duplicates, or — like every call the window does not track — this
 	// burst's to run.
-	if c.sess != nil {
-		c.scratch = c.sess.register(c.burst, c.scratch[:0])
-	}
+	c.scratch = c.sess.register(c.burst, c.scratch[:0])
 	replay, runs := c.scratch, c.burst[:0]
 	for _, req := range c.burst {
 		switch req.verdict {
@@ -491,18 +489,15 @@ func (c *conn) handshake(fr *wire.Reader) bool {
 	if err := c.nc.SetReadDeadline(time.Time{}); err != nil {
 		return false
 	}
-	w := wire.Welcome{
-		MaxFrame:    uint32(s.cfg.MaxFrame),
-		MaxInFlight: uint32(s.cfg.PerConnInFlight),
+	c.sess = s.bindSession(h.Session)
+	c.scratch = wire.AppendWelcome(c.scratch[:0], wire.Welcome{
+		MaxFrame:    maxFrame,
+		MaxInFlight: perConnInFlight,
 		Server:      banner,
+		Session:     c.sess.token,
 		Incarnation: s.incarnation,
-	}
-	if s.cfg.DedupWindow > 0 {
-		c.sess = s.bindSession(h.Session)
-		w.Session = c.sess.token
-		w.DedupWindow = uint32(s.cfg.DedupWindow)
-	}
-	c.scratch = wire.AppendWelcome(c.scratch[:0], w)
+		DedupWindow: dedupWindow,
+	})
 	c.out.put(c.scratch, nil)
 	return true
 }

@@ -291,15 +291,16 @@ func TestDedupCoalescesConcurrentRetry(t *testing.T) {
 // and a retry of an evicted seq re-executes — the documented limit of
 // the exactly-once guarantee.
 func TestDedupWindowEviction(t *testing.T) {
+	const window = server.DedupWindow
 	db := newKVDB(t, 2, nil)
 	registerKVInc(db)
-	srv, addr := startServer(t, db, server.Config{DedupWindow: 4})
+	srv, addr := startServer(t, db, server.Config{})
 
 	nc, fr, w := rawDialSession(t, addr, 0)
-	if w.DedupWindow != 4 {
-		t.Fatalf("advertised window = %d, want 4", w.DedupWindow)
+	if w.DedupWindow != window {
+		t.Fatalf("advertised window = %d, want %d", w.DedupWindow, window)
 	}
-	for seq := uint64(1); seq <= 6; seq++ {
+	for seq := uint64(1); seq <= window+2; seq++ {
 		writeFrames(t, nc, wire.AppendCall(nil, seq, wire.Call{
 			Proc: "KVInc", Seq: seq, Args: []thedb.Value{thedb.Int(int64(seq)), thedb.Int(1)},
 		}))
@@ -308,12 +309,12 @@ func TestDedupWindowEviction(t *testing.T) {
 		}
 	}
 	snap := srv.Stats().Snapshot()
-	if snap.DedupEvicted != 2 || snap.DedupEntries != 4 {
-		t.Fatalf("DedupEvicted = %d DedupEntries = %d, want 2 and 4", snap.DedupEvicted, snap.DedupEntries)
+	if snap.DedupEvicted != 2 || snap.DedupEntries != window {
+		t.Fatalf("DedupEvicted = %d DedupEntries = %d, want 2 and %d", snap.DedupEvicted, snap.DedupEntries, window)
 	}
 
 	// Seq 1 was evicted: its retry re-executes and the row shows it.
-	writeFrames(t, nc, wire.AppendCall(nil, 7, wire.Call{
+	writeFrames(t, nc, wire.AppendCall(nil, window+3, wire.Call{
 		Proc: "KVInc", Seq: 1, Args: []thedb.Value{thedb.Int(1), thedb.Int(1)},
 	}))
 	if v := resultInt(t, nextFrame(t, fr), "val"); v != 2 {
@@ -322,17 +323,18 @@ func TestDedupWindowEviction(t *testing.T) {
 }
 
 // TestDedupWaiterOnRecycledEntry parks a retry on a dedup entry that
-// has already lived one life: with a window of 2, earlier completions
-// were evicted and recycled before the slow call took one of them, and
-// further completions keep evicting and recycling around it while the
-// retry waits. The one execution must answer original and retry
-// exactly once each, and nothing parked on an entry's earlier life may
-// leak into its next.
+// has already lived one life: once the window is full, earlier
+// completions were evicted and recycled before the slow call took one
+// of them, and further completions keep evicting and recycling around
+// it while the retry waits. The one execution must answer original and
+// retry exactly once each, and nothing parked on an entry's earlier
+// life may leak into its next.
 func TestDedupWaiterOnRecycledEntry(t *testing.T) {
+	const window = server.DedupWindow
 	db := newKVDB(t, 2, nil)
 	registerKVInc(db)
 	registerSlowInc(db)
-	srv, addr := startServer(t, db, server.Config{DedupWindow: 2})
+	srv, addr := startServer(t, db, server.Config{})
 
 	ncA, frA, w := rawDialSession(t, addr, 0)
 	ncB, frB, _ := rawDialSession(t, addr, w.Session)
@@ -345,11 +347,11 @@ func TestDedupWaiterOnRecycledEntry(t *testing.T) {
 			t.Fatalf("seq %d: answered by frame id %d", seq, f.ID)
 		}
 	}
-	for seq := uint64(1); seq <= 4; seq++ {
+	for seq := uint64(1); seq <= window+2; seq++ {
 		inc(seq) // fills the window, then evicts and recycles two entries
 	}
 	for round := uint64(0); round < 2; round++ { // the second round re-parks on an entry a waiter already left
-		slow := 10 + 10*round
+		slow := window + 10 + 10*round
 		writeFrames(t, ncA, wire.AppendCall(nil, slow, wire.Call{
 			Proc: "SlowInc", Seq: slow, Args: []thedb.Value{thedb.Int(1), thedb.Int(300)},
 		}))
@@ -379,8 +381,8 @@ func TestDedupWaiterOnRecycledEntry(t *testing.T) {
 		}
 	}
 	snap := srv.Stats().Snapshot()
-	if snap.DedupCoalesced != 2 || snap.DedupHits != 0 || snap.DedupEntries != 2 {
-		t.Fatalf("DedupCoalesced = %d DedupHits = %d DedupEntries = %d, want 2, 0 and 2", snap.DedupCoalesced, snap.DedupHits, snap.DedupEntries)
+	if snap.DedupCoalesced != 2 || snap.DedupHits != 0 || snap.DedupEntries != window {
+		t.Fatalf("DedupCoalesced = %d DedupHits = %d DedupEntries = %d, want 2, 0 and %d", snap.DedupCoalesced, snap.DedupHits, snap.DedupEntries, window)
 	}
 }
 

@@ -144,7 +144,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 
 	// New connections must be refused outright (listener closed).
-	if _, err := client.Dial(addr, client.Options{DialTimeout: time.Second}); err == nil {
+	if _, err := client.Dial(addr, client.Options{}); err == nil {
 		t.Fatalf("dial succeeded after shutdown")
 	}
 

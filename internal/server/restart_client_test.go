@@ -28,7 +28,7 @@ func TestPooledClientRedialsAfterRestart(t *testing.T) {
 	done1 := make(chan error, 1)
 	go func() { done1 <- srv1.Serve(l1) }()
 
-	cl, err := client.Dial(addr, client.Options{Conns: 2, RetryBase: time.Millisecond})
+	cl, err := client.Dial(addr, client.Options{Conns: 2})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

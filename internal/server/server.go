@@ -48,38 +48,29 @@ import (
 	"thedb/internal/wire"
 )
 
-// Config tunes a Server. The zero value gets sensible defaults from
-// New.
-type Config struct {
-	// MaxFrame bounds accepted request-frame payloads (default
-	// wire.DefaultMaxFrame). Advertised to clients in the handshake.
-	MaxFrame int
-
-	// PerConnInFlight bounds admitted-but-unanswered requests per
-	// connection (default 64). Advertised in the handshake; requests
-	// beyond it are shed.
-	PerConnInFlight int
-
-	// GlobalInFlight bounds admitted requests across all connections
-	// (default 128 × workers), counted from admission until the run a
-	// request was dispatched in has been answered: requests beyond it
-	// are shed, never queued unboundedly.
-	GlobalInFlight int
-
-	// DedupWindow bounds each session's cache of completed responses,
-	// used to answer retried calls without re-executing them (default
-	// 256; negative disables exactly-once dedup entirely). Advertised
-	// to clients in the handshake.
-	DedupWindow int
-
-	// Stats receives the serving plane's counters; New allocates one
-	// when nil. Share it with an obs.Plane via SetServerStats to get
-	// the thedb_server_* Prometheus series.
-	Stats *metrics.Server
-}
+// Config is New's parameter. It has no field: every serving limit is
+// one of the constants below. The type stays so callers that pass
+// Config{} keep compiling; the benchmark harness is one of them.
+type Config struct{}
 
 // Fixed serving-plane parameters.
 const (
+	// maxFrame bounds accepted request-frame payloads. Advertised to
+	// clients in the handshake.
+	maxFrame = wire.DefaultMaxFrame
+	// perConnInFlight bounds admitted-but-unanswered requests per
+	// connection: a connection's slot table. Advertised in the
+	// handshake; requests beyond it are shed.
+	perConnInFlight = 64
+	// globalInFlightPerWorker × workers bounds admitted requests across
+	// all connections, counted from admission until the run a request
+	// was dispatched in has been answered: requests beyond it are shed,
+	// never queued unboundedly.
+	globalInFlightPerWorker = 128
+	// dedupWindow bounds each session's cache of completed responses,
+	// which answers retried calls without re-executing them. Advertised
+	// to clients in the handshake.
+	dedupWindow = 256
 	// writeTimeout bounds each network write: a client that stops
 	// reading is disconnected rather than wedging a dispatch goroutine.
 	writeTimeout = 10 * time.Second
@@ -109,10 +100,9 @@ type request struct {
 	// ReadOnly is dispatched via Session.RunSnapshot and never deduped.
 	call wire.Call
 
-	// Exactly-once plumbing: the session when the call is dedup-tracked,
-	// the dedup entry when this request owns the execution of its seq,
-	// and what the window said of it at admission.
-	sess    *session
+	// Exactly-once plumbing: the entry in its connection's session when
+	// this request owns the execution of its seq, and what the window
+	// said of it at admission.
 	entry   *dedupEntry
 	verdict dedupVerdict
 
@@ -139,18 +129,17 @@ func (r *request) budget() time.Duration {
 // protocol.
 type Server struct {
 	db    *thedb.DB
-	cfg   Config
 	stats *metrics.Server
 
 	// work carries runs: each element heads a list of calls from one
 	// connection (request.next) that one dispatcher answers in order. Its
-	// capacity is GlobalInFlight, which pending enforces at admission, so
-	// a read loop's send never blocks.
+	// capacity is the global bound, which pending enforces at admission,
+	// so a read loop's send never blocks.
 	work chan *request
 	quit chan struct{}
 
 	// pending counts admitted requests whose run is unfinished, and is
-	// what GlobalInFlight bounds. It is an atomic
+	// what the global bound (cap(work)) limits. It is an atomic
 	// counter rather than a WaitGroup because admission races drain:
 	// admit increments then re-checks the draining flag, Shutdown sets
 	// the flag then reads the counter, and seq-cst atomics guarantee
@@ -186,30 +175,11 @@ type Server struct {
 // New builds a server over db. The database must have its tables
 // created, procedures registered and Start called before Serve;
 // Shutdown closes it (sealing the epoch and syncing the WAL).
-func New(db *thedb.DB, cfg Config) *Server {
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = wire.DefaultMaxFrame
-	}
-	if cfg.PerConnInFlight <= 0 {
-		cfg.PerConnInFlight = 64
-	}
-	if cfg.GlobalInFlight <= 0 {
-		cfg.GlobalInFlight = 128 * db.Workers()
-	}
-	switch {
-	case cfg.DedupWindow == 0:
-		cfg.DedupWindow = 256
-	case cfg.DedupWindow < 0:
-		cfg.DedupWindow = 0 // dedup disabled
-	}
-	if cfg.Stats == nil {
-		cfg.Stats = &metrics.Server{}
-	}
+func New(db *thedb.DB, _ Config) *Server {
 	return &Server{
 		db:          db,
-		cfg:         cfg,
-		stats:       cfg.Stats,
-		work:        make(chan *request, cfg.GlobalInFlight),
+		stats:       &metrics.Server{},
+		work:        make(chan *request, globalInFlightPerWorker*db.Workers()),
 		quit:        make(chan struct{}),
 		drainSig:    make(chan struct{}, 1),
 		conns:       map[*conn]struct{}{},
@@ -393,7 +363,7 @@ func appendResult(dst []byte, id uint64, env *thedb.Env) []byte {
 // scratch: copied wherever it goes, re-addressed in place per recipient.
 func (s *Server) respond(req *request, frame []byte, cache bool) {
 	if req.entry != nil {
-		for _, w := range req.sess.complete(s, req.entry, frame, cache) {
+		for _, w := range req.c.sess.complete(s, req.entry, frame, cache) {
 			wc := w.c
 			wire.SetID(frame, w.id)
 			wc.out.put(frame, w)

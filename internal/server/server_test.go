@@ -249,19 +249,18 @@ func TestOutOfOrderPipelining(t *testing.T) {
 // carrying backoff hints — not queued, not dropped.
 func TestShedding(t *testing.T) {
 	db := newKVDB(t, 1, nil)
-	srv, addr := startServer(t, db, server.Config{
-		PerConnInFlight: 2,
-		GlobalInFlight:  2,
-	})
+	open := registerBlock(db)
+	srv, addr := startServer(t, db, server.Config{})
+	t.Cleanup(open)
 
 	nc, fr, w := rawDial(t, addr)
-	if w.MaxInFlight != 2 {
-		t.Fatalf("advertised window = %d, want 2", w.MaxInFlight)
+	if w.MaxInFlight != server.PerConnInFlight {
+		t.Fatalf("advertised window = %d, want %d", w.MaxInFlight, server.PerConnInFlight)
 	}
 	var buf []byte
-	const total = 8
+	const total = server.PerConnInFlight + 1
 	for id := uint64(1); id <= total; id++ {
-		buf = wire.AppendCall(buf, id, wire.Call{Proc: "Slow", Args: []thedb.Value{thedb.Int(50)}})
+		buf = wire.AppendCall(buf, id, wire.Call{Proc: "Block"})
 	}
 	if _, err := nc.Write(buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -269,6 +268,9 @@ func TestShedding(t *testing.T) {
 
 	shed, ok := 0, 0
 	for i := 0; i < total; i++ {
+		if i == 1 {
+			open() // the first answer is the refusal; the rest are executing
+		}
 		f, err := fr.Next()
 		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
@@ -295,11 +297,8 @@ func TestShedding(t *testing.T) {
 			t.Fatalf("unexpected op %s", wire.OpName(f.Op))
 		}
 	}
-	if shed == 0 {
-		t.Fatalf("no requests shed (ok=%d)", ok)
-	}
-	if ok == 0 {
-		t.Fatalf("every request shed")
+	if shed != 1 || ok != total-1 {
+		t.Fatalf("%d calls: %d shed, %d executed, want 1 and %d", total, shed, ok, total-1)
 	}
 	if got := srv.Stats().Snapshot().Shed; got != int64(shed) {
 		t.Fatalf("stats.Shed = %d, observed %d shed responses", got, shed)

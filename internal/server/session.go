@@ -80,7 +80,6 @@ func (ss *session) register(burst []*request, replay []byte) []byte {
 		if req.call.Seq == 0 || req.call.ReadOnly {
 			continue
 		}
-		req.sess = ss
 		if e, ok := ss.entries[req.call.Seq]; ok {
 			if e.done {
 				req.verdict = dedupHit
@@ -121,7 +120,7 @@ func (ss *session) complete(s *Server, e *dedupEntry, frame []byte, cache bool) 
 	e.waiters = nil
 	if cache {
 		e.done, e.frame = true, append(e.frame[:0], frame...)
-		if len(ss.ring) < s.cfg.DedupWindow {
+		if len(ss.ring) < dedupWindow {
 			ss.ring = append(ss.ring, e)
 			s.stats.DedupEntries.Add(1)
 			e = nil

@@ -16,13 +16,11 @@ import (
 func TestSessionEvictionBesideLiveSessions(t *testing.T) {
 	const (
 		live    = 4
-		window  = 4
 		binders = 4
 		binds   = 200
-		calls   = 500
+		calls   = 2 * dedupWindow
 	)
 	s := &Server{
-		cfg:      Config{DedupWindow: window},
 		stats:    &metrics.Server{},
 		sessions: registry{m: map[uint64]*session{}},
 	}
@@ -72,7 +70,7 @@ func TestSessionEvictionBesideLiveSessions(t *testing.T) {
 		t.Errorf("evicted %d, gauge %d; want %d evictions at a gauge of %d",
 			got.SessionsEvicted, got.Sessions, binders*binds, maxSessions)
 	}
-	if got.DedupEntries != live*window {
-		t.Errorf("dedup entries gauge = %d, want %d (only the live windows hold entries)", got.DedupEntries, live*window)
+	if got.DedupEntries != live*dedupWindow {
+		t.Errorf("dedup entries gauge = %d, want %d (only the live windows hold entries)", got.DedupEntries, live*dedupWindow)
 	}
 }

@@ -180,7 +180,7 @@ func bootIncarnation(t *testing.T, dir string, workers int, rec *oracle.Recorder
 	}
 	db.Start()
 
-	srv := server.New(db, server.Config{DedupWindow: 256})
+	srv := server.New(db, server.Config{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -270,8 +270,6 @@ func chaosClient(ctx context.Context, t *testing.T, proxyAddr string, cid int, o
 		cl, err = client.Dial(proxyAddr, client.Options{
 			Conns:         1,
 			RetryAttempts: 300,
-			RetryBase:     500 * time.Microsecond,
-			RetryMax:      20 * time.Millisecond,
 		})
 		if err == nil {
 			break
