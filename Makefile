@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint verify pins chaos fuzz smoke net-chaos recovery-torture loc pairs
+.PHONY: build test vet race lint verify pins chaos fuzz smoke examples net-chaos recovery-torture loc pairs
 
 build:
 	$(GO) build ./...
@@ -106,6 +106,18 @@ smoke:
 	kill -TERM $$pid; wait $$pid || { cat life2.log; die "server did not drain cleanly"; }; \
 	cat recovery.txt; \
 	echo "smoke: metrics, traces, contention, exemplars, snapshot reads and version GC exported; crash restart restored checkpoint + WAL tail; clean drain"
+
+# examples builds and runs the three example programs: quickstart,
+# banktransfer (healing under contention, money conserved) and recovery
+# (WAL directory, online checkpoint, Boot, strict and salvage boot of a
+# torn log). Each checks its own result and exits through log.Fatal on
+# a wrong one. CI runs it in the smoke job.
+examples:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/" ./examples/... && \
+	for ex in quickstart banktransfer recovery; do \
+		echo "--- examples/$$ex"; "$$dir/$$ex" || exit 1; \
+	done
 
 # net-chaos is the serving-plane torture (DESIGN.md §13): a client
 # fleet drives disjoint workloads through the fault-injecting proxy

@@ -52,8 +52,9 @@ func bootSchema(db *DB) {
 }
 
 // bootLife opens dir as a one-worker WAL directory with the bootSchema
-// tables. Epochs are advanced by the test, not a ticker.
-func bootLife(t *testing.T, dir string) (*DB, *WALSet) {
+// tables; the set is the database's Config.WALSet. Epochs are advanced
+// by the test, not a ticker.
+func bootLife(t *testing.T, dir string) *DB {
 	t.Helper()
 	fs, err := OpenWALSet(dir, 1)
 	if err != nil {
@@ -68,14 +69,14 @@ func bootLife(t *testing.T, dir string) (*DB, *WALSet) {
 		t.Fatal(err)
 	}
 	bootSchema(db)
-	return db, fs
+	return db
 }
 
 // bootHistory commits txnsPerEpoch RPut transactions in each of epochs
 // epochs, then closes the database and its WAL files.
 func bootHistory(t *testing.T, dir string, epochs, txnsPerEpoch int) *DB {
 	t.Helper()
-	db, fs := bootLife(t, dir)
+	db := bootLife(t, dir)
 	db.Start()
 	s := db.Session(0)
 	for e := 0; e < epochs; e++ {
@@ -91,7 +92,7 @@ func bootHistory(t *testing.T, dir string, epochs, txnsPerEpoch int) *DB {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Close(); err != nil {
+	if err := db.cfg.WALSet.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return db
@@ -125,8 +126,8 @@ func TestBootImageOnlySeedsPastImageRows(t *testing.T) {
 		t.Fatalf("image max row epoch = %d, want at least 6", info.MaxRowEpoch)
 	}
 
-	db2, fs2 := bootLife(t, dir)
-	report, err := db2.Boot(fs2, RecoverOptions{})
+	db2 := bootLife(t, dir)
+	report, err := db2.Boot(RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestRecoverFromWithSeedsPastFromEpoch(t *testing.T) {
 		}
 	}
 
-	db2, _ := bootLife(t, dir)
+	db2 := bootLife(t, dir)
 	restored, err := db2.RestoreCheckpoint(dir)
 	if err != nil || restored == nil || restored.Watermark != info.Watermark {
 		t.Fatalf("RestoreCheckpoint = (%+v, %v), want the image of watermark %d", restored, err, info.Watermark)
@@ -201,8 +202,8 @@ func TestRecoverFromWithSeedsPastFromEpoch(t *testing.T) {
 }
 
 func TestBootEmptyDirIsAFreshStart(t *testing.T) {
-	db, fs := bootLife(t, t.TempDir())
-	report, err := db.Boot(fs, RecoverOptions{})
+	db := bootLife(t, t.TempDir())
+	report, err := db.Boot(RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +251,8 @@ func TestBootTornTailStrictAndSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	strictDB, strictFS := bootLife(t, dir)
-	_, serr := strictDB.Boot(strictFS, RecoverOptions{})
+	strictDB := bootLife(t, dir)
+	_, serr := strictDB.Boot(RecoverOptions{})
 	var ce *CorruptionError
 	if !errors.As(serr, &ce) {
 		t.Fatalf("strict boot error = %v, want *CorruptionError", serr)
@@ -263,7 +264,7 @@ func TestBootTornTailStrictAndSalvage(t *testing.T) {
 		t.Fatalf("strict boot mutated the catalog before failing:\n%s", rows)
 	}
 
-	ref, _ := bootLife(t, t.TempDir())
+	ref := bootLife(t, t.TempDir())
 	rep, err := ref.RecoverFromWith(nil, []io.Reader{bytes.NewReader(torn)}, RecoverOptions{Salvage: true})
 	if err != nil {
 		t.Fatal(err)
@@ -272,8 +273,8 @@ func TestBootTornTailStrictAndSalvage(t *testing.T) {
 		t.Fatalf("reference salvage = %+v, want applied and dropped groups, one torn group, one damage entry", rep)
 	}
 
-	salvageDB, salvageFS := bootLife(t, dir)
-	report, err := salvageDB.Boot(salvageFS, RecoverOptions{Salvage: true})
+	salvageDB := bootLife(t, dir)
+	report, err := salvageDB.Boot(RecoverOptions{Salvage: true})
 	if err != nil {
 		t.Fatalf("salvage boot: %v", err)
 	}
@@ -293,8 +294,8 @@ func TestBootTornTailStrictAndSalvage(t *testing.T) {
 // another directory still rotated and truncated the WAL set, so the
 // set lost generations that no image Boot would find covered: a strict
 // Boot then restored a fraction of the acknowledged commits and
-// reported nothing wrong. Both entry points now refuse such a
-// directory before touching anything.
+// reported nothing wrong. Checkpoint now refuses such a directory
+// before touching anything; CheckpointEvery takes no directory.
 func TestCheckpointOutsideWALDirRefused(t *testing.T) {
 	dir, other := t.TempDir(), t.TempDir()
 	fs, err := OpenWALSet(dir, 1)
@@ -327,9 +328,6 @@ func TestCheckpointOutsideWALDirRefused(t *testing.T) {
 		}
 		time.Sleep(3 * time.Millisecond)
 	}
-	if err := db.CheckpointEvery(other, time.Millisecond); !errors.Is(err, ErrCheckpointDir) {
-		t.Fatalf("CheckpointEvery(%q) = %v, want ErrCheckpointDir", other, err)
-	}
 	if left, _ := filepath.Glob(filepath.Join(other, "*")); len(left) != 0 {
 		t.Fatalf("refused checkpoint wrote %v", left)
 	}
@@ -347,8 +345,8 @@ func TestCheckpointOutsideWALDirRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, fs2 := bootLife(t, dir)
-	report, err := db2.Boot(fs2, RecoverOptions{})
+	db2 := bootLife(t, dir)
+	report, err := db2.Boot(RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,19 +393,30 @@ func TestOpenRefusesWALSetWorkerMismatch(t *testing.T) {
 	bootSchema(db)
 }
 
-// LogSink and WALSet are exclusive. With both set, the first checkpoint
-// round would rotate every stream off its LogSink writer into the
-// set's files: the LogSink stream would stop without an error, and the
-// set's directory would lack every group logged before that rotation.
-func TestOpenRefusesLogSinkWithWALSet(t *testing.T) {
-	fs, err := OpenWALSet(t.TempDir(), 1)
+// A database is durable only through its WAL set: without one, Boot
+// has no directory to restart from and CheckpointEvery none to publish
+// into. Both refuse, and neither leaves anything behind.
+func TestBootAndCheckpointEveryRefuseWithoutWALSet(t *testing.T) {
+	db, err := Open(Config{Protocol: Healing, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fs.Close()
-	sink := func(int) io.Writer { return io.Discard }
-	if _, err := Open(Config{LogSink: sink, WALSet: fs}); !errors.Is(err, ErrLogSinkAndWALSet) {
-		t.Fatalf("Open(LogSink and WALSet) = %v, want ErrLogSinkAndWALSet", err)
+	bootSchema(db)
+	if _, err := db.Boot(RecoverOptions{}); err == nil {
+		t.Fatal("Boot of a database without a WAL set succeeded")
+	}
+	if rows := statecheck.VisibleRows(db.catalog); rows != "" {
+		t.Fatalf("refused Boot mutated the catalog:\n%s", rows)
+	}
+	db.Start()
+	if err := db.CheckpointEvery(time.Millisecond); err == nil {
+		t.Fatal("CheckpointEvery on a database without a WAL set succeeded")
+	}
+	if db.ck != nil {
+		t.Fatal("refused CheckpointEvery left a checkpointer running")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close after the refusals: %v", err)
 	}
 }
 
@@ -419,8 +428,8 @@ func TestCheckpointBeforeStartPublishesAtCurrentEpoch(t *testing.T) {
 	dir := t.TempDir()
 	bootHistory(t, dir, 6, 4)
 	gens := walFiles(t, dir)
-	db, fs := bootLife(t, dir)
-	if _, err := db.Boot(fs, RecoverOptions{}); err != nil {
+	db := bootLife(t, dir)
+	if _, err := db.Boot(RecoverOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	cur := db.eng.Epoch().Current()
@@ -443,12 +452,12 @@ func TestCheckpointBeforeStartPublishesAtCurrentEpoch(t *testing.T) {
 			t.Fatalf("generation %s of the first life survived the round (stat: %v)", g, err)
 		}
 	}
-	if err := fs.Close(); err != nil {
+	if err := db.cfg.WALSet.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	db2, fs2 := bootLife(t, dir)
-	report, err := db2.Boot(fs2, RecoverOptions{})
+	db2 := bootLife(t, dir)
+	report, err := db2.Boot(RecoverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

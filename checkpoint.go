@@ -11,9 +11,9 @@ import (
 )
 
 // WALSet manages a directory of per-worker WAL generation files. Open
-// one with OpenWALSet, pass it as Config.WALSet, and the database logs
-// into rotating generation files that checkpoints truncate — instead
-// of a single ever-growing stream per worker.
+// one with OpenWALSet and pass it as Config.WALSet: the database logs
+// into rotating generation files that checkpoints truncate, and Boot
+// restarts from them.
 type WALSet = checkpoint.FileSet
 
 // CheckpointInfo describes a published or loaded checkpoint image.
@@ -50,7 +50,7 @@ func (db *DB) checkpointSource() (checkpoint.Source, error) {
 		return src, nil
 	}
 	if db.logger == nil {
-		return src, fmt.Errorf("thedb: online checkpoint requires durability (Config.LogSink or Config.WALSet)")
+		return src, fmt.Errorf("thedb: online checkpoint requires durability (Config.WALSet)")
 	}
 	if db.cfg.LogMode == CommandLogging {
 		return src, fmt.Errorf("thedb: online checkpoint requires value logging (command replay of a fuzzy image is not idempotent)")
@@ -135,14 +135,11 @@ func (db *DB) Checkpoint(dir string) (*CheckpointInfo, error) {
 }
 
 // CheckpointEvery starts a background checkpointer running one round
-// every interval (see Checkpoint for round semantics). The database
-// must be started with value logging. Stop it via StopCheckpoints or
-// Close. Round failures are counted in CheckpointStats and retried
-// next tick.
-func (db *DB) CheckpointEvery(dir string, interval time.Duration) error {
-	if err := db.checkDir(dir); err != nil {
-		return err
-	}
+// every interval into the Config.WALSet directory (see Checkpoint for
+// round semantics). The database must be started, with a WAL set and
+// value logging. Stop it via StopCheckpoints or Close. Round failures
+// are counted in CheckpointStats and retried next tick.
+func (db *DB) CheckpointEvery(interval time.Duration) error {
 	if !db.started {
 		return fmt.Errorf("thedb: CheckpointEvery requires a started database")
 	}
@@ -153,7 +150,9 @@ func (db *DB) CheckpointEvery(dir string, interval time.Duration) error {
 	if err != nil {
 		return err
 	}
-	opt := db.checkpointOptions(dir)
+	// A started database has a logger exactly when it has a WAL set,
+	// and checkpointSource refused one without.
+	opt := db.checkpointOptions(db.cfg.WALSet.Dir())
 	opt.Interval = interval
 	c, err := checkpoint.New(src, opt)
 	if err != nil {

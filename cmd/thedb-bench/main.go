@@ -18,7 +18,7 @@
 // Load generator: with -addr, drive a running thedb-server with a
 // pipelined YCSB mix for -duration and print outcome counts. It takes
 // no experiment ids, ignores the flags above other than -duration (as
-// the figures ignore -net.* and -chaos.*), and is not a measuring
+// the figures ignore -net.*), and is not a measuring
 // instrument — system numbers come from benchmark/run.sh.
 //
 //	thedb-bench -addr 127.0.0.1:7707 -duration 2s -net.mix a
@@ -27,8 +27,6 @@
 //	-net.conns N     pooled connections (default 4)
 //	-net.mix M       YCSB mix: a, b, c, f or snap (default b)
 //	-net.records N   table size; must match the server's -ycsb.records
-//	-chaos.net       interpose the fault-injecting proxy
-//	-chaos.seed N    seed for its fault streams
 package main
 
 import (
@@ -51,8 +49,6 @@ func main() {
 	netConns := flag.Int("net.conns", 4, "pooled connections for -addr mode")
 	netMix := flag.String("net.mix", "b", "YCSB mix for -addr mode: a, b, c, f or snap (read-mostly with snapshot long scans)")
 	netRecords := flag.Int("net.records", 100000, "remote YCSB table size (must match the server's -ycsb.records)")
-	chaosNet := flag.Bool("chaos.net", false, "interpose a fault-injecting proxy between the clients and -addr (resets, delays, blackholes, duplicates)")
-	chaosSeed := flag.Uint64("chaos.seed", 1, "seed for the -chaos.net fault streams (a failing seed replays)")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
@@ -64,14 +60,12 @@ func main() {
 			os.Exit(2)
 		}
 		o := netOpts{
-			addr:      *addr,
-			clients:   *netClients,
-			conns:     *netConns,
-			mix:       *netMix,
-			records:   *netRecords,
-			duration:  *duration,
-			chaos:     *chaosNet,
-			chaosSeed: *chaosSeed,
+			addr:     *addr,
+			clients:  *netClients,
+			conns:    *netConns,
+			mix:      *netMix,
+			records:  *netRecords,
+			duration: *duration,
 		}
 		c, err := netBench(o)
 		if err != nil {
@@ -139,18 +133,10 @@ func printNetCounts(o netOpts, c netCounts) {
 	if c.snapReads > 0 {
 		fmt.Printf("  snapshot reads %d (read-only path, zero validation)\n", c.snapReads)
 	}
-	if o.chaos {
-		var total int64
-		for _, n := range c.faults {
-			total += n
-		}
-		fmt.Printf("  chaos: seed %d, %d faults injected (pre=%d mid=%d post=%d delay=%d hole=%d dup=%d)\n",
-			o.chaosSeed, total, c.faults[0], c.faults[1], c.faults[2], c.faults[3], c.faults[4], c.faults[5])
-	}
 }
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: thedb-bench [-workers N] [-duration D] [-quick] [-obs.addr A] all | list | <experiment-id>...")
-	fmt.Fprintln(os.Stderr, "       thedb-bench -addr host:port [-duration D] [-net.* ...] [-chaos.* ...]   (load generator; no experiment ids)")
+	fmt.Fprintln(os.Stderr, "       thedb-bench -addr host:port [-duration D] [-net.* ...]   (load generator; no experiment ids)")
 	flag.PrintDefaults()
 }

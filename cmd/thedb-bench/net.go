@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"thedb/client"
-	"thedb/internal/netfault"
 	"thedb/internal/wire"
 	"thedb/internal/workload/ycsb"
 )
@@ -20,27 +19,22 @@ const (
 	netTheta    = 0.8 // zipfian skew of the key choice
 )
 
-// netOpts carries the -addr, -duration, -net.* and -chaos.* flag
-// values for one load-generator run.
+// netOpts carries the -addr, -duration and -net.* flag values for one
+// load-generator run.
 type netOpts struct {
-	addr      string
-	clients   int
-	conns     int
-	mix       string
-	records   int
-	duration  time.Duration
-	chaos     bool
-	chaosSeed uint64
+	addr     string
+	clients  int
+	conns    int
+	mix      string
+	records  int
+	duration time.Duration
 }
 
 // netCounts is what one run saw come back.
 type netCounts struct {
 	committed, aborted, ambiguous, failed int64
 	snapReads                             int64 // committed calls that took the read-only path
-	// faults is the -chaos.net proxy's census: reset pre-, mid- and
-	// post-write, delay, blackhole, duplicate. Zero without the proxy.
-	faults [6]int64
-	wall   time.Duration
+	wall                                  time.Duration
 	// firstFailure is the error of the first call counted in failed, so
 	// a non-zero count says why.
 	firstFailure error
@@ -59,33 +53,7 @@ func netBench(o netOpts) (netCounts, error) {
 	if !ok {
 		return netCounts{}, fmt.Errorf("unknown -net.mix %q (want a, b, c, f or snap)", o.mix)
 	}
-	// With -chaos.net, every client connection runs through a
-	// fault-injecting proxy: the counts then describe the serving plane
-	// under adversity, not the happy path.
-	target := o.addr
-	var proxy *netfault.Proxy
-	if o.chaos {
-		var perr error
-		proxy, perr = netfault.New(o.addr, netfault.Config{
-			Seed:       o.chaosSeed,
-			PResetPre:  0.002,
-			PResetMid:  0.002,
-			PResetPost: 0.004,
-			PDelay:     0.01,
-			PBlackhole: 0.001,
-			PDuplicate: 0.002,
-		})
-		if perr != nil {
-			return netCounts{}, fmt.Errorf("chaos proxy: %w", perr)
-		}
-		defer func() {
-			if cerr := proxy.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "net bench: closing chaos proxy:", cerr)
-			}
-		}()
-		target = proxy.Addr()
-	}
-	cl, err := client.Dial(target, client.Options{Conns: o.conns})
+	cl, err := client.Dial(o.addr, client.Options{Conns: o.conns})
 	if err != nil {
 		return netCounts{}, err
 	}
@@ -144,10 +112,10 @@ func netBench(o netOpts) (netCounts, error) {
 					case outOfTime(r.Err):
 						// Clock ran out mid-batch; not a failure.
 					case errors.Is(r.Err, client.ErrMaybeCommitted):
-						// The fault proxy ate the ack; the outcome is
-						// honestly unknown. A real application would
-						// reconcile by reading back; the bench just
-						// counts it.
+						// The ack was lost (say, to a server restart);
+						// the outcome is honestly unknown. A real
+						// application would reconcile by reading back;
+						// the bench just counts it.
 						ambiguous.Add(1)
 					default:
 						var re *wire.RemoteError
@@ -168,14 +136,6 @@ func netBench(o netOpts) (netCounts, error) {
 	}
 	if err := firstFailure.Load(); err != nil {
 		counts.firstFailure = *err
-	}
-	if proxy != nil {
-		for i, f := range []netfault.Fault{
-			netfault.FaultResetPreWrite, netfault.FaultResetMidWrite, netfault.FaultResetPostWrite,
-			netfault.FaultDelay, netfault.FaultBlackhole, netfault.FaultDuplicate,
-		} {
-			counts.faults[i] = proxy.Count(f)
-		}
 	}
 	return counts, nil
 }

@@ -125,7 +125,7 @@ func main() {
 
 	var report *thedb.BootReport
 	if fs != nil {
-		report, err = db.Boot(fs, thedb.RecoverOptions{Salvage: *walSalvage})
+		report, err = db.Boot(thedb.RecoverOptions{Salvage: *walSalvage})
 		if err != nil {
 			fatalf("recovery: %v", err)
 		}
@@ -145,7 +145,7 @@ func main() {
 	if fs != nil && *ckEvery > 0 {
 		if cfg.LogMode == thedb.CommandLogging {
 			fmt.Fprintln(os.Stderr, "thedb-server: online checkpoints need value logging; relying on the drain checkpoint only")
-		} else if err := db.CheckpointEvery(*walDir, *ckEvery); err != nil {
+		} else if err := db.CheckpointEvery(*ckEvery); err != nil {
 			fatalf("checkpointer: %v", err)
 		}
 	}

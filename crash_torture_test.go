@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -119,16 +121,40 @@ func balanceTotal(t testing.TB, db *DB) int64 {
 	return total
 }
 
+// walBytes closes fs, whose database must be closed already, and
+// reads back each worker's stream: the one generation file a run
+// without checkpoints writes.
+func walBytes(t testing.TB, fs *WALSet) [][]byte {
+	t.Helper()
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	streams := make([][]byte, fs.Workers())
+	for i := range streams {
+		gens, err := filepath.Glob(filepath.Join(fs.Dir(), fmt.Sprintf("worker-%d.gen-*.wal", i)))
+		if err != nil || len(gens) != 1 {
+			t.Fatalf("worker %d generations = %v (%v), want one", i, gens, err)
+		}
+		if streams[i], err = os.ReadFile(gens[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return streams
+}
+
 // tortureRun executes a single-worker logged workload under manual
 // epoch control and returns the log bytes plus shadow[e]: the visible
 // rows (statecheck.VisibleRows) once every epoch ≤ e had committed.
 func tortureRun(t *testing.T, epochs uint32, txnsPerEpoch int) ([]byte, map[uint32]string) {
 	t.Helper()
-	var log bytes.Buffer
+	fs, err := OpenWALSet(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	db := bankDB(t, Config{
 		Protocol: Healing,
 		Workers:  1,
-		LogSink:  func(int) io.Writer { return &log },
+		WALSet:   fs,
 		LogMode:  ValueLogging,
 		// The test advances epochs itself; keep the ticker out of it.
 		EpochInterval: time.Hour,
@@ -153,7 +179,7 @@ func tortureRun(t *testing.T, epochs uint32, txnsPerEpoch int) ([]byte, map[uint
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return log.Bytes(), shadow
+	return walBytes(t, fs)[0], shadow
 }
 
 // sealPrefix[i] is the durable epoch of a stream holding exactly the
@@ -279,11 +305,14 @@ func TestCrashTortureRandomCorruption(t *testing.T) {
 
 func TestCrashTortureMultiStream(t *testing.T) {
 	const workers = 3
-	logs := make([]bytes.Buffer, workers)
+	fs, err := OpenWALSet(t.TempDir(), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
 	db := bankDB(t, Config{
 		Protocol:      Healing,
 		Workers:       workers,
-		LogSink:       func(i int) io.Writer { return &logs[i] },
+		WALSet:        fs,
 		LogMode:       ValueLogging,
 		EpochInterval: 2 * time.Millisecond, // real advancer: seals race appends
 	})
@@ -313,6 +342,7 @@ func TestCrashTortureMultiStream(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	logs := walBytes(t, fs)
 	liveTotal := balanceTotal(t, db)
 	if liveTotal != tortureAccounts*tortureInitial {
 		t.Fatalf("live total = %d (transfers did not conserve)", liveTotal)
@@ -320,12 +350,12 @@ func TestCrashTortureMultiStream(t *testing.T) {
 
 	// Corrupt stream 1 three quarters of the way in.
 	const victim = 1
-	frames, damage, err := wal.InspectStream(bytes.NewReader(logs[victim].Bytes()))
+	frames, damage, err := wal.InspectStream(bytes.NewReader(logs[victim]))
 	if err != nil || damage != nil || len(frames) < 4 {
 		t.Fatalf("stream %d: frames=%d err=%v damage=%v", victim, len(frames), err, damage)
 	}
 	f := frames[3*len(frames)/4]
-	corrupt := append([]byte(nil), logs[victim].Bytes()...)
+	corrupt := append([]byte(nil), logs[victim]...)
 	corrupt[f.Offset+8] ^= 0x40
 	streamsFor := func() []io.Reader {
 		rs := make([]io.Reader, workers)
@@ -333,7 +363,7 @@ func TestCrashTortureMultiStream(t *testing.T) {
 			if i == victim {
 				rs[i] = bytes.NewReader(corrupt)
 			} else {
-				rs[i] = bytes.NewReader(logs[i].Bytes())
+				rs[i] = bytes.NewReader(logs[i])
 			}
 		}
 		return rs

@@ -207,6 +207,9 @@ func main() {
 	}
 	fmt.Printf("\ntotal balance = %d (want %d: healing preserved conservation)\n",
 		total, int64(accounts)*initBalance)
+	if total != int64(accounts)*initBalance {
+		log.Fatal("transfers did not conserve money")
+	}
 	m := db.Metrics(0)
 	fmt.Printf("committed=%d heals=%d healed-ops=%d restarts=%d false-invalidations=%d\n",
 		m.Committed, m.Heals, m.HealedOps, m.Restarts, m.FalseInval)

@@ -100,6 +100,9 @@ func main() {
 		total += v
 	}
 	fmt.Printf("total = %d (want %d)\n", total, 4*perWorker)
+	if total != 4*perWorker {
+		log.Fatal("increments were lost")
+	}
 
 	m := db.Metrics(0)
 	fmt.Printf("committed=%d restarts=%d heals=%d\n", m.Committed, m.Restarts, m.Heals)

@@ -26,7 +26,7 @@ import (
 
 const accounts = 16
 
-// workers each get a private log stream; sinks must never be shared.
+// workers is the session count; the WAL set keeps one stream per worker.
 const workers = 2
 
 // open opens dir as a WAL directory and builds a database (schema and
@@ -141,7 +141,7 @@ func demo(mode thedb.LogMode) {
 		// Command replay rebuilds everything from the initial state.
 		populate(db2)
 	}
-	report, err := db2.Boot(fs2, thedb.RecoverOptions{})
+	report, err := db2.Boot(thedb.RecoverOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func salvageDemo() {
 
 	strictDB, strictFS := open(dir, thedb.ValueLogging)
 	populate(strictDB)
-	if _, err := strictDB.Boot(strictFS, thedb.RecoverOptions{}); err != nil {
+	if _, err := strictDB.Boot(thedb.RecoverOptions{}); err != nil {
 		fmt.Printf("strict boot refuses the damaged log:\n  %v\n", err)
 	} else {
 		log.Fatal("strict boot accepted a torn log")
@@ -214,7 +214,7 @@ func salvageDemo() {
 
 	salvageDB, salvageFS := open(dir, thedb.ValueLogging)
 	populate(salvageDB)
-	report, err := salvageDB.Boot(salvageFS, thedb.RecoverOptions{Salvage: true})
+	report, err := salvageDB.Boot(thedb.RecoverOptions{Salvage: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func (fs *FileSet) Dir() string { return fs.dir }
 // Workers returns the number of per-worker streams the set keeps.
 func (fs *FileSet) Workers() int { return fs.workers }
 
-// Sink returns worker i's active log sink, suitable for Config.LogSink.
+// Sink returns worker i's active log sink.
 func (fs *FileSet) Sink(i int) io.Writer {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

@@ -3,11 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
-	"fmt"
-	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -19,46 +15,6 @@ import (
 	"thedb/internal/wire"
 )
 
-// walDir manages one log file per worker in a temp directory, so a
-// drained server's state can be replayed into a fresh database.
-type walDir struct {
-	dir   string
-	files []*os.File
-}
-
-func newWALDir(t *testing.T, workers int) *walDir {
-	t.Helper()
-	w := &walDir{dir: t.TempDir(), files: make([]*os.File, workers)}
-	for i := range w.files {
-		f, err := os.Create(filepath.Join(w.dir, fmt.Sprintf("worker-%d.wal", i)))
-		if err != nil {
-			t.Fatalf("create wal: %v", err)
-		}
-		w.files[i] = f
-	}
-	return w
-}
-
-func (w *walDir) sink(i int) io.Writer { return w.files[i] }
-
-func (w *walDir) streams(t *testing.T) []io.Reader {
-	t.Helper()
-	rs := make([]io.Reader, len(w.files))
-	for i, f := range w.files {
-		r, err := os.Open(f.Name())
-		if err != nil {
-			t.Fatalf("reopen wal: %v", err)
-		}
-		t.Cleanup(func() {
-			if err := r.Close(); err != nil {
-				t.Errorf("close wal stream: %v", err)
-			}
-		})
-		rs[i] = r
-	}
-	return rs
-}
-
 // TestGracefulDrain is the ISSUE's shutdown acceptance test: several
 // clients stream writes mid-pipeline when Shutdown fires. Every
 // acknowledged commit must survive into the replayed WAL state; new
@@ -69,8 +25,12 @@ func TestGracefulDrain(t *testing.T) {
 	const workers = 3
 	const clients = 4
 
-	wal := newWALDir(t, workers)
-	db := newKVDB(t, workers, wal.sink)
+	dir := t.TempDir()
+	fs, err := thedb.OpenWALSet(dir, workers)
+	if err != nil {
+		t.Fatalf("open wal set: %v", err)
+	}
+	db := newKVDB(t, workers, fs)
 	db.Start()
 	srv := server.New(db, server.Config{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -148,12 +108,21 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatalf("dial succeeded after shutdown")
 	}
 
-	// Replay the WAL into a fresh database and check: every
-	// acknowledged write is present with its last acked value, and
-	// nothing outside the sent set exists.
-	fresh := newKVDB(t, workers, nil)
-	if _, err := fresh.RecoverFromWith(nil, wal.streams(t), thedb.RecoverOptions{}); err != nil {
-		t.Fatalf("recover: %v", err)
+	// Close the drained database as the server process does, boot a
+	// fresh one from its WAL directory and check: every acknowledged
+	// write is present with its last acked value, and nothing outside
+	// the sent set exists.
+	if err := errors.Join(db.Close(), fs.Close()); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	fs2, err := thedb.OpenWALSet(dir, workers)
+	if err != nil {
+		t.Fatalf("reopen wal set: %v", err)
+	}
+	t.Cleanup(func() { fs2.Close() })
+	fresh := newKVDB(t, workers, fs2)
+	if _, err := fresh.Boot(thedb.RecoverOptions{}); err != nil {
+		t.Fatalf("boot: %v", err)
 	}
 	tab, okTab := fresh.Table("KV")
 	if !okTab {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"testing"
@@ -18,13 +17,14 @@ import (
 
 // newKVDB builds a database with a KV table and the procedure set the
 // network tests exercise: KVPut (upsert), KVGet, Slow (sleeps, for
-// pipelining tests) and Nope (always aborts).
-func newKVDB(t *testing.T, workers int, sink func(int) io.Writer) *thedb.DB {
+// pipelining tests) and Nope (always aborts). It logs into fs (nil: the
+// database is not durable).
+func newKVDB(t *testing.T, workers int, fs *thedb.WALSet) *thedb.DB {
 	t.Helper()
 	db, err := thedb.Open(thedb.Config{
 		Protocol: thedb.Healing,
 		Workers:  workers,
-		LogSink:  sink,
+		WALSet:   fs,
 		LogMode:  thedb.ValueLogging,
 	})
 	if err != nil {

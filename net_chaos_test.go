@@ -175,7 +175,7 @@ func bootIncarnation(t *testing.T, dir string, workers int, rec *oracle.Recorder
 		t.Fatalf("open db: %v", err)
 	}
 	chaosSchema(db)
-	if _, err := db.Boot(fs, thedb.RecoverOptions{Salvage: true}); err != nil {
+	if _, err := db.Boot(thedb.RecoverOptions{Salvage: true}); err != nil {
 		t.Fatalf("boot: %v", err)
 	}
 	db.Start()

@@ -28,10 +28,6 @@ type RecoveryReport = wal.RecoveryResult
 // mid-write) or mid-stream corruption (bit rot, truncation upstream).
 type CorruptionError = wal.CorruptionError
 
-// Syncer is the optional interface a LogSink can implement (os.File
-// does) to participate in durable epoch advancement.
-type Syncer = wal.Syncer
-
 // ReplayCommands re-executes command-log entries in commit-timestamp
 // order through session 0. Command logging records the procedure name
 // and argument vector of each committed transaction; because stored
@@ -124,19 +120,24 @@ func (db *DB) recoverLogs(info *CheckpointInfo, logs []io.Reader, opts RecoverOp
 	return rep, seed, nil
 }
 
-// Boot restarts the database from the WAL directory fs manages — the
-// one boot sequence (DESIGN.md §8): restore the newest valid checkpoint
-// image in fs.Dir(), replay the generations found there above the
+// Boot restarts the database from its Config.WALSet — the one boot
+// sequence (DESIGN.md §8): restore the newest valid checkpoint image in
+// the set's directory, replay the generations found there above the
 // image's watermark, seed the epoch past every epoch seen in the image
-// or the tail, and tell fs that bound so later checkpoints can delete
-// the replayed generations. opts.Salvage selects strict or salvage
-// replay; opts.FromEpoch is set by Boot. Call it on a database that
-// holds the schema and no data, before Start.
+// or the tail, and tell the set that bound so later checkpoints can
+// delete the replayed generations. opts.Salvage selects strict or
+// salvage replay; opts.FromEpoch is set by Boot. Call it on a database
+// that holds the schema and no data, before Start.
 //
 // An empty directory is a fresh start: the report names no checkpoint
-// and counts no groups. On error the database may hold the image's rows
-// and must be discarded.
-func (db *DB) Boot(fs *WALSet, opts RecoverOptions) (*BootReport, error) {
+// and counts no groups. A database without a WAL set is refused before
+// anything is touched. On any other error the database may hold the
+// image's rows and must be discarded.
+func (db *DB) Boot(opts RecoverOptions) (*BootReport, error) {
+	fs := db.cfg.WALSet
+	if fs == nil {
+		return nil, errors.New("thedb: Boot requires Config.WALSet")
+	}
 	start := time.Now()
 	report := &BootReport{Salvaged: opts.Salvage}
 

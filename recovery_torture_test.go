@@ -251,12 +251,12 @@ func tortureSeed(t *testing.T, seed int64) {
 		t.Fatalf("%s: reopen: %v", label, err)
 	}
 	defer fs2.Close()
-	db2, err := Open(Config{Protocol: Healing, Workers: 1})
+	db2, err := Open(Config{Protocol: Healing, Workers: 1, WALSet: fs2})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	tortureSchema(db2)
-	boot, err := db2.Boot(fs2, RecoverOptions{Salvage: true})
+	boot, err := db2.Boot(RecoverOptions{Salvage: true})
 	if err != nil {
 		t.Fatalf("%s: boot: %v", label, err)
 	}

@@ -182,23 +182,17 @@ type Config struct {
 	// DetailedMetrics enables per-phase timing (Fig. 19).
 	DetailedMetrics bool
 
-	// LogSink, when non-nil, enables durability: worker i's log
-	// stream goes to LogSink(i) (Appendix C). Sinks must not be
-	// shared between workers. Sinks implementing Syncer (os.File
-	// does) are synced on each epoch advance, and an epoch is only
-	// reported durable — see Metrics().DurableEpoch — once every
-	// stream has reached stable storage.
-	LogSink func(worker int) io.Writer
-
 	// LogMode selects value or command logging.
 	LogMode LogMode
 
-	// WALSet, when non-nil, logs each worker into the set's rotating
-	// generation files (see OpenWALSet) instead of a fixed LogSink —
-	// the layout checkpoints can truncate. LogSink and WALSet are
-	// exclusive (ErrLogSinkAndWALSet). The set's worker count must
-	// equal Workers, and checkpoints go in the set's directory
-	// (ErrCheckpointDir).
+	// WALSet, when non-nil, makes the database durable: each worker
+	// logs into the set's rotating generation files (see OpenWALSet;
+	// Appendix C), which checkpoints truncate. Every active generation
+	// file is fsynced at each epoch seal, and an epoch is only reported
+	// durable — see Metrics().DurableEpoch — once every stream has
+	// reached stable storage. The set's worker count must equal
+	// Workers; Boot restarts from the set's directory, and checkpoints
+	// go there (ErrCheckpointDir).
 	WALSet *WALSet
 
 	// EventBuffer enables the flight recorder: each worker (plus the
@@ -264,22 +258,12 @@ type DB struct {
 	poisoned atomic.Bool
 }
 
-// ErrLogSinkAndWALSet reports a Config that sets both LogSink and
-// WALSet. A checkpoint round rotates every stream into the set's
-// files, so the LogSink streams would stop mid-run and the set would
-// lack the groups logged before the first rotation.
-var ErrLogSinkAndWALSet = errors.New("thedb: Config.LogSink and Config.WALSet are exclusive")
-
 // Open creates an empty database. Create tables and register
-// procedures, then call Start. It refuses a Config that sets both
-// LogSink and WALSet, and a WALSet kept for a worker count other than
-// Config.Workers.
+// procedures, then call Start. It refuses a WALSet kept for a worker
+// count other than Config.Workers.
 func Open(cfg Config) (*DB, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
-	}
-	if cfg.LogSink != nil && cfg.WALSet != nil {
-		return nil, ErrLogSinkAndWALSet
 	}
 	if cfg.WALSet != nil && cfg.WALSet.Workers() != cfg.Workers {
 		return nil, fmt.Errorf("thedb: WAL set in %s holds %d worker streams, Config.Workers is %d",
@@ -322,12 +306,8 @@ func (db *DB) engine() *core.Engine {
 	if db.eng != nil {
 		return db.eng
 	}
-	sink := db.cfg.LogSink
 	if db.cfg.WALSet != nil {
-		sink = db.cfg.WALSet.Sink
-	}
-	if sink != nil {
-		db.logger = wal.NewLogger(db.cfg.LogMode, db.cfg.Workers, sink)
+		db.logger = wal.NewLogger(db.cfg.LogMode, db.cfg.Workers, db.cfg.WALSet.Sink)
 	}
 	if db.cfg.EventBuffer > 0 {
 		db.rec = obs.NewRecorder(db.cfg.Workers, db.cfg.EventBuffer)

@@ -2,6 +2,7 @@ package thedb_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"sync"
@@ -139,14 +140,41 @@ func TestDuplicateTable(t *testing.T) {
 	}
 }
 
-func TestCheckpointAndRecoverThroughAPI(t *testing.T) {
-	var log bytes.Buffer
-	db := counterDB(t, thedb.Config{
-		Protocol: thedb.Healing,
-		Workers:  1,
-		LogSink:  func(int) io.Writer { return &log },
-		LogMode:  thedb.ValueLogging,
+// walCounterDB is counterDB logging into a one-worker WAL set in dir.
+func walCounterDB(t *testing.T, dir string, mode thedb.LogMode) *thedb.DB {
+	t.Helper()
+	fs, err := thedb.OpenWALSet(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	return counterDB(t, thedb.Config{Protocol: thedb.Healing, Workers: 1, WALSet: fs, LogMode: mode})
+}
+
+// walStreams reopens the WAL directory dir and returns its generations
+// as one recovery stream per worker, the tail a restart replays
+// through RecoverFromWith. Cleanup closes the streams and the set.
+func walStreams(t *testing.T, dir string) []io.Reader {
+	t.Helper()
+	fs, err := thedb.OpenWALSet(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams, closeStreams, err := fs.BootStreams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := errors.Join(closeStreams(), fs.Close()); err != nil {
+			t.Error(err)
+		}
 	})
+	return streams
+}
+
+func TestCheckpointAndRecoverThroughAPI(t *testing.T) {
+	dir := t.TempDir()
+	db := walCounterDB(t, dir, thedb.ValueLogging)
 	db.Start()
 	s := db.Session(0)
 	for i := 0; i < 50; i++ {
@@ -154,13 +182,15 @@ func TestCheckpointAndRecoverThroughAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.Close() // flush log
+	if err := db.Close(); err != nil { // flush log
+		t.Fatal(err)
+	}
 
 	live := statecheck.VisibleRows(db.Catalog())
 
 	// Fresh instance: initial data + log replay must reproduce state.
 	db2 := counterDB(t, thedb.Config{Protocol: thedb.Healing, Workers: 1})
-	if _, err := db2.RecoverFromWith(nil, []io.Reader{bytes.NewReader(log.Bytes())}, thedb.RecoverOptions{}); err != nil {
+	if _, err := db2.RecoverFromWith(nil, walStreams(t, dir), thedb.RecoverOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := statecheck.VisibleRows(db2.Catalog()); got != live {
@@ -170,7 +200,6 @@ func TestCheckpointAndRecoverThroughAPI(t *testing.T) {
 	// Checkpoint restore path, over a truly empty catalog (counterDB
 	// pre-populates): once from the directory, once handing the
 	// published image to RecoverFromWith as a stream.
-	dir := t.TempDir()
 	info, err := db.Checkpoint(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +230,7 @@ func TestCheckpointAndRecoverThroughAPI(t *testing.T) {
 	if got := statecheck.VisibleRows(db4.Catalog()); got != live {
 		t.Fatal("image stream round trip differs")
 	}
-	if _, err := empty().RecoverFromWith(bytes.NewReader(log.Bytes()), nil, thedb.RecoverOptions{}); err == nil {
+	if _, err := empty().RecoverFromWith(walStreams(t, dir)[0], nil, thedb.RecoverOptions{}); err == nil {
 		t.Fatal("a log stream was accepted as a checkpoint image")
 	}
 }
@@ -222,13 +251,8 @@ func TestProtocolNames(t *testing.T) {
 }
 
 func TestCommandLogReplayThroughAPI(t *testing.T) {
-	var log bytes.Buffer
-	db := counterDB(t, thedb.Config{
-		Protocol: thedb.Healing,
-		Workers:  1,
-		LogSink:  func(int) io.Writer { return &log },
-		LogMode:  thedb.CommandLogging,
-	})
+	dir := t.TempDir()
+	db := walCounterDB(t, dir, thedb.CommandLogging)
 	db.Start()
 	s := db.Session(0)
 	for i := 0; i < 60; i++ {
@@ -236,12 +260,14 @@ func TestCommandLogReplayThroughAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.Close()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Fresh instance from the initial state: replay must rebuild the
 	// counters exactly.
 	db2 := counterDB(t, thedb.Config{Protocol: thedb.Healing, Workers: 1})
-	if _, err := db2.RecoverFromWith(nil, []io.Reader{bytes.NewReader(log.Bytes())}, thedb.RecoverOptions{}); err != nil {
+	if _, err := db2.RecoverFromWith(nil, walStreams(t, dir), thedb.RecoverOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
