@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint verify pins chaos fuzz smoke examples net-chaos recovery-torture loc pairs
+.PHONY: build test vet race lint verify pins chaos fuzz smoke examples paper net-chaos recovery-torture loc pairs
 
 build:
 	$(GO) build ./...
@@ -118,6 +118,22 @@ examples:
 	for ex in quickstart banktransfer recovery; do \
 		echo "--- examples/$$ex"; "$$dir/$$ex" || exit 1; \
 	done
+
+# paper runs every experiment of the paper's evaluation once at smoke
+# scale (-quick, 2 workers, 20 ms cells: about 30 s on two CPUs) and
+# fails unless each ID `thedb-bench list` names printed its `== id:`
+# table, so no figure can stop running unseen. The numbers are noise
+# at this scale; the tables' shapes are the check. CI runs it in the
+# smoke job.
+paper:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/" ./cmd/thedb-bench && \
+	"$$dir/thedb-bench" -quick -workers 2 -duration 20ms all >"$$dir/out.txt"; st=$$?; \
+	cat "$$dir/out.txt"; test $$st -eq 0 || exit 1; \
+	for id in $$("$$dir/thedb-bench" list | awk '{print $$1}'); do \
+		grep -q "^== $$id: " "$$dir/out.txt" || { echo "paper: $$id printed no table"; exit 1; }; \
+	done; \
+	echo "paper: every experiment printed its table"
 
 # net-chaos is the serving-plane torture (DESIGN.md §13): a client
 # fleet drives disjoint workloads through the fault-injecting proxy

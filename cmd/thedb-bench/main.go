@@ -109,17 +109,9 @@ func main() {
 		}
 		return
 	}
-	if args[0] == "all" {
-		bench.RunAll(opts)
-		return
-	}
-	for _, id := range args {
-		e, ok := bench.Lookup(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; try 'thedb-bench list'\n", id)
-			os.Exit(2)
-		}
-		e.Run(opts)
+	if err := bench.Run(opts, args...); err != nil {
+		fmt.Fprintf(os.Stderr, "%v; try 'thedb-bench list'\n", err)
+		os.Exit(2)
 	}
 }
 

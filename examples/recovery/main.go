@@ -177,6 +177,7 @@ func salvageDemo() {
 		time.Sleep(2 * time.Millisecond)
 	}
 	shutdown(db, fs)
+	crashed := balances(db)
 
 	// The crash: worker 0's log loses roughly the last 40% of its bytes,
 	// cutting a frame in half. The cut is placed by walking the frames:
@@ -224,6 +225,31 @@ func salvageDemo() {
 		fmt.Printf("  damage: %s\n", d)
 	}
 	shutdown(salvageDB, salvageFS)
+
+	// Deposits only add, so every salvaged balance lies between the
+	// initial 1000 and its pre-crash value, and a restored prefix moved
+	// at least one account.
+	moved := false
+	for k, b := range balances(salvageDB) {
+		if b < 1000 || b > crashed[k] {
+			log.Fatalf("salvage: account %d holds %d, outside [1000, %d]", k, b, crashed[k])
+		}
+		moved = moved || b != 1000
+	}
+	if report.GroupsApplied == 0 || !moved {
+		log.Fatalf("salvage restored nothing: %d groups applied, moved=%v", report.GroupsApplied, moved)
+	}
+}
+
+// balances reads every account's balance.
+func balances(db *thedb.DB) []int64 {
+	tab, _ := db.Table("ACCOUNTS")
+	out := make([]int64, accounts)
+	for k := range out {
+		r, _ := tab.Peek(thedb.Key(k))
+		out[k] = r.Tuple()[0].Int()
+	}
+	return out
 }
 
 // sameAccounts compares every account's balance and, with withTS, its

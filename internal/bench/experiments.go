@@ -3,7 +3,9 @@ package bench
 import (
 	"fmt"
 
+	"thedb/internal/core"
 	"thedb/internal/metrics"
+	"thedb/internal/wal"
 	"thedb/internal/workload/tpcc"
 	"thedb/internal/workload/zipf"
 )
@@ -37,9 +39,54 @@ func Registry() []Experiment {
 		{"fig19", "runtime phase breakdown: THEDB vs THEDB-OCC", Fig19},
 		{"fig20", "validation-order rearrangement: THEDB vs THEDB-W", Fig20},
 		{"tab6", "deadlock-prevention abort rate: THEDB vs THEDB-W", Table6},
-		{"xlock", "ablation: bounded no-wait lock attempts during healing", AblLockAttempts},
 		{"xinterleave", "ablation: multicore-interleaving emulation on/off", AblInterleave},
 	}
+}
+
+// Run fills o's defaults once and runs the named experiments in order,
+// "all" standing for the whole registry. It refuses an unknown ID
+// before running anything.
+func Run(o Opts, ids ...string) error {
+	o.Defaults()
+	var todo []Experiment
+	for _, id := range ids {
+		n := len(todo)
+		for _, e := range Registry() {
+			if id == "all" || id == e.ID {
+				todo = append(todo, e)
+			}
+		}
+		if len(todo) == n {
+			return fmt.Errorf("unknown experiment %q", id)
+		}
+	}
+	for _, e := range todo {
+		e.Run(o)
+	}
+	return nil
+}
+
+// sweep prints one systems × axis table: t's header names the axis, a
+// row per point, and a cell per system holding the K tps of the
+// measurement at(point) configures, run under that system.
+func sweep[P any](o Opts, t Table, systems []System, points []P, at func(P) cell) {
+	t.Header = append(t.Header, systemNames(systems)...)
+	for _, p := range points {
+		row := []string{fmt.Sprint(p)}
+		for _, sys := range systems {
+			row = append(row, ktps(at(p).run(sys).agg.TPS()))
+		}
+		t.AddRow(row...)
+	}
+	t.Print(o.Out)
+}
+
+func systemNames(ss []System) []string {
+	out := make([]string, len(ss))
+	for i, s := range ss {
+		out[i] = s.String()
+	}
+	return out
 }
 
 // warehouseSweep returns the paper's contention axis.
@@ -61,36 +108,31 @@ func workerSweep(o Opts) []int {
 	return ws
 }
 
+// panels are Figs. 11 and 12's warehouse counts, one table each;
+// quick runs the first.
+func panels(o Opts) []int {
+	if o.Quick {
+		return []int{4}
+	}
+	return []int{4, 16, 48}
+}
+
+// whTitle titles a throughput-vs-warehouses table.
+func whTitle(o Opts) string {
+	return fmt.Sprintf("TPC-C throughput (K tps) vs #warehouses, %d workers", o.Workers)
+}
+
 // Fig8 reproduces Figure 8: THEDB-OCC and THEDB-SILO throughput vs
 // warehouse count, plus their validation-disabled peaks.
 func Fig8(o Opts) {
-	o.Defaults()
-	systems := []System{OCC, OCCMinus, SILO, SILOMinus}
-	t := &Table{
-		ID:     "fig8",
-		Title:  "TPC-C throughput (K tps) vs #warehouses, " + fmt.Sprint(o.Workers) + " workers",
-		Header: append([]string{"#warehouses"}, systemNames(systems)...),
-		Notes: []string{
-			"paper: both OCC variants collapse at low warehouse counts; disabling validation recovers 3-12x (peak without aborts)",
-		},
-	}
-	for _, wh := range warehouseSweep(o) {
-		row := []string{fmt.Sprint(wh)}
-		for _, sys := range systems {
-			res := runTPCC(tpccRun{system: sys, workers: o.Workers, warehouses: wh,
-				mix: tpcc.StandardMix(), duration: o.Duration})
-			row = append(row, ktps(res.agg.TPS()))
-		}
-		t.AddRow(row...)
-	}
-	t.Print(o.Out)
+	sweep(o, Table{ID: "fig8", Title: whTitle(o), Header: []string{"#warehouses"}, Notes: []string{
+		"paper: both OCC variants collapse at low warehouse counts; disabling validation recovers 3-12x (peak without aborts)",
+	}}, of(core.OCC, core.OCCNoValidate, core.Silo, core.SiloNoValidate), warehouseSweep(o), o.tpcc)
 }
 
 // Fig9 reproduces Figure 9: share of execution time wasted in
 // abort-and-restart (a) and the abort rate (b).
 func Fig9(o Opts) {
-	o.Defaults()
-	systems := []System{OCC, SILO}
 	t := &Table{
 		ID:     "fig9",
 		Title:  "abort-and-restart overhead vs #warehouses",
@@ -102,68 +144,41 @@ func Fig9(o Opts) {
 	for _, wh := range warehouseSweep(o) {
 		row := []string{fmt.Sprint(wh)}
 		var rates []string
-		for _, sys := range systems {
-			res := runTPCC(tpccRun{system: sys, workers: o.Workers, warehouses: wh,
-				mix: tpcc.StandardMix(), duration: o.Duration, detailed: true})
+		for _, sys := range of(core.OCC, core.Silo) {
+			c := o.tpcc(wh)
+			c.detailed = true
+			res := c.run(sys)
 			row = append(row, pct(res.agg.PhaseFraction(metrics.PhaseAbort)))
 			rates = append(rates, f(res.agg.AbortRate()))
 		}
-		row = append(row, rates...)
-		t.AddRow(row...)
+		t.AddRow(append(row, rates...)...)
 	}
 	t.Print(o.Out)
 }
 
 // Fig10 reproduces Figure 10: all systems vs warehouse count.
 func Fig10(o Opts) {
-	o.Defaults()
-	systems := append(append([]System{}, AllSystems...), OCCMinus)
-	t := &Table{
-		ID:     "fig10",
-		Title:  fmt.Sprintf("TPC-C throughput (K tps) vs #warehouses, %d workers", o.Workers),
-		Header: append([]string{"#warehouses"}, systemNames(systems)...),
-		Notes: []string{
-			"paper: THEDB stays near THEDB-OCC-'s no-abort peak as contention rises; all baselines drop sharply at WH=2",
-		},
-	}
-	for _, wh := range warehouseSweep(o) {
-		row := []string{fmt.Sprint(wh)}
-		for _, sys := range systems {
-			res := runTPCC(tpccRun{system: sys, workers: o.Workers, warehouses: wh,
-				mix: tpcc.StandardMix(), duration: o.Duration})
-			row = append(row, ktps(res.agg.TPS()))
-		}
-		t.AddRow(row...)
-	}
-	t.Print(o.Out)
+	sweep(o, Table{ID: "fig10", Title: whTitle(o), Header: []string{"#warehouses"}, Notes: []string{
+		"paper: THEDB stays near THEDB-OCC-'s no-abort peak as contention rises; all baselines drop sharply at WH=2",
+	}}, Systems[:7], warehouseSweep(o), o.tpcc)
 }
 
 // Fig11 reproduces Figure 11: throughput vs worker count at three
 // contention levels.
 func Fig11(o Opts) {
-	o.Defaults()
-	for _, wh := range []int{4, 16, 48} {
-		t := &Table{
+	for _, wh := range panels(o) {
+		sweep(o, Table{
 			ID:     "fig11",
 			Title:  fmt.Sprintf("TPC-C throughput (K tps) vs workers, WH=%d", wh),
-			Header: append([]string{"workers"}, systemNames(AllSystems)...),
+			Header: []string{"workers"},
 			Notes: []string{
 				"paper (WH=4): THEDB 2.3x over 2PL and 6.2x over SILO at full scale; DT capped by warehouse count",
 			},
-		}
-		for _, wk := range workerSweep(o) {
-			row := []string{fmt.Sprint(wk)}
-			for _, sys := range AllSystems {
-				res := runTPCC(tpccRun{system: sys, workers: wk, warehouses: wh,
-					mix: tpcc.StandardMix(), duration: o.Duration})
-				row = append(row, ktps(res.agg.TPS()))
-			}
-			t.AddRow(row...)
-		}
-		t.Print(o.Out)
-		if o.Quick {
-			break
-		}
+		}, Systems[:6], workerSweep(o), func(wk int) cell {
+			c := o.tpcc(wh)
+			c.workers = wk
+			return c
+		})
 	}
 }
 
@@ -171,33 +186,19 @@ func Fig11(o Opts) {
 // cross-partition transactions; THEDB-DT collapses, everyone else is
 // flat.
 func Fig12(o Opts) {
-	o.Defaults()
-	systems := []System{THEDB, OCC, SILO, TPL, DT}
-	whs := []int{4, 16, 48}
-	if o.Quick {
-		whs = []int{4}
-	}
-	for _, wh := range whs {
-		t := &Table{
+	for _, wh := range panels(o) {
+		sweep(o, Table{
 			ID:     "fig12",
 			Title:  fmt.Sprintf("TPC-C throughput (K tps) vs %% cross-partition, WH=%d", wh),
-			Header: append([]string{"%cross"}, systemNames(systems)...),
+			Header: []string{"%cross"},
 			Notes: []string{
 				"paper: only THEDB-DT degrades with cross-partition share (coarse partition locks)",
 			},
-		}
-		for _, cross := range []int{0, 1, 5, 10, 20} {
-			mix := tpcc.StandardMix()
+		}, of(core.Healing, core.OCC, core.Silo, core.TPL, core.DT), []int{0, 1, 5, 10, 20}, func(cross int) cell {
+			mix := standard
 			mix.RemotePct = cross
-			row := []string{fmt.Sprint(cross)}
-			for _, sys := range systems {
-				res := runTPCC(tpccRun{system: sys, workers: o.Workers, warehouses: wh,
-					mix: mix, duration: o.Duration})
-				row = append(row, ktps(res.agg.TPS()))
-			}
-			t.AddRow(row...)
-		}
-		t.Print(o.Out)
+			return o.cell(tpccLoad(wh, mix))
+		})
 	}
 }
 
@@ -219,7 +220,7 @@ var deliveryBuckets = [][2]float64{
 // latencyTable renders a Table 1/5-style histogram at the given
 // warehouse count.
 func latencyTable(o Opts, id string, wh int) {
-	systems := []System{THEDB, OCC, SILO, TPL, OCCMinus, SILOMinus}
+	systems := of(core.Healing, core.OCC, core.Silo, core.TPL, core.OCCNoValidate, core.SiloNoValidate)
 	for _, procName := range []string{tpcc.ProcNewOrder, tpcc.ProcDelivery} {
 		buckets := newOrderBuckets
 		if procName == tpcc.ProcDelivery {
@@ -235,13 +236,9 @@ func latencyTable(o Opts, id string, wh int) {
 		}
 		shares := make([]*Sampler, len(systems))
 		for i, sys := range systems {
-			res := runTPCC(tpccRun{system: sys, workers: o.Workers, warehouses: wh,
-				mix: tpcc.StandardMix(), duration: o.Duration, procOnly: procName})
-			s := res.perProc[procName]
-			if s == nil {
-				s = &Sampler{}
-			}
-			shares[i] = s
+			c := o.tpcc(wh)
+			c.procOnly = procName
+			shares[i] = c.run(sys).latency()
 		}
 		for _, b := range buckets {
 			label := fmt.Sprintf("%.0fx-%.0fx", b[0], b[1])
@@ -259,21 +256,14 @@ func latencyTable(o Opts, id string, wh int) {
 }
 
 // Table1 reproduces Table 1 (WH=4, high contention).
-func Table1(o Opts) {
-	o.Defaults()
-	latencyTable(o, "tab1", 4)
-}
+func Table1(o Opts) { latencyTable(o, "tab1", 4) }
 
 // Table5 reproduces Table 5 (WH=24, low contention).
-func Table5(o Opts) {
-	o.Defaults()
-	latencyTable(o, "tab5", 24)
-}
+func Table5(o Opts) { latencyTable(o, "tab5", 24) }
 
 // Fig13 reproduces Figure 13: THEDB degrades smoothly to plain OCC as
 // the ad-hoc share grows (§4.8).
 func Fig13(o Opts) {
-	o.Defaults()
 	t := &Table{
 		ID:     "fig13",
 		Title:  fmt.Sprintf("THEDB throughput (K tps) vs %% ad-hoc transactions, WH=4, %d workers", o.Workers),
@@ -282,12 +272,11 @@ func Fig13(o Opts) {
 			"paper: smooth degradation from full healing to conventional OCC at 100% ad-hoc",
 		},
 	}
-	occFloor := runTPCC(tpccRun{system: OCC, workers: o.Workers, warehouses: 4,
-		mix: tpcc.StandardMix(), duration: o.Duration})
+	occFloor := o.tpcc(4).run(occ)
 	for _, adhoc := range []int{0, 25, 50, 75, 100} {
-		res := runTPCC(tpccRun{system: THEDB, workers: o.Workers, warehouses: 4,
-			mix: tpcc.StandardMix(), duration: o.Duration, adhocPct: adhoc})
-		t.AddRow(fmt.Sprint(adhoc), ktps(res.agg.TPS()), ktps(occFloor.agg.TPS()))
+		c := o.tpcc(4)
+		c.adhocPct = adhoc
+		t.AddRow(fmt.Sprint(adhoc), ktps(c.run(thedb).agg.TPS()), ktps(occFloor.agg.TPS()))
 	}
 	t.Print(o.Out)
 }
@@ -303,7 +292,6 @@ func thetaSweep(o Opts) []float64 {
 // Table2 reproduces Table 2: analytic Zipf key popularity plus
 // measured abort rates of THEDB / THEDB-OCC / THEDB-SILO.
 func Table2(o Opts) {
-	o.Defaults()
 	t := &Table{
 		ID:     "tab2",
 		Title:  "Zipf access shares (1000 keys) and Smallbank abort rates",
@@ -313,12 +301,10 @@ func Table2(o Opts) {
 		},
 	}
 	for _, theta := range thetaSweep(o) {
-		g := zipf.New(1000, theta)
+		g := zipf.New(smallbankAccounts, theta)
 		var rates []string
-		for _, sys := range []System{THEDB, OCC, SILO} {
-			res := runSmallbank(smallbankRun{system: sys, workers: o.Workers,
-				theta: theta, duration: o.Duration})
-			rates = append(rates, f(res.agg.AbortRate()))
+		for _, sys := range of(core.Healing, core.OCC, core.Silo) {
+			rates = append(rates, f(o.cell(smallbankLoad(theta)).run(sys).agg.AbortRate()))
 		}
 		t.AddRow(
 			fmt.Sprintf("%.1f", theta),
@@ -331,26 +317,16 @@ func Table2(o Opts) {
 
 // Fig14 reproduces Figure 14: Smallbank throughput vs theta.
 func Fig14(o Opts) {
-	o.Defaults()
-	systems := []System{THEDB, OCC, SILO, TPL, OCCMinus}
-	t := &Table{
+	sweep(o, Table{
 		ID:     "fig14",
 		Title:  fmt.Sprintf("Smallbank throughput (K tps) vs theta, %d workers", o.Workers),
-		Header: append([]string{"theta"}, systemNames(systems)...),
+		Header: []string{"theta"},
 		Notes: []string{
 			"paper: SILO slightly ahead at theta=0.1, worst at 0.9; THEDB stable, ~4.5x over baselines at high skew",
 		},
-	}
-	for _, theta := range thetaSweep(o) {
-		row := []string{fmt.Sprintf("%.1f", theta)}
-		for _, sys := range systems {
-			res := runSmallbank(smallbankRun{system: sys, workers: o.Workers,
-				theta: theta, duration: o.Duration})
-			row = append(row, ktps(res.agg.TPS()))
-		}
-		t.AddRow(row...)
-	}
-	t.Print(o.Out)
+	}, of(core.Healing, core.OCC, core.Silo, core.TPL, core.OCCNoValidate), thetaSweep(o), func(theta float64) cell {
+		return o.cell(smallbankLoad(theta))
+	})
 }
 
 // Fig15 reproduces Appendix B's Figure 15: the program dependency
@@ -358,7 +334,6 @@ func Fig14(o Opts) {
 // Solid edges in the paper are key dependencies (K here), dashed are
 // value dependencies (V).
 func Fig15(o Opts) {
-	o.Defaults()
 	fmt.Fprintln(o.Out, "== fig15: program dependency graphs (K = key dep, V = value dep) ==")
 	for _, g := range tpcc.DependencyGraphs() {
 		fmt.Fprintln(o.Out, g)
@@ -369,12 +344,11 @@ func Fig15(o Opts) {
 
 // Table3 reproduces Table 3: Smallbank latency percentiles.
 func Table3(o Opts) {
-	o.Defaults()
-	systems := []System{THEDB, OCC, SILO}
+	systems := of(core.Healing, core.OCC, core.Silo)
 	t := &Table{
 		ID:     "tab3",
 		Title:  fmt.Sprintf("Smallbank latency percentiles (us), %d workers", o.Workers),
-		Header: []string{"theta", "pctile", "THEDB", "THEDB-OCC", "THEDB-SILO"},
+		Header: append([]string{"theta", "pctile"}, systemNames(systems)...),
 		Notes: []string{
 			"paper: similar at theta=0.5; at 0.9 the baselines' p95 blows up (36-43us vs THEDB's 11us scale)",
 		},
@@ -382,9 +356,7 @@ func Table3(o Opts) {
 	for _, theta := range []float64{0.5, 0.7, 0.9} {
 		lat := make([]*Sampler, len(systems))
 		for i, sys := range systems {
-			res := runSmallbank(smallbankRun{system: sys, workers: o.Workers,
-				theta: theta, duration: o.Duration})
-			lat[i] = res.latency
+			lat[i] = o.cell(smallbankLoad(theta)).run(sys).latency()
 		}
 		for _, p := range []float64{25, 80, 95} {
 			row := []string{fmt.Sprintf("%.1f", theta), fmt.Sprintf("p%.0f", p)}
@@ -401,7 +373,6 @@ func Table3(o Opts) {
 // and read copies on a contention-free workload (WH = workers, each
 // worker pinned to its own warehouse).
 func Table4(o Opts) {
-	o.Defaults()
 	t := &Table{
 		ID:     "tab4",
 		Title:  "THEDB throughput (K tps), contention-free (WH=workers): structure-maintenance overhead",
@@ -411,17 +382,16 @@ func Table4(o Opts) {
 		},
 	}
 	for _, wk := range workerSweep(o) {
-		mix := tpcc.Mix{NewOrderOnly: true}
-		base := tpccRun{system: THEDB, workers: wk, warehouses: wk, mix: mix, duration: o.Duration}
-		normal := base
-		normal.noAccessCache, normal.noReadCopies = true, true
-		cacheOnly := base
-		cacheOnly.noReadCopies = true
-		full := base
-		r1 := runTPCC(normal)
-		r2 := runTPCC(cacheOnly)
-		r3 := runTPCC(full)
-		t.AddRow(fmt.Sprint(wk), ktps(r1.agg.TPS()), ktps(r2.agg.TPS()), ktps(r3.agg.TPS()))
+		row := []string{fmt.Sprint(wk)}
+		// Normal keeps neither structure, +AccessCache the cache,
+		// +ReadCopy both.
+		for kept := range 3 {
+			c := o.cell(tpccLoad(wk, tpcc.Mix{NewOrderOnly: true}))
+			c.workers = wk
+			c.noAccessCache, c.noReadCopies = kept < 1, kept < 2
+			row = append(row, ktps(c.run(thedb).agg.TPS()))
+		}
+		t.AddRow(row...)
 	}
 	t.Print(o.Out)
 }
@@ -429,7 +399,6 @@ func Table4(o Opts) {
 // Fig16 reproduces Appendix C's logging experiment: value vs command
 // logging against an in-memory sink (exactly the paper's setup).
 func Fig16(o Opts) {
-	o.Defaults()
 	t := &Table{
 		ID:     "fig16",
 		Title:  fmt.Sprintf("THEDB throughput (K tps) with logging, WH=12, %d workers", o.Workers),
@@ -439,13 +408,14 @@ func Fig16(o Opts) {
 		},
 	}
 	for _, wk := range workerSweep(o) {
-		none := runTPCC(tpccRun{system: THEDB, workers: wk, warehouses: 12,
-			mix: tpcc.StandardMix(), duration: o.Duration})
-		value := runTPCC(tpccRun{system: THEDB, workers: wk, warehouses: 12,
-			mix: tpcc.StandardMix(), duration: o.Duration, logging: true, logMode: 0})
-		command := runTPCC(tpccRun{system: THEDB, workers: wk, warehouses: 12,
-			mix: tpcc.StandardMix(), duration: o.Duration, logging: true, logMode: 1})
-		t.AddRow(fmt.Sprint(wk), ktps(none.agg.TPS()), ktps(value.agg.TPS()), ktps(command.agg.TPS()))
+		c := o.tpcc(12)
+		c.workers = wk
+		row := []string{fmt.Sprint(wk), ktps(c.run(thedb).agg.TPS())}
+		for _, mode := range []wal.Mode{wal.ValueLogging, wal.CommandLogging} {
+			c.logging, c.logMode = true, mode
+			row = append(row, ktps(c.run(thedb).agg.TPS()))
+		}
+		t.AddRow(row...)
 	}
 	t.Print(o.Out)
 }
@@ -454,54 +424,41 @@ func Fig16(o Opts) {
 // DESIGN.md §3: our THEDB-SILO swept over the contention axis must
 // scale smoothly with warehouse count.
 func Fig17(o Opts) {
-	o.Defaults()
-	t := &Table{
+	sweep(o, Table{
 		ID:     "fig17",
 		Title:  fmt.Sprintf("THEDB-SILO throughput (K tps) vs #warehouses, %d workers", o.Workers),
-		Header: []string{"#warehouses", "THEDB-SILO"},
+		Header: []string{"#warehouses"},
 		Notes: []string{
 			"substitution: the paper compares against the external Silo binary; we verify the reimplementation's contention profile",
 		},
-	}
-	for _, wh := range warehouseSweep(o) {
-		res := runTPCC(tpccRun{system: SILO, workers: o.Workers, warehouses: wh,
-			mix: tpcc.StandardMix(), duration: o.Duration})
-		t.AddRow(fmt.Sprint(wh), ktps(res.agg.TPS()))
-	}
-	t.Print(o.Out)
+	}, of(core.Silo), warehouseSweep(o), o.tpcc)
 }
 
 // Fig18 reproduces Appendix D's H-Store comparison, substituted:
 // THEDB-DT throughput must grow with the partition count when the
 // workload is perfectly partitionable.
 func Fig18(o Opts) {
-	o.Defaults()
-	t := &Table{
-		ID:     "fig18",
-		Title:  fmt.Sprintf("THEDB-DT throughput (K tps) vs #warehouses (=partitions), 0%% cross, %d workers", o.Workers),
-		Header: []string{"#warehouses", "THEDB-DT"},
-		Notes: []string{
-			"paper: linear growth in partitions (the open-source H-Store plateaued at 4.8K tps on its network stack)",
-		},
-	}
 	whs := []int{1, 2, 4, 8}
 	if !o.Quick {
 		whs = append(whs, 16, 32, 48)
 	}
-	for _, wh := range whs {
-		mix := tpcc.StandardMix()
+	sweep(o, Table{
+		ID:     "fig18",
+		Title:  fmt.Sprintf("THEDB-DT throughput (K tps) vs #warehouses (=partitions), 0%% cross, %d workers", o.Workers),
+		Header: []string{"#warehouses"},
+		Notes: []string{
+			"paper: linear growth in partitions (the open-source H-Store plateaued at 4.8K tps on its network stack)",
+		},
+	}, of(core.DT), whs, func(wh int) cell {
+		mix := standard
 		mix.RemotePct = 0
-		res := runTPCC(tpccRun{system: DT, workers: o.Workers, warehouses: wh,
-			mix: mix, duration: o.Duration})
-		t.AddRow(fmt.Sprint(wh), ktps(res.agg.TPS()))
-	}
-	t.Print(o.Out)
+		return o.cell(tpccLoad(wh, mix))
+	})
 }
 
 // Fig19 reproduces Appendix F: the phase breakdown of THEDB vs
 // THEDB-OCC at WH=4.
 func Fig19(o Opts) {
-	o.Defaults()
 	t := &Table{
 		ID:     "fig19",
 		Title:  "runtime breakdown (%) at WH=4",
@@ -510,16 +467,16 @@ func Fig19(o Opts) {
 			"paper: OCC's abort share explodes with workers; THEDB trades it for a modest heal share, write stays ~20%",
 		},
 	}
-	for _, sys := range []System{OCC, THEDB} {
+	for _, sys := range []System{occ, thedb} {
 		for _, wk := range workerSweep(o) {
-			res := runTPCC(tpccRun{system: sys, workers: wk, warehouses: 4,
-				mix: tpcc.StandardMix(), duration: o.Duration, detailed: true})
-			t.AddRow(sys.String(), fmt.Sprint(wk),
-				pct(res.agg.PhaseFraction(metrics.PhaseRead)),
-				pct(res.agg.PhaseFraction(metrics.PhaseValidate)),
-				pct(res.agg.PhaseFraction(metrics.PhaseHeal)),
-				pct(res.agg.PhaseFraction(metrics.PhaseWrite)),
-				pct(res.agg.PhaseFraction(metrics.PhaseAbort)))
+			c := o.tpcc(4)
+			c.workers, c.detailed = wk, true
+			agg := c.run(sys).agg
+			row := []string{sys.String(), fmt.Sprint(wk)}
+			for _, p := range []metrics.Phase{metrics.PhaseRead, metrics.PhaseValidate, metrics.PhaseHeal, metrics.PhaseWrite, metrics.PhaseAbort} {
+				row = append(row, pct(agg.PhaseFraction(p)))
+			}
+			t.AddRow(row...)
 		}
 	}
 	t.Print(o.Out)
@@ -529,32 +486,19 @@ func Fig19(o Opts) {
 // validation-order rearrangement (THEDB vs the reversed-order
 // THEDB-W worst case vs THEDB-OCC).
 func Fig20(o Opts) {
-	o.Defaults()
-	systems := []System{THEDB, THEDBW, OCC}
-	t := &Table{
+	sweep(o, Table{
 		ID:     "fig20",
 		Title:  fmt.Sprintf("TPC-C throughput (K tps) vs #warehouses: order rearrangement, %d workers", o.Workers),
-		Header: append([]string{"#warehouses"}, systemNames(systems)...),
+		Header: []string{"#warehouses"},
 		Notes: []string{
 			"paper: even worst-case THEDB-W beats OCC ~2x under contention; rearrangement adds ~25% on top",
 		},
-	}
-	for _, wh := range warehouseSweep(o) {
-		row := []string{fmt.Sprint(wh)}
-		for _, sys := range systems {
-			res := runTPCC(tpccRun{system: sys, workers: o.Workers, warehouses: wh,
-				mix: tpcc.StandardMix(), duration: o.Duration})
-			row = append(row, ktps(res.agg.TPS()))
-		}
-		t.AddRow(row...)
-	}
-	t.Print(o.Out)
+	}, []System{thedb, thedbW, occ}, warehouseSweep(o), o.tpcc)
 }
 
 // Table6 reproduces Appendix G's abort-rate table: deadlock-prevention
 // aborts of THEDB vs THEDB-W as workers scale (WH=4).
 func Table6(o Opts) {
-	o.Defaults()
 	t := &Table{
 		ID:     "tab6",
 		Title:  "deadlock-prevention abort rate (restarts/committed), WH=4",
@@ -564,70 +508,9 @@ func Table6(o Opts) {
 		},
 	}
 	for _, wk := range workerSweep(o) {
-		a := runTPCC(tpccRun{system: THEDB, workers: wk, warehouses: 4,
-			mix: tpcc.StandardMix(), duration: o.Duration})
-		b := runTPCC(tpccRun{system: THEDBW, workers: wk, warehouses: 4,
-			mix: tpcc.StandardMix(), duration: o.Duration})
-		t.AddRow(fmt.Sprint(wk), f(a.agg.AbortRate()), f(b.agg.AbortRate()))
-	}
-	t.Print(o.Out)
-}
-
-// RunAll executes every experiment in paper order.
-func RunAll(o Opts) {
-	for _, e := range Registry() {
-		e.Run(o)
-	}
-}
-
-// Lookup finds an experiment by id.
-func Lookup(id string) (Experiment, bool) {
-	for _, e := range Registry() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
-}
-
-// IDs returns all experiment ids in order.
-func IDs() []string {
-	var out []string
-	for _, e := range Registry() {
-		out = append(out, e.ID)
-	}
-	return out
-}
-
-func systemNames(ss []System) []string {
-	out := make([]string, len(ss))
-	for i, s := range ss {
-		out[i] = s.String()
-	}
-	return out
-}
-
-// AblLockAttempts is an ablation beyond the paper: §4.2.2 notes the
-// no-wait membership-update policy "can be further optimized by
-// setting an upper bound controlling the maximum number of times the
-// lock request is attempted". This sweeps that bound under address
-// order (where membership updates actually collide) and reports
-// throughput and restart rate.
-func AblLockAttempts(o Opts) {
-	o.Defaults()
-	t := &Table{
-		ID:     "xlock",
-		Title:  fmt.Sprintf("THEDB (address order): bounded no-wait lock attempts, WH=4, %d workers", o.Workers),
-		Header: []string{"max-attempts", "K tps", "restart-rate"},
-		Notes: []string{
-			"extension of §4.2.2: a few retries absorb transient lock holds; large bounds approach spinning",
-		},
-	}
-	for _, attempts := range []int{1, 2, 4, 16, 64} {
-		res := runTPCC(tpccRun{system: THEDB, workers: o.Workers, warehouses: 4,
-			mix: tpcc.StandardMix(), duration: o.Duration, maxLockAttempts: attempts,
-			addrOrder: true})
-		t.AddRow(fmt.Sprint(attempts), ktps(res.agg.TPS()), f(res.agg.AbortRate()))
+		c := o.tpcc(4)
+		c.workers = wk
+		t.AddRow(fmt.Sprint(wk), f(c.run(thedb).agg.AbortRate()), f(c.run(thedbW).agg.AbortRate()))
 	}
 	t.Print(o.Out)
 }
@@ -638,7 +521,6 @@ func AblLockAttempts(o Opts) {
 // and conflicts almost disappear on a host with fewer cores than
 // workers.
 func AblInterleave(o Opts) {
-	o.Defaults()
 	t := &Table{
 		ID:     "xinterleave",
 		Title:  fmt.Sprintf("interleaving emulation on/off, WH=2, %d workers", o.Workers),
@@ -647,10 +529,11 @@ func AblInterleave(o Opts) {
 			"without yields this host serializes transactions within scheduler slices; contention vanishes artificially",
 		},
 	}
-	for _, sys := range []System{THEDB, OCC} {
+	for _, sys := range []System{thedb, occ} {
 		for _, off := range []bool{false, true} {
-			res := runTPCC(tpccRun{system: sys, workers: o.Workers, warehouses: 2,
-				mix: tpcc.StandardMix(), duration: o.Duration, noInterleave: off})
+			c := o.tpcc(2)
+			c.noInterleave = off
+			res := c.run(sys)
 			t.AddRow(sys.String(), fmt.Sprint(!off), ktps(res.agg.TPS()), f(res.agg.AbortRate()))
 		}
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"sync"
@@ -11,6 +10,7 @@ import (
 	"thedb/internal/core"
 	"thedb/internal/metrics"
 	"thedb/internal/obs"
+	"thedb/internal/proc"
 	"thedb/internal/storage"
 	"thedb/internal/wal"
 	"thedb/internal/workload/smallbank"
@@ -18,73 +18,43 @@ import (
 	"thedb/internal/workload/zipf"
 )
 
-// System identifies one of the compared engines (paper §5).
-type System int
+// System is one compared system of the evaluation (paper §5): the one
+// engine under a protocol and a validation order. The zero Order is
+// the protocol's default.
+type System struct {
+	Protocol core.Protocol
+	Order    core.OrderMode
+}
 
-// The systems of the evaluation.
-const (
-	THEDB System = iota
-	THEDBW
-	OCC
-	SILO
-	TPL
-	HYBRID
-	DT
-	OCCMinus
-	SILOMinus
-)
-
-// String names the system as the paper does.
+// String names the system as the paper does: the protocol's name, and
+// Appendix G's "-W" for the reversed validation order.
 func (s System) String() string {
-	switch s {
-	case THEDB:
-		return "THEDB"
-	case THEDBW:
-		return "THEDB-W"
-	case OCC:
-		return "THEDB-OCC"
-	case SILO:
-		return "THEDB-SILO"
-	case TPL:
-		return "THEDB-2PL"
-	case HYBRID:
-		return "THEDB-HYBRID"
-	case DT:
-		return "THEDB-DT"
-	case OCCMinus:
-		return "THEDB-OCC-"
-	case SILOMinus:
-		return "THEDB-SILO-"
-	default:
-		return fmt.Sprintf("system(%d)", int(s))
+	if s.Order == core.ReverseTreeOrder {
+		return s.Protocol.String() + "-W"
 	}
+	return s.Protocol.String()
 }
 
-// AllSystems is the Fig. 10 lineup.
-var AllSystems = []System{THEDB, OCC, SILO, TPL, HYBRID, DT}
-
-func (s System) protocol() core.Protocol {
-	switch s {
-	case THEDB, THEDBW:
-		return core.Healing
-	case OCC:
-		return core.OCC
-	case SILO:
-		return core.Silo
-	case TPL:
-		return core.TPL
-	case HYBRID:
-		return core.Hybrid
-	case OCCMinus:
-		return core.OCCNoValidate
-	case SILOMinus:
-		return core.SiloNoValidate
-	case DT:
-		return core.DT
-	default:
-		panic("bench: system has no core protocol")
+// of lists the systems that run the protocols in their default order.
+func of(ps ...core.Protocol) []System {
+	out := make([]System, len(ps))
+	for i, p := range ps {
+		out[i] = System{Protocol: p}
 	}
+	return out
 }
+
+var (
+	thedb  = System{Protocol: core.Healing}
+	occ    = System{Protocol: core.OCC}
+	thedbW = System{Protocol: core.Healing, Order: core.ReverseTreeOrder}
+
+	// Systems lists every compared system in the order the paper
+	// introduces them: §5's six (Fig. 10's legend), Fig. 8's
+	// validation-free peak probes, then Appendix G's THEDB-W.
+	Systems = append(of(core.Healing, core.OCC, core.Silo, core.TPL, core.Hybrid, core.DT,
+		core.OCCNoValidate, core.SiloNoValidate), thedbW)
+)
 
 // Opts are the global experiment knobs shared by all runners.
 type Opts struct {
@@ -124,211 +94,178 @@ func attachObs(live func() *metrics.Aggregate) {
 	}
 }
 
-// detachObs disconnects the hub when a cell's engine is torn down.
-func detachObs() {
-	if obsPlane != nil {
-		obsPlane.SetSource(nil)
+// workload is what a cell drives: a schema, the rows it starts with,
+// its procedures (built afresh for each engine) and each worker's
+// stream of calls.
+type workload struct {
+	schemas  []storage.Schema
+	populate func(*storage.Catalog) error
+	specs    func() []*proc.Spec
+	calls    func(wi int) func() (string, []storage.Value)
+}
+
+// standard is the TPC-C mix every experiment runs unless the paper
+// says otherwise.
+var standard = tpcc.StandardMix()
+
+// tpccLoad is TPC-C at laptop scale: wh warehouses under mix.
+func tpccLoad(wh int, mix tpcc.Mix) workload {
+	cfg := tpcc.Scaled(wh)
+	return workload{
+		schemas:  tpcc.Schemas(0),
+		populate: func(cat *storage.Catalog) error { return tpcc.Populate(cat, cfg) },
+		specs:    tpcc.Specs,
+		calls: func(wi int) func() (string, []storage.Value) {
+			gen := tpcc.NewGen(cfg, mix, wi)
+			return func() (string, []storage.Value) {
+				req := gen.Next()
+				return req.Proc, req.Args
+			}
+		},
 	}
 }
 
-// tpccRun configures one TPC-C measurement cell.
-type tpccRun struct {
-	system     System
-	workers    int
-	warehouses int
-	mix        tpcc.Mix
-	duration   time.Duration
-	adhocPct   int
-	detailed   bool
-	// ablation / ordering flags
-	noAccessCache   bool
-	noReadCopies    bool
-	maxLockAttempts int
-	noInterleave    bool
-	addrOrder       bool // force address order (xlock ablation)
-	// logging
-	logMode  wal.Mode
-	logging  bool
-	procOnly string // restrict latency sampling to one procedure ("" = all)
+// smallbankAccounts is Table 2's key count.
+const smallbankAccounts = 1000
+
+// smallbankLoad is the six-procedure Smallbank mix with Zipf-skewed
+// account selection (θ controls contention, Table 2).
+func smallbankLoad(theta float64) workload {
+	return workload{
+		schemas: smallbank.Schemas(),
+		populate: func(cat *storage.Catalog) error {
+			return smallbank.Populate(cat, smallbankAccounts, 10000, 10000)
+		},
+		specs: smallbank.Specs,
+		calls: func(wi int) func() (string, []storage.Value) {
+			rng := rand.New(rand.NewSource(int64(wi)*13 + 7))
+			zg := zipf.New(smallbankAccounts, theta)
+			return func() (string, []storage.Value) { return smallbankRequest(rng, zg) }
+		},
+	}
 }
 
-// tpccResult is one cell's outcome.
-type tpccResult struct {
+// cell configures one measurement: a fresh database of one workload,
+// driven by closed loops on every worker for the measured window.
+type cell struct {
+	load     workload
+	workers  int
+	duration time.Duration
+	adhocPct int    // share of calls run ad hoc (§4.8)
+	procOnly string // restrict latency sampling to one procedure ("" = all)
+	// engine knobs past the system's protocol and order
+	detailed, noAccessCache, noReadCopies, noInterleave bool
+	logging                                             bool
+	logMode                                             wal.Mode
+}
+
+// cell is a measurement of load on o's workers for o's window.
+func (o Opts) cell(load workload) cell {
+	return cell{load: load, workers: o.Workers, duration: o.Duration}
+}
+
+// tpcc is a TPC-C cell at wh warehouses under the standard mix.
+func (o Opts) tpcc(wh int) cell { return o.cell(tpccLoad(wh, standard)) }
+
+// result is one cell's outcome.
+type result struct {
 	agg     *metrics.Aggregate
 	perProc map[string]*Sampler
-	cross   int64 // cross-partition transactions issued
 }
 
-// runTPCC populates a fresh TPC-C database at laptop scale and drives
-// the workers in closed loops for the cell duration.
-func runTPCC(r tpccRun) tpccResult {
-	cfg := tpcc.Scaled(r.warehouses)
+// latency merges every procedure's samples.
+func (r result) latency() *Sampler {
+	all := &Sampler{}
+	for _, s := range r.perProc {
+		all.Merge(s)
+	}
+	return all
+}
+
+// run populates the cell's database, runs it under sys and returns
+// what the engine and the workers measured.
+func (c cell) run(sys System) result {
 	cat := storage.NewCatalog()
-	for _, s := range tpcc.Schemas(0) {
+	for _, s := range c.load.schemas {
 		cat.MustCreateTable(s)
 	}
-	if err := tpcc.Populate(cat, cfg); err != nil {
+	if err := c.load.populate(cat); err != nil {
 		panic(err)
 	}
-
 	opts := core.Options{
-		Protocol:        r.system.protocol(),
-		Workers:         r.workers,
-		NoAccessCache:   r.noAccessCache,
-		NoReadCopies:    r.noReadCopies,
-		DetailedMetrics: r.detailed,
-		Interleave:      !r.noInterleave,
-		MaxLockAttempts: r.maxLockAttempts,
+		Protocol:        sys.Protocol,
+		Order:           sys.Order,
+		Workers:         c.workers,
+		NoAccessCache:   c.noAccessCache,
+		NoReadCopies:    c.noReadCopies,
+		DetailedMetrics: c.detailed,
+		Interleave:      !c.noInterleave,
 	}
-	if r.system == THEDBW {
-		opts.Order = core.ReverseTreeOrder
-	}
-	if r.addrOrder {
-		opts.Order = core.AddrOrder
-	}
-	if r.logging {
-		opts.Logger = wal.NewLogger(r.logMode, r.workers, func(int) io.Writer { return io.Discard })
+	if c.logging {
+		opts.Logger = wal.NewLogger(c.logMode, c.workers, func(int) io.Writer { return io.Discard })
 	}
 	eng := core.NewEngine(cat, opts)
-	for _, s := range tpcc.Specs() {
+	for _, s := range c.load.specs() {
 		eng.MustRegister(s)
 	}
 	eng.Start()
 	attachObs(eng.LiveMetrics)
-	defer func() { detachObs(); _ = eng.Stop() }()
+	defer func() { attachObs(nil); _ = eng.Stop() }()
 
-	samplers := make([]map[string]*Sampler, r.workers)
-	var crossCount atomic.Int64
+	samplers := make([]map[string]*Sampler, c.workers)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	start := time.Now()
-	for wi := 0; wi < r.workers; wi++ {
-		wg.Add(1)
+	for wi := range samplers {
 		samplers[wi] = map[string]*Sampler{}
+		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
 			// The pprof label makes per-worker samples separable
 			// in profiles taken through the exposition endpoint.
-			obs.DoWorker(wi, func() {
-				gen := tpcc.NewGen(cfg, r.mix, wi)
-				rng := rand.New(rand.NewSource(int64(wi)*31 + 17))
-				w := eng.Worker(wi)
-				mine := samplers[wi]
-				for !stop.Load() {
-					req := gen.Next()
-					if req.CrossPartition {
-						crossCount.Add(1)
-					}
-					adhoc := r.adhocPct > 0 && rng.Intn(100) < r.adhocPct
-					t0 := time.Now()
-					var err error
-					if adhoc {
-						_, err = w.RunAdhoc(req.Proc, req.Args...)
-					} else {
-						_, err = w.Run(req.Proc, req.Args...)
-					}
-					dt := time.Since(t0)
-					if err == nil && (r.procOnly == "" || r.procOnly == req.Proc) {
-						s := mine[req.Proc]
-						if s == nil {
-							s = &Sampler{}
-							mine[req.Proc] = s
-						}
-						s.Observe(float64(dt) / float64(time.Microsecond))
-					}
-				}
-			})
+			obs.DoWorker(wi, func() { c.loop(eng.Worker(wi), wi, samplers[wi], &stop) })
 		}(wi)
 	}
-	time.Sleep(r.duration)
+	time.Sleep(c.duration)
 	stop.Store(true)
 	wg.Wait()
 	wall := time.Since(start)
 
-	res := tpccResult{agg: eng.Metrics(wall), perProc: map[string]*Sampler{}, cross: crossCount.Load()}
+	res := result{agg: eng.Metrics(wall), perProc: map[string]*Sampler{}}
 	for _, m := range samplers {
 		for p, s := range m {
-			dst := res.perProc[p]
-			if dst == nil {
-				dst = &Sampler{}
-				res.perProc[p] = dst
+			if res.perProc[p] == nil {
+				res.perProc[p] = &Sampler{}
 			}
-			dst.Merge(s)
+			res.perProc[p].Merge(s)
 		}
 	}
 	return res
 }
 
-// smallbankRun configures one Smallbank cell.
-type smallbankRun struct {
-	system   System
-	workers  int
-	theta    float64
-	accounts int
-	duration time.Duration
-}
-
-type smallbankResult struct {
-	agg     *metrics.Aggregate
-	latency *Sampler
-}
-
-// runSmallbank drives the six-procedure Smallbank mix with
-// Zipfian-skewed account selection (θ controls contention, Table 2).
-func runSmallbank(r smallbankRun) smallbankResult {
-	if r.accounts <= 0 {
-		r.accounts = 1000
+// loop is worker wi's closed loop: issue the next call, time it, and
+// sample the latency of each committed one until stop.
+func (c cell) loop(w *core.Worker, wi int, mine map[string]*Sampler, stop *atomic.Bool) {
+	next := c.load.calls(wi)
+	rng := rand.New(rand.NewSource(int64(wi)*31 + 17))
+	for !stop.Load() {
+		name, args := next()
+		run := w.Run
+		if c.adhocPct > 0 && rng.Intn(100) < c.adhocPct {
+			run = w.RunAdhoc
+		}
+		t0 := time.Now()
+		_, err := run(name, args...)
+		dt := time.Since(t0)
+		if err == nil && (c.procOnly == "" || c.procOnly == name) {
+			s := mine[name]
+			if s == nil {
+				s = &Sampler{}
+				mine[name] = s
+			}
+			s.Observe(float64(dt) / float64(time.Microsecond))
+		}
 	}
-	cat := storage.NewCatalog()
-	for _, s := range smallbank.Schemas() {
-		cat.MustCreateTable(s)
-	}
-	if err := smallbank.Populate(cat, r.accounts, 10000, 10000); err != nil {
-		panic(err)
-	}
-	eng := core.NewEngine(cat, core.Options{Protocol: r.system.protocol(), Workers: r.workers, Interleave: true})
-	for _, s := range smallbank.Specs() {
-		eng.MustRegister(s)
-	}
-	eng.Start()
-	attachObs(eng.LiveMetrics)
-	defer func() { detachObs(); _ = eng.Stop() }()
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	samplers := make([]*Sampler, r.workers)
-	start := time.Now()
-	for wi := 0; wi < r.workers; wi++ {
-		wg.Add(1)
-		samplers[wi] = &Sampler{}
-		go func(wi int) {
-			defer wg.Done()
-			obs.DoWorker(wi, func() {
-				rng := rand.New(rand.NewSource(int64(wi)*13 + 7))
-				zg := zipf.New(uint64(r.accounts), r.theta)
-				w := eng.Worker(wi)
-				mine := samplers[wi]
-				for !stop.Load() {
-					procName, args := smallbankRequest(rng, zg)
-					t0 := time.Now()
-					_, err := w.Run(procName, args...)
-					if err == nil {
-						mine.Observe(float64(time.Since(t0)) / float64(time.Microsecond))
-					}
-				}
-			})
-		}(wi)
-	}
-	time.Sleep(r.duration)
-	stop.Store(true)
-	wg.Wait()
-	wall := time.Since(start)
-
-	all := &Sampler{}
-	for _, s := range samplers {
-		all.Merge(s)
-	}
-	return smallbankResult{agg: eng.Metrics(wall), latency: all}
 }
 
 // smallbankRequest draws one transaction of the uniform six-way mix

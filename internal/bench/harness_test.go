@@ -1,25 +1,25 @@
 package bench
 
 import (
+	"bytes"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"thedb/internal/core"
 	"thedb/internal/workload/tpcc"
 )
+
+// cellOpts sizes the test cells: two workers, a short window.
+func cellOpts(d time.Duration) Opts { return Opts{Workers: 2, Duration: d} }
 
 // TestRunTPCCAllSystems smoke-tests every engine configuration the
 // experiments use: each must commit transactions and stay silent.
 func TestRunTPCCAllSystems(t *testing.T) {
-	systems := []System{THEDB, THEDBW, OCC, SILO, TPL, HYBRID, DT, OCCMinus, SILOMinus}
-	for _, sys := range systems {
+	for _, sys := range Systems {
 		t.Run(sys.String(), func(t *testing.T) {
-			res := runTPCC(tpccRun{
-				system:     sys,
-				workers:    2,
-				warehouses: 2,
-				mix:        tpcc.StandardMix(),
-				duration:   80 * time.Millisecond,
-			})
+			res := cellOpts(80 * time.Millisecond).tpcc(2).run(sys)
 			if res.agg.Committed == 0 {
 				t.Fatalf("%s committed nothing", sys)
 			}
@@ -27,13 +27,29 @@ func TestRunTPCCAllSystems(t *testing.T) {
 	}
 }
 
+// TestSystemsInPaperOrder pins the nine labels the tables print, in
+// the order the paper introduces the systems, and that THEDB-W is the
+// healing protocol under the reversed validation order (Appendix G).
+func TestSystemsInPaperOrder(t *testing.T) {
+	want := []string{
+		"THEDB", "THEDB-OCC", "THEDB-SILO", "THEDB-2PL", "THEDB-HYBRID", "THEDB-DT",
+		"THEDB-OCC-", "THEDB-SILO-", "THEDB-W",
+	}
+	if got := systemNames(Systems); !slices.Equal(got, want) {
+		t.Fatalf("systems = %v, want %v", got, want)
+	}
+	if w := Systems[len(Systems)-1]; w.Protocol != core.Healing || w.Order != core.ReverseTreeOrder {
+		t.Fatalf("THEDB-W = %+v, want Healing under ReverseTreeOrder", w)
+	}
+}
+
 func TestRunTPCCOptionsPaths(t *testing.T) {
-	base := tpccRun{workers: 2, warehouses: 2, mix: tpcc.StandardMix(), duration: 60 * time.Millisecond}
+	base := cellOpts(60 * time.Millisecond).tpcc(2)
 
 	t.Run("detailed", func(t *testing.T) {
-		r := base
-		r.system, r.detailed = OCC, true
-		res := runTPCC(r)
+		c := base
+		c.detailed = true
+		res := c.run(occ)
 		var total int64
 		for p := range res.agg.PhaseNS {
 			total += res.agg.PhaseNS[p]
@@ -43,30 +59,30 @@ func TestRunTPCCOptionsPaths(t *testing.T) {
 		}
 	})
 	t.Run("adhoc", func(t *testing.T) {
-		r := base
-		r.system, r.adhocPct = THEDB, 100
-		if res := runTPCC(r); res.agg.Committed == 0 {
+		c := base
+		c.adhocPct = 100
+		if res := c.run(thedb); res.agg.Committed == 0 {
 			t.Fatal("no commits with 100% ad-hoc")
 		}
 	})
 	t.Run("ablation", func(t *testing.T) {
-		r := base
-		r.system, r.noAccessCache, r.noReadCopies = THEDB, true, true
-		if res := runTPCC(r); res.agg.Committed == 0 {
+		c := base
+		c.noAccessCache, c.noReadCopies = true, true
+		if res := c.run(thedb); res.agg.Committed == 0 {
 			t.Fatal("no commits under ablation")
 		}
 	})
 	t.Run("logging", func(t *testing.T) {
-		r := base
-		r.system, r.logging = THEDB, true
-		if res := runTPCC(r); res.agg.Committed == 0 {
+		c := base
+		c.logging = true
+		if res := c.run(thedb); res.agg.Committed == 0 {
 			t.Fatal("no commits with logging")
 		}
 	})
 	t.Run("procOnly", func(t *testing.T) {
-		r := base
-		r.system, r.procOnly = THEDB, tpcc.ProcNewOrder
-		res := runTPCC(r)
+		c := base
+		c.procOnly = tpcc.ProcNewOrder
+		res := c.run(thedb)
 		for p := range res.perProc {
 			if p != tpcc.ProcNewOrder {
 				t.Fatalf("sampled %s despite procOnly", p)
@@ -76,17 +92,12 @@ func TestRunTPCCOptionsPaths(t *testing.T) {
 }
 
 func TestRunSmallbank(t *testing.T) {
-	for _, sys := range []System{THEDB, OCC, SILO} {
-		res := runSmallbank(smallbankRun{
-			system:   sys,
-			workers:  2,
-			theta:    0.9,
-			duration: 60 * time.Millisecond,
-		})
+	for _, sys := range of(core.Healing, core.OCC, core.Silo) {
+		res := cellOpts(60 * time.Millisecond).cell(smallbankLoad(0.9)).run(sys)
 		if res.agg.Committed == 0 {
 			t.Fatalf("%s committed nothing", sys)
 		}
-		if res.latency.Len() == 0 {
+		if res.latency().Len() == 0 {
 			t.Fatalf("%s recorded no latencies", sys)
 		}
 	}
@@ -114,9 +125,12 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig8", "fig9", "fig10", "fig11", "fig12", "tab1", "fig13",
 		"tab2", "fig14", "fig15", "tab3", "tab4", "fig16", "fig17", "fig18",
-		"tab5", "fig19", "fig20", "tab6", "xlock", "xinterleave",
+		"tab5", "fig19", "fig20", "tab6", "xinterleave",
 	}
-	ids := IDs()
+	var ids []string
+	for _, e := range Registry() {
+		ids = append(ids, e.ID)
+	}
 	if len(ids) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(ids), len(want))
 	}
@@ -125,10 +139,19 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("registry[%d] = %s, want %s", i, ids[i], id)
 		}
 	}
-	if _, ok := Lookup("fig10"); !ok {
-		t.Fatal("Lookup failed")
+}
+
+// TestRunRefusesUnknownFirst: an unknown ID anywhere in the list is
+// refused before any experiment prints, and a known one runs.
+func TestRunRefusesUnknownFirst(t *testing.T) {
+	var out bytes.Buffer
+	if err := Run(Opts{Out: &out}, "fig15", "nope"); err == nil {
+		t.Fatal("Run accepted an unknown id")
 	}
-	if _, ok := Lookup("nope"); ok {
-		t.Fatal("Lookup accepted unknown id")
+	if out.Len() != 0 {
+		t.Fatalf("Run printed before refusing:\n%s", out.String())
+	}
+	if err := Run(Opts{Out: &out}, "fig15"); err != nil || !strings.HasPrefix(out.String(), "== fig15:") {
+		t.Fatalf("Run(fig15) = %v, printed %q", err, out.String())
 	}
 }

@@ -125,11 +125,6 @@ type Options struct {
 	// them false-invalidation elimination (§4.5, Table 4 ablation).
 	NoReadCopies bool
 
-	// MaxLockAttempts bounds lock-acquisition attempts during
-	// healing membership updates before the no-wait policy aborts
-	// (§4.2.2 suggests such an upper bound; 1 = pure no-wait).
-	MaxLockAttempts int
-
 	// DetailedMetrics enables per-phase timing (Fig. 19). Costs two
 	// clock reads per phase; latency histograms are always on.
 	DetailedMetrics bool
@@ -204,9 +199,6 @@ func (o *Options) defaults() {
 	}
 	if o.EpochInterval <= 0 {
 		o.EpochInterval = 10 * time.Millisecond
-	}
-	if o.MaxLockAttempts <= 0 {
-		o.MaxLockAttempts = 4
 	}
 	if o.Order == 0 {
 		if o.Protocol == Healing {

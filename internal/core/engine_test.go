@@ -291,7 +291,7 @@ func TestDeadlockPreventionAbort(t *testing.T) {
 	}
 	ptr.Put(1, storage.Tuple{storage.Int(2)}, 0)
 
-	e := NewEngine(cat, Options{Protocol: Healing, Workers: 1, Order: AddrOrder, MaxLockAttempts: 1})
+	e := NewEngine(cat, Options{Protocol: Healing, Workers: 1, Order: AddrOrder})
 	e.MustRegister(&proc.Spec{
 		Name:   "Chase",
 		Params: []string{"k"},
