@@ -177,7 +177,8 @@ pins:
 	$(GO) test -run 'Alloc|Budget' ./...
 
 # loc prints the size metrics ROADMAP.md tracks and CHANGES.md entries
-# quote: Go lines (non-test outside benchmark/, the serving plane —
+# quote: Go lines (non-test outside benchmark/, the durability layer —
+# internal/wal + internal/checkpoint + recovery.go — the serving plane —
 # client + internal/server + internal/wire — the observability plane —
 # internal/metrics + internal/obs — internal/analysis with its
 # tests and fixtures, test, benchmark/) and the
@@ -193,6 +194,7 @@ loc:
 	@echo "go lines, non-test, internal/core:      $$($(call lines,internal/core ! -name '*_test.go')) (internal/proc: $$($(call lines,internal/proc ! -name '*_test.go')))"
 	@echo "go lines, non-test, root package:       $$($(call lines,. -maxdepth 1 ! -name '*_test.go'))"
 	@echo "go lines, non-test, internal/storage:   $$($(call lines,internal/storage ! -name '*_test.go'))"
+	@echo "go lines, non-test, durability layer:   $$($(call lines,internal/wal internal/checkpoint recovery.go ! -name '*_test.go'))"
 	@echo "go lines, non-test, observability:      $$($(call lines,internal/metrics internal/obs ! -name '*_test.go')) (internal/metrics: $$($(call lines,internal/metrics ! -name '*_test.go')))"
 	@echo "go lines, non-test, serving plane:      $$($(call lines,client internal/server internal/wire ! -name '*_test.go')) (client + internal/server: $$($(call lines,client internal/server ! -name '*_test.go')))"
 	@echo "go lines, internal/analysis (all .go):  $$($(call lines,internal/analysis))"

@@ -171,6 +171,27 @@ func TestBootImageOnlySeedsPastImageRows(t *testing.T) {
 	}
 }
 
+// The report splits the wall time into its two steps: restoring the
+// image, then replaying the tail behind it.
+func TestBootReportTimesImageAndTail(t *testing.T) {
+	dir := t.TempDir()
+	db := bootHistory(t, dir, 6, 4)
+	if _, err := db.Checkpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	report, err := bootLife(t, dir).Boot(RecoverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.CheckpointPath == "" || report.Streams == 0 {
+		t.Fatalf("boot read no image or no tail: %+v", report)
+	}
+	if report.LoadImageMS <= 0 || report.ReplayTailMS <= 0 || report.LoadImageMS+report.ReplayTailMS > report.WallMS {
+		t.Fatalf("load_image_ms %v + replay_tail_ms %v, want both > 0 and within wall_ms %v",
+			report.LoadImageMS, report.ReplayTailMS, report.WallMS)
+	}
+}
+
 // A caller that restores the image itself and replays the tail
 // through RecoverFromWith with the watermark as FromEpoch gets the
 // epoch seeded past it too: Boot and RecoverFromWith share one replay,

@@ -210,11 +210,14 @@ func Fig12(o Opts) {
 // target.
 const latencyScale = 32
 
+// The buckets tile [0, ∞) so every sample lands in one: the paper's
+// first edge (10 µs) becomes 0, or a column of fast samples would
+// sum to less than 100%.
 var newOrderBuckets = [][2]float64{
-	{10, 20}, {20, 40}, {40, 80}, {80, 160}, {160, 320}, {320, 640}, {640, 1e15},
+	{0, 20}, {20, 40}, {40, 80}, {80, 160}, {160, 320}, {320, 640}, {640, 1e15},
 }
 var deliveryBuckets = [][2]float64{
-	{10, 80}, {80, 160}, {160, 320}, {320, 640}, {640, 1280}, {1280, 2560}, {2560, 5120}, {5120, 1e15},
+	{0, 80}, {80, 160}, {160, 320}, {320, 640}, {640, 1280}, {1280, 2560}, {2560, 5120}, {5120, 1e15},
 }
 
 // latencyTable renders a Table 1/5-style histogram at the given
@@ -234,25 +237,35 @@ func latencyTable(o Opts, id string, wh int) {
 				"paper: THEDB's distribution is tight (no restarts); OCC/SILO/2PL spread into the long buckets under contention",
 			},
 		}
-		shares := make([]*Sampler, len(systems))
+		shares := make([][]float64, len(systems))
 		for i, sys := range systems {
 			c := o.tpcc(wh)
 			c.procOnly = procName
-			shares[i] = c.run(sys).latency()
+			shares[i] = bucketShares(buckets, c.run(sys).latency())
 		}
-		for _, b := range buckets {
+		for j, b := range buckets {
 			label := fmt.Sprintf("%.0fx-%.0fx", b[0], b[1])
 			if b[1] > 1e14 {
 				label = fmt.Sprintf("%.0fx-INF", b[0])
 			}
 			row := []string{label}
 			for i := range systems {
-				row = append(row, pct(shares[i].Share(b[0]*latencyScale, b[1]*latencyScale)))
+				row = append(row, pct(shares[i][j]))
 			}
 			t.AddRow(row...)
 		}
 		t.Print(o.Out)
 	}
+}
+
+// bucketShares returns the share of s's samples in each bucket, its
+// paper-µs edges scaled by latencyScale.
+func bucketShares(buckets [][2]float64, s *Sampler) []float64 {
+	out := make([]float64, len(buckets))
+	for j, b := range buckets {
+		out[j] = s.Share(b[0]*latencyScale, b[1]*latencyScale)
+	}
+	return out
 }
 
 // Table1 reproduces Table 1 (WH=4, high contention).

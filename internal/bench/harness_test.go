@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -118,6 +119,24 @@ func TestSamplerStats(t *testing.T) {
 	o.Merge(s)
 	if o.Len() != 100 {
 		t.Fatalf("merged len = %d", o.Len())
+	}
+}
+
+// TestLatencyBucketsCoverEverySample: tab1's and tab5's columns sum
+// to 100% even when samples fall below the paper's first edge.
+func TestLatencyBucketsCoverEverySample(t *testing.T) {
+	s := &Sampler{}
+	for _, us := range []float64{0, 1, 100, 319, 320, 1000, 5e4, 1e7} {
+		s.Observe(us)
+	}
+	for _, buckets := range [][][2]float64{newOrderBuckets, deliveryBuckets} {
+		sum := 0.0
+		for _, v := range bucketShares(buckets, s) {
+			sum += v
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("buckets %v: shares sum to %.1f%%, want 100%%", buckets, 100*sum)
+		}
 	}
 }
 

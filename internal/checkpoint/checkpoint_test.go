@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"thedb/internal/storage"
@@ -152,6 +153,33 @@ func TestLoadRejectsCorruptionWithoutApplying(t *testing.T) {
 		for _, tab := range cat2.Tables() {
 			if tab.Len() != 0 {
 				t.Fatalf("%s: Load applied %d rows from a damaged image", name, tab.Len())
+			}
+		}
+	}
+
+	// Well-framed images whose rows leave ascending (table, key) order
+	// are refused before a row is installed: a repeated key would fail
+	// the install halfway.
+	kv := func(k storage.Key) row { return row{key: k, ts: 1, t: storage.Tuple{storage.Int(1), storage.Str("x")}} }
+	seq := func(k storage.Key) row { return row{key: k, ts: 1, t: storage.Tuple{storage.Int(1)}} }
+	for name, images := range map[string][]tableImage{
+		"repeated key":        {{id: 0, rows: []row{kv(3), kv(5), kv(5)}}},
+		"key going back":      {{id: 0, rows: []row{kv(3), kv(2)}}},
+		"table going back":    {{id: 1, rows: []row{seq(7)}}, {id: 0, rows: []row{kv(1)}}},
+		"table repeated":      {{id: 0, rows: []row{kv(1)}}, {id: 1, rows: []row{seq(7)}}, {id: 0, rows: []row{kv(9)}}},
+		"repeat across slots": {{id: 0, rows: []row{kv(4)}}, {id: 0, rows: []row{kv(4)}}},
+	} {
+		var buf bytes.Buffer
+		if _, _, _, err := Write(&buf, cat, 2, images, nil); err != nil {
+			t.Fatal(err)
+		}
+		cat2 := newCatalog()
+		if _, err := Load(cat2, &buf); err == nil || !strings.Contains(err.Error(), "out of order") {
+			t.Fatalf("%s: Load = %v, want an out-of-order refusal", name, err)
+		}
+		for _, tab := range cat2.Tables() {
+			if tab.Len() != 0 {
+				t.Fatalf("%s: Load applied %d rows from a refused image", name, tab.Len())
 			}
 		}
 	}

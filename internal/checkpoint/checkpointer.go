@@ -450,4 +450,6 @@ type BootReport struct {
 	Salvaged         bool     `json:"salvaged"`
 	Damage           []string `json:"damage,omitempty"`
 	WallMS           float64  `json:"wall_ms"`
+	LoadImageMS      float64  `json:"load_image_ms"`  // restoring the image, within WallMS
+	ReplayTailMS     float64  `json:"replay_tail_ms"` // the WAL tail and the rest of boot, within WallMS
 }

@@ -202,11 +202,12 @@ func Write(w io.Writer, catalog *storage.Catalog, watermark uint32, images []tab
 const maxFrame = 1 << 26
 
 // Load decodes and validates a checkpoint stream end to end — header,
-// every slot's checksum, row count and column count, footer totals,
-// clean EOF — and only then applies the rows to the catalog (tab.Put
-// bulk loads, bypassing concurrency control). The catalog must hold
-// the schema the image was written from (checked via the digest) and
-// should hold no data. On any error the catalog is untouched.
+// every slot's checksum, row count and column count, rows in
+// ascending (table, key) order, footer totals, clean EOF — and only
+// then installs the rows (storage.Installer, bypassing concurrency
+// control). The catalog must hold the schema the image was written
+// from (checked via the digest) and no data. On any error but a row
+// the catalog already holds, the catalog is untouched.
 func Load(catalog *storage.Catalog, r io.Reader) (*Info, error) {
 	fr := wal.NewFrameReader(r, maxFrame)
 	frame, err := nextFrame(fr)
@@ -237,6 +238,7 @@ func Load(catalog *storage.Catalog, r io.Reader) (*Info, error) {
 	var rows int64
 	var maxRowEpoch uint32
 	var footer *[3]uint64 // slots, rows, max row epoch
+	var last [2]uint64    // the previous row's (table, key): keys are unique and ascending
 	for {
 		if frame, err = nextFrame(fr); err == io.EOF {
 			break
@@ -259,6 +261,10 @@ func Load(catalog *storage.Catalog, r io.Reader) (*Info, error) {
 			sl := tableImage{id: int(tid), rows: make([]row, 0, n)}
 			for range n {
 				key, ts := d.Uvarint(), d.Uvarint()
+				if d.Err() == nil && rows > 0 && (tid < last[0] || tid == last[0] && key <= last[1]) {
+					return nil, fmt.Errorf("checkpoint: row (table %d, key %d) out of order after (table %d, key %d)", tid, key, last[0], last[1])
+				}
+				last = [2]uint64{tid, key}
 				ahead := d // the column count, checked before Values sizes the tuple
 				if nc := ahead.Count(); ahead.Err() == nil && nc != ncols {
 					return nil, fmt.Errorf("checkpoint: row of table %d has %d columns, schema has %d", tid, nc, ncols)
@@ -288,11 +294,15 @@ func Load(catalog *storage.Catalog, r io.Reader) (*Info, error) {
 			*footer, len(slots), rows, maxRowEpoch)
 	}
 
+	ins := storage.NewInstaller()
 	for _, sl := range slots {
 		tab := catalog.TableByID(sl.id)
 		for _, r := range sl.rows {
-			tab.Put(r.key, r.t, r.ts)
+			ins.Put(tab, r.key, r.t, r.ts)
 		}
+	}
+	if err := ins.Wait(); err != nil {
+		return nil, err
 	}
 	return &Info{Watermark: h.Watermark, Tables: int(h.Tables), Rows: rows, MaxRowEpoch: maxRowEpoch}, nil
 }

@@ -14,8 +14,9 @@ type policy struct {
 	proto Protocol
 
 	// lockAtAccess takes each record's lock when it is first touched,
-	// no-wait, and skips validation (2PL). Otherwise locks are taken
-	// at validation, in the engine's order.
+	// no-wait, and validates only the scanned leaves, under those locks
+	// (2PL). Otherwise locks are taken at validation, in the engine's
+	// order.
 	lockAtAccess bool
 	// metaLocks makes lock-at-access go through the record meta word
 	// (exclusive only) instead of the reader/writer lock: a 2PL rung
@@ -27,8 +28,9 @@ type policy struct {
 	// read/write set is locked.
 	writeSetOnly bool
 	// validate compares each read's R-timestamp (and each scanned
-	// leaf's version) against the current one. Off, nothing restarts
-	// and nothing is serializable (the OCC⁻/SILO⁻ peak probes).
+	// leaf's version) against the current one. Off on an optimistic
+	// rung, nothing restarts and nothing is serializable (the
+	// OCC⁻/SILO⁻ peak probes).
 	validate bool
 	// heal repairs a stale read in place (Algorithm 2) instead of
 	// restarting, which requires maintaining the access cache during

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"thedb/internal/fault"
 	"thedb/internal/proc"
 	"thedb/internal/storage"
 )
@@ -286,5 +287,81 @@ func TestTreeOrderAvoidsMembershipAbort(t *testing.T) {
 	}
 	if w.m.Restarts.Load() != 0 {
 		t.Fatalf("restarts = %d, want 0 under tree order", w.m.Restarts.Load())
+	}
+}
+
+// TestScanThenReadIsSerializableOnEveryRung: T1 scans [1, 100] and
+// then reads 500; between its two operations T2 inserts 4, sets
+// 500 := 1 and commits. Only two outcomes are serial, count=3 z=0 (T1
+// first) and count=4 z=1 (T2 first), and every protocol must commit
+// one of them. T1's first attempt is restarted before validation and
+// T2 runs inside its second, so under THEDB-HYBRID it races the 2PL
+// rung. THEDB-DT is not here: its partition stripes keep T2 out of T1.
+func TestScanThenReadIsSerializableOnEveryRung(t *testing.T) {
+	for _, p := range []Protocol{Healing, OCC, Silo, TPL, Hybrid} {
+		t.Run(p.String(), func(t *testing.T) {
+			sched := fault.NewSchedule(1, 2)
+			sched.ScriptAt(0, fault.PreValidation, 0, fault.ActRestart)
+			e := kvEngine(t, Options{Protocol: p, Workers: 2, Chaos: sched})
+			w1, w2 := e.Worker(0), e.Worker(1)
+			for _, k := range []int64{1, 2, 3, 500} {
+				if _, err := w2.Run("Put", storage.Int(k), storage.Int(0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.MustRegister(&proc.Spec{
+				Name: "InsertThenWrite",
+				Plan: func(b *proc.Builder, _ *proc.Env) {
+					b.Op(proc.Op{Name: "insert", Body: func(ctx proc.OpCtx) error {
+						return ctx.Insert("KV", 4, storage.Tuple{storage.Int(0)})
+					}})
+					b.Op(proc.Op{Name: "write", Body: func(ctx proc.OpCtx) error {
+						if _, _, err := ctx.Read("KV", 500, nil); err != nil {
+							return err
+						}
+						return ctx.Write("KV", 500, []int{0}, []storage.Value{storage.Int(1)})
+					}})
+				},
+			})
+			scans := 0
+			e.MustRegister(&proc.Spec{
+				Name: "ScanThenRead",
+				Plan: func(b *proc.Builder, _ *proc.Env) {
+					b.Op(proc.Op{Name: "scan", Writes: []string{"count"}, Body: func(ctx proc.OpCtx) error {
+						var n int64
+						err := ctx.Scan("KV", 1, 100, 0, func(storage.Key, storage.Tuple) bool { n++; return true })
+						if err != nil {
+							return err
+						}
+						ctx.Env().SetInt("count", n)
+						if scans++; scans == 2 {
+							if _, err := w2.Run("InsertThenWrite"); err != nil {
+								t.Errorf("T2: %v", err)
+							}
+						}
+						return nil
+					}})
+					b.Op(proc.Op{Name: "read", Writes: []string{"z"}, Body: func(ctx proc.OpCtx) error {
+						row, _, err := ctx.Read("KV", 500, nil)
+						if err != nil {
+							return err
+						}
+						ctx.Env().SetInt("z", row[0].Int())
+						return nil
+					}})
+				},
+			})
+			env, err := w1.Run("ScanThenRead")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if scans < 2 {
+				t.Fatalf("T2 never ran inside T1 (%d scans)", scans)
+			}
+			count, z := env.Int("count"), env.Int("z")
+			if !(count == 3 && z == 0 || count == 4 && z == 1) {
+				t.Fatalf("T1 committed count=%d z=%d; the serial outcomes are count=3 z=0 and count=4 z=1", count, z)
+			}
+		})
 	}
 }

@@ -14,8 +14,16 @@ import (
 func (t *Txn) validate() error {
 	switch {
 	case t.pol.lockAtAccess:
-		// Every lock was taken during the read phase, so every
-		// observation is still current.
+		// Every lock was taken during the read phase, so every record
+		// observation is still current. A scanned range holds no lock:
+		// its leaves are re-checked here, with every lock still held,
+		// and a change restarts like a lock conflict. An insert that
+		// lands after the check serializes after this transaction.
+		for _, sa := range t.rw.scans {
+			if !sa.removed && sa.changed() {
+				return t.phantom()
+			}
+		}
 		return nil
 	case t.pol.writeSetOnly:
 		return t.validateSilo()

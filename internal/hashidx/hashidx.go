@@ -46,12 +46,15 @@ func (idx *Map[V]) Get(k uint64) (V, bool) {
 	return v, ok
 }
 
-// Store unconditionally maps k to v.
-func (idx *Map[V]) Store(k uint64, v V) {
+// Store unconditionally maps k to v, and reports whether k was new.
+func (idx *Map[V]) Store(k uint64, v V) (fresh bool) {
 	s := idx.shardFor(k)
 	s.mu.Lock()
+	n := len(s.m)
 	s.m[k] = v
+	fresh = len(s.m) > n
 	s.mu.Unlock()
+	return fresh
 }
 
 // LoadOrStore returns the existing value for k if present. Otherwise

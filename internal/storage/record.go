@@ -71,7 +71,12 @@ type Record struct {
 // records inserted by an uncommitted transaction start invisible
 // (§4.7.1).
 func NewRecord(table int, key Key, tuple Tuple, ts uint64, visible bool) *Record {
-	r := &Record{addr: addrCounter.Add(1), key: key, table: int32(table), width: int32(len(tuple))}
+	return newRecord(addrCounter.Add(1), table, key, tuple, ts, visible)
+}
+
+// newRecord is NewRecord at a lock-order address the caller reserved.
+func newRecord(addr uint64, table int, key Key, tuple Tuple, ts uint64, visible bool) *Record {
+	r := &Record{addr: addr, key: key, table: int32(table), width: int32(len(tuple))}
 	m := ts & metaTSMask
 	if visible {
 		m |= metaVisibleBit

@@ -79,17 +79,23 @@ func (t *Table) GetOrCreateDummy(key Key) (rec *Record, created bool) {
 // Put bulk-loads a visible record (population and recovery only; it
 // bypasses concurrency control). It replaces any existing record.
 func (t *Table) Put(key Key, tuple Tuple, ts uint64) *Record {
-	if len(tuple) != len(t.schema.Columns) {
-		panic(fmt.Sprintf("storage: table %s: tuple width %d != schema width %d",
-			t.schema.Name, len(tuple), len(t.schema.Columns)))
-	}
 	rec := NewRecord(t.id, key, tuple, ts, true)
-	t.primary.Store(uint64(key), rec)
-	if t.ordered != nil {
-		t.ordered.Insert(uint64(key), rec)
-	}
-	t.IndexSecondaries(rec, tuple)
+	t.store(rec)
 	return rec
+}
+
+// store adds a record of the schema's width (another panics) to every
+// index, replacing any under its key, and reports whether none was.
+func (t *Table) store(rec *Record) (fresh bool) {
+	if int(rec.width) != len(t.schema.Columns) {
+		panic(fmt.Sprintf("storage: table %s: tuple width %d != schema width %d", t.schema.Name, rec.width, len(t.schema.Columns)))
+	}
+	fresh = t.primary.Store(uint64(rec.key), rec)
+	if t.ordered != nil {
+		t.ordered.Insert(uint64(rec.key), rec)
+	}
+	t.IndexSecondaries(rec, rec.Tuple())
+	return fresh
 }
 
 // IndexSecondaries adds the record to every secondary index using the

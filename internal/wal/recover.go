@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"thedb/internal/storage"
 )
@@ -243,13 +244,23 @@ func validateAgainst(catalog *storage.Catalog, scans []*streamScan) error {
 // result is non-nil iff err is nil; on error the catalog has not been
 // modified.
 func RecoverStreams(catalog *storage.Catalog, streams []io.Reader, opts RecoverOptions) (*RecoveryResult, error) {
+	// Each stream is read and decoded on its own goroutine; the apply
+	// below stays serial.
 	scans := make([]*streamScan, len(streams))
+	errs := make([]error, len(streams))
+	var wg sync.WaitGroup
 	for i, s := range streams {
-		sc, err := scanStream(i, s)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scans[i], errs[i] = scanStream(i, s)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		scans[i] = sc
 	}
 
 	if !opts.Salvage {

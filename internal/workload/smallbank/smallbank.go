@@ -68,13 +68,14 @@ func Populate(cat *storage.Catalog, n int, initSavings, initChecking int64) erro
 	}
 	sav, _ := cat.Table(TabSavings)
 	chk, _ := cat.Table(TabChecking)
+	ins := storage.NewInstaller()
 	for i := 0; i < n; i++ {
 		k := storage.Key(i)
-		acc.Put(k, storage.Tuple{storage.Str(fmt.Sprintf("cust%08d", i))}, 0)
-		sav.Put(k, storage.Tuple{storage.Int(initSavings)}, 0)
-		chk.Put(k, storage.Tuple{storage.Int(initChecking)}, 0)
+		ins.Put(acc, k, storage.Tuple{storage.Str(fmt.Sprintf("cust%08d", i))}, 0)
+		ins.Put(sav, k, storage.Tuple{storage.Int(initSavings)}, 0)
+		ins.Put(chk, k, storage.Tuple{storage.Int(initChecking)}, 0)
 	}
-	return nil
+	return ins.Wait()
 }
 
 // readBalanceOp builds an op reading one balance column into outVar.

@@ -114,10 +114,11 @@ func Populate(cat *storage.Catalog, cfg Config) error {
 	orderLine := tab(TabOrderLine)
 	item := tab(TabItem)
 	stock := tab(TabStock)
+	ins := storage.NewInstaller()
 
 	// ITEM (shared across warehouses).
 	for i := 1; i <= cfg.Items; i++ {
-		item.Put(ItemKey(int64(i)), storage.Tuple{
+		ins.Put(item, ItemKey(int64(i)), storage.Tuple{
 			storage.Int(int64(1 + rng.Intn(10000))),  // im_id
 			storage.Str(fmt.Sprintf("item-%06d", i)), // name
 			storage.Int(int64(100 + rng.Intn(9901))), // price: $1.00-$100.00
@@ -126,7 +127,7 @@ func Populate(cat *storage.Catalog, cfg Config) error {
 	}
 
 	for w := 1; w <= cfg.Warehouses; w++ {
-		warehouse.Put(WarehouseKey(int64(w)), storage.Tuple{
+		ins.Put(warehouse, WarehouseKey(int64(w)), storage.Tuple{
 			storage.Str(fmt.Sprintf("wh-%03d", w)),
 			storage.Str(randStr(rng, 10, 20)),
 			storage.Str(randStr(rng, 10, 20)),
@@ -139,7 +140,7 @@ func Populate(cat *storage.Catalog, cfg Config) error {
 		}, 0)
 
 		for i := 1; i <= cfg.Items; i++ {
-			stock.Put(StockKey(int64(w), int64(i)), storage.Tuple{
+			ins.Put(stock, StockKey(int64(w), int64(i)), storage.Tuple{
 				storage.Int(int64(10 + rng.Intn(91))), // quantity 10-100
 				storage.Int(0),                        // ytd
 				storage.Int(0),                        // order_cnt
@@ -151,7 +152,7 @@ func Populate(cat *storage.Catalog, cfg Config) error {
 
 		for d := 1; d <= cfg.DistrictsPerW; d++ {
 			nextOID := int64(cfg.InitOrdersPerDist + 1)
-			district.Put(DistrictKey(int64(w), int64(d)), storage.Tuple{
+			ins.Put(district, DistrictKey(int64(w), int64(d)), storage.Tuple{
 				storage.Str(fmt.Sprintf("dist-%03d-%02d", w, d)),
 				storage.Str(randStr(rng, 10, 20)),
 				storage.Str(randStr(rng, 10, 20)),
@@ -167,7 +168,7 @@ func Populate(cat *storage.Catalog, cfg Config) error {
 				if rng.Intn(10) == 0 {
 					credit = "BC"
 				}
-				customer.Put(CustomerKey(int64(w), int64(d), int64(c)), storage.Tuple{
+				ins.Put(customer, CustomerKey(int64(w), int64(d), int64(c)), storage.Tuple{
 					storage.Str(randStr(rng, 8, 16)),   // first
 					storage.Str("OE"),                  // middle
 					storage.Str(lastNameFor(rng, c)),   // last
@@ -201,7 +202,7 @@ func Populate(cat *storage.Catalog, cfg Config) error {
 				if !delivered {
 					carrier = 0
 				}
-				orders.Put(OrderKey(int64(w), int64(d), int64(o)), storage.Tuple{
+				ins.Put(orders, OrderKey(int64(w), int64(d), int64(o)), storage.Tuple{
 					storage.Int(cid),
 					storage.Int(int64(o)), // entry_d
 					storage.Int(carrier),
@@ -209,7 +210,7 @@ func Populate(cat *storage.Catalog, cfg Config) error {
 					storage.Int(1),
 				}, 0)
 				if !delivered {
-					newOrder.Put(NewOrderKey(int64(w), int64(d), int64(o)), storage.Tuple{
+					ins.Put(newOrder, NewOrderKey(int64(w), int64(d), int64(o)), storage.Tuple{
 						storage.Int(int64(o)),
 					}, 0)
 				}
@@ -220,7 +221,7 @@ func Populate(cat *storage.Catalog, cfg Config) error {
 						amount = int64(1 + rng.Intn(999999))
 						deliveryD = 0
 					}
-					orderLine.Put(OrderLineKey(int64(w), int64(d), int64(o), ol), storage.Tuple{
+					ins.Put(orderLine, OrderLineKey(int64(w), int64(d), int64(o), ol), storage.Tuple{
 						storage.Int(int64(1 + rng.Intn(cfg.Items))),
 						storage.Int(int64(w)),
 						storage.Int(deliveryD),
@@ -232,5 +233,5 @@ func Populate(cat *storage.Catalog, cfg Config) error {
 			}
 		}
 	}
-	return nil
+	return ins.Wait()
 }

@@ -67,10 +67,11 @@ func Populate(cat *storage.Catalog, n int, fieldLen int) error {
 		return fmt.Errorf("ycsb: catalog missing %s", TabUser)
 	}
 	rng := rand.New(rand.NewSource(7))
+	ins := storage.NewInstaller()
 	for k := 0; k < n; k++ {
-		tab.Put(storage.Key(k), randomRow(rng, fieldLen), 0)
+		ins.Put(tab, storage.Key(k), randomRow(rng, fieldLen), 0)
 	}
-	return nil
+	return ins.Wait()
 }
 
 func randomRow(rng *rand.Rand, fieldLen int) storage.Tuple {

@@ -145,6 +145,7 @@ func (db *DB) Boot(opts RecoverOptions) (*BootReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	loaded := time.Since(start)
 	opts.FromEpoch = 0 // the tail bound is the image's watermark, not the caller's
 	if info != nil {
 		report.CheckpointPath = info.Path
@@ -188,6 +189,8 @@ func (db *DB) Boot(opts RecoverOptions) (*BootReport, error) {
 
 	wall := time.Since(start)
 	report.WallMS = float64(wall.Microseconds()) / 1000
+	report.LoadImageMS = float64(loaded.Microseconds()) / 1000
+	report.ReplayTailMS = float64((wall - loaded).Microseconds()) / 1000
 	db.ckstats.SetRestart(wall.Nanoseconds(), int64(rep.AppliedGroups), int64(rep.SkippedGroups))
 	return report, nil
 }
