@@ -12,7 +12,7 @@ test:
 	$(GO) test ./...
 
 # lint runs the custom analyzers (noalloc, nondet, syncerr — see
-# DESIGN.md §9) plus the stock `go vet` passes, which thedb-lint
+# DESIGN.md §8.4) plus the stock `go vet` passes, which thedb-lint
 # invokes itself. Every run prints the //thedb:nolint tally and fails
 # on suppressions with no justification text. The grep keeps shared
 # counters on typed atomics (atomic.Int64 and friends), where a plain
@@ -29,7 +29,7 @@ race:
 # chaos is the protocol-robustness smoke: the seeded fault-injection
 # torture (with the serializability oracle), the stuck-epoch watchdog,
 # and the rung tests (HYBRID's OCC → 2PL hop), under -race with -short
-# trimming the torture to a handful of seeds (see DESIGN.md §10). Drop
+# trimming the torture to a handful of seeds (see DESIGN.md §8.1). Drop
 # -short for the full 64-seed sweep.
 chaos:
 	$(GO) test -race ./internal/fault/ ./internal/oracle/ ./internal/obs/
@@ -37,8 +37,8 @@ chaos:
 
 # fuzz gives every decoder of untrusted bytes a short adversarial
 # workout beyond the checked-in seeds: the wire-protocol frame decoder
-# (DESIGN.md §12.1), the disk value codec, the WAL entry decoder and
-# the checkpoint image loader (§8.1, §8.2). None may panic on hostile
+# (DESIGN.md §6.1), the disk value codec, the WAL entry decoder and
+# the checkpoint image loader (DESIGN.md §5.1, §5.2). None may panic on hostile
 # bytes; a WAL entry that decodes must re-encode to the same payload,
 # and a refused image must leave the catalog untouched. CI runs this
 # in the lint job.
@@ -50,7 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoadImage -fuzztime $(FUZZTIME) ./internal/checkpoint/
 
 # smoke is the one end-to-end check of the served database (DESIGN.md
-# §8.5, §11.4, §12, §14, §15). Both binaries are built once; one durable
+# §4.6, §5.4, §6, §7.2, §7.3). Both binaries are built once; one durable
 # YCSB server runs with checkpoints, tracing, exemplars and the
 # contention profiler on; the load generator drives mix a then mix snap
 # over loopback; every metric family the obs plane promises must be
@@ -135,7 +135,7 @@ paper:
 	done; \
 	echo "paper: every experiment printed its table"
 
-# net-chaos is the serving-plane torture (DESIGN.md §13): a client
+# net-chaos is the serving-plane torture (DESIGN.md §8.3): a client
 # fleet drives disjoint workloads through the fault-injecting proxy
 # (internal/netfault) at a WAL-backed server that is killed and
 # restarted from its WAL mid-run, then diffs the final state against
@@ -149,7 +149,7 @@ net-chaos:
 	$(GO) test -race -run 'Dedup|Deadline|Restart' ./internal/server/
 
 # recovery-torture is the model-vs-real crash-recovery sweep (DESIGN.md
-# §8.6): 64 seeded lives, each crashing at a byte-budget instant mid
+# §8.2): 64 seeded lives, each crashing at a byte-budget instant mid
 # WAL write or at one of the checkpoint writer's fault points
 # (mid-write, pre-rename, post-rename, mid-truncate), then recovering
 # from checkpoint + WAL tail and diffing the database against the
@@ -185,8 +185,10 @@ pins:
 # option counts — exported fields of the four configuration
 # structs (thedb.Config, core.Options, server.Config, client.Options)
 # and of the checkpointer's checkpoint.Options and checkpoint.Source.
-# A one-line empty struct (type X struct{}) counts 0. CI runs it at the
-# end of the verify job, so every PR's log carries its numbers.
+# A one-line empty struct (type X struct{}) counts 0. Last, the byte
+# sizes of DESIGN.md and CHANGES.md, the two docs ROADMAP.md sizes. CI
+# runs it at the end of the verify job, so every PR's log carries its
+# numbers.
 lines = find $(1) -name '*.go' -print | xargs cat | wc -l
 fields = awk '/^type $(2) struct[ \t]*\{[ \t]*\}/{exit} /^type $(2) struct/{on=1;next} on&&/^}/{exit} on&&/^\t[A-Z][A-Za-z0-9]*[ \t]/{n++} END{print n+0}' $(1)
 loc:
@@ -206,6 +208,8 @@ loc:
 	@echo "fields, client.Options:                 $$($(call fields,client/client.go,Options))"
 	@echo "fields, checkpoint.Options:             $$($(call fields,internal/checkpoint/checkpointer.go,Options))"
 	@echo "fields, checkpoint.Source:              $$($(call fields,internal/checkpoint/checkpointer.go,Source))"
+	@echo "bytes, DESIGN.md:                       $$(wc -c < DESIGN.md)"
+	@echo "bytes, CHANGES.md:                      $$(wc -c < CHANGES.md)"
 
 # pairs is the evidence for a claimed gain (choosing-metrics §8): N
 # alternating runs of the parent commit and of the working tree on one

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -186,7 +187,10 @@ func TestBootReportTimesImageAndTail(t *testing.T) {
 	if report.CheckpointPath == "" || report.Streams == 0 {
 		t.Fatalf("boot read no image or no tail: %+v", report)
 	}
-	if report.LoadImageMS <= 0 || report.ReplayTailMS <= 0 || report.LoadImageMS+report.ReplayTailMS > report.WallMS {
+	// The report carries whole microseconds as float milliseconds, and
+	// 0.149 + 0.137 exceeds 0.286 in float64: compare microseconds.
+	us := func(ms float64) int64 { return int64(math.Round(ms * 1000)) }
+	if report.LoadImageMS <= 0 || report.ReplayTailMS <= 0 || us(report.LoadImageMS)+us(report.ReplayTailMS) > us(report.WallMS) {
 		t.Fatalf("load_image_ms %v + replay_tail_ms %v, want both > 0 and within wall_ms %v",
 			report.LoadImageMS, report.ReplayTailMS, report.WallMS)
 	}

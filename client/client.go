@@ -258,7 +258,7 @@ func (c *Client) Call(ctx context.Context, procName string, args ...storage.Valu
 
 // CallSnapshot invokes a stored procedure as a read-only snapshot
 // transaction: the server executes it against an epoch-consistent
-// snapshot with zero validation (DESIGN.md §15), so long analytical
+// snapshot with zero validation (DESIGN.md §4.6), so long analytical
 // reads neither abort nor slow concurrent writers. The call is
 // idempotent by construction — it opts out of the exactly-once dedup
 // window and is retried freely, never surfacing MaybeCommittedError. A

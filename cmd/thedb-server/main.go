@@ -1,6 +1,6 @@
 // Command thedb-server runs a THEDB instance behind the network
 // serving plane: stored procedures are invoked remotely over the wire
-// protocol (see DESIGN.md §12), with per-connection pipelining,
+// protocol (see DESIGN.md §6), with per-connection pipelining,
 // admission control and graceful drain on SIGINT/SIGTERM.
 //
 // Usage:

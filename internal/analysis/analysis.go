@@ -1,6 +1,6 @@
 // Package analysis registers THEDB's custom analyzers. Each one
 // mechanically enforces a discipline that neither the compiler nor
-// `go vet` can see: see the individual packages and DESIGN.md §9.
+// `go vet` can see: see the individual packages and DESIGN.md §8.4.
 package analysis
 
 import (

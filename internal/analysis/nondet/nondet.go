@@ -17,7 +17,7 @@
 // clocks and map iteration are fine there, but math/rand is still
 // forbidden — the seeded fault.Schedule chaos injector is the only
 // sanctioned source of randomness on protocol paths, so chaos runs
-// replay exactly from a seed (DESIGN.md §10). Printing to the
+// replay exactly from a seed (DESIGN.md §8.1). Printing to the
 // process-global streams (fmt.Print*, log.Print* and friends) is
 // forbidden there too: protocol observability goes through the
 // metrics counters and the flight recorder (internal/obs), never

@@ -1,6 +1,6 @@
 // Package syncerr forbids discarding errors from durability-critical
 // flush/sync/close operations. The WAL's group-commit contract
-// (Appendix C; DESIGN.md §8) reports an epoch durable only once every
+// (Appendix C; DESIGN.md §5.1) reports an epoch durable only once every
 // stream has been sealed, flushed, and fsynced — a dropped error from
 // any of those silently forfeits the guarantee while the engine keeps
 // acknowledging commits.
@@ -25,7 +25,7 @@
 //     a transport package (net, bufio, crypto/tls). A dropped
 //     net.Conn.Close or bufio.Writer.Flush error there can silently
 //     discard response bytes the server already counted as delivered
-//     (DESIGN.md §12).
+//     (DESIGN.md §6.2).
 package syncerr
 
 import (

@@ -434,7 +434,7 @@ func Fig16(o Opts) {
 }
 
 // Fig17 reproduces Appendix D's Silo sanity check, substituted per
-// DESIGN.md §3: our THEDB-SILO swept over the contention axis must
+// DESIGN.md §1.1: our THEDB-SILO swept over the contention axis must
 // scale smoothly with warehouse count.
 func Fig17(o Opts) {
 	sweep(o, Table{
@@ -529,7 +529,7 @@ func Table6(o Opts) {
 }
 
 // AblInterleave reports the effect of the multicore-interleaving
-// emulation itself (methodology transparency, DESIGN.md §3): with
+// emulation itself (methodology transparency, DESIGN.md §1.1): with
 // yields off, whole transactions run inside single scheduler slices
 // and conflicts almost disappear on a host with fewer cores than
 // workers.

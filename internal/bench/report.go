@@ -3,7 +3,7 @@
 // database fresh, drives the configured workers in closed loops for a
 // fixed duration, and prints the same rows or series the paper
 // reports. The "cores" axis of the paper maps to concurrent workers
-// here (see DESIGN.md §3), so shapes — who wins, by what factor,
+// here (see DESIGN.md §1.1), so shapes — who wins, by what factor,
 // where crossovers fall — are the reproduction target, not absolute
 // numbers.
 package bench

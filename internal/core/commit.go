@@ -101,7 +101,7 @@ func (t *Txn) commit() error {
 				}
 			}
 		default:
-			// Version-chain push (DESIGN.md §15): preserve the outgoing
+			// Version-chain push (DESIGN.md §2.3): preserve the outgoing
 			// image before SetTuple when the stamp crosses an epoch
 			// boundary, so snapshot reads at the boundary still resolve
 			// it. InstallVersion no-ops in the same-epoch common case.

@@ -121,7 +121,7 @@ func TestStopSurfacesCloseFailure(t *testing.T) {
 	_ = wl.BeginCommit(ts)
 	_ = wl.LogWrite(ts, 0, 1, []int{0}, []storage.Value{storage.Int(1)})
 	_ = wl.EndCommit(ts)
-	sink.FailAt(0, fault.WriteError, boom)
+	sink.FailAt(boom)
 
 	if err := e.Stop(); !errors.Is(err, boom) {
 		t.Fatalf("Stop() = %v, want the close failure", err)

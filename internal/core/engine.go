@@ -134,7 +134,7 @@ type Options struct {
 	// emulates the fine-grained interleaving a real multicore
 	// produces: without it a goroutine runs whole transactions
 	// inside one scheduler slice and cross-transaction conflicts
-	// almost never materialize (see DESIGN.md §3). Benchmarks enable
+	// almost never materialize (see DESIGN.md §1.1). Benchmarks enable
 	// it; unit tests of logic paths usually do not need it.
 	Interleave bool
 
@@ -167,7 +167,7 @@ type Options struct {
 	// into worker-owned scratch and the completed trace is offered to
 	// the tracer's tail-retention ring. Nil (the default) keeps the
 	// per-transaction cost at a single pointer check, mirroring
-	// Recorder (DESIGN.md §14).
+	// Recorder (DESIGN.md §7.3).
 	Tracer *obs.Tracer
 
 	// Contention, when non-nil, is the hot-key profiler: validation
@@ -246,7 +246,7 @@ type Engine struct {
 	stopC    chan struct{}
 	stopOnce sync.Once
 
-	// Snapshot-read state (DESIGN.md §15): snap publishes each
+	// Snapshot-read state (DESIGN.md §4.6): snap publishes each
 	// worker's pinned snapshot timestamp, snapFloor is the monotone
 	// snapshot-floor ratchet; together they feed the version GC's
 	// low-watermark.
@@ -311,13 +311,12 @@ func (e *Engine) Start() {
 // syncToStable seals and syncs every log stream so all epochs up to
 // cur-2 are on stable storage, then publishes the new durable epoch.
 // The two-epoch lag keeps the seal behind any commit that computed
-// its timestamp just before the previous advance (see DESIGN.md,
-// "Durability & crash recovery"). Transient sink errors are retried
-// with exponential backoff; after syncRetries failures the engine
-// degrades gracefully — transactions keep committing in memory, and
-// the latched durability-lost state is surfaced via Metrics instead
-// of wedging the advancer. Stop cuts a backoff short: its Logger.Close
-// makes the last attempt.
+// its timestamp just before the previous advance (DESIGN.md §5.1).
+// Transient sink errors are retried with exponential backoff; after
+// syncRetries failures the engine degrades gracefully — transactions
+// keep committing in memory, and the latched durability-lost state is
+// surfaced via Metrics instead of wedging the advancer. Stop cuts a
+// backoff short: its Logger.Close makes the last attempt.
 func (e *Engine) syncToStable(cur uint32) {
 	if e.opts.Logger == nil || cur < 3 {
 		return

@@ -130,7 +130,7 @@ func (m *EpochManager) Idle(worker int) {
 // registration the scan misses belongs to a commit whose epoch read
 // happened after the scan (hence at least the scan's current epoch).
 // Snapshot reads build their timestamps from this floor (DESIGN.md
-// §15).
+// §4.6).
 func (m *EpochManager) VisibleFloor() uint32 {
 	floor := m.cur.Load()
 	for i := range m.wd {

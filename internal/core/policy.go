@@ -5,7 +5,7 @@ import "fmt"
 // policy is everything that distinguishes one protocol from another.
 // Every attempt runs the same pipeline — execute → lock/validate →
 // on-stale-read action → commit — and reads these fields where the
-// protocols differ (DESIGN.md §2 tabulates them per system). The
+// protocols differ (DESIGN.md §4.1 tabulates them per system). The
 // validation order is deliberately not among them: every rung of
 // every transaction on an engine locks in Options.Order, so rungs
 // running side by side cannot deadlock (§4.2.1).
@@ -78,7 +78,7 @@ func policyFor(opts *Options, proto Protocol) policy {
 }
 
 // newRungs builds the policies a transaction's attempts run under on
-// an engine configured by opts (DESIGN.md §10): attempt n runs under
+// an engine configured by opts (DESIGN.md §4.5): attempt n runs under
 // rungs[min(n, len(rungs)-1)]. Every protocol is one rung that
 // retries until it commits, except THEDB-HYBRID: one OCC attempt,
 // then 2PL until it commits (references [28, 52, 60]). Ad-hoc

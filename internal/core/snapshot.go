@@ -21,7 +21,7 @@ var ErrReadOnlyTxn = errors.New("core: snapshot transaction is read-only")
 
 // ErrSnapshotSecondaryScan reports a secondary-index scan attempted
 // inside a snapshot transaction. Secondary entries are not versioned,
-// so the index cannot answer as of the snapshot (DESIGN.md §15).
+// so the index cannot answer as of the snapshot (DESIGN.md §4.6).
 var ErrSnapshotSecondaryScan = errors.New("core: snapshot transaction cannot scan a secondary index")
 
 // snapshotTS computes a snapshot timestamp: the boundary MakeTS(F,0)-1
@@ -30,7 +30,7 @@ var ErrSnapshotSecondaryScan = errors.New("core: snapshot transaction cannot sca
 // is fully installed; every in-flight commit is stamped above it
 // (EpochManager.VisibleFloor); and the result never falls below a
 // watermark the version GC has already reclaimed against (the
-// ratchet). See DESIGN.md §15.
+// ratchet). See DESIGN.md §4.6.
 func (e *Engine) snapshotTS() uint64 {
 	return e.snapFloor.Raise(storage.MakeTS(e.epoch.VisibleFloor(), 0) - 1)
 }

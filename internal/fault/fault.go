@@ -1,77 +1,29 @@
 // Package fault provides the repo's fault-injection machinery, in two
-// halves. The sink wrappers below inject storage failures — short
-// writes, write errors, and crash simulation (silently dropped bytes)
-// triggered at a configured byte offset or per-write probability,
-// plus scripted Sync failures — to prove the durability layer's crash
-// tolerance: the crash-torture tests wrap the WAL sinks in a
-// fault.Writer and assert that recovery restores an epoch-consistent
-// committed prefix no matter where the fault lands. Schedule
-// (schedule.go) is the protocol-level chaos injector: a seeded,
-// deterministic source of scheduling perturbations the engine
-// consults at protocol checkpoints to force adversarial
-// interleavings (DESIGN.md §10).
+// halves. Writer wraps a WAL sink with the storage failures the
+// durability tests inject: a write error that sticks once armed, and
+// scripted Sync results. (A whole-machine crash — torn frames, then
+// bytes swallowed while success is reported — is statecheck.Crasher's
+// job.) Schedule (schedule.go) is the protocol-level chaos injector: a
+// seeded, deterministic source of scheduling perturbations the engine
+// consults at protocol checkpoints to force adversarial interleavings
+// (DESIGN.md §8.1).
 package fault
 
 import (
-	"errors"
 	"io"
 	"sync"
 )
-
-// ErrInjected is the default error returned by a WriteError fault
-// when no explicit error was configured.
-var ErrInjected = errors.New("fault: injected error")
-
-// Mode selects what an armed Writer does at its trigger point.
-type Mode int
-
-// Fault modes.
-const (
-	// ShortWrite delivers a prefix of the triggering write and
-	// returns io.ErrShortWrite. The fault stays armed, so retries
-	// keep failing at the same offset (a wedged sink).
-	ShortWrite Mode = iota
-	// WriteError delivers a prefix of the triggering write and
-	// returns the configured error.
-	WriteError
-	// Crash delivers a prefix of the triggering write, then
-	// silently swallows the rest and every later write while
-	// reporting success — the bytes a crashed process believed it
-	// wrote but that never reached the device.
-	Crash
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case ShortWrite:
-		return "short-write"
-	case WriteError:
-		return "write-error"
-	case Crash:
-		return "crash"
-	default:
-		return "fault-mode(?)"
-	}
-}
 
 // Writer wraps an io.Writer (a WAL sink) with injectable failures.
 // It is safe for concurrent use: the epoch advancer and a worker's
 // stream flush may hit the same sink.
 //
-// The zero fault set passes everything through; arm one with FailAt
-// or FailProb, and script Sync results with ScriptSync.
+// The zero fault set passes everything through; arm a write error
+// with FailAt, and script Sync results with ScriptSync.
 type Writer struct {
-	mu   sync.Mutex
-	w    io.Writer
-	mode Mode
-	err  error
-
-	failAt  int64 // cumulative byte offset of the trigger, -1 = off
-	prob    float64
-	rng     uint64
-	off     int64 // bytes attempted so far (delivered + swallowed)
-	tripped bool
+	mu  sync.Mutex
+	w   io.Writer
+	err error // returned by every Write once armed
 
 	syncScript []error
 	syncCalls  int
@@ -79,33 +31,15 @@ type Writer struct {
 
 // NewWriter wraps w with no fault armed.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w, failAt: -1}
+	return &Writer{w: w}
 }
 
-// FailAt arms the writer to fail with the given mode once the
-// cumulative byte offset reaches off. err is the error returned in
-// WriteError mode (ErrInjected when nil).
-func (f *Writer) FailAt(off int64, mode Mode, err error) {
+// FailAt arms the writer: every later Write delivers nothing and
+// returns err.
+func (f *Writer) FailAt(err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.failAt, f.prob, f.mode, f.err, f.tripped = off, 0, mode, err, false
-}
-
-// FailProb arms a per-write probabilistic fault: each Write trips
-// with probability p, drawn from a deterministic generator seeded
-// with seed.
-func (f *Writer) FailProb(p float64, seed uint64, mode Mode, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.failAt, f.prob, f.rng, f.mode, f.err, f.tripped = -1, p, seed|1, mode, err, false
-}
-
-// Disarm removes any armed fault; a tripped Crash stays in effect
-// (crashed bytes do not come back).
-func (f *Writer) Disarm() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.failAt, f.prob = -1, 0
+	f.err = err
 }
 
 // ScriptSync queues results for upcoming Sync calls (nil entries
@@ -120,47 +54,10 @@ func (f *Writer) ScriptSync(errs ...error) {
 func (f *Writer) Write(p []byte) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.tripped && f.mode == Crash {
-		f.off += int64(len(p))
-		return len(p), nil
+	if f.err != nil {
+		return 0, f.err
 	}
-	trip := -1
-	switch {
-	case f.failAt >= 0 && f.failAt < f.off+int64(len(p)):
-		trip = int(f.failAt - f.off)
-		if trip < 0 {
-			trip = 0
-		}
-	case f.prob > 0 && f.draw() < f.prob:
-		trip = 0
-	}
-	if trip < 0 {
-		n, err := f.w.Write(p)
-		f.off += int64(n)
-		return n, err
-	}
-	n := 0
-	if trip > 0 {
-		var err error
-		n, err = f.w.Write(p[:trip])
-		f.off += int64(n)
-		if err != nil {
-			return n, err
-		}
-	}
-	f.tripped = true
-	switch f.mode {
-	case ShortWrite:
-		return n, io.ErrShortWrite
-	case WriteError:
-		if f.err != nil {
-			return n, f.err
-		}
-		return n, ErrInjected
-	default: // Crash
-		f.off += int64(len(p) - n)
-		return len(p), nil
-	}
+	return f.w.Write(p)
 }
 
 // Sync implements the wal.Syncer contract, consuming the scripted
@@ -175,28 +72,6 @@ func (f *Writer) Sync() error {
 		return err
 	}
 	return nil
-}
-
-// draw advances the deterministic generator and returns a value in
-// [0, 1). Caller holds f.mu.
-func (f *Writer) draw() float64 {
-	f.rng = f.rng*6364136223846793005 + 1442695040888963407
-	return float64(f.rng>>11) / (1 << 53)
-}
-
-// Offset returns the cumulative bytes attempted (delivered plus
-// swallowed-by-crash).
-func (f *Writer) Offset() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.off
-}
-
-// Tripped reports whether the armed fault has fired.
-func (f *Writer) Tripped() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.tripped
 }
 
 // SyncCalls returns how many times Sync has been invoked.

@@ -16,94 +16,26 @@ func TestPassThrough(t *testing.T) {
 			t.Fatalf("write %d: n=%d err=%v", i, n, err)
 		}
 	}
-	if buf.String() != "abcabcabc" || w.Offset() != 9 || w.Tripped() {
-		t.Fatalf("buf=%q off=%d tripped=%v", buf.String(), w.Offset(), w.Tripped())
-	}
-}
-
-func TestShortWriteAtOffset(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.FailAt(5, ShortWrite, nil)
-	if n, err := w.Write([]byte("abc")); n != 3 || err != nil {
-		t.Fatalf("pre-fault write: n=%d err=%v", n, err)
-	}
-	n, err := w.Write([]byte("defg")) // bytes 3..6, trigger at 5
-	if n != 2 || err != io.ErrShortWrite {
-		t.Fatalf("faulted write: n=%d err=%v", n, err)
-	}
-	if buf.String() != "abcde" {
-		t.Fatalf("delivered %q, want prefix through byte 5", buf.String())
-	}
-	// Wedged: retries at the same offset keep failing.
-	if _, err := w.Write([]byte("x")); err != io.ErrShortWrite {
-		t.Fatalf("retry after short write: %v", err)
-	}
-	w.Disarm()
-	if _, err := w.Write([]byte("x")); err != nil {
-		t.Fatalf("write after disarm: %v", err)
+	if buf.String() != "abcabcabc" {
+		t.Fatalf("buf=%q", buf.String())
 	}
 }
 
 func TestWriteErrorMode(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
+	if _, err := w.Write([]byte("abc")); err != nil {
+		t.Fatalf("pre-fault write: %v", err)
+	}
 	boom := errors.New("boom")
-	w.FailAt(0, WriteError, boom)
-	if _, err := w.Write([]byte("abc")); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("bytes leaked through an immediate error: %q", buf.String())
-	}
-	w2 := NewWriter(&buf)
-	w2.FailAt(0, WriteError, nil)
-	if _, err := w2.Write([]byte("abc")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("default error = %v", err)
-	}
-}
-
-func TestCrashSwallowsSilently(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.FailAt(4, Crash, nil)
-	if n, err := w.Write([]byte("abcdef")); n != 6 || err != nil {
-		t.Fatalf("crash write must report success: n=%d err=%v", n, err)
-	}
-	if buf.String() != "abcd" {
-		t.Fatalf("device got %q, want the pre-crash prefix \"abcd\"", buf.String())
-	}
-	if n, err := w.Write([]byte("ghi")); n != 3 || err != nil {
-		t.Fatalf("post-crash write must still report success: n=%d err=%v", n, err)
-	}
-	if buf.String() != "abcd" {
-		t.Fatal("post-crash bytes reached the device")
-	}
-	if w.Offset() != 9 || !w.Tripped() {
-		t.Fatalf("off=%d tripped=%v", w.Offset(), w.Tripped())
-	}
-}
-
-func TestProbabilisticTripIsDeterministic(t *testing.T) {
-	run := func() int {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		w.FailProb(0.2, 42, WriteError, nil)
-		writes := 0
-		for i := 0; i < 1000; i++ {
-			if _, err := w.Write([]byte("x")); err != nil {
-				break
-			}
-			writes++
+	w.FailAt(boom)
+	for i := 0; i < 2; i++ {
+		if n, err := w.Write([]byte("def")); n != 0 || !errors.Is(err, boom) {
+			t.Fatalf("write %d after FailAt: n=%d err=%v, want 0, boom", i, n, err)
 		}
-		return writes
 	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same seed, different trip points: %d vs %d", a, b)
-	}
-	if a == 1000 {
-		t.Fatal("p=0.2 fault never tripped in 1000 writes")
+	if buf.String() != "abc" {
+		t.Fatalf("bytes leaked through an armed error: %q", buf.String())
 	}
 }
 

@@ -50,7 +50,7 @@ type Schedule struct {
 type Checkpoint uint8
 
 // The protocol checkpoints, each perturbing one piece of the paper's
-// machinery (see DESIGN.md §10 for the mapping).
+// machinery (see DESIGN.md §8.1 for the mapping).
 const (
 	// PreValidation fires between the read phase and validation
 	// (Alg. 1's entry): perturbations here stretch the window in

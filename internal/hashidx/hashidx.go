@@ -2,7 +2,7 @@
 // THEDB's primary point-access index. Shards are protected by
 // read/write mutexes so point lookups from concurrent workers contend
 // only when they hash to the same shard, standing in for the paper's
-// Masstree for point access (see DESIGN.md §3).
+// Masstree for point access (see DESIGN.md §1.1).
 package hashidx
 
 import "sync"

@@ -71,12 +71,12 @@ type Counters struct {
 	HealedOps  int64 // operations restored by healing
 	FalseInval int64 // validation failures dismissed as false invalidations
 
-	// Escalation and watchdog counters (DESIGN.md §10).
+	// Escalation and watchdog counters (DESIGN.md §4.4, §4.5).
 	HealingFallbacks int64 // THEDB-HYBRID's hops from its OCC attempt to 2PL
 	BudgetExhausted  int64 // always 0: no transaction is shed; kept only for benchmark/, which reads it
 	WatchdogTrips    int64 // stuck-epoch watchdog firings attributed to this worker
 
-	// Snapshot-read counters (DESIGN.md §15). SnapshotReads counts
+	// Snapshot-read counters (DESIGN.md §4.6). SnapshotReads counts
 	// committed snapshot transactions (a subset of Committed);
 	// VersionsInstalled counts version-chain nodes pushed by the commit
 	// path on epoch-boundary crossings.
@@ -87,7 +87,7 @@ type Counters struct {
 	// that reads no argument expands once per Spec, so under a steady
 	// load of such procedures the counter stands still; one that grows
 	// with the transaction count marks a procedure whose dependency
-	// graph is rebuilt per transaction (DESIGN.md §6).
+	// graph is rebuilt per transaction (DESIGN.md §3.1).
 	PlanExpansions int64
 
 	// LatencySumNS totals committed-transaction latency, pairing with
@@ -137,11 +137,11 @@ type Worker struct {
 	HealedOps  atomic.Int64 // operations restored by healing
 	FalseInval atomic.Int64 // validation failures dismissed as false invalidations
 
-	// Escalation and watchdog counters (DESIGN.md §10).
+	// Escalation and watchdog counters (DESIGN.md §4.4, §4.5).
 	HealingFallbacks atomic.Int64 // THEDB-HYBRID's hops from its OCC attempt to 2PL
 	WatchdogTrips    atomic.Int64 // stuck-epoch watchdog firings attributed to this worker
 
-	// Snapshot-read counters (DESIGN.md §15).
+	// Snapshot-read counters (DESIGN.md §4.6).
 	SnapshotReads     atomic.Int64
 	VersionsInstalled atomic.Int64
 
@@ -224,7 +224,7 @@ type Aggregate struct {
 	WALFrames int64 // log frames written across all streams
 	WALBytes  int64 // log bytes written across all streams
 
-	// MVCC / snapshot-read state (engine-filled, DESIGN.md §15).
+	// MVCC / snapshot-read state (engine-filled, DESIGN.md §4.6).
 	MVCCVersionsReclaimed int64  // version-chain nodes reclaimed by the GC
 	MVCCTrackedChains     int    // records currently queued for chain pruning
 	SnapshotsPinned       int    // workers currently holding a pinned snapshot

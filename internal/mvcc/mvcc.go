@@ -1,5 +1,5 @@
 // Package mvcc holds the snapshot-side policy of THEDB's multi-version
-// read path (DESIGN.md §15): which snapshot timestamps are pinned, and
+// read path (DESIGN.md §4.6): which snapshot timestamps are pinned, and
 // how the garbage-collection low-watermark is derived from them.
 //
 // The mechanism lives in internal/storage (version chains on records,

@@ -1,4 +1,4 @@
-// Hot-key contention profiling (DESIGN.md §14.4): a fixed-size
+// Hot-key contention profiling (DESIGN.md §7.4): a fixed-size
 // space-saving top-K sketch fed from the protocol sites that already
 // know which record invalidated whom — validation failures and heal
 // starts carry (table, key) into the flight recorder, and the same

@@ -83,7 +83,7 @@ func (p *Plane) SetCheckpointStats(c *metrics.Checkpoint) {
 // SetTracer attaches the transaction trace ring served at
 // /debug/trace (nil detaches). With exemplars true, /metrics decorates
 // the latency histogram buckets with the most recent slow trace ID in
-// OpenMetrics exemplar syntax (DESIGN.md §14.5) — off by default
+// OpenMetrics exemplar syntax (DESIGN.md §7.3) — off by default
 // because strict text-format 0.0.4 parsers may reject the suffix.
 func (p *Plane) SetTracer(t *Tracer, exemplars bool) {
 	p.tracer.Store(t)

@@ -29,7 +29,7 @@ import (
 // Kind is a protocol event type.
 type Kind uint8
 
-// The event taxonomy (DESIGN.md §11). The A and B payload words are
+// The event taxonomy (DESIGN.md §7.1). The A and B payload words are
 // kind-specific and documented per constant.
 const (
 	// KNone marks an empty slot; never recorded.
@@ -141,7 +141,7 @@ type Event struct {
 	A, B uint64
 	// Trace is the transaction trace ID active when the event was
 	// recorded (0 when untraced): the correlation key between the
-	// flight recorder and the trace ring (DESIGN.md §14).
+	// flight recorder and the trace ring (DESIGN.md §7.3).
 	Trace uint64
 }
 

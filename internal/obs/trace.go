@@ -1,4 +1,4 @@
-// Transaction tracing (DESIGN.md §14): each transaction accumulates
+// Transaction tracing (DESIGN.md §7.3): each transaction accumulates
 // monotonic per-phase timings while it runs, and at completion the
 // worker offers the finished trace to a Tracer — a bounded ring with
 // tail-based retention that always keeps the interesting traces
@@ -109,7 +109,7 @@ type Trace struct {
 	HealUS int64 `json:"heal_us"`
 	// CommitUS is the commit apply (write-back + logging), of which
 	// WALUS was spent appending to the WAL. Commits never wait for
-	// fsync (group commit hardens epochs ~2 behind; DESIGN.md §8), so
+	// fsync (group commit hardens epochs ~2 behind; DESIGN.md §5.1), so
 	// sync waits appear as KEpochSeal/KWALSync recorder events, not as
 	// a transaction phase.
 	CommitUS int64 `json:"commit_us"`

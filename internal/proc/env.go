@@ -8,7 +8,7 @@ import (
 )
 
 // Env is a transaction's variables, one Slot per name of its Program's
-// symbol table (DESIGN.md §6): slot i < len(args) holds argument i, the
+// symbol table (DESIGN.md §3.2): slot i < len(args) holds argument i, the
 // variables the operations write follow in name order (the Program's
 // output order), then any name an operation declares that nothing
 // binds. An engine's worker owns one Env and refills it per attempt.

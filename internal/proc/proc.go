@@ -165,7 +165,7 @@ func UserAbort(reason string) error { return &AbortError{Reason: reason} }
 // state, which keeps the dependency graph static per invocation as
 // required by §3.
 //
-// Plan must be pure (DESIGN.md §6): one that reads no argument runs
+// Plan must be pure (DESIGN.md §3.1): one that reads no argument runs
 // once and every worker shares its Program, any other runs once per
 // transaction, not per attempt. So a body may close over nothing Plan
 // computed except values derived from the arguments Plan read — no

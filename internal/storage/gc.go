@@ -13,7 +13,7 @@ import (
 // that could still observe the record's pre-delete state has drained
 // (the record's delete stamp is at or below the watermark), since
 // snapshot readers reach version chains through the indexes without
-// pinning (DESIGN.md §15).
+// pinning (DESIGN.md §4.6).
 //
 // The collector additionally prunes version chains: records gain a
 // chain node when a commit crosses an epoch boundary (TrackVersions

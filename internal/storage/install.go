@@ -8,7 +8,7 @@ import (
 
 // An Installer hands rows to a goroutine installBatch at a time, and
 // the producer may run installQueue batches ahead, so neither side
-// idles through rows dear to the other (DESIGN.md §8.7).
+// idles through rows dear to the other (DESIGN.md §2.5).
 const installBatch, installQueue = 256, 64
 
 type installRow struct {

@@ -180,7 +180,7 @@ func FuzzValueCodec(f *testing.F) {
 	})
 }
 
-// TestRowLayoutBudget pins the bytes-per-row budget of DESIGN.md §6.1
+// TestRowLayoutBudget pins the bytes-per-row budget of DESIGN.md §2.2
 // so it cannot drift back: a 16-byte Value, a Record within one cache
 // line, no heap box per installed image, one shared row for dummies.
 func TestRowLayoutBudget(t *testing.T) {

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// Version chains (DESIGN.md §15): every record can carry a short
+// Version chains (DESIGN.md §2.3): every record can carry a short
 // singly-linked chain of superseded row images, newest first. A node
 // covers the commit-timestamp interval [begin, end): begin is the
 // commit that produced the image, end the commit that replaced it.
@@ -95,7 +95,7 @@ func (r *Record) InstallVersion(newTS uint64) bool {
 // skips the version push (same-epoch overwrite) swaps the tuple before
 // restamping; both checks passing proves the tuple load paired with
 // m1, or that the replacement is itself at or below s (in which case
-// returning it is equally correct — see DESIGN.md §15 for the
+// returning it is equally correct — see DESIGN.md §2.3 for the
 // argument).
 //
 //thedb:noalloc

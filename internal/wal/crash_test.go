@@ -257,8 +257,8 @@ func TestCloseAggregatesPerStreamErrors(t *testing.T) {
 		fault.NewWriter(io.Discard),
 		fault.NewWriter(io.Discard),
 	}
-	sinks[0].FailAt(0, fault.WriteError, errA)
-	sinks[1].FailAt(0, fault.WriteError, errB)
+	sinks[0].FailAt(errA)
+	sinks[1].FailAt(errB)
 	l := NewLogger(ValueLogging, 2, func(i int) io.Writer { return sinks[i] })
 	for i := 0; i < 2; i++ {
 		wl := l.Worker(i)

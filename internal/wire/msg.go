@@ -118,7 +118,7 @@ type Call struct {
 	// mints an ID at admission instead, so every traced transaction
 	// has exactly one nonzero ID end to end. The ID correlates the
 	// retained trace, the flight-recorder events and the histogram
-	// exemplars (DESIGN.md §14).
+	// exemplars (DESIGN.md §7.3).
 	TraceID uint64
 	// ReadOnly marks the call a snapshot read: the server
 	// executes it as a read-only snapshot transaction with zero

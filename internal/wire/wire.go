@@ -59,7 +59,7 @@
 //     exemplars of one transaction all share the ID;
 //   - a flags word. Bit 0 marks the call read-only: the server
 //     executes it as a snapshot transaction — an epoch-consistent read
-//     with zero validation (DESIGN.md §15) — and skips the dedup
+//     with zero validation (DESIGN.md §4.6) — and skips the dedup
 //     window, since a read-only call is safe to re-execute. Higher
 //     bits must be zero; the server rejects calls carrying flags it
 //     does not understand rather than silently dropping their

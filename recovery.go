@@ -121,7 +121,7 @@ func (db *DB) recoverLogs(info *CheckpointInfo, logs []io.Reader, opts RecoverOp
 }
 
 // Boot restarts the database from its Config.WALSet — the one boot
-// sequence (DESIGN.md §8): restore the newest valid checkpoint image in
+// sequence (DESIGN.md §5.4): restore the newest valid checkpoint image in
 // the set's directory, replay the generations found there above the
 // image's watermark, seed the epoch past every epoch seen in the image
 // or the tail, and tell the set that bound so later checkpoints can

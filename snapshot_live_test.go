@@ -1,7 +1,7 @@
 package thedb_test
 
-// Live acceptance tests for MVCC snapshot reads (ISSUE 10, DESIGN.md
-// §15), run under the race detector: long snapshot scans ride
+// Live acceptance tests for MVCC snapshot reads (DESIGN.md
+// §4.6), run under the race detector: long snapshot scans ride
 // alongside hot-key writers and must observe an epoch-consistent
 // image (a conserved account-sum oracle), commit with zero
 // validation, and never push the writers into aborts.

@@ -376,15 +376,6 @@ func (db *DB) Session(i int) *Session {
 // are [0, Workers).
 func (db *DB) Workers() int { return db.cfg.Workers }
 
-// SnapshotRead runs fn as a read-only snapshot transaction on session
-// 0 — the convenience entry point for ad-hoc analytics against a
-// running instance. It inherits session 0's single-goroutine contract:
-// callers sharing session 0 must serialize with it. See
-// Session.SnapshotRead for the semantics.
-func (db *DB) SnapshotRead(fn func(ctx OpCtx) error) error {
-	return db.Session(0).SnapshotRead(fn)
-}
-
 // HasProcedure reports whether a stored procedure is registered under
 // name. The network server consults it to reject unknown procedures
 // before burning a transaction attempt.
@@ -528,7 +519,7 @@ func (s *Session) Transact(fn func(ctx OpCtx) error) error {
 }
 
 // RunSnapshot executes a stored procedure as a read-only snapshot
-// transaction (DESIGN.md §15): it pins an epoch-consistent snapshot at
+// transaction (DESIGN.md §4.6): it pins an epoch-consistent snapshot at
 // start, resolves every read against the record version visible at
 // that snapshot, and commits with zero validation — no read-set
 // tracking, no healing, no aborts, and no interference with concurrent

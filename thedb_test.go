@@ -7,6 +7,7 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"thedb"
 	"thedb/internal/statecheck"
@@ -345,6 +346,50 @@ func TestTransactAdhoc(t *testing.T) {
 		return thedb.UserAbort("nope")
 	}); err == nil {
 		t.Fatal("user abort swallowed")
+	}
+}
+
+// TestSessionSnapshotRead pins Session.SnapshotRead, the anonymous
+// snapshot transaction: once the epoch has advanced past a commit, a
+// snapshot returns the committed row, and a write inside one fails
+// with ErrReadOnlyTxn.
+func TestSessionSnapshotRead(t *testing.T) {
+	db := counterDB(t, thedb.Config{Workers: 1, EpochInterval: time.Millisecond})
+	db.Start()
+	defer db.Close()
+	s := db.Session(0)
+	if _, err := s.Run("Incr", thedb.Int(3)); err != nil {
+		t.Fatal(err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var got int64
+		err := s.SnapshotRead(func(ctx thedb.OpCtx) error {
+			row, ok, err := ctx.Read("C", 3, nil)
+			if err != nil || !ok {
+				return errors.Join(err, errors.New("counter 3 missing"))
+			}
+			got = row[0].Int()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == 1 {
+			break
+		}
+		if got != 0 || time.Now().After(deadline) {
+			t.Fatalf("snapshot read counter 3 = %d, want the committed 1", got)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	err := s.SnapshotRead(func(ctx thedb.OpCtx) error {
+		return ctx.Write("C", 3, []int{0}, []thedb.Value{thedb.Int(9)})
+	})
+	if !errors.Is(err, thedb.ErrReadOnlyTxn) {
+		t.Fatalf("write inside SnapshotRead = %v, want ErrReadOnlyTxn", err)
 	}
 }
 
