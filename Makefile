@@ -111,13 +111,30 @@ smoke:
 # banktransfer (healing under contention, money conserved) and recovery
 # (WAL directory, online checkpoint, Boot, strict and salvage boot of a
 # torn log). Each checks its own result and exits through log.Fatal on
-# a wrong one. CI runs it in the smoke job.
+# a wrong one. Then it pipes a scripted session into thedb-shell (set,
+# get, txn, scan, stats, \events, \trace, \contention) and fails
+# unless each command printed its line: the exact lines where the
+# output is deterministic, the opening of the line for the dumps. CI
+# runs it in the smoke job.
 examples:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) build -o "$$dir/" ./examples/... && \
+	$(GO) build -o "$$dir/" ./examples/... ./cmd/thedb-shell && \
 	for ex in quickstart banktransfer recovery; do \
 		echo "--- examples/$$ex"; "$$dir/$$ex" || exit 1; \
-	done
+	done; \
+	echo "--- cmd/thedb-shell"; \
+	printf '%s\n' 'set KV 1 0 42' 'get KV 1' 'txn set KV 1 0 7; set KV 2 0 99' 'scan KV 0 10' stats '\events' '\trace' '\contention' \
+		| "$$dir/thedb-shell" >"$$dir/shell.txt" || { cat "$$dir/shell.txt"; exit 1; }; \
+	cat "$$dir/shell.txt"; \
+	for line in 'thedb> ok (inserted)' 'thedb> KV[1] = [42]' 'thedb> ok' 'ok (inserted)' 'thedb> KV[1] = [7]' 'KV[2] = [99]' \
+		'thedb> committed=4 restarts=0 aborted=0 heals=0'; do \
+		grep -qxF "$$line" "$$dir/shell.txt" || { echo "examples: thedb-shell printed no line '$$line'"; exit 1; }; \
+	done; \
+	for start in 'thedb> flight recorder: 4 events retained' 'thedb> traces: ' 'thedb> contention: top-16 of '; do \
+		awk -v s="$$start" 'index($$0, s) == 1 { f = 1 } END { exit !f }' "$$dir/shell.txt" \
+			|| { echo "examples: thedb-shell printed no line starting '$$start'"; exit 1; }; \
+	done; \
+	echo "examples: three examples and the thedb-shell session passed"
 
 # paper runs every experiment of the paper's evaluation once at smoke
 # scale (-quick, 2 workers, 20 ms cells: about 30 s on two CPUs) and

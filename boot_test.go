@@ -18,38 +18,17 @@ import (
 	"thedb/internal/statecheck"
 	"thedb/internal/storage"
 	"thedb/internal/wal"
+	"thedb/internal/workload/kv"
 )
 
-// bootSchema declares the one-column KV table and RPut(key, val), an
-// upsert, so a history is a plain sequence of single-row writes.
+// bootSchema declares internal/workload/kv's table and procedures;
+// the tests commit only KVPut, an upsert, so a history is a plain
+// sequence of single-row writes.
 func bootSchema(db *DB) {
-	db.MustCreateTable(Schema{
-		Name:    "KV",
-		Columns: []ColumnDef{{Name: "v", Kind: KindInt}},
-	})
-	db.MustRegister(&Spec{
-		Name:   "RPut",
-		Params: []string{"key", "val"},
-		Plan: func(b *Builder, _ *Env) {
-			b.Op(Op{
-				Name:     "put",
-				KeyReads: []string{"key"},
-				ValReads: []string{"val"},
-				Body: func(ctx OpCtx) error {
-					e := ctx.Env()
-					k := Key(e.Int("key"))
-					_, ok, err := ctx.Read("KV", k, nil)
-					if err != nil {
-						return err
-					}
-					if ok {
-						return ctx.Write("KV", k, []int{0}, []Value{Int(e.Int("val"))})
-					}
-					return ctx.Insert("KV", k, Tuple{Int(e.Int("val"))})
-				},
-			})
-		},
-	})
+	db.MustCreateTable(kv.Schema())
+	for _, s := range kv.Specs() {
+		db.MustRegister(s)
+	}
 }
 
 // bootLife opens dir as a one-worker WAL directory with the bootSchema
@@ -73,7 +52,7 @@ func bootLife(t *testing.T, dir string) *DB {
 	return db
 }
 
-// bootHistory commits txnsPerEpoch RPut transactions in each of epochs
+// bootHistory commits txnsPerEpoch KVPut transactions in each of epochs
 // epochs, then closes the database and its WAL files.
 func bootHistory(t *testing.T, dir string, epochs, txnsPerEpoch int) *DB {
 	t.Helper()
@@ -85,7 +64,7 @@ func bootHistory(t *testing.T, dir string, epochs, txnsPerEpoch int) *DB {
 			db.eng.Epoch().Advance()
 		}
 		for i := 0; i < txnsPerEpoch; i++ {
-			if _, err := s.Run("RPut", Int(int64(i)), Int(int64(e*100+i))); err != nil {
+			if _, err := s.Run(kv.ProcPut, Int(int64(i)), Int(int64(e*100+i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -157,7 +136,7 @@ func TestBootImageOnlySeedsPastImageRows(t *testing.T) {
 	// A brand-new key: the commit inherits no timestamp from a restored
 	// row, so only the seeded epoch can lift it above them.
 	const fresh = 1 << 20
-	if _, err := db2.Session(0).Run("RPut", Int(fresh), Int(1)); err != nil {
+	if _, err := db2.Session(0).Run(kv.ProcPut, Int(fresh), Int(1)); err != nil {
 		t.Fatal(err)
 	}
 	rec, ok := tab.Peek(fresh)
@@ -237,7 +216,7 @@ func TestBootEmptyDirIsAFreshStart(t *testing.T) {
 	}
 	db.Start()
 	defer db.Close()
-	if _, err := db.Session(0).Run("RPut", Int(1), Int(1)); err != nil {
+	if _, err := db.Session(0).Run(kv.ProcPut, Int(1), Int(1)); err != nil {
 		t.Fatalf("first transaction after a fresh boot: %v", err)
 	}
 }
@@ -339,7 +318,7 @@ func TestCheckpointOutsideWALDirRefused(t *testing.T) {
 	db.Start()
 	const rows = 60
 	for i := 0; i < rows; i++ {
-		if _, err := db.Session(0).Run("RPut", Int(int64(i)), Int(int64(i))); err != nil {
+		if _, err := db.Session(0).Run(kv.ProcPut, Int(int64(i)), Int(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 		if i%10 == 9 {

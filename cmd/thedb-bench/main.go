@@ -92,9 +92,7 @@ func main() {
 	}
 
 	if *obsAddr != "" {
-		plane := obs.NewPlane()
-		bench.SetObsPlane(plane)
-		srv, err := obs.StartServer(*obsAddr, plane.Handler())
+		srv, err := obs.StartServer(*obsAddr, obs.Handler(bench.ObsSources()))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "obs: %v\n", err)
 			os.Exit(1)

@@ -48,9 +48,9 @@
 // recovery report is printed as one JSON line on stderr and served at
 // /debug/recovery.
 //
-// The kv workload registers three procedures over one ordered KV
-// table: KVGet(key) → found,val; KVPut(key,val) upsert; KVInc(key,
-// delta) → val. The shell's \connect mode speaks to them directly.
+// The kv workload is internal/workload/kv: one ordered KV table and
+// KVGet(key) → found,val; KVPut(key,val) upsert; KVInc(key, delta) →
+// val. The shell's \connect mode speaks to them directly.
 //
 // Shutdown: on SIGINT/SIGTERM the server stops accepting, answers new
 // calls with the retryable draining error, finishes every admitted
@@ -72,6 +72,7 @@ import (
 	"thedb"
 	"thedb/internal/obs"
 	"thedb/internal/server"
+	"thedb/internal/workload/kv"
 	"thedb/internal/workload/smallbank"
 	"thedb/internal/workload/ycsb"
 )
@@ -153,12 +154,12 @@ func main() {
 	srv := server.New(db, server.Config{})
 
 	if *obsAddr != "" {
-		plane := db.ObsPlane()
-		plane.SetServerStats(srv.Stats())
+		src := db.ObsSources()
+		src.Server = srv.Stats()
 		if report != nil {
-			plane.SetBootReport(report)
+			src.BootReport = report
 		}
-		osrv, err := obs.StartServer(*obsAddr, plane.Handler())
+		osrv, err := obs.StartServer(*obsAddr, obs.Handler(src))
 		if err != nil {
 			fatalf("obs: %v", err)
 		}
@@ -223,7 +224,10 @@ func main() {
 func setupSchema(db *thedb.DB, name string) {
 	switch name {
 	case "kv":
-		registerKV(db)
+		db.MustCreateTable(kv.Schema())
+		for _, s := range kv.Specs() {
+			db.MustRegister(s)
+		}
 	case "ycsb":
 		db.MustCreateTable(ycsb.Schema())
 		for _, s := range ycsb.Specs() {
@@ -254,95 +258,6 @@ func populate(db *thedb.DB, name string, ycsbRecords, sbAccounts int) error {
 	default:
 		return fmt.Errorf("unknown workload %q", name)
 	}
-}
-
-// registerKV installs the shell-friendly KV catalog: one ordered
-// int-valued table with get / upsert / increment procedures.
-func registerKV(db *thedb.DB) {
-	db.MustCreateTable(thedb.Schema{
-		Name:    "KV",
-		Columns: []thedb.ColumnDef{{Name: "v", Kind: thedb.KindInt}},
-		Ordered: true,
-	})
-	db.MustRegister(&thedb.Spec{
-		Name:   "KVGet",
-		Params: []string{"key"},
-		Plan: func(b *thedb.Builder, _ *thedb.Env) {
-			b.Op(thedb.Op{
-				Name:     "get",
-				KeyReads: []string{"key"},
-				Writes:   []string{"found", "val"},
-				Body: func(ctx thedb.OpCtx) error {
-					e := ctx.Env()
-					row, ok, err := ctx.Read("KV", thedb.Key(e.Int("key")), nil)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						e.SetInt("found", 0)
-						e.SetInt("val", 0)
-						return nil
-					}
-					e.SetInt("found", 1)
-					e.SetVal("val", row[0])
-					return nil
-				},
-			})
-		},
-	})
-	db.MustRegister(&thedb.Spec{
-		Name:   "KVPut",
-		Params: []string{"key", "val"},
-		Plan: func(b *thedb.Builder, _ *thedb.Env) {
-			b.Op(thedb.Op{
-				Name:     "upsert",
-				KeyReads: []string{"key"},
-				ValReads: []string{"val"},
-				Body: func(ctx thedb.OpCtx) error {
-					e := ctx.Env()
-					k := thedb.Key(e.Int("key"))
-					_, ok, err := ctx.Read("KV", k, nil)
-					if err != nil {
-						return err
-					}
-					if ok {
-						return ctx.Write("KV", k, []int{0}, []thedb.Value{e.Val("val")})
-					}
-					return ctx.Insert("KV", k, thedb.Tuple{e.Val("val")})
-				},
-			})
-		},
-	})
-	db.MustRegister(&thedb.Spec{
-		Name:   "KVInc",
-		Params: []string{"key", "delta"},
-		Plan: func(b *thedb.Builder, _ *thedb.Env) {
-			b.Op(thedb.Op{
-				Name:     "inc",
-				KeyReads: []string{"key"},
-				ValReads: []string{"delta"},
-				Writes:   []string{"val"},
-				Body: func(ctx thedb.OpCtx) error {
-					e := ctx.Env()
-					k := thedb.Key(e.Int("key"))
-					row, ok, err := ctx.Read("KV", k, nil)
-					if err != nil {
-						return err
-					}
-					cur := int64(0)
-					if ok {
-						cur = row[0].Int()
-					}
-					next := cur + e.Int("delta")
-					e.SetInt("val", next)
-					if ok {
-						return ctx.Write("KV", k, []int{0}, []thedb.Value{thedb.Int(next)})
-					}
-					return ctx.Insert("KV", k, thedb.Tuple{thedb.Int(next)})
-				},
-			})
-		},
-	})
 }
 
 func fatalf(format string, args ...any) {

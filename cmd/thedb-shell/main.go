@@ -4,8 +4,8 @@
 // dependency information and hence no healing — exactly the paper's
 // ad-hoc path.
 //
-// It opens a demo database (a single KV table, or the Smallbank
-// schema with -smallbank) and accepts:
+// It opens a demo database (internal/workload/kv's table, or the
+// Smallbank schema with -smallbank) and accepts:
 //
 //	get <table> <key>
 //	set <table> <key> <col> <int-value>
@@ -27,12 +27,12 @@
 //
 //	$ go run ./cmd/thedb-shell
 //	thedb> set KV 1 0 42
-//	ok
+//	ok (inserted)
 //	thedb> get KV 1
 //	KV[1] = [42]
 //	thedb> txn get KV 1; set KV 2 0 99
 //	KV[1] = [42]
-//	ok
+//	ok (inserted)
 package main
 
 import (
@@ -49,6 +49,7 @@ import (
 	"thedb/client"
 	"thedb/internal/obs"
 	"thedb/internal/storage"
+	"thedb/internal/workload/kv"
 	"thedb/internal/workload/smallbank"
 )
 
@@ -74,11 +75,7 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		db.MustCreateTable(thedb.Schema{
-			Name:    "KV",
-			Columns: []thedb.ColumnDef{{Name: "v", Kind: thedb.KindInt}},
-			Ordered: true,
-		})
+		db.MustCreateTable(kv.Schema())
 	}
 	db.Start()
 	defer func() {
@@ -275,7 +272,7 @@ func remoteShell(in *bufio.Scanner, addr string) {
 `)
 			continue
 		case "get", "set", "inc":
-			proc = map[string]string{"get": "KVGet", "set": "KVPut", "inc": "KVInc"}[f[0]]
+			proc = map[string]string{"get": kv.ProcGet, "set": kv.ProcPut, "inc": kv.ProcInc}[f[0]]
 			for _, a := range f[1:] {
 				n, err := strconv.ParseInt(a, 10, 64)
 				if err != nil {

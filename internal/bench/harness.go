@@ -78,20 +78,21 @@ func (o *Opts) Defaults() {
 	}
 }
 
-// obsPlane, when installed, is re-pointed at each engine the harness
-// creates, so one exposition endpoint keeps serving live metrics
-// while runners build and tear down engines per measurement cell.
-var obsPlane *obs.Plane
+// cellEngine is the running cell's engine, nil between cells.
+// ObsSources serves its live metrics, so one exposition endpoint
+// follows the engines the runners build and tear down per cell.
+var cellEngine atomic.Pointer[core.Engine]
 
-// SetObsPlane installs the exposition hub (nil uninstalls). Call
-// before running experiments; the harness is otherwise single-driver.
-func SetObsPlane(p *obs.Plane) { obsPlane = p }
-
-// attachObs points the installed hub (if any) at the live engine.
-func attachObs(live func() *metrics.Aggregate) {
-	if obsPlane != nil {
-		obsPlane.SetSource(live)
-	}
+// ObsSources is the exposition plane of a harness run (thedb-bench
+// -obs.addr): /metrics shows the running cell's engine, and thedb_up
+// alone between cells.
+func ObsSources() obs.Sources {
+	return obs.Sources{Live: func() *metrics.Aggregate {
+		if eng := cellEngine.Load(); eng != nil {
+			return eng.LiveMetrics()
+		}
+		return nil
+	}}
 }
 
 // workload is what a cell drives: a schema, the rows it starts with,
@@ -209,8 +210,8 @@ func (c cell) run(sys System) result {
 		eng.MustRegister(s)
 	}
 	eng.Start()
-	attachObs(eng.LiveMetrics)
-	defer func() { attachObs(nil); _ = eng.Stop() }()
+	cellEngine.Store(eng)
+	defer func() { cellEngine.Store(nil); _ = eng.Stop() }()
 
 	samplers := make([]map[string]*Sampler, c.workers)
 	var stop atomic.Bool

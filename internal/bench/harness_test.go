@@ -2,13 +2,17 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"math"
+	"net/http"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"thedb/internal/core"
+	"thedb/internal/obs"
 	"thedb/internal/workload/tpcc"
 )
 
@@ -101,6 +105,60 @@ func TestRunSmallbank(t *testing.T) {
 		if res.latency().Len() == 0 {
 			t.Fatalf("%s recorded no latencies", sys)
 		}
+	}
+}
+
+// TestObsFollowsRunningCell is thedb-bench -obs.addr: while a cell
+// runs, /metrics serves that cell's engine, and between cells it
+// serves thedb_up alone.
+func TestObsFollowsRunningCell(t *testing.T) {
+	srv, err := obs.StartServer("127.0.0.1:0", obs.Handler(ObsSources()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// committed scrapes /metrics for thedb_committed_total.
+	committed := func() (int64, bool) {
+		resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(b), "\n") {
+			if v, ok := strings.CutPrefix(line, "thedb_committed_total "); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n, true
+			}
+		}
+		return 0, false
+	}
+	if n, ok := committed(); ok {
+		t.Fatalf("before any cell, /metrics serves thedb_committed_total %d", n)
+	}
+
+	done := make(chan result, 1)
+	go func() { done <- cellOpts(500 * time.Millisecond).cell(smallbankLoad(0.5)).run(thedb) }()
+	var seen int64
+	for seen == 0 {
+		select {
+		case res := <-done:
+			t.Fatalf("the cell ended with %d commits before a scrape saw one", res.agg.Committed)
+		case <-time.After(10 * time.Millisecond):
+		}
+		seen, _ = committed()
+	}
+	if res := <-done; seen > res.agg.Committed {
+		t.Fatalf("mid-cell scrape read %d commits, more than the cell's %d", seen, res.agg.Committed)
+	}
+	if n, ok := committed(); ok {
+		t.Fatalf("after the cell, /metrics still serves thedb_committed_total %d", n)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -259,15 +258,6 @@ func (a *Aggregate) AbortRate() float64 {
 	return float64(a.Restarts) / float64(a.Committed)
 }
 
-// PermanentAbortRate returns permanently aborted transactions per
-// committed transaction (deadlock prevention, Table 6).
-func (a *Aggregate) PermanentAbortRate() float64 {
-	if a.Committed == 0 {
-		return 0
-	}
-	return float64(a.Aborted) / float64(a.Committed)
-}
-
 // PhaseFraction returns the share of total measured time spent in p.
 func (a *Aggregate) PhaseFraction(p Phase) float64 {
 	var total int64
@@ -296,20 +286,4 @@ func (a *Aggregate) LatencyBuckets() (uppers []float64, counts []int64) {
 		counts[i] = a.latency[i]
 	}
 	return uppers, counts
-}
-
-// BreakdownString renders the phase breakdown as percentages,
-// followed by the escalation and watchdog counters when either is
-// nonzero.
-func (a *Aggregate) BreakdownString() string {
-	var parts []string
-	for p := Phase(0); p < numPhases; p++ {
-		parts = append(parts, fmt.Sprintf("%s=%.1f%%", p, 100*a.PhaseFraction(p)))
-	}
-	if a.HealingFallbacks != 0 || a.WatchdogTrips != 0 {
-		parts = append(parts,
-			fmt.Sprintf("fallbacks=%d", a.HealingFallbacks),
-			fmt.Sprintf("watchdog_trips=%d", a.WatchdogTrips))
-	}
-	return strings.Join(parts, " ")
 }

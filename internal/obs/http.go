@@ -9,145 +9,85 @@ import (
 	httppprof "net/http/pprof"
 	"runtime/pprof"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"thedb/internal/metrics"
 )
 
-// Plane is a process-wide exposition hub: an HTTP handler whose
-// live-metrics source and flight recorder can be swapped at runtime,
-// so a benchmark harness that creates and destroys engines per cell
-// keeps serving /metrics from whichever engine is currently live.
-type Plane struct {
-	src       atomic.Pointer[source]
-	rec       atomic.Pointer[Recorder]
-	tableName atomic.Pointer[func(int) string]
-	srvStats  atomic.Pointer[metrics.Server]
-	ckStats   atomic.Pointer[metrics.Checkpoint]
-	bootRep   atomic.Pointer[bootReport]
-	tracer    atomic.Pointer[Tracer]
-	cont      atomic.Pointer[Contention]
-	exemplars atomic.Bool
-}
-
-// bootReport boxes the boot recovery report for atomic swap; the
-// payload is pre-rendered JSON so the plane needs no knowledge of the
-// reporting type.
-type bootReport struct{ json []byte }
-
-// source boxes the snapshot closure (atomic.Pointer needs a concrete
-// pointee type).
-type source struct {
-	live func() *metrics.Aggregate
-}
-
-// NewPlane builds an empty hub; it serves thedb_up until a source is
-// attached.
-func NewPlane() *Plane { return &Plane{} }
-
-// SetSource attaches the live-snapshot closure (nil detaches).
-func (p *Plane) SetSource(live func() *metrics.Aggregate) {
-	if live == nil {
-		p.src.Store(nil)
-		return
-	}
-	p.src.Store(&source{live: live})
-}
-
-// SetRecorder attaches the flight recorder served at /debug/events
-// (nil detaches). tableName, optional, resolves table IDs in dumps.
-func (p *Plane) SetRecorder(rec *Recorder, tableName func(int) string) {
-	p.rec.Store(rec)
-	if tableName == nil {
-		p.tableName.Store(nil)
-	} else {
-		p.tableName.Store(&tableName)
-	}
-}
-
-// SetServerStats attaches the network serving plane's counters (nil
-// detaches): /metrics then appends the thedb_server_* series to every
-// scrape.
-func (p *Plane) SetServerStats(s *metrics.Server) {
-	p.srvStats.Store(s)
-}
-
-// SetCheckpointStats attaches the checkpoint subsystem's counters
-// (nil detaches): /metrics then appends the thedb_checkpoint_* and
-// thedb_restart_* series.
-func (p *Plane) SetCheckpointStats(c *metrics.Checkpoint) {
-	p.ckStats.Store(c)
-}
-
-// SetTracer attaches the transaction trace ring served at
-// /debug/trace (nil detaches). With exemplars true, /metrics decorates
-// the latency histogram buckets with the most recent slow trace ID in
-// OpenMetrics exemplar syntax (DESIGN.md §7.3) — off by default
-// because strict text-format 0.0.4 parsers may reject the suffix.
-func (p *Plane) SetTracer(t *Tracer, exemplars bool) {
-	p.tracer.Store(t)
-	p.exemplars.Store(exemplars && t != nil)
-}
-
-// SetContention attaches the hot-key sketch served at
-// /debug/contention and exported as thedb_contention_topk (nil
-// detaches).
-func (p *Plane) SetContention(c *Contention) {
-	p.cont.Store(c)
-}
-
-// SetBootReport attaches the boot recovery report served at
-// /debug/recovery. rep must be JSON-marshalable; a marshal failure is
-// reported by the endpoint, never at set time.
-func (p *Plane) SetBootReport(rep any) {
-	if rep == nil {
-		p.bootRep.Store(nil)
-		return
-	}
-	b, err := json.Marshal(rep)
-	if err != nil {
-		b = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
-	}
-	p.bootRep.Store(&bootReport{json: b})
+// Sources is what the exposition plane serves. Every field is
+// optional: an endpoint whose source is nil answers 404, and /metrics
+// omits the series of a nil source (with no Live it serves thedb_up
+// alone).
+type Sources struct {
+	// Live snapshots the engine's counters for /metrics.
+	Live func() *metrics.Aggregate
+	// Recorder is the flight recorder served at /debug/events.
+	Recorder *Recorder
+	// TableName resolves table IDs in the event and contention dumps.
+	TableName func(int) string
+	// Server adds the network serving plane's thedb_server_* series.
+	Server *metrics.Server
+	// Checkpoint adds the thedb_checkpoint_* and thedb_restart_* series.
+	Checkpoint *metrics.Checkpoint
+	// Tracer is the transaction trace ring served at /debug/trace.
+	Tracer *Tracer
+	// Exemplars decorates the latency histogram buckets with the most
+	// recent slow trace ID in OpenMetrics exemplar syntax (DESIGN.md
+	// §7.3); off by default because strict text-format 0.0.4 parsers
+	// may reject the suffix.
+	Exemplars bool
+	// Contention is the hot-key sketch served at /debug/contention and
+	// exported as thedb_contention_topk.
+	Contention *Contention
+	// BootReport is the boot recovery report served at
+	// /debug/recovery. It must be JSON-marshalable; a marshal failure
+	// is what the endpoint serves.
+	BootReport any
 }
 
 // Handler returns the exposition mux:
 //
 //	/metrics           Prometheus text format of the live snapshot
 //	/debug/events      flight-recorder dump (merged, time-ordered)
-//	/debug/trace       retained transaction traces (JSON), 404 until set
-//	/debug/contention  hot-key sketch snapshot (JSON), 404 until set
-//	/debug/recovery    boot recovery report (JSON), 404 until set
+//	/debug/trace       retained transaction traces (JSON), 404 without a Tracer
+//	/debug/contention  hot-key sketch snapshot (JSON), 404 without Contention
+//	/debug/recovery    boot recovery report (JSON), 404 without a BootReport
 //	/debug/pprof/      the standard pprof index (worker goroutines carry
 //	                   a thedb_worker label when driven via DoWorker)
-func (p *Plane) Handler() http.Handler {
+func Handler(src Sources) http.Handler {
+	var bootJSON []byte
+	if src.BootReport != nil {
+		var err error
+		if bootJSON, err = json.Marshal(src.BootReport); err != nil {
+			bootJSON = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
+		}
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		var agg *metrics.Aggregate
-		if s := p.src.Load(); s != nil {
-			agg = s.live()
+		if src.Live != nil {
+			agg = src.Live()
 		}
 		var ex *Exemplar
-		if t := p.tracer.Load(); t != nil && p.exemplars.Load() {
+		if t := src.Tracer; t != nil && src.Exemplars {
 			if id, us, ok := t.LastSlow(); ok {
 				ex = &Exemplar{TraceID: id, ValueUS: us}
 			}
 		}
 		WritePromWith(w, agg, ex)
-		if s := p.srvStats.Load(); s != nil {
+		if s := src.Server; s != nil {
 			WritePromServer(w, s.Snapshot())
 		}
-		if c := p.ckStats.Load(); c != nil {
+		if c := src.Checkpoint; c != nil {
 			WritePromCheckpoint(w, c)
 		}
-		if c := p.cont.Load(); c != nil {
+		if c := src.Contention; c != nil {
 			WritePromContention(w, c)
 		}
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		t := p.tracer.Load()
+		t := src.Tracer
 		if t == nil {
 			http.Error(w, "tracing not enabled", http.StatusNotFound)
 			return
@@ -170,14 +110,10 @@ func (p *Plane) Handler() http.Handler {
 		}
 	})
 	mux.HandleFunc("/debug/contention", func(w http.ResponseWriter, r *http.Request) {
-		c := p.cont.Load()
+		c := src.Contention
 		if c == nil {
 			http.Error(w, "contention profiling not enabled", http.StatusNotFound)
 			return
-		}
-		var tn func(int) string
-		if f := p.tableName.Load(); f != nil {
-			tn = *f
 		}
 		entries := c.Snapshot()
 		type namedEntry struct {
@@ -187,8 +123,8 @@ func (p *Plane) Handler() http.Handler {
 		named := make([]namedEntry, len(entries))
 		for i, e := range entries {
 			named[i] = namedEntry{ContEntry: e}
-			if tn != nil {
-				named[i].TableName = tn(e.Table)
+			if src.TableName != nil {
+				named[i].TableName = src.TableName(e.Table)
 			}
 		}
 		resp := struct {
@@ -202,26 +138,20 @@ func (p *Plane) Handler() http.Handler {
 		}
 	})
 	mux.HandleFunc("/debug/recovery", func(w http.ResponseWriter, r *http.Request) {
-		rep := p.bootRep.Load()
-		if rep == nil {
+		if bootJSON == nil {
 			http.Error(w, "no recovery report (fresh start or report not attached)", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(rep.json)
+		w.Write(bootJSON)
 	})
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
-		rec := p.rec.Load()
-		if rec == nil {
+		if src.Recorder == nil {
 			http.Error(w, "flight recorder not enabled", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		var tn func(int) string
-		if f := p.tableName.Load(); f != nil {
-			tn = *f
-		}
-		rec.DumpWith(w, tn)
+		src.Recorder.DumpWith(w, src.TableName)
 	})
 	mux.HandleFunc("/debug/pprof/", httppprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)

@@ -319,11 +319,9 @@ func TestWritePromServerFormat(t *testing.T) {
 }
 
 func TestPlaneServesServerStats(t *testing.T) {
-	p := NewPlane()
 	s := &metrics.Server{}
 	s.ConnsOpened.Add(1)
-	p.SetServerStats(s)
-	srv := httptest.NewServer(p.Handler())
+	srv := httptest.NewServer(Handler(Sources{Server: s}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -344,56 +342,41 @@ func TestPlaneServesServerStats(t *testing.T) {
 }
 
 func TestPlaneHandler(t *testing.T) {
-	p := NewPlane()
-	srv := httptest.NewServer(p.Handler())
-	defer srv.Close()
-
-	get := func(path string) (int, string) {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		var sb strings.Builder
-		buf := make([]byte, 4096)
-		for {
-			n, err := resp.Body.Read(buf)
-			sb.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		return resp.StatusCode, sb.String()
+	get := func(h http.Handler, path string) (int, string) {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		return rr.Code, rr.Body.String()
 	}
 
-	// Detached plane: /metrics still serves thedb_up, /debug/events 404s.
-	code, body := get("/metrics")
+	// No sources: /metrics still serves thedb_up, /debug/events 404s.
+	empty := Handler(Sources{})
+	code, body := get(empty, "/metrics")
 	if code != 200 || !strings.Contains(body, "thedb_up 1") {
-		t.Fatalf("/metrics detached: code=%d body=%q", code, body)
+		t.Fatalf("/metrics without sources: code=%d body=%q", code, body)
 	}
 	checkPromText(t, body)
-	if code, _ := get("/debug/events"); code != 404 {
+	if code, _ := get(empty, "/debug/events"); code != 404 {
 		t.Fatalf("/debug/events without recorder: code=%d, want 404", code)
 	}
 
-	// Attach a source and recorder; both endpoints go live.
+	// A live source and a recorder: both endpoints serve them.
 	w := &metrics.Worker{}
 	w.Committed.Add(1)
-	p.SetSource(func() *metrics.Aggregate {
-		return metrics.Merge(time.Second, []*metrics.Worker{w})
-	})
 	rec := NewRecorder(1, 8)
 	rec.Record(0, KCommit, 2, 77, 5)
-	p.SetRecorder(rec, func(int) string { return "T" })
-
-	code, body = get("/metrics")
+	h := Handler(Sources{
+		Live:      func() *metrics.Aggregate { return metrics.Merge(time.Second, []*metrics.Worker{w}) },
+		Recorder:  rec,
+		TableName: func(int) string { return "T" },
+	})
+	code, body = get(h, "/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics live: code=%d", code)
 	}
 	if vals := checkPromText(t, body); vals["thedb_committed_total"] != 1 {
 		t.Fatalf("live committed = %v, want 1", vals["thedb_committed_total"])
 	}
-	code, body = get("/debug/events")
+	code, body = get(h, "/debug/events")
 	if code != 200 || !strings.Contains(body, "commit ts=77") {
 		t.Fatalf("/debug/events live: code=%d body=%q", code, body)
 	}

@@ -92,8 +92,8 @@ func WritePromWith(w io.Writer, a *metrics.Aggregate, ex *Exemplar) {
 
 // WritePromServer renders the network serving plane's counters in the
 // Prometheus text format. s is a Snapshot (plain loads are safe).
-// Emitted after the engine series when a Plane has server stats
-// attached, so one scrape covers engine and serving plane together.
+// Emitted after the engine series when the Sources carry Server, so
+// one scrape covers engine and serving plane together.
 func WritePromServer(w io.Writer, s metrics.ServerCounters) {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, formatFloat(v))
@@ -122,8 +122,8 @@ func WritePromServer(w io.Writer, s metrics.ServerCounters) {
 }
 
 // WritePromCheckpoint renders the checkpoint subsystem's counters and
-// the boot restart measurements. Emitted when a Plane has checkpoint
-// stats attached.
+// the boot restart measurements. Emitted when the Sources carry
+// Checkpoint.
 func WritePromCheckpoint(w io.Writer, c *metrics.Checkpoint) {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, formatFloat(v))

@@ -128,10 +128,6 @@ type Trace struct {
 	Passes [MaxHealPasses]HealPass `json:"passes"`
 }
 
-// Healed reports whether the transaction went through at least one
-// healing pass.
-func (t *Trace) Healed() bool { return t.NPasses > 0 }
-
 // Tracer is the bounded completed-trace ring with tail-based
 // retention. One per engine; all workers share it (Keep serializes on
 // a mutex, which is off the contended path: most transactions are

@@ -201,17 +201,15 @@ func TestPromExemplarFormat(t *testing.T) {
 }
 
 // TestPlaneTraceEndpoints: /debug/trace and /debug/contention are 404
-// until attached and serve decodable JSON afterwards, with table names
-// resolved in the contention snapshot.
+// without their sources and serve decodable JSON with them, with table
+// names resolved in the contention snapshot.
 func TestPlaneTraceEndpoints(t *testing.T) {
-	p := NewPlane()
-	h := p.Handler()
-
+	empty := Handler(Sources{})
 	for _, path := range []string{"/debug/trace", "/debug/contention"} {
 		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		empty.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
 		if rr.Code != 404 {
-			t.Errorf("%s before attach: status %d, want 404", path, rr.Code)
+			t.Errorf("%s without a source: status %d, want 404", path, rr.Code)
 		}
 	}
 
@@ -220,14 +218,13 @@ func TestPlaneTraceEndpoints(t *testing.T) {
 		NPasses: 1, Passes: [MaxHealPasses]HealPass{{StartUS: 3, EndUS: 5, Restored: 2}}})
 	cont := NewContention(8)
 	cont.Touch(4, 17, TouchValidationFail)
-	p.SetTracer(tr, false)
-	p.SetContention(cont)
-	p.SetRecorder(NewRecorder(1, 64), func(id int) string {
-		if id == 4 {
-			return "ACCOUNT"
-		}
-		return ""
-	})
+	h := Handler(Sources{Tracer: tr, Contention: cont, Recorder: NewRecorder(1, 64),
+		TableName: func(id int) string {
+			if id == 4 {
+				return "ACCOUNT"
+			}
+			return ""
+		}})
 
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/trace", nil))

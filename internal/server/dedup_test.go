@@ -13,42 +13,6 @@ import (
 	"thedb/internal/wire"
 )
 
-// registerKVInc adds a non-idempotent read-modify-write procedure: the
-// one whose double execution the dedup window exists to prevent. KVPut
-// cannot tell the story — replaying an upsert is invisible.
-func registerKVInc(db *thedb.DB) {
-	db.MustRegister(&thedb.Spec{
-		Name:   "KVInc",
-		Params: []string{"key", "delta"},
-		Plan: func(b *thedb.Builder, _ *thedb.Env) {
-			b.Op(thedb.Op{
-				Name:     "inc",
-				KeyReads: []string{"key"},
-				ValReads: []string{"delta"},
-				Writes:   []string{"val"},
-				Body: func(ctx thedb.OpCtx) error {
-					e := ctx.Env()
-					k := thedb.Key(e.Int("key"))
-					row, ok, err := ctx.Read("KV", k, nil)
-					if err != nil {
-						return err
-					}
-					var cur int64
-					if ok {
-						cur = row[0].Int()
-					}
-					nv := cur + e.Int("delta")
-					e.SetInt("val", nv)
-					if ok {
-						return ctx.Write("KV", k, []int{0}, []thedb.Value{thedb.Int(nv)})
-					}
-					return ctx.Insert("KV", k, thedb.Tuple{thedb.Int(nv)})
-				},
-			})
-		},
-	})
-}
-
 // rawDialSession is rawDial presenting an existing session token, the
 // reconnect path of an exactly-once retry.
 func rawDialSession(t *testing.T, addr string, session uint64) (net.Conn, *wire.Reader, wire.Welcome) {
@@ -120,7 +84,6 @@ func resultInt(t *testing.T, f wire.Frame, name string) int64 {
 // counters must also surface in the Prometheus rendering.
 func TestDedupReplaysCachedResponse(t *testing.T) {
 	db := newKVDB(t, 2, nil)
-	registerKVInc(db)
 	srv, addr := startServer(t, db, server.Config{})
 
 	nc, fr, w := rawDialSession(t, addr, 0)
@@ -182,7 +145,6 @@ func TestDedupReplaysCachedResponse(t *testing.T) {
 // ambiguous-failure retry after a connection reset.
 func TestDedupSurvivesReconnect(t *testing.T) {
 	db := newKVDB(t, 2, nil)
-	registerKVInc(db)
 	srv, addr := startServer(t, db, server.Config{})
 
 	nc1, fr1, w := rawDialSession(t, addr, 0)
@@ -293,7 +255,6 @@ func TestDedupCoalescesConcurrentRetry(t *testing.T) {
 func TestDedupWindowEviction(t *testing.T) {
 	const window = server.DedupWindow
 	db := newKVDB(t, 2, nil)
-	registerKVInc(db)
 	srv, addr := startServer(t, db, server.Config{})
 
 	nc, fr, w := rawDialSession(t, addr, 0)
@@ -332,7 +293,6 @@ func TestDedupWindowEviction(t *testing.T) {
 func TestDedupWaiterOnRecycledEntry(t *testing.T) {
 	const window = server.DedupWindow
 	db := newKVDB(t, 2, nil)
-	registerKVInc(db)
 	registerSlowInc(db)
 	srv, addr := startServer(t, db, server.Config{})
 

@@ -13,10 +13,11 @@ import (
 	"thedb/client"
 	"thedb/internal/server"
 	"thedb/internal/wire"
+	"thedb/internal/workload/kv"
 )
 
-// newKVDB builds a database with a KV table and the procedure set the
-// network tests exercise: KVPut (upsert), KVGet, Slow (sleeps, for
+// newKVDB builds a database with internal/workload/kv's table and
+// procedures plus the two the network tests add: Slow (sleeps, for
 // pipelining tests) and Nope (always aborts). It logs into fs (nil: the
 // database is not durable).
 func newKVDB(t *testing.T, workers int, fs *thedb.WALSet) *thedb.DB {
@@ -30,59 +31,10 @@ func newKVDB(t *testing.T, workers int, fs *thedb.WALSet) *thedb.DB {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	db.MustCreateTable(thedb.Schema{
-		Name:    "KV",
-		Columns: []thedb.ColumnDef{{Name: "val", Kind: thedb.KindInt}},
-	})
-	db.MustRegister(&thedb.Spec{
-		Name:   "KVPut",
-		Params: []string{"key", "val"},
-		Plan: func(b *thedb.Builder, _ *thedb.Env) {
-			b.Op(thedb.Op{
-				Name:     "upsert",
-				KeyReads: []string{"key"},
-				ValReads: []string{"val"},
-				Body: func(ctx thedb.OpCtx) error {
-					e := ctx.Env()
-					k := thedb.Key(e.Int("key"))
-					_, ok, err := ctx.Read("KV", k, nil)
-					if err != nil {
-						return err
-					}
-					if ok {
-						return ctx.Write("KV", k, []int{0}, []thedb.Value{e.Val("val")})
-					}
-					return ctx.Insert("KV", k, thedb.Tuple{e.Val("val")})
-				},
-			})
-		},
-	})
-	db.MustRegister(&thedb.Spec{
-		Name:   "KVGet",
-		Params: []string{"key"},
-		Plan: func(b *thedb.Builder, _ *thedb.Env) {
-			b.Op(thedb.Op{
-				Name:     "get",
-				KeyReads: []string{"key"},
-				Writes:   []string{"found", "val"},
-				Body: func(ctx thedb.OpCtx) error {
-					e := ctx.Env()
-					row, ok, err := ctx.Read("KV", thedb.Key(e.Int("key")), nil)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						e.SetInt("found", 0)
-						e.SetInt("val", 0)
-						return nil
-					}
-					e.SetInt("found", 1)
-					e.SetVal("val", row[0])
-					return nil
-				},
-			})
-		},
-	})
+	db.MustCreateTable(kv.Schema())
+	for _, s := range kv.Specs() {
+		db.MustRegister(s)
+	}
 	db.MustRegister(&thedb.Spec{
 		Name:   "Slow",
 		Params: []string{"ms"},

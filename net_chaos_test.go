@@ -42,6 +42,7 @@ import (
 	"thedb/internal/oracle"
 	"thedb/internal/server"
 	"thedb/internal/statecheck"
+	"thedb/internal/workload/kv"
 )
 
 const (
@@ -55,92 +56,14 @@ const (
 	netChaosSeedTimeout = 4 * time.Minute
 )
 
-// chaosSchema registers the KV table and the three procedures the
-// fleet drives: blind put, read-modify-write increment (the
-// double-apply detector) and get.
+// chaosSchema registers internal/workload/kv's table and procedures,
+// the three the fleet drives: blind put, read-modify-write increment
+// (the double-apply detector) and get.
 func chaosSchema(db *thedb.DB) {
-	db.MustCreateTable(thedb.Schema{
-		Name:    "KV",
-		Columns: []thedb.ColumnDef{{Name: "val", Kind: thedb.KindInt}},
-	})
-	db.MustRegister(&thedb.Spec{
-		Name:   "KVPut",
-		Params: []string{"key", "val"},
-		Plan: func(b *thedb.Builder, _ *thedb.Env) {
-			b.Op(thedb.Op{
-				Name:     "upsert",
-				KeyReads: []string{"key"},
-				ValReads: []string{"val"},
-				Body: func(ctx thedb.OpCtx) error {
-					e := ctx.Env()
-					k := thedb.Key(e.Int("key"))
-					_, ok, err := ctx.Read("KV", k, nil)
-					if err != nil {
-						return err
-					}
-					if ok {
-						return ctx.Write("KV", k, []int{0}, []thedb.Value{e.Val("val")})
-					}
-					return ctx.Insert("KV", k, thedb.Tuple{e.Val("val")})
-				},
-			})
-		},
-	})
-	db.MustRegister(&thedb.Spec{
-		Name:   "KVInc",
-		Params: []string{"key", "delta"},
-		Plan: func(b *thedb.Builder, _ *thedb.Env) {
-			b.Op(thedb.Op{
-				Name:     "inc",
-				KeyReads: []string{"key"},
-				ValReads: []string{"delta"},
-				Writes:   []string{"val"},
-				Body: func(ctx thedb.OpCtx) error {
-					e := ctx.Env()
-					k := thedb.Key(e.Int("key"))
-					row, ok, err := ctx.Read("KV", k, nil)
-					if err != nil {
-						return err
-					}
-					next := e.Int("delta")
-					if ok {
-						next += row[0].Int()
-					}
-					e.SetInt("val", next)
-					if ok {
-						return ctx.Write("KV", k, []int{0}, []thedb.Value{thedb.Int(next)})
-					}
-					return ctx.Insert("KV", k, thedb.Tuple{thedb.Int(next)})
-				},
-			})
-		},
-	})
-	db.MustRegister(&thedb.Spec{
-		Name:   "KVGet",
-		Params: []string{"key"},
-		Plan: func(b *thedb.Builder, _ *thedb.Env) {
-			b.Op(thedb.Op{
-				Name:     "get",
-				KeyReads: []string{"key"},
-				Writes:   []string{"found", "val"},
-				Body: func(ctx thedb.OpCtx) error {
-					e := ctx.Env()
-					row, ok, err := ctx.Read("KV", thedb.Key(e.Int("key")), nil)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						e.SetInt("found", 0)
-						e.SetInt("val", 0)
-						return nil
-					}
-					e.SetInt("found", 1)
-					e.SetVal("val", row[0])
-					return nil
-				},
-			})
-		},
-	})
+	db.MustCreateTable(kv.Schema())
+	for _, s := range kv.Specs() {
+		db.MustRegister(s)
+	}
 }
 
 // chaosIncarnation is one server life: a WAL-backed database

@@ -428,19 +428,22 @@ func (db *DB) tableName(id int) string {
 	return fmt.Sprintf("table#%d", id)
 }
 
-// ObsPlane returns an observability plane wired to this database's
-// live metrics and flight recorder. Callers can attach further
-// sources (e.g. the network server's counters via SetServerStats)
-// before serving plane.Handler().
-func (db *DB) ObsPlane() *obs.Plane {
+// ObsSources returns the exposition sources of this database: its
+// live metrics, flight recorder, checkpoint counters, trace ring and
+// contention sketch. Callers can fill in further sources (e.g. the
+// network server's counters in Server) before obs.Handler builds the
+// handler.
+func (db *DB) ObsSources() obs.Sources {
 	db.engine()
-	p := obs.NewPlane()
-	p.SetSource(db.LiveMetrics)
-	p.SetRecorder(db.rec, db.tableName)
-	p.SetCheckpointStats(&db.ckstats)
-	p.SetTracer(db.tracer, db.cfg.TraceExemplars)
-	p.SetContention(db.cont)
-	return p
+	return obs.Sources{
+		Live:       db.LiveMetrics,
+		Recorder:   db.rec,
+		TableName:  db.tableName,
+		Checkpoint: &db.ckstats,
+		Tracer:     db.tracer,
+		Exemplars:  db.cfg.TraceExemplars,
+		Contention: db.cont,
+	}
 }
 
 // Tracer returns the transaction trace ring (nil unless
@@ -464,7 +467,7 @@ func (db *DB) Contention() *obs.Contention {
 // (hot-key sketch, 404 when ContentionK is 0) and /debug/pprof/.
 // Mount it on any mux or serve it with obs.StartServer.
 func (db *DB) ObsHandler() http.Handler {
-	return db.ObsPlane().Handler()
+	return obs.Handler(db.ObsSources())
 }
 
 // Session is one execution thread's handle.
