@@ -11,17 +11,24 @@ vet:
 test:
 	$(GO) test ./...
 
-# lint runs the custom analyzers (noalloc, nondet, syncerr — see
-# DESIGN.md §8.4) plus the stock `go vet` passes, which thedb-lint
-# invokes itself. Every run prints the //thedb:nolint tally and fails
-# on suppressions with no justification text. The grep keeps shared
-# counters on typed atomics (atomic.Int64 and friends), where a plain
-# access does not compile and vet's copylocks catches every copy: it
-# fails on any pointer-form sync/atomic call outside tests and benchmark/.
+# lint runs the custom analyzer (syncerr — see DESIGN.md §8.4) plus
+# the stock `go vet` passes, which thedb-lint invokes itself. Every run
+# prints the //thedb:nolint tally and fails on suppressions with no
+# justification text. The first grep keeps shared counters on typed
+# atomics (atomic.Int64 and friends), where a plain access does not
+# compile and vet's copylocks catches every copy: it fails on any
+# pointer-form sync/atomic call outside tests and benchmark/. The
+# second keeps the engine replayable and quiet: non-test internal/core
+# files may not import math/rand (command-log replay re-executes
+# procedures and must make the same choices; internal/fault's seeded
+# stream is the sanctioned randomness) nor print process-wide
+# (fmt.Print*, package log).
 lint:
 	$(GO) run ./cmd/thedb-lint ./...
 	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int|Uint|Pointer|Uintptr)[0-9]*\(' . \
 		|| { echo "lint: pointer-form sync/atomic call; use a typed atomic field instead"; exit 1; }
+	@! grep -rnE --include='*.go' --exclude='*_test.go' '"math/rand|\<fmt\.Print|"log"' internal/core \
+		|| { echo "lint: math/rand or process-global printing (fmt.Print*, package log) in internal/core; keep the engine deterministic and quiet"; exit 1; }
 
 race:
 	$(GO) test -race ./...
@@ -112,7 +119,8 @@ smoke:
 # (WAL directory, online checkpoint, Boot, strict and salvage boot of a
 # torn log). Each checks its own result and exits through log.Fatal on
 # a wrong one. Then it pipes a scripted session into thedb-shell (set,
-# get, txn, scan, stats, \events, \trace, \contention) and fails
+# get, txn, scan, stats, \events, \trace, \contention, then a set past
+# the row's end, which must be refused and leave no row) and fails
 # unless each command printed its line: the exact lines where the
 # output is deterministic, the opening of the line for the dumps. CI
 # runs it in the smoke job.
@@ -124,10 +132,11 @@ examples:
 	done; \
 	echo "--- cmd/thedb-shell"; \
 	printf '%s\n' 'set KV 1 0 42' 'get KV 1' 'txn set KV 1 0 7; set KV 2 0 99' 'scan KV 0 10' stats '\events' '\trace' '\contention' \
+		'set KV 5 3 9' 'get KV 5' \
 		| "$$dir/thedb-shell" >"$$dir/shell.txt" || { cat "$$dir/shell.txt"; exit 1; }; \
 	cat "$$dir/shell.txt"; \
 	for line in 'thedb> ok (inserted)' 'thedb> KV[1] = [42]' 'thedb> ok' 'ok (inserted)' 'thedb> KV[1] = [7]' 'KV[2] = [99]' \
-		'thedb> committed=4 restarts=0 aborted=0 heals=0'; do \
+		'thedb> committed=4 restarts=0 aborted=0 heals=0' 'thedb> error: KV has no int column 3' 'thedb> KV[5] not found'; do \
 		grep -qxF "$$line" "$$dir/shell.txt" || { echo "examples: thedb-shell printed no line '$$line'"; exit 1; }; \
 	done; \
 	for start in 'thedb> flight recorder: 4 events retained' 'thedb> traces: ' 'thedb> contention: top-16 of '; do \
@@ -189,7 +198,9 @@ verify:
 # detector. verify runs every test under -race, where
 # testing.AllocsPerRun also counts what the race runtime allocates, so
 # a ceiling that passes there has not been checked where it means
-# something. CI runs this right after verify.
+# something. Each pin's doc comment names the hot-path functions it
+# runs; `go build -gcflags=-m` names the allocation behind a red one.
+# CI runs this right after verify.
 pins:
 	$(GO) test -run 'Alloc|Budget' ./...
 

@@ -18,12 +18,37 @@ import (
 // slices and the row image commit installs. Read17 reads 17 records, one
 // past the frame: the 17th element and its read copy come from the heap,
 // the set promotes to its map (kept, cleared, across attempts) and the
-// access cache grows by doubling.
+// access cache grows by doubling. DetailedMetrics adds the phase clocks
+// and metrics.Worker.AddPhase, and THEDB-2PL the storage.RWLock words
+// in place of the record lock. DetailedMetrics may add no allocation;
+// THEDB-2PL keeps no access cache and no read copies, so its reads
+// allocate less.
+//
+// The procedures run the engine's per-transaction words: core's
+// Txn.reset and take, RWSet.reset, lookup and sort, Element.recycle and
+// Worker.event on its disabled path; storage's Record lock, stamp and
+// version words (TryLock, Lock, Unlock, SetTimestamp, Meta, Tuple,
+// InstallVersion) and RWLock's TryRLock, TryUpgrade, RUnlock and
+// WUnlock; metrics.Worker.ObserveLatency and AddPhase.
 //
 // `make pins` runs this without the race detector, whose runtime may
 // add allocations of its own to the count.
 func TestSessionRunAllocations(t *testing.T) {
-	db := ycsbDB(t, 64)
+	for _, c := range []struct {
+		name string
+		cfg  thedb.Config
+		ceil [4]float64 // Null, YCSBRead, YCSBUpdate, Read17
+	}{
+		{"THEDB", thedb.Config{}, [4]float64{0, 1, 4, 9}},
+		{"DetailedMetrics", thedb.Config{DetailedMetrics: true}, [4]float64{0, 1, 4, 9}},
+		{"THEDB-2PL", thedb.Config{Protocol: thedb.TPL}, [4]float64{0, 0, 3, 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) { sessionRunAllocations(t, c.cfg, c.ceil) })
+	}
+}
+
+func sessionRunAllocations(t *testing.T, cfg thedb.Config, ceil [4]float64) {
+	db := ycsbDB(t, cfg, 64)
 	db.MustRegister(&thedb.Spec{
 		Name: "Null",
 		Plan: func(b *thedb.Builder, _ *thedb.Env) {
@@ -47,15 +72,14 @@ func TestSessionRunAllocations(t *testing.T) {
 	defer db.Close()
 	sess := db.Session(0)
 
-	for _, c := range []struct {
+	for i, c := range []struct {
 		proc string
 		args []thedb.Value
-		max  float64
 	}{
-		{"Null", []thedb.Value{thedb.Int(1), thedb.Int(2)}, 0},
-		{ycsb.ProcRead, []thedb.Value{thedb.Int(7)}, 1},
-		{ycsb.ProcUpdate, []thedb.Value{thedb.Int(7), thedb.Int(3), thedb.Str("v")}, 4},
-		{"Read17", nil, 9},
+		{"Null", []thedb.Value{thedb.Int(1), thedb.Int(2)}},
+		{ycsb.ProcRead, []thedb.Value{thedb.Int(7)}},
+		{ycsb.ProcUpdate, []thedb.Value{thedb.Int(7), thedb.Int(3), thedb.Str("v")}},
+		{"Read17", nil},
 	} {
 		got := testing.AllocsPerRun(500, func() {
 			if _, err := sess.Run(c.proc, c.args...); err != nil {
@@ -63,8 +87,8 @@ func TestSessionRunAllocations(t *testing.T) {
 			}
 		})
 		t.Logf("%s: %v allocations per Run", c.proc, got)
-		if got > c.max {
-			t.Errorf("%s: %v allocations per Run, want <= %v", c.proc, got, c.max)
+		if got > ceil[i] {
+			t.Errorf("%s: %v allocations per Run, want <= %v", c.proc, got, ceil[i])
 		}
 	}
 }
@@ -74,7 +98,7 @@ func TestSessionRunAllocations(t *testing.T) {
 // so YCSBSnapshotScan allocates the same small count whether it reads
 // 64 rows or 4,000.
 func TestSessionRunSnapshotAllocations(t *testing.T) {
-	db := ycsbDB(t, 4000)
+	db := ycsbDB(t, thedb.Config{}, 4000)
 	db.Start()
 	defer db.Close()
 	sess := db.Session(0)
@@ -101,11 +125,13 @@ func TestSessionRunSnapshotAllocations(t *testing.T) {
 	}
 }
 
-// ycsbDB opens a one-worker database holding the YCSB table with rows
-// records and the YCSB procedures registered, not yet started.
-func ycsbDB(t *testing.T, rows int) *thedb.DB {
+// ycsbDB opens a one-worker database configured by cfg holding the
+// YCSB table with rows records and the YCSB procedures registered, not
+// yet started.
+func ycsbDB(t *testing.T, cfg thedb.Config, rows int) *thedb.DB {
 	t.Helper()
-	db, err := thedb.Open(thedb.Config{Workers: 1})
+	cfg.Workers = 1
+	db, err := thedb.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -720,8 +720,6 @@ func (cc *clientConn) sendWindow(ctx context.Context, calls []Invocation, atts [
 
 // occupy pops a free slot for attempt a and returns its request id.
 // Caller holds mu and has checked nfree.
-//
-//thedb:noalloc
 func (cc *clientConn) occupy(a *attempt, w *waiter) uint64 {
 	cc.nfree--
 	i := cc.free[cc.nfree]
@@ -734,8 +732,6 @@ func (cc *clientConn) occupy(a *attempt, w *waiter) uint64 {
 // settle lands one outcome in slot i's attempt, frees the slot, and
 // sends the window's wake if this was the last outcome owed. Caller
 // holds mu.
-//
-//thedb:noalloc
 func (cc *clientConn) settle(i uint32, outs []wire.Output, err error) {
 	s := &cc.slots[i]
 	s.att.res.outs, s.att.err = outs, err
@@ -748,8 +744,6 @@ func (cc *clientConn) settle(i uint32, outs []wire.Output, err error) {
 
 // release frees slot i: the generation bump retires its request id,
 // and an issuer waiting for a slot is let through. Caller holds mu.
-//
-//thedb:noalloc
 func (cc *clientConn) release(i uint32) {
 	s := &cc.slots[i]
 	s.att, s.w = nil, nil

@@ -813,7 +813,8 @@ func TestSlotReuseDropsLateResponse(t *testing.T) {
 // however many outputs a result carries.
 // The fake server here answers from one preencoded frame and allocates
 // nothing, so testing.AllocsPerRun (which counts process-wide) sees the
-// client alone.
+// client alone: the slot words clientConn.occupy, settle and release,
+// and wire.Reader.Next and Buffered on the reply stream.
 func TestSteadyStateAllocations(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -875,10 +876,12 @@ func TestSteadyStateAllocations(t *testing.T) {
 	one()
 	sixteen() // warm: write buffer grown, waiter pooled
 	const maxCall, maxBatch = 4, 2 + 3*16
-	if n := testing.AllocsPerRun(200, one); n > maxCall {
+	n := testing.AllocsPerRun(200, one)
+	t.Logf("Call: %v allocs", n)
+	if n > maxCall {
 		t.Errorf("Call: %v allocs, want <= %d", n, maxCall)
 	}
-	n := testing.AllocsPerRun(50, sixteen)
+	n = testing.AllocsPerRun(50, sixteen)
 	t.Logf("CallBatch(16): %v allocs", n)
 	if n > maxBatch {
 		t.Errorf("CallBatch(16): %v allocs, want <= %d", n, maxBatch)

@@ -1,12 +1,12 @@
-// Command thedb-lint is the multichecker for THEDB's custom analyzers
-// (internal/analysis): noalloc, nondet and syncerr. By default it also
-// runs the stock `go vet` passes over the same patterns — copylocks
-// among them, which flags every copy of a struct holding a typed
-// atomic — so `make lint` is one gate.
+// Command thedb-lint runs THEDB's custom analyzer, syncerr
+// (internal/analysis/syncerr). By default it also runs the stock
+// `go vet` passes over the same patterns — copylocks among them, which
+// flags every copy of a struct holding a typed atomic — so `make lint`
+// is one gate.
 //
 // Usage:
 //
-//	thedb-lint [-novet] [-list] [packages...]
+//	thedb-lint [-novet] [packages...]
 //
 // With no packages, ./... is linted. The exit status is non-zero when
 // any analyzer or vet reports a finding. Individual findings can be
@@ -28,26 +28,17 @@ import (
 	"os/exec"
 	"sort"
 
-	"thedb/internal/analysis"
 	"thedb/internal/analysis/ana"
+	"thedb/internal/analysis/syncerr"
 )
 
 func main() {
 	novet := flag.Bool("novet", false, "skip the stock `go vet` passes")
-	list := flag.Bool("list", false, "list registered analyzers and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: thedb-lint [-novet] [-list] [packages...]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: thedb-lint [-novet] [packages...]\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	analyzers := analysis.All()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -61,7 +52,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "thedb-lint:", err)
 		os.Exit(2)
 	}
-	diags, err := ana.Run(pkgs, analyzers)
+	diags, err := ana.Run(pkgs, []*ana.Analyzer{syncerr.Analyzer})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "thedb-lint:", err)
 		os.Exit(2)

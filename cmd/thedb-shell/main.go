@@ -129,18 +129,18 @@ func main() {
 			if strings.HasPrefix(line, "txn ") {
 				stmts = strings.Split(strings.TrimPrefix(line, "txn "), ";")
 			}
-			runStatements(s, stmts)
+			runStatements(db, s, stmts)
 		}
 	}
 }
 
 // runStatements executes the statements as one ad-hoc transaction.
-func runStatements(s *thedb.Session, stmts []string) {
+func runStatements(db *thedb.DB, s *thedb.Session, stmts []string) {
 	var outputs []string
 	err := s.Transact(func(ctx thedb.OpCtx) error {
 		outputs = outputs[:0] // the closure may re-run after conflicts
 		for _, stmt := range stmts {
-			out, err := execOne(ctx, strings.Fields(strings.TrimSpace(stmt)))
+			out, err := execOne(db, ctx, strings.Fields(strings.TrimSpace(stmt)))
 			if err != nil {
 				return err
 			}
@@ -157,7 +157,7 @@ func runStatements(s *thedb.Session, stmts []string) {
 	}
 }
 
-func execOne(ctx thedb.OpCtx, f []string) ([]string, error) {
+func execOne(db *thedb.DB, ctx thedb.OpCtx, f []string) ([]string, error) {
 	if len(f) == 0 {
 		return nil, nil
 	}
@@ -194,10 +194,20 @@ func execOne(ctx thedb.OpCtx, f []string) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
+		tab, ok := db.Table(f[1])
+		if !ok {
+			return nil, fmt.Errorf("no table %q", f[1])
+		}
+		cols := tab.Schema().Columns
+		if col < 0 || col >= len(cols) || cols[col].Kind != thedb.KindInt {
+			return nil, fmt.Errorf("%s has no int column %d", f[1], col)
+		}
 		if _, ok, _ := ctx.Read(f[1], key, nil); !ok {
-			// Create the row if absent (upsert semantics for the demo).
-			width := 1
-			if err := ctx.Insert(f[1], key, makeTuple(width, col, v)); err != nil {
+			// Create the row if absent (upsert semantics for the
+			// demo), NULL in every other column.
+			row := make(thedb.Tuple, len(cols))
+			row[col] = thedb.Int(v)
+			if err := ctx.Insert(f[1], key, row); err != nil {
 				return nil, err
 			}
 			return []string{"ok (inserted)"}, nil
@@ -335,14 +345,6 @@ func formatValue(v thedb.Value) string {
 	default:
 		return "null"
 	}
-}
-
-func makeTuple(width, col int, v int64) thedb.Tuple {
-	t := make(thedb.Tuple, width)
-	if col < width {
-		t[col] = thedb.Int(v)
-	}
-	return t
 }
 
 func parseKey(s string) (thedb.Key, error) {

@@ -1,12 +1,11 @@
 // Package ana is a minimal, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis driver model, built on the standard
 // library only (go/ast, go/types, and export data obtained from
-// `go list -export`). THEDB's custom analyzers (see
-// internal/analysis/...) run on top of it, both from the
-// cmd/thedb-lint multichecker and from analysistest-style fixture
-// suites (internal/analysis/anatest).
+// `go list -export`). THEDB's custom analyzer, syncerr, runs on top of
+// it, both from cmd/thedb-lint and from the analysistest-style fixture
+// suite (internal/analysis/anatest).
 //
-// The API deliberately mirrors go/analysis so the analyzers can be
+// The API deliberately mirrors go/analysis so the analyzer can be
 // ported to the real framework wholesale if the dependency ever
 // becomes available.
 package ana
@@ -30,13 +29,8 @@ type Analyzer struct {
 	Doc string
 	// Run executes the check over one package and reports findings
 	// through the pass. A non-nil error aborts the whole lint run
-	// (reserved for internal failures, not findings). Nil for
-	// module-scoped analyzers.
+	// (reserved for internal failures, not findings).
 	Run func(*Pass) error
-	// RunModule executes the check once over the whole loaded module
-	// (interprocedural analyzers: noalloc).
-	// Either Run or RunModule must be set; both is allowed.
-	RunModule func(*ModulePass) error
 }
 
 // Pass carries one analyzed package to an analyzer.
@@ -63,34 +57,22 @@ func (d Diagnostic) String() string {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	reportf(p.diags, p.Analyzer.Name, p.Fset, pos, format, args...)
-}
-
-func reportf(diags *[]Diagnostic, analyzer string, fset *token.FileSet, pos token.Pos, format string, args ...any) {
-	*diags = append(*diags, Diagnostic{
-		Analyzer: analyzer,
-		Pos:      fset.Position(pos),
+	*p.diags = append(*p.diags, Diagnostic{
+		Analyzer: p.Analyzer.Name,
+		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
-// Run executes every analyzer — per-package passes over each package,
-// module passes once over the whole set — and returns the surviving
-// diagnostics sorted by position. Findings on lines covered by a
-// //thedb:nolint comment (see suppressions) are dropped; the
-// suppression set is merged across all packages so a module pass's
-// finding can be silenced where it points.
+// Run executes every analyzer over each package and returns the
+// surviving diagnostics sorted by position. Findings on lines covered
+// by a //thedb:nolint comment (see suppressions) are dropped.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	sup := suppressionSet{}
-	for _, pkg := range pkgs {
-		sup.merge(suppressions(pkg.Fset, pkg.Files))
-	}
 	var all []Diagnostic
 	for _, pkg := range pkgs {
+		sup.add(pkg.Fset, pkg.Files)
 		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
 			pass := &Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,
@@ -102,22 +84,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, err)
 			}
-		}
-	}
-	var funcs map[*types.Func]*FuncInfo
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		if funcs == nil {
-			funcs = IndexFuncs(pkgs)
-		}
-		mp := &ModulePass{Analyzer: a, Pkgs: pkgs, Funcs: funcs, diags: &all}
-		if len(pkgs) > 0 {
-			mp.Fset = pkgs[0].Fset
-		}
-		if err := a.RunModule(mp); err != nil {
-			return nil, fmt.Errorf("analyzer %s (module pass): %w", a.Name, err)
 		}
 	}
 	var diags []Diagnostic
@@ -146,26 +112,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // that line ("*" suppresses all).
 type suppressionSet map[string]map[int]map[string]bool
 
-// merge folds other into s.
-func (s suppressionSet) merge(other suppressionSet) {
-	for file, lines := range other {
-		if s[file] == nil {
-			s[file] = lines
-			continue
-		}
-		for line, names := range lines {
-			if s[file][line] == nil {
-				s[file][line] = names
-				continue
-			}
-			for n := range names {
-				s[file][line][n] = true
-			}
-		}
-	}
-}
-
-// suppressions collects //thedb:nolint comments. The form is
+// add collects the //thedb:nolint comments of files. The form is
 //
 //	//thedb:nolint:name1,name2 — optional free-text reason
 //	//thedb:nolint — optional reason (suppresses every analyzer)
@@ -173,8 +120,7 @@ func (s suppressionSet) merge(other suppressionSet) {
 // A comment suppresses matching findings on its own line (trailing
 // comment) and on the immediately following line (comment on a line
 // of its own above the flagged statement).
-func suppressions(fset *token.FileSet, files []*ast.File) suppressionSet {
-	set := suppressionSet{}
+func (set suppressionSet) add(fset *token.FileSet, files []*ast.File) {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -210,10 +156,86 @@ func suppressions(fset *token.FileSet, files []*ast.File) suppressionSet {
 			}
 		}
 	}
-	return set
 }
 
 func (s suppressionSet) covers(d Diagnostic) bool {
 	names := s[d.Pos.Filename][d.Pos.Line]
 	return names["*"] || names[d.Analyzer]
+}
+
+// Callee resolves the *types.Func a call invokes statically: a plain
+// package-level function (a generic one by its origin), a method call,
+// or a qualified import. It
+// returns nil for calls through function values, interface methods
+// resolve to their abstract types.Func (which has no entry in the
+// function index), and built-ins resolve to nil.
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch inst := fun.(type) { // an explicitly instantiated generic
+	case *ast.IndexExpr:
+		fun = inst.X
+	case *ast.IndexListExpr:
+		fun = inst.X
+	}
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
+// SuppressionAudit is the accounting over //thedb:nolint comments in
+// a loaded tree: how many suppressions name each analyzer ("*" for
+// the suppress-everything form), and which comments carry no
+// justification text. make lint prints the counts and fails on the
+// unjustified ones — a suppression without a reason is indistinguishable
+// from a silenced bug.
+type SuppressionAudit struct {
+	Counts      map[string]int
+	Unjustified []Diagnostic
+}
+
+// AuditSuppressions scans every file of every package for
+// //thedb:nolint comments and returns the audit.
+func AuditSuppressions(pkgs []*Package) SuppressionAudit {
+	audit := SuppressionAudit{Counts: map[string]int{}}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					text, ok := strings.CutPrefix(c.Text, "//thedb:nolint")
+					if !ok {
+						continue
+					}
+					names := []string{"*"}
+					reason := text
+					if rest, ok := strings.CutPrefix(text, ":"); ok {
+						list, after, _ := strings.Cut(rest, " ")
+						reason = after
+						names = nil
+						for _, n := range strings.Split(list, ",") {
+							if n = strings.TrimSpace(n); n != "" {
+								names = append(names, n)
+							}
+						}
+					}
+					for _, n := range names {
+						audit.Counts[n]++
+					}
+					if strings.TrimSpace(reason) == "" {
+						audit.Unjustified = append(audit.Unjustified, Diagnostic{
+							Analyzer: "nolint-audit",
+							Pos:      pkg.Fset.Position(c.Pos()),
+							Message:  "//thedb:nolint without a justification: state why the finding is safe to suppress after the analyzer list",
+						})
+					}
+				}
+			}
+		}
+	}
+	return audit
 }

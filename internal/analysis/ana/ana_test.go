@@ -3,7 +3,7 @@ package ana_test
 import (
 	"go/ast"
 	"go/parser"
-	"go/types"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,7 +29,7 @@ var flagme = &ana.Analyzer{
 
 func checkSource(t *testing.T, src string) *ana.Package {
 	t.Helper()
-	chk := ana.NewChecker(nil)
+	chk := ana.NewChecker()
 	f, err := parser.ParseFile(chk.Fset, "fixture.go", src, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
@@ -91,20 +91,7 @@ func TestLoadRealPackage(t *testing.T) {
 	}
 }
 
-// lookupFunc finds a declared function or method by name in a checked
-// fixture package.
-func lookupFunc(t *testing.T, pkg *ana.Package, funcs map[*types.Func]*ana.FuncInfo, name string) *types.Func {
-	t.Helper()
-	for fn, info := range funcs {
-		if info.Pkg == pkg && fn.Name() == name {
-			return fn
-		}
-	}
-	t.Fatalf("no function %q in fixture", name)
-	return nil
-}
-
-func TestIndexFuncsAndCallee(t *testing.T) {
+func TestCallee(t *testing.T) {
 	pkg := checkSource(t, `package fixture
 
 type T struct{}
@@ -121,18 +108,10 @@ func caller() {
 	f()
 }
 `)
-	funcs := ana.IndexFuncs([]*ana.Package{pkg})
-	for _, name := range []string{"Method", "helper", "caller"} {
-		fn := lookupFunc(t, pkg, funcs, name)
-		if funcs[fn].Decl.Name.Name != name {
-			t.Errorf("IndexFuncs maps %s to decl %s", name, funcs[fn].Decl.Name.Name)
-		}
-	}
-
 	// Callee must resolve the direct call and the method call, and
 	// return nil for the call through a function value.
 	var got []string
-	ast.Inspect(funcs[lookupFunc(t, pkg, funcs, "caller")].Decl, func(n ast.Node) bool {
+	ast.Inspect(pkg.Files[0], func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
 			if fn := ana.Callee(pkg.Info, call); fn != nil {
 				got = append(got, fn.Name())
@@ -142,14 +121,8 @@ func caller() {
 		}
 		return true
 	})
-	want := []string{"helper", "Method", "<dynamic>"}
-	if len(got) != len(want) {
+	if want := []string{"helper", "Method", "<dynamic>"}; !slices.Equal(got, want) {
 		t.Fatalf("resolved callees %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("resolved callees %v, want %v", got, want)
-		}
 	}
 }
 

@@ -85,7 +85,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	chk := NewChecker(nil)
+	chk := NewChecker()
 	for _, p := range listed {
 		if p.Export != "" {
 			chk.AddExport(p.ImportPath, p.Export)
@@ -120,16 +120,13 @@ type Checker struct {
 	gc      types.Importer
 }
 
-// NewChecker builds a checker. exports maps import paths to export
-// data files (may be nil; extend with AddExport).
-func NewChecker(exports map[string]string) *Checker {
+// NewChecker builds a checker with no export data yet (see AddExport
+// and ResolveExports).
+func NewChecker() *Checker {
 	c := &Checker{
 		Fset:    token.NewFileSet(),
 		exports: map[string]string{},
 		source:  map[string]*types.Package{},
-	}
-	for k, v := range exports {
-		c.exports[k] = v
 	}
 	c.gc = importer.ForCompiler(c.Fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := c.exports[path]

@@ -21,38 +21,19 @@ import (
 )
 
 // Run loads testdata/src/<path>/... fixture packages beneath
-// testdataDir, runs the analyzer over the packages named by pkgPaths
-// (every fixture package when empty), and reports mismatches between
-// actual diagnostics and // want comments via t.
-func Run(t *testing.T, testdataDir string, a *ana.Analyzer, pkgPaths ...string) {
+// testdataDir, runs the analyzer over every one, and reports
+// mismatches between actual diagnostics and // want comments via t.
+func Run(t *testing.T, testdataDir string, a *ana.Analyzer) {
 	t.Helper()
 	pkgs, err := load(testdataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgPaths) == 0 {
-		for _, p := range pkgs {
-			pkgPaths = append(pkgPaths, p.Path)
-		}
-		sort.Strings(pkgPaths)
-	}
-	var targets []*ana.Package
-	byPath := map[string]*ana.Package{}
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	for _, path := range pkgPaths {
-		p, ok := byPath[path]
-		if !ok {
-			t.Fatalf("no fixture package %q under %s", path, testdataDir)
-		}
-		targets = append(targets, p)
-	}
-	diags, err := ana.Run(targets, []*ana.Analyzer{a})
+	diags, err := ana.Run(pkgs, []*ana.Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(t, targets, diags)
+	check(t, pkgs, diags)
 }
 
 // load discovers, parses, and type-checks every fixture package under
@@ -97,7 +78,7 @@ func load(dir string) ([]*ana.Package, error) {
 		sort.Strings(f.files)
 	}
 
-	chk := ana.NewChecker(nil)
+	chk := ana.NewChecker()
 
 	// Gather every import so external ones can be resolved to export
 	// data in a single `go list` run.

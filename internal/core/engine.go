@@ -535,6 +535,10 @@ var (
 	// ErrNoSuchProc reports an unregistered procedure name.
 	ErrNoSuchProc = errors.New("no such procedure")
 
+	// ErrSchema reports an access the table's schema does not admit:
+	// a write to a column outside the row or an insert of another width.
+	ErrSchema = errors.New("schema mismatch")
+
 	// errRestart is the internal signal that the current attempt
 	// must be retried from scratch.
 	errRestart = errors.New("restart transaction")

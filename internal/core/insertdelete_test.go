@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"thedb/internal/proc"
 	"thedb/internal/storage"
+	"thedb/internal/workload/kv"
 )
 
 // kvEngine builds a single ordered table KV(v) engine for the §4.7
@@ -429,5 +432,50 @@ func TestGCReclaimsDeletedThroughEngine(t *testing.T) {
 	e.GC().Collect()
 	if _, ok := tab.Peek(77); ok {
 		t.Fatal("read-miss dummy not reclaimed")
+	}
+}
+
+// TestWritePastRowEndIsRefused: a column index outside the row is
+// refused with ErrSchema before the write acquires anything, on every
+// protocol. The row keeps its value and no lock is left behind, so a
+// second worker's KVPut on the key commits at once.
+func TestWritePastRowEndIsRefused(t *testing.T) {
+	for _, p := range []Protocol{Healing, OCC, Silo, TPL, Hybrid, OCCNoValidate, SiloNoValidate, DT} {
+		t.Run(p.String(), func(t *testing.T) {
+			cat := storage.NewCatalog()
+			cat.MustCreateTable(kv.Schema())
+			tab, _ := cat.Table(kv.Tab)
+			tab.Put(5, storage.Tuple{storage.Int(1)}, 0)
+			e := NewEngine(cat, Options{Protocol: p, Workers: 2})
+			for _, s := range kv.Specs() {
+				e.MustRegister(s)
+			}
+			e.Start()
+			defer func() { _ = e.Stop() }()
+			for _, col := range []int{3, -1} {
+				err := e.Worker(0).Transact(func(ctx proc.OpCtx) error {
+					return ctx.Write(kv.Tab, 5, []int{col}, []storage.Value{storage.Int(9)})
+				})
+				if !errors.Is(err, ErrSchema) {
+					t.Fatalf("write to column %d: err = %v, want ErrSchema", col, err)
+				}
+			}
+			if rec, _ := tab.Peek(5); rec.Tuple()[0].Int() != 1 {
+				t.Fatalf("row 5 = %v after refused writes, want [1]", rec.Tuple())
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := e.Worker(1).Run(kv.ProcPut, storage.Int(5), storage.Int(7))
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("KVPut after the refused writes: %v", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("KVPut on key 5 did not commit within 1s: a refused write left a lock held")
+			}
+		})
 	}
 }

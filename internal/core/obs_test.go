@@ -12,9 +12,9 @@ import (
 )
 
 // TestEventSiteZeroAllocsDisabled pins the disabled-path contract:
-// with Options.Recorder nil (the default) an event site is a single
-// nil check and must never allocate. A regression here taxes every
-// transaction of every unobserved run.
+// with Options.Recorder nil (the default) an event site (Worker.event)
+// is a single nil check and must never allocate. A regression here
+// taxes every transaction of every unobserved run.
 func TestEventSiteZeroAllocsDisabled(t *testing.T) {
 	e := NewEngine(storage.NewCatalog(), Options{Workers: 1})
 	w := e.Worker(0)
@@ -26,12 +26,15 @@ func TestEventSiteZeroAllocsDisabled(t *testing.T) {
 }
 
 // TestEventSiteZeroAllocsEnabled: the enabled path is wait-free and
-// allocation-free too — recording into the ring must not allocate.
+// allocation-free too — recording into the ring must not allocate,
+// from a worker (obs.Recorder.RecordT) or from the epoch advancer
+// (obs.Recorder.Record).
 func TestEventSiteZeroAllocsEnabled(t *testing.T) {
 	e := NewEngine(storage.NewCatalog(), Options{Workers: 1, Recorder: obs.NewRecorder(1, 64)})
 	w := e.Worker(0)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		w.event(obs.KCommit, 1, 2)
+		e.rec.Record(obs.EpochActor, obs.KEpochAdvance, 1, 1, 0)
 	}); allocs != 0 {
 		t.Fatalf("enabled event site allocates %.1f per call, want 0", allocs)
 	}

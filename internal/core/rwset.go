@@ -258,8 +258,6 @@ func bySeq(a, b writeRec) int { return cmp.Compare(a.seq, b.seq) }
 // backing arrays of its buffers, cleared across their whole capacity so
 // that they pin no operation, row image or buffered write, and nothing
 // else.
-//
-//thedb:noalloc
 func (el *Element) recycle() {
 	bm, ws := el.bookmarks[:cap(el.bookmarks)], el.writes[:cap(el.writes)]
 	rc, cp := el.readCopy[:cap(el.readCopy)], el.copied[:cap(el.copied)]
@@ -363,8 +361,6 @@ type RWSet struct {
 const keepElems = 64
 
 // reset empties the set, nil-ing what it truncates.
-//
-//thedb:noalloc
 func (s *RWSet) reset() {
 	if len(s.elems) > keepElems {
 		s.elems, s.byRec = nil, nil
@@ -384,8 +380,6 @@ func (s *RWSet) reset() {
 const smallSet = 16
 
 // lookup returns the element for rec, if any.
-//
-//thedb:noalloc
 func (s *RWSet) lookup(rec *storage.Record) *Element {
 	if len(s.elems) > smallSet {
 		return s.byRec[rec]
@@ -421,8 +415,6 @@ func (s *RWSet) add(el *Element) {
 }
 
 // sort puts the elements in validation order.
-//
-//thedb:noalloc
 func (s *RWSet) sort() {
 	slices.SortFunc(s.elems, compareIn[s.order])
 	s.sorted = true

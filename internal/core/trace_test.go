@@ -14,8 +14,7 @@ import (
 // trace-record commit path: arming the scratch trace and offering the
 // finished record to the Tracer must not allocate, whether the trace
 // is dropped as boring (committed, fast) or copied into the ring
-// (aborted). This is the runtime counterpart of the //thedb:noalloc
-// annotation on finishTrace/Keep.
+// (aborted). It pins Worker.finishTrace and obs.Tracer.Keep.
 func TestTraceRecordZeroAllocs(t *testing.T) {
 	e := NewEngine(storage.NewCatalog(), Options{
 		Workers: 1,

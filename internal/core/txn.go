@@ -107,8 +107,6 @@ func newTxn(w *Worker, prog *proc.Program, env *proc.Env, pol *policy) *Txn {
 // reset drops every reference into the attempt the frame ran, so that
 // nothing reachable from an idle worker pins a retired Record or a
 // superseded row image.
-//
-//thedb:noalloc
 func (t *Txn) reset() {
 	for i := range min(len(t.rw.elems), smallSet) {
 		t.frame[i].recycle()
@@ -251,8 +249,6 @@ func (t *Txn) join(tab *storage.Table, rec *storage.Record, pinned, created, wri
 // take returns the frame's element for the attempt's next record, or
 // nil once the footprint outgrows the frame. The n-th element joined is
 // frame[n], so an attempt uses frame[:min(len(rw.elems), smallSet)].
-//
-//thedb:noalloc
 func (t *Txn) take() *Element {
 	if n := len(t.rw.elems); n < smallSet {
 		return &t.frame[n]
@@ -369,6 +365,9 @@ func (t *Txn) Write(table string, key storage.Key, cols []int, vals []storage.Va
 		if err := t.matchPoint(entry, table, key); err != nil {
 			return err
 		}
+		if err := checkCols(entry.elem.tab, cols); err != nil {
+			return err
+		}
 		// The op's previous writes were retracted before replay;
 		// re-buffer with the entry's original fold position.
 		entry.elem.addWrite(t.cur.op.ID, entry.seq, cols, vals)
@@ -376,6 +375,9 @@ func (t *Txn) Write(table string, key storage.Key, cols []int, vals []storage.Va
 	}
 	tab, err := t.table(table)
 	if err != nil {
+		return err
+	}
+	if err := checkCols(tab, cols); err != nil {
 		return err
 	}
 	el, err := t.acquire(tab, key, true)
@@ -409,7 +411,7 @@ func (t *Txn) Insert(table string, key storage.Key, tuple storage.Tuple) error {
 		return err
 	}
 	if len(tuple) != len(tab.Schema().Columns) {
-		return fmt.Errorf("core: insert into %s: tuple width %d != %d", table, len(tuple), len(tab.Schema().Columns))
+		return fmt.Errorf("core: insert into %s: tuple width %d != %d: %w", table, len(tuple), len(tab.Schema().Columns), ErrSchema)
 	}
 	el, err := t.acquire(tab, key, true)
 	if err != nil {
@@ -609,6 +611,19 @@ func (t *Txn) nextEntry(kind accessKind, isWrite bool) (*accessEntry, error) {
 func (t *Txn) matchPoint(e *accessEntry, table string, key storage.Key) error {
 	if e.elem == nil || e.elem.rec.Key() != key || e.elem.tab.Schema().Name != table {
 		return errDiverged
+	}
+	return nil
+}
+
+// checkCols refuses a write to a column outside tab's row before
+// anything is acquired: commit would index past the row with the
+// write set's locks held.
+func checkCols(tab *storage.Table, cols []int) error {
+	width := len(tab.Schema().Columns)
+	for _, c := range cols {
+		if c < 0 || c >= width {
+			return fmt.Errorf("core: write to %s column %d: the row has %d columns: %w", tab.Schema().Name, c, width, ErrSchema)
+		}
 	}
 	return nil
 }

@@ -82,8 +82,6 @@ func (w *Worker) Metrics() *metrics.Worker { return &w.m }
 // (Options.Recorder nil, the default) the entire call is one pointer
 // check and must stay allocation-free — the hot paths call it
 // unconditionally.
-//
-//thedb:noalloc
 func (w *Worker) event(k obs.Kind, a, b uint64) {
 	if r := w.e.rec; r != nil {
 		var tid uint64
@@ -145,8 +143,6 @@ func (w *Worker) beginTrace(start time.Time, procName string) {
 // tracer's tail-retention ring. This sits on the commit fast path:
 // with tracing off it is never reached (one nil check in runLoop);
 // with tracing on it must not allocate.
-//
-//thedb:noalloc
 func (w *Worker) finishTrace(outcome obs.TraceOutcome, lat time.Duration, attempts int) {
 	w.trace.Outcome = outcome
 	w.trace.TotalUS = int64(lat / time.Microsecond)

@@ -21,8 +21,8 @@ import (
 // replays the same per-slot decision sequences; the cross-slot
 // interleaving still depends on the Go scheduler, but which visits of
 // which checkpoint are perturbed does not. This seeded stream is the
-// only sanctioned randomness on engine paths (enforced by the nondet
-// analyzer).
+// only sanctioned randomness on engine paths (`make lint` refuses a
+// math/rand import in internal/core).
 //
 // Concurrency: configure (Inject/ScriptAt/SetDelay/...) before
 // handing the schedule to an engine. Afterwards each slot must be

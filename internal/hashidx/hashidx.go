@@ -57,29 +57,6 @@ func (idx *Map[V]) Store(k uint64, v V) (fresh bool) {
 	return fresh
 }
 
-// LoadOrStore returns the existing value for k if present. Otherwise
-// it calls mk once under the shard lock, stores the result, and
-// returns it with loaded=false. The constructor runs at most once
-// per miss, which the insert protocol of §4.7.1 relies on to create
-// exactly one dummy record per key.
-func (idx *Map[V]) LoadOrStore(k uint64, mk func() V) (v V, loaded bool) {
-	s := idx.shardFor(k)
-	s.mu.RLock()
-	v, ok := s.m[k]
-	s.mu.RUnlock()
-	if ok {
-		return v, true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v, ok = s.m[k]; ok {
-		return v, true
-	}
-	v = mk()
-	s.m[k] = v
-	return v, false
-}
-
 // GetWith looks up k and, if present, calls fn(v) while still
 // holding the shard read lock. THEDB uses this to pin a record's
 // reference counter atomically with the lookup, closing the race
@@ -96,9 +73,13 @@ func (idx *Map[V]) GetWith(k uint64, fn func(V)) (V, bool) {
 	return v, ok
 }
 
-// LoadOrStoreWith is LoadOrStore with an additional callback invoked
-// on the resulting value while the shard lock is held (read lock on
-// the fast path, write lock on the slow path).
+// LoadOrStoreWith returns the existing value for k if present.
+// Otherwise it calls mk once under the shard lock, stores the result,
+// and returns it with loaded=false. The constructor runs at most once
+// per miss, which the insert protocol of §4.7.1 relies on to create
+// exactly one dummy record per key. fn, when non-nil, is invoked on
+// the resulting value while the shard lock is held (read lock on the
+// fast path, write lock on the slow path).
 func (idx *Map[V]) LoadOrStoreWith(k uint64, mk func() V, fn func(V)) (v V, loaded bool) {
 	s := idx.shardFor(k)
 	s.mu.RLock()

@@ -29,8 +29,8 @@ func TestLoadOrStoreSingleConstruction(t *testing.T) {
 	m := New[*int]()
 	calls := 0
 	mk := func() *int { calls++; v := 7; return &v }
-	v1, loaded1 := m.LoadOrStore(5, mk)
-	v2, loaded2 := m.LoadOrStore(5, mk)
+	v1, loaded1 := m.LoadOrStoreWith(5, mk, nil)
+	v2, loaded2 := m.LoadOrStoreWith(5, mk, nil)
 	if loaded1 || !loaded2 {
 		t.Fatalf("loaded flags = %v, %v", loaded1, loaded2)
 	}

@@ -157,16 +157,12 @@ type Worker struct {
 }
 
 // AddPhase accrues d into the phase's total.
-//
-//thedb:noalloc
 func (w *Worker) AddPhase(p Phase, d time.Duration) {
 	w.PhaseNS[p].Add(int64(d))
 }
 
 // ObserveLatency records one committed transaction's latency in the
 // histogram and the sum: bucket ⌊log2(µs)⌋, clamped to [0, 23].
-//
-//thedb:noalloc
 func (w *Worker) ObserveLatency(d time.Duration) {
 	w.LatencySumNS.Add(int64(d))
 	b := 0

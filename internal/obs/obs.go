@@ -229,8 +229,6 @@ func (r *Recorder) RingSize() int { return r.size }
 // Record appends one event to the worker's ring (EpochActor for the
 // advancer). It is wait-free and allocation-free; each worker slot
 // must be recorded into by at most one goroutine at a time.
-//
-//thedb:noalloc
 func (r *Recorder) Record(worker int, k Kind, epoch uint32, a, b uint64) {
 	r.RecordT(worker, k, epoch, a, b, 0)
 }
@@ -240,8 +238,6 @@ func (r *Recorder) Record(worker int, k Kind, epoch uint32, a, b uint64) {
 // /debug/trace correlates a retained trace with the exact recorder
 // events of its heal passes and escalations. Same contract as Record:
 // wait-free, allocation-free, single recording goroutine per slot.
-//
-//thedb:noalloc
 func (r *Recorder) RecordT(worker int, k Kind, epoch uint32, a, b, trace uint64) {
 	ring := &r.rings[r.slotIndex(worker)]
 	seq := r.seq.Add(1)

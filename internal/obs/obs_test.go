@@ -392,7 +392,7 @@ func TestDoWorkerRunsInline(t *testing.T) {
 
 // BenchmarkRecord measures the per-event cost with the recorder
 // enabled (the disabled path is one nil check in core's Worker.event,
-// pinned allocation-free by its //thedb:noalloc annotation).
+// pinned allocation-free by core's TestEventSiteZeroAllocsDisabled).
 func BenchmarkRecord(b *testing.B) {
 	r := NewRecorder(1, 1024)
 	b.ReportAllocs()

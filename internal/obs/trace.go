@@ -8,7 +8,8 @@
 //
 // The recording contract mirrors the flight recorder's: Tracer nil
 // costs one pointer check per transaction, and the commit fast path
-// (Tracer.Keep) is //thedb:noalloc — the per-transaction scratch
+// (Tracer.Keep) allocates nothing (core's TestTraceRecordZeroAllocs
+// pins it) — the per-transaction scratch
 // Trace lives in the Worker and Keep copies it into a preallocated
 // slot under a mutex, so tracing never allocates per transaction.
 package obs
@@ -174,8 +175,6 @@ func (t *Tracer) SlowThreshold() time.Duration { return time.Duration(t.slowNS) 
 // Keep is on the commit fast path and must not allocate: the caller
 // owns tr (worker scratch), and retention is a struct copy into a
 // preallocated slot under the mutex.
-//
-//thedb:noalloc
 func (t *Tracer) Keep(tr *Trace) int {
 	slow := t.slowNS > 0 && tr.TotalUS*1000 >= t.slowNS
 	interesting := tr.Outcome != TraceCommitted || tr.NPasses > 0 || slow

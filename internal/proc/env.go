@@ -148,8 +148,6 @@ func (e *Env) SetVals(name string, v []storage.Value) {
 // operations write, in name order — as names and their slots, side by
 // side, without copying: what a RESULT carries. A slot no operation
 // set in this run is not Set. The caller must not modify either.
-//
-//thedb:noalloc
 func (e *Env) Outputs() (names []string, vars []Slot) {
 	if e.prog == nil {
 		return nil, nil

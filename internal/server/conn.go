@@ -66,8 +66,6 @@ type conn struct {
 // empty stack for the slots freed since the last swap when it has run
 // dry; nil means the connection's pipeline is full. A slot is free from
 // the moment its response is queued: perConnInFlight is an exact bound.
-//
-//thedb:noalloc
 func (c *conn) acquire() *request {
 	if len(c.free) == 0 {
 		q := &c.out
@@ -111,15 +109,12 @@ type outQueue struct {
 // afterwards, its next occupant may already be decoding into it.
 // Callers must hold an admission slot (reqs) or be the read loop itself
 // (see conn), which passes nil and returns slots to its own stack.
-//
-//thedb:noalloc
 func (q *outQueue) put(frame []byte, req *request) {
 	q.mu.Lock()
 	for q.frames >= q.max {
 		q.space.Wait()
 	}
 	wake := len(q.buf) == 0
-	//thedb:nolint:noalloc amortized growth: the two buffers grow to the largest burst of responses, then swap for the connection's life
 	q.buf = append(q.buf, frame...)
 	q.frames++
 	if req != nil {
@@ -432,8 +427,6 @@ func (c *conn) admit() {
 // most one contiguous run per worker, so a lone pipelining connection
 // still occupies every session. The queue has room for every admitted
 // call and a run holds at least one: a send never blocks.
-//
-//thedb:noalloc
 func (c *conn) handOff(calls []*request) {
 	s := c.srv
 	k := min(len(calls), s.db.Workers())

@@ -328,8 +328,6 @@ func (s *Server) serveOne(d *dispatcher, req *request) {
 // frame, straight from its slots in the Program's output order: every
 // variable an operation wrote, in name order, and no argument — the
 // caller has those.
-//
-//thedb:noalloc
 func appendResult(dst []byte, id uint64, env *thedb.Env) []byte {
 	names, vars := env.Outputs()
 	n := 0
@@ -376,8 +374,6 @@ func (s *Server) respond(req *request, frame []byte, cache bool) {
 
 // finish gives back the accounting of n of c's admitted requests, after
 // their responses (or rejections) have been queued.
-//
-//thedb:noalloc
 func (s *Server) finish(c *conn, n int) {
 	s.stats.InFlight.Add(int64(-n))
 	c.reqs.Add(-n)

@@ -97,34 +97,24 @@ func (r *Record) Table() int { return int(r.table) }
 
 // Meta atomically reads the record's timestamp, lock bit and
 // visibility bit together.
-//
-//thedb:noalloc
 func (r *Record) Meta() (ts uint64, locked, visible bool) {
 	m := r.meta.Load()
 	return m & metaTSMask, m&metaLockBit != 0, m&metaVisibleBit != 0
 }
 
 // Timestamp returns the commit timestamp of the record's last writer.
-//
-//thedb:noalloc
 func (r *Record) Timestamp() uint64 { return r.meta.Load() & metaTSMask }
 
 // Visible reports the visibility bit (§2: off for deleted records and
 // for records inserted by yet-to-be-committed transactions).
-//
-//thedb:noalloc
 func (r *Record) Visible() bool { return r.meta.Load()&metaVisibleBit != 0 }
 
 // Locked reports whether some transaction holds the record lock.
-//
-//thedb:noalloc
 func (r *Record) Locked() bool { return r.meta.Load()&metaLockBit != 0 }
 
 // TryLock attempts to set the lock bit, returning false if the record
 // is already locked. It never blocks; this is the primitive behind
 // the no-wait deadlock-prevention policy (§4.2.2).
-//
-//thedb:noalloc
 func (r *Record) TryLock() bool {
 	for {
 		m := r.meta.Load()
@@ -140,8 +130,6 @@ func (r *Record) TryLock() bool {
 // Lock spins until the record lock is acquired. Safe only when all
 // transactions acquire locks in the global order, which rules out
 // deadlock (§4.2.1).
-//
-//thedb:noalloc
 func (r *Record) Lock() {
 	for i := 0; ; i++ {
 		if r.TryLock() {
@@ -154,8 +142,6 @@ func (r *Record) Lock() {
 }
 
 // Unlock clears the lock bit. The caller must hold the lock.
-//
-//thedb:noalloc
 func (r *Record) Unlock() {
 	for {
 		m := r.meta.Load()
@@ -167,8 +153,6 @@ func (r *Record) Unlock() {
 
 // SetTimestamp overwrites the commit timestamp. The caller must hold
 // the record lock (Algorithm 3 installs writes before stamping).
-//
-//thedb:noalloc
 func (r *Record) SetTimestamp(ts uint64) {
 	for {
 		m := r.meta.Load()
@@ -180,8 +164,6 @@ func (r *Record) SetTimestamp(ts uint64) {
 
 // SetVisible sets or clears the visibility bit. The caller must hold
 // the record lock.
-//
-//thedb:noalloc
 func (r *Record) SetVisible(v bool) {
 	for {
 		m := r.meta.Load()
@@ -198,13 +180,9 @@ func (r *Record) SetVisible(v bool) {
 // Tuple returns the current row image. The returned slice is
 // immutable and remains valid after concurrent writes (writers swap
 // in a fresh copy).
-//
-//thedb:noalloc
 func (r *Record) Tuple() Tuple { return r.row(r.tuple.Load()) }
 
 // row rebuilds the slice over an image loaded from r.tuple.
-//
-//thedb:noalloc
 func (r *Record) row(p *Value) Tuple { return unsafe.Slice(p, r.width) }
 
 // StableSnapshot reads the record's timestamp, visibility and tuple
@@ -217,8 +195,6 @@ func (r *Record) row(p *Value) Tuple { return unsafe.Slice(p, r.width) }
 // tuple. The online checkpointer depends on that: pairing a stale
 // tuple with a fresh timestamp would survive the Thomas write rule
 // at replay and corrupt the restored state.
-//
-//thedb:noalloc
 func (r *Record) StableSnapshot() (ts uint64, t Tuple, visible bool) {
 	for i := 0; ; i++ {
 		m1 := r.meta.Load()

@@ -17,8 +17,6 @@ type RWLock struct {
 }
 
 // TryRLock attempts to take a shared lock without blocking.
-//
-//thedb:noalloc
 func (l *RWLock) TryRLock() bool {
 	for {
 		s := l.state.Load()
@@ -35,13 +33,10 @@ func (l *RWLock) TryRLock() bool {
 // read-held panics: silently driving the state negative would make a
 // later TryRLock spin on garbage and corrupt the 2PL baseline's
 // bookkeeping, which every THEDB-2PL and THEDB-HYBRID run depends on.
-//
-//thedb:noalloc
 func (l *RWLock) RUnlock() {
 	for {
 		s := l.state.Load()
 		if s <= 0 {
-			//thedb:nolint:noalloc panic message on lock-protocol misuse; unreachable in a correct engine and immediately fatal when not
 			panic(fmt.Sprintf("storage: RUnlock of RWLock not read-held (state %d)", s))
 		}
 		if l.state.CompareAndSwap(s, s-1) {
@@ -51,26 +46,19 @@ func (l *RWLock) RUnlock() {
 }
 
 // TryWLock attempts to take the exclusive lock without blocking.
-//
-//thedb:noalloc
 func (l *RWLock) TryWLock() bool { return l.state.CompareAndSwap(0, -1) }
 
 // WUnlock releases the exclusive lock. Releasing a lock that is not
 // writer-held panics rather than silently zeroing the state (which
 // would drop other readers' shared holds on a misuse).
-//
-//thedb:noalloc
 func (l *RWLock) WUnlock() {
 	if !l.state.CompareAndSwap(-1, 0) {
-		//thedb:nolint:noalloc panic message on lock-protocol misuse; unreachable in a correct engine and immediately fatal when not
 		panic(fmt.Sprintf("storage: WUnlock of RWLock not writer-held (state %d)", l.state.Load()))
 	}
 }
 
 // TryUpgrade promotes a shared lock to exclusive. It succeeds only
 // when the caller is the sole reader.
-//
-//thedb:noalloc
 func (l *RWLock) TryUpgrade() bool { return l.state.CompareAndSwap(1, -1) }
 
 // RW returns the record's 2PL lock.

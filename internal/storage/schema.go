@@ -40,13 +40,3 @@ type Schema struct {
 	// address order among equal ranks.
 	Rank int
 }
-
-// ColumnIndex returns the position of the named column, or -1.
-func (s *Schema) ColumnIndex(name string) int {
-	for i, c := range s.Columns {
-		if c.Name == name {
-			return i
-		}
-	}
-	return -1
-}

@@ -183,6 +183,11 @@ func FuzzValueCodec(f *testing.F) {
 // TestRowLayoutBudget pins the bytes-per-row budget of DESIGN.md §2.2
 // so it cannot drift back: a 16-byte Value, a Record within one cache
 // line, no heap box per installed image, one shared row for dummies.
+// It also pins the record's synchronization words allocation-free,
+// including those no session path reaches: Record.Meta, Timestamp,
+// Visible, Locked, TryLock, Lock, Unlock, SetTimestamp, SetVisible,
+// Tuple, StableSnapshot and SetTuple, and the 2PL RWLock's TryRLock,
+// TryUpgrade, RUnlock, TryWLock and WUnlock.
 func TestRowLayoutBudget(t *testing.T) {
 	if got := unsafe.Sizeof(Value{}); got != 16 {
 		t.Errorf("sizeof(Value) = %d, want 16", got)
@@ -198,6 +203,39 @@ func TestRowLayoutBudget(t *testing.T) {
 	}
 	if got := rec.Tuple(); !got.Equal(next) || unsafe.SliceData(got) != unsafe.SliceData(next) {
 		t.Errorf("Tuple() = %v, not the installed image", got)
+	}
+	rw := rec.RW()
+	words := func() {
+		if !rec.TryLock() || !rec.Locked() || rec.TryLock() {
+			t.Fatal("record lock bit misbehaves")
+		}
+		rec.SetVisible(false)
+		rec.SetVisible(true)
+		rec.SetTimestamp(rec.Timestamp() + 1)
+		rec.Unlock()
+		rec.Lock()
+		rec.Unlock()
+		if ts, _, vis := rec.Meta(); !vis || ts != rec.Timestamp() || !rec.Visible() {
+			t.Fatal("record meta word misreads")
+		}
+		if _, img, vis := rec.StableSnapshot(); !vis || len(img) != 2 || len(rec.Tuple()) != 2 {
+			t.Fatal("StableSnapshot misreads")
+		}
+		if !rw.TryRLock() || !rw.TryUpgrade() || rw.TryRLock() {
+			t.Fatal("RWLock shared → exclusive upgrade misbehaves")
+		}
+		rw.WUnlock()
+		if !rw.TryRLock() || rw.TryWLock() {
+			t.Fatal("RWLock granted a writer beside a reader")
+		}
+		rw.RUnlock()
+		if !rw.TryWLock() {
+			t.Fatal("RWLock refused a writer on a free lock")
+		}
+		rw.WUnlock()
+	}
+	if n := testing.AllocsPerRun(100, words); n != 0 {
+		t.Errorf("record and RWLock words allocate %v times per round", n)
 	}
 	func() {
 		defer func() {

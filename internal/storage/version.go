@@ -49,8 +49,6 @@ func (v *Version) Tuple() Tuple { return v.tuple }
 // MakeTS(epoch,0)-1) lies in [oldTS, newTS), i.e. when the overwrite
 // crosses an epoch boundary. Same-epoch overwrites need no version —
 // no snapshot can ever land between the two stamps.
-//
-//thedb:noalloc
 func NeedsVersion(oldTS, newTS uint64) bool {
 	return uint32(oldTS>>32) != uint32(newTS>>32)
 }
@@ -67,8 +65,6 @@ func NeedsVersion(oldTS, newTS uint64) bool {
 //
 // Returns true when a node was pushed — the caller then registers the
 // record with the version GC.
-//
-//thedb:noalloc
 func (r *Record) InstallVersion(newTS uint64) bool {
 	ts, _, visible := r.Meta()
 	if !visible {
@@ -77,7 +73,7 @@ func (r *Record) InstallVersion(newTS uint64) bool {
 	if !NeedsVersion(ts, newTS) {
 		return false
 	}
-	v := &Version{begin: ts, end: newTS, tuple: r.Tuple()} //thedb:nolint:noalloc cold branch: at most one node per record per crossed epoch boundary (~EpochInterval apart), not one per write
+	v := &Version{begin: ts, end: newTS, tuple: r.Tuple()}
 	v.next.Store(r.older.Load())
 	r.older.Store(v)
 	return true
@@ -97,8 +93,6 @@ func (r *Record) InstallVersion(newTS uint64) bool {
 // m1, or that the replacement is itself at or below s (in which case
 // returning it is equally correct — see DESIGN.md §2.3 for the
 // argument).
-//
-//thedb:noalloc
 func (r *Record) SnapshotAt(s uint64) (Tuple, bool) {
 	for i := 0; ; i++ {
 		ts1, lk1, vis1 := r.Meta()
@@ -136,8 +130,6 @@ func (r *Record) SnapshotAt(s uint64) (Tuple, bool) {
 // deleted and later re-inserted, or the covering image was skipped as
 // same-epoch and s provably postdates its replacement). No node with
 // begin <= s means the record did not exist yet.
-//
-//thedb:noalloc
 func (r *Record) versionAt(s uint64) (Tuple, bool) {
 	for v := r.older.Load(); v != nil; v = v.next.Load() {
 		if v.begin <= s {

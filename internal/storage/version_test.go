@@ -139,9 +139,10 @@ func TestPruneVersions(t *testing.T) {
 }
 
 // The version-install path must stay allocation free in the
-// same-epoch common case (ISSUE 10 satellite: the read-write fast
-// path pays nothing for MVCC until a commit crosses an epoch
-// boundary). The snapshot read fast path is pinned alongside it.
+// same-epoch common case: the read-write fast path pays nothing for
+// MVCC until a commit crosses an epoch boundary. The snapshot read is
+// pinned alongside it, on the fast path and on the chain walk. Covers
+// NeedsVersion, Record.InstallVersion, SnapshotAt and versionAt.
 func TestVersionHotPathZeroAlloc(t *testing.T) {
 	r := NewRecord(0, 1, Tuple{Int(10)}, MakeTS(3, 1), true)
 	seq := uint32(2)
@@ -158,5 +159,14 @@ func TestVersionHotPathZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("SnapshotAt fast path allocates %.1f per op, want 0", allocs)
+	}
+	r.InstallVersion(MakeTS(5, 1)) // cross an epoch: the image moves to the chain
+	r.SetTimestamp(MakeTS(5, 1))
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if tuple, ok := r.SnapshotAt(boundary(4)); !ok || tuple[0].Int() != 10 {
+			t.Fatal("chain walk lost the epoch-3 image")
+		}
+	}); allocs != 0 {
+		t.Errorf("SnapshotAt chain walk allocates %.1f per op, want 0", allocs)
 	}
 }

@@ -29,8 +29,6 @@ var ErrTruncated = errors.New("wire: truncated")
 // and closes the frame with EndFrame, so a message is encoded once,
 // in place, with no intermediate payload buffer. Growing dst is the
 // caller's amortized cost; the frame itself adds no allocation.
-//
-//thedb:noalloc
 func BeginFrame(dst []byte, op uint8, id uint64) []byte {
 	dst = append(dst, byte(Magic&0xff), byte(Magic>>8), Version, op)
 	dst = binary.LittleEndian.AppendUint64(dst, id)
@@ -39,8 +37,6 @@ func BeginFrame(dst []byte, op uint8, id uint64) []byte {
 
 // EndFrame back-patches the length field of the frame BeginFrame
 // started at dst[start] with the payload bytes appended since.
-//
-//thedb:noalloc
 func EndFrame(dst []byte, start int) []byte {
 	binary.LittleEndian.PutUint32(dst[start+12:], uint32(len(dst)-start-HeaderSize))
 	return dst
@@ -48,16 +44,12 @@ func EndFrame(dst []byte, start int) []byte {
 
 // SetID re-addresses an encoded frame: the server's dedup window
 // replays one cached response under each retry's request id.
-//
-//thedb:noalloc
 func SetID(frame []byte, id uint64) {
 	binary.LittleEndian.PutUint64(frame[4:12], id)
 }
 
 // AppendFrame appends one encoded frame around an existing payload
 // and returns the extended slice.
-//
-//thedb:noalloc
 func AppendFrame(dst []byte, op uint8, id uint64, payload []byte) []byte {
 	start := len(dst)
 	dst = BeginFrame(dst, op, id)
@@ -79,23 +71,18 @@ func Recycle(buf []byte) []byte {
 // header declares, bounded by maxPayload before anything is allocated
 // or sliced. The accepting path is zero-alloc; the rejecting paths
 // build one detailed error and the connection dies.
-//
-//thedb:noalloc
 func decodeHeader(b []byte, maxPayload int) (f Frame, length int, err error) {
 	if got := binary.LittleEndian.Uint16(b[0:2]); got != Magic {
-		//thedb:nolint:noalloc cold reject path: a malformed frame tears down the connection, never the commit path
 		return Frame{}, 0, fmt.Errorf("%w: %#04x", ErrBadMagic, got)
 	}
 	f.Version = b[2]
 	if f.Version != Version {
-		//thedb:nolint:noalloc cold reject path: a malformed frame tears down the connection, never the commit path
 		return Frame{}, 0, fmt.Errorf("%w: %d (want %d)", ErrBadVersion, f.Version, Version)
 	}
 	f.Op = b[3]
 	f.ID = binary.LittleEndian.Uint64(b[4:12])
 	n := binary.LittleEndian.Uint32(b[12:16])
 	if uint64(n) > uint64(maxPayload) {
-		//thedb:nolint:noalloc cold reject path: a malformed frame tears down the connection, never the commit path
 		return Frame{}, 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxPayload)
 	}
 	return f, int(n), nil
@@ -106,14 +93,11 @@ func decodeHeader(b []byte, maxPayload int) (f Frame, length int, err error) {
 // consumed. maxPayload bounds the accepted payload length (<= 0 means
 // DefaultMaxFrame); a length field beyond it fails with
 // ErrFrameTooLarge.
-//
-//thedb:noalloc
 func DecodeFrame(b []byte, maxPayload int) (f Frame, n int, err error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxFrame
 	}
 	if len(b) < HeaderSize {
-		//thedb:nolint:noalloc cold reject path: a malformed frame tears down the connection, never the commit path
 		return Frame{}, 0, fmt.Errorf("%w: frame header (%d of %d bytes)", ErrTruncated, len(b), HeaderSize)
 	}
 	f, length, err := decodeHeader(b, maxPayload)
@@ -121,7 +105,6 @@ func DecodeFrame(b []byte, maxPayload int) (f Frame, n int, err error) {
 		return Frame{}, 0, err
 	}
 	if len(b)-HeaderSize < length {
-		//thedb:nolint:noalloc cold reject path: a malformed frame tears down the connection, never the commit path
 		return Frame{}, 0, fmt.Errorf("%w: frame body (%d of %d bytes)", ErrTruncated, len(b)-HeaderSize, length)
 	}
 	f.Payload = b[HeaderSize : HeaderSize+length]
@@ -157,8 +140,6 @@ func NewReader(r io.Reader, maxPayload int) *Reader {
 // Buffered reports whether a whole frame is already in the buffer, so
 // that Next will return it without reading from the stream: the frames
 // of one burst are those Next yields until Buffered turns false.
-//
-//thedb:noalloc
 func (r *Reader) Buffered() bool {
 	n := r.br.Buffered() - r.held - HeaderSize
 	if n < 0 {
@@ -171,8 +152,6 @@ func (r *Reader) Buffered() bool {
 // Next reads one frame. io.EOF means the peer closed cleanly between
 // frames; a partial frame surfaces as io.ErrUnexpectedEOF. Nothing is
 // allocated or copied unless the frame is larger than the buffer.
-//
-//thedb:noalloc
 func (r *Reader) Next() (Frame, error) {
 	r.br.Discard(r.held) // the last frame's bytes, lent out until now; buffered, so it cannot fail
 	r.held = 0
@@ -197,7 +176,6 @@ func (r *Reader) Next() (Frame, error) {
 	}
 	r.br.Discard(HeaderSize) // just peeked
 	if cap(r.big) < length {
-		//thedb:nolint:noalloc amortized growth: to the largest oversized frame actually seen, then reused
 		r.big = make([]byte, length)
 	}
 	f.Payload = r.big[:length]

@@ -139,8 +139,6 @@ const (
 // AppendCall appends an encoded OpCall frame, header and payload
 // written in place into dst: a client encodes straight into its
 // connection's write buffer.
-//
-//thedb:noalloc
 func AppendCall(dst []byte, id uint64, c Call) []byte {
 	start := len(dst)
 	dst = BeginFrame(dst, OpCall, id)
@@ -207,15 +205,11 @@ type Output struct {
 // transaction's variables, with no []Output in between.
 
 // AppendOutputCount appends the number of outputs that follow.
-//
-//thedb:noalloc
 func AppendOutputCount(dst []byte, n int) []byte {
 	return binary.AppendUvarint(dst, uint64(n))
 }
 
 // AppendScalar appends one scalar output.
-//
-//thedb:noalloc
 func AppendScalar(dst []byte, name string, v storage.Value) []byte {
 	dst = storage.AppendString(dst, name)
 	dst = append(dst, 0)
@@ -223,8 +217,6 @@ func AppendScalar(dst []byte, name string, v storage.Value) []byte {
 }
 
 // AppendList appends one value-list output.
-//
-//thedb:noalloc
 func AppendList(dst []byte, name string, vals []storage.Value) []byte {
 	dst = storage.AppendString(dst, name)
 	dst = append(dst, 1)
@@ -233,8 +225,6 @@ func AppendList(dst []byte, name string, vals []storage.Value) []byte {
 
 // AppendResult appends an encoded OpResult frame carrying the named
 // outputs in the given order, written in place into dst.
-//
-//thedb:noalloc
 func AppendResult(dst []byte, id uint64, outs []Output) []byte {
 	start := len(dst)
 	dst = BeginFrame(dst, OpResult, id)
@@ -286,8 +276,6 @@ func DecodeResult(p []byte) ([]Output, error) {
 
 // AppendError appends an encoded OpError frame for e, written in
 // place into dst.
-//
-//thedb:noalloc
 func AppendError(dst []byte, id uint64, e RemoteError) []byte {
 	start := len(dst)
 	dst = BeginFrame(dst, OpError, id)

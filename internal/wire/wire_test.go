@@ -348,20 +348,41 @@ func TestGoldenCallAndResultBytes(t *testing.T) {
 	}
 }
 
-// TestEncodersAllocateNothing pins the in-place encoders: a call or a
-// result written into a buffer that already has room costs no
-// allocation — no temporary payload, no second copy into a frame.
+// TestEncodersAllocateNothing pins the in-place encoders: a frame
+// written into a buffer that already has room costs no allocation — no
+// temporary payload, no second copy into a frame. It covers
+// AppendCall, AppendResult (with AppendOutputCount, AppendScalar and
+// AppendList), AppendError and AppendFrame over BeginFrame and
+// EndFrame, and DecodeFrame (decodeHeader) with SetID on the way in.
 func TestEncodersAllocateNothing(t *testing.T) {
 	call := Call{Proc: "Pay", Seq: 9, BudgetUS: 1500, TraceID: 0xabcdef,
 		Args: []storage.Value{storage.Int(-42), storage.Float(2.5), storage.Str("héllo"), storage.Null}}
 	outs := []Output{{Name: "row", List: true, Vals: call.Args}, {Name: "n", Vals: call.Args[:1]}}
+	rerr := RemoteError{Code: CodeShed, Backoff: time.Millisecond, Msg: "queue full"}
+	payload := []byte("payload")
 	buf := make([]byte, 0, 256)
-	if n := testing.AllocsPerRun(100, func() { buf = AppendCall(buf[:0], 5, call) }); n != 0 {
-		t.Errorf("AppendCall into a reused buffer: %v allocs, want 0", n)
+	frame := AppendCall(nil, 5, call)
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"AppendCall", func() { buf = AppendCall(buf[:0], 5, call) }},
+		{"AppendResult", func() { buf = AppendResult(buf[:0], 5, outs) }},
+		{"AppendList", func() { buf = AppendList(buf[:0], "row", call.Args) }},
+		{"AppendError", func() { buf = AppendError(buf[:0], 5, rerr) }},
+		{"AppendFrame", func() { buf = AppendFrame(buf[:0], OpResult, 5, payload) }},
+		{"DecodeFrame", func() {
+			if f, _, err := DecodeFrame(frame, 0); err != nil || f.ID != 5 {
+				t.Fatalf("DecodeFrame: %+v, %v", f, err)
+			}
+			SetID(frame, 5)
+		}},
+	} {
+		if n := testing.AllocsPerRun(100, c.fn); n != 0 {
+			t.Errorf("%s into a reused buffer: %v allocs, want 0", c.name, n)
+		}
 	}
-	if n := testing.AllocsPerRun(100, func() { buf = AppendResult(buf[:0], 5, outs) }); n != 0 {
-		t.Errorf("AppendResult into a reused buffer: %v allocs, want 0", n)
-	}
+	buf = AppendResult(buf[:0], 5, outs)
 	// Decoding a result costs three allocations — the outputs, one
 	// backing array of values, one copy of the payload — plus one more
 	// for the backing array to take in a value list.

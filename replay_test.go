@@ -1,9 +1,18 @@
 package thedb_test
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"thedb"
+	"thedb/internal/storage"
+	"thedb/internal/workload/kv"
 )
 
 // shiftDB builds a database whose Shift procedure makes replay order
@@ -90,4 +99,130 @@ func TestReplayCommandsStopsAtFirstFailure(t *testing.T) {
 	if got := shiftValue(t, db); got != 1 {
 		t.Fatalf("value = %d, want 1 (only the pre-failure command applied)", got)
 	}
+}
+
+// TestReplayIsDeterministic checks that command-log recovery (Appendix
+// C) re-executes procedures deterministically: a command-logged KV
+// workload runs on two workers, the directory is copied twice, and
+// each copy boots into a fresh database. Both replays must hold the
+// live database's rows exactly. Every transaction (KVPut, KVInc on a
+// handful of keys) writes every record it reads, so commit-timestamp
+// order is a serial order of the history.
+func TestReplayIsDeterministic(t *testing.T) {
+	const workers, txns, keys = 2, 2000, 8
+	dir := t.TempDir()
+	live, set := kvLife(t, dir, workers)
+	live.Start()
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	start := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := live.Session(w)
+			<-start
+			for i := 0; i < txns; i++ {
+				k, v := thedb.Int(int64((i*7+w*3)%keys)), thedb.Int(int64(i*10+w))
+				proc := kv.ProcPut
+				if (i+w)%3 == 0 {
+					proc = kv.ProcInc
+				}
+				if _, err := s.Run(proc, k, v); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	want := tableDigests(live)
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		db, _ := kvLife(t, copyDir(t, dir), workers)
+		if _, err := db.Boot(thedb.RecoverOptions{}); err != nil {
+			t.Fatalf("replay %d: %v", i, err)
+		}
+		got := tableDigests(db)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for tab, rows := range want {
+			if got[tab] != rows {
+				t.Errorf("replay %d: table %s diverges from the live database:\n got %s\nwant %s", i, tab, got[tab], rows)
+			}
+		}
+	}
+}
+
+// kvLife opens dir as a command-logged WAL set of workers workers and
+// a database over it holding internal/workload/kv's table and
+// procedures.
+func kvLife(t *testing.T, dir string, workers int) (*thedb.DB, *thedb.WALSet) {
+	t.Helper()
+	fs, err := thedb.OpenWALSet(dir, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fs.Close() })
+	db, err := thedb.Open(thedb.Config{
+		Workers: workers, WALSet: fs, LogMode: thedb.CommandLogging, EpochInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustCreateTable(kv.Schema())
+	for _, s := range kv.Specs() {
+		db.MustRegister(s)
+	}
+	return db, fs
+}
+
+// copyDir copies the files of the flat directory src into a fresh
+// temporary directory and returns its path.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// tableDigests renders each table's visible rows as sorted key=tuple
+// pairs, ignoring commit timestamps: a replay stamps its own.
+func tableDigests(db *thedb.DB) map[string]string {
+	out := map[string]string{}
+	for _, tab := range db.Catalog().Tables() {
+		var rows []string
+		tab.ForEach(func(k thedb.Key, r *storage.Record) bool {
+			if _, tup, visible := r.StableSnapshot(); visible {
+				rows = append(rows, fmt.Sprintf("%d=%v", k, tup))
+			}
+			return true
+		})
+		sort.Strings(rows)
+		out[tab.Schema().Name] = strings.Join(rows, " ")
+	}
+	return out
 }
