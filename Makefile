@@ -243,8 +243,9 @@ loc:
 # alternating runs of the parent commit and of the working tree on one
 # workload, 16 s each, seeds SEED..SEED+N-1, with per-pair deltas, each
 # side's median and quartiles, and the verdict (the change wins >= 9 of
-# 10 pairs and the median gap exceeds the parent's IQR). METRIC picks
-# the end-to-end metric (default txn_per_s). The parent is exported
+# 10 pairs and the median gap exceeds the parent's IQR), then every
+# end-to-end metric's medians against its bound. METRIC picks the
+# metric the verdict judges (default txn_per_s). The parent is exported
 # under .bench_build/pairs/; nothing under benchmark/ is edited.
 PARENT ?= HEAD
 WORKLOAD ?= ycsb-net-pipe

@@ -536,7 +536,8 @@ var (
 	ErrNoSuchProc = errors.New("no such procedure")
 
 	// ErrSchema reports an access the table's schema does not admit:
-	// a write to a column outside the row or an insert of another width.
+	// a write to a column outside the row or of another kind than the
+	// column's, or an insert of another width.
 	ErrSchema = errors.New("schema mismatch")
 
 	// errRestart is the internal signal that the current attempt

@@ -479,3 +479,56 @@ func TestWritePastRowEndIsRefused(t *testing.T) {
 		})
 	}
 }
+
+// TestWriteOfWrongKindIsRefused: a write or an insert of a non-NULL
+// value whose kind is not the column's is refused with ErrSchema
+// before anything is acquired, on every protocol. The row keeps its
+// value, the insert leaves no row, and no lock is left behind, so a
+// second worker's KVPut on the key commits at once.
+func TestWriteOfWrongKindIsRefused(t *testing.T) {
+	for _, p := range []Protocol{Healing, OCC, Silo, TPL, Hybrid, OCCNoValidate, SiloNoValidate, DT} {
+		t.Run(p.String(), func(t *testing.T) {
+			cat := storage.NewCatalog()
+			cat.MustCreateTable(kv.Schema())
+			tab, _ := cat.Table(kv.Tab)
+			tab.Put(5, storage.Tuple{storage.Int(1)}, 0)
+			e := NewEngine(cat, Options{Protocol: p, Workers: 2})
+			for _, s := range kv.Specs() {
+				e.MustRegister(s)
+			}
+			e.Start()
+			defer func() { _ = e.Stop() }()
+			for name, body := range map[string]func(proc.OpCtx) error{
+				"write": func(ctx proc.OpCtx) error {
+					return ctx.Write(kv.Tab, 5, []int{0}, []storage.Value{storage.Str("x")})
+				},
+				"insert": func(ctx proc.OpCtx) error {
+					return ctx.Insert(kv.Tab, 6, storage.Tuple{storage.Str("x")})
+				},
+			} {
+				if err := e.Worker(0).Transact(body); !errors.Is(err, ErrSchema) {
+					t.Fatalf("%s of a string into the int column: err = %v, want ErrSchema", name, err)
+				}
+			}
+			if rec, _ := tab.Peek(5); rec.Tuple()[0].Int() != 1 {
+				t.Fatalf("row 5 = %v after refused writes, want [1]", rec.Tuple())
+			}
+			if rec, ok := tab.Peek(6); ok && rec.Visible() {
+				t.Fatalf("row 6 = %v after a refused insert, want none", rec.Tuple())
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := e.Worker(1).Run(kv.ProcPut, storage.Int(5), storage.Int(7))
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("KVPut after the refused writes: %v", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("KVPut on key 5 did not commit within 1s: a refused write left a lock held")
+			}
+		})
+	}
+}

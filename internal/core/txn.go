@@ -365,7 +365,7 @@ func (t *Txn) Write(table string, key storage.Key, cols []int, vals []storage.Va
 		if err := t.matchPoint(entry, table, key); err != nil {
 			return err
 		}
-		if err := checkCols(entry.elem.tab, cols); err != nil {
+		if err := checkCols(entry.elem.tab, cols, vals); err != nil {
 			return err
 		}
 		// The op's previous writes were retracted before replay;
@@ -377,7 +377,7 @@ func (t *Txn) Write(table string, key storage.Key, cols []int, vals []storage.Va
 	if err != nil {
 		return err
 	}
-	if err := checkCols(tab, cols); err != nil {
+	if err := checkCols(tab, cols, vals); err != nil {
 		return err
 	}
 	el, err := t.acquire(tab, key, true)
@@ -412,6 +412,11 @@ func (t *Txn) Insert(table string, key storage.Key, tuple storage.Tuple) error {
 	}
 	if len(tuple) != len(tab.Schema().Columns) {
 		return fmt.Errorf("core: insert into %s: tuple width %d != %d: %w", table, len(tuple), len(tab.Schema().Columns), ErrSchema)
+	}
+	for c, v := range tuple {
+		if err := checkKind(tab, c, v); err != nil {
+			return err
+		}
 	}
 	el, err := t.acquire(tab, key, true)
 	if err != nil {
@@ -615,15 +620,27 @@ func (t *Txn) matchPoint(e *accessEntry, table string, key storage.Key) error {
 	return nil
 }
 
-// checkCols refuses a write to a column outside tab's row before
-// anything is acquired: commit would index past the row with the
-// write set's locks held.
-func checkCols(tab *storage.Table, cols []int) error {
+// checkCols refuses a write to a column outside tab's row, or of a
+// value of another kind than the column's, before anything is
+// acquired: commit would index past the row with the write set's
+// locks held, and a mistyped value would reach every reader.
+func checkCols(tab *storage.Table, cols []int, vals []storage.Value) error {
 	width := len(tab.Schema().Columns)
-	for _, c := range cols {
+	for i, c := range cols {
 		if c < 0 || c >= width {
 			return fmt.Errorf("core: write to %s column %d: the row has %d columns: %w", tab.Schema().Name, c, width, ErrSchema)
 		}
+		if err := checkKind(tab, c, vals[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkKind refuses a non-NULL value whose kind is not column c's.
+func checkKind(tab *storage.Table, c int, v storage.Value) error {
+	if k, want := v.Kind(), tab.Schema().Columns[c].Kind; k != storage.KindNull && k != want {
+		return fmt.Errorf("core: write to %s column %d: value kind %d, the column's is %d: %w", tab.Schema().Name, c, k, want, ErrSchema)
 	}
 	return nil
 }

@@ -68,8 +68,10 @@ func withProcs(t *testing.T, procs int, f func(t *testing.T)) {
 // through the Installer at GOMAXPROCS 1, 2 and 8, build the image a
 // plain serial Put loop over the same rows builds — same rows, same
 // timestamps, same relative address order per table. The digests were
-// taken from the loaders when they were serial Put loops; a loader
-// that changes its rows on purpose changes them here.
+// taken from the loaders when they were serial Put loops, and the
+// ycsb field-length shapes (0 is the Str("") sentinel) before the
+// loader's letters were drawn through its own helper; a loader that
+// changes its rows on purpose changes them here.
 func TestInstallerMatchesSerialLoad(t *testing.T) {
 	tpccScale := func(w int) tpcc.Config {
 		return tpcc.Config{Warehouses: w, DistrictsPerW: 4, CustomersPerDistrict: 40, Items: 100, InitOrdersPerDist: 20, Seed: 7}
@@ -83,6 +85,9 @@ func TestInstallerMatchesSerialLoad(t *testing.T) {
 		{"tpcc-1", tpcc.Schemas(0), func(c *storage.Catalog) error { return tpcc.Populate(c, tpccScale(1)) }, "1e525e329f206eff"},
 		{"tpcc-2", tpcc.Schemas(0), func(c *storage.Catalog) error { return tpcc.Populate(c, tpccScale(2)) }, "4854851aa450ebe1"},
 		{"ycsb", []storage.Schema{ycsb.Schema()}, func(c *storage.Catalog) error { return ycsb.Populate(c, 5000, 8) }, "7274515560ae54aa"},
+		{"ycsb-len0", []storage.Schema{ycsb.Schema()}, func(c *storage.Catalog) error { return ycsb.Populate(c, 500, 0) }, "40ce5289dab8d0fb"},
+		{"ycsb-len1", []storage.Schema{ycsb.Schema()}, func(c *storage.Catalog) error { return ycsb.Populate(c, 2000, 1) }, "ff0abb6879a9ec9e"},
+		{"ycsb-len100", []storage.Schema{ycsb.Schema()}, func(c *storage.Catalog) error { return ycsb.Populate(c, 2000, 100) }, "db758bd93531a390"},
 		{"smallbank", smallbank.Schemas(), func(c *storage.Catalog) error { return smallbank.Populate(c, 2000, 1000, 1000) }, "93f94c5b00d6dd88"},
 	}
 	for _, procs := range []int{1, 2, 8} {

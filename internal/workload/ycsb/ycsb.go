@@ -14,6 +14,8 @@ package ycsb
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 
 	"thedb/internal/proc"
 	"thedb/internal/storage"
@@ -74,16 +76,30 @@ func Populate(cat *storage.Catalog, n int, fieldLen int) error {
 	return ins.Wait()
 }
 
+// randomRow draws Fields strings of fieldLen lowercase letters, each
+// allocated once: the row keeps the builder's bytes, not a copy.
 func randomRow(rng *rand.Rand, fieldLen int) storage.Tuple {
 	t := make(storage.Tuple, Fields)
 	for i := range t {
-		b := make([]byte, fieldLen)
-		for j := range b {
-			b[j] = byte('a' + rng.Intn(26))
+		var b strings.Builder
+		b.Grow(fieldLen)
+		for range fieldLen {
+			b.WriteByte(letter(rng))
 		}
-		t[i] = storage.Str(string(b))
+		t[i] = storage.Str(b.String())
 	}
 	return t
+}
+
+// letter returns 'a'+rng.Intn(26) from the same draws, with a constant
+// divisor: Int31n's rejection bound, then % on Int31's value.
+func letter(rng *rand.Rand) byte {
+	const bound = 1<<31 - 1 - (1<<31)%26
+	v := rng.Int63() >> 32
+	for v > bound {
+		v = rng.Int63() >> 32
+	}
+	return byte('a' + v%26)
 }
 
 // Specs returns the six YCSB stored procedures.
@@ -323,7 +339,11 @@ func NewGen(mix Mix, n int, theta float64, worker int) *Gen {
 func (g *Gen) Next() (string, []storage.Value) {
 	key := storage.Int(int64(g.zg.Next(g.rng.Float64())))
 	field := storage.Int(int64(g.rng.Intn(Fields)))
-	val := storage.Str(fmt.Sprintf("w%d-%d", g.worker, g.rng.Int31()))
+	// "w<worker>-<n>", in one allocation of its exact size.
+	var buf [24]byte
+	b := strconv.AppendInt(append(buf[:0], 'w'), g.worker, 10)
+	b = strconv.AppendInt(append(b, '-'), int64(g.rng.Int31()), 10)
+	val := storage.Str(string(b))
 	p := g.rng.Intn(100)
 	m := g.mix
 	switch {

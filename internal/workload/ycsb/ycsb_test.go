@@ -1,6 +1,9 @@
 package ycsb
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -236,5 +239,58 @@ func TestProgramsSharedAcrossWorkers(t *testing.T) {
 	}
 	if want := int64(len(Specs())); m.PlanExpansions != want {
 		t.Errorf("PlanExpansions = %d over %d transactions, want one per procedure (%d)", m.PlanExpansions, m.Committed, want)
+	}
+}
+
+var (
+	rowSink     storage.Tuple
+	raceEnabled bool // set by race_test.go
+)
+
+// TestLoadedRowAllocations pins what Populate's randomRow allocates per
+// loaded row of 8-byte fields: the tuple (Fields 16-byte Values, 160 B)
+// and each field's bytes once, 8 B apiece — 1 + Fields objects and
+// 240 B. A field built in a scratch []byte and copied into its string
+// costs two objects and, in the tiny allocator, 16 B. `make pins` runs
+// it without the race detector, which turns the tiny allocator off; the
+// byte count is checked only there.
+func TestLoadedRowAllocations(t *testing.T) {
+	const rows = 1000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(7))
+	rowSink = randomRow(rng, 8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rows; i++ {
+		rowSink = randomRow(rng, 8)
+	}
+	runtime.ReadMemStats(&after)
+	if objs := (after.Mallocs - before.Mallocs) / rows; objs > 1+Fields {
+		t.Errorf("randomRow allocates %d objects per row, want %d", objs, 1+Fields)
+	}
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / rows; bytes > 240 && !raceEnabled {
+		t.Errorf("randomRow allocates %d B per row, want 240", bytes)
+	}
+}
+
+// TestGenValuesMatchSprintf: every update and insert value two
+// generators draw is the "w<worker>-<n>" string fmt.Sprintf makes, n
+// being the generator's third draw, replayed here on a mirror of its
+// source.
+func TestGenValuesMatchSprintf(t *testing.T) {
+	mix := Mix{UpdatePct: 50, InsertPct: 50} // every request carries a value
+	for _, worker := range []int{0, 12} {
+		g := NewGen(mix, 1000, 0.9, worker)
+		mirror := rand.New(rand.NewSource(int64(worker)*104729 + 3))
+		for i := 0; i < 10000; i++ {
+			_ = mirror.Float64()
+			_ = mirror.Intn(Fields)
+			want := fmt.Sprintf("w%d-%d", worker, mirror.Int31())
+			_ = mirror.Intn(100)
+			p, args := g.Next()
+			if got := args[len(args)-1].Str(); got != want {
+				t.Fatalf("worker %d request %d (%s): value %q, want %q", worker, i, p, got, want)
+			}
+		}
 	}
 }

@@ -18,6 +18,15 @@
 # benchmark/ is edited. Each run's JSON line is kept in
 # .bench_build/pairs/runs.jsonl. A run that is not correct or that
 # failed a call stops the script.
+#
+# After the verdict comes the must-not-move table: every end-to-end
+# metric of BENCHMARK.json, read from the same runs, as parent median
+# -> change median, the change in percent and the metric's bound. A row
+# whose parent or change IQR exceeds the bound (as a share of that
+# side's median) is unresolved: these pairs cannot tell a move of the
+# bound's size from noise (choosing-metrics §6.5), unless every change
+# run reads better than every parent run. A resolved row moved the
+# worse way by more than its bound is marked OUT OF BOUND.
 set -euo pipefail
 parent=${1:?usage: pairs.sh PARENT WORKLOAD [N [SEED [METRIC]]]}
 workload=${2:?usage: pairs.sh PARENT WORKLOAD [N [SEED [METRIC]]]}
@@ -98,3 +107,55 @@ function sorted(src, dst,   i, j, t) {
 	ok = wins * 10 >= 9 * n && gap > pq3 - pq1
 	print "  verdict: " (ok ? "GAIN (wins >= 9/10 of pairs and median gap > parent IQR)" : "no gain claimable")
 }'
+
+awk '
+function quart(x, n, k,   j, d) { # as in the verdict above, on sorted x[1..n]
+	j = int(k * (n + 1) / 4); d = k * (n + 1) - 4 * j
+	if (j < 1) j = 1; if (j > n - 1) { j = n - 1; d = 4 }
+	if (n == 1) return x[1]
+	return (x[j] * (4 - d) + x[j + 1] * d) / 4
+}
+function sortn(x, n,   i, j, t) {
+	for (i = 2; i <= n; i++) for (j = i; j > 1 && x[j - 1] > x[j]; j--) { t = x[j]; x[j] = x[j - 1]; x[j - 1] = t }
+}
+FILENAME == ARGV[1] { # BENCHMARK.json: the end_to_end names, directions and bounds
+	if ($0 ~ /"end_to_end"/) on = 1
+	else if (on && $0 ~ /^  *\]/) on = 0
+	if (!on) next
+	if (match($0, /"name": *"[^"]*"/)) { v = substr($0, RSTART, RLENGTH); sub(/"name": *"/, "", v); sub(/"$/, "", v); names[++m] = v }
+	if (match($0, /"better": *"[a-z]*"/)) better[names[m]] = ($0 ~ /higher/) ? "higher" : "lower"
+	if (match($0, /"bound": *[0-9.]+/)) { v = substr($0, RSTART, RLENGTH); sub(/"bound": */, "", v); bound[names[m]] = v }
+	next
+}
+{ # runs.jsonl: one run per line
+	side = ($0 ~ /^\{"side":"parent"/) ? "p" : "c"
+	cnt[side]++
+	for (i = 1; i <= m; i++) if (match($0, "\"" names[i] "\":\\{\"value\":[-0-9.e+]+")) {
+		v = substr($0, RSTART, RLENGTH); sub(/.*"value":/, "", v)
+		val[side, names[i], cnt[side]] = v + 0 # a number, or the sort compares strings
+	}
+}
+END {
+	printf "must not move (%d parent and %d change runs; IQR and bound as a share of the median):\n", cnt["p"], cnt["c"]
+	printf "  %-14s %14s    %14s  %8s  %6s  %6s  %5s  %s\n", "metric", "parent median", "change median", "change", "p IQR", "c IQR", "bound", "status"
+	for (i = 1; i <= m; i++) {
+		name = names[i]
+		for (s = 1; s <= 2; s++) {
+			side = (s == 1) ? "p" : "c"
+			delete x
+			for (j = 1; j <= cnt[side]; j++) x[j] = val[side, name, j]
+			sortn(x, cnt[side])
+			lo[side] = x[1]; hi[side] = x[cnt[side]]
+			med[side] = quart(x, cnt[side], 2)
+			iqr[side] = med[side] ? (quart(x, cnt[side], 3) - quart(x, cnt[side], 1)) / med[side] : 0
+		}
+		d = med["p"] ? (med["c"] - med["p"]) / med["p"] : 0
+		worse = (better[name] == "higher") ? -d : d
+		status = "within"
+		apart = (better[name] == "higher") ? lo["c"] > hi["p"] : hi["c"] < lo["p"]
+		if (apart) status = "better in every run"
+		else if (iqr["p"] > bound[name] || iqr["c"] > bound[name]) status = "unresolved"
+		else if (worse > bound[name]) status = "OUT OF BOUND"
+		printf "  %-14s %14.4f -> %14.4f  %+7.2f%%  %5.1f%%  %5.1f%%  %4.0f%%  %s\n", name, med["p"], med["c"], d * 100, iqr["p"] * 100, iqr["c"] * 100, bound[name] * 100, status
+	}
+}' "$root/BENCHMARK.json" "$log"
