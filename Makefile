@@ -11,10 +11,10 @@ vet:
 test:
 	$(GO) test ./...
 
-# lint runs the custom analyzer (syncerr — see DESIGN.md §8.4) plus
-# the stock `go vet` passes, which thedb-lint invokes itself. Every run
-# prints the //thedb:nolint tally and fails on suppressions with no
-# justification text. The first grep keeps shared counters on typed
+# lint runs the stock `go vet` passes, then the one custom lint rule
+# (syncerr — see DESIGN.md §8.4), which prints the
+# //thedb:nolint:syncerr tally and fails on any malformed suppression.
+# The first grep keeps shared counters on typed
 # atomics (atomic.Int64 and friends), where a plain access does not
 # compile and vet's copylocks catches every copy: it fails on any
 # pointer-form sync/atomic call outside tests and benchmark/. The
@@ -22,13 +22,16 @@ test:
 # files may not import math/rand (command-log replay re-executes
 # procedures and must make the same choices; internal/fault's seeded
 # stream is the sanctioned randomness) nor print process-wide
-# (fmt.Print*, package log).
+# (fmt.Print*, package log). Last, gofmt must list no file.
 lint:
+	$(GO) vet ./...
 	$(GO) run ./cmd/thedb-lint ./...
 	@! grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int|Uint|Pointer|Uintptr)[0-9]*\(' . \
 		|| { echo "lint: pointer-form sync/atomic call; use a typed atomic field instead"; exit 1; }
 	@! grep -rnE --include='*.go' --exclude='*_test.go' '"math/rand|\<fmt\.Print|"log"' internal/core \
 		|| { echo "lint: math/rand or process-global printing (fmt.Print*, package log) in internal/core; keep the engine deterministic and quiet"; exit 1; }
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" \
+		|| { echo "$$unformatted"; echo "lint: files not gofmt-formatted; run gofmt -w on them"; exit 1; }
 
 race:
 	$(GO) test -race ./...

@@ -24,7 +24,7 @@ func publishChecked(f *os.File, tmp, final string) error {
 	if err := os.Rename(tmp, final); err != nil {
 		return err
 	}
-	// Receiverless functions outside StrictFuncs stay unflagged even
+	// Receiverless functions outside strictFuncs stay unflagged even
 	// when their error is dropped.
 	_ = os.Remove(tmp)
 	return nil

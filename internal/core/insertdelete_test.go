@@ -532,3 +532,67 @@ func TestWriteOfWrongKindIsRefused(t *testing.T) {
 		})
 	}
 }
+
+// TestInsertReplayRechecksRow: healing replays an insert whose row is
+// built from a read, and the replayed row has another width or a
+// value of another kind than the schema's. The replay is refused with
+// ErrSchema, like a first execution, instead of reaching commit, whose
+// SetTuple would panic with the write set locked. No row is left and
+// no lock is held, so a second worker's KVPut on the key commits.
+func TestInsertReplayRechecksRow(t *testing.T) {
+	for name, bad := range map[string]storage.Tuple{
+		"width": {storage.Int(1), storage.Int(2)},
+		"kind":  {storage.Str("x")},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cat := storage.NewCatalog()
+			cat.MustCreateTable(kv.Schema())
+			tab, _ := cat.Table(kv.Tab)
+			tab.Put(5, storage.Tuple{storage.Int(1)}, 0)
+			e := NewEngine(cat, Options{Protocol: Healing, Workers: 2})
+			for _, s := range kv.Specs() {
+				e.MustRegister(s)
+			}
+			bumped := false
+			e.MustRegister(&proc.Spec{Name: "CopyInsert", Plan: func(b *proc.Builder, _ *proc.Env) {
+				b.Op(proc.Op{Name: "read", Writes: []string{"v"}, Body: func(ctx proc.OpCtx) error {
+					row, _, err := ctx.Read(kv.Tab, 5, nil)
+					ctx.Env().SetVal("v", row[0])
+					return err
+				}})
+				b.Op(proc.Op{Name: "insert", ValReads: []string{"v"}, Body: func(ctx proc.OpCtx) error {
+					if !bumped { // a concurrent commit between the read and validation
+						bumped = true
+						externalCommit(t, e, kv.Tab, 5, 0, storage.Int(2), storage.MakeTS(1, 1))
+					}
+					row := storage.Tuple{storage.Int(1)}
+					if ctx.Env().Int("v") != 1 {
+						row = bad
+					}
+					return ctx.Insert(kv.Tab, 6, row)
+				}})
+			}})
+			e.Start()
+			defer func() { _ = e.Stop() }()
+			if _, err := e.Worker(0).Run("CopyInsert"); !errors.Is(err, ErrSchema) {
+				t.Fatalf("healed insert of a bad row: err = %v, want ErrSchema", err)
+			}
+			if rec, ok := tab.Peek(6); ok && rec.Visible() {
+				t.Fatalf("row 6 = %v after a refused insert, want none", rec.Tuple())
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := e.Worker(1).Run(kv.ProcPut, storage.Int(6), storage.Int(7))
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("KVPut after the refused insert: %v", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("KVPut on key 6 did not commit within 1s: the refused insert left a lock held")
+			}
+		})
+	}
+}

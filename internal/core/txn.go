@@ -403,6 +403,9 @@ func (t *Txn) Insert(table string, key storage.Key, tuple storage.Tuple) error {
 		if err := t.matchPoint(entry, table, key); err != nil {
 			return err
 		}
+		if err := checkRow(entry.elem.tab, tuple); err != nil {
+			return err
+		}
 		entry.elem.insertTuple = tuple
 		return nil
 	}
@@ -410,13 +413,8 @@ func (t *Txn) Insert(table string, key storage.Key, tuple storage.Tuple) error {
 	if err != nil {
 		return err
 	}
-	if len(tuple) != len(tab.Schema().Columns) {
-		return fmt.Errorf("core: insert into %s: tuple width %d != %d: %w", table, len(tuple), len(tab.Schema().Columns), ErrSchema)
-	}
-	for c, v := range tuple {
-		if err := checkKind(tab, c, v); err != nil {
-			return err
-		}
+	if err := checkRow(tab, tuple); err != nil {
+		return err
 	}
 	el, err := t.acquire(tab, key, true)
 	if err != nil {
@@ -631,6 +629,22 @@ func checkCols(tab *storage.Table, cols []int, vals []storage.Value) error {
 			return fmt.Errorf("core: write to %s column %d: the row has %d columns: %w", tab.Schema().Name, c, width, ErrSchema)
 		}
 		if err := checkKind(tab, c, vals[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkRow refuses an inserted row of another width than tab's, or
+// holding a value of another kind than its column's: commit's SetTuple
+// panics on another width with the write set's locks held, and a
+// mistyped value would reach every reader.
+func checkRow(tab *storage.Table, tuple storage.Tuple) error {
+	if width := len(tab.Schema().Columns); len(tuple) != width {
+		return fmt.Errorf("core: insert into %s: tuple width %d != %d: %w", tab.Schema().Name, len(tuple), width, ErrSchema)
+	}
+	for c, v := range tuple {
+		if err := checkKind(tab, c, v); err != nil {
 			return err
 		}
 	}
